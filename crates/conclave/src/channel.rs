@@ -61,10 +61,14 @@ pub struct ClientHello {
 }
 
 fn derive_key(shared: &[u8; 32], transcript: &[u8]) -> AeadKey {
-    let okm = hkdf(b"attested-channel", shared, transcript, 32);
-    let mut master = [0u8; 32];
-    master.copy_from_slice(&okm);
-    AeadKey::from_master(&master)
+    AeadKey::from_master(&hkdf(b"attested-channel", shared, transcript))
+}
+
+/// The DH step both sides share. A small-order peer key makes the message
+/// malformed: the channel key would not depend on our secret.
+fn dh(eph: &StaticSecret, peer: [u8; 32]) -> Result<[u8; 32], ChannelError> {
+    eph.diffie_hellman(&PublicKey(peer))
+        .ok_or(ChannelError::Malformed)
 }
 
 fn dir_nonce(counter: u64, from_client: bool) -> [u8; 12] {
@@ -94,6 +98,7 @@ impl AttestedChannel {
         client_pub.copy_from_slice(&client_hello[32..]);
         let eph = StaticSecret::random(rng);
         let eph_pub = eph.public_key();
+        let shared = dh(&eph, client_pub)?;
         let mut binding = Vec::with_capacity(96);
         binding.extend_from_slice(eph_pub.as_bytes());
         binding.extend_from_slice(client_hello);
@@ -107,7 +112,6 @@ impl AttestedChannel {
         msg.extend_from_slice(&quote.tcb_version.to_be_bytes());
         msg.extend_from_slice(&quote.report_data);
         msg.extend_from_slice(&quote.mac);
-        let shared = eph.diffie_hellman(&PublicKey(client_pub));
         let mut transcript = client_hello.to_vec();
         transcript.extend_from_slice(eph_pub.as_bytes());
         let key = derive_key(&shared, &transcript);
@@ -144,6 +148,7 @@ impl AttestedChannel {
         };
         let mut eph_pub = [0u8; 32];
         eph_pub.copy_from_slice(take(32));
+        let shared = dh(&state.eph, eph_pub)?;
         let platform_id = u64::from_be_bytes(take(8).try_into().expect("len"));
         let mut measurement = [0u8; 32];
         measurement.copy_from_slice(take(32));
@@ -176,7 +181,6 @@ impl AttestedChannel {
         if &measurement != expected_measurement {
             return Err(ChannelError::WrongMeasurement);
         }
-        let shared = state.eph.diffie_hellman(&PublicKey(eph_pub));
         let mut transcript = Vec::with_capacity(96);
         transcript.extend_from_slice(&state.nonce);
         transcript.extend_from_slice(state.eph.public_key().as_bytes());
@@ -218,6 +222,7 @@ impl AttestedChannel {
         client_pub.copy_from_slice(&client_hello[32..]);
         let eph = StaticSecret::random(rng);
         let eph_pub = eph.public_key();
+        let shared = dh(&eph, client_pub)?;
         // Bind the DH key and the entire client hello into the quote.
         let mut binding = Vec::with_capacity(96);
         binding.extend_from_slice(eph_pub.as_bytes());
@@ -241,7 +246,6 @@ impl AttestedChannel {
         msg.extend_from_slice(&(sig.len() as u32).to_be_bytes());
         msg.extend_from_slice(&sig);
 
-        let shared = eph.diffie_hellman(&PublicKey(client_pub));
         let mut transcript = client_hello.to_vec();
         transcript.extend_from_slice(eph_pub.as_bytes());
         let key = derive_key(&shared, &transcript);
@@ -278,6 +282,7 @@ impl AttestedChannel {
         };
         let mut eph_pub = [0u8; 32];
         eph_pub.copy_from_slice(take(32));
+        let shared = dh(&state.eph, eph_pub)?;
         let platform_id = u64::from_be_bytes(take(8).try_into().expect("len"));
         let mut measurement = [0u8; 32];
         measurement.copy_from_slice(take(32));
@@ -321,7 +326,6 @@ impl AttestedChannel {
         if &measurement != expected_measurement {
             return Err(ChannelError::WrongMeasurement);
         }
-        let shared = state.eph.diffie_hellman(&PublicKey(eph_pub));
         let mut transcript = Vec::with_capacity(96);
         transcript.extend_from_slice(&state.nonce);
         transcript.extend_from_slice(state.eph.public_key().as_bytes());
@@ -555,6 +559,56 @@ mod tests {
                 AttestationError::TcbOutOfDate { .. }
             ))
         ));
+    }
+
+    #[test]
+    fn small_order_keys_are_malformed() {
+        let mut s = setup();
+        let (ias_key, meas) = (s.ias.verify_key(), s.enclave.measurement);
+        for point in onion_crypto::x25519::SMALL_ORDER_POINTS {
+            let (state, hello) = AttestedChannel::client_hello(&mut s.rng);
+            // From the client, in the hello, to either server flow...
+            let mut bad = hello.clone();
+            bad[32..].copy_from_slice(&point);
+            let stapled = AttestedChannel::server_respond(
+                &mut s.rng,
+                &s.enclave,
+                &s.platform,
+                &mut s.ias,
+                &bad,
+            );
+            assert_eq!(stapled.err(), Some(ChannelError::Malformed));
+            let unstapled = AttestedChannel::server_respond_unstapled(
+                &mut s.rng,
+                &s.enclave,
+                &s.platform,
+                &bad,
+            );
+            assert_eq!(unstapled.err(), Some(ChannelError::Malformed));
+            // ...and from the conclave, in place of its key in honest replies.
+            let (mut reply, _) = AttestedChannel::server_respond(
+                &mut s.rng,
+                &s.enclave,
+                &s.platform,
+                &mut s.ias,
+                &hello,
+            )
+            .unwrap();
+            reply[..32].copy_from_slice(&point);
+            let finished = AttestedChannel::client_finish(&state, &reply, &ias_key, &meas);
+            assert_eq!(finished.err(), Some(ChannelError::Malformed));
+            let (mut reply, _) = AttestedChannel::server_respond_unstapled(
+                &mut s.rng,
+                &s.enclave,
+                &s.platform,
+                &hello,
+            )
+            .unwrap();
+            reply[..32].copy_from_slice(&point);
+            let finished =
+                AttestedChannel::client_finish_with_ias(&state, &reply, &mut s.ias, &meas);
+            assert_eq!(finished.err(), Some(ChannelError::Malformed));
+        }
     }
 
     #[test]

@@ -25,10 +25,7 @@ impl std::fmt::Display for SealError {
 impl std::error::Error for SealError {}
 
 fn sealing_key(platform_secret: &[u8; 32], measurement: &[u8; 32]) -> AeadKey {
-    let okm = hkdf(b"sgx-seal", platform_secret, measurement, 32);
-    let mut master = [0u8; 32];
-    master.copy_from_slice(&okm);
-    AeadKey::from_master(&master)
+    AeadKey::from_master(&hkdf(b"sgx-seal", platform_secret, measurement))
 }
 
 /// Seal `data` to (platform, measurement).

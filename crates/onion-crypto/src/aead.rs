@@ -40,7 +40,7 @@ pub struct AeadKey {
 impl AeadKey {
     /// Derive the cipher/MAC key pair from one 32-byte master key.
     pub fn from_master(master: &[u8; 32]) -> Self {
-        let okm = hkdf(b"bento-aead", master, b"enc|mac", 64);
+        let okm: [u8; 64] = hkdf(b"bento-aead", master, b"enc|mac");
         let mut enc = [0u8; 32];
         let mut mac = [0u8; 32];
         enc.copy_from_slice(&okm[..32]);

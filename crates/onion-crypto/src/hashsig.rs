@@ -8,8 +8,9 @@
 //! standard assumptions, simple to audit, and a few-time property (2^h
 //! signatures per key) that fits the epoch-signed documents it is used for.
 
-use crate::hmac::hmac_sha256;
-use crate::sha256::{sha256_concat, DIGEST_LEN};
+use crate::hmac::hmac_sha256_lanes;
+use crate::sha256::{finish_lanes, sha256_concat, Lanes, DIGEST_LEN, H0, LANES};
+use std::array::from_fn;
 
 /// Winternitz parameter: 4 bits per chain.
 const W_BITS: usize = 4;
@@ -100,25 +101,50 @@ fn digits(msg_digest: &[u8; DIGEST_LEN]) -> [u8; L] {
     d
 }
 
-/// The chain step function.
-fn step(x: &[u8; DIGEST_LEN]) -> [u8; DIGEST_LEN] {
-    sha256_concat(&[b"bento-wots-chain", x])
+/// The first `N` big-endian words of `bytes`.
+fn be_words<const N: usize>(bytes: &[u8]) -> [u32; N] {
+    from_fn(|i| u32::from_be_bytes(bytes[4 * i..4 * i + 4].try_into().expect("4 bytes")))
 }
 
-/// Apply `n` chain steps.
-fn chain(mut x: [u8; DIGEST_LEN], n: usize) -> [u8; DIGEST_LEN] {
-    for _ in 0..n {
-        x = step(&x);
+/// `LANES` chains advanced in lockstep, lane `l` by `steps[l]` applications
+/// of the step function `x -> SHA-256("bento-wots-chain" ‖ x)` (lanes past
+/// the end of `steps` stand still). A digest's words are the next block's
+/// message words, so the chain never leaves word form.
+fn advance(x: &mut [Lanes; 8], steps: &[u8]) {
+    let steps: Lanes = from_fn(|l| steps.get(l).map_or(0, |&s| s as u32));
+    let mut msg = [[0u32; LANES]; 12];
+    for (row, word) in msg.iter_mut().zip(be_words::<4>(b"bento-wots-chain")) {
+        *row = [word; LANES];
     }
-    x
+    for i in 0..steps.into_iter().max().unwrap_or(0) {
+        msg[4..].copy_from_slice(x);
+        for (row, next) in x.iter_mut().zip(finish_lanes(H0, 0, &msg)) {
+            *row = from_fn(|l| if i < steps[l] { next[l] } else { row[l] });
+        }
+    }
 }
 
-/// Secret chain start for (leaf, chain) from the key seed.
-fn sk_element(seed: &[u8; 32], leaf: u32, chain_idx: usize) -> [u8; DIGEST_LEN] {
-    let mut info = [0u8; 8];
-    info[..4].copy_from_slice(&leaf.to_be_bytes());
-    info[4..].copy_from_slice(&(chain_idx as u32).to_be_bytes());
-    hmac_sha256(seed, &info)
+/// Secret chain starts `HMAC(seed, leaf ‖ chain)` for chains `first_chain..`
+/// of `leaf`, one per lane.
+fn secret_lanes(seed: &[u8; 32], leaf: u32, first_chain: usize) -> [Lanes; 8] {
+    let info = [[leaf; LANES], from_fn(|l| (first_chain + l) as u32)];
+    hmac_sha256_lanes(seed, &info)
+}
+
+/// Run all `L` chains of one WOTS key, `LANES` at a time: chain `c` starts
+/// from lane `c - first` of `start(first)` and takes `steps[c]` steps.
+fn run_chains(steps: &[u8; L], start: impl Fn(usize) -> [Lanes; 8]) -> [[u8; DIGEST_LEN]; L] {
+    let mut out = [[0u8; DIGEST_LEN]; L];
+    for (group, (vals, steps)) in out.chunks_mut(LANES).zip(steps.chunks(LANES)).enumerate() {
+        let mut x = start(group * LANES);
+        advance(&mut x, steps);
+        for (l, val) in vals.iter_mut().enumerate() {
+            for (bytes, row) in val.chunks_exact_mut(4).zip(x) {
+                bytes.copy_from_slice(&row[l].to_be_bytes());
+            }
+        }
+    }
+    out
 }
 
 /// Compress the 67 chain tops into a leaf hash.
@@ -160,13 +186,13 @@ impl MerkleSigner {
     pub fn generate(seed: [u8; 32], height: usize) -> Self {
         assert!((1..=16).contains(&height), "unreasonable tree height");
         let n_leaves = 1usize << height;
-        let mut leaves = Vec::with_capacity(n_leaves);
-        for leaf in 0..n_leaves {
-            let tops: Vec<[u8; DIGEST_LEN]> = (0..L)
-                .map(|c| chain(sk_element(&seed, leaf as u32, c), W - 1))
-                .collect();
-            leaves.push(leaf_hash(&tops));
-        }
+        let leaves: Vec<[u8; DIGEST_LEN]> = (0..n_leaves as u32)
+            .map(|leaf| {
+                leaf_hash(&run_chains(&[W as u8 - 1; L], |c| {
+                    secret_lanes(&seed, leaf, c)
+                }))
+            })
+            .collect();
         let mut tree = vec![leaves];
         for level in 0..height {
             let prev = &tree[level];
@@ -206,9 +232,7 @@ impl MerkleSigner {
         self.next_leaf += 1;
         let digest = sha256_concat(&[b"bento-wots-msg", msg]);
         let d = digits(&digest);
-        let wots: Vec<[u8; DIGEST_LEN]> = (0..L)
-            .map(|c| chain(sk_element(&self.seed, leaf, c), d[c] as usize))
-            .collect();
+        let wots = run_chains(&d, |c| secret_lanes(&self.seed, leaf, c)).to_vec();
         let mut auth_path = Vec::with_capacity(self.height);
         let mut idx = leaf as usize;
         for level in 0..self.height {
@@ -234,9 +258,10 @@ impl MerkleVerifyKey {
         }
         let digest = sha256_concat(&[b"bento-wots-msg", msg]);
         let d = digits(&digest);
-        let tops: Vec<[u8; DIGEST_LEN]> = (0..L)
-            .map(|c| chain(sig.wots[c], W - 1 - d[c] as usize))
-            .collect();
+        let tops = run_chains(&d.map(|x| W as u8 - 1 - x), |first| {
+            let vals = &sig.wots[first..L.min(first + LANES)];
+            from_fn(|i| from_fn(|l| vals.get(l).map_or(0, |v| be_words::<8>(v)[i])))
+        });
         let mut node = leaf_hash(&tops);
         let mut idx = sig.leaf_index as usize;
         for sibling in &sig.auth_path {
@@ -344,5 +369,41 @@ mod tests {
         let mut sig = s.sign(b"m").unwrap();
         sig.leaf_index = 1 << 10;
         assert!(!vk.verify(b"m", &sig));
+    }
+
+    /// Roots and first signatures pinned from the scalar code: keys and
+    /// signatures are a function of the seed alone, whatever computes them.
+    #[test]
+    fn keys_and_signatures_are_pinned() {
+        use crate::sha256::{digest_hex, sha256};
+        let pinned = [
+            (
+                "4a0c857e4fc9629761ae594e950b3b2a6e2b7e7d34b0f03be463cb77e8486d16",
+                "f9c5a71d2a0610912b3427382b0c821ba3a0c2e50eb5bd4ab38471f2294ebbd4",
+            ),
+            (
+                "44009ebc7091291a7769b69ac8a81ad3c99bfc26e73cb268bb25d6c18898f621",
+                "bf707ad43775f681b6644111d39ee45d692e240856512655e00ba933013e1c36",
+            ),
+            (
+                "0b764515e21928379e9ba1dacc2d7150dabc6809d1ab0b25be4ea2ac193b3604",
+                "877f29cb8f8d0e78d83e187c4899f97a3d471ffa634c47588de0c3683f1bee2b",
+            ),
+            (
+                "c8e6f34cfebdc8f4a1a6d624e6684b75911f07bf61305c122b2ccfdbdda8ecd6",
+                "9d24a80e60002cccbce6316466220badfc01f648aec7c4178ecafeb10e717128",
+            ),
+        ];
+        for (height, (root, sig_digest)) in (1..=4).zip(pinned) {
+            let mut s = MerkleSigner::generate([0x5e; 32], height);
+            let sig = s.sign(b"pinned message").unwrap();
+            assert_eq!(digest_hex(&s.verify_key().root), root, "height {height}");
+            assert_eq!(
+                digest_hex(&sha256(&sig.to_bytes())),
+                sig_digest,
+                "height {height}"
+            );
+            assert!(s.verify_key().verify(b"pinned message", &sig));
+        }
     }
 }

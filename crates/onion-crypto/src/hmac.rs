@@ -3,7 +3,7 @@
 //! HKDF is how circuit handshakes expand a shared secret into the forward
 //! and backward onion keys, and how FS Protect derives its file keys.
 
-use crate::sha256::{Sha256, DIGEST_LEN};
+use crate::sha256::{finish_lanes, Lanes, Sha256, DIGEST_LEN, H0};
 
 const BLOCK: usize = 64;
 
@@ -12,26 +12,22 @@ pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; DIGEST_LEN] {
     hmac_sha256_parts(key, &[msg])
 }
 
-/// HMAC over multiple message parts, streamed straight into the inner hash
-/// (the message is never concatenated into a scratch buffer).
-pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
+/// The inner and outer key blocks: the key (hashed first if longer than a
+/// block) zero-padded and XORed with 0x36 and 0x5c.
+fn key_pads(key: &[u8]) -> [[u8; BLOCK]; 2] {
     let mut k = [0u8; BLOCK];
     if key.len() > BLOCK {
-        let d = {
-            let mut h = Sha256::new();
-            h.update(key);
-            h.finalize()
-        };
-        k[..DIGEST_LEN].copy_from_slice(&d);
+        k[..DIGEST_LEN].copy_from_slice(&crate::sha256::sha256(key));
     } else {
         k[..key.len()].copy_from_slice(key);
     }
-    let mut ipad = [0x36u8; BLOCK];
-    let mut opad = [0x5cu8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] ^= k[i];
-        opad[i] ^= k[i];
-    }
+    [0x36, 0x5c].map(|pad| k.map(|b| b ^ pad))
+}
+
+/// HMAC over multiple message parts, streamed straight into the inner hash
+/// (the message is never concatenated into a scratch buffer).
+pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
+    let [ipad, opad] = key_pads(key);
     let mut inner = Sha256::new();
     inner.update(&ipad);
     for p in parts {
@@ -43,38 +39,43 @@ pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
     h.finalize()
 }
 
+/// `LANES` HMACs under one key at once, for messages of at most 13 words
+/// each (`msg[i][l]` is word `i` of lane `l`'s message); the digests in
+/// word form. Equal to [`hmac_sha256`] lane by lane.
+pub(crate) fn hmac_sha256_lanes(key: &[u8], msg: &[Lanes]) -> [Lanes; 8] {
+    let [inner, outer] = key_pads(key).map(|block| {
+        let mut state = H0;
+        Sha256::compress_into(&mut state, &block);
+        state
+    });
+    finish_lanes(outer, BLOCK as u32, &finish_lanes(inner, BLOCK as u32, msg))
+}
+
 /// HKDF-Extract: a pseudorandom key from input keying material and salt.
 pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
     hmac_sha256(salt, ikm)
 }
 
-/// HKDF-Expand: `len` bytes of output keying material from a PRK and info.
+/// HKDF-Expand: `N` bytes of output keying material from a PRK and info.
 ///
 /// # Panics
-/// If `len > 255 * 32` (the RFC 5869 limit).
-pub fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], len: usize) -> Vec<u8> {
-    assert!(len <= 255 * DIGEST_LEN, "HKDF output too long");
-    let mut out = Vec::with_capacity(len);
-    let mut t: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    while out.len() < len {
-        let mut msg = Vec::with_capacity(t.len() + info.len() + 1);
-        msg.extend_from_slice(&t);
-        msg.extend_from_slice(info);
-        msg.push(counter);
-        let block = hmac_sha256(prk, &msg);
-        t = block.to_vec();
-        let take = (len - out.len()).min(DIGEST_LEN);
-        out.extend_from_slice(&block[..take]);
-        counter = counter.wrapping_add(1);
+/// If `N > 255 * 32` (the RFC 5869 limit).
+pub fn hkdf_expand<const N: usize>(prk: &[u8; DIGEST_LEN], info: &[u8]) -> [u8; N] {
+    assert!(N <= 255 * DIGEST_LEN, "HKDF output too long");
+    let mut out = [0u8; N];
+    let mut t = [0u8; DIGEST_LEN];
+    for (i, chunk) in out.chunks_mut(DIGEST_LEN).enumerate() {
+        // T(i) = HMAC(prk, T(i-1) | info | i), with T(0) empty.
+        let prev = if i == 0 { &[][..] } else { &t[..] };
+        t = hmac_sha256_parts(prk, &[prev, info, &[i as u8 + 1]]);
+        chunk.copy_from_slice(&t[..chunk.len()]);
     }
     out
 }
 
-/// Full HKDF: extract then expand.
-pub fn hkdf(salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -> Vec<u8> {
-    let prk = hkdf_extract(salt, ikm);
-    hkdf_expand(&prk, info, len)
+/// Full HKDF: extract then expand to `N` bytes.
+pub fn hkdf<const N: usize>(salt: &[u8], ikm: &[u8], info: &[u8]) -> [u8; N] {
+    hkdf_expand(&hkdf_extract(salt, ikm), info)
 }
 
 /// Constant-time equality for MACs and tokens.
@@ -148,7 +149,7 @@ mod tests {
         let ikm = [0x0b; 22];
         let salt: Vec<u8> = (0x00..=0x0c).collect();
         let info: Vec<u8> = (0xf0..=0xf9).collect();
-        let okm = hkdf(&salt, &ikm, &info, 42);
+        let okm: [u8; 42] = hkdf(&salt, &ikm, &info);
         assert_eq!(
             hex(&okm),
             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
@@ -159,7 +160,7 @@ mod tests {
     #[test]
     fn rfc5869_case3() {
         let ikm = [0x0b; 22];
-        let okm = hkdf(&[], &ikm, &[], 42);
+        let okm: [u8; 42] = hkdf(&[], &ikm, &[]);
         assert_eq!(
             hex(&okm),
             "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8"
@@ -169,7 +170,7 @@ mod tests {
     #[test]
     fn hkdf_expand_rejects_oversize() {
         let prk = [0u8; 32];
-        let r = std::panic::catch_unwind(|| hkdf_expand(&prk, b"", 255 * 32 + 1));
+        let r = std::panic::catch_unwind(|| hkdf_expand::<{ 255 * 32 + 1 }>(&prk, b""));
         assert!(r.is_err());
     }
 

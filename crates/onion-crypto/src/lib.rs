@@ -12,15 +12,19 @@
 //!   ladder over GF(2^255 − 19); the basis of the ntor circuit handshake.
 //! * [`hashsig`] — Winternitz one-time signatures under a Merkle tree
 //!   (an XMSS-style few-time scheme), used for directory and descriptor
-//!   signatures; hash-based so it needs nothing beyond SHA-256.
+//!   signatures; hash-based so it needs nothing beyond SHA-256, sixteen
+//!   chains to a vectorized compression call.
 //! * [`aead`] — encrypt-then-MAC authenticated encryption from ChaCha20 +
 //!   HMAC-SHA256.
 //! * [`ntor`] — the ntor-style authenticated circuit handshake.
 //!
 //! These are *real* implementations — the test vectors in each module come
-//! from the relevant RFCs — but this crate has not been audited or hardened
-//! against side channels; it exists to make the reproduction's code paths
-//! genuine, not to protect production traffic.
+//! from the relevant RFCs — but this crate has not been audited. The X25519
+//! ladder swaps with a mask, not a branch, its field arithmetic has no
+//! secret-dependent branch or index, and MACs are compared in constant
+//! time; nothing checks that the compiler keeps any of that so. The crate
+//! exists to make the reproduction's code paths genuine, not to protect
+//! production traffic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -17,7 +17,7 @@
 //! so a man in the middle who substitutes its own `Y` is detected by the
 //! client (exercised in the tests).
 
-use crate::hmac::{ct_eq, hkdf, hmac_sha256};
+use crate::hmac::{ct_eq, hkdf, hmac_sha256, hmac_sha256_parts};
 use crate::x25519::{PublicKey, StaticSecret};
 
 const PROTOID: &[u8] = b"bento-ntor-curve25519-sha256-1";
@@ -72,7 +72,7 @@ pub struct CircuitKeys {
 }
 
 impl CircuitKeys {
-    fn from_okm(okm: &[u8]) -> CircuitKeys {
+    fn from_okm(okm: &[u8; OKM_LEN]) -> CircuitKeys {
         let mut kf = [0u8; 32];
         let mut kb = [0u8; 32];
         let mut df = [0u8; 32];
@@ -101,7 +101,6 @@ pub struct ClientHandshake {
     node_id: NodeId,
     relay_onion_key: PublicKey,
     eph: StaticSecret,
-    eph_pub: PublicKey,
 }
 
 /// Size of the onionskin the client sends.
@@ -118,21 +117,22 @@ pub fn client_begin(
 ) -> (ClientHandshake, Vec<u8>) {
     T_CLIENT_BEGIN.inc();
     let eph = StaticSecret::random(rng);
-    let eph_pub = eph.public_key();
     let mut onionskin = Vec::with_capacity(ONIONSKIN_LEN);
     onionskin.extend_from_slice(&node_id);
     onionskin.extend_from_slice(relay_onion_key.as_bytes());
-    onionskin.extend_from_slice(eph_pub.as_bytes());
+    onionskin.extend_from_slice(eph.public_key().as_bytes());
     (
         ClientHandshake {
             node_id,
             relay_onion_key,
             eph,
-            eph_pub,
         },
         onionskin,
     )
 }
+
+const SECRET_INPUT_LEN: usize = 32 * 5 + 20 + PROTOID.len();
+const OKM_LEN: usize = 32 * 4 + 12 * 2;
 
 fn secret_input(
     xy: &[u8; 32],
@@ -141,15 +141,22 @@ fn secret_input(
     b: &PublicKey,
     x: &PublicKey,
     y: &PublicKey,
-) -> Vec<u8> {
-    let mut s = Vec::with_capacity(32 * 4 + 20 + PROTOID.len());
-    s.extend_from_slice(xy);
-    s.extend_from_slice(xb);
-    s.extend_from_slice(node_id);
-    s.extend_from_slice(b.as_bytes());
-    s.extend_from_slice(x.as_bytes());
-    s.extend_from_slice(y.as_bytes());
-    s.extend_from_slice(PROTOID);
+) -> [u8; SECRET_INPUT_LEN] {
+    let parts: [&[u8]; 7] = [
+        xy,
+        xb,
+        node_id,
+        b.as_bytes(),
+        x.as_bytes(),
+        y.as_bytes(),
+        PROTOID,
+    ];
+    let mut s = [0u8; SECRET_INPUT_LEN];
+    let mut pos = 0;
+    for part in parts {
+        s[pos..pos + part.len()].copy_from_slice(part);
+        pos += part.len();
+    }
     s
 }
 
@@ -161,20 +168,22 @@ fn auth_tag(
     x: &PublicKey,
 ) -> [u8; 32] {
     let verify = hmac_sha256(secret, b"ntor-verify");
-    let mut auth_input = Vec::new();
-    auth_input.extend_from_slice(&verify);
-    auth_input.extend_from_slice(node_id);
-    auth_input.extend_from_slice(b.as_bytes());
-    auth_input.extend_from_slice(y.as_bytes());
-    auth_input.extend_from_slice(x.as_bytes());
-    auth_input.extend_from_slice(PROTOID);
-    auth_input.extend_from_slice(b"Server");
-    hmac_sha256(b"ntor-mac", &auth_input)
+    hmac_sha256_parts(
+        b"ntor-mac",
+        &[
+            &verify,
+            node_id,
+            b.as_bytes(),
+            y.as_bytes(),
+            x.as_bytes(),
+            PROTOID,
+            b"Server",
+        ],
+    )
 }
 
 fn derive_keys(secret: &[u8]) -> CircuitKeys {
-    let okm = hkdf(b"ntor-key-extract", secret, b"ntor-key-expand", 152);
-    CircuitKeys::from_okm(&okm)
+    CircuitKeys::from_okm(&hkdf(b"ntor-key-extract", secret, b"ntor-key-expand"))
 }
 
 /// Server side: process an onionskin, produce the reply and circuit keys.
@@ -207,8 +216,11 @@ pub fn server_respond(
     let x = PublicKey(x_bytes);
     let eph = StaticSecret::random(rng);
     let y = eph.public_key();
-    let xy = eph.diffie_hellman(&x);
-    let xb = identity.diffie_hellman(&x);
+    let (Some(xy), Some(xb)) = (eph.diffie_hellman(&x), identity.diffie_hellman(&x)) else {
+        // A small-order X: the keys would not depend on either secret.
+        T_FAILURES.inc();
+        return Err(NtorError::Malformed);
+    };
     let secret = secret_input(&xy, &xb, &node_id, &b_pub, &x, &y);
     let auth = auth_tag(&secret, &node_id, &b_pub, &y, &x);
     let mut reply = Vec::with_capacity(REPLY_LEN);
@@ -227,23 +239,20 @@ pub fn client_finish(state: &ClientHandshake, reply: &[u8]) -> Result<CircuitKey
     let mut y_bytes = [0u8; 32];
     y_bytes.copy_from_slice(&reply[..32]);
     let y = PublicKey(y_bytes);
-    let xy = state.eph.diffie_hellman(&y);
-    let xb = state.eph.diffie_hellman(&state.relay_onion_key);
-    let secret = secret_input(
-        &xy,
-        &xb,
+    let (Some(xy), Some(xb)) = (
+        state.eph.diffie_hellman(&y),
+        state.eph.diffie_hellman(&state.relay_onion_key),
+    ) else {
+        T_FAILURES.inc();
+        return Err(NtorError::Malformed);
+    };
+    let (id, b, x) = (
         &state.node_id,
         &state.relay_onion_key,
-        &state.eph_pub,
-        &y,
+        state.eph.public_key(),
     );
-    let expect = auth_tag(
-        &secret,
-        &state.node_id,
-        &state.relay_onion_key,
-        &y,
-        &state.eph_pub,
-    );
+    let secret = secret_input(&xy, &xb, id, b, &x, &y);
+    let expect = auth_tag(&secret, id, b, &y, &x);
     if !ct_eq(&expect, &reply[32..]) {
         T_FAILURES.inc();
         return Err(NtorError::AuthFailed);
@@ -344,5 +353,45 @@ mod tests {
             client_finish(&state, &reply),
             Err(NtorError::AuthFailed)
         ));
+    }
+
+    #[test]
+    fn small_order_points_are_malformed() {
+        let (mut rng, node_id, identity) = setup();
+        for point in crate::x25519::SMALL_ORDER_POINTS {
+            // As the client's X in an otherwise honest onionskin...
+            let (state, mut skin) = client_begin(&mut rng, node_id, identity.public_key());
+            skin[52..].copy_from_slice(&point);
+            assert!(matches!(
+                server_respond(&mut rng, node_id, &identity, &skin),
+                Err(NtorError::Malformed)
+            ));
+            // ...and as the server's Y in the reply.
+            let mut reply = [0u8; REPLY_LEN];
+            reply[..32].copy_from_slice(&point);
+            assert!(matches!(
+                client_finish(&state, &reply),
+                Err(NtorError::Malformed)
+            ));
+        }
+    }
+
+    /// Fixed-seed transcript pinned from the code before the handshake fast
+    /// path: every simulated key, path and timing in `results/` hangs off
+    /// these bytes, so a refactor that changes them re-keys every artifact.
+    #[test]
+    fn golden_transcript_is_pinned() {
+        let (mut rng, node_id, identity) = setup();
+        let (state, skin) = client_begin(&mut rng, node_id, identity.public_key());
+        let (reply, server_keys) = server_respond(&mut rng, node_id, &identity, &skin).unwrap();
+        let k = client_finish(&state, &reply).unwrap();
+        assert_eq!(k, server_keys);
+        let digest = crate::sha256::sha256_concat(&[
+            &skin, &reply, &k.kf, &k.kb, &k.df, &k.db, &k.nf, &k.nb,
+        ]);
+        assert_eq!(
+            crate::sha256::digest_hex(&digest),
+            "b77ea6cfee5221c4725e0d664c68fe1bf2c6a82fad5f3ec3ffb05146bdd1ba39"
+        );
     }
 }

@@ -17,7 +17,7 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -122,7 +122,7 @@ impl Sha256 {
     /// the memory traffic. The eight working variables rotate by *renaming*
     /// across the unrolled rounds rather than by shifting eight registers
     /// every round, so each round is just the two Σ/ch/maj adds.
-    fn compress_into(state: &mut [u32; 8], block: &[u8; 64]) {
+    pub(crate) fn compress_into(state: &mut [u32; 8], block: &[u8; 64]) {
         let mut w = [0u32; 16];
         for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
             *wi = u32::from_be_bytes(chunk.try_into().expect("4-byte word"));
@@ -196,6 +196,66 @@ impl Sha256 {
         state[6] = state[6].wrapping_add(g);
         state[7] = state[7].wrapping_add(h);
     }
+}
+
+/// How many independent hashes [`finish_lanes`] computes at once.
+pub(crate) const LANES: usize = 16;
+
+/// One 32-bit word of `LANES` independent hash computations.
+pub(crate) type Lanes = [u32; LANES];
+
+/// [`Sha256::compress_into`] on `LANES` independent (state, block) pairs in
+/// structure-of-arrays form: `state[i][l]` and `w[i][l]` are word `i` of
+/// lane `l`, the block's words already big-endian decoded. Every statement
+/// is the same operation on all lanes of a row, which the compiler turns
+/// into vector instructions.
+fn compress_lanes(state: &mut [Lanes; 8], mut w: [Lanes; 16]) {
+    use std::array::from_fn;
+    let mut v = *state;
+    for i in 0..64 {
+        if i >= 16 {
+            let (w15, w2) = (w[(i + 1) & 15], w[(i + 14) & 15]);
+            let (w7, w16) = (w[(i + 9) & 15], w[i & 15]);
+            w[i & 15] = from_fn(|l| {
+                let s0 = w15[l].rotate_right(7) ^ w15[l].rotate_right(18) ^ (w15[l] >> 3);
+                let s1 = w2[l].rotate_right(17) ^ w2[l].rotate_right(19) ^ (w2[l] >> 10);
+                w16[l].wrapping_add(s0).wrapping_add(w7[l]).wrapping_add(s1)
+            });
+        }
+        let (wi, [a, b, c, d, e, f, g, h]) = (w[i & 15], v);
+        let t1: Lanes = from_fn(|l| {
+            h[l].wrapping_add(e[l].rotate_right(6) ^ e[l].rotate_right(11) ^ e[l].rotate_right(25))
+                .wrapping_add((e[l] & f[l]) ^ (!e[l] & g[l]))
+                .wrapping_add(K[i])
+                .wrapping_add(wi[l])
+        });
+        let t2: Lanes = from_fn(|l| {
+            (a[l].rotate_right(2) ^ a[l].rotate_right(13) ^ a[l].rotate_right(22))
+                .wrapping_add((a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]))
+        });
+        let new_a = from_fn(|l| t1[l].wrapping_add(t2[l]));
+        let new_e = from_fn(|l| d[l].wrapping_add(t1[l]));
+        v = [new_a, a, b, c, new_e, e, f, g];
+    }
+    for (s, x) in state.iter_mut().zip(v) {
+        *s = from_fn(|l| s[l].wrapping_add(x[l]));
+    }
+}
+
+/// Finish `LANES` hashes at once: each has absorbed `prior_bytes` (whole
+/// blocks) to reach `state`, and lane `l`'s remaining message is the words
+/// `tail[..][l]`, at most 13 so that it pads into one block. The digests
+/// come back in word form, ready to be the next call's `tail` — which is
+/// what hash chains and HMAC's outer hash both want. Hash-based signatures,
+/// whose chains are independent one-block hashes, are the caller.
+pub(crate) fn finish_lanes(state: [u32; 8], prior_bytes: u32, tail: &[Lanes]) -> [Lanes; 8] {
+    let mut w = [[0u32; LANES]; 16];
+    w[..tail.len()].copy_from_slice(tail);
+    w[tail.len()] = [0x8000_0000; LANES];
+    w[15] = [(prior_bytes + 4 * tail.len() as u32) * 8; LANES];
+    let mut lanes = state.map(|word| [word; LANES]);
+    compress_lanes(&mut lanes, w);
+    lanes
 }
 
 /// One-shot SHA-256.
@@ -280,5 +340,25 @@ mod tests {
         let b = b"world";
         let joined: Vec<u8> = a.iter().chain(b.iter()).copied().collect();
         assert_eq!(sha256_concat(&[a, b]), sha256(&joined));
+    }
+
+    #[test]
+    fn compress_lanes_equals_scalar_in_every_lane() {
+        use rand::{Rng, SeedableRng};
+        use std::array::from_fn;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for _ in 0..32 {
+            let mut states: [[u32; 8]; LANES] = from_fn(|_| from_fn(|_| rng.gen()));
+            let blocks: [[u8; 64]; LANES] = from_fn(|_| from_fn(|_| rng.gen()));
+            let mut lane_state: [Lanes; 8] = from_fn(|i| from_fn(|l| states[l][i]));
+            let words = from_fn(|i| {
+                from_fn(|l| u32::from_be_bytes(blocks[l][4 * i..4 * i + 4].try_into().unwrap()))
+            });
+            compress_lanes(&mut lane_state, words);
+            for (l, (state, block)) in states.iter_mut().zip(&blocks).enumerate() {
+                Sha256::compress_into(state, block);
+                assert_eq!(lane_state.map(|row| row[l]), *state, "lane {l}");
+            }
+        }
     }
 }

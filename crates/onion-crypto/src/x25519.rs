@@ -4,6 +4,11 @@
 //! This is the primitive under Tor's ntor handshake: a relay's identity and
 //! onion keys are X25519 keys, and circuit extension is two DH operations.
 //! Verified against the RFC 7748 test vectors.
+//!
+//! Limbs are reduced lazily. `mul`, `square`, `mul_small` and `sub` return
+//! limbs below 2^52 and accept limbs below 2^54, so a sum of two of their
+//! outputs feeds the next product with no carry pass in between; only
+//! [`Fe::to_bytes`] reduces fully.
 
 /// A field element mod 2^255 − 19, five 51-bit limbs, little-endian.
 #[derive(Clone, Copy, Debug)]
@@ -11,80 +16,69 @@ struct Fe([u64; 5]);
 
 const MASK51: u64 = (1 << 51) - 1;
 
+fn m(x: u64, y: u64) -> u128 {
+    x as u128 * y as u128
+}
+
 impl Fe {
     const ZERO: Fe = Fe([0; 5]);
     const ONE: Fe = Fe([1, 0, 0, 0, 0]);
 
     fn from_bytes(b: &[u8; 32]) -> Fe {
-        let load = |i: usize| -> u64 {
-            let mut v = 0u64;
-            for j in 0..8 {
-                v |= (b[i + j] as u64) << (8 * j);
-            }
-            v
-        };
+        let load = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
         // 255 bits packed in 32 bytes; top bit masked per RFC 7748.
-        let l0 = load(0) & MASK51;
-        let l1 = (load(6) >> 3) & MASK51;
-        let l2 = (load(12) >> 6) & MASK51;
-        let l3 = (load(19) >> 1) & MASK51;
-        let l4 = (load(24) >> 12) & MASK51;
-        Fe([l0, l1, l2, l3, l4])
+        Fe([
+            load(0) & MASK51,
+            (load(6) >> 3) & MASK51,
+            (load(12) >> 6) & MASK51,
+            (load(19) >> 1) & MASK51,
+            (load(24) >> 12) & MASK51,
+        ])
     }
 
-    fn to_bytes(mut self) -> [u8; 32] {
-        self = self.carry();
-        // Conditionally subtract p (twice covers any residual excess).
-        for _ in 0..2 {
-            self = self.reduce_once();
+    /// The canonical encoding: the unique representative below p.
+    fn to_bytes(self) -> [u8; 32] {
+        let mut l = self.weak_reduce().0;
+        // Limbs are below 2^52, so the value is below 2p: q is 1 exactly
+        // when it is ≥ p, and adding 19q then dropping bit 255 subtracts qp.
+        let mut q = (l[0] + 19) >> 51;
+        for limb in &l[1..] {
+            q = (limb + q) >> 51;
         }
-        let Fe(limbs) = self;
+        l[0] += 19 * q;
+        for i in 0..4 {
+            l[i + 1] += l[i] >> 51;
+            l[i] &= MASK51;
+        }
+        l[4] &= MASK51;
+        let words = [
+            l[0] | l[1] << 51,
+            l[1] >> 13 | l[2] << 38,
+            l[2] >> 26 | l[3] << 25,
+            l[3] >> 39 | l[4] << 12,
+        ];
         let mut out = [0u8; 32];
-        let mut bitpos = 0usize;
-        for &limb in &limbs {
-            for b in 0..51 {
-                if (limb >> b) & 1 == 1 {
-                    out[(bitpos + b) / 8] |= 1 << ((bitpos + b) % 8);
-                }
-            }
-            bitpos += 51;
+        for (chunk, w) in out.chunks_exact_mut(8).zip(words) {
+            chunk.copy_from_slice(&w.to_le_bytes());
         }
         out
     }
 
-    /// Subtract p if the value is ≥ p (single pass).
-    fn reduce_once(self) -> Fe {
-        let Fe(l) = self;
-        // Compute l - p with borrow tracking.
-        let mut t = [0i128; 5];
-        t[0] = l[0] as i128 - ((1u64 << 51) - 19) as i128;
-        t[1] = l[1] as i128 - MASK51 as i128;
-        t[2] = l[2] as i128 - MASK51 as i128;
-        t[3] = l[3] as i128 - MASK51 as i128;
-        t[4] = l[4] as i128 - MASK51 as i128;
-        for i in 0..4 {
-            if t[i] < 0 {
-                t[i] += 1 << 51;
-                t[i + 1] -= 1;
-            }
-        }
-        if t[4] < 0 {
-            // value < p: keep original
-            self
-        } else {
-            Fe([
-                t[0] as u64,
-                t[1] as u64,
-                t[2] as u64,
-                t[3] as u64,
-                t[4] as u64,
-            ])
-        }
+    /// One parallel carry pass: limbs below 2^64 come out below 2^52.
+    fn weak_reduce(self) -> Fe {
+        let l = self.0;
+        Fe([
+            (l[0] & MASK51) + (l[4] >> 51) * 19,
+            (l[1] & MASK51) + (l[0] >> 51),
+            (l[2] & MASK51) + (l[1] >> 51),
+            (l[3] & MASK51) + (l[2] >> 51),
+            (l[4] & MASK51) + (l[3] >> 51),
+        ])
     }
 
+    /// Carry-free: the caller keeps sums below 2^54 (see the module docs).
     fn add(self, rhs: Fe) -> Fe {
-        let a = self.0;
-        let b = rhs.0;
+        let (a, b) = (self.0, rhs.0);
         Fe([
             a[0] + b[0],
             a[1] + b[1],
@@ -92,84 +86,59 @@ impl Fe {
             a[3] + b[3],
             a[4] + b[4],
         ])
-        .carry()
     }
 
     fn sub(self, rhs: Fe) -> Fe {
-        // a + 2p - b, limbwise; 2p = (2^52-38, 2^52-2, ...).
-        let a = self.0;
-        let b = rhs.0;
+        // a + 16p - b limbwise cannot underflow for b below 2^54.
+        let (a, b) = (self.0, rhs.0);
         Fe([
-            a[0] + 0xFFFFFFFFFFFDA - b[0],
-            a[1] + 0xFFFFFFFFFFFFE - b[1],
-            a[2] + 0xFFFFFFFFFFFFE - b[2],
-            a[3] + 0xFFFFFFFFFFFFE - b[3],
-            a[4] + 0xFFFFFFFFFFFFE - b[4],
+            a[0] + 0x7FFFFFFFFFFED0 - b[0],
+            a[1] + 0x7FFFFFFFFFFFF0 - b[1],
+            a[2] + 0x7FFFFFFFFFFFF0 - b[2],
+            a[3] + 0x7FFFFFFFFFFFF0 - b[3],
+            a[4] + 0x7FFFFFFFFFFFF0 - b[4],
         ])
-        .carry()
+        .weak_reduce()
     }
 
-    fn carry(self) -> Fe {
-        let mut l = self.0;
-        let mut c: u64;
-        for _ in 0..2 {
-            c = l[0] >> 51;
-            l[0] &= MASK51;
-            l[1] += c;
-            c = l[1] >> 51;
-            l[1] &= MASK51;
-            l[2] += c;
-            c = l[2] >> 51;
-            l[2] &= MASK51;
-            l[3] += c;
-            c = l[3] >> 51;
-            l[3] &= MASK51;
-            l[4] += c;
-            c = l[4] >> 51;
-            l[4] &= MASK51;
-            l[0] += c * 19;
+    /// Fold five wide column sums into limbs below 2^52: one serial carry
+    /// pass, the top carry wrapping into limb 0 times 19.
+    fn carry_wide(mut r: [u128; 5]) -> Fe {
+        let mut l = [0u64; 5];
+        for i in 0..4 {
+            r[i + 1] += r[i] >> 51;
+            l[i] = r[i] as u64 & MASK51;
         }
+        l[4] = r[4] as u64 & MASK51;
+        l[0] += (r[4] >> 51) as u64 * 19;
+        l[1] += l[0] >> 51;
+        l[0] &= MASK51;
         Fe(l)
     }
 
     fn mul(self, rhs: Fe) -> Fe {
-        let a = self.0;
-        let b = rhs.0;
-        let b1_19 = b[1] * 19;
-        let b2_19 = b[2] * 19;
-        let b3_19 = b[3] * 19;
-        let b4_19 = b[4] * 19;
-        let m = |x: u64, y: u64| x as u128 * y as u128;
-        let mut r0 =
-            m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19);
-        let mut r1 =
-            m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19);
-        let mut r2 =
-            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19);
-        let mut r3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19);
-        let mut r4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
-        // Carry chain in u128.
-        let mut c: u128;
-        c = r0 >> 51;
-        r0 &= MASK51 as u128;
-        r1 += c;
-        c = r1 >> 51;
-        r1 &= MASK51 as u128;
-        r2 += c;
-        c = r2 >> 51;
-        r2 &= MASK51 as u128;
-        r3 += c;
-        c = r3 >> 51;
-        r3 &= MASK51 as u128;
-        r4 += c;
-        c = r4 >> 51;
-        r4 &= MASK51 as u128;
-        r0 += c * 19;
-        Fe([r0 as u64, r1 as u64, r2 as u64, r3 as u64, r4 as u64]).carry()
+        let (a, b) = (self.0, rhs.0);
+        let (b1, b2, b3, b4) = (b[1] * 19, b[2] * 19, b[3] * 19, b[4] * 19);
+        Fe::carry_wide([
+            m(a[0], b[0]) + m(a[1], b4) + m(a[2], b3) + m(a[3], b2) + m(a[4], b1),
+            m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4) + m(a[3], b3) + m(a[4], b2),
+            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4) + m(a[4], b3),
+            m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4),
+            m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]),
+        ])
     }
 
+    /// `mul(self, self)` with the symmetric products taken once: 15, not 25.
     fn square(self) -> Fe {
-        self.mul(self)
+        let a = self.0;
+        let (a3, a4) = (a[3] * 19, a[4] * 19);
+        Fe::carry_wide([
+            m(a[0], a[0]) + 2 * (m(a[1], a4) + m(a[2], a3)),
+            m(a[3], a3) + 2 * (m(a[0], a[1]) + m(a[2], a4)),
+            m(a[1], a[1]) + 2 * (m(a[0], a[2]) + m(a[4], a3)),
+            m(a[4], a4) + 2 * (m(a[0], a[3]) + m(a[1], a[2])),
+            m(a[2], a[2]) + 2 * (m(a[0], a[4]) + m(a[1], a[3])),
+        ])
     }
 
     /// `self^(2^k)` by repeated squaring.
@@ -182,26 +151,7 @@ impl Fe {
     }
 
     fn mul_small(self, n: u64) -> Fe {
-        let a = self.0;
-        let m = |x: u64| x as u128 * n as u128;
-        let mut r = [m(a[0]), m(a[1]), m(a[2]), m(a[3]), m(a[4])];
-        let mut c: u128;
-        for i in 0..4 {
-            c = r[i] >> 51;
-            r[i] &= MASK51 as u128;
-            r[i + 1] += c;
-        }
-        c = r[4] >> 51;
-        r[4] &= MASK51 as u128;
-        r[0] += c * 19;
-        Fe([
-            r[0] as u64,
-            r[1] as u64,
-            r[2] as u64,
-            r[3] as u64,
-            r[4] as u64,
-        ])
-        .carry()
+        Fe::carry_wide(self.0.map(|limb| m(limb, n)))
     }
 
     /// Multiplicative inverse via Fermat: `self^(p-2)` with the ref10 chain.
@@ -222,31 +172,33 @@ impl Fe {
         let z_250_0 = z_200_0.pow2k(50).mul(z_50_0); // 2^250 - 1
         z_250_0.pow2k(5).mul(z11) // 2^255 - 21
     }
-}
 
-/// Clamp a 32-byte scalar per RFC 7748.
-fn clamp(mut k: [u8; 32]) -> [u8; 32] {
-    k[0] &= 248;
-    k[31] &= 127;
-    k[31] |= 64;
-    k
+    /// Swap `a` and `b` when `bit` is 1, with a mask instead of a branch.
+    fn cswap(a: &mut Fe, b: &mut Fe, bit: u64) {
+        let mask = bit.wrapping_neg();
+        for (x, y) in a.0.iter_mut().zip(b.0.iter_mut()) {
+            let t = mask & (*x ^ *y);
+            *x ^= t;
+            *y ^= t;
+        }
+    }
 }
 
 /// X25519 scalar multiplication: `scalar * u_point`.
-pub fn x25519(scalar: [u8; 32], u_point: [u8; 32]) -> [u8; 32] {
-    let k = clamp(scalar);
+pub fn x25519(mut k: [u8; 32], u_point: [u8; 32]) -> [u8; 32] {
+    // Clamp the scalar per RFC 7748.
+    k[0] &= 248;
+    k[31] = k[31] & 127 | 64;
     let x1 = Fe::from_bytes(&u_point);
     let mut x2 = Fe::ONE;
     let mut z2 = Fe::ZERO;
     let mut x3 = x1;
     let mut z3 = Fe::ONE;
-    let mut swap = false;
+    let mut swap = 0;
     for t in (0..255).rev() {
-        let bit = (k[t / 8] >> (t % 8)) & 1 == 1;
-        if swap != bit {
-            std::mem::swap(&mut x2, &mut x3);
-            std::mem::swap(&mut z2, &mut z3);
-        }
+        let bit = ((k[t / 8] >> (t % 8)) & 1) as u64;
+        Fe::cswap(&mut x2, &mut x3, swap ^ bit);
+        Fe::cswap(&mut z2, &mut z3, swap ^ bit);
         swap = bit;
         let a = x2.add(z2);
         let aa = a.square();
@@ -262,10 +214,8 @@ pub fn x25519(scalar: [u8; 32], u_point: [u8; 32]) -> [u8; 32] {
         x2 = aa.mul(bb);
         z2 = e.mul(aa.add(e.mul_small(121665)));
     }
-    if swap {
-        std::mem::swap(&mut x2, &mut x3);
-        std::mem::swap(&mut z2, &mut z3);
-    }
+    Fe::cswap(&mut x2, &mut x3, swap);
+    Fe::cswap(&mut z2, &mut z3, swap);
     x2.mul(z2.invert()).to_bytes()
 }
 
@@ -276,9 +226,41 @@ pub fn x25519_base(scalar: [u8; 32]) -> [u8; 32] {
     x25519(scalar, base)
 }
 
-/// A long-term X25519 secret key.
+/// Decode 64 hex digits (at compile time for the table below).
+const fn unhex(s: &str) -> [u8; 32] {
+    let (s, mut out, mut i) = (s.as_bytes(), [0u8; 32], 0);
+    while i < 64 {
+        let digit = match s[i] {
+            c @ b'0'..=b'9' => c - b'0',
+            c @ b'a'..=b'f' => c - b'a' + 10,
+            _ => panic!("not a hex digit"),
+        };
+        out[i / 2] = out[i / 2] << 4 | digit;
+        i += 1;
+    }
+    out
+}
+
+/// Every `u` below 2^255 of order 1, 2, 4 or 8 on the curve or its twist
+/// (0, 1, the two order-8 points, p − 1, p, p + 1): the points for which
+/// [`x25519`] returns all zero whatever the scalar. Bit 255 is ignored, so
+/// each also arrives with it set. For tests of whatever takes a peer's key.
+pub const SMALL_ORDER_POINTS: [[u8; 32]; 7] = [
+    unhex("0000000000000000000000000000000000000000000000000000000000000000"),
+    unhex("0100000000000000000000000000000000000000000000000000000000000000"),
+    unhex("e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"),
+    unhex("5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157"),
+    unhex("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"),
+    unhex("edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"),
+    unhex("eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"),
+];
+
+/// A long-term X25519 secret key, with its public key computed once.
 #[derive(Clone)]
-pub struct StaticSecret([u8; 32]);
+pub struct StaticSecret {
+    secret: [u8; 32],
+    public: PublicKey,
+}
 
 /// An X25519 public key.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -287,24 +269,30 @@ pub struct PublicKey(pub [u8; 32]);
 impl StaticSecret {
     /// Create from raw bytes (clamped on use).
     pub fn from_bytes(b: [u8; 32]) -> Self {
-        StaticSecret(b)
+        StaticSecret {
+            secret: b,
+            public: PublicKey(x25519_base(b)),
+        }
     }
 
     /// Generate from an RNG.
     pub fn random(rng: &mut impl rand::Rng) -> Self {
         let mut b = [0u8; 32];
         rng.fill(&mut b);
-        StaticSecret(b)
+        StaticSecret::from_bytes(b)
     }
 
     /// The corresponding public key.
     pub fn public_key(&self) -> PublicKey {
-        PublicKey(x25519_base(self.0))
+        self.public
     }
 
-    /// Diffie–Hellman with a peer's public key.
-    pub fn diffie_hellman(&self, peer: &PublicKey) -> [u8; 32] {
-        x25519(self.0, peer.0)
+    /// Diffie–Hellman with a peer's public key. `None` when the shared
+    /// secret is all zero: the peer sent a small-order point, which would
+    /// let it fix the derived keys whatever our secret is (RFC 7748 §6.1).
+    pub fn diffie_hellman(&self, peer: &PublicKey) -> Option<[u8; 32]> {
+        let shared = x25519(self.secret, peer.0);
+        (shared.iter().fold(0, |acc, b| acc | b) != 0).then_some(shared)
     }
 }
 
@@ -318,14 +306,6 @@ impl PublicKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn unhex(s: &str) -> [u8; 32] {
-        let mut out = [0u8; 32];
-        for i in 0..32 {
-            out[i] = u8::from_str_radix(&s[i * 2..i * 2 + 2], 16).unwrap();
-        }
-        out
-    }
 
     /// RFC 7748 §5.2 test vector 1.
     #[test]
@@ -412,6 +392,25 @@ mod tests {
         let s1 = a.diffie_hellman(&b.public_key());
         let s2 = b.diffie_hellman(&a.public_key());
         assert_eq!(s1, s2);
-        assert_ne!(s1, [0u8; 32]);
+        assert!(s1.is_some());
+    }
+
+    proptest::proptest! {
+        /// Encoding a decoded element gives the one representative below p:
+        /// bit 255 dropped, p subtracted from the 19 values in [p, 2^255).
+        #[test]
+        fn field_encoding_is_canonical(mut bytes in proptest::array::uniform32(proptest::prelude::any::<u8>()),
+                                       above_p in proptest::option::of(0u8..19)) {
+            let mut want = bytes;
+            want[31] &= 0x7f;
+            if let Some(d) = above_p {
+                bytes[0] = 0xed + d;
+                bytes[1..31].fill(0xff);
+                bytes[31] |= 0x7f;
+                want = [0u8; 32];
+                want[0] = d;
+            }
+            proptest::prop_assert_eq!(Fe::from_bytes(&bytes).to_bytes(), want);
+        }
     }
 }

@@ -4,6 +4,7 @@ use onion_crypto::aead::{open, open_in_place, seal, seal_in_place, AeadKey, TAG_
 use onion_crypto::chacha20::ChaCha20;
 use onion_crypto::hashsig::{MerkleSigner, Signature};
 use onion_crypto::sha256::{sha256, Sha256};
+use onion_crypto::x25519::{x25519, x25519_base, PublicKey, StaticSecret, SMALL_ORDER_POINTS};
 use proptest::prelude::*;
 
 proptest! {
@@ -128,5 +129,42 @@ proptest! {
         prop_assert_eq!(&back, &sig);
         prop_assert!(signer.verify_key().verify(&msg, &back));
         let _ = Signature::from_bytes(&garbage); // must not panic
+    }
+
+    /// Both sides of a Diffie–Hellman exchange reach the same secret.
+    #[test]
+    fn x25519_dh_commutes(a in proptest::array::uniform32(any::<u8>()),
+                          b in proptest::array::uniform32(any::<u8>())) {
+        prop_assert_eq!(x25519(a, x25519_base(b)), x25519(b, x25519_base(a)));
+    }
+
+    /// A non-canonical `u` — bit 255 set, or one of the 19 values in
+    /// [p, 2^255) — multiplies like its reduced form.
+    #[test]
+    fn x25519_reduces_noncanonical_u(k in proptest::array::uniform32(any::<u8>()),
+                                     u in proptest::array::uniform32(any::<u8>()),
+                                     d in 0u8..19) {
+        let (mut masked, mut high) = (u, u);
+        masked[31] &= 0x7f;
+        high[31] |= 0x80;
+        prop_assert_eq!(x25519(k, high), x25519(k, masked));
+        let (mut reduced, mut above_p) = ([0u8; 32], [0xffu8; 32]);
+        reduced[0] = d;
+        above_p[0] = 0xed + d;
+        above_p[31] = 0x7f;
+        prop_assert_eq!(x25519(k, above_p), x25519(k, reduced));
+    }
+
+    /// Every small-order point, with bit 255 clear or set, sends every
+    /// scalar to zero, and `diffie_hellman` refuses it.
+    #[test]
+    fn x25519_small_order_points_are_refused(k in proptest::array::uniform32(any::<u8>())) {
+        for mut point in SMALL_ORDER_POINTS {
+            for top in [0, 0x80] {
+                point[31] |= top;
+                prop_assert_eq!(x25519(k, point), [0u8; 32]);
+                prop_assert_eq!(StaticSecret::from_bytes(k).diffie_hellman(&PublicKey(point)), None);
+            }
+        }
     }
 }

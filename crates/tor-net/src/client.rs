@@ -1599,10 +1599,11 @@ impl TorClient {
 
         // Encrypt the introduction payload to the service's key.
         let eph = StaticSecret::random(ctx.rng());
-        let shared = eph.diffie_hellman(&enc_key);
-        let mut master = [0u8; 32];
-        master.copy_from_slice(&hkdf(b"bento-intro", &shared, b"blob", 32));
-        let key = AeadKey::from_master(&master);
+        let Some(shared) = eph.diffie_hellman(&enc_key) else {
+            self.hs_fail(ctx, idx, "descriptor carries a small-order encryption key");
+            return;
+        };
+        let key = AeadKey::from_master(&hkdf(b"bento-intro", &shared, b"blob"));
         let mut plain = Vec::new();
         plain.extend_from_slice(&rp_info.fingerprint);
         plain.extend_from_slice(&rp_info.addr.0.to_be_bytes());

@@ -255,10 +255,11 @@ impl HiddenServiceHost {
         }
         let mut eph = [0u8; 32];
         eph.copy_from_slice(&data[32..64]);
-        let shared = self.enc_secret.diffie_hellman(&PublicKey(eph));
-        let mut master = [0u8; 32];
-        master.copy_from_slice(&hkdf(b"bento-intro", &shared, b"blob", 32));
-        let key = AeadKey::from_master(&master);
+        // A small-order key would let anyone seal a blob we accept.
+        let Some(shared) = self.enc_secret.diffie_hellman(&PublicKey(eph)) else {
+            return false;
+        };
+        let key = AeadKey::from_master(&hkdf(b"bento-intro", &shared, b"blob"));
         let Ok(plain) = aead_open(&key, &[0u8; 12], &addr, &data[64..]) else {
             return false;
         };

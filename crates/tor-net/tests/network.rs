@@ -541,6 +541,51 @@ fn excluded_relay_never_chosen_as_guard() {
 }
 
 #[test]
+fn small_order_introduction_key_is_refused() {
+    // With a small-order ephemeral key the DH output is zero whatever the
+    // service's secret, so anyone could seal an introduction it accepts.
+    use onion_crypto::aead::{seal, AeadKey};
+    use onion_crypto::x25519::{StaticSecret, SMALL_ORDER_POINTS};
+    use onion_crypto::{hmac::hkdf, ntor, sha256::sha256};
+    use rand::SeedableRng;
+    let seed = [0x89; 32];
+    let mut net = NetworkBuilder::new().seed(79).middles(8).build();
+    let service = {
+        let hs = HiddenServiceHost::new(seed, 2, false); // manual mode
+        let node = TestClientNode::new(net.authority, net.authority_key).with_hs(hs);
+        net.sim
+            .add_node("service", simnet::Iface::datacenter(), Box::new(node))
+    };
+    net.sim.run_until(secs(6));
+    let rendezvous = net.relays[1].1;
+    let enc_key = StaticSecret::from_bytes(sha256(&[&seed[..], b"enc"].concat())).public_key();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    net.sim.with_node::<TestClientNode, _>(service, |n, ctx| {
+        let (hs, tor) = (n.hs.as_mut().unwrap(), &mut n.tor);
+        let addr = hs.onion_addr().0;
+        // An introduction valid in every other respect, sealed under `shared`.
+        let mut intro = |eph: [u8; 32], shared: [u8; 32], cookie: u8| {
+            let svc_id = addr[..20].try_into().unwrap();
+            let (_, onionskin) = ntor::client_begin(&mut rng, svc_id, enc_key);
+            let mut plain = rendezvous.to_vec();
+            plain.extend_from_slice(&[0; 6]);
+            plain.extend_from_slice(&[cookie; 20]);
+            plain.extend_from_slice(&onionskin);
+            let key = AeadKey::from_master(&hkdf(b"bento-intro", &shared, b"blob"));
+            [&addr[..], &eph, &seal(&key, &[0; 12], &addr, &plain)].concat()
+        };
+        for (i, point) in SMALL_ORDER_POINTS.into_iter().enumerate() {
+            let blob = intro(point, [0; 32], i as u8);
+            assert!(!hs.handle_introduction(ctx, tor, &blob), "point {i}");
+        }
+        let eph = StaticSecret::from_bytes([3; 32]);
+        let shared = eph.diffie_hellman(&enc_key).unwrap();
+        let blob = intro(eph.public_key().0, shared, 0xff);
+        assert!(hs.handle_introduction(ctx, tor, &blob), "honest key works");
+    });
+}
+
+#[test]
 fn replayed_introduction_is_dropped() {
     // A malicious introduction point replaying an INTRODUCE2 must not make
     // the service answer twice.

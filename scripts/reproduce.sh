@@ -66,6 +66,10 @@ cargo run --release -p bench --bin telemetry_check -- \
   --file results/TELEMETRY_scalability_sweep.json \
   --overhead-gate 2.0
 
+echo "== repo benchmark (BENCHMARK.json): its own tests, then a smoke rep of every workload =="
+cargo test --release --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --smoke
+
 echo "== criterion microbenches =="
 cargo bench --workspace
 
