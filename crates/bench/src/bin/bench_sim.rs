@@ -37,8 +37,11 @@
 //! And a **sharded A/B**: the same fetch on the sharded conservative-PDES
 //! engine at 1 shard/1 worker vs `--shards N` (default: one per core) with
 //! all cores (`shard_events_per_sec_s1` / `_sn`, `shard_speedup`),
-//! asserting both arms produce identical `SimStats`. Serial-engine numbers
-//! are a different cost model and are never compared against these.
+//! asserting both arms produce identical `SimStats`. The two engines count
+//! different events for the same fetch, so their events/s do not compare;
+//! **wall seconds per fetch** do, and are reported for the serial, 1-shard
+//! and N-shard arms (`fetch_wall_s_serial` / `_s1` / `_sn`, best of the same
+//! number of samples each).
 //!
 //! `cargo run -p bench --release --bin bench_sim -- [--label L] [--mb N]
 //!  [--threads N] [--shards N] [--smoke] [--batch on|off]
@@ -276,12 +279,17 @@ fn main() {
     // where samples == 1).
     let ab = samples.max(5);
     let best = |xs: &[f64]| xs.iter().copied().fold(f64::MIN, f64::max);
+    let least = |xs: &[f64]| xs.iter().copied().fold(f64::MAX, f64::min);
     let mut off_eps = Vec::new();
     let mut full_eps = Vec::new();
+    // Wall seconds of the recording-off arm: the serial engine's side of the
+    // per-fetch comparison with the sharded arms below.
+    let mut serial_walls = Vec::new();
     for _ in 0..ab {
         telemetry::set_mode(Mode::Off);
         let (s, wall) = relay_fetch(7, mb, batch, 0, 0);
         off_eps.push(s.0 as f64 / wall.max(1e-9));
+        serial_walls.push(wall);
         telemetry::set_mode(Mode::Full);
         let (s, wall) = relay_fetch(7, mb, batch, 0, 0);
         full_eps.push(s.0 as f64 / wall.max(1e-9));
@@ -327,7 +335,8 @@ fn main() {
     // 1 shard / 1 worker vs --shards N / one worker per core. The engine is
     // shard- and thread-count invariant, so both arms must produce identical
     // SimStats; the speedup is the tentpole number. (The serial engine above
-    // is a *different* cost model — its events/s are not comparable here.)
+    // counts different events for the same fetch — its events/s are not
+    // comparable here; wall seconds per fetch are.)
     // NB: on a 1-core bench box the speedup will sit at ~1.0 or below
     // (barrier overhead with nothing to overlap); that is expected, not a
     // regression — same caveat as sweep_speedup in ROADMAP operational notes.
@@ -341,11 +350,15 @@ fn main() {
     ) as usize;
     let mut shard_s1_eps = Vec::new();
     let mut shard_sn_eps = Vec::new();
+    let mut shard_s1_walls = Vec::new();
+    let mut shard_sn_walls = Vec::new();
     for _ in 0..ab {
         let (a, wall) = relay_fetch(7, mb, batch, 1, 1);
         shard_s1_eps.push(a.0 as f64 / wall.max(1e-9));
+        shard_s1_walls.push(wall);
         let (b, wall) = relay_fetch(7, mb, batch, shards, 0);
         shard_sn_eps.push(b.0 as f64 / wall.max(1e-9));
+        shard_sn_walls.push(wall);
         assert_eq!(
             a, b,
             "sharded arms must produce identical simulation outcomes \
@@ -355,12 +368,22 @@ fn main() {
     let shard_eps_s1 = best(&shard_s1_eps);
     let shard_eps_sn = best(&shard_sn_eps);
     let shard_speedup = shard_eps_sn / shard_eps_s1.max(1e-9);
+    let fetch_wall_serial = least(&serial_walls);
+    let fetch_wall_s1 = least(&shard_s1_walls);
+    let fetch_wall_sn = least(&shard_sn_walls);
     if !opts.quiet {
         println!(
             "sharded A/B (best of {ab}): 1 shard {shard_eps_s1:.0} events/s, \
              {shards} shards {shard_eps_sn:.0} events/s  ->  {shard_speedup:.2}x \
              ({} cores)",
             available_threads()
+        );
+        println!(
+            "wall per {mb} MiB fetch (best of {ab}): serial {fetch_wall_serial:.3} s, \
+             1 shard {fetch_wall_s1:.3} s ({:.2}x serial), {shards} shards {fetch_wall_sn:.3} s \
+             ({:.2}x serial)",
+            fetch_wall_s1 / fetch_wall_serial.max(1e-9),
+            fetch_wall_sn / fetch_wall_serial.max(1e-9)
         );
     }
 
@@ -424,6 +447,9 @@ fn main() {
         ("shard_events_per_sec_sn", shard_eps_sn),
         ("shard_speedup", shard_speedup),
         ("shards", shards as f64),
+        ("fetch_wall_s_serial", fetch_wall_serial),
+        ("fetch_wall_s_s1", fetch_wall_s1),
+        ("fetch_wall_s_sn", fetch_wall_sn),
         ("storm_events_per_sec", storm_eps),
         ("sweep_trials", n_trials as f64),
         ("sweep_seq_s", seq_wall),

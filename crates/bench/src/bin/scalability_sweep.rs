@@ -137,6 +137,13 @@ fn run_config(seed: u64, clients: u64, rounds: u32, shards: usize, threads: usiz
     let wall = Instant::now();
     sim.run_to_quiescence();
     let wall_s = wall.elapsed().as_secs_f64();
+    // Leak gate for the sharded engine's half reaping: every client closed
+    // every connection it opened, so nothing may still be resident.
+    assert_eq!(
+        sim.live_conn_halves(),
+        0,
+        "connection halves still live at quiescence (shards {shards})"
+    );
 
     // FNV-1a over every (client index, reply time) in index order: a cheap
     // fingerprint of the full delivery schedule, not just the aggregates.

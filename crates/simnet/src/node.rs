@@ -276,6 +276,11 @@ impl<'a> Ctx<'a> {
     }
 
     /// The remote endpoint of `conn`, if this node is an endpoint of it.
+    ///
+    /// The sharded engine keeps a connection's state only while it is open:
+    /// there the answer is `Some` up to and including the node's
+    /// [`Node::on_conn_closed`] (or, on the closing side, until the close
+    /// takes effect) and `None` afterwards. The serial engine never forgets.
     pub fn peer_of(&self, conn: ConnId) -> Option<NodeId> {
         let me = self.me;
         match &self.inner {

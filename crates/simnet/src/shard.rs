@@ -8,8 +8,18 @@
 //! one-way latency. Cross-shard traffic never travels faster than `λ`, so no
 //! event generated inside a window can land inside the same window on another
 //! shard — shards are free to run their windows in parallel. At the barrier
-//! between windows, cross-shard envelopes are exchanged and inserted in
+//! between windows, cross-shard events are exchanged and inserted in
 //! `(time, src, seq)`-sorted order.
+//!
+//! **Connection state.** Every event names the node it acts on, and that
+//! node's [`NodeLocal`] holds its connection halves: initiator halves in a
+//! dense sequence indexed by the per-initiator counter in the low 32 bits of
+//! the `ConnId`, acceptor halves in a small ordered map keyed by conn id. A
+//! half is dropped once it is dead and no chunk of it is in flight, so
+//! memory and lookup cost follow the connections *open now*, not every
+//! connection the run has seen; a lookup that misses means "closed" and the
+//! event is dropped, exactly as it was when the dead half was still around
+//! to say so.
 //!
 //! **Determinism.** Every event is keyed `(time, src node, per-src sequence)`
 //! instead of the serial engine's global insertion order; connection and
@@ -36,7 +46,7 @@ use crate::transport::TransportCfg;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 // bento-lint: allow(BL001) -- HashSet is only the membership-only cancelled-timer
 // tombstone set (never iterated), same contract as the serial engine's.
 use std::collections::HashSet;
@@ -67,14 +77,14 @@ fn role_of(me: NodeId, conn: ConnId) -> u8 {
 
 /// Shard-engine events. Unlike the serial engine, whole chunk payloads travel
 /// as one `WireBatch` (they arrive at the same instant anyway), and each event
-/// carries its partition-independent ordering key explicitly.
+/// carries its partition-independent ordering key explicitly. The node an
+/// event acts on is its [`SEvent::dst`].
 #[derive(Debug)]
 enum SKind {
     /// Connect handshake reached the acceptor; creates the accept half.
     SynArrive {
         conn: ConnId,
         from: NodeId,
-        to: NodeId,
         port: u16,
     },
     /// Connect handshake completed at the initiator.
@@ -102,14 +112,17 @@ enum SKind {
     /// `CloseArrive`, so both ends die at the same simulated instant).
     HalfDead { conn: ConnId, role: u8 },
     /// A node timer fired.
-    Timer { node: NodeId, id: u64, tag: u64 },
+    Timer { id: u64, tag: u64 },
 }
 
-/// An event with its total-order key: `(time, src node, per-src seq)`.
+/// An event with its total-order key `(time, src node, per-src seq)` and the
+/// node it must reach: `shard_of(dst)` is the shard that runs it, and the
+/// handler finds every piece of state it touches in `dst`'s [`NodeLocal`].
 #[derive(Debug)]
 struct SEvent {
     time: SimTime,
     src: u32,
+    dst: u32,
     seq: u64,
     kind: SKind,
 }
@@ -138,13 +151,6 @@ impl Ord for SEvent {
         // order independent of insertion order.
         other.key().cmp(&self.key())
     }
-}
-
-/// A cross-shard message: an event plus the node it must reach. Routed to
-/// `shard_of(dst)` at the next barrier.
-struct Envelope {
-    dst: NodeId,
-    ev: SEvent,
 }
 
 /// Per-shard event queue: same pre-sizing and timer-tombstone support as the
@@ -190,21 +196,19 @@ impl ShardQueue {
     }
 }
 
-/// One endpoint of a connection. The initiator owns the `ROLE_INIT` half on
-/// its shard; the acceptor owns the `ROLE_ACCEPT` half on its own — each half
-/// holds only the transmit state of its owner, so no event ever needs to
-/// mutate two shards.
+/// One endpoint of a connection, stored in its owner's [`Halves`]. The
+/// initiator owns the `ROLE_INIT` half on its shard; the acceptor owns the
+/// `ROLE_ACCEPT` half on its own — each half holds only the transmit state of
+/// its owner, so no event ever needs to mutate two shards.
 struct Half {
-    owner: NodeId,
     peer: NodeId,
     dir: DirState,
     dead: bool,
 }
 
 impl Half {
-    fn new(cfg: &TransportCfg, owner: NodeId, peer: NodeId) -> Self {
+    fn new(cfg: &TransportCfg, peer: NodeId) -> Self {
         Half {
-            owner,
             peer,
             dir: DirState::new(cfg),
             dead: false,
@@ -212,32 +216,112 @@ impl Half {
     }
 }
 
+/// The connection halves one node owns. A half is resident from the moment
+/// it opens until [`ShardCore::reap`] drops it, so memory and lookup depth
+/// follow the node's *live* connections, not every connection it ever had;
+/// every lookup is fallible, and a miss means "closed".
+#[derive(Default)]
+struct Halves {
+    /// The per-initiator counter (`ConnId`'s low 32 bits) of `init[0]`.
+    init_base: u32,
+    /// Initiator halves, indexed by `counter - init_base`. Counters are
+    /// handed out in order, so opening pushes at the back; a reaped half
+    /// leaves a `None` that is trimmed once everything before it is gone too.
+    init: VecDeque<Option<Box<Half>>>,
+    /// Acceptor halves by conn id: other nodes' counters, so not dense.
+    /// Ordered map, so nothing here can iterate in a run-dependent order.
+    accept: BTreeMap<u64, Half>,
+}
+
+impl Halves {
+    fn init_slot(&self, conn: ConnId) -> usize {
+        (conn.0 as u32).wrapping_sub(self.init_base) as usize
+    }
+
+    fn get(&self, conn: ConnId, role: u8) -> Option<&Half> {
+        if role == ROLE_INIT {
+            self.init.get(self.init_slot(conn))?.as_deref()
+        } else {
+            self.accept.get(&conn.0)
+        }
+    }
+
+    fn get_mut(&mut self, conn: ConnId, role: u8) -> Option<&mut Half> {
+        if role == ROLE_INIT {
+            let slot = self.init_slot(conn);
+            self.init.get_mut(slot)?.as_deref_mut()
+        } else {
+            self.accept.get_mut(&conn.0)
+        }
+    }
+
+    /// Store a new initiator half; returns the counter it was opened under.
+    fn open_init(&mut self, half: Half) -> u32 {
+        let ctr = self.init_base + self.init.len() as u32;
+        self.init.push_back(Some(Box::new(half)));
+        ctr
+    }
+
+    fn remove(&mut self, conn: ConnId, role: u8) {
+        if role == ROLE_INIT {
+            let slot = self.init_slot(conn);
+            if let Some(h) = self.init.get_mut(slot) {
+                *h = None;
+            }
+            while let Some(None) = self.init.front() {
+                self.init.pop_front();
+                self.init_base += 1;
+            }
+        } else {
+            self.accept.remove(&conn.0);
+        }
+    }
+
+    fn live(&self) -> usize {
+        self.init.iter().flatten().count() + self.accept.len()
+    }
+}
+
 /// Per-node engine-side state, stored dense by local index (`id / N`).
 struct NodeLocal {
     /// Lazily seeded from `(run seed, node id)`: identical draws at any
     /// shard count, and untouched cost for nodes that never draw.
-    rng: Option<StdRng>,
+    rng: Option<Box<StdRng>>,
     /// Per-node event sequence; the third component of every key this node
     /// emits.
     seq: u64,
-    conn_ctr: u32,
     timer_ctr: u32,
     /// When this node's downlink ingress pipe next frees up.
     ingress_free: SimTime,
     /// Concurrently serializing chunks on this node's uplink (fair share).
     active_up: u32,
+    /// Allocated at the node's first connection (like `rng`, boxed so that
+    /// adding a node to a big topology writes 64 bytes here, not its tables).
+    halves: Option<Box<Halves>>,
     sniffer: Option<Sniffer>,
 }
 
 impl NodeLocal {
+    fn half(&self, conn: ConnId, role: u8) -> Option<&Half> {
+        self.halves.as_deref()?.get(conn, role)
+    }
+
+    fn half_mut(&mut self, conn: ConnId, role: u8) -> Option<&mut Half> {
+        self.halves.as_deref_mut()?.get_mut(conn, role)
+    }
+
+    fn halves_mut(&mut self) -> &mut Halves {
+        self.halves.get_or_insert_with(Box::default)
+    }
+
     fn new() -> Self {
         NodeLocal {
             rng: None,
             seq: 0,
-            conn_ctr: 0,
             timer_ctr: 0,
             ingress_free: SimTime::ZERO,
             active_up: 0,
+            halves: None,
             sniffer: None,
         }
     }
@@ -251,6 +335,24 @@ pub(crate) struct ShardShared {
     nshards: usize,
     ifaces: Vec<Iface>,
     names: Vec<String>,
+}
+
+impl ShardShared {
+    fn one_way(&self, a: NodeId, b: NodeId) -> SimDuration {
+        if a == b {
+            self.cfg.loopback_rtt / 2
+        } else {
+            self.ifaces[a.0 as usize].latency + self.ifaces[b.0 as usize].latency
+        }
+    }
+
+    fn rtt(&self, a: NodeId, b: NodeId) -> SimDuration {
+        if a == b {
+            self.cfg.loopback_rtt
+        } else {
+            self.one_way(a, b) * 2
+        }
+    }
 }
 
 /// What a [`Ctx`] borrows while a shard dispatches one of its nodes.
@@ -267,12 +369,9 @@ pub(crate) struct ShardCore {
     queue: ShardQueue,
     nodes: Vec<Option<Box<dyn Node>>>,
     locals: Vec<NodeLocal>,
-    /// Keyed `(conn id, role)`; never removed, so lookups are infallible
-    /// after creation. BTreeMap for deterministic debug iteration.
-    conns: BTreeMap<(u64, u8), Half>,
     /// Cross-shard emissions accumulated during a window; drained at the
     /// barrier (or immediately by the main thread between runs).
-    outbox: Vec<Envelope>,
+    outbox: Vec<SEvent>,
     pub(crate) pool: BufPool,
     stats: SimStats,
     // bento-lint: allow(BL001) -- membership-only tombstone set; never iterated.
@@ -298,7 +397,6 @@ impl ShardCore {
             queue: ShardQueue::new(),
             nodes: Vec::new(),
             locals: Vec::new(),
-            conns: BTreeMap::new(),
             outbox: Vec::new(),
             pool: BufPool::default(),
             stats: SimStats::default(),
@@ -320,17 +418,13 @@ impl ShardCore {
         (id.0 / self.nshards) as usize
     }
 
+    fn local(&self, id: NodeId) -> &NodeLocal {
+        &self.locals[self.local_index(id)]
+    }
+
     fn local_mut(&mut self, id: NodeId) -> &mut NodeLocal {
         let li = self.local_index(id);
         &mut self.locals[li]
-    }
-
-    /// Next event-ordering sequence for an emission owned by `src`.
-    fn next_seq(&mut self, src: NodeId) -> u64 {
-        let l = self.local_mut(src);
-        let s = l.seq;
-        l.seq += 1;
-        s
     }
 
     pub(crate) fn rng_for(&mut self, shared: &ShardShared, me: NodeId) -> &mut StdRng {
@@ -338,33 +432,30 @@ impl ShardCore {
         let l = self.local_mut(me);
         l.rng.get_or_insert_with(|| {
             // Distinct, partition-independent stream per node.
-            StdRng::seed_from_u64(seed ^ (me.0 as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            let stream = (me.0 as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            Box::new(StdRng::seed_from_u64(seed ^ stream))
         })
     }
 
-    fn one_way(&self, shared: &ShardShared, a: NodeId, b: NodeId) -> SimDuration {
-        if a == b {
-            shared.cfg.loopback_rtt / 2
-        } else {
-            shared.ifaces[a.0 as usize].latency + shared.ifaces[b.0 as usize].latency
-        }
-    }
-
-    fn rtt(&self, shared: &ShardShared, a: NodeId, b: NodeId) -> SimDuration {
-        if a == b {
-            shared.cfg.loopback_rtt
-        } else {
-            self.one_way(shared, a, b) * 2
-        }
-    }
-
-    /// Route an event to `dst`: same shard goes straight into the queue,
-    /// cross-shard into the outbox for the next barrier exchange.
-    fn emit(&mut self, dst: NodeId, ev: SEvent) {
-        if shard_of(dst, self.nshards as usize) == self.idx as usize {
+    /// Schedule `kind` on `dst` at `time`, keyed by `src`'s next sequence
+    /// number (`src` is always a node of this shard: the one acting). Same
+    /// shard goes straight into the queue, cross-shard into the outbox for
+    /// the next barrier exchange.
+    fn post(&mut self, time: SimTime, src: NodeId, dst: NodeId, kind: SKind) {
+        let l = self.local_mut(src);
+        let seq = l.seq;
+        l.seq += 1;
+        let ev = SEvent {
+            time,
+            src: src.0,
+            dst: dst.0,
+            seq,
+            kind,
+        };
+        if dst == src || dst.0 % self.nshards == self.idx {
             self.queue.push(ev);
         } else {
-            self.outbox.push(Envelope { dst, ev });
+            self.outbox.push(ev);
         }
     }
 
@@ -375,48 +466,29 @@ impl ShardCore {
         dst: NodeId,
         port: u16,
     ) -> ConnId {
-        let l = self.local_mut(me);
-        let ctr = l.conn_ctr;
-        l.conn_ctr += 1;
+        let half = Half::new(&shared.cfg, dst);
+        let ctr = self.local_mut(me).halves_mut().open_init(half);
         let conn = ConnId(((me.0 as u64) << 32) | ctr as u64);
-        self.conns
-            .insert((conn.0, ROLE_INIT), Half::new(&shared.cfg, me, dst));
         self.stats.conns_opened += 1;
-        let one_way = self.one_way(shared, me, dst);
-        let rtt = self.rtt(shared, me, dst);
-        let t_syn = self.now + one_way;
-        let t_est = self.now + rtt;
-        let s1 = self.next_seq(me);
-        self.emit(
-            dst,
-            SEvent {
-                time: t_syn,
-                src: me.0,
-                seq: s1,
-                kind: SKind::SynArrive {
-                    conn,
-                    from: me,
-                    to: dst,
-                    port,
-                },
-            },
-        );
-        let s2 = self.next_seq(me);
-        self.emit(
-            me,
-            SEvent {
-                time: t_est,
-                src: me.0,
-                seq: s2,
-                kind: SKind::Established { conn },
-            },
-        );
+        let t_syn = self.now + shared.one_way(me, dst);
+        let t_est = self.now + shared.rtt(me, dst);
+        let syn = SKind::SynArrive {
+            conn,
+            from: me,
+            port,
+        };
+        self.post(t_syn, me, dst, syn);
+        self.post(t_est, me, me, SKind::Established { conn });
         conn
     }
 
     pub(crate) fn peer_of(&self, me: NodeId, conn: ConnId) -> Option<NodeId> {
-        let h = self.conns.get(&(conn.0, role_of(me, conn)))?;
-        (h.owner == me).then_some(h.peer)
+        let l = self.local(me);
+        // A loopback connection has both halves here, under one id: answer
+        // while either is resident, so its `on_conn_closed` (the accept
+        // half's; the initiator half is already reaped) still learns the peer.
+        let h = l.half(conn, role_of(me, conn));
+        Some(h.or_else(|| l.half(conn, ROLE_ACCEPT))?.peer)
     }
 
     pub(crate) fn send(
@@ -427,68 +499,64 @@ impl ShardCore {
         msg: Vec<u8>,
     ) -> bool {
         let role = role_of(me, conn);
-        let Some(h) = self.conns.get_mut(&(conn.0, role)) else {
+        let Some(h) = self.local_mut(me).half_mut(conn, role) else {
             return false;
         };
-        if h.owner != me || h.dead || h.dir.closing {
+        if h.dead || h.dir.closing {
             return false;
         }
         h.dir.queue.push_back(msg);
-        self.kick(shared, conn, role);
+        self.kick(shared, me, conn, role);
         true
     }
 
     pub(crate) fn close(&mut self, shared: &ShardShared, me: NodeId, conn: ConnId) {
         let role = role_of(me, conn);
-        let Some(h) = self.conns.get_mut(&(conn.0, role)) else {
+        let Some(h) = self.local_mut(me).half_mut(conn, role) else {
             return;
         };
-        if h.owner != me || h.dead {
+        if h.dead {
             return;
         }
         h.dir.closing = true;
-        self.maybe_send_close(shared, conn, role);
+        self.maybe_send_close(shared, me, conn, role);
     }
 
-    fn maybe_send_close(&mut self, shared: &ShardShared, conn: ConnId, role: u8) {
-        let (me, peer);
-        {
-            // bento-lint: allow(BL010) -- conn halves are created in pairs at connect and removed only at teardown
-            let h = self.conns.get_mut(&(conn.0, role)).expect("half exists");
-            let d = &mut h.dir;
-            if !d.closing || d.close_sent || d.busy || !d.queue.is_empty() || !d.ready {
-                return;
-            }
-            d.close_sent = true;
-            me = h.owner;
-            peer = h.peer;
+    fn maybe_send_close(&mut self, shared: &ShardShared, me: NodeId, conn: ConnId, role: u8) {
+        let Some(h) = self.local_mut(me).half_mut(conn, role) else {
+            return;
+        };
+        let d = &mut h.dir;
+        if !d.closing || d.close_sent || d.busy || !d.queue.is_empty() || !d.ready {
+            return;
         }
-        let t = self.now + self.one_way(shared, me, peer);
-        let s1 = self.next_seq(me);
-        self.emit(
-            peer,
-            SEvent {
-                time: t,
-                src: me.0,
-                seq: s1,
-                kind: SKind::CloseArrive {
-                    conn,
-                    sender_role: role,
-                },
-            },
-        );
+        d.close_sent = true;
+        let peer = h.peer;
+        let t = self.now + shared.one_way(me, peer);
+        let arrive = SKind::CloseArrive {
+            conn,
+            sender_role: role,
+        };
+        self.post(t, me, peer, arrive);
         // Our own half dies at the same instant the peer learns of the close,
         // mirroring the serial engine's single conn-wide dead flag.
-        let s2 = self.next_seq(me);
-        self.emit(
-            me,
-            SEvent {
-                time: t,
-                src: me.0,
-                seq: s2,
-                kind: SKind::HalfDead { conn, role },
-            },
-        );
+        self.post(t, me, me, SKind::HalfDead { conn, role });
+    }
+
+    /// Drop `me`'s half of `conn` once it is dead and no chunk of it is
+    /// serializing. A dead half with a chunk in flight stays until that
+    /// chunk's `ChunkDone` has found it and released the uplink fair-share
+    /// slot the chunk holds.
+    fn reap(&mut self, me: NodeId, conn: ConnId, role: u8) {
+        let Some(halves) = self.local_mut(me).halves.as_deref_mut() else {
+            return;
+        };
+        if halves
+            .get(conn, role)
+            .is_some_and(|h| h.dead && !h.dir.busy)
+        {
+            halves.remove(conn, role);
+        }
     }
 
     pub(crate) fn set_timer(&mut self, me: NodeId, delay: SimDuration, tag: u64) -> TimerId {
@@ -497,13 +565,7 @@ impl ShardCore {
         let id = ((me.0 as u64) << 32) | l.timer_ctr as u64;
         l.timer_ctr += 1;
         self.pending_timers += 1;
-        let seq = self.next_seq(me);
-        self.queue.push(SEvent {
-            time: at,
-            src: me.0,
-            seq,
-            kind: SKind::Timer { node: me, id, tag },
-        });
+        self.post(at, me, me, SKind::Timer { id, tag });
         TimerId(id)
     }
 
@@ -519,100 +581,77 @@ impl ShardCore {
         }
     }
 
-    /// Start serializing the next chunk on `role`'s half of `conn` — the
+    /// Start serializing the next chunk on `me`'s half of `conn` — the
     /// serial engine's packing rules, with the receiver `down_share` term
     /// replaced by the receiver-side ingress pipe (see module docs).
-    fn kick(&mut self, shared: &ShardShared, conn: ConnId, role: u8) {
-        let (me, peer, chunk, cw_rate);
-        {
-            let Some(h) = self.conns.get(&(conn.0, role)) else {
-                return;
-            };
-            if h.dead {
-                return;
-            }
-            let d = &h.dir;
-            if !d.ready || d.busy || d.queue.is_empty() {
-                return;
-            }
-            me = h.owner;
-            peer = h.peer;
-            let overhead = shared.cfg.per_msg_overhead as u64;
-            let front_total = d.queue.front().map(|m| m.len() as u64).unwrap_or(0) + overhead;
-            let mut total = front_total.saturating_sub(d.front_sent);
-            for m in d.queue.iter().skip(1) {
-                let need = m.len() as u64 + overhead;
-                if total + need > shared.cfg.chunk as u64 {
-                    break;
-                }
-                total += need;
-            }
-            chunk = total.min(shared.cfg.chunk as u64) as u32;
-            cw_rate = d.cwnd.rate(self.rtt(shared, me, peer));
+    fn kick(&mut self, shared: &ShardShared, me: NodeId, conn: ConnId, role: u8) {
+        let l = self.local_mut(me);
+        let Some(h) = l.half_mut(conn, role) else {
+            return;
+        };
+        if h.dead {
+            return;
         }
+        let peer = h.peer;
+        let d = &mut h.dir;
+        if !d.ready || d.busy || d.queue.is_empty() {
+            return;
+        }
+        let overhead = shared.cfg.per_msg_overhead as u64;
+        let front_total = d.queue.front().map(|m| m.len() as u64).unwrap_or(0) + overhead;
+        let mut total = front_total.saturating_sub(d.front_sent);
+        for m in d.queue.iter().skip(1) {
+            let need = m.len() as u64 + overhead;
+            if total + need > shared.cfg.chunk as u64 {
+                break;
+            }
+            total += need;
+        }
+        let chunk = total.min(shared.cfg.chunk as u64) as u32;
+        let cw_rate = d.cwnd.rate(shared.rtt(me, peer));
+        d.busy = true;
+        d.inflight_chunk = chunk;
         let rate = if me == peer {
             cw_rate.min(shared.cfg.loopback_bps)
         } else {
-            let au = {
-                let l = self.local_mut(me);
-                l.active_up += 1;
-                l.active_up
-            };
-            cw_rate.min(shared.ifaces[me.0 as usize].up_share(au as usize))
+            l.active_up += 1;
+            cw_rate.min(shared.ifaces[me.0 as usize].up_share(l.active_up as usize))
         };
-        {
-            // bento-lint: allow(BL010) -- conn halves are created in pairs at connect and removed only at teardown
-            let h = self.conns.get_mut(&(conn.0, role)).expect("half exists");
-            h.dir.busy = true;
-            h.dir.inflight_chunk = chunk;
-        }
         let t = self.now + SimDuration::for_bytes(chunk as u64, rate);
-        let seq = self.next_seq(me);
-        self.queue.push(SEvent {
-            time: t,
-            src: me.0,
-            seq,
-            kind: SKind::ChunkDone { conn, role },
-        });
+        self.post(t, me, me, SKind::ChunkDone { conn, role });
     }
 
-    fn on_chunk_done(&mut self, shared: &ShardShared, conn: ConnId, role: u8) {
-        let (me, peer);
+    fn on_chunk_done(&mut self, shared: &ShardShared, me: NodeId, conn: ConnId, role: u8) {
+        let now = self.now;
+        let l = self.local_mut(me);
+        // A busy half is never reaped, so the chunk's owner is still here.
+        let Some(h) = l.half_mut(conn, role) else {
+            return;
+        };
+        let peer = h.peer;
+        let d = &mut h.dir;
+        let chunk = d.inflight_chunk;
+        d.busy = false;
+        d.inflight_chunk = 0;
+        d.cwnd.on_acked(chunk);
+        d.front_sent += chunk as u64;
         let mut done: Vec<Vec<u8>> = Vec::new();
-        {
-            // bento-lint: allow(BL010) -- conn halves are created in pairs at connect and removed only at teardown
-            let h = self.conns.get_mut(&(conn.0, role)).expect("half exists");
-            me = h.owner;
-            peer = h.peer;
-            let d = &mut h.dir;
-            let chunk = d.inflight_chunk;
-            d.busy = false;
-            d.inflight_chunk = 0;
-            d.cwnd.on_acked(chunk);
-            d.front_sent += chunk as u64;
-            while let Some(front_total) = d
-                .queue
-                .front()
-                .map(|m| m.len() as u64 + shared.cfg.per_msg_overhead as u64)
-            {
-                if d.front_sent < front_total {
-                    break;
-                }
-                d.front_sent -= front_total;
-                // bento-lint: allow(BL010) -- guarded by the front() check in the loop condition
-                done.push(d.queue.pop_front().expect("front exists"));
+        while let Some(m) = d.queue.front() {
+            let front_total = m.len() as u64 + shared.cfg.per_msg_overhead as u64;
+            if d.front_sent < front_total {
+                break;
             }
-            if d.queue.is_empty() {
-                d.front_sent = 0;
-            }
+            d.front_sent -= front_total;
+            done.extend(d.queue.pop_front());
+        }
+        if d.queue.is_empty() {
+            d.front_sent = 0;
         }
         if me != peer {
-            let l = self.local_mut(me);
             l.active_up = l.active_up.saturating_sub(1);
         }
         if !done.is_empty() {
-            let now = self.now;
-            if let Some(s) = self.local_mut(me).sniffer.as_mut() {
+            if let Some(s) = l.sniffer.as_mut() {
                 for m in &done {
                     s.record(TraceEvent {
                         time: now,
@@ -623,27 +662,25 @@ impl ShardCore {
                     });
                 }
             }
-            // One envelope per chunk: every whole message the chunk covered
+            // One event per chunk: every whole message the chunk covered
             // crosses the wire together and arrives at the same instant
             // (preserving the serial engine's same-instant delivery batches).
-            let t = self.now + self.one_way(shared, me, peer);
-            let seq = self.next_seq(me);
-            self.emit(
-                peer,
-                SEvent {
-                    time: t,
-                    src: me.0,
-                    seq,
-                    kind: SKind::WireBatch {
-                        conn,
-                        sender_role: role,
-                        msgs: done,
-                    },
-                },
-            );
+            let batch = SKind::WireBatch {
+                conn,
+                sender_role: role,
+                msgs: done,
+            };
+            self.post(now + shared.one_way(me, peer), me, peer, batch);
         }
-        self.kick(shared, conn, role);
-        self.maybe_send_close(shared, conn, role);
+        self.kick(shared, me, conn, role);
+        self.maybe_send_close(shared, me, conn, role);
+        self.reap(me, conn, role);
+    }
+
+    /// `me`'s half of `conn` if it can still receive: `Some(peer)`.
+    fn live_peer(&self, me: NodeId, conn: ConnId, role: u8) -> Option<NodeId> {
+        let h = self.local(me).half(conn, role)?;
+        (!h.dead).then_some(h.peer)
     }
 
     /// A chunk's messages reached this node's access link: serialize them
@@ -651,23 +688,18 @@ impl ShardCore {
     fn on_wire_batch(
         &mut self,
         shared: &ShardShared,
+        me: NodeId,
         conn: ConnId,
         sender_role: u8,
         msgs: Vec<Vec<u8>>,
     ) {
         let recv_role = 1 - sender_role;
-        let me = {
-            let Some(h) = self.conns.get(&(conn.0, recv_role)) else {
-                return;
-            };
-            if h.dead {
-                return;
-            }
-            h.owner
-        };
+        if self.live_peer(me, conn, recv_role).is_none() {
+            return;
+        }
         let down = shared.ifaces[me.0 as usize].down_bps;
         if down == 0 {
-            self.deliver(shared, conn, recv_role, msgs);
+            self.deliver(shared, me, conn, recv_role, msgs);
             return;
         }
         let wire: u64 = msgs
@@ -680,31 +712,27 @@ impl ShardCore {
         let done_at = start + SimDuration::for_bytes(wire, down);
         l.ingress_free = done_at;
         if done_at == now {
-            self.deliver(shared, conn, recv_role, msgs);
+            self.deliver(shared, me, conn, recv_role, msgs);
         } else {
-            let seq = self.next_seq(me);
-            self.queue.push(SEvent {
-                time: done_at,
-                src: me.0,
-                seq,
-                kind: SKind::Deliver {
-                    conn,
-                    sender_role,
-                    msgs,
-                },
-            });
+            let deliver = SKind::Deliver {
+                conn,
+                sender_role,
+                msgs,
+            };
+            self.post(done_at, me, me, deliver);
         }
     }
 
-    fn deliver(&mut self, shared: &ShardShared, conn: ConnId, recv_role: u8, msgs: Vec<Vec<u8>>) {
-        let (me, peer) = {
-            let Some(h) = self.conns.get(&(conn.0, recv_role)) else {
-                return;
-            };
-            if h.dead {
-                return;
-            }
-            (h.owner, h.peer)
+    fn deliver(
+        &mut self,
+        shared: &ShardShared,
+        me: NodeId,
+        conn: ConnId,
+        recv_role: u8,
+        msgs: Vec<Vec<u8>>,
+    ) {
+        let Some(peer) = self.live_peer(me, conn, recv_role) else {
+            return;
         };
         self.stats.msgs_delivered += msgs.len() as u64;
         let now = self.now;
@@ -759,75 +787,62 @@ impl ShardCore {
         self.nodes[li] = Some(node);
     }
 
-    /// A graceful close takes effect on the receiving half.
-    fn close_done(&mut self, shared: &ShardShared, conn: ConnId, recv_role: u8) {
-        let me = {
-            let Some(h) = self.conns.get_mut(&(conn.0, recv_role)) else {
-                return;
-            };
-            if h.dead {
-                return;
-            }
-            h.dead = true;
-            h.owner
+    /// A graceful close takes effect on the receiving half. The half is
+    /// still resident (dead) while the node hears `on_conn_closed`, so
+    /// `Ctx::peer_of` answers there; it is reaped right after.
+    fn close_done(&mut self, shared: &ShardShared, me: NodeId, conn: ConnId, recv_role: u8) {
+        let Some(h) = self.local_mut(me).half_mut(conn, recv_role) else {
+            return;
         };
+        if h.dead {
+            return;
+        }
+        h.dead = true;
         self.dispatch(shared, me, |n, ctx| n.on_conn_closed(ctx, conn));
+        self.reap(me, conn, recv_role);
     }
 
-    fn handle(&mut self, shared: &ShardShared, kind: SKind) {
+    fn handle(&mut self, shared: &ShardShared, me: NodeId, kind: SKind) {
         match kind {
-            SKind::SynArrive {
-                conn,
-                from,
-                to,
-                port,
-            } => {
-                let mut h = Half::new(&shared.cfg, to, from);
+            SKind::SynArrive { conn, from, port } => {
+                let mut h = Half::new(&shared.cfg, from);
                 h.dir.ready = true;
-                self.conns.insert((conn.0, ROLE_ACCEPT), h);
+                self.local_mut(me).halves_mut().accept.insert(conn.0, h);
                 // No kick/close check needed: the half was born this instant,
                 // so its queue is empty and it cannot be closing.
-                self.dispatch(shared, to, |n, ctx| n.on_conn_open(ctx, conn, from, port));
+                self.dispatch(shared, me, |n, ctx| n.on_conn_open(ctx, conn, from, port));
             }
             SKind::Established { conn } => {
-                let (me, peer) = {
-                    let h = self
-                        .conns
-                        .get_mut(&(conn.0, ROLE_INIT))
-                        // bento-lint: allow(BL010) -- conn halves are created in pairs at connect and removed only at teardown
-                        .expect("init half exists");
-                    if h.dead {
-                        return;
-                    }
-                    h.dir.ready = true;
-                    (h.owner, h.peer)
+                // A miss: the acceptor's close landed first (same instant,
+                // lower key) and the half is already gone.
+                let Some(h) = self.local_mut(me).half_mut(conn, ROLE_INIT) else {
+                    return;
                 };
-                self.kick(shared, conn, ROLE_INIT);
-                self.maybe_send_close(shared, conn, ROLE_INIT);
+                if h.dead {
+                    return;
+                }
+                h.dir.ready = true;
+                let peer = h.peer;
+                self.kick(shared, me, conn, ROLE_INIT);
+                self.maybe_send_close(shared, me, conn, ROLE_INIT);
                 self.dispatch(shared, me, |n, ctx| n.on_conn_established(ctx, conn, peer));
             }
-            SKind::ChunkDone { conn, role } => self.on_chunk_done(shared, conn, role),
+            SKind::ChunkDone { conn, role } => self.on_chunk_done(shared, me, conn, role),
             SKind::WireBatch {
                 conn,
                 sender_role,
                 msgs,
-            } => self.on_wire_batch(shared, conn, sender_role, msgs),
+            } => self.on_wire_batch(shared, me, conn, sender_role, msgs),
             SKind::Deliver {
                 conn,
                 sender_role,
                 msgs,
-            } => self.deliver(shared, conn, 1 - sender_role, msgs),
+            } => self.deliver(shared, me, conn, 1 - sender_role, msgs),
             SKind::CloseArrive { conn, sender_role } => {
                 let recv_role = 1 - sender_role;
-                let me = {
-                    let Some(h) = self.conns.get(&(conn.0, recv_role)) else {
-                        return;
-                    };
-                    if h.dead {
-                        return;
-                    }
-                    h.owner
-                };
+                if self.live_peer(me, conn, recv_role).is_none() {
+                    return;
+                }
                 // The close trails anything still serializing through this
                 // node's ingress pipe: the sender emitted it after its last
                 // data chunk, so it must not overtake deferred `Deliver`
@@ -836,29 +851,24 @@ impl ShardCore {
                 // ordering is structural).
                 let free = self.local_mut(me).ingress_free;
                 if free <= self.now {
-                    self.close_done(shared, conn, recv_role);
+                    self.close_done(shared, me, conn, recv_role);
                 } else {
-                    let seq = self.next_seq(me);
-                    self.queue.push(SEvent {
-                        time: free,
-                        src: me.0,
-                        seq,
-                        kind: SKind::CloseDone { conn, recv_role },
-                    });
+                    self.post(free, me, me, SKind::CloseDone { conn, recv_role });
                 }
             }
-            SKind::CloseDone { conn, recv_role } => self.close_done(shared, conn, recv_role),
+            SKind::CloseDone { conn, recv_role } => self.close_done(shared, me, conn, recv_role),
             SKind::HalfDead { conn, role } => {
-                if let Some(h) = self.conns.get_mut(&(conn.0, role)) {
+                if let Some(h) = self.local_mut(me).half_mut(conn, role) {
                     h.dead = true;
                 }
+                self.reap(me, conn, role);
             }
-            SKind::Timer { node, id, tag } => {
+            SKind::Timer { id, tag } => {
                 self.pending_timers = self.pending_timers.saturating_sub(1);
                 if self.cancelled_timers.remove(&id) {
                     return;
                 }
-                self.dispatch(shared, node, |n, ctx| n.on_timer(ctx, tag));
+                self.dispatch(shared, me, |n, ctx| n.on_timer(ctx, tag));
             }
         }
     }
@@ -880,7 +890,7 @@ impl ShardCore {
             self.now = ev.time;
             self.stats.events += 1;
             processed += 1;
-            self.handle(shared, ev.kind);
+            self.handle(shared, NodeId(ev.dst), ev.kind);
         }
         processed
     }
@@ -917,6 +927,11 @@ pub(crate) struct ShardedSim {
     threads: usize,
     total_nodes: usize,
     started_upto: usize,
+    /// Smallest access latency among each shard's nodes (`None`: no nodes
+    /// yet), kept current by `add_node` so `lookahead` never walks ifaces.
+    shard_min_latency: Vec<Option<u64>>,
+    /// `route_outboxes`' merge buffer, kept for its capacity.
+    routing: Vec<SEvent>,
 }
 
 impl ShardedSim {
@@ -934,6 +949,8 @@ impl ShardedSim {
             threads: cfg.shard_threads,
             total_nodes: 0,
             started_upto: 0,
+            shard_min_latency: vec![None; n],
+            routing: Vec::new(),
         }
     }
 
@@ -952,6 +969,8 @@ impl ShardedSim {
         let (s, _) = self.locate(id);
         self.shards[s].nodes.push(Some(node));
         self.shards[s].locals.push(NodeLocal::new());
+        let min = &mut self.shard_min_latency[s];
+        *min = Some(min.map_or(iface.latency.0, |m| m.min(iface.latency.0)));
         self.shared.ifaces.push(iface);
         self.shared.names.push(name);
         id
@@ -1047,6 +1066,12 @@ impl ShardedSim {
         (self.shards[s].locals[li].active_up, 0)
     }
 
+    /// Halves resident across all nodes (walks every node: diagnostics only).
+    pub(crate) fn live_halves(&self) -> usize {
+        let locals = self.shards.iter().flat_map(|s| &s.locals);
+        locals.flat_map(|l| &l.halves).map(|h| h.live()).sum()
+    }
+
     fn ensure_started(&mut self) {
         while self.started_upto < self.total_nodes {
             let id = NodeId(self.started_upto as u32);
@@ -1062,18 +1087,16 @@ impl ShardedSim {
     /// `(time, src, seq)`-sorted order (main-thread path, used between runs
     /// and by the sequential window loop).
     fn route_outboxes(&mut self) {
-        let mut pending: Vec<Envelope> = Vec::new();
+        let mut pending = std::mem::take(&mut self.routing);
         for s in &mut self.shards {
             pending.append(&mut s.outbox);
         }
-        if pending.is_empty() {
-            return;
+        pending.sort_by_key(SEvent::key);
+        for ev in pending.drain(..) {
+            let s = shard_of(NodeId(ev.dst), self.shared.nshards);
+            self.shards[s].queue.push(ev);
         }
-        pending.sort_by_key(|e| e.ev.key());
-        for env in pending {
-            let s = shard_of(env.dst, self.shared.nshards);
-            self.shards[s].queue.push(env.ev);
-        }
+        self.routing = pending;
     }
 
     /// The conservative lookahead: the minimum one-way latency any message
@@ -1081,19 +1104,15 @@ impl ShardedSim {
     /// per-shard minimum access latencies. `None` when fewer than two shards
     /// hold nodes (no cross-shard traffic is possible, lookahead ∞).
     fn lookahead(&self) -> Option<SimDuration> {
-        let n = self.shared.nshards;
-        let mut per_shard: Vec<Option<u64>> = vec![None; n];
-        for (i, iface) in self.shared.ifaces.iter().enumerate() {
-            let s = shard_of(NodeId(i as u32), n);
-            let lat = iface.latency.0;
-            per_shard[s] = Some(per_shard[s].map_or(lat, |m: u64| m.min(lat)));
+        let (mut least, mut second) = (None, None);
+        for lat in self.shard_min_latency.iter().flatten().copied() {
+            if least.map_or(true, |l| lat < l) {
+                second = least.replace(lat);
+            } else if second.map_or(true, |s| lat < s) {
+                second = Some(lat);
+            }
         }
-        let mut mins: Vec<u64> = per_shard.into_iter().flatten().collect();
-        if mins.len() < 2 {
-            return None;
-        }
-        mins.sort_unstable();
-        let lambda = mins[0] + mins[1];
+        let lambda = least? + second?;
         assert!(
             lambda > 0,
             "sharded engine requires positive cross-shard lookahead: at least two \
@@ -1181,7 +1200,7 @@ impl ShardedSim {
         let horizon = AtomicU64::new(0);
         let mins: Vec<AtomicU64> = (0..nworkers).map(|_| AtomicU64::new(u64::MAX)).collect();
         let counts: Vec<AtomicU64> = (0..nworkers).map(|_| AtomicU64::new(0)).collect();
-        let inboxes: Vec<Mutex<Vec<Envelope>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
+        let inboxes: Vec<Mutex<Vec<SEvent>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
         let shared = &self.shared;
         std::thread::scope(|scope| {
             for (w, chunk) in self.shards.chunks_mut(per_worker).enumerate() {
@@ -1192,7 +1211,7 @@ impl ShardedSim {
                 let counts = &counts;
                 let inboxes = &inboxes;
                 scope.spawn(move || {
-                    let mut per_dst: Vec<Vec<Envelope>> = (0..n).map(|_| Vec::new()).collect();
+                    let mut per_dst: Vec<Vec<SEvent>> = (0..n).map(|_| Vec::new()).collect();
                     let mut processed = 0u64;
                     loop {
                         // Barrier 1: publish this worker's minimum pending
@@ -1226,8 +1245,8 @@ impl ShardedSim {
                         let h = SimTime(horizon.load(AtOrd::SeqCst));
                         for s in chunk.iter_mut() {
                             processed += s.run_window(shared, h);
-                            for env in s.outbox.drain(..) {
-                                per_dst[shard_of(env.dst, n)].push(env);
+                            for ev in s.outbox.drain(..) {
+                                per_dst[shard_of(NodeId(ev.dst), n)].push(ev);
                             }
                         }
                         for (ds, v) in per_dst.iter_mut().enumerate() {
@@ -1244,9 +1263,9 @@ impl ShardedSim {
                                 // bento-lint: allow(BL010) -- poisoning needs a worker panic; window code is panic-free (BL010-audited)
                                 &mut *inboxes[s.idx as usize].lock().expect("inbox lock"),
                             );
-                            inb.sort_by_key(|e| e.ev.key());
-                            for env in inb {
-                                s.queue.push(env.ev);
+                            inb.sort_by_key(SEvent::key);
+                            for ev in inb {
+                                s.queue.push(ev);
                             }
                         }
                     }
@@ -1474,39 +1493,116 @@ mod tests {
         assert_eq!(p.replies, 1);
     }
 
+    /// Connects at start, sends three bytes and closes at once.
+    struct Closer {
+        target: NodeId,
+    }
+    impl Node for Closer {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let c = ctx.connect(self.target, 80);
+            ctx.send(c, vec![1, 2, 3]);
+            ctx.close(c);
+        }
+        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {}
+    }
+
+    #[derive(Default)]
+    struct Sink {
+        msgs: u32,
+        /// Each `on_conn_closed`: the conn and what `peer_of` said there.
+        closed: Vec<(ConnId, Option<NodeId>)>,
+    }
+    impl Node for Sink {
+        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {
+            self.msgs += 1;
+        }
+        fn on_conn_closed(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
+            self.closed.push((conn, ctx.peer_of(conn)));
+        }
+    }
+
     #[test]
     fn close_notifies_peer_in_other_shard() {
-        struct Closer {
-            target: NodeId,
-        }
-        impl Node for Closer {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                let c = ctx.connect(self.target, 80);
-                ctx.send(c, vec![1, 2, 3]);
-                ctx.close(c);
-            }
-            fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {}
-        }
-        struct Sink {
-            msgs: u32,
-            closed: u32,
-        }
-        impl Node for Sink {
-            fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {
-                self.msgs += 1;
-            }
-            fn on_conn_closed(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId) {
-                self.closed += 1;
-            }
-        }
         let iface = Iface::symmetric(SimDuration::from_millis(1), 0);
-        let mut sim = sharded(9, 2, 1);
-        let sink = sim.add_node("sink", iface, Box::new(Sink { msgs: 0, closed: 0 }));
-        sim.add_node("closer", iface, Box::new(Closer { target: sink }));
-        sim.run_to_quiescence();
-        let s: &Sink = sim.node_ref(sink);
-        assert_eq!(s.msgs, 1, "queued message drains before close");
-        assert_eq!(s.closed, 1, "peer sees on_conn_closed");
+        // Shards 0 is the serial engine: what `peer_of` answers from inside
+        // `on_conn_closed` is part of the `Node` contract on both.
+        for shards in [0usize, 2] {
+            let mut sim = sharded(9, shards, 1);
+            let sink = sim.add_node("sink", iface, Box::new(Sink::default()));
+            let closer = sim.add_node("closer", iface, Box::new(Closer { target: sink }));
+            sim.run_to_quiescence();
+            let s: &Sink = sim.node_ref(sink);
+            assert_eq!(s.msgs, 1, "queued message drains before close");
+            assert_eq!(s.closed.len(), 1, "peer sees on_conn_closed");
+            let (conn, peer_then) = s.closed[0];
+            assert_eq!(peer_then, Some(closer), "shards={shards}");
+            // Afterwards the sharded engine has dropped the half, and with it
+            // the answer; the serial engine keeps every connection.
+            let peer_now = sim.with_node::<Sink, _>(sink, |_, ctx| ctx.peer_of(conn));
+            assert_eq!(peer_now, (shards == 0).then_some(closer));
+        }
+    }
+
+    /// Floods whoever connects; the flood outlives the connection.
+    struct Flooder;
+    impl Node for Flooder {
+        fn on_conn_open(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _peer: NodeId, _port: u16) {
+            ctx.send(conn, vec![7; 100_000]);
+        }
+        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {}
+    }
+
+    /// Connects at start and hangs up the moment the handshake completes.
+    struct HangUp {
+        target: NodeId,
+    }
+    impl Node for HangUp {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.connect(self.target, 80);
+        }
+        fn on_conn_established(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _peer: NodeId) {
+            ctx.close(conn);
+        }
+        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {}
+    }
+
+    /// Refuses every connection the instant it opens.
+    struct Refuser;
+    impl Node for Refuser {
+        fn on_conn_open(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _peer: NodeId, _port: u16) {
+            ctx.close(conn);
+        }
+        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {}
+    }
+
+    #[test]
+    fn closed_connections_leave_no_half_and_no_uplink_slot() {
+        // 16 KiB chunks at 100 kB/s take 160 ms against 1 ms links, so the
+        // hang-up reaches the flooder mid-chunk; the refuser's close reaches
+        // its (higher-id) initiator at the instant of `Established`, ahead
+        // of it in key order.
+        let iface = Iface::symmetric(SimDuration::from_millis(1), 100_000);
+        for shards in [1usize, 2, 3] {
+            let mut sim = sharded(13, shards, 1);
+            let sink = sim.add_node("sink", iface, Box::new(Sink::default()));
+            let flooder = sim.add_node("flooder", iface, Box::new(Flooder));
+            let refuser = sim.add_node("refuser", iface, Box::new(Refuser));
+            sim.add_node("closer", iface, Box::new(Closer { target: sink }));
+            sim.add_node("hangup", iface, Box::new(HangUp { target: flooder }));
+            sim.add_node("refused", iface, Box::new(HangUp { target: refuser }));
+            sim.run_until(SimTime::ZERO + SimDuration::from_millis(10));
+            assert_eq!(
+                sim.active_link_slots(flooder),
+                (1, 0),
+                "the flood's chunk holds its slot past the close (shards={shards})"
+            );
+            assert_eq!(sim.live_conn_halves(), 1, "only the flooder's busy half");
+            sim.run_to_quiescence();
+            assert_eq!(sim.live_conn_halves(), 0, "shards={shards}");
+            for id in 0..6 {
+                assert_eq!(sim.active_link_slots(NodeId(id)), (0, 0), "node {id}");
+            }
+        }
     }
 
     #[test]

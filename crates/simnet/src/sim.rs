@@ -1357,6 +1357,18 @@ impl Simulator {
             Engine::Sharded(s) => s.active_link_slots(node),
         }
     }
+
+    /// Connection halves the engine still holds state for — test and CI
+    /// hook: once every connection has closed and the run is quiescent this
+    /// must read 0, or the sharded engine's reaping leaked a half. (The
+    /// serial engine never releases a connection; it counts two per
+    /// connection not yet dead.)
+    pub fn live_conn_halves(&self) -> usize {
+        match &self.engine {
+            Engine::Serial(s) => 2 * s.core.conns.iter().filter(|c| !c.dead).count(),
+            Engine::Sharded(s) => s.live_halves(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -297,3 +297,163 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Connection-half lifecycle on the sharded engine: halves live in their
+// owner's node-local tables and are dropped once dead, so every schedule of
+// connects, sends and closes — closes racing the peer's in-flight chunk,
+// sends after close, loopback, several connections between one pair — must
+// still play out identically at any shard and worker-thread count.
+// ---------------------------------------------------------------------------
+
+/// One transcript line: `(time ns, what, conn id, detail)`.
+type Line = (u64, u8, u64, u64);
+
+const L_OPEN: u8 = 1;
+const L_ESTABLISHED: u8 = 2;
+const L_MSG: u8 = 3;
+const L_CLOSED: u8 = 4;
+const L_CONNECT: u8 = 5;
+const L_SEND: u8 = 6;
+const L_CLOSE: u8 = 7;
+
+/// Plays a fixed script of `(at ms, op, a, b)` steps, one timer each, and
+/// logs every callback and every step's outcome.
+struct Scripted {
+    nodes: u32,
+    script: Vec<(u64, u8, usize, usize)>,
+    /// Connections this node opened or accepted, in the order it learned of
+    /// them; steps address them by index.
+    known: Vec<ConnId>,
+    log: Vec<Line>,
+}
+
+impl Scripted {
+    /// `peer_of` as a number: 0 for `None`, else the peer's id + 1.
+    fn peer_code(ctx: &Ctx<'_>, conn: ConnId) -> u64 {
+        ctx.peer_of(conn).map_or(0, |p| u64::from(p.0) + 1)
+    }
+}
+
+impl Node for Scripted {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        for (i, step) in self.script.iter().enumerate() {
+            ctx.set_timer(SimDuration::from_millis(step.0), i as u64);
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+        let (_, op, a, b) = self.script[tag as usize];
+        let now = ctx.now().as_nanos();
+        if op == 0 {
+            let target = NodeId(a as u32 % self.nodes);
+            let conn = ctx.connect(target, 80);
+            self.known.push(conn);
+            self.log.push((now, L_CONNECT, conn.0, u64::from(target.0)));
+        } else if let Some(&conn) = self.known.get(a % self.known.len().max(1)) {
+            if op == 1 {
+                let sent = ctx.send(conn, vec![0x42; 1 + b]);
+                self.log.push((now, L_SEND, conn.0, u64::from(sent)));
+            } else {
+                ctx.close(conn);
+                self.log
+                    .push((now, L_CLOSE, conn.0, Self::peer_code(ctx, conn)));
+            }
+        }
+    }
+    fn on_conn_open(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, peer: NodeId, port: u16) {
+        self.known.push(conn);
+        let detail = u64::from(peer.0) << 16 | u64::from(port);
+        self.log
+            .push((ctx.now().as_nanos(), L_OPEN, conn.0, detail));
+    }
+    fn on_conn_established(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, peer: NodeId) {
+        let now = ctx.now().as_nanos();
+        self.log
+            .push((now, L_ESTABLISHED, conn.0, u64::from(peer.0)));
+    }
+    fn on_msg(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: Vec<u8>) {
+        self.log
+            .push((ctx.now().as_nanos(), L_MSG, conn.0, msg.len() as u64));
+    }
+    fn on_conn_closed(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
+        let now = ctx.now().as_nanos();
+        self.log
+            .push((now, L_CLOSED, conn.0, Self::peer_code(ctx, conn)));
+    }
+}
+
+/// What a run of scripted nodes leaves behind.
+#[derive(Debug, PartialEq)]
+struct ScriptedOutcome {
+    logs: Vec<Vec<Line>>,
+    stats: simnet::sim::SimStats,
+    slots: Vec<(u32, u32)>,
+    live_halves: usize,
+}
+
+/// One scripted node per row: `(latency ms, up kB/s, down kB/s or 0 for
+/// unlimited)` and its script.
+type ScriptedRow = ((u64, u64, u64), Vec<(u64, u8, usize, usize)>);
+
+fn run_scripted(rows: &[ScriptedRow], shards: usize, threads: usize) -> ScriptedOutcome {
+    let mut sim = Simulator::new(SimConfig {
+        seed: 5,
+        shards,
+        shard_threads: threads,
+        ..SimConfig::default()
+    });
+    let ids: Vec<NodeId> = rows
+        .iter()
+        .enumerate()
+        .map(|(i, ((lat_ms, up_kbps, down_kbps), script))| {
+            let iface = SimIface {
+                // Nonzero, or two shards would have no lookahead.
+                latency: SimDuration::from_millis(1 + lat_ms),
+                up_bps: up_kbps * 1000,
+                down_bps: down_kbps * 1000,
+            };
+            let node = Scripted {
+                nodes: rows.len() as u32,
+                script: script.clone(),
+                known: Vec::new(),
+                log: Vec::new(),
+            };
+            sim.add_node(format!("s{i}"), iface, Box::new(node))
+        })
+        .collect();
+    sim.run_to_quiescence();
+    ScriptedOutcome {
+        logs: ids
+            .iter()
+            .map(|&id| sim.node_ref::<Scripted>(id).log.clone())
+            .collect(),
+        stats: sim.stats(),
+        slots: ids.iter().map(|&id| sim.active_link_slots(id)).collect(),
+        live_halves: sim.live_conn_halves(),
+    }
+}
+
+proptest! {
+    /// Few nodes, slow uplinks, messages of up to three chunks and steps a
+    /// few milliseconds apart: closes land while the peer is mid-chunk,
+    /// sends hit closed connections, pairs hold several connections and
+    /// nodes connect to themselves.
+    #[test]
+    fn half_lifecycle_invariant_under_shards_and_threads(
+        rows in proptest::collection::vec(
+            (
+                (0u64..12, 20u64..400, 0u64..400),
+                proptest::collection::vec((0u64..60, 0u8..3, 0usize..8, 0usize..40_000), 1..12),
+            ),
+            2..5,
+        ),
+    ) {
+        let base = run_scripted(&rows, 1, 1);
+        // A chunk that outlives its half must still give its uplink slot back.
+        prop_assert!(base.slots.iter().all(|s| *s == (0, 0)), "slots leaked: {:?}", base.slots);
+        for (shards, threads) in [(1usize, 2usize), (2, 1), (2, 2), (4, 1), (4, 2)] {
+            let got = run_scripted(&rows, shards, threads);
+            prop_assert_eq!(&got, &base, "diverged at shards={} threads={}", shards, threads);
+        }
+    }
+}

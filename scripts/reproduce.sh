@@ -47,7 +47,7 @@ cargo run --release -p bench --bin bench_cells -- --label optimized
 echo "== simulator throughput + parallel sweep harness (batched data plane) =="
 cargo run --release -p bench --bin bench_sim -- --label optimized --batch on --telemetry full
 
-echo "== sharded engine: scalability sweep (10^4 clients, shards 1/2/4/8) =="
+echo "== sharded engine: scalability sweep (10^4 clients, shards 1/2/4/8; aborts if a connection half is still live at quiescence) =="
 cargo run --release -p bench --bin scalability_sweep
 
 echo "== chaos sweep: fault injection vs goodput + recovery assertions =="
