@@ -2,17 +2,20 @@
 //!
 //! Times the hot paths every relayed byte pays — ChaCha20 keystream
 //! application, the 3-hop onion seal, the per-relay unseal (decrypt +
-//! digest check), the AEAD round trip, and raw SHA-256 — and merges the
+//! digest check), the AEAD round trip, raw SHA-256 and its compression
+//! function on both backends — and merges the
 //! numbers into `results/BENCH_cells.json` under a run label
 //! (`--label baseline|optimized`, default `optimized`). When both labels
 //! are present the file also carries per-benchmark speedups, so the perf
-//! trajectory is demonstrated rather than asserted.
+//! trajectory is demonstrated rather than asserted. The file names the
+//! SHA-256 backend of the build that wrote its latest run
+//! (`sha256_backend`): numbers from different backends are different rungs.
 
 use bench::arg_str;
 use onion_crypto::aead::{open, seal, AeadKey};
 use onion_crypto::chacha20::ChaCha20;
 use onion_crypto::ntor::CircuitKeys;
-use onion_crypto::sha256::sha256;
+use onion_crypto::sha256::{compress, compress_portable, sha256, Sha256};
 use std::fmt::Write as _;
 use std::time::Instant;
 use tor_net::cell::{RelayCell, RelayCmd};
@@ -20,13 +23,16 @@ use tor_net::relay_crypto::{CircuitCrypto, LayerCrypto};
 
 /// The benchmark names, in report order. The `*_batch_N` rows report
 /// **cells per second** (one op = one cell) so they compare directly with
-/// the cell-at-a-time `relay_unseal` row at every batch size.
-const NAMES: [&str; 15] = [
+/// the cell-at-a-time `relay_unseal` row at every batch size; the
+/// `sha256_compress*` rows report **blocks per second**.
+const NAMES: [&str; 17] = [
     "chacha20_apply_16384",
     "seal_3hops",
     "relay_unseal",
     "aead_roundtrip",
     "sha256_16384",
+    "sha256_compress",
+    "sha256_compress_portable",
     "relay_unseal_batch_1",
     "relay_unseal_batch_4",
     "relay_unseal_batch_8",
@@ -134,6 +140,17 @@ fn run_all() -> Vec<(&'static str, f64)> {
         }),
     ));
 
+    // The compression function alone, eight blocks a call (one cell's
+    // worth), as blocks/sec: the backend this build selected, then the
+    // portable one every build carries.
+    let blocks = [[0xABu8; 64]; 8];
+    let mut state = [0u32; 8];
+    let mut blocks_per_sec = |backend: fn(&mut [u32; 8], &[[u8; 64]])| {
+        ops_per_sec(|| backend(&mut state, std::hint::black_box(&blocks))) * blocks.len() as f64
+    };
+    results.push((NAMES[5], blocks_per_sec(compress)));
+    results.push((NAMES[6], blocks_per_sec(compress_portable)));
+
     // Batched relay unseal: one run of N same-circuit cells per op, with
     // the keystream prefetch the batch data plane enables. Reported as
     // cells/sec (ops_per_sec × N) so every row shares the unit of
@@ -150,7 +167,7 @@ fn run_all() -> Vec<(&'static str, f64)> {
             let mut refs: Vec<&mut [u8; 509]> = cells.iter_mut().collect();
             relay.unseal_batch(&mut refs, &mut flags);
         });
-        results.push((NAMES[5 + bi], per_batch * n as f64));
+        results.push((NAMES[7 + bi], per_batch * n as f64));
     }
 
     // Batched relay seal (exit/backward direction), same reporting unit.
@@ -165,7 +182,7 @@ fn run_all() -> Vec<(&'static str, f64)> {
             let mut refs: Vec<&mut [u8; 509]> = cells.iter_mut().collect();
             relay.seal_batch(&mut refs);
         });
-        results.push((NAMES[10 + bi], per_batch * n as f64));
+        results.push((NAMES[12 + bi], per_batch * n as f64));
     }
 
     results
@@ -225,6 +242,8 @@ fn main() {
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"unit\": \"ops_per_sec\",");
+    let backend = Sha256::backend();
+    let _ = writeln!(json, "  \"sha256_backend\": \"{backend}\",");
     let _ = writeln!(json, "  \"payload_bytes\": 509,");
     let _ = writeln!(json, "  \"runs\": {{");
     for (ri, (run_label, vals)) in runs.iter().enumerate() {
@@ -259,12 +278,13 @@ fn main() {
     std::fs::create_dir_all("results").expect("create results dir");
     std::fs::write(&path, &json).expect("write BENCH_cells.json");
 
-    println!("run label: {label}");
+    println!("run label: {label} (sha256 backend: {backend})");
     for (name, v) in &fresh {
         let extra = match *name {
             "chacha20_apply_16384" | "sha256_16384" => {
                 format!("  ({:.1} MiB/s)", v * 16384.0 / (1024.0 * 1024.0))
             }
+            n if n.starts_with("sha256_compress") => format!("  ({:.1} ns/block)", 1e9 / v),
             n if n == "seal_3hops" || n == "relay_unseal" || n.contains("_batch_") => {
                 format!("  ({:.1} MiB/s of cells)", v * 509.0 / (1024.0 * 1024.0))
             }

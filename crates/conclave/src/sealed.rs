@@ -43,10 +43,7 @@ pub fn unseal_data(
 ) -> Result<Vec<u8>, SealError> {
     let key = sealing_key(platform_secret, measurement);
     open(&key, &[0u8; 12], b"sealed", blob)
-        .map(|data| {
-            T_UNSEAL_BYTES.add(data.len() as u64);
-            data
-        })
+        .inspect(|data| T_UNSEAL_BYTES.add(data.len() as u64))
         .map_err(|_: AeadError| {
             T_UNSEAL_FAILURES.inc();
             SealError::Unsealable

@@ -187,7 +187,7 @@ mod tests {
         let mut data = Vec::new();
         for _ in 0..50 {
             if rng.gen_bool(0.5) {
-                data.extend(std::iter::repeat(rng.gen::<u8>()).take(rng.gen_range(1..500)));
+                data.extend(std::iter::repeat_n(rng.gen::<u8>(), rng.gen_range(1..500)));
             } else {
                 data.extend((0..rng.gen_range(1..500)).map(|_| rng.gen::<u8>()));
             }

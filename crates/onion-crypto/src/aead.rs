@@ -5,7 +5,7 @@
 //! attested channel a Bento client uploads its function over.
 
 use crate::chacha20::{ChaCha20, NONCE_LEN};
-use crate::hmac::{ct_eq, hkdf, hmac_sha256_parts};
+use crate::hmac::{ct_eq, hkdf, HmacKey};
 
 /// Tag length in bytes (full HMAC-SHA256 output).
 pub const TAG_LEN: usize = 32;
@@ -30,11 +30,12 @@ impl std::fmt::Display for AeadError {
 
 impl std::error::Error for AeadError {}
 
-/// An AEAD key; internally split into independent cipher and MAC keys.
+/// An AEAD key; internally split into independent cipher and MAC keys,
+/// the MAC key held as HMAC mid-states so a tag never rebuilds its pads.
 #[derive(Clone)]
 pub struct AeadKey {
     enc: [u8; 32],
-    mac: [u8; 32],
+    mac: HmacKey,
 }
 
 impl AeadKey {
@@ -42,10 +43,11 @@ impl AeadKey {
     pub fn from_master(master: &[u8; 32]) -> Self {
         let okm: [u8; 64] = hkdf(b"bento-aead", master, b"enc|mac");
         let mut enc = [0u8; 32];
-        let mut mac = [0u8; 32];
         enc.copy_from_slice(&okm[..32]);
-        mac.copy_from_slice(&okm[32..]);
-        AeadKey { enc, mac }
+        AeadKey {
+            enc,
+            mac: HmacKey::new(&okm[32..]),
+        }
     }
 
     /// Generate a random key.
@@ -59,16 +61,13 @@ impl AeadKey {
 /// The MAC covers `nonce || len(aad) || aad || len(ct) || ct`, streamed
 /// into HMAC as parts — the encoding is never materialized.
 fn compute_tag(key: &AeadKey, nonce: &[u8; NONCE_LEN], aad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {
-    hmac_sha256_parts(
-        &key.mac,
-        &[
-            nonce,
-            &(aad.len() as u64).to_be_bytes(),
-            aad,
-            &(ct.len() as u64).to_be_bytes(),
-            ct,
-        ],
-    )
+    key.mac.mac_parts(&[
+        nonce,
+        &(aad.len() as u64).to_be_bytes(),
+        aad,
+        &(ct.len() as u64).to_be_bytes(),
+        ct,
+    ])
 }
 
 /// Encrypt and authenticate in place: `buf` (the plaintext) becomes
@@ -221,5 +220,19 @@ mod tests {
         let s1 = seal(&k1, &[0; 12], b"", b"x");
         let s2 = seal(&k2, &[0; 12], b"", b"x");
         assert_ne!(s1, s2);
+    }
+
+    /// One sealed message pinned from the code before `AeadKey` kept its
+    /// HMAC mid-states and before the hardware SHA-256 backend: key
+    /// derivation, keystream and tag, byte for byte.
+    #[test]
+    fn sealed_output_is_pinned() {
+        let sealed = seal(&key(), &[1u8; 12], b"header", b"secret payload");
+        let hex: String = sealed.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "86b038290c163094ae99b4a991112a0e85d07f67e625c71660ea042ae1580e2f\
+             6641488170542d6fe2fcf83c6171"
+        );
     }
 }

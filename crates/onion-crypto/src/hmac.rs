@@ -24,30 +24,48 @@ fn key_pads(key: &[u8]) -> [[u8; BLOCK]; 2] {
     [0x36, 0x5c].map(|pad| k.map(|b| b ^ pad))
 }
 
+/// An HMAC-SHA256 key with its inner and outer key blocks already
+/// compressed: two of a short message's four or five compressions, paid
+/// once per key instead of once per tag.
+#[derive(Clone)]
+pub(crate) struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacKey {
+    pub(crate) fn new(key: &[u8]) -> Self {
+        let [inner, outer] = key_pads(key).map(|block| {
+            let mut state = H0;
+            Sha256::compress_into(&mut state, &block);
+            state
+        });
+        HmacKey { inner, outer }
+    }
+
+    /// The tag over the concatenation of `parts`.
+    pub(crate) fn mac_parts(&self, parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
+        let mut inner = Sha256::from_midstate(self.inner, BLOCK as u64);
+        for p in parts {
+            inner.update(p);
+        }
+        let mut outer = Sha256::from_midstate(self.outer, BLOCK as u64);
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
 /// HMAC over multiple message parts, streamed straight into the inner hash
 /// (the message is never concatenated into a scratch buffer).
 pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
-    let [ipad, opad] = key_pads(key);
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    for p in parts {
-        inner.update(p);
-    }
-    let mut h = Sha256::new();
-    h.update(&opad);
-    h.update(&inner.finalize());
-    h.finalize()
+    HmacKey::new(key).mac_parts(parts)
 }
 
 /// `LANES` HMACs under one key at once, for messages of at most 13 words
 /// each (`msg[i][l]` is word `i` of lane `l`'s message); the digests in
 /// word form. Equal to [`hmac_sha256`] lane by lane.
 pub(crate) fn hmac_sha256_lanes(key: &[u8], msg: &[Lanes]) -> [Lanes; 8] {
-    let [inner, outer] = key_pads(key).map(|block| {
-        let mut state = H0;
-        Sha256::compress_into(&mut state, &block);
-        state
-    });
+    let HmacKey { inner, outer } = HmacKey::new(key);
     finish_lanes(outer, BLOCK as u32, &finish_lanes(inner, BLOCK as u32, msg))
 }
 

@@ -4,7 +4,9 @@
 //! all implemented here with no external dependencies so the repository is
 //! self-contained and auditable:
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256.
+//! * [`sha256`] — FIPS 180-4 SHA-256; its compression function runs on the
+//!   x86 SHA extensions when the build targets a CPU that has them
+//!   ([`Sha256::backend`] says which), in portable scalar code otherwise.
 //! * [`hmac`] — HMAC-SHA256 and HKDF (RFC 5869).
 //! * [`chacha20`] — the ChaCha20 stream cipher (RFC 8439), used for onion
 //!   layer encryption and FS Protect.
@@ -26,7 +28,11 @@
 //! exists to make the reproduction's code paths genuine, not to protect
 //! production traffic.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`, for one reason: `sha256::compress` carries the
+// workspace's only `allow(unsafe_code)`, a single call from a function
+// without `#[target_feature]` into one with it, under a `cfg` on the same
+// item that proves the features at compile time. Every other crate forbids.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aead;

@@ -2,6 +2,22 @@
 //!
 //! Supports both one-shot hashing ([`sha256`]) and incremental hashing
 //! ([`Sha256`]). Verified against the NIST test vectors in the unit tests.
+//!
+//! The compression function has two backends, chosen when the crate is
+//! compiled: [`compress_portable`] (scalar, every target) and, when the
+//! build's target features include the x86 SHA extensions, the `ni` module.
+//! [`compress`] is whichever the build selected and [`Sha256::backend`]
+//! names it; there is no runtime detection. Both produce the same bytes —
+//! the unit tests compare them block for block.
+
+/// Hardware backend: present only when the build proves its instructions.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "sha",
+    target_feature = "sse4.1",
+    target_feature = "ssse3"
+))]
+mod ni;
 
 /// Digest length in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -47,6 +63,33 @@ impl Sha256 {
         }
     }
 
+    /// Name of the compression backend this build selected:
+    /// `"x86-sha-ni"` or `"portable"`.
+    pub fn backend() -> &'static str {
+        if cfg!(all(
+            target_arch = "x86_64",
+            target_feature = "sha",
+            target_feature = "sse4.1",
+            target_feature = "ssse3"
+        )) {
+            "x86-sha-ni"
+        } else {
+            "portable"
+        }
+    }
+
+    /// Resume from `state`, reached by absorbing `absorbed` bytes of whole
+    /// blocks — how a keyed hash skips its constant first block.
+    pub(crate) fn from_midstate(state: [u32; 8], absorbed: u64) -> Self {
+        debug_assert_eq!(absorbed % 64, 0);
+        Sha256 {
+            state,
+            buf: [0; 64],
+            buf_len: 0,
+            total_len: absorbed,
+        }
+    }
+
     /// Absorb `data`.
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
@@ -56,21 +99,19 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return self;
             }
+            compress(&mut self.state, std::slice::from_ref(&self.buf));
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            Self::compress_into(&mut self.state, block.try_into().expect("64-byte block"));
-            data = rest;
+        // Every whole block of the slice goes to the backend in one call,
+        // so the state crosses memory once per slice, not once per block.
+        let (blocks, tail) = data.as_chunks::<64>();
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
         self
     }
 
@@ -111,8 +152,9 @@ impl Sha256 {
         }
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        Self::compress_into(&mut self.state, block);
+    /// One block through the active backend ([`compress`]).
+    pub(crate) fn compress_into(state: &mut [u32; 8], block: &[u8; 64]) {
+        compress(state, std::slice::from_ref(block));
     }
 
     /// The FIPS 180-4 compression function, fully unrolled.
@@ -122,7 +164,7 @@ impl Sha256 {
     /// the memory traffic. The eight working variables rotate by *renaming*
     /// across the unrolled rounds rather than by shifting eight registers
     /// every round, so each round is just the two Σ/ch/maj adds.
-    pub(crate) fn compress_into(state: &mut [u32; 8], block: &[u8; 64]) {
+    fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
         let mut w = [0u32; 16];
         for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
             *wi = u32::from_be_bytes(chunk.try_into().expect("4-byte word"));
@@ -133,7 +175,7 @@ impl Sha256 {
         // `$d`/`$h` slots. Callers rotate the variable names between rounds.
         macro_rules! rnd {
             ($a:ident, $b:ident, $c:ident, $d:ident,
-             $e:ident, $f:ident, $g:ident, $h:ident, $i:expr, $w:expr) => {
+                 $e:ident, $f:ident, $g:ident, $h:ident, $i:expr, $w:expr) => {
                 let t1 = $h
                     .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
                     .wrapping_add(($e & $f) ^ (!$e & $g))
@@ -195,6 +237,40 @@ impl Sha256 {
         state[5] = state[5].wrapping_add(f);
         state[6] = state[6].wrapping_add(g);
         state[7] = state[7].wrapping_add(h);
+    }
+}
+
+/// The compression function over `blocks`, in order, on the backend this
+/// build selected (see [`Sha256::backend`]).
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "sha",
+    target_feature = "sse4.1",
+    target_feature = "ssse3"
+))]
+#[allow(unsafe_code)]
+#[inline]
+pub fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    // SAFETY: the callee's only precondition is that the CPU has the target
+    // features it enables (sha, ssse3, sse4.1), and the cfg on this very
+    // item admits it to the build only when the compiler targets all three.
+    unsafe { ni::compress(state, blocks) }
+}
+
+#[cfg(not(all(
+    target_arch = "x86_64",
+    target_feature = "sha",
+    target_feature = "sse4.1",
+    target_feature = "ssse3"
+)))]
+pub use compress_portable as compress;
+
+/// The compression function over `blocks`, in order, in portable scalar
+/// code: the backend of every build without the x86 SHA extensions, and the
+/// reference the hardware backend is tested against on builds with them.
+pub fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
+        Sha256::compress_block(state, block);
     }
 }
 
@@ -331,6 +407,91 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), whole, "split at {split}");
+        }
+    }
+
+    /// SHA-256 of `data` by the definition: pad into one buffer, run the
+    /// portable compression over it. Shares nothing with `update`'s
+    /// buffering or with the build's active backend.
+    fn reference_digest(data: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        padded.resize((data.len() + 9).div_ceil(64) * 64 - 8, 0);
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let (blocks, rest) = padded.as_chunks::<64>();
+        assert!(rest.is_empty());
+        let mut state = H0;
+        compress_portable(&mut state, blocks);
+        let mut out = [0u8; DIGEST_LEN];
+        for (chunk, w) in out.chunks_exact_mut(4).zip(state) {
+            chunk.copy_from_slice(&w.to_be_bytes());
+        }
+        out
+    }
+
+    /// Whatever backend this build selected computes exactly what the
+    /// portable one does, from any state, over any number of blocks.
+    #[test]
+    fn active_backend_equals_portable() {
+        use rand::{Rng, SeedableRng};
+        use std::array::from_fn;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        for case in 0..200 {
+            let start: [u32; 8] = from_fn(|_| rng.gen());
+            let blocks: Vec<[u8; 64]> = (0..case % 10).map(|_| from_fn(|_| rng.gen())).collect();
+            let (mut active, mut portable) = (start, start);
+            compress(&mut active, &blocks);
+            compress_portable(&mut portable, &blocks);
+            assert_eq!(
+                active,
+                portable,
+                "{} blocks on {}",
+                blocks.len(),
+                Sha256::backend()
+            );
+            if blocks.is_empty() {
+                assert_eq!(active, start);
+            }
+        }
+    }
+
+    /// `update` splits its input into a buffered head, a run of whole
+    /// blocks handed to the backend at once, and a tail: every two-way split
+    /// of a 1 100-byte message must agree with the definition.
+    #[test]
+    fn update_agrees_with_definition_at_every_split_of_1100_bytes() {
+        let data: Vec<u8> = (0..1100u32).map(|i| (i * 7 % 251) as u8).collect();
+        let whole = reference_digest(&data);
+        assert_eq!(sha256(&data), whole);
+        for split in 0..=data.len() {
+            let mut h = Sha256::new();
+            h.update(&data[..split]).update(&data[split..]);
+            assert_eq!(h.finalize(), whole, "split at {split}");
+        }
+    }
+
+    /// The relay's per-cell pattern — a 32-byte seed, then 5 + 4 + 500 bytes
+    /// per cell with a peek at the running digest after each — over enough
+    /// cells that the buffered remainder walks through many offsets.
+    #[test]
+    fn relay_three_slice_pattern_agrees_with_definition() {
+        let mut running = Sha256::new();
+        let mut absorbed = vec![0x5Au8; 32];
+        running.update(&absorbed);
+        for cell in 0..20u8 {
+            let payload: [u8; 509] = std::array::from_fn(|i| cell.wrapping_mul(31) ^ i as u8);
+            running
+                .update(&payload[..5])
+                .update(&[0; 4])
+                .update(&payload[9..]);
+            absorbed.extend_from_slice(&payload[..5]);
+            absorbed.extend_from_slice(&[0; 4]);
+            absorbed.extend_from_slice(&payload[9..]);
+            assert_eq!(
+                running.clone_finalize(),
+                reference_digest(&absorbed),
+                "cell {cell}"
+            );
         }
     }
 

@@ -1106,9 +1106,9 @@ impl ShardedSim {
     fn lookahead(&self) -> Option<SimDuration> {
         let (mut least, mut second) = (None, None);
         for lat in self.shard_min_latency.iter().flatten().copied() {
-            if least.map_or(true, |l| lat < l) {
+            if least.is_none_or(|l| lat < l) {
                 second = least.replace(lat);
-            } else if second.map_or(true, |s| lat < s) {
+            } else if second.is_none_or(|s| lat < s) {
                 second = Some(lat);
             }
         }

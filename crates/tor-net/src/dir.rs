@@ -637,7 +637,11 @@ mod tests {
             flags: RelayFlags::default().with(RelayFlags::GUARD | RelayFlags::FAST),
             bandwidth: 1000 * (i as u64 + 1),
             exit_policy: ExitPolicy::web_only(),
-            bento_port: if i % 2 == 0 { Some(5005) } else { None },
+            bento_port: if i.is_multiple_of(2) {
+                Some(5005)
+            } else {
+                None
+            },
         }
     }
 

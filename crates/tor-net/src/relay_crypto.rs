@@ -533,4 +533,32 @@ mod tests {
         bat.encrypt_layer_batch(&mut refs);
         assert_eq!(run_a, run_b);
     }
+
+    /// Fixed-key relay-digest stream pinned from the code before the
+    /// hardware SHA-256 backend (the twin of `ntor`'s pinned transcript):
+    /// 64 backward cells sealed at the exit or the middle hop, wrapped by the
+    /// hops below, unwrapped by the client. The wire bytes carry every
+    /// running-digest tag, so a compression backend that differs in one bit
+    /// changes this hash — and would de-recognize every cell in `results/`.
+    #[test]
+    fn relay_digest_stream_is_pinned() {
+        let (mut client, mut relays) = three_hops();
+        let mut wire = Sha256::new();
+        for i in 0..64u16 {
+            let from = if i % 8 == 7 { 1 } else { 2 };
+            let data = vec![i as u8; (i as usize * 37) % 490];
+            let mut payload = RelayCell::new(RelayCmd::Data, i, data.clone()).encode_payload();
+            relays[from].seal(&mut payload);
+            for relay in relays[..from].iter_mut().rev() {
+                relay.encrypt_layer(&mut payload);
+            }
+            wire.update(&payload);
+            assert_eq!(client.unwrap_inbound(&mut payload), Some(from), "cell {i}");
+            assert_eq!(RelayCell::parse_payload(&payload).unwrap().data, data);
+        }
+        assert_eq!(
+            onion_crypto::sha256::digest_hex(&wire.finalize()),
+            "a043f35a60374c6e1cc031d36559c3b074ce641e52196f35d6e6f6769b6982ff"
+        );
+    }
 }

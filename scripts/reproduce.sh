@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 echo "== building (release) =="
 cargo build --release -p bench
 
+echo "== unsafe budget: one cfg-proven call in onion-crypto, forbid(unsafe_code) in the other ten crates =="
+bash scripts/unsafe_budget.sh
+
 echo "== static analysis: bento_lint workspace pass (BL000-BL011, incl. stale-suppression audit) =="
 cargo run --release -p lint
 cargo run --release -p lint -- --format json > results/bento_lint_findings.json
