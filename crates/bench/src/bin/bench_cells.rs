@@ -1,18 +1,21 @@
 //! Machine-readable throughput baseline for the per-cell crypto data plane.
 //!
-//! Times the hot paths every relayed byte pays — ChaCha20 keystream
-//! application, the 3-hop onion seal, the per-relay unseal (decrypt +
-//! digest check), the AEAD round trip, raw SHA-256 and its compression
-//! function on both backends — and merges the
+//! Times the hot paths every relayed byte pays — the 3-hop onion seal, the
+//! per-relay unseal (decrypt + digest check), the AES-128-CTR layer cipher
+//! over one cell and raw SHA-256 with its compression function, each on
+//! both backends — plus the ChaCha20 keystream and AEAD round trip of the
+//! conclave channel, and merges the
 //! numbers into `results/BENCH_cells.json` under a run label
 //! (`--label baseline|optimized`, default `optimized`). When both labels
 //! are present the file also carries per-benchmark speedups, so the perf
 //! trajectory is demonstrated rather than asserted. The file names the
-//! SHA-256 backend of the build that wrote its latest run
-//! (`sha256_backend`): numbers from different backends are different rungs.
+//! SHA-256 and AES backends of the build that wrote its latest run
+//! (`sha256_backend`, `aes_backend`): numbers from different backends are
+//! different rungs.
 
 use bench::arg_str;
 use onion_crypto::aead::{open, seal, AeadKey};
+use onion_crypto::aes::Aes128Ctr;
 use onion_crypto::chacha20::ChaCha20;
 use onion_crypto::ntor::CircuitKeys;
 use onion_crypto::sha256::{compress, compress_portable, sha256, Sha256};
@@ -24,8 +27,9 @@ use tor_net::relay_crypto::{CircuitCrypto, LayerCrypto};
 /// The benchmark names, in report order. The `*_batch_N` rows report
 /// **cells per second** (one op = one cell) so they compare directly with
 /// the cell-at-a-time `relay_unseal` row at every batch size; the
-/// `sha256_compress*` rows report **blocks per second**.
-const NAMES: [&str; 17] = [
+/// `sha256_compress*` rows report **blocks per second**, the
+/// `aes128ctr_cell*` rows **509-byte cell layers per second**.
+const NAMES: [&str; 19] = [
     "chacha20_apply_16384",
     "seal_3hops",
     "relay_unseal",
@@ -43,6 +47,8 @@ const NAMES: [&str; 17] = [
     "relay_seal_batch_8",
     "relay_seal_batch_16",
     "relay_seal_batch_32",
+    "aes128ctr_cell",
+    "aes128ctr_cell_portable",
 ];
 
 /// The batch sizes behind the `*_batch_N` rows, aligned with `NAMES`.
@@ -151,13 +157,11 @@ fn run_all() -> Vec<(&'static str, f64)> {
     results.push((NAMES[5], blocks_per_sec(compress)));
     results.push((NAMES[6], blocks_per_sec(compress_portable)));
 
-    // Batched relay unseal: one run of N same-circuit cells per op, with
-    // the keystream prefetch the batch data plane enables. Reported as
-    // cells/sec (ops_per_sec × N) so every row shares the unit of
-    // `relay_unseal`.
+    // Batched relay unseal: one run of N same-circuit cells per op.
+    // Reported as cells/sec (ops_per_sec × N) so every row shares the unit
+    // of `relay_unseal`.
     for (bi, &n) in BATCH_SIZES.iter().enumerate() {
         let mut relay = LayerCrypto::relay_side(&keys(8));
-        relay.enable_batch();
         let mut cells = vec![template; n];
         let mut flags = vec![false; n];
         let per_batch = ops_per_sec(|| {
@@ -173,7 +177,6 @@ fn run_all() -> Vec<(&'static str, f64)> {
     // Batched relay seal (exit/backward direction), same reporting unit.
     for (bi, &n) in BATCH_SIZES.iter().enumerate() {
         let mut relay = LayerCrypto::relay_side(&keys(9));
-        relay.enable_batch();
         let mut cells = vec![template; n];
         let per_batch = ops_per_sec(|| {
             for c in cells.iter_mut() {
@@ -184,6 +187,14 @@ fn run_all() -> Vec<(&'static str, f64)> {
         });
         results.push((NAMES[12 + bi], per_batch * n as f64));
     }
+
+    // The layer cipher alone over one cell payload, the stream running on
+    // from cell to cell as a circuit's does: the backend this build
+    // selected, then the portable one every build carries.
+    let mut cell = template;
+    let mut stream = Aes128Ctr::new(&[7; 16], &[9; 8]);
+    results.push((NAMES[17], ops_per_sec(|| stream.apply(&mut cell))));
+    results.push((NAMES[18], ops_per_sec(|| stream.apply_portable(&mut cell))));
 
     results
 }
@@ -242,8 +253,9 @@ fn main() {
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"unit\": \"ops_per_sec\",");
-    let backend = Sha256::backend();
+    let (backend, aes_backend) = (Sha256::backend(), Aes128Ctr::backend());
     let _ = writeln!(json, "  \"sha256_backend\": \"{backend}\",");
+    let _ = writeln!(json, "  \"aes_backend\": \"{aes_backend}\",");
     let _ = writeln!(json, "  \"payload_bytes\": 509,");
     let _ = writeln!(json, "  \"runs\": {{");
     for (ri, (run_label, vals)) in runs.iter().enumerate() {
@@ -278,13 +290,14 @@ fn main() {
     std::fs::create_dir_all("results").expect("create results dir");
     std::fs::write(&path, &json).expect("write BENCH_cells.json");
 
-    println!("run label: {label} (sha256 backend: {backend})");
+    println!("run label: {label} (sha256 backend: {backend}, aes backend: {aes_backend})");
     for (name, v) in &fresh {
         let extra = match *name {
             "chacha20_apply_16384" | "sha256_16384" => {
                 format!("  ({:.1} MiB/s)", v * 16384.0 / (1024.0 * 1024.0))
             }
             n if n.starts_with("sha256_compress") => format!("  ({:.1} ns/block)", 1e9 / v),
+            n if n.starts_with("aes128ctr_cell") => format!("  ({:.1} ns/cell-layer)", 1e9 / v),
             n if n == "seal_3hops" || n == "relay_unseal" || n.contains("_batch_") => {
                 format!("  ({:.1} MiB/s of cells)", v * 509.0 / (1024.0 * 1024.0))
             }

@@ -483,10 +483,12 @@ fn main() {
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"unit\": \"events_per_sec\",");
-    // Which SHA-256 compression backend the build that wrote the latest run
+    // Which SHA-256 and AES backends the build that wrote the latest run
     // selected: host numbers from different backends are different rungs.
     let backend = onion_crypto::Sha256::backend();
     let _ = writeln!(json, "  \"sha256_backend\": \"{backend}\",");
+    let aes_backend = onion_crypto::Aes128Ctr::backend();
+    let _ = writeln!(json, "  \"aes_backend\": \"{aes_backend}\",");
     let _ = writeln!(json, "  \"workload\": \"3-hop relay fetch + echo storm\",");
     let _ = writeln!(json, "  \"runs\": {{");
     for (ri, (run_label, vals)) in runs.iter().enumerate() {

@@ -1,10 +1,10 @@
-//! The ChaCha20 stream cipher (RFC 8439), used for onion layer encryption
-//! and the FS Protect filesystem.
+//! The ChaCha20 stream cipher (RFC 8439): the cipher half of [`crate::aead`],
+//! and so of the conclave channel, sealed storage and the FS Protect
+//! filesystem. (Relay cells are layered with [`crate::aes`], as in Tor.)
 //!
 //! The cipher exposes both a one-shot XOR ([`ChaCha20::apply`]) and a
-//! seekable keystream ([`ChaCha20::seek`]); Tor-style relay crypto applies
-//! each hop's cipher as a continuous stream across cells, which the
-//! position tracking here supports directly.
+//! seekable keystream ([`ChaCha20::seek`]); the position is continuous
+//! across calls of any length.
 
 /// Key length in bytes.
 pub const KEY_LEN: usize = 32;
@@ -15,8 +15,8 @@ const SIGMA: [u32; 4] = [0x61707865, 0x3320646e, 0x79622d32, 0x6b206574];
 
 /// How many blocks the bulk fast path computes per round-function pass.
 const WIDE: usize = 8;
-/// Lane count of the narrower pass that picks up cell-sized runs too short
-/// for the bulk path (a 509-byte relay payload has only 7 whole blocks).
+/// Lane count of the narrower pass that picks up runs too short for the
+/// bulk path: an AEAD message of a few hundred bytes is two to four blocks.
 const NARROW: usize = 4;
 
 /// `N` lanes of one ChaCha state word, one lane per block. Whole-value
@@ -316,7 +316,7 @@ impl ChaCha20 {
     /// single `N`-lane pass: whole blocks are XORed lane by lane, and a
     /// trailing partial block lands in the keystream buffer so the next
     /// call resumes mid-block — no scalar per-block passes at all. This is
-    /// what keeps a 509-byte relay payload at one or two wide passes total.
+    /// what keeps a short AEAD message at one wide or narrow pass total.
     #[inline(always)]
     fn apply_tail<const N: usize>(&mut self, data: &mut [u8]) {
         debug_assert!(!data.is_empty() && data.len() <= 64 * N);
@@ -359,7 +359,7 @@ impl ChaCha20 {
     ///
     /// Fast path: after draining any buffered partial block, keystream is
     /// generated [`WIDE`] blocks per round-function pass ([`NARROW`] for a
-    /// cell-sized remainder) and XORed in `u64` lanes; only a trailing
+    /// remainder of up to four blocks) and XORed in `u64` lanes; only a trailing
     /// partial block goes through the byte-at-a-time buffer.
     pub fn apply(&mut self, data: &mut [u8]) {
         let mut data = data;
@@ -414,19 +414,6 @@ impl ChaCha20 {
         let mut out = data.to_vec();
         self.apply(&mut out);
         out
-    }
-
-    /// Write `out.len()` bytes of raw keystream into `out`, advancing the
-    /// stream position exactly as [`ChaCha20::apply`] would.
-    ///
-    /// Implemented as XOR-into-zeros: zeroing `out` and running the normal
-    /// `apply` path produces the keystream itself while reusing every wide
-    /// fast path and the buffered-partial-block continuity logic, so a
-    /// prefetch consumer stays bit-compatible with direct `apply` calls at
-    /// any interleaving.
-    pub fn keystream_into(&mut self, out: &mut [u8]) {
-        out.fill(0);
-        self.apply(out);
     }
 }
 
@@ -550,31 +537,5 @@ mod tests {
         let a = ChaCha20::new(&key, &[0u8; 12]).apply_copy(&[0u8; 64]);
         let b = ChaCha20::new(&key, &[1u8; 12]).apply_copy(&[0u8; 64]);
         assert_ne!(a, b);
-    }
-
-    /// `keystream_into` produces exactly the bytes `apply` would XOR, at any
-    /// length, and stays position-continuous when interleaved with `apply`.
-    #[test]
-    fn keystream_into_matches_apply() {
-        let key = [6u8; 32];
-        let nonce = [7u8; 12];
-        for len in [0usize, 1, 63, 64, 65, 509, 512, 1024, 4096 + 17] {
-            let mut direct = ChaCha20::new(&key, &nonce);
-            let expected = direct.apply_copy(&vec![0u8; len]);
-            let mut ks = vec![0xFFu8; len];
-            ChaCha20::new(&key, &nonce).keystream_into(&mut ks);
-            assert_eq!(ks, expected, "len {len}");
-        }
-        // Interleave: apply 100 bytes, fetch 200 bytes of keystream, apply
-        // 50 more — must equal one sequential 350-byte application.
-        let whole = ChaCha20::new(&key, &nonce).apply_copy(&vec![0u8; 350]);
-        let mut c = ChaCha20::new(&key, &nonce);
-        let mut got = Vec::new();
-        got.extend_from_slice(&c.apply_copy(&[0u8; 100]));
-        let mut mid = [0u8; 200];
-        c.keystream_into(&mut mid);
-        got.extend_from_slice(&mid);
-        got.extend_from_slice(&c.apply_copy(&[0u8; 50]));
-        assert_eq!(got, whole);
     }
 }

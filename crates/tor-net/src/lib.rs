@@ -5,8 +5,9 @@
 //!
 //! * **Cells** ([`cell`]): fixed 514-byte link cells with the relay-cell
 //!   sublayout (recognized / stream id / digest / length).
-//! * **Layered onion crypto** ([`relay_crypto`]): per-hop ChaCha20 streams
-//!   and running-SHA256 "recognized" digests, exactly Tor's scheme.
+//! * **Layered onion crypto** ([`relay_crypto`]): per-hop AES-128-CTR
+//!   streams, as in Tor, and running "recognized" digests — Tor's scheme
+//!   with SHA-256 in place of SHA-1.
 //! * **Relays** ([`relay`]): OR-port cell switching, circuit extension via
 //!   the ntor handshake, exit streams with exit policies, directory
 //!   service (authority and HSDir roles), introduction and rendezvous

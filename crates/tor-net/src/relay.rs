@@ -70,9 +70,9 @@ pub struct RelayConfig {
     /// consensus (letting descriptors arrive).
     pub consensus_delay: SimDuration,
     /// Batch the relay data plane: coalesced same-tick link deliveries are
-    /// unsealed/encrypted as per-circuit runs with prefetched wide-lane
-    /// keystream. Byte-identical to the sequential path; off is kept only
-    /// as an A/B arm for benchmarks and determinism checks.
+    /// unsealed/encrypted as per-circuit runs. Byte-identical to the
+    /// sequential path; off is kept only as an A/B arm for benchmarks and
+    /// determinism checks.
     pub batch: bool,
 }
 
@@ -659,10 +659,7 @@ impl RelayCore {
             self.send_cell(ctx, conn, destroy);
             return;
         };
-        let mut crypto = LayerCrypto::relay_side(&keys);
-        if self.cfg.batch {
-            crypto.enable_batch();
-        }
+        let crypto = LayerCrypto::relay_side(&keys);
         let slot = self.alloc_circuit(RelayCircuit::new((conn, cell.circ_id), crypto));
         self.circ_lookup.insert((conn, cell.circ_id), slot);
         self.stats.circuits += 1;
@@ -778,9 +775,9 @@ impl RelayCore {
     /// Switch a run (≥ 2 cells) of relay cells sharing one circuit that
     /// arrived in one coalesced delivery. Phase 1 strips (forward) or adds
     /// (backward) this hop's layer across the whole run with the batch
-    /// crypto APIs — one prefetched wide-lane keystream pass — and phase 2
-    /// dispatches each cell in arrival order exactly as the sequential path
-    /// would. The phases commute because per-cell dispatch never touches
+    /// crypto APIs, and phase 2 dispatches each cell in arrival order
+    /// exactly as the sequential path would. The phases commute because
+    /// per-cell dispatch never touches
     /// the run's receive-direction crypto or tears the circuit down, so
     /// wire order, telemetry and per-cell outcomes stay byte-identical.
     fn handle_relay_run(

@@ -99,8 +99,6 @@ proptest! {
         let mut senders = [LayerCrypto::client_side(&keys(1)), LayerCrypto::client_side(&keys(2))];
         let mut seq = [LayerCrypto::relay_side(&keys(1)), LayerCrypto::relay_side(&keys(2))];
         let mut bat = [LayerCrypto::relay_side(&keys(1)), LayerCrypto::relay_side(&keys(2))];
-        bat[0].enable_batch();
-        bat[1].enable_batch();
 
         // Seal each cell under its circuit, in arrival order; optionally
         // flip a ciphertext byte so the relay digest check must fail.
@@ -151,7 +149,6 @@ proptest! {
     fn batched_seal_matches_sequential(sizes in proptest::collection::vec(1usize..12, 1..8)) {
         let mut seq = LayerCrypto::relay_side(&keys(7));
         let mut bat = LayerCrypto::relay_side(&keys(7));
-        bat.enable_batch();
         let mut idx = 0u8;
         for run_len in sizes {
             let mut cells: Vec<[u8; PAYLOAD_LEN]> = (0..run_len)

@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 echo "== building (release) =="
 cargo build --release -p bench
 
-echo "== unsafe budget: one cfg-proven call in onion-crypto, forbid(unsafe_code) in the other ten crates =="
+echo "== unsafe budget: two cfg-proven calls in onion-crypto, forbid(unsafe_code) in the other ten crates =="
 bash scripts/unsafe_budget.sh
 
 echo "== static analysis: bento_lint workspace pass (BL000-BL011, incl. stale-suppression audit) =="
