@@ -24,12 +24,10 @@ use std::time::Instant;
 use tor_net::cell::{RelayCell, RelayCmd};
 use tor_net::relay_crypto::{CircuitCrypto, LayerCrypto};
 
-/// The benchmark names, in report order. The `*_batch_N` rows report
-/// **cells per second** (one op = one cell) so they compare directly with
-/// the cell-at-a-time `relay_unseal` row at every batch size; the
-/// `sha256_compress*` rows report **blocks per second**, the
-/// `aes128ctr_cell*` rows **509-byte cell layers per second**.
-const NAMES: [&str; 19] = [
+/// The benchmark names, in report order. The `sha256_compress*` rows
+/// report **blocks per second**, the `aes128ctr_cell*` rows **509-byte
+/// cell layers per second**.
+const NAMES: [&str; 9] = [
     "chacha20_apply_16384",
     "seal_3hops",
     "relay_unseal",
@@ -37,22 +35,9 @@ const NAMES: [&str; 19] = [
     "sha256_16384",
     "sha256_compress",
     "sha256_compress_portable",
-    "relay_unseal_batch_1",
-    "relay_unseal_batch_4",
-    "relay_unseal_batch_8",
-    "relay_unseal_batch_16",
-    "relay_unseal_batch_32",
-    "relay_seal_batch_1",
-    "relay_seal_batch_4",
-    "relay_seal_batch_8",
-    "relay_seal_batch_16",
-    "relay_seal_batch_32",
     "aes128ctr_cell",
     "aes128ctr_cell_portable",
 ];
-
-/// The batch sizes behind the `*_batch_N` rows, aligned with `NAMES`.
-const BATCH_SIZES: [usize; 5] = [1, 4, 8, 16, 32];
 
 fn keys(tag: u8) -> CircuitKeys {
     CircuitKeys {
@@ -157,44 +142,13 @@ fn run_all() -> Vec<(&'static str, f64)> {
     results.push((NAMES[5], blocks_per_sec(compress)));
     results.push((NAMES[6], blocks_per_sec(compress_portable)));
 
-    // Batched relay unseal: one run of N same-circuit cells per op.
-    // Reported as cells/sec (ops_per_sec × N) so every row shares the unit
-    // of `relay_unseal`.
-    for (bi, &n) in BATCH_SIZES.iter().enumerate() {
-        let mut relay = LayerCrypto::relay_side(&keys(8));
-        let mut cells = vec![template; n];
-        let mut flags = vec![false; n];
-        let per_batch = ops_per_sec(|| {
-            for c in cells.iter_mut() {
-                *c = template;
-            }
-            let mut refs: Vec<&mut [u8; 509]> = cells.iter_mut().collect();
-            relay.unseal_batch(&mut refs, &mut flags);
-        });
-        results.push((NAMES[7 + bi], per_batch * n as f64));
-    }
-
-    // Batched relay seal (exit/backward direction), same reporting unit.
-    for (bi, &n) in BATCH_SIZES.iter().enumerate() {
-        let mut relay = LayerCrypto::relay_side(&keys(9));
-        let mut cells = vec![template; n];
-        let per_batch = ops_per_sec(|| {
-            for c in cells.iter_mut() {
-                *c = template;
-            }
-            let mut refs: Vec<&mut [u8; 509]> = cells.iter_mut().collect();
-            relay.seal_batch(&mut refs);
-        });
-        results.push((NAMES[12 + bi], per_batch * n as f64));
-    }
-
     // The layer cipher alone over one cell payload, the stream running on
     // from cell to cell as a circuit's does: the backend this build
     // selected, then the portable one every build carries.
     let mut cell = template;
     let mut stream = Aes128Ctr::new(&[7; 16], &[9; 8]);
-    results.push((NAMES[17], ops_per_sec(|| stream.apply(&mut cell))));
-    results.push((NAMES[18], ops_per_sec(|| stream.apply_portable(&mut cell))));
+    results.push((NAMES[7], ops_per_sec(|| stream.apply(&mut cell))));
+    results.push((NAMES[8], ops_per_sec(|| stream.apply_portable(&mut cell))));
 
     results
 }
@@ -298,7 +252,7 @@ fn main() {
             }
             n if n.starts_with("sha256_compress") => format!("  ({:.1} ns/block)", 1e9 / v),
             n if n.starts_with("aes128ctr_cell") => format!("  ({:.1} ns/cell-layer)", 1e9 / v),
-            n if n == "seal_3hops" || n == "relay_unseal" || n.contains("_batch_") => {
+            "seal_3hops" | "relay_unseal" => {
                 format!("  ({:.1} MiB/s of cells)", v * 509.0 / (1024.0 * 1024.0))
             }
             _ => String::new(),

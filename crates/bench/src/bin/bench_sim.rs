@@ -28,15 +28,10 @@
 //! (`--label baseline|optimized`); when both labels are present the file
 //! also carries speedups, like `BENCH_cells.json`.
 //!
-//! Every invocation also runs a **batch A/B**: the same fetch with the
-//! batched relay data plane off vs on (`relay_events_per_sec_batch_off` /
-//! `_on`, `batch_speedup`), asserting both arms produce identical
-//! `SimStats`. `--batch on|off` (default on) selects the arm the headline
-//! numbers and the sweep use.
-//!
-//! And a **sharded A/B**: the same fetch on the sharded conservative-PDES
-//! engine at 1 shard/1 worker vs `--shards N` (default: one per core) with
-//! all cores (`shard_events_per_sec_s1` / `_sn`, `shard_speedup`),
+//! Every invocation also runs a **sharded A/B**: the same fetch on the
+//! sharded conservative-PDES engine at 1 shard/1 worker vs `--shards N`
+//! (default: one per core) with all cores
+//! (`shard_events_per_sec_s1` / `_sn`, `shard_speedup`),
 //! asserting both arms produce identical `SimStats`. The two engines count
 //! different events for the same fetch, so their events/s do not compare;
 //! **wall seconds per fetch** do, and are reported for the serial, 1-shard
@@ -44,7 +39,7 @@
 //! number of samples each).
 //!
 //! `cargo run -p bench --release --bin bench_sim -- [--label L] [--mb N]
-//!  [--threads N] [--shards N] [--smoke] [--batch on|off]
+//!  [--threads N] [--shards N] [--smoke]
 //!  [--telemetry off|summary|full] [--quiet] [--json <path>]`
 
 use bench::runner::{
@@ -79,14 +74,11 @@ fn fast_iface() -> Iface {
 
 /// Fetch `mb` MiB through a fresh 3-hop circuit; returns the run's SimStats
 /// fields (for determinism checks) and the wall seconds spent simulating.
-/// `batch` selects the relay data plane arm (batched vs cell-at-a-time);
-/// both arms produce identical stats and traffic by construction.
 /// `shards == 0` runs the serial engine; `shards >= 1` the sharded engine
 /// with `shard_threads` workers (0 = one per core).
 fn relay_fetch(
     seed: u64,
     mb: u64,
-    batch: bool,
     shards: usize,
     shard_threads: usize,
 ) -> ((u64, u64, u64, u64), f64) {
@@ -96,7 +88,6 @@ fn relay_fetch(
         .middles(4)
         .exits(2)
         .relay_iface(fast_iface())
-        .batch(batch)
         .shards(shards)
         .shard_threads(shard_threads)
         .build();
@@ -222,7 +213,6 @@ fn parse_run(json: &str, label: &str) -> Vec<(String, f64)> {
 fn main() {
     let opts = SweepOpts::from_args();
     let label = arg_str("--label", "optimized");
-    let batch = arg_str("--batch", "on") != "off";
     let smoke = arg_flag("--smoke");
     let mb = arg_u64("--mb", if smoke { 1 } else { 16 });
     let sweep_mb = arg_u64("--sweep-mb", if smoke { 1 } else { 4 });
@@ -239,16 +229,12 @@ fn main() {
     // stay comparable with checked-in baselines regardless of --telemetry.
     telemetry::set_mode(Mode::Off);
     if !opts.quiet {
-        println!(
-            "single-run relay fetch: {mb} MiB over a 3-hop circuit ({samples} samples, \
-             batch {})",
-            if batch { "on" } else { "off" }
-        );
+        println!("single-run relay fetch: {mb} MiB over a 3-hop circuit ({samples} samples)");
     }
     let mut relay_samples = Vec::new();
     let mut stats = (0, 0, 0, 0);
     for _ in 0..samples {
-        let (s, wall) = relay_fetch(7, mb, batch, 0, 0);
+        let (s, wall) = relay_fetch(7, mb, 0, 0);
         stats = s;
         relay_samples.push(s.0 as f64 / wall.max(1e-9));
     }
@@ -287,11 +273,11 @@ fn main() {
     let mut serial_walls = Vec::new();
     for _ in 0..ab {
         telemetry::set_mode(Mode::Off);
-        let (s, wall) = relay_fetch(7, mb, batch, 0, 0);
+        let (s, wall) = relay_fetch(7, mb, 0, 0);
         off_eps.push(s.0 as f64 / wall.max(1e-9));
         serial_walls.push(wall);
         telemetry::set_mode(Mode::Full);
-        let (s, wall) = relay_fetch(7, mb, batch, 0, 0);
+        let (s, wall) = relay_fetch(7, mb, 0, 0);
         full_eps.push(s.0 as f64 / wall.max(1e-9));
     }
     let relay_eps_full = best(&full_eps);
@@ -304,33 +290,6 @@ fn main() {
         );
     }
 
-    // ---- batch A/B: the same fetch with the batched data plane off vs on.
-    // Both arms run in every invocation (including --smoke), interleaved
-    // like the telemetry A/B, and must produce identical SimStats — the
-    // batched plane is a pure wall-clock optimization.
-    telemetry::set_mode(Mode::Off);
-    let mut batch_off_eps = Vec::new();
-    let mut batch_on_eps = Vec::new();
-    for _ in 0..ab {
-        let (s_off, wall) = relay_fetch(7, mb, false, 0, 0);
-        batch_off_eps.push(s_off.0 as f64 / wall.max(1e-9));
-        let (s_on, wall) = relay_fetch(7, mb, true, 0, 0);
-        batch_on_eps.push(s_on.0 as f64 / wall.max(1e-9));
-        assert_eq!(
-            s_off, s_on,
-            "batch arms must produce identical simulation outcomes"
-        );
-    }
-    let relay_eps_batch_off = best(&batch_off_eps);
-    let relay_eps_batch_on = best(&batch_on_eps);
-    let batch_speedup = relay_eps_batch_on / relay_eps_batch_off.max(1e-9);
-    if !opts.quiet {
-        println!(
-            "batch A/B (best of {ab}): off {relay_eps_batch_off:.0} events/s, \
-             on {relay_eps_batch_on:.0} events/s  ->  {batch_speedup:.2}x"
-        );
-    }
-
     // ---- sharded A/B: the same fetch on the conservative-PDES engine,
     // 1 shard / 1 worker vs --shards N / one worker per core. The engine is
     // shard- and thread-count invariant, so both arms must produce identical
@@ -340,6 +299,8 @@ fn main() {
     // NB: on a 1-core bench box the speedup will sit at ~1.0 or below
     // (barrier overhead with nothing to overlap); that is expected, not a
     // regression — same caveat as sweep_speedup in ROADMAP operational notes.
+    // Recording off, like the serial arm these walls are compared with.
+    telemetry::set_mode(Mode::Off);
     let shards = arg_u64(
         "--shards",
         if smoke {
@@ -353,10 +314,10 @@ fn main() {
     let mut shard_s1_walls = Vec::new();
     let mut shard_sn_walls = Vec::new();
     for _ in 0..ab {
-        let (a, wall) = relay_fetch(7, mb, batch, 1, 1);
+        let (a, wall) = relay_fetch(7, mb, 1, 1);
         shard_s1_eps.push(a.0 as f64 / wall.max(1e-9));
         shard_s1_walls.push(wall);
-        let (b, wall) = relay_fetch(7, mb, batch, shards, 0);
+        let (b, wall) = relay_fetch(7, mb, shards, 0);
         shard_sn_eps.push(b.0 as f64 / wall.max(1e-9));
         shard_sn_walls.push(wall);
         assert_eq!(
@@ -396,7 +357,7 @@ fn main() {
     if !opts.quiet {
         println!("sweep: {n_trials} independent {sweep_mb} MiB fetch trials");
     }
-    let trial = |i: u64| move || relay_fetch(100 + i, sweep_mb, batch, 0, 0).0;
+    let trial = |i: u64| move || relay_fetch(100 + i, sweep_mb, 0, 0).0;
     let mk_jobs = || -> Vec<bench::runner::Trial<(u64, u64, u64, u64)>> {
         (0..n_trials as u64)
             .map(|i| Box::new(trial(i)) as bench::runner::Trial<_>)
@@ -439,10 +400,6 @@ fn main() {
         ("relay_events_per_sec", relay_eps),
         ("relay_events_per_sec_full", relay_eps_full),
         ("telemetry_overhead_pct", telemetry_overhead_pct),
-        ("relay_events_per_sec_batch_off", relay_eps_batch_off),
-        ("relay_events_per_sec_batch_on", relay_eps_batch_on),
-        ("batch_speedup", batch_speedup),
-        ("batch", if batch { 1.0 } else { 0.0 }),
         ("shard_events_per_sec_s1", shard_eps_s1),
         ("shard_events_per_sec_sn", shard_eps_sn),
         ("shard_speedup", shard_speedup),

@@ -6,17 +6,15 @@
 //! circuit rebuilt after the crash) before its row is written.
 //!
 //! `cargo run -p bench --release --bin chaos_sweep`
-//! `--smoke` runs a single short trial (CI); `--seed N` reseeds the sweep;
-//! `--batch on|off` (default on) selects the relay data plane arm — the
-//! determinism gate byte-compares the two arms' artifacts. `--shards N`
-//! with `N > 0` is rejected at parse time: the fault plane is serial-only
-//! (DESIGN.md §12).
+//! `--smoke` runs a single short trial (CI); `--seed N` reseeds the sweep.
+//! `--shards N` with `N > 0` is rejected at parse time: the fault plane is
+//! serial-only (DESIGN.md §12).
 //! Artifacts: `results/chaos.csv`, `results/BENCH_chaos.json`, and
 //! `results/TELEMETRY_chaos_sweep.json`.
 
 use bench::chaos::{assert_recovered, run_chaos_trial, ChaosConfig, ChaosOutcome};
 use bench::runner::{run_sweep, SweepOpts, Trial};
-use bench::{arg_flag, arg_str, arg_u64, reject_sharded_fault_plane, write_csv, write_json_table};
+use bench::{arg_flag, arg_u64, reject_sharded_fault_plane, write_csv, write_json_table};
 
 fn main() {
     // The fault plane is serial-only (DESIGN.md §12): fail at parse time,
@@ -25,7 +23,6 @@ fn main() {
     let opts = SweepOpts::from_args();
     let seed = arg_u64("--seed", 11);
     let smoke = arg_flag("--smoke");
-    let batch = arg_str("--batch", "on") != "off";
     let loss_axis: Vec<f64> = if smoke {
         vec![5.0]
     } else {
@@ -37,7 +34,6 @@ fn main() {
         .enumerate()
         .map(|(i, &loss)| {
             let mut cfg = ChaosConfig::default_mix(seed.wrapping_add(i as u64), loss);
-            cfg.batch = batch;
             if smoke {
                 cfg.clients = 3;
                 cfg.horizon_s = 30;

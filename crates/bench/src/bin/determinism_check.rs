@@ -11,8 +11,6 @@
 //! * **`--threads 1` vs `--threads 4`** — the sweep runner's "parallel equals
 //!   sequential" contract, checked over full processes rather than the unit
 //!   test's in-process trials.
-//! * **`--batch on` vs `--batch off`** — the batched relay data plane must
-//!   reproduce the cell-at-a-time plane's artifacts byte for byte.
 //! * **`--shards 1` vs `--shards 4` (and 1 vs 4 worker threads)** — the
 //!   sharded conservative-PDES engine's shard-count/thread-count invariance
 //!   contract, checked through `scalability_sweep --det` in fresh processes.
@@ -168,29 +166,6 @@ fn main() {
             }
             Some(diff) => {
                 eprintln!("determinism_check: {label}: NONDETERMINISM DETECTED\n  {diff}");
-                eprintln!("  scratch kept for inspection: {}", scratch.display());
-                failures += 1;
-            }
-        }
-    }
-    // Arm equivalence: the batched relay data plane must not change a single
-    // artifact byte relative to the cell-at-a-time path. The chaos smoke
-    // `--threads 1` tree above (batch on by default) is the reference; a
-    // fresh `--batch off` run must reproduce it exactly.
-    {
-        let bin = sibling("chaos_sweep");
-        let dir_on = scratch.join("chaos_smoke_t1");
-        let dir_off = scratch.join("chaos_smoke_batch_off");
-        let args_off = ["--smoke", "--quiet", "--threads", "1", "--batch", "off"];
-        println!("determinism_check: batch_arms: chaos_sweep {args_off:?} vs batch-on t1 tree");
-        run_child(&bin, &args_off, &dir_off);
-        match diff_runs(&dir_on, &dir_off) {
-            None => {
-                let n = artifact_list(&dir_on.join("results")).len();
-                println!("determinism_check: batch_arms: {n} artifact(s) byte-identical");
-            }
-            Some(diff) => {
-                eprintln!("determinism_check: batch_arms: ARM DIVERGENCE DETECTED\n  {diff}");
                 eprintln!("  scratch kept for inspection: {}", scratch.display());
                 failures += 1;
             }

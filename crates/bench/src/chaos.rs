@@ -36,10 +36,6 @@ pub struct ChaosConfig {
     pub clients: usize,
     /// Simulated horizon in seconds.
     pub horizon_s: u64,
-    /// Relay data plane arm: batched (true) or cell-at-a-time. The two arms
-    /// are byte-identical by construction; the determinism gate compares
-    /// them.
-    pub batch: bool,
 }
 
 impl ChaosConfig {
@@ -53,7 +49,6 @@ impl ChaosConfig {
             partition: true,
             clients: 4,
             horizon_s: 40,
-            batch: true,
         }
     }
 }
@@ -105,7 +100,6 @@ pub fn run_chaos_trial(cfg: &ChaosConfig) -> ChaosOutcome {
         .middles(8)
         .exits(3)
         .hsdirs(2)
-        .batch(cfg.batch)
         .build();
     const PAGE_LEN: u64 = 30_000;
     let page = vec![0xB7u8; PAGE_LEN as usize];

@@ -11,9 +11,6 @@
 //! | §9.3 Shard property          | `shard_recovery` | `results/shard_recovery.txt` |
 //! | §9.1 Cover ablation          | `cover_ablation` | `results/cover_ablation.txt` |
 //!
-//! Criterion microbenches live in `benches/` (crypto, cells, erasure,
-//! classifiers, attestation, EPC paging).
-//!
 //! Every sweep binary shares one CLI surface via [`runner::SweepOpts`]:
 //! `--quiet` (suppress progress chatter), `--json <path>` (mirror the
 //! primary table as JSON), and `--telemetry off|summary|full` (recording

@@ -43,7 +43,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod config;
 pub mod lexer;
 pub mod parser;
@@ -115,11 +114,10 @@ pub(crate) struct Suppression {
 /// `(file, directive line)` — the complement is BL011's finding set.
 pub(crate) type UsedSet = BTreeSet<(String, u32)>;
 
-/// Everything the analyzer extracts from one file, pre-filtering. This is
-/// the cacheable unit: raw (pre-suppression) diagnostics, the suppression
-/// table, telemetry registrations, and the parsed item index — replaying a
-/// `FileRecord` through [`Analyzer::add_record`] is byte-identical to
-/// re-analyzing the source.
+/// Everything the analyzer extracts from one file, pre-filtering: raw
+/// (pre-suppression) diagnostics, the suppression table, telemetry
+/// registrations, and the parsed item index. [`Analyzer::add_record`]
+/// does the filtering.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileRecord {
     pub rel_path: String,
@@ -132,7 +130,7 @@ pub struct FileRecord {
 }
 
 /// Lex, lint, and parse one file into its [`FileRecord`]. Pure function of
-/// `(rel_path, crate_name, src, cfg)` — the cache layer depends on that.
+/// `(rel_path, crate_name, src, cfg)`.
 pub fn analyze_file(rel_path: &str, crate_name: &str, src: &str, cfg: &Config) -> FileRecord {
     let lexed = lex(src);
     let test_cutoff = find_test_cutoff(&lexed.toks);
@@ -190,7 +188,7 @@ impl Report {
 
     /// Machine-readable findings: schema-versioned, sorted, and a pure
     /// function of the diagnostics (no timestamps, no absolute paths) so
-    /// repeated runs — cache-warm or cold — are byte-identical.
+    /// repeated runs are byte-identical.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n  \"schema\": \"bento-lint/v1\",\n");
         s.push_str(&format!(
@@ -239,7 +237,7 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Streaming analyzer: feed files with [`add_file`](Analyzer::add_file) (or
-/// cached [`add_record`](Analyzer::add_record)s), then
+/// pre-analyzed [`add_record`](Analyzer::add_record)s), then
 /// [`finish`](Analyzer::finish) to run the cross-file rules (BL006–BL011)
 /// and get the sorted report.
 pub struct Analyzer {
@@ -279,10 +277,9 @@ impl Analyzer {
         self.add_record(rec);
     }
 
-    /// Ingest one pre-analyzed (possibly cache-loaded) file record.
-    /// Suppression, test-region, and severity filtering happen here — not
-    /// at analysis time — so directive-usage tracking (BL011) sees the same
-    /// events whether the record came from a fresh parse or the cache.
+    /// Ingest one pre-analyzed file record. Suppression, test-region, and
+    /// severity filtering happen here — not at analysis time — next to the
+    /// directive-usage tracking (BL011) they feed.
     pub fn add_record(&mut self, rec: FileRecord) {
         let FileRecord {
             rel_path,
@@ -567,30 +564,6 @@ pub fn scan_workspace(root: &Path, cfg: Config) -> Result<Report, String> {
     for (path, rel, crate_name) in workspace_sources(root)? {
         let src = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
         analyzer.add_file(&rel, &crate_name, &src);
-    }
-    Ok(analyzer.finish())
-}
-
-/// Like [`scan_workspace`], but consult (and fill) a per-file parse cache
-/// under `cache_dir`. Hits skip lexing/parsing entirely; the filtered
-/// report is identical either way because filtering replays in
-/// [`Analyzer::add_record`].
-pub fn scan_workspace_cached(root: &Path, cfg: Config, cache_dir: &Path) -> Result<Report, String> {
-    let fp = cache::config_fingerprint(&cfg);
-    let mut analyzer = Analyzer::new(cfg.clone());
-    for (path, rel, crate_name) in workspace_sources(root)? {
-        let rec = match cache::load(cache_dir, fp, &rel, &path) {
-            Some(rec) => rec,
-            None => {
-                let src = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                let rec = analyze_file(&rel, &crate_name, &src, &cfg);
-                // A failed store only costs the next run a re-parse.
-                let _ = cache::store(cache_dir, fp, &path, &src, &rec);
-                rec
-            }
-        };
-        analyzer.add_record(rec);
     }
     Ok(analyzer.finish())
 }

@@ -2,34 +2,28 @@
 //!
 //! ```text
 //! bento_lint [--root <workspace>] [--config <lint.toml>]
-//!            [--format text|json] [--no-cache] [--cache-dir <dir>]
+//!            [--format text|json]
 //! ```
 //!
 //! Walks `crates/*/src/**/*.rs` (sorted — output order is deterministic),
 //! prints `file:line:col [code severity] message` per finding (or the
 //! schema-versioned JSON findings document with `--format json`), and exits
 //! 1 when any `deny`-severity finding survives suppression.
-//!
-//! Parsed per-file results are cached under `<root>/target/bento-lint-cache`
-//! (override with `--cache-dir`, disable with `--no-cache`); output is
-//! byte-identical warm or cold.
 
 #![forbid(unsafe_code)]
 
 use lint::config::Config;
-use lint::{scan_workspace, scan_workspace_cached};
+use lint::scan_workspace;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: bento_lint [--root <workspace>] [--config <lint.toml>] \
-                     [--format text|json] [--no-cache] [--cache-dir <dir>]";
+const USAGE: &str =
+    "usage: bento_lint [--root <workspace>] [--config <lint.toml>] [--format text|json]";
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut config_path: Option<PathBuf> = None;
     let mut format_json = false;
-    let mut use_cache = true;
-    let mut cache_dir: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -45,11 +39,6 @@ fn main() -> ExitCode {
                 Some("text") => format_json = false,
                 Some("json") => format_json = true,
                 _ => return usage("--format needs `text` or `json`"),
-            },
-            "--no-cache" => use_cache = false,
-            "--cache-dir" => match args.next() {
-                Some(v) => cache_dir = Some(PathBuf::from(v)),
-                None => return usage("--cache-dir needs a value"),
             },
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
@@ -88,13 +77,7 @@ fn main() -> ExitCode {
         Config::default()
     };
 
-    let report = if use_cache {
-        let dir = cache_dir.unwrap_or_else(|| root.join("target/bento-lint-cache"));
-        scan_workspace_cached(&root, cfg, &dir)
-    } else {
-        scan_workspace(&root, cfg)
-    };
-    let report = match report {
+    let report = match scan_workspace(&root, cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("bento_lint: {e}");

@@ -5,7 +5,7 @@
 //! duplicated telemetry name) without the CI wiring.
 
 use lint::config::Config;
-use lint::{scan_workspace, scan_workspace_cached};
+use lint::scan_workspace;
 use std::path::Path;
 
 fn workspace_root() -> std::path::PathBuf {
@@ -37,26 +37,4 @@ fn shipped_workspace_lints_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-}
-
-#[test]
-fn cached_scan_is_byte_identical_cold_and_warm() {
-    let root = workspace_root();
-    let dir = std::env::temp_dir().join(format!("bento-lint-selftest-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let uncached = scan_workspace(&root, shipped_config(&root)).expect("uncached scan");
-    let cold = scan_workspace_cached(&root, shipped_config(&root), &dir).expect("cold scan");
-    let warm = scan_workspace_cached(&root, shipped_config(&root), &dir).expect("warm scan");
-    assert_eq!(
-        uncached.to_json(),
-        cold.to_json(),
-        "cold cached scan must match the uncached scan"
-    );
-    assert_eq!(
-        cold.to_json(),
-        warm.to_json(),
-        "warm (all-hits) scan must match the cold scan byte-for-byte"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }

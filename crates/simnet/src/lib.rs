@@ -51,7 +51,7 @@ pub use iface::Iface;
 pub use node::{ConnId, Ctx, Node, NodeId};
 pub use shard::shard_of;
 pub use sim::{SimConfig, Simulator};
-pub use stats::{Histogram, Summary, TimeSeries};
+pub use stats::TimeSeries;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Direction, TraceEvent};
 pub use transport::TransportCfg;

@@ -94,11 +94,12 @@ pub trait Node: AsAny + Send {
 
     /// A run of messages arrived on `conn` at the same instant, in delivery
     /// order. The event loop coalesces adjacent same-tick arrivals on one
-    /// connection and direction into a single call, so a node that can
-    /// amortize per-message work across a batch (e.g. a relay batching cell
-    /// crypto) may override this. Every message in the batch had already
-    /// arrived before the first was dispatched, so the default — delivering
-    /// each through [`Node::on_msg`] in order — is always equivalent.
+    /// connection and direction into a single call, so a node that wants
+    /// the delivery as a unit (the relay records its size; another could
+    /// amortize per-message work) may override this. Every message in the
+    /// batch had already arrived before the first was dispatched, so the
+    /// default — delivering each through [`Node::on_msg`] in order — is
+    /// always equivalent.
     fn on_msgs(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msgs: Vec<Vec<u8>>) {
         for msg in msgs {
             self.on_msg(ctx, conn, msg);

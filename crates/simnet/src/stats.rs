@@ -1,6 +1,6 @@
-//! Small statistics helpers used by experiments: time series (per-client
-//! bandwidth curves for Figure 5), histograms with quantiles, and summary
-//! lines.
+//! The one statistics helper experiments share: a bucketed time series
+//! (per-client bandwidth curves for Figure 5). Distributions are
+//! `telemetry::LogHistogram`'s job.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -81,129 +81,6 @@ impl TimeSeries {
     }
 }
 
-/// A sample collection with quantile queries.
-#[derive(Debug, Default, Clone)]
-pub struct Histogram {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl Histogram {
-    /// New empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Add one sample.
-    pub fn add(&mut self, v: f64) {
-        self.samples.push(v);
-        self.sorted = false;
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True if no samples were added.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Arithmetic mean; 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Population standard deviation; 0.0 when fewer than two samples.
-    pub fn stddev(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var =
-            self.samples.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / self.samples.len() as f64;
-        var.sqrt()
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            self.sorted = true;
-        }
-    }
-
-    /// Quantile `q` in `[0, 1]` by nearest-rank; 0.0 when empty.
-    pub fn quantile(&mut self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((self.samples.len() - 1) as f64 * q).round() as usize;
-        self.samples[idx]
-    }
-
-    /// Minimum sample; 0.0 when empty.
-    pub fn min(&mut self) -> f64 {
-        self.quantile(0.0)
-    }
-
-    /// Maximum sample; 0.0 when empty.
-    pub fn max(&mut self) -> f64 {
-        self.quantile(1.0)
-    }
-
-    /// One-line summary of the distribution.
-    pub fn summary(&mut self) -> Summary {
-        Summary {
-            n: self.len(),
-            mean: self.mean(),
-            stddev: self.stddev(),
-            min: self.min(),
-            p50: self.quantile(0.5),
-            p90: self.quantile(0.9),
-            p99: self.quantile(0.99),
-            max: self.max(),
-        }
-    }
-}
-
-/// A computed distribution summary.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Sample count.
-    pub n: usize,
-    /// Mean.
-    pub mean: f64,
-    /// Standard deviation.
-    pub stddev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Median.
-    pub p50: f64,
-    /// 90th percentile.
-    pub p90: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl std::fmt::Display for Summary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.3} sd={:.3} min={:.3} p50={:.3} p90={:.3} p99={:.3} max={:.3}",
-            self.n, self.mean, self.stddev, self.min, self.p50, self.p90, self.p99, self.max
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,40 +115,5 @@ mod tests {
         // resize that aborted the process instead of panicking usefully.
         let mut ts = TimeSeries::new(SimDuration::from_secs(1));
         ts.add(SimTime::MAX, 1.0);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new();
-        for v in 1..=100 {
-            h.add(v as f64);
-        }
-        assert_eq!(h.len(), 100);
-        assert!((h.mean() - 50.5).abs() < 1e-9);
-        assert_eq!(h.quantile(0.0), 1.0);
-        assert_eq!(h.quantile(1.0), 100.0);
-        let p50 = h.quantile(0.5);
-        assert!((50.0..=51.0).contains(&p50));
-    }
-
-    #[test]
-    fn histogram_empty_is_zeroes() {
-        let mut h = Histogram::new();
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.stddev(), 0.0);
-        let s = h.summary();
-        assert_eq!(s.n, 0);
-    }
-
-    #[test]
-    fn summary_formats() {
-        let mut h = Histogram::new();
-        h.add(1.0);
-        h.add(3.0);
-        let s = h.summary();
-        assert_eq!(s.n, 2);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-        assert!(s.to_string().contains("n=2"));
     }
 }

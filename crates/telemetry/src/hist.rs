@@ -106,7 +106,8 @@ impl LogHistogram {
             return 0;
         }
         let q = q.clamp(0.0, 1.0);
-        // Same nearest-rank rule as `simnet::stats::Histogram::quantile`.
+        // Nearest rank: of `count` samples in ascending order, the one at
+        // zero-based index round((count - 1) * q).
         let rank = ((self.count - 1) as f64 * q).round() as u64;
         let mut cum = 0u64;
         for (b, &c) in self.counts.iter().enumerate() {

@@ -58,7 +58,6 @@ pub struct NetworkBuilder {
     relay_iface: Iface,
     relay_bandwidth: u64,
     consensus_delay: SimDuration,
-    batch: bool,
     shards: usize,
     shard_threads: usize,
 }
@@ -74,7 +73,6 @@ impl Default for NetworkBuilder {
             relay_iface: Iface::tor_relay(),
             relay_bandwidth: 2_000_000,
             consensus_delay: SimDuration::from_millis(500),
-            batch: true,
             shards: 0,
             shard_threads: 0,
         }
@@ -129,10 +127,13 @@ impl NetworkBuilder {
         self
     }
 
-    /// Toggle the batched relay data plane (on by default). The off arm is
-    /// byte-identical and exists for A/B benchmarks and determinism checks.
-    pub fn batch(mut self, on: bool) -> Self {
-        self.batch = on;
+    /// Does nothing and returns the builder unchanged: it used to select
+    /// the relays' run-batched or per-cell data plane, and there is only the
+    /// per-cell one now. Kept only because `benchmark/src/probes/fetch.rs`,
+    /// which a change to this crate may not edit, still calls it; the
+    /// `benchmark` follow-up that retires `tor-net.relay_ns_per_cell_b1`
+    /// (ROADMAP item 7(ii)) removes that call and this method together.
+    pub fn batch(self, _on: bool) -> Self {
         self
     }
 
@@ -172,7 +173,6 @@ impl NetworkBuilder {
         auth_cfg.bandwidth = self.relay_bandwidth;
         auth_cfg.authority_signer = Some(signer);
         auth_cfg.consensus_delay = self.consensus_delay;
-        auth_cfg.batch = self.batch;
         let auth_node = RelayNode::new(auth_cfg);
         let auth_fp = auth_node.relay.fingerprint();
         let authority = sim.add_node("authority", self.relay_iface, Box::new(auth_node));
@@ -189,7 +189,6 @@ impl NetworkBuilder {
             cfg.exit_policy = policy;
             cfg.bandwidth = self.relay_bandwidth;
             cfg.authority_addr = Some(authority);
-            cfg.batch = self.batch;
             if bento {
                 cfg.bento_port = Some(BENTO_PORT);
             }

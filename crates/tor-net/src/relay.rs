@@ -31,8 +31,8 @@ static T_CELLS_FWD: telemetry::Counter = telemetry::Counter::new("tor.cells_forw
 static T_CRYPTO_BYTES: telemetry::Counter = telemetry::Counter::new("tor.crypto_bytes");
 static T_CIRCUITS: telemetry::Counter = telemetry::Counter::new("tor.circuits_built");
 static T_EXIT_STREAMS: telemetry::Counter = telemetry::Counter::new("tor.exit_streams_opened");
-/// Distribution of relay-cell run lengths the batched data plane processed
-/// per delivery (full-telemetry runs only; merged at flush like the rest).
+/// Sizes, in messages, of the coalesced deliveries that arrived on links
+/// (full-telemetry runs only; merged at flush like the rest).
 static T_BATCH_CELLS: telemetry::Histo = telemetry::Histo::new("relay.batch_cells");
 
 /// Timer-tag namespace reserved by the relay component.
@@ -69,10 +69,12 @@ pub struct RelayConfig {
     /// How long after start the authority waits before building the
     /// consensus (letting descriptors arrive).
     pub consensus_delay: SimDuration,
-    /// Batch the relay data plane: coalesced same-tick link deliveries are
-    /// unsealed/encrypted as per-circuit runs. Byte-identical to the
-    /// sequential path; off is kept only as an A/B arm for benchmarks and
-    /// determinism checks.
+    /// Read by nothing: it used to select between a run-batched and a
+    /// per-cell relay data plane, and the per-cell one is now the only one.
+    /// Kept only because `benchmark/src/probes/fetch.rs`, which a change to
+    /// this crate may not edit, still assigns it; the `benchmark` follow-up
+    /// that retires `tor-net.relay_ns_per_cell_b1` (ROADMAP item 7(ii))
+    /// removes that assignment and this field together.
     pub batch: bool,
 }
 
@@ -233,7 +235,7 @@ pub struct RelayCore {
     stats: RelayStats,
     /// Stats already folded into the telemetry statics (see `flush_telemetry`).
     flushed: RelayStats,
-    /// Relay-cell run lengths seen by the batched data plane, folded into
+    /// Sizes of the coalesced link deliveries seen, folded into
     /// [`T_BATCH_CELLS`] at flush time (full-telemetry runs only).
     batch_hist: telemetry::hist::LogHistogram,
 }
@@ -470,55 +472,19 @@ impl RelayCore {
         false
     }
 
-    /// Delegate of [`Node::on_msgs`]: the batched counterpart of
-    /// [`RelayCore::on_msg`]. On a link connection with batching enabled,
-    /// consecutive relay cells of one circuit are grouped into runs and
-    /// unsealed/encrypted with the batch crypto APIs; every other message
-    /// (and the whole batch, when batching is off) takes the per-message
-    /// path at its original position, so behavior is identical either way.
+    /// Delegate of [`Node::on_msgs`]: one coalesced delivery (everything
+    /// `simnet` handed over for `conn` at this instant), dispatched message
+    /// by message through [`RelayCore::on_msg`] in arrival order. On a link
+    /// the delivery's size goes into `relay.batch_cells`.
     pub fn on_msgs(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msgs: Vec<Vec<u8>>) -> bool {
-        if !self.cfg.batch || !self.links.contains_key(&conn) {
-            let mut claimed = false;
-            for msg in msgs {
-                claimed |= self.on_msg(ctx, conn, msg);
-            }
-            return claimed;
+        if self.links.contains_key(&conn) {
+            self.batch_hist.record(msgs.len() as u64);
         }
-        let mut iter = msgs.into_iter().peekable();
-        while let Some(msg) = iter.next() {
-            let circ_id = match (Cell::peek_cmd(&msg), Cell::peek_circ_id(&msg)) {
-                (Some(CellCmd::Relay), Some(id)) => id,
-                _ => {
-                    // Non-relay (or malformed) cell: the single-message path,
-                    // at its position in the delivery order.
-                    self.on_msg(ctx, conn, msg);
-                    continue;
-                }
-            };
-            // Gather the maximal run of consecutive relay cells on the same
-            // circuit. Only non-relay cells (e.g. Destroy) can change circuit
-            // routing state, and they break runs by construction, so the
-            // whole run resolves to one (slot, direction).
-            let mut run = vec![msg];
-            while let Some(next) = iter.peek() {
-                if Cell::peek_cmd(next) == Some(CellCmd::Relay)
-                    && Cell::peek_circ_id(next) == Some(circ_id)
-                {
-                    run.push(iter.next().expect("peeked message vanished"));
-                } else {
-                    break;
-                }
-            }
-            self.stats.cells_in += run.len() as u64;
-            self.batch_hist.record(run.len() as u64);
-            if run.len() == 1 {
-                let msg = run.pop().expect("run of one");
-                self.handle_relay_wire(ctx, conn, msg);
-            } else {
-                self.handle_relay_run(ctx, conn, circ_id, run);
-            }
+        let mut claimed = false;
+        for msg in msgs {
+            claimed |= self.on_msg(ctx, conn, msg);
         }
-        true
+        claimed
     }
 
     /// Delegate of [`Node::on_conn_closed`].
@@ -710,7 +676,10 @@ impl RelayCore {
         if from_prev {
             // Forward direction: strip our layer, maybe recognize.
             let recognized = {
-                let c = self.circuits[slot].as_mut().expect("checked above");
+                let Some(c) = self.circuits[slot].as_mut() else {
+                    ctx.recycle_buf(msg);
+                    return;
+                };
                 match Cell::wire_payload_mut(&mut msg) {
                     Some(payload) => {
                         self.stats.crypto_bytes += payload.len() as u64;
@@ -769,101 +738,6 @@ impl RelayCore {
             Cell::set_wire_circ_id(&mut msg, prev.1);
             self.stats.cells_forwarded += 1;
             self.send_wire(ctx, prev.0, msg);
-        }
-    }
-
-    /// Switch a run (≥ 2 cells) of relay cells sharing one circuit that
-    /// arrived in one coalesced delivery. Phase 1 strips (forward) or adds
-    /// (backward) this hop's layer across the whole run with the batch
-    /// crypto APIs, and phase 2 dispatches each cell in arrival order
-    /// exactly as the sequential path would. The phases commute because
-    /// per-cell dispatch never touches
-    /// the run's receive-direction crypto or tears the circuit down, so
-    /// wire order, telemetry and per-cell outcomes stay byte-identical.
-    fn handle_relay_run(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        conn: ConnId,
-        circ_id: u32,
-        mut run: Vec<Vec<u8>>,
-    ) {
-        let slot = match self.circ_lookup.get(&(conn, circ_id)) {
-            Some(&slot) if self.circuits[slot].is_some() => slot,
-            _ => {
-                for msg in run {
-                    ctx.recycle_buf(msg);
-                }
-                return;
-            }
-        };
-        if run.iter().any(|m| m.len() != CELL_LEN) {
-            // A malformed cell in the run must not consume keystream; the
-            // sequential path per cell gets every edge case right.
-            for msg in run {
-                self.handle_relay_wire(ctx, conn, msg);
-            }
-            return;
-        }
-        let from_prev =
-            self.circuits[slot].as_ref().expect("checked above").prev == (conn, circ_id);
-        self.stats.crypto_bytes += (PAYLOAD_LEN * run.len()) as u64;
-        if from_prev {
-            // Forward direction: strip our layer across the run, then
-            // dispatch per cell (recognized cells to the relay proper,
-            // the rest onward in the buffers they arrived in).
-            let recognized = {
-                let c = self.circuits[slot].as_mut().expect("checked above");
-                let mut payloads: Vec<&mut [u8; PAYLOAD_LEN]> = run
-                    .iter_mut()
-                    .map(|m| Cell::wire_payload_mut(m).expect("length checked"))
-                    .collect();
-                let mut flags = vec![false; payloads.len()];
-                c.crypto.unseal_batch(&mut payloads, &mut flags);
-                flags
-            };
-            for (mut msg, rec) in run.into_iter().zip(recognized) {
-                if rec {
-                    let rc = Cell::wire_payload(&msg).and_then(RelayCell::parse_payload);
-                    ctx.recycle_buf(msg);
-                    if let Some(rc) = rc {
-                        self.handle_recognized(ctx, slot, rc);
-                    }
-                    continue;
-                }
-                // Routing state is re-read per cell: an earlier cell in the
-                // run may have extended or spliced the circuit.
-                let next = self.circuits[slot].as_ref().and_then(|c| c.next);
-                if let Some((nconn, ncirc)) = next {
-                    Cell::set_wire_circ_id(&mut msg, ncirc);
-                    self.stats.cells_forwarded += 1;
-                    self.send_wire(ctx, nconn, msg);
-                    continue;
-                }
-                let splice = self.circuits[slot].as_ref().and_then(|c| c.splice);
-                if let Some(other) = splice {
-                    self.stats.cells_forwarded += 1;
-                    self.send_spliced_wire(ctx, other, msg);
-                    continue;
-                }
-                ctx.recycle_buf(msg);
-            }
-        } else {
-            // Backward direction: add our layer across the run, forward
-            // every cell toward the origin in order.
-            let prev = {
-                let c = self.circuits[slot].as_mut().expect("checked above");
-                let mut payloads: Vec<&mut [u8; PAYLOAD_LEN]> = run
-                    .iter_mut()
-                    .map(|m| Cell::wire_payload_mut(m).expect("length checked"))
-                    .collect();
-                c.crypto.encrypt_layer_batch(&mut payloads);
-                c.prev
-            };
-            for mut msg in run {
-                Cell::set_wire_circ_id(&mut msg, prev.1);
-                self.stats.cells_forwarded += 1;
-                self.send_wire(ctx, prev.0, msg);
-            }
         }
     }
 

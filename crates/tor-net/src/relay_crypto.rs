@@ -65,8 +65,9 @@ impl LayerCrypto {
     /// Does nothing: it used to switch on a keystream prefetch window that
     /// the AES-128-CTR layer cipher has no use for. Kept only because
     /// `benchmark/src/probes/ladder.rs`, which a change to this crate may
-    /// not edit, still calls it; the PR that re-points the benchmark's
-    /// keystream probe removes that call and this method together.
+    /// not edit, still calls it; the `benchmark` follow-up that re-points
+    /// the keystream probe (ROADMAP item 7(ii)) removes that call and this
+    /// method together.
     pub fn enable_batch(&mut self) {}
 
     /// Seal a payload addressed to this hop: compute and write the running
@@ -116,37 +117,21 @@ impl LayerCrypto {
         true
     }
 
-    /// Strip one receive-direction layer from a run of cells of this hop's
-    /// circuit, in arrival order, writing each cell's recognition result to
-    /// `recognized`. Running-digest commits chain exactly as a sequence of
-    /// [`LayerCrypto::unseal`] calls would, so mixed outcomes within one run
-    /// are legal and the output is byte-for-byte identical to the
-    /// sequential path.
-    ///
-    /// # Panics
-    /// If `payloads` and `recognized` differ in length.
-    pub fn unseal_batch(
-        &mut self,
-        payloads: &mut [&mut [u8; PAYLOAD_LEN]],
-        recognized: &mut [bool],
-    ) {
-        assert_eq!(payloads.len(), recognized.len());
-        for (payload, flag) in payloads.iter_mut().zip(recognized.iter_mut()) {
-            *flag = self.unseal(payload);
-        }
-    }
-
-    /// Seal a run of cells addressed to this hop, in send order — the
-    /// batched counterpart of [`LayerCrypto::seal`], byte-identical to
-    /// sealing each cell in sequence.
+    /// [`LayerCrypto::seal`] over each payload in order, nothing more: a run
+    /// shares no work since the keystream prefetch window went. Called by
+    /// nothing in this workspace; kept only because the crypto rung of
+    /// `benchmark/src/probes/ladder.rs`, which a change to this crate may
+    /// not edit, still calls it. The `benchmark` follow-up of ROADMAP item
+    /// 7(ii) writes that loop out in the probe and removes this method.
     pub fn seal_batch(&mut self, payloads: &mut [&mut [u8; PAYLOAD_LEN]]) {
         for payload in payloads.iter_mut() {
             self.seal(payload);
         }
     }
 
-    /// Apply one send-direction encryption layer to a run of cells, in
-    /// order — the batched counterpart of [`LayerCrypto::encrypt_layer`].
+    /// [`LayerCrypto::encrypt_layer`] over each payload in order. Like
+    /// [`LayerCrypto::seal_batch`], called only from
+    /// `benchmark/src/probes/ladder.rs` and removed by the same follow-up.
     pub fn encrypt_layer_batch(&mut self, payloads: &mut [&mut [u8; PAYLOAD_LEN]]) {
         for payload in payloads.iter_mut() {
             self.encrypt_layer(payload);
@@ -366,45 +351,6 @@ mod tests {
         relays[1].encrypt_layer(&mut payload);
         relays[0].encrypt_layer(&mut payload);
         assert_eq!(client.unwrap_inbound(&mut payload), Some(3));
-    }
-
-    /// `unseal_batch` over a run equals per-cell `unseal`, including a
-    /// digest-failure cell rejected at the same index with identical bytes.
-    #[test]
-    fn unseal_batch_matches_sequential() {
-        let keys = test_keys(6);
-        let mut client_a = LayerCrypto::client_side(&keys);
-        let mut client_b = LayerCrypto::client_side(&keys);
-        let mut seq = LayerCrypto::relay_side(&keys);
-        let mut bat = LayerCrypto::relay_side(&keys);
-        for n in [1usize, 3, 8, 16, 17] {
-            let mut run_a: Vec<[u8; PAYLOAD_LEN]> = Vec::new();
-            let mut run_b: Vec<[u8; PAYLOAD_LEN]> = Vec::new();
-            for i in 0..n {
-                let rc = RelayCell::new(RelayCmd::Data, i as u16, vec![i as u8; 64]);
-                let mut p = rc.encode_payload();
-                client_a.seal(&mut p);
-                run_a.push(p);
-                let rc = RelayCell::new(RelayCmd::Data, i as u16, vec![i as u8; 64]);
-                let mut p = rc.encode_payload();
-                client_b.seal(&mut p);
-                run_b.push(p);
-            }
-            // Corrupt the middle cell of each run identically.
-            if n >= 3 {
-                run_a[n / 2][200] ^= 1;
-                run_b[n / 2][200] ^= 1;
-            }
-            let expect: Vec<bool> = run_a.iter_mut().map(|p| seq.unseal(p)).collect();
-            let mut got = vec![false; n];
-            let mut refs: Vec<&mut [u8; PAYLOAD_LEN]> = run_b.iter_mut().collect();
-            bat.unseal_batch(&mut refs, &mut got);
-            assert_eq!(got, expect, "run of {n}: recognition flags");
-            assert_eq!(run_a, run_b, "run of {n}: payload bytes");
-            if n >= 3 {
-                assert!(!got[n / 2], "corrupted cell must be rejected");
-            }
-        }
     }
 
     /// `seal_batch` / `encrypt_layer_batch` equal their sequential forms.

@@ -1,7 +1,7 @@
 //! End-to-end tests of the Tor overlay: bootstrap, circuits, exit streams,
 //! directory streams, cover traffic, hidden services, and flow control.
 
-use simnet::{SimDuration, SimTime};
+use simnet::{ConnId, Ctx, Node, NodeId, SimDuration, SimTime};
 use tor_net::client::TerminalReq;
 use tor_net::dir::DirMsg;
 use tor_net::netbuild::{NetworkBuilder, TestClientNode};
@@ -627,4 +627,145 @@ fn replayed_introduction_is_dropped() {
     net.sim.with_node::<TestClientNode, _>(client, |n, _| {
         assert!(n.has_event(|e| matches!(e, TorEvent::RendezvousReady(h) if *h == r)));
     });
+}
+
+/// A relay host that notes how many messages each delivery carried.
+struct CountingRelay {
+    relay: tor_net::RelayCore,
+    deliveries: Vec<usize>,
+}
+
+impl Node for CountingRelay {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.relay.on_start(ctx);
+    }
+    fn on_conn_open(&mut self, ctx: &mut Ctx<'_>, c: ConnId, p: NodeId, port: u16) {
+        self.relay.on_conn_open(ctx, c, p, port);
+    }
+    fn on_msg(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: Vec<u8>) {
+        self.deliveries.push(1);
+        self.relay.on_msg(ctx, conn, msg);
+    }
+    fn on_msgs(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msgs: Vec<Vec<u8>>) {
+        self.deliveries.push(msgs.len());
+        self.relay.on_msgs(ctx, conn, msgs);
+    }
+}
+
+/// A link peer that speaks raw cells: the test writes its sends by hand and
+/// reads what came back.
+struct RawPeer {
+    relay: NodeId,
+    conn: Option<ConnId>,
+    inbox: Vec<Vec<u8>>,
+}
+
+impl Node for RawPeer {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.conn = Some(ctx.connect(self.relay, tor_net::ports::OR_PORT));
+    }
+    fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, msg: Vec<u8>) {
+        self.inbox.push(msg);
+    }
+}
+
+#[test]
+fn hostile_delivery_neither_panics_nor_desynchronises_the_relay() {
+    // What a link peer can put into one coalesced delivery: cells the relay
+    // must drop sit between cells it must switch, and only the latter may
+    // advance the circuit's cipher and digest.
+    use onion_crypto::ntor;
+    use rand::SeedableRng;
+    use tor_net::cell::{Cell, CellCmd, RelayCell, RelayCmd, PAYLOAD_LEN};
+    use tor_net::relay_crypto::LayerCrypto;
+    const CIRC: u32 = 1;
+
+    let mut sim = simnet::Simulator::with_seed(5);
+    let core = tor_net::RelayCore::new(tor_net::RelayConfig::middle("r", [0x51; 32]));
+    let (fingerprint, onion_key) = (core.fingerprint(), core.descriptor(NodeId(0)).onion_key);
+    let host = CountingRelay {
+        relay: core,
+        deliveries: Vec::new(),
+    };
+    let relay = sim.add_node("relay", simnet::Iface::ideal(), Box::new(host));
+    let peer = RawPeer {
+        relay,
+        conn: None,
+        inbox: Vec::new(),
+    };
+    let peer = sim.add_node("peer", simnet::Iface::ideal(), Box::new(peer));
+    // Send `msgs` back to back, run, and hand back what the relay answered.
+    // An idle connection puts its first message on the wire alone; what
+    // queues behind it crosses the ideal interface as one delivery, so a
+    // padding cell goes first.
+    let exchange = |sim: &mut simnet::Simulator, msgs: Vec<Vec<u8>>| {
+        sim.with_node::<RawPeer, _>(peer, |n, ctx| {
+            let conn = n.conn.expect("connected at start");
+            ctx.send(conn, Cell::new(0, CellCmd::Padding).encode());
+            for msg in msgs {
+                ctx.send(conn, msg);
+            }
+        });
+        sim.run_to_quiescence();
+        sim.with_node::<RawPeer, _>(peer, |n, _| std::mem::take(&mut n.inbox))
+    };
+    sim.run_to_quiescence();
+
+    // One-hop circuit, by hand.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+    let (state, onionskin) = ntor::client_begin(&mut rng, fingerprint, onion_key);
+    let create = Cell::with_payload(CIRC, CellCmd::Create, &onionskin).encode();
+    let created = exchange(&mut sim, vec![create]);
+    let created = Cell::decode(&created[0]).expect("a cell");
+    assert_eq!(created.cmd, CellCmd::Created);
+    let keys = ntor::client_finish(&state, &created.payload[..ntor::REPLY_LEN]).expect("keys");
+    let mut layer = LayerCrypto::client_side(&keys);
+
+    // A cell the relay answers when, and only when, it recognises it.
+    let mut valid = |cookie: u8| {
+        let rc = RelayCell::new(RelayCmd::EstablishRendezvous, 0, vec![cookie; 20]);
+        let mut payload = rc.encode_payload();
+        layer.seal(&mut payload);
+        Cell::with_payload(CIRC, CellCmd::Relay, &payload).encode()
+    };
+    let short = {
+        let mut cell = Cell::with_payload(CIRC, CellCmd::Relay, &[0xEE; PAYLOAD_LEN]).encode();
+        cell.pop();
+        cell
+    };
+    let stray = Cell::with_payload(99, CellCmd::Relay, &[0xDD; PAYLOAD_LEN]).encode();
+    let replies = exchange(&mut sim, vec![valid(1), short, stray, valid(2)]);
+
+    let host = sim.node_ref::<CountingRelay>(relay);
+    assert_eq!(host.deliveries, [1, 1, 1, 4], "the burst was one delivery");
+    let stats = host.relay.stats();
+    // Two padding cells, Create, two valid cells and the stray one; the
+    // short message is no cell.
+    assert_eq!(stats.cells_in, 6);
+    // Two layers stripped and two replies sealed: the dropped messages
+    // consumed no keystream, or the second valid cell would have been noise.
+    assert_eq!(stats.crypto_bytes, 4 * PAYLOAD_LEN as u64);
+    let mut unlayer = LayerCrypto::client_side(&keys);
+    let mut recognised = |wire: &[u8]| {
+        let mut payload = *Cell::wire_payload(wire).expect("a cell");
+        assert!(unlayer.unseal(&mut payload), "backward stream in step");
+        RelayCell::parse_payload(&payload).expect("parses").cmd
+    };
+    assert_eq!(replies.len(), 2, "both valid cells were recognised");
+    for reply in &replies {
+        assert_eq!(recognised(reply), RelayCmd::RendezvousEstablished);
+    }
+
+    // A Destroy between two cells of one delivery takes effect before the
+    // second: the third valid cell (sealed by a state that sealed exactly
+    // two before it) is answered, the fourth finds no circuit.
+    let destroy = Cell::new(CIRC, CellCmd::Destroy).encode();
+    let replies = exchange(&mut sim, vec![valid(3), destroy, valid(4)]);
+    assert_eq!(replies.len(), 2);
+    assert_eq!(recognised(&replies[0]), RelayCmd::RendezvousEstablished);
+    assert_eq!(Cell::peek_cmd(&replies[1]), Some(CellCmd::Destroy));
+    let host = sim.node_ref::<CountingRelay>(relay);
+    assert_eq!(host.deliveries, [1, 1, 1, 4, 1, 3]);
+    assert_eq!(host.relay.stats().cells_in, 10);
+    assert_eq!(host.relay.stats().crypto_bytes, 6 * PAYLOAD_LEN as u64);
 }

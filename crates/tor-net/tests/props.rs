@@ -85,63 +85,6 @@ proptest! {
         let _ = HsDescriptor::decode_verified(&bytes);
     }
 
-    /// Batched unseal over maximal same-circuit runs is byte-identical to
-    /// cell-at-a-time unseal — recognized flags AND payload bytes — for
-    /// mixed-circuit arrival orders on one link, with digest-corrupted
-    /// cells rejected at the same index in both arms. The `picks` vector
-    /// drives which circuit each cell belongs to, so run shapes range from
-    /// all-singletons to one maximal run, tails included.
-    #[test]
-    fn batched_unseal_matches_sequential(
-        picks in proptest::collection::vec(any::<bool>(), 1..40),
-        corrupt in proptest::collection::vec(any::<bool>(), 1..40),
-    ) {
-        let mut senders = [LayerCrypto::client_side(&keys(1)), LayerCrypto::client_side(&keys(2))];
-        let mut seq = [LayerCrypto::relay_side(&keys(1)), LayerCrypto::relay_side(&keys(2))];
-        let mut bat = [LayerCrypto::relay_side(&keys(1)), LayerCrypto::relay_side(&keys(2))];
-
-        // Seal each cell under its circuit, in arrival order; optionally
-        // flip a ciphertext byte so the relay digest check must fail.
-        let mut wire: Vec<(usize, [u8; PAYLOAD_LEN])> = Vec::new();
-        for (i, &pick) in picks.iter().enumerate() {
-            let circ = pick as usize;
-            let rc = RelayCell::new(RelayCmd::Data, 1, vec![i as u8; 32]);
-            let mut payload = rc.encode_payload();
-            senders[circ].seal(&mut payload);
-            if corrupt.get(i).copied().unwrap_or(false) {
-                payload[20] ^= 0x41;
-            }
-            wire.push((circ, payload));
-        }
-
-        // Sequential arm: one unseal per cell, arrival order.
-        let mut seq_out = wire.clone();
-        let mut seq_flags = Vec::new();
-        for (circ, payload) in seq_out.iter_mut() {
-            seq_flags.push(seq[*circ].unseal(payload));
-        }
-
-        // Batched arm: maximal consecutive same-circuit runs, exactly how
-        // the relay data plane forms them from a link drain.
-        let mut bat_out = wire.clone();
-        let mut bat_flags = vec![false; bat_out.len()];
-        let mut i = 0;
-        while i < bat_out.len() {
-            let circ = bat_out[i].0;
-            let mut j = i + 1;
-            while j < bat_out.len() && bat_out[j].0 == circ {
-                j += 1;
-            }
-            let mut refs: Vec<&mut [u8; PAYLOAD_LEN]> =
-                bat_out[i..j].iter_mut().map(|(_, p)| p).collect();
-            bat[circ].unseal_batch(&mut refs, &mut bat_flags[i..j]);
-            i = j;
-        }
-
-        prop_assert_eq!(seq_flags, bat_flags);
-        prop_assert_eq!(seq_out, bat_out);
-    }
-
     /// Batched seal over arbitrary run splits — tail batches and
     /// single-cell runs included — matches cell-at-a-time seal byte for
     /// byte across the whole backward stream of one circuit.

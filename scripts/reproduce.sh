@@ -47,8 +47,8 @@ cargo run --release -p bench --bin padding_sweep
 echo "== per-cell crypto data plane baseline =="
 cargo run --release -p bench --bin bench_cells -- --label optimized
 
-echo "== simulator throughput + parallel sweep harness (batched data plane) =="
-cargo run --release -p bench --bin bench_sim -- --label optimized --batch on --telemetry full
+echo "== simulator throughput + parallel sweep harness =="
+cargo run --release -p bench --bin bench_sim -- --label optimized --telemetry full
 
 echo "== sharded engine: scalability sweep (10^4 clients, shards 1/2/4/8; aborts if a connection half is still live at quiescence) =="
 cargo run --release -p bench --bin scalability_sweep
@@ -72,8 +72,5 @@ cargo run --release -p bench --bin telemetry_check -- \
 echo "== repo benchmark (BENCHMARK.json): its own tests, then a smoke rep of every workload =="
 cargo test --release --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke
-
-echo "== criterion microbenches =="
-cargo bench --workspace
 
 echo "done; see results/ and EXPERIMENTS.md"
