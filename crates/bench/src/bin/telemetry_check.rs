@@ -1,15 +1,12 @@
 //! CI gate for the telemetry subsystem: validate exported
-//! `TELEMETRY_*.json` artifacts against the versioned schema and,
-//! optionally, enforce the recording-overhead budget that `bench_sim`
-//! measures into `results/BENCH_sim.json`.
+//! `TELEMETRY_*.json` artifacts against the versioned schema.
 //!
 //! `cargo run -p bench --release --bin telemetry_check -- \
-//!      [--file results/TELEMETRY_bench_sim.json]... \
-//!      [--overhead-gate 2.0] [--bench-file results/BENCH_sim.json]`
+//!      --file results/TELEMETRY_table2.json [--file ...]`
 //!
-//! Every `--file` occurrence names one artifact to validate (default: the
-//! `bench_sim` export). Exits non-zero on any schema failure or a busted
-//! overhead gate, so it can sit directly in a CI step.
+//! Every `--file` occurrence names one artifact to validate; with none it
+//! prints usage and exits 2. Exits 1 on any unreadable file or schema
+//! failure, so it can sit directly in a CI step.
 
 use telemetry::export::{validate, SCHEMA};
 
@@ -24,20 +21,11 @@ fn arg_all(key: &str) -> Vec<String> {
         .collect()
 }
 
-/// The last value of `key` in a flat JSON document (the current run's label
-/// sorts last in `BENCH_sim.json`, so "last" is the fresh measurement).
-fn last_number(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    json.lines()
-        .filter_map(|l| l.trim().strip_prefix(pat.as_str()))
-        .filter_map(|v| v.trim().trim_end_matches(',').parse::<f64>().ok())
-        .next_back()
-}
-
 fn main() {
-    let mut files = arg_all("--file");
+    let files = arg_all("--file");
     if files.is_empty() {
-        files.push("results/TELEMETRY_bench_sim.json".to_string());
+        eprintln!("usage: telemetry_check --file <TELEMETRY_*.json> [--file ...]");
+        std::process::exit(2);
     }
     let mut failed = false;
     for file in &files {
@@ -55,32 +43,6 @@ fn main() {
             },
         }
     }
-
-    let gate = bench::arg_str("--overhead-gate", "");
-    if !gate.is_empty() {
-        let gate: f64 = gate.parse().expect("numeric --overhead-gate");
-        let bench_file = bench::arg_str("--bench-file", "results/BENCH_sim.json");
-        match std::fs::read_to_string(&bench_file) {
-            Err(e) => {
-                eprintln!("{bench_file}: cannot read: {e}");
-                failed = true;
-            }
-            Ok(text) => match last_number(&text, "telemetry_overhead_pct") {
-                None => {
-                    eprintln!("{bench_file}: no telemetry_overhead_pct (rerun bench_sim)");
-                    failed = true;
-                }
-                Some(overhead) if overhead > gate => {
-                    eprintln!("telemetry overhead {overhead:.2}% exceeds the {gate}% gate");
-                    failed = true;
-                }
-                Some(overhead) => {
-                    println!("telemetry overhead {overhead:.2}% within the {gate}% gate");
-                }
-            },
-        }
-    }
-
     if failed {
         std::process::exit(1);
     }

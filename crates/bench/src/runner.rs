@@ -24,7 +24,7 @@ pub type Trial<T> = Box<dyn FnOnce() -> T + Send>;
 /// Worker-thread count actually used for `jobs` trials: the `--threads N`
 /// argument if given (0 or absent means auto), else the machine's available
 /// parallelism, never more than the number of trials.
-pub fn threads_for(jobs: usize) -> usize {
+fn threads_for(jobs: usize) -> usize {
     let requested = crate::arg_u64("--threads", 0) as usize;
     let n = if requested == 0 {
         available_threads()
@@ -164,21 +164,16 @@ impl SweepOpts {
         }
     }
 
-    /// Export the telemetry totals accumulated so far (trial metrics are
-    /// folded in by [`run_trials`]) as `results/TELEMETRY_<name>.json`.
+    /// Export the calling thread's telemetry totals accumulated so far
+    /// (trial metrics are folded in by [`run_trials`]) as
+    /// `results/TELEMETRY_<name>.json`.
     pub fn export_telemetry(&self, name: &str) {
-        export_telemetry(name, None);
-    }
-}
-
-/// Write `results/TELEMETRY_<name>.json` from the calling thread's current
-/// telemetry totals, plus optional per-trial snapshots in trial-index order.
-pub fn export_telemetry(name: &str, trials: Option<&[telemetry::Snapshot]>) {
-    let totals = telemetry::snapshot();
-    let path = telemetry::export::write("results", name, name, telemetry::mode(), &totals, trials)
-        .expect("write telemetry export");
-    if !crate::quiet() {
-        println!("wrote {}", path.display());
+        let totals = telemetry::snapshot();
+        let path = telemetry::export::write("results", name, name, telemetry::mode(), &totals)
+            .expect("write telemetry export");
+        if !crate::quiet() {
+            println!("wrote {}", path.display());
+        }
     }
 }
 

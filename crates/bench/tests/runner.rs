@@ -6,6 +6,7 @@
 //! Each trial is a full Tor fetch (client → 3-hop circuit → web server) on a
 //! fresh simulator, so this also pins down that the pooled-buffer data plane
 //! and in-place cell crypto stay deterministic under concurrent execution.
+//! The same fetch also pins the sharded engine's shard-count invariance.
 
 use bench::runner::{run_trials, run_trials_traced, Trial};
 use simnet::trace::Direction;
@@ -31,10 +32,16 @@ struct TrialRecord {
 }
 
 /// Fetch `kib` KiB through a fresh 3-hop circuit seeded with `seed`, with a
-/// sniffer on the client's link.
-fn fetch_trial(seed: u64, kib: usize) -> TrialRecord {
+/// sniffer on the client's link. `shards == 0` is the serial engine,
+/// `shards >= 1` the sharded one.
+fn fetch_trial(seed: u64, kib: usize, shards: usize) -> TrialRecord {
     let file_len = kib << 10;
-    let mut net = NetworkBuilder::new().seed(seed).middles(3).exits(2).build();
+    let mut net = NetworkBuilder::new()
+        .seed(seed)
+        .middles(3)
+        .exits(2)
+        .shards(shards)
+        .build();
     let page = vec![vec![0x5Au8; file_len]];
     let server = net.add_web_server("web", vec![("/page".to_string(), page)]);
     let client = net.add_client("alice");
@@ -102,7 +109,7 @@ fn jobs(seeds: &[u64]) -> Vec<Trial<TrialRecord>> {
             // (the client's access link sees the same cell schedule whatever
             // relays the seed picks).
             let kib = 32 + 8 * i;
-            Box::new(move || fetch_trial(seed, kib)) as Trial<TrialRecord>
+            Box::new(move || fetch_trial(seed, kib, 0)) as Trial<TrialRecord>
         })
         .collect()
 }
@@ -147,6 +154,18 @@ fn repeated_runs_are_reproducible() {
     assert_eq!(a[0], b[0]);
 }
 
+#[test]
+fn fetch_is_identical_on_one_shard_and_two() {
+    // The sharded engine's outcome must not depend on how the nodes are
+    // partitioned: the same fetch on 1 shard and on 2 yields the same
+    // `SimStats` and the same client-link trace.
+    let one = fetch_trial(31, 256, 1);
+    let two = fetch_trial(31, 256, 2);
+    assert!(one.stats.0 > 200, "trial processed events: {:?}", one.stats);
+    assert!(!one.trace.is_empty(), "sniffer saw traffic");
+    assert_eq!(one, two);
+}
+
 #[cfg(feature = "telemetry-on")]
 #[test]
 fn telemetry_snapshots_are_byte_identical_across_thread_counts() {
@@ -173,15 +192,14 @@ fn telemetry_snapshots_are_byte_identical_across_thread_counts() {
         );
     }
 
-    // The rendered export document — merged totals plus per-trial snapshots
-    // in index order — is byte-identical too, and passes the schema gate.
+    // The rendered export document of the merged totals is byte-identical
+    // too, and passes the schema gate.
     let fold = |trials: &[(TrialRecord, telemetry::Snapshot)]| {
         let mut totals = telemetry::Snapshot::default();
         for (_, s) in trials {
             totals.merge(s);
         }
-        let snaps: Vec<telemetry::Snapshot> = trials.iter().map(|(_, s)| s.clone()).collect();
-        telemetry::export::render("determinism", telemetry::Mode::Full, &totals, Some(&snaps))
+        telemetry::export::render("determinism", telemetry::Mode::Full, &totals)
     };
     let doc_seq = fold(&seq);
     let doc_par = fold(&par);

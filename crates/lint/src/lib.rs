@@ -114,57 +114,6 @@ pub(crate) struct Suppression {
 /// `(file, directive line)` — the complement is BL011's finding set.
 pub(crate) type UsedSet = BTreeSet<(String, u32)>;
 
-/// Everything the analyzer extracts from one file, pre-filtering: raw
-/// (pre-suppression) diagnostics, the suppression table, telemetry
-/// registrations, and the parsed item index. [`Analyzer::add_record`]
-/// does the filtering.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileRecord {
-    pub rel_path: String,
-    pub crate_name: String,
-    pub test_cutoff: u32,
-    pub raw: Vec<RawDiag>,
-    pub regs: Vec<rules::Registration>,
-    pub(crate) supps: Vec<Suppression>,
-    pub index: parser::FileIndex,
-}
-
-/// Lex, lint, and parse one file into its [`FileRecord`]. Pure function of
-/// `(rel_path, crate_name, src, cfg)`.
-pub fn analyze_file(rel_path: &str, crate_name: &str, src: &str, cfg: &Config) -> FileRecord {
-    let lexed = lex(src);
-    let test_cutoff = find_test_cutoff(&lexed.toks);
-    let (supps, mut raw) = parse_suppressions(&lexed.comments, &lexed.toks);
-    let ctx = FileCtx {
-        rel_path,
-        crate_name,
-        toks: &lexed.toks,
-        comments: &lexed.comments,
-        test_cutoff,
-    };
-    let (rule_raw, regs) = rules::check_file(&ctx, cfg);
-    raw.extend(rule_raw);
-    // Registrations in test code never reach exported artifacts.
-    let regs = regs
-        .into_iter()
-        .filter(|r| r.line < test_cutoff)
-        .map(|r| rules::Registration {
-            file: rel_path.to_string(),
-            ..r
-        })
-        .collect();
-    let index = parser::parse_file(&lexed.toks, test_cutoff, &cfg.lock_methods);
-    FileRecord {
-        rel_path: rel_path.to_string(),
-        crate_name: crate_name.to_string(),
-        test_cutoff,
-        raw,
-        regs,
-        supps,
-        index,
-    }
-}
-
 /// The result of an analysis run.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -236,8 +185,7 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Streaming analyzer: feed files with [`add_file`](Analyzer::add_file) (or
-/// pre-analyzed [`add_record`](Analyzer::add_record)s), then
+/// Streaming analyzer: feed files with [`add_file`](Analyzer::add_file), then
 /// [`finish`](Analyzer::finish) to run the cross-file rules (BL006–BL011)
 /// and get the sorted report.
 pub struct Analyzer {
@@ -269,30 +217,34 @@ impl Analyzer {
         }
     }
 
-    /// Lex and lint one file. `rel_path` is workspace-relative with `/`
-    /// separators (used in diagnostics and BL005 scoping); `crate_name` is
-    /// the directory under `crates/` (used for per-crate rule scoping).
+    /// Lex, lint, and parse one file. `rel_path` is workspace-relative with
+    /// `/` separators (used in diagnostics and BL005 scoping); `crate_name`
+    /// is the directory under `crates/` (used for per-crate rule scoping).
+    /// Suppression, test-region, and severity filtering happen here, next to
+    /// the directive-usage tracking (BL011) they feed.
     pub fn add_file(&mut self, rel_path: &str, crate_name: &str, src: &str) {
-        let rec = analyze_file(rel_path, crate_name, src, &self.cfg);
-        self.add_record(rec);
-    }
-
-    /// Ingest one pre-analyzed file record. Suppression, test-region, and
-    /// severity filtering happen here — not at analysis time — next to the
-    /// directive-usage tracking (BL011) they feed.
-    pub fn add_record(&mut self, rec: FileRecord) {
-        let FileRecord {
+        let lexed = lex(src);
+        let test_cutoff = find_test_cutoff(&lexed.toks);
+        let (supps, mut raw) = parse_suppressions(&lexed.comments, &lexed.toks);
+        let ctx = FileCtx {
             rel_path,
             crate_name,
+            toks: &lexed.toks,
+            comments: &lexed.comments,
             test_cutoff,
-            raw,
-            regs,
-            supps,
-            index,
-        } = rec;
-        self.regs.extend(regs);
-        self.supps.insert(rel_path.clone(), supps);
-        self.cutoffs.insert(rel_path.clone(), test_cutoff);
+        };
+        let (rule_raw, regs) = rules::check_file(&ctx, &self.cfg);
+        raw.extend(rule_raw);
+        // Registrations in test code never reach exported artifacts.
+        self.regs
+            .extend(regs.into_iter().filter(|r| r.line < test_cutoff).map(|r| {
+                rules::Registration {
+                    file: rel_path.to_string(),
+                    ..r
+                }
+            }));
+        self.supps.insert(rel_path.to_string(), supps);
+        self.cutoffs.insert(rel_path.to_string(), test_cutoff);
         for d in raw {
             // BL000 (malformed directive) is never itself suppressible and
             // applies even inside test modules — a broken directive is a
@@ -301,16 +253,16 @@ impl Analyzer {
                 if d.line >= test_cutoff {
                     continue;
                 }
-                if suppressed_mark(&self.supps, &mut self.used, &rel_path, d.code, d.line) {
+                if suppressed_mark(&self.supps, &mut self.used, rel_path, d.code, d.line) {
                     continue;
                 }
             }
-            self.push(d.code, &rel_path, d.line, d.col, d.message);
+            self.push(d.code, rel_path, d.line, d.col, d.message);
         }
         self.files.push(workspace::WsFile {
-            rel_path,
-            crate_name,
-            index,
+            rel_path: rel_path.to_string(),
+            crate_name: crate_name.to_string(),
+            index: parser::parse_file(&lexed.toks, test_cutoff, &self.cfg.lock_methods),
         });
     }
 
@@ -708,16 +660,5 @@ mod tests {
         assert!(j1.contains("\"deny\": 1"));
         // Pure function of the diags: re-serializing is byte-identical.
         assert_eq!(j1, rep.to_json());
-    }
-
-    #[test]
-    fn analyze_file_matches_add_file() {
-        let src = "let m = HashMap::new();\n";
-        let rec = analyze_file("crates/x/src/lib.rs", "simnet", src, &Config::default());
-        let mut a = Analyzer::new(Config::default());
-        a.add_record(rec);
-        let rep = a.finish();
-        assert_eq!(rep.diags.len(), 1);
-        assert_eq!(rep.diags[0].code, "BL001");
     }
 }

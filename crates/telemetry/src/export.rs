@@ -1,11 +1,10 @@
 //! Versioned on-disk export: `TELEMETRY_<name>.json` artifacts.
 //!
 //! The schema is versioned so CI can refuse an export it does not
-//! understand. v1 is a flat object: `schema`, `label`, `mode`, a `totals`
-//! snapshot, and an optional `trials` array of per-trial snapshots (in
-//! trial-index order). Everything except `label` is a pure function of the
-//! recorded metrics, so repeated runs — and runs at different `--threads` —
-//! produce byte-identical files.
+//! understand. v1 is a flat object: `schema`, `label`, `mode` and a `totals`
+//! snapshot. Everything except `label` is a pure function of the recorded
+//! metrics, so repeated runs — and runs at different `--threads` — produce
+//! byte-identical files.
 
 use crate::snapshot::Snapshot;
 use crate::Mode;
@@ -15,31 +14,14 @@ use std::path::{Path, PathBuf};
 pub const SCHEMA: &str = "bento-telemetry/v1";
 
 /// Render a full export document.
-pub fn render(label: &str, mode: Mode, totals: &Snapshot, trials: Option<&[Snapshot]>) -> String {
+pub fn render(label: &str, mode: Mode, totals: &Snapshot) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
     out.push_str(&format!("  \"label\": \"{}\",\n", escape(label)));
     out.push_str(&format!("  \"mode\": \"{}\",\n", mode.name()));
     out.push_str("  \"totals\": {\n");
     totals.write_json(&mut out, 4);
-    match trials {
-        None => out.push_str("  }\n"),
-        Some(trials) => {
-            out.push_str("  },\n");
-            out.push_str("  \"trials\": [\n");
-            for (i, t) in trials.iter().enumerate() {
-                out.push_str("    {\n");
-                t.write_json(&mut out, 6);
-                out.push_str(if i + 1 == trials.len() {
-                    "    }\n"
-                } else {
-                    "    },\n"
-                });
-            }
-            out.push_str("  ]\n");
-        }
-    }
-    out.push_str("}\n");
+    out.push_str("  }\n}\n");
     out
 }
 
@@ -50,12 +32,11 @@ pub fn write(
     label: &str,
     mode: Mode,
     totals: &Snapshot,
-    trials: Option<&[Snapshot]>,
 ) -> std::io::Result<PathBuf> {
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("TELEMETRY_{name}.json"));
-    std::fs::write(&path, render(label, mode, totals, trials))?;
+    std::fs::write(&path, render(label, mode, totals))?;
     Ok(path)
 }
 
@@ -116,16 +97,13 @@ mod tests {
 
     #[test]
     fn rendered_export_validates() {
-        let doc = render("test", Mode::Full, &sample(), None);
+        let doc = render("test", Mode::Full, &sample());
         validate(&doc).expect("render/validate roundtrip");
-        let with_trials = render("test", Mode::Full, &sample(), Some(&[sample(), sample()]));
-        validate(&with_trials).expect("trials variant");
-        assert!(with_trials.contains("\"trials\": ["));
     }
 
     #[test]
     fn validate_rejects_skew_and_truncation() {
-        let doc = render("test", Mode::Summary, &sample(), None);
+        let doc = render("test", Mode::Summary, &sample());
         let skewed = doc.replace(SCHEMA, "bento-telemetry/v999");
         assert!(validate(&skewed).is_err());
         let truncated = &doc[..doc.len() - 3];
@@ -134,7 +112,7 @@ mod tests {
 
     #[test]
     fn label_is_escaped() {
-        let doc = render("with \"quotes\"", Mode::Off, &Snapshot::default(), None);
+        let doc = render("with \"quotes\"", Mode::Off, &Snapshot::default());
         assert!(doc.contains("with \\\"quotes\\\""));
         validate(&doc).expect("escaped label still validates");
     }

@@ -42,8 +42,9 @@
 //! allocation, no locking (names intern once through a `OnceLock`). Hot
 //! loops accumulate into plain struct fields and flush at phase boundaries
 //! (see `simnet::Simulator::run_until`). The `on` feature (default) can be
-//! compiled out entirely, turning every record call into nothing; `bench_sim`
-//! A/Bs runtime-off against full to hold the overhead gate (<2%).
+//! compiled out entirely, turning every record call into nothing; the repo
+//! benchmark's `harness.trace_overhead_pct` probe reports what full recording
+//! costs a workload.
 
 #![forbid(unsafe_code)]
 

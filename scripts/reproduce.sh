@@ -44,21 +44,14 @@ cargo run --release -p bench --bin multipath_sweep
 echo "== padding-quantum ablation =="
 cargo run --release -p bench --bin padding_sweep
 
-echo "== per-cell crypto data plane baseline =="
-cargo run --release -p bench --bin bench_cells -- --label optimized
-
-echo "== simulator throughput + parallel sweep harness =="
-cargo run --release -p bench --bin bench_sim -- --label optimized --telemetry full
-
 echo "== sharded engine: scalability sweep (10^4 clients, shards 1/2/4/8; aborts if a connection half is still live at quiescence) =="
 cargo run --release -p bench --bin scalability_sweep
 
 echo "== chaos sweep: fault injection vs goodput + recovery assertions =="
 cargo run --release -p bench --bin chaos_sweep
 
-echo "== telemetry artifacts: schema + overhead gate =="
+echo "== telemetry artifacts: schema =="
 cargo run --release -p bench --bin telemetry_check -- \
-  --file results/TELEMETRY_bench_sim.json \
   --file results/TELEMETRY_table2.json \
   --file results/TELEMETRY_figure5.json \
   --file results/TELEMETRY_scalability.json \
@@ -66,8 +59,7 @@ cargo run --release -p bench --bin telemetry_check -- \
   --file results/TELEMETRY_multipath_sweep.json \
   --file results/TELEMETRY_padding_sweep.json \
   --file results/TELEMETRY_chaos_sweep.json \
-  --file results/TELEMETRY_scalability_sweep.json \
-  --overhead-gate 2.0
+  --file results/TELEMETRY_scalability_sweep.json
 
 echo "== repo benchmark (BENCHMARK.json): its own tests, then a smoke rep of every workload =="
 cargo test --release --manifest-path benchmark/Cargo.toml
