@@ -11,9 +11,9 @@
 
 use bench::runner::{run_sweep, SweepOpts, Trial};
 use bench::write_report;
-use bento::protocol::FunctionSpec;
+use bento::protocol::{FunctionSpec, ImageKind};
 use bento::testnet::BentoNetwork;
-use bento::{BentoClientNode, MiddleboxPolicy};
+use bento::MiddleboxPolicy;
 use bento_functions::cover::{self, CoverRequest, Mode};
 use bento_functions::dropbox;
 use bento_functions::standard_registry;
@@ -39,112 +39,52 @@ fn run(with_cover: bool) -> (f64, f64) {
     let client = bn.add_bento_client("alice");
     bn.net.sim.run_until(secs(2));
     // Install a dropbox holding 300 KB (the "activity" is fetching it) and,
-    // optionally, the Cover function.
-    let conn = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-                .into_iter()
-                .cloned()
-                .collect();
-            n.bento
-                .connect_box(ctx, &mut n.tor, &boxes[0])
-                .expect("box")
-        });
+    // optionally, the Cover function: two containers on one connection.
+    let conn = bn.connect(client, 0);
     bn.net.sim.run_until(secs(5));
-    let mut tokens = Vec::new();
-    let n_containers = if with_cover { 2 } else { 1 };
-    for i in 0..n_containers {
-        bn.net
-            .sim
-            .with_node::<BentoClientNode, _>(client, |n, ctx| {
-                n.bento
-                    .request_container(ctx, &mut n.tor, conn, bento::protocol::ImageKind::Plain);
-            });
-        let now = bn.net.sim.now();
-        bn.net.sim.run_until(now + SimDuration::from_secs(4));
-        let t = bn
-            .net
-            .sim
-            .with_node::<BentoClientNode, _>(client, |n, _| {
-                let readies: Vec<_> = n
-                    .bento_events
-                    .iter()
-                    .filter_map(|e| match e {
-                        bento::BentoEvent::ContainerReady {
-                            container,
-                            invocation,
-                            ..
-                        } => Some((*container, *invocation)),
-                        _ => None,
-                    })
-                    .collect();
-                readies.get(i).copied()
-            })
-            .expect("container");
-        tokens.push(t);
-    }
-    // Upload dropbox with the content.
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let spec = FunctionSpec {
-                params: dropbox::Params {
-                    max_gets: 100,
-                    expiry_ms: 0,
-                    max_bytes: 0,
-                }
-                .encode(),
-                manifest: dropbox::manifest(),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, tokens[0].0, &spec);
-        });
-    bn.net.sim.run_until(secs(20));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let mut put = vec![b'P'];
-            put.extend_from_slice(&vec![0x77; 300_000]);
-            n.bento.invoke(ctx, &mut n.tor, conn, tokens[0].1, put);
-        });
+    let four = SimDuration::from_secs(4);
+    let dropbox = bn
+        .request_container(client, conn, ImageKind::Plain, four, secs(9))
+        .expect("container");
+    let cover = with_cover.then(|| {
+        bn.request_container(client, conn, ImageKind::Plain, four, secs(13))
+            .expect("container")
+    });
+    let spec = FunctionSpec {
+        params: dropbox::Params {
+            max_gets: 100,
+            expiry_ms: 0,
+            max_bytes: 0,
+        }
+        .encode(),
+        manifest: dropbox::manifest(),
+    };
+    bn.upload(&dropbox, &spec, secs(20)).expect("dropbox");
+    let mut put = vec![b'P'];
+    put.extend_from_slice(&vec![0x77; 300_000]);
+    bn.invoke(&dropbox, put);
     bn.net.sim.run_until(secs(40));
-    if with_cover {
-        bn.net
-            .sim
-            .with_node::<BentoClientNode, _>(client, |n, ctx| {
-                let spec = FunctionSpec {
-                    params: vec![],
-                    manifest: cover::manifest(false),
-                };
-                n.bento.upload(ctx, &mut n.tor, conn, tokens[1].0, &spec);
-            });
-        bn.net.sim.run_until(secs(45));
-        bn.net
-            .sim
-            .with_node::<BentoClientNode, _>(client, |n, ctx| {
-                // 498-byte cells every 20 ms for the whole experiment: ~25 KB/s
-                // of constant downstream cover.
-                let req = CoverRequest {
-                    interval_ms: 20,
-                    count: 6000,
-                    chunk: 498,
-                    mode: Mode::Downstream,
-                };
-                n.bento
-                    .invoke(ctx, &mut n.tor, conn, tokens[1].1, req.encode());
-            });
+    if let Some(cover) = cover {
+        let spec = FunctionSpec {
+            params: vec![],
+            manifest: cover::manifest(false),
+        };
+        bn.upload(&cover, &spec, secs(45)).expect("cover");
+        // 498-byte cells every 20 ms for the whole experiment: ~25 KB/s
+        // of constant downstream cover.
+        let req = CoverRequest {
+            interval_ms: 20,
+            count: 6000,
+            chunk: 498,
+            mode: Mode::Downstream,
+        };
+        bn.invoke(&cover, req.encode());
     }
     bn.net.sim.enable_sniffer(client);
     bn.net.sim.run_until(secs(50));
     // Quiet window: [50, 80). Active window: [80, 110) — fetch the content.
     bn.net.sim.run_until(secs(80));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            n.bento
-                .invoke(ctx, &mut n.tor, conn, tokens[0].1, b"G".to_vec());
-        });
+    bn.invoke(&dropbox, b"G".to_vec());
     bn.net.sim.run_until(secs(110));
     let sniffer = bn.net.sim.sniffer(client);
     let quiet = window_bytes(sniffer, secs(50), secs(80));

@@ -46,101 +46,38 @@ fn run_k(k: u8, file_len: u64, body: &[u8]) -> (f64, f64) {
         bn.net.sim.enable_sniffer(server);
         let client = bn.add_bento_client("alice");
         bn.net.sim.run_until(secs(2));
-        let conn = bn
-            .net
-            .sim
-            .with_node::<BentoClientNode, _>(client, |n, ctx| {
-                let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-                    .into_iter()
-                    .cloned()
-                    .collect();
-                n.bento
-                    .connect_box(ctx, &mut n.tor, &boxes[0])
-                    .expect("box")
-            });
-        bn.net.sim.run_until(secs(5));
-        bn.net
-            .sim
-            .with_node::<BentoClientNode, _>(client, |n, ctx| {
-                n.bento
-                    .request_container(ctx, &mut n.tor, conn, bento::protocol::ImageKind::Plain);
-            });
-        bn.net.sim.run_until(secs(8));
-        let (container, inv, _) = bn
-            .net
-            .sim
-            .with_node::<BentoClientNode, _>(client, |n, _| n.container_ready(conn))
-            .expect("container");
-        bn.net
-            .sim
-            .with_node::<BentoClientNode, _>(client, |n, ctx| {
-                let spec = FunctionSpec {
-                    params: if std::env::var("MP_DEBUG").is_ok() {
-                        b"debug".to_vec()
-                    } else {
-                        vec![]
-                    },
-                    manifest: multipath::manifest(),
-                };
-                n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-            });
-        bn.net.sim.run_until(secs(12));
+        let spec = FunctionSpec {
+            params: vec![],
+            manifest: multipath::manifest(),
+        };
+        let session = bn.install(client, 0, &spec, [secs(5), secs(8), secs(12)]);
         let t0 = bn.net.sim.now();
-        bn.net
-            .sim
-            .with_node::<BentoClientNode, _>(client, |n, ctx| {
-                assert!(n.upload_ok(conn), "{:?}", n.bento_events);
-                let req = MultipathRequest {
-                    server,
-                    port: HTTP_PORT,
-                    path: "/big".into(),
-                    total_len: file_len,
-                    k,
-                };
-                n.bento.invoke(ctx, &mut n.tor, conn, inv, req.encode());
-            });
-        let mut last_dbg = 0u64;
-        loop {
-            let now = bn.net.sim.now();
-            bn.net.sim.run_until(now + SimDuration::from_millis(200));
-            let done = bn
-                .net
-                .sim
-                .with_node::<BentoClientNode, _>(client, |n, _| n.output_done(conn));
-            let el = bn.net.sim.now().since(t0).as_secs_f64() as u64;
-            if std::env::var("MP_DEBUG").is_ok() && el / 30 > last_dbg {
-                last_dbg = el / 30;
-                bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-                    for e in &n.bento_events {
-                        if let bento::BentoEvent::Output(c, d) = e {
-                            if *c == conn && d.starts_with(b"DBG:") {
-                                eprintln!("  {}", String::from_utf8_lossy(d));
-                            }
-                        }
-                    }
-                });
-                let srv_bytes: u64 = bn
-                    .net
-                    .sim
-                    .sniffer(server)
-                    .events()
-                    .iter()
-                    .map(|e| e.bytes as u64)
-                    .sum();
-                eprintln!("k={k} t={el}s server-link bytes={srv_bytes}");
-            }
-            if done || bn.net.sim.now().since(t0).as_secs_f64() > 900.0 {
-                break;
-            }
-        }
-        bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-            assert_eq!(
-                n.output_bytes(conn),
-                body,
-                "k={k} reassembled correctly (rejection: {:?})",
-                n.rejection(conn)
-            );
-        });
+        let req = MultipathRequest {
+            server,
+            port: HTTP_PORT,
+            path: "/big".into(),
+            total_len: file_len,
+            k,
+        };
+        let step = SimDuration::from_millis(200);
+        let done = bn.invoke_and_wait(
+            &session,
+            req.encode(),
+            step,
+            t0 + SimDuration::from_secs(900),
+        );
+        let n: &BentoClientNode = bn.net.sim.node_ref(client);
+        // A fetch that never finished is a failed run, not an end-to-end time.
+        assert!(
+            done,
+            "k={k}: no end of output (rejection: {:?})",
+            n.rejection(session.conn)
+        );
+        assert_eq!(
+            n.output_bytes(session.conn),
+            body,
+            "k={k} reassembled correctly"
+        );
         let e2e = bn.net.sim.now().since(t0).as_secs_f64();
         // Fetch-stage span: first to last event on the server's link.
         let events = bn.net.sim.sniffer(server).events();

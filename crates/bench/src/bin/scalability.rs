@@ -8,10 +8,10 @@
 
 use bench::runner::{run_sweep, SweepOpts, Trial};
 use bench::{arg_u64, write_report};
-use bento::protocol::FunctionSpec;
+use bento::protocol::{FunctionSpec, ImageKind};
 use bento::server::{CONCLAVE_OVERHEAD, FN_BASE_MEMORY};
 use bento::testnet::BentoNetwork;
-use bento::{BentoBoxNode, BentoClientNode, BentoServer, MiddleboxPolicy};
+use bento::{BentoBoxNode, BentoServer, MiddleboxPolicy};
 use bento_functions::standard_registry;
 use conclave::epc::{Epc, EPC_TOTAL_BYTES, EPC_USABLE_BYTES};
 use simnet::{SimDuration, SimTime};
@@ -108,96 +108,39 @@ fn main() {
     let mut bn = BentoNetwork::build(31, 1, policy, standard_registry);
     let client = bn.add_bento_client("loader");
     bn.net.sim.run_until(secs(2));
-    let conn = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-                .into_iter()
-                .cloned()
-                .collect();
-            n.bento
-                .connect_box(ctx, &mut n.tor, &boxes[0])
-                .expect("box")
-        });
+    let conn = bn.connect(client, 0);
     bn.net.sim.run_until(secs(5));
+    let spec = FunctionSpec {
+        params: bento_functions::dropbox::Params {
+            max_gets: 1,
+            expiry_ms: 0,
+            max_bytes: 0,
+        }
+        .encode(),
+        manifest: bento_functions::dropbox::manifest_sgx(),
+    };
     let mut loaded = 0usize;
     for i in 0..limit + 3 {
-        bn.net
-            .sim
-            .with_node::<BentoClientNode, _>(client, |n, ctx| {
-                n.bento
-                    .request_container(ctx, &mut n.tor, conn, bento::protocol::ImageKind::Sgx);
-            });
-        let deadline = bn.net.sim.now() + SimDuration::from_secs(15);
-        let mut got = None;
-        while bn.net.sim.now() < deadline {
-            let now = bn.net.sim.now();
-            bn.net.sim.run_until(now + SimDuration::from_millis(250));
-            got = bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-                let readies = n
-                    .bento_events
-                    .iter()
-                    .filter(|e| matches!(e, bento::BentoEvent::ContainerReady { .. }))
-                    .count();
-                let rejects = n
-                    .bento_events
-                    .iter()
-                    .filter(|e| matches!(e, bento::BentoEvent::Rejected(..)))
-                    .count();
-                if readies > loaded {
-                    Some(true)
-                } else if rejects > 0 {
-                    Some(false)
-                } else {
-                    None
-                }
-            });
-            if got.is_some() {
-                break;
-            }
-        }
-        match got {
-            Some(true) => {
+        let now = bn.net.sim.now();
+        let step = SimDuration::from_millis(250);
+        let ready_by = now + SimDuration::from_secs(15);
+        match bn.request_container(client, conn, ImageKind::Sgx, step, ready_by) {
+            Ok(session) => {
                 loaded += 1;
                 // Upload a minimal function so the container counts as live.
-                let ready = bn
-                    .net
-                    .sim
-                    .with_node::<BentoClientNode, _>(client, |n, _| {
-                        n.bento_events.iter().rev().find_map(|e| match e {
-                            bento::BentoEvent::ContainerReady { container, .. } => Some(*container),
-                            _ => None,
-                        })
-                    })
-                    .expect("container id");
-                bn.net
-                    .sim
-                    .with_node::<BentoClientNode, _>(client, |n, ctx| {
-                        let spec = FunctionSpec {
-                            params: bento_functions::dropbox::Params {
-                                max_gets: 1,
-                                expiry_ms: 0,
-                                max_bytes: 0,
-                            }
-                            .encode(),
-                            manifest: bento_functions::dropbox::manifest_sgx(),
-                        };
-                        n.bento.upload(ctx, &mut n.tor, conn, ready, &spec);
-                    });
                 let now = bn.net.sim.now();
-                bn.net.sim.run_until(now + SimDuration::from_secs(8));
+                bn.upload(&session, &spec, now + SimDuration::from_secs(8))
+                    .expect("upload");
             }
-            Some(false) => {
+            Err(reason) => {
+                // Anything but the policy's refusal (a timeout, a failed
+                // attestation) is a failed run, not a capacity.
+                assert_eq!(reason, "function limit reached", "request #{}", i + 1);
                 report.push_str(&format!(
                     "refused at request #{} (policy max_functions = {})\n",
                     i + 1,
                     limit
                 ));
-                break;
-            }
-            None => {
-                report.push_str(&format!("request #{} timed out\n", i + 1));
                 break;
             }
         }

@@ -12,7 +12,7 @@ use bench::runner::{run_sweep, SweepOpts, Trial};
 use bench::{arg_u64, write_csv};
 use bento::protocol::FunctionSpec;
 use bento::testnet::BentoNetwork;
-use bento::{BentoClientNode, MiddleboxPolicy};
+use bento::MiddleboxPolicy;
 use bento_functions::browser::{self, BrowseRequest};
 use bento_functions::standard_registry;
 use bento_functions::web::SiteModel;
@@ -80,25 +80,22 @@ fn standard_tor_trial(seed: u64, sites: Vec<SiteModel>) -> Vec<f64> {
         Box::new(BrowseNode::new(net.authority, net.authority_key)),
     );
     net.sim.run_until(SimTime::ZERO + SimDuration::from_secs(3));
+    // A download is looked at every 100 ms; one still running after 600 s
+    // is a failed run, not a data point.
+    let (step, timeout) = (SimDuration::from_millis(100), SimDuration::from_secs(600));
     sites
         .iter()
         .map(|site| {
             let t0 = net.sim.now();
             let before = net.sim.with_node::<BrowseNode, _>(client, |n, ctx| {
-                let d = n.visits_done;
+                let done = n.visits_done;
                 n.start_visit(ctx, server, &site.html_path());
-                d
+                done
             });
-            loop {
-                let now = net.sim.now();
-                net.sim.run_until(now + SimDuration::from_millis(100));
-                let done = net
-                    .sim
-                    .with_node::<BrowseNode, _>(client, |n, _| n.visits_done);
-                if done > before || net.sim.now().since(t0).as_secs_f64() > 600.0 {
-                    break;
-                }
-            }
+            let done = net.sim.step_until(step, t0 + timeout, |sim| {
+                sim.node_ref::<BrowseNode>(client).visits_done > before
+            });
+            assert!(done, "{}: standard Tor download timed out", site.name);
             net.sim.now().since(t0).as_secs_f64()
         })
         .collect()
@@ -117,88 +114,30 @@ fn browser_trial(seed: u64, pi: usize, padding: u64, sites: Vec<SiteModel>) -> V
     let pages = sites.iter().flat_map(|s| s.server_pages()).collect();
     let server: NodeId = bn.net.add_web_server("web", pages);
     let client = bn.add_bento_client("alice");
-    bn.net
-        .sim
-        .run_until(SimTime::ZERO + SimDuration::from_secs(2));
-    let conn = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-                .into_iter()
-                .cloned()
-                .collect();
-            n.bento
-                .connect_box(ctx, &mut n.tor, &boxes[0])
-                .expect("box")
-        });
-    bn.net
-        .sim
-        .run_until(SimTime::ZERO + SimDuration::from_secs(6));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            n.bento
-                .request_container(ctx, &mut n.tor, conn, bento::protocol::ImageKind::Sgx);
-        });
-    bn.net
-        .sim
-        .run_until(SimTime::ZERO + SimDuration::from_secs(10));
-    let (container, inv, _) = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, _| n.container_ready(conn))
-        .expect("container");
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let spec = FunctionSpec {
-                params: vec![],
-                manifest: browser::manifest(false),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net
-        .sim
-        .run_until(SimTime::ZERO + SimDuration::from_secs(15));
-    let ends = |n: &BentoClientNode| {
-        n.bento_events
-            .iter()
-            .filter(|e| matches!(e, bento::BentoEvent::OutputEnd(_)))
-            .count()
+    let secs = |s| SimTime::ZERO + SimDuration::from_secs(s);
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: browser::manifest(false),
     };
-    let mut times = Vec::new();
-    for site in &sites {
-        let t0 = bn.net.sim.now();
-        let before = bn
-            .net
-            .sim
-            .with_node::<BentoClientNode, _>(client, |n, ctx| {
-                let e = ends(n);
-                let req = BrowseRequest {
-                    server,
-                    port: HTTP_PORT,
-                    path: site.html_path(),
-                    padding,
-                    dropbox_on: None,
-                };
-                n.bento.invoke(ctx, &mut n.tor, conn, inv, req.encode());
-                e
-            });
-        loop {
-            let now = bn.net.sim.now();
-            bn.net.sim.run_until(now + SimDuration::from_millis(100));
-            let e = bn
-                .net
-                .sim
-                .with_node::<BentoClientNode, _>(client, |n, _| ends(n));
-            if e > before || bn.net.sim.now().since(t0).as_secs_f64() > 600.0 {
-                break;
-            }
-        }
-        times.push(bn.net.sim.now().since(t0).as_secs_f64());
-    }
-    times
+    let session = bn.install(client, 0, &spec, [secs(6), secs(10), secs(15)]);
+    let (step, timeout) = (SimDuration::from_millis(100), SimDuration::from_secs(600));
+    sites
+        .iter()
+        .map(|site| {
+            let t0 = bn.net.sim.now();
+            let req = BrowseRequest {
+                server,
+                port: HTTP_PORT,
+                path: site.html_path(),
+                padding,
+                dropbox_on: None,
+            };
+            let done = bn.invoke_and_wait(&session, req.encode(), step, t0 + timeout);
+            assert!(done, "{}: Browser download timed out", site.name);
+            bn.net.sim.now().since(t0).as_secs_f64()
+        })
+        .collect()
 }
 
 fn main() {

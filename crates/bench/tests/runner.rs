@@ -69,17 +69,14 @@ fn fetch_trial(seed: u64, kib: usize, shards: usize) -> TrialRecord {
         n.tor
             .send_stream(ctx, circ, stream, &encode_frame(b"/page"));
     });
-    loop {
-        let now = net.sim.now();
-        net.sim.run_until(now + SimDuration::from_secs(1));
-        let got = net
-            .sim
-            .with_node::<TestClientNode, _>(client, |n, _| n.stream_len(circ, stream));
-        if got >= file_len {
-            break;
-        }
-        assert!(net.sim.now() < secs(300), "fetch stalled at {got} bytes");
-    }
+    let fetched = net
+        .sim
+        .step_until(SimDuration::from_secs(1), secs(300), |sim| {
+            sim.node_ref::<TestClientNode>(client)
+                .stream_len(circ, stream)
+                >= file_len
+        });
+    assert!(fetched, "fetch stalled");
     let s = net.sim.stats();
     let trace = net
         .sim

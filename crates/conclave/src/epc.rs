@@ -94,11 +94,6 @@ impl Epc {
         self.stats
     }
 
-    /// Committed (resident + paged) bytes of one enclave.
-    pub fn enclave_bytes(&self, id: u64) -> u64 {
-        self.enclaves.get(&id).map(|r| r.total_bytes).unwrap_or(0)
-    }
-
     /// Register an enclave with a memory footprint. Fails if the footprint
     /// alone exceeds the whole usable EPC (it could never run).
     pub fn register(&mut self, id: u64, bytes: u64) -> bool {

@@ -1,15 +1,18 @@
-//! Stand up a Tor network with Bento boxes in a few lines — used by the
-//! integration tests, the examples, and every benchmark.
+//! Stand up a Tor network with Bento boxes in a few lines, and drive a
+//! client through the paper's workflow on it — connect, request a container,
+//! upload, invoke — on a schedule the caller names. Used by the integration
+//! tests, the examples, and every sweep binary.
 
-use crate::client::{BentoClient, BentoClientNode};
+use crate::client::{BentoClient, BentoClientNode, BentoEvent, BoxConn};
 use crate::function::FunctionRegistry;
 use crate::node::BentoBoxNode;
 use crate::policy::MiddleboxPolicy;
+use crate::protocol::{FunctionSpec, ImageKind};
 use crate::server::BentoServer;
+use crate::tokens::Token;
 use conclave::attest::Ias;
-use conclave::enclave::Enclave;
 use onion_crypto::hashsig::MerkleVerifyKey;
-use simnet::{Iface, NodeId};
+use simnet::{Ctx, Iface, NodeId, SimDuration, SimTime, Simulator};
 use std::sync::{Arc, Mutex};
 use tor_net::client::TorClient;
 use tor_net::dir::{ExitPolicy, RelayFlags};
@@ -167,9 +170,204 @@ impl BentoNetwork {
             .sim
             .add_node(name, Iface::residential(), Box::new(node))
     }
+}
 
-    /// A freshly measured conclave [`Enclave`] (for direct conclave tests).
-    pub fn reference_enclave(&self) -> Enclave {
-        Enclave::create(0, ENCLAVE_IMAGE, 24 << 20, 5)
+/// One container as the client that asked for it holds it: the session it
+/// was requested over and the two capabilities the box minted for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Session {
+    /// The client node the session belongs to.
+    pub client: NodeId,
+    /// The client↔box session.
+    pub conn: BoxConn,
+    /// Container id (names the container in the upload).
+    pub container: u64,
+    /// Invocation capability.
+    pub invocation: Token,
+    /// Shutdown capability.
+    pub shutdown: Token,
+}
+
+/// What the box has said on `conn` that can answer a `request_container` or
+/// an `upload`, in arrival order. Each of those requests draws exactly one,
+/// so a driver step counts these, sends, and takes the next one as its
+/// answer — which holds as long as nothing else the box may refuse (an
+/// invocation, a shutdown) is in flight on the connection meanwhile.
+fn replies(n: &BentoClientNode, conn: BoxConn) -> impl Iterator<Item = &BentoEvent> {
+    n.bento_events.iter().filter(move |e| match e {
+        BentoEvent::ContainerReady { conn: c, .. }
+        | BentoEvent::AttestationFailed(c, _)
+        | BentoEvent::UploadOk(c, _)
+        | BentoEvent::Rejected(c, _) => *c == conn,
+        _ => false,
+    })
+}
+
+/// The scripted client session (§5: discover → container + tokens → upload
+/// → invoke). Every step sends its message at the current simulated
+/// instant; the waits are the caller's schedule, so a caller decides when
+/// each message leaves and in what increments the simulator advances.
+impl BentoNetwork {
+    /// Find `self.boxes[box_idx]` in `client`'s consensus and open a session
+    /// to it (requests queue until the stream connects).
+    pub fn connect(&mut self, client: NodeId, box_idx: usize) -> BoxConn {
+        let addr = self.boxes[box_idx];
+        self.net
+            .sim
+            .with_node::<BentoClientNode, _>(client, |n, ctx| {
+                let relay = BentoClient::discover_boxes(&n.tor)
+                    .into_iter()
+                    .find(|r| r.addr == addr)
+                    .cloned()
+                    .expect("box in the client's consensus");
+                n.bento
+                    .connect_box(ctx, &mut n.tor, &relay)
+                    .expect("circuit to the box")
+            })
+    }
+
+    /// Send `request` from `client`, advance to `deadline` in increments of
+    /// `step` until the box's reply to it is in, and return that reply.
+    fn await_reply(
+        &mut self,
+        client: NodeId,
+        conn: BoxConn,
+        step: SimDuration,
+        deadline: SimTime,
+        request: impl FnOnce(&mut BentoClientNode, &mut Ctx<'_>),
+    ) -> Result<&BentoEvent, String> {
+        let sim = &mut self.net.sim;
+        let before = sim.with_node::<BentoClientNode, _>(client, |n, ctx| {
+            request(n, ctx);
+            replies(n, conn).count()
+        });
+        sim.step_until(step, deadline, |sim| {
+            replies(sim.node_ref(client), conn).count() > before
+        });
+        match replies(sim.node_ref(client), conn).nth(before) {
+            Some(BentoEvent::Rejected(_, reason) | BentoEvent::AttestationFailed(_, reason)) => {
+                Err(reason.clone())
+            }
+            Some(reply) => Ok(reply),
+            None => Err(format!("no reply by {deadline}")),
+        }
+    }
+
+    /// Request a container of `image` over `conn` and wait for the box's
+    /// answer, looking every `step` until `ready_by`. `Ok` is the container
+    /// *this* request produced (attested, for an SGX image); `Err` is the
+    /// box's refusal, the failed attestation, or the missed deadline.
+    pub fn request_container(
+        &mut self,
+        client: NodeId,
+        conn: BoxConn,
+        image: ImageKind,
+        step: SimDuration,
+        ready_by: SimTime,
+    ) -> Result<Session, String> {
+        let reply = self.await_reply(client, conn, step, ready_by, |n, ctx| {
+            n.bento.request_container(ctx, &mut n.tor, conn, image)
+        })?;
+        match *reply {
+            BentoEvent::ContainerReady {
+                conn,
+                container,
+                invocation,
+                shutdown,
+            } => Ok(Session {
+                client,
+                conn,
+                container,
+                invocation,
+                shutdown,
+            }),
+            ref other => Err(format!("unexpected reply {other:?}")),
+        }
+    }
+
+    /// Upload `spec` into the session's container (sealed, if the container
+    /// is a conclave), run to `done_by`, and report the box's verdict.
+    pub fn upload(
+        &mut self,
+        s: &Session,
+        spec: &FunctionSpec,
+        done_by: SimTime,
+    ) -> Result<(), String> {
+        let whole = done_by.since(self.net.sim.now());
+        let reply = self.await_reply(s.client, s.conn, whole, done_by, |n, ctx| {
+            n.bento.upload(ctx, &mut n.tor, s.conn, s.container, spec)
+        })?;
+        match reply {
+            BentoEvent::UploadOk(..) => Ok(()),
+            other => Err(format!("unexpected reply {other:?}")),
+        }
+    }
+
+    /// The whole workflow for one function: connect to `self.boxes[box_idx]`
+    /// now, request a container (of the image the manifest names) at
+    /// `at_container`, upload at `at_upload`, installed by `done_by`.
+    ///
+    /// # Panics
+    /// With the client's event log, if the box refuses either step.
+    pub fn install(
+        &mut self,
+        client: NodeId,
+        box_idx: usize,
+        spec: &FunctionSpec,
+        [at_container, at_upload, done_by]: [SimTime; 3],
+    ) -> Session {
+        let conn = self.connect(client, box_idx);
+        self.net.sim.run_until(at_container);
+        let whole = at_upload.since(at_container);
+        let image = spec.manifest.image;
+        let session = self
+            .request_container(client, conn, image, whole, at_upload)
+            .unwrap_or_else(|e| self.refused(client, "container", &e));
+        self.upload(&session, spec, done_by)
+            .unwrap_or_else(|e| self.refused(client, "upload", &e));
+        session
+    }
+
+    fn refused(&self, client: NodeId, step: &str, reason: &str) -> ! {
+        let n: &BentoClientNode = self.net.sim.node_ref(client);
+        panic!(
+            "{step} refused: {reason}; client events: {:?}",
+            n.bento_events
+        )
+    }
+
+    /// Invoke the session's function with `input`; outputs accumulate in the
+    /// client's event log.
+    pub fn invoke(&mut self, s: &Session, input: Vec<u8>) {
+        self.net
+            .sim
+            .with_node::<BentoClientNode, _>(s.client, |n, ctx| {
+                n.bento.invoke(ctx, &mut n.tor, s.conn, s.invocation, input)
+            });
+    }
+
+    /// [`BentoNetwork::invoke`], then advance in increments of `step` until
+    /// the function ends this invocation's output. `false` if `deadline`
+    /// came first.
+    pub fn invoke_and_wait(
+        &mut self,
+        s: &Session,
+        input: Vec<u8>,
+        step: SimDuration,
+        deadline: SimTime,
+    ) -> bool {
+        let (client, conn) = (s.client, s.conn);
+        let ends = move |sim: &Simulator| {
+            sim.node_ref::<BentoClientNode>(client)
+                .bento_events
+                .iter()
+                .filter(|e| matches!(e, BentoEvent::OutputEnd(c) if *c == conn))
+                .count()
+        };
+        let before = ends(&self.net.sim);
+        self.invoke(s, input);
+        self.net
+            .sim
+            .step_until(step, deadline, |sim| ends(sim) > before)
     }
 }

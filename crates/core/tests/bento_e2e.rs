@@ -7,7 +7,7 @@ use bento::function::{Function, FunctionApi, FunctionRegistry};
 use bento::manifest::Manifest;
 use bento::protocol::{FunctionSpec, ImageKind};
 
-use bento::testnet::BentoNetwork;
+use bento::testnet::{BentoNetwork, Session};
 use bento::tokens::Token;
 use bento::{BentoClientNode, BentoEvent, MiddleboxPolicy};
 use sandbox::seccomp::SyscallClass;
@@ -107,257 +107,185 @@ fn secs(s: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(s)
 }
 
-/// Drive a full session up to ContainerReady; returns (client node id,
-/// box conn, container id, tokens).
-fn establish(
-    bn: &mut BentoNetwork,
-    image: ImageKind,
-) -> (simnet::NodeId, bento::BoxConn, u64, Token, Token) {
-    let client = bn.add_bento_client("alice");
-    bn.net.sim.run_until(secs(2));
-    let conn = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-                .into_iter()
-                .cloned()
-                .collect();
-            assert!(!boxes.is_empty(), "bento boxes in consensus");
-            n.bento
-                .connect_box(ctx, &mut n.tor, &boxes[0])
-                .expect("session")
-        });
-    bn.net.sim.run_until(secs(5));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            assert!(
-                n.bento_events
-                    .iter()
-                    .any(|e| matches!(e, BentoEvent::Connected(c) if *c == conn)),
-                "bento stream connected; events: {:?}",
-                n.bento_events
-            );
-            n.bento.request_container(ctx, &mut n.tor, conn, image);
-        });
-    bn.net.sim.run_until(secs(8));
-    let (container, inv, shut) = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, _| n.container_ready(conn))
-        .unwrap_or_else(|| panic!("container ready"));
-    (client, conn, container, inv, shut)
-}
-
 #[test]
 fn full_lifecycle_plain_image() {
     let mut bn = BentoNetwork::build(101, 1, MiddleboxPolicy::permissive(), registry);
-    let (client, conn, container, inv, shut) = establish(&mut bn, ImageKind::Plain);
-    // Upload echo.
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let spec = FunctionSpec {
-                params: vec![],
-                manifest: Manifest::minimal("echo"),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net.sim.run_until(secs(11));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            assert!(n.upload_ok(conn), "upload accepted: {:?}", n.bento_events);
-            n.bento
-                .invoke(ctx, &mut n.tor, conn, inv, b"hello bento".to_vec());
-        });
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("echo"),
+    };
+    let echo = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    bn.invoke(&echo, b"hello bento".to_vec());
     bn.net.sim.run_until(secs(14));
     bn.net
         .sim
         .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            assert_eq!(n.output_bytes(conn), b"hello bento");
-            assert!(n.output_done(conn));
-            n.bento.shutdown(ctx, &mut n.tor, conn, shut);
+            assert_eq!(n.output_bytes(echo.conn), b"hello bento");
+            assert!(n.output_done(echo.conn));
+            n.bento.shutdown(ctx, &mut n.tor, echo.conn, echo.shutdown);
         });
     bn.net.sim.run_until(secs(17));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert!(n
-            .bento_events
-            .iter()
-            .any(|e| matches!(e, BentoEvent::ShutdownAck(c) if *c == conn)));
-    });
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    assert!(n
+        .bento_events
+        .iter()
+        .any(|e| matches!(e, BentoEvent::ShutdownAck(c) if *c == echo.conn)));
     // The box no longer runs the function.
-    let bx = bn.boxes[0];
-    bn.net.sim.with_node::<bento::BentoBoxNode, _>(bx, |n, _| {
-        assert_eq!(n.bento.live_functions(), 0);
-    });
+    let bx: &bento::BentoBoxNode = bn.net.sim.node_ref(bn.boxes[0]);
+    assert_eq!(bx.bento.live_functions(), 0);
 }
 
 #[test]
 fn sgx_image_attests_and_uploads_sealed() {
     let mut bn = BentoNetwork::build(102, 1, MiddleboxPolicy::permissive(), registry);
-    let (client, conn, container, inv, _shut) = establish(&mut bn, ImageKind::Sgx);
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            // No attestation failure events.
-            assert!(!n
-                .bento_events
-                .iter()
-                .any(|e| matches!(e, BentoEvent::AttestationFailed(..))));
-            let spec = FunctionSpec {
-                params: vec![],
-                manifest: Manifest::minimal("echo-store")
-                    .with_disk(1 << 20)
-                    .with_sgx(),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net.sim.run_until(secs(11));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            assert!(
-                n.upload_ok(conn),
-                "sealed upload accepted: {:?}",
-                n.bento_events
-            );
-            n.bento
-                .invoke(ctx, &mut n.tor, conn, inv, b"secret payload".to_vec());
-        });
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("echo-store")
+            .with_disk(1 << 20)
+            .with_sgx(),
+    };
+    // `install` panics unless the attestation verified and the box took the
+    // sealed upload.
+    let echo = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    assert!(!n
+        .bento_events
+        .iter()
+        .any(|e| matches!(e, BentoEvent::AttestationFailed(..))));
+    bn.invoke(&echo, b"secret payload".to_vec());
     bn.net.sim.run_until(secs(14));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert_eq!(n.output_bytes(conn), b"secret payload");
-    });
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    assert_eq!(n.output_bytes(echo.conn), b"secret payload");
 }
 
 #[test]
 fn wrong_invocation_token_rejected() {
     let mut bn = BentoNetwork::build(103, 1, MiddleboxPolicy::permissive(), registry);
-    let (client, conn, container, _inv, _shut) = establish(&mut bn, ImageKind::Plain);
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let spec = FunctionSpec {
-                params: vec![],
-                manifest: Manifest::minimal("echo"),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net.sim.run_until(secs(11));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            // An attacker without the token cannot inject input (§6.1).
-            n.bento
-                .invoke(ctx, &mut n.tor, conn, Token([0xEE; 32]), b"inject".to_vec());
-        });
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("echo"),
+    };
+    let echo = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    // An attacker without the token cannot inject input (§6.1).
+    let forged = Session {
+        invocation: Token([0xEE; 32]),
+        ..echo
+    };
+    bn.invoke(&forged, b"inject".to_vec());
     bn.net.sim.run_until(secs(14));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert!(n.output_bytes(conn).is_empty(), "no output for bad token");
-        assert_eq!(n.rejection(conn), Some("bad invocation token"));
-    });
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    assert!(
+        n.output_bytes(echo.conn).is_empty(),
+        "no output for bad token"
+    );
+    assert_eq!(n.rejection(echo.conn), Some("bad invocation token"));
 }
 
 #[test]
 fn invocation_token_cannot_shut_down() {
     let mut bn = BentoNetwork::build(104, 1, MiddleboxPolicy::permissive(), registry);
-    let (client, conn, container, inv, _shut) = establish(&mut bn, ImageKind::Plain);
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let spec = FunctionSpec {
-                params: vec![],
-                manifest: Manifest::minimal("echo"),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net.sim.run_until(secs(11));
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("echo"),
+    };
+    let echo = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
     bn.net
         .sim
         .with_node::<BentoClientNode, _>(client, |n, ctx| {
             // Presenting the invocation token as a shutdown token must fail —
             // the §5.3 sharing model depends on it.
-            n.bento.shutdown(ctx, &mut n.tor, conn, inv);
+            n.bento
+                .shutdown(ctx, &mut n.tor, echo.conn, echo.invocation);
         });
     bn.net.sim.run_until(secs(14));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert_eq!(n.rejection(conn), Some("bad shutdown token"));
-    });
-    let bx = bn.boxes[0];
-    bn.net.sim.with_node::<bento::BentoBoxNode, _>(bx, |n, _| {
-        assert_eq!(n.bento.live_functions(), 1, "function still running");
-    });
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    assert_eq!(n.rejection(echo.conn), Some("bad shutdown token"));
+    let bx: &bento::BentoBoxNode = bn.net.sim.node_ref(bn.boxes[0]);
+    assert_eq!(bx.bento.live_functions(), 1, "function still running");
 }
 
 #[test]
 fn manifest_exceeding_policy_rejected() {
     // A no-storage node must refuse a function whose manifest wants disk.
     let mut bn = BentoNetwork::build(105, 1, MiddleboxPolicy::no_storage(), registry);
-    let (client, conn, container, _inv, _shut) = establish(&mut bn, ImageKind::Plain);
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let spec = FunctionSpec {
-                params: vec![],
-                manifest: Manifest::minimal("echo-store").with_disk(1 << 20),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net.sim.run_until(secs(11));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert!(!n.upload_ok(conn));
-        assert!(n.rejection(conn).unwrap().contains("not offered"));
-    });
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let conn = bn.connect(client, 0);
+    bn.net.sim.run_until(secs(5));
+    let three = SimDuration::from_secs(3);
+    let container = bn
+        .request_container(client, conn, ImageKind::Plain, three, secs(8))
+        .expect("container");
+    let wants_disk = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("echo-store").with_disk(1 << 20),
+    };
+    // The driver hands the refusal back at the step that drew it...
+    let refusal = bn.upload(&container, &wants_disk, secs(11)).unwrap_err();
+    assert!(refusal.contains("not offered"), "{refusal}");
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    assert!(!n.upload_ok(conn));
+    // ...and the box goes on serving: the next container takes a function
+    // the policy does allow.
+    let next = bn
+        .request_container(client, conn, ImageKind::Plain, three, secs(14))
+        .expect("box still serving");
+    let echo = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("echo"),
+    };
+    assert_eq!(bn.upload(&next, &echo, secs(17)), Ok(()));
 }
 
 #[test]
 fn unknown_function_rejected() {
     let mut bn = BentoNetwork::build(106, 1, MiddleboxPolicy::permissive(), registry);
-    let (client, conn, container, _inv, _shut) = establish(&mut bn, ImageKind::Plain);
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let spec = FunctionSpec {
-                params: vec![],
-                manifest: Manifest::minimal("not-in-registry"),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net.sim.run_until(secs(11));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert!(n.rejection(conn).unwrap().contains("unknown function"));
-    });
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let conn = bn.connect(client, 0);
+    bn.net.sim.run_until(secs(5));
+    let container = bn
+        .request_container(
+            client,
+            conn,
+            ImageKind::Plain,
+            SimDuration::from_secs(3),
+            secs(8),
+        )
+        .expect("container");
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("not-in-registry"),
+    };
+    let refusal = bn.upload(&container, &spec, secs(11)).unwrap_err();
+    assert!(refusal.contains("unknown function"), "{refusal}");
 }
 
 #[test]
 fn sandbox_enforces_manifest_at_runtime() {
     let mut bn = BentoNetwork::build(107, 1, MiddleboxPolicy::permissive(), registry);
-    let (client, conn, container, inv, _shut) = establish(&mut bn, ImageKind::Plain);
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            // The probe asks only for Connect; not Write.
-            let spec = FunctionSpec {
-                params: vec![],
-                manifest: Manifest::minimal("probe").with_syscalls([SyscallClass::Connect]),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net.sim.run_until(secs(11));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            assert!(n.upload_ok(conn), "{:?}", n.bento_events);
-            n.bento.invoke(ctx, &mut n.tor, conn, inv, vec![]);
-        });
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    // The probe asks only for Connect; not Write.
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("probe").with_syscalls([SyscallClass::Connect]),
+    };
+    let probe = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    bn.invoke(&probe, vec![]);
     bn.net.sim.run_until(secs(14));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        // 'W' = write refused by seccomp; 'C' = connect refused by the
-        // exit-policy-derived net rules.
-        assert_eq!(n.output_bytes(conn), b"WC");
-    });
+    // 'W' = write refused by seccomp; 'C' = connect refused by the
+    // exit-policy-derived net rules.
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    assert_eq!(n.output_bytes(probe.conn), b"WC");
 }
 
 #[test]
@@ -365,61 +293,46 @@ fn policy_query_returns_node_policy() {
     let mut bn = BentoNetwork::build(108, 1, MiddleboxPolicy::no_storage(), registry);
     let client = bn.add_bento_client("alice");
     bn.net.sim.run_until(secs(2));
-    let conn = bn
-        .net
+    let conn = bn.connect(client, 0);
+    bn.net
         .sim
         .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-                .into_iter()
-                .cloned()
-                .collect();
-            let c = n.bento.connect_box(ctx, &mut n.tor, &boxes[0]).unwrap();
-            n.bento.get_policy(ctx, &mut n.tor, c);
-            c
+            n.bento.get_policy(ctx, &mut n.tor, conn);
         });
     bn.net.sim.run_until(secs(6));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        let got = n.bento_events.iter().find_map(|e| match e {
-            BentoEvent::Policy(c, p) if *c == conn => Some(p.clone()),
-            _ => None,
-        });
-        let p = got.expect("policy received");
-        assert_eq!(p, MiddleboxPolicy::no_storage());
-        assert!(!p.syscalls.contains(&SyscallClass::Write));
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    let got = n.bento_events.iter().find_map(|e| match e {
+        BentoEvent::Policy(c, p) if *c == conn => Some(p.clone()),
+        _ => None,
     });
+    let p = got.expect("policy received");
+    assert_eq!(p, MiddleboxPolicy::no_storage());
+    assert!(!p.syscalls.contains(&SyscallClass::Write));
 }
 
 #[test]
 fn invocation_token_shareable_across_clients() {
     let mut bn = BentoNetwork::build(109, 1, MiddleboxPolicy::permissive(), registry);
-    let (alice, conn_a, container, inv, _shut) = establish(&mut bn, ImageKind::Plain);
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        let spec = FunctionSpec {
-            params: vec![],
-            manifest: Manifest::minimal("echo"),
-        };
-        n.bento.upload(ctx, &mut n.tor, conn_a, container, &spec);
-    });
-    bn.net.sim.run_until(secs(11));
+    let alice = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("echo"),
+    };
+    let echo = bn.install(alice, 0, &spec, [secs(5), secs(8), secs(11)]);
     // Bob receives the invocation token out of band and uses the function.
     let bob = bn.add_bento_client("bob");
     bn.net.sim.run_until(secs(13));
-    let conn_b = bn.net.sim.with_node::<BentoClientNode, _>(bob, |n, ctx| {
-        let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-            .into_iter()
-            .cloned()
-            .collect();
-        n.bento.connect_box(ctx, &mut n.tor, &boxes[0]).unwrap()
-    });
+    let from_bob = Session {
+        client: bob,
+        conn: bn.connect(bob, 0),
+        ..echo
+    };
     bn.net.sim.run_until(secs(16));
-    bn.net.sim.with_node::<BentoClientNode, _>(bob, |n, ctx| {
-        n.bento
-            .invoke(ctx, &mut n.tor, conn_b, inv, b"from bob".to_vec());
-    });
+    bn.invoke(&from_bob, b"from bob".to_vec());
     bn.net.sim.run_until(secs(20));
-    bn.net.sim.with_node::<BentoClientNode, _>(bob, |n, _| {
-        assert_eq!(n.output_bytes(conn_b), b"from bob");
-    });
+    let n: &BentoClientNode = bn.net.sim.node_ref(bob);
+    assert_eq!(n.output_bytes(from_bob.conn), b"from bob");
 }
 
 #[test]
@@ -427,50 +340,51 @@ fn function_limit_enforced() {
     let mut policy = MiddleboxPolicy::permissive();
     policy.max_functions = 1;
     let mut bn = BentoNetwork::build(110, 1, policy, registry);
-    let (client, conn, _c1, _inv, _shut) = establish(&mut bn, ImageKind::Plain);
-    // A second container request must be refused.
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let conn = bn.connect(client, 0);
+    bn.net.sim.run_until(secs(5));
+    let three = SimDuration::from_secs(3);
+    let first = bn
+        .request_container(client, conn, ImageKind::Plain, three, secs(8))
+        .expect("container");
+    // A second container request must be refused, at that step.
+    let second = bn.request_container(client, conn, ImageKind::Plain, three, secs(11));
+    assert_eq!(second, Err("function limit reached".to_string()));
+    // The refusal is not sticky: once the first container is shut down the
+    // same request goes through.
     bn.net
         .sim
         .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            n.bento
-                .request_container(ctx, &mut n.tor, conn, ImageKind::Plain);
+            n.bento.shutdown(ctx, &mut n.tor, conn, first.shutdown);
         });
-    bn.net.sim.run_until(secs(11));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert_eq!(n.rejection(conn), Some("function limit reached"));
-    });
+    bn.net.sim.run_until(secs(14));
+    let third = bn
+        .request_container(client, conn, ImageKind::Plain, three, secs(17))
+        .expect("slot freed by the shutdown");
+    assert_ne!(third.container, first.container);
 }
 
 #[test]
 fn second_upload_to_same_container_rejected() {
     let mut bn = BentoNetwork::build(111, 1, MiddleboxPolicy::permissive(), registry);
-    let (client, conn, container, _inv, _shut) = establish(&mut bn, ImageKind::Plain);
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let spec = FunctionSpec {
-                params: vec![],
-                manifest: Manifest::minimal("echo"),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net.sim.run_until(secs(11));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            assert!(n.upload_ok(conn));
-            // A second upload (e.g. trying to swap the code under the same
-            // tokens) must be refused.
-            let spec = FunctionSpec {
-                params: vec![],
-                manifest: Manifest::minimal("probe"),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net.sim.run_until(secs(14));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert_eq!(n.rejection(conn), Some("container not accepting uploads"));
-    });
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("echo"),
+    };
+    let echo = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    // A second upload (e.g. trying to swap the code under the same tokens)
+    // must be refused.
+    let swap = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("probe"),
+    };
+    assert_eq!(
+        bn.upload(&echo, &swap, secs(14)),
+        Err("container not accepting uploads".to_string())
+    );
 }
 
 #[test]
@@ -479,39 +393,45 @@ fn cross_client_sealed_upload_rejected() {
     // install code into *Alice's* container: his payload is sealed under
     // the wrong channel and the conclave refuses it.
     let mut bn = BentoNetwork::build(112, 1, MiddleboxPolicy::permissive(), registry);
-    let (_alice, _conn_a, alice_container, _inv, _shut) = establish(&mut bn, ImageKind::Sgx);
+    let alice = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let conn_a = bn.connect(alice, 0);
+    bn.net.sim.run_until(secs(5));
+    let alices = bn
+        .request_container(
+            alice,
+            conn_a,
+            ImageKind::Sgx,
+            SimDuration::from_secs(3),
+            secs(8),
+        )
+        .expect("alice's container");
     let bob = bn.add_bento_client("bob");
     bn.net.sim.run_until(secs(10));
-    let conn_b = bn.net.sim.with_node::<BentoClientNode, _>(bob, |n, ctx| {
-        let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-            .into_iter()
-            .cloned()
-            .collect();
-        n.bento.connect_box(ctx, &mut n.tor, &boxes[0]).unwrap()
-    });
+    let conn_b = bn.connect(bob, 0);
     bn.net.sim.run_until(secs(13));
-    bn.net.sim.with_node::<BentoClientNode, _>(bob, |n, ctx| {
-        n.bento
-            .request_container(ctx, &mut n.tor, conn_b, ImageKind::Sgx);
-    });
-    bn.net.sim.run_until(secs(17));
-    bn.net.sim.with_node::<BentoClientNode, _>(bob, |n, ctx| {
-        assert!(
-            n.container_ready(conn_b).is_some(),
-            "bob has his own channel"
-        );
-        // Target Alice's container with Bob's channel.
-        let spec = FunctionSpec {
-            params: vec![],
-            manifest: Manifest::minimal("echo").with_sgx(),
-        };
-        n.bento
-            .upload(ctx, &mut n.tor, conn_b, alice_container, &spec);
-    });
-    bn.net.sim.run_until(secs(21));
-    bn.net.sim.with_node::<BentoClientNode, _>(bob, |n, _| {
-        assert_eq!(n.rejection(conn_b), Some("sealed payload failed to open"));
-    });
+    let bobs = bn
+        .request_container(
+            bob,
+            conn_b,
+            ImageKind::Sgx,
+            SimDuration::from_secs(4),
+            secs(17),
+        )
+        .expect("bob has his own channel");
+    // Target Alice's container with Bob's channel.
+    let hijack = Session {
+        container: alices.container,
+        ..bobs
+    };
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("echo").with_sgx(),
+    };
+    assert_eq!(
+        bn.upload(&hijack, &spec, secs(21)),
+        Err("sealed payload failed to open".to_string())
+    );
 }
 
 #[test]
@@ -519,120 +439,76 @@ fn outputs_route_to_most_recent_invoker() {
     // Two clients share an invocation token; outputs follow whoever invoked
     // last (§5.3's sharing semantics).
     let mut bn = BentoNetwork::build(113, 1, MiddleboxPolicy::permissive(), registry);
-    let (alice, conn_a, container, inv, _shut) = establish(&mut bn, ImageKind::Plain);
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        let spec = FunctionSpec {
-            params: vec![],
-            manifest: Manifest::minimal("echo"),
-        };
-        n.bento.upload(ctx, &mut n.tor, conn_a, container, &spec);
-    });
-    bn.net.sim.run_until(secs(11));
+    let alice = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("echo"),
+    };
+    let echo = bn.install(alice, 0, &spec, [secs(5), secs(8), secs(11)]);
     let bob = bn.add_bento_client("bob");
     bn.net.sim.run_until(secs(13));
-    let conn_b = bn.net.sim.with_node::<BentoClientNode, _>(bob, |n, ctx| {
-        let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-            .into_iter()
-            .cloned()
-            .collect();
-        n.bento.connect_box(ctx, &mut n.tor, &boxes[0]).unwrap()
-    });
+    let from_bob = Session {
+        client: bob,
+        conn: bn.connect(bob, 0),
+        ..echo
+    };
     bn.net.sim.run_until(secs(16));
     // Alice invokes, then Bob invokes: each gets their own output.
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        n.bento
-            .invoke(ctx, &mut n.tor, conn_a, inv, b"for alice".to_vec());
-    });
+    bn.invoke(&echo, b"for alice".to_vec());
     bn.net.sim.run_until(secs(19));
-    bn.net.sim.with_node::<BentoClientNode, _>(bob, |n, ctx| {
-        n.bento
-            .invoke(ctx, &mut n.tor, conn_b, inv, b"for bob".to_vec());
-    });
+    bn.invoke(&from_bob, b"for bob".to_vec());
     bn.net.sim.run_until(secs(24));
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, _| {
-        assert_eq!(n.output_bytes(conn_a), b"for alice");
-    });
-    bn.net.sim.with_node::<BentoClientNode, _>(bob, |n, _| {
-        assert_eq!(n.output_bytes(conn_b), b"for bob");
-    });
+    let a: &BentoClientNode = bn.net.sim.node_ref(alice);
+    assert_eq!(a.output_bytes(echo.conn), b"for alice");
+    let b: &BentoClientNode = bn.net.sim.node_ref(bob);
+    assert_eq!(b.output_bytes(from_bob.conn), b"for bob");
 }
 
 #[test]
 fn resource_exhaustion_kills_function_not_box() {
     let mut bn = BentoNetwork::build(114, 1, MiddleboxPolicy::permissive(), registry);
-    let (client, conn, container, inv, _shut) = establish(&mut bn, ImageKind::Plain);
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let spec = FunctionSpec {
-                params: vec![],
-                manifest: Manifest::minimal("hog"),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net.sim.run_until(secs(11));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            assert!(n.upload_ok(conn));
-            n.bento.invoke(ctx, &mut n.tor, conn, inv, vec![]);
-        });
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("hog"),
+    };
+    let hog = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    bn.invoke(&hog, vec![]);
     bn.net.sim.run_until(secs(14));
     // The hog's container was OOM/CPU-killed; its output never escaped.
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert!(
-            n.output_bytes(conn).is_empty(),
-            "killed function emits nothing"
-        );
-    });
-    let bx = bn.boxes[0];
-    bn.net.sim.with_node::<bento::BentoBoxNode, _>(bx, |n, _| {
-        assert_eq!(n.bento.live_functions(), 0, "container torn down");
-    });
-    // The box still serves new work: the same client installs echo.
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            n.bento
-                .request_container(ctx, &mut n.tor, conn, ImageKind::Plain);
-        });
-    bn.net.sim.run_until(secs(18));
-    let (c2, inv2, _s2) = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, _| {
-            n.bento_events.iter().rev().find_map(|e| match e {
-                BentoEvent::ContainerReady {
-                    container,
-                    invocation,
-                    shutdown,
-                    ..
-                } => Some((*container, *invocation, *shutdown)),
-                _ => None,
-            })
-        })
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    assert!(
+        n.output_bytes(hog.conn).is_empty(),
+        "killed function emits nothing"
+    );
+    let bx: &bento::BentoBoxNode = bn.net.sim.node_ref(bn.boxes[0]);
+    assert_eq!(bx.bento.live_functions(), 0, "container torn down");
+    // The box still serves new work: the same client, on the same
+    // connection, gets a second container — its own id, its own tokens —
+    // and installs echo in it.
+    let echo = bn
+        .request_container(
+            client,
+            hog.conn,
+            ImageKind::Plain,
+            SimDuration::from_secs(4),
+            secs(18),
+        )
         .expect("fresh container after the kill");
-    assert_ne!(c2, container);
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let spec = FunctionSpec {
-                params: vec![],
-                manifest: Manifest::minimal("echo"),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, c2, &spec);
-        });
-    bn.net.sim.run_until(secs(22));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            n.bento
-                .invoke(ctx, &mut n.tor, conn, inv2, b"box is fine".to_vec());
-        });
+    assert_ne!(echo.container, hog.container);
+    assert_ne!(echo.invocation, hog.invocation);
+    assert_ne!(echo.shutdown, hog.shutdown);
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("echo"),
+    };
+    bn.upload(&echo, &spec, secs(22)).expect("echo installed");
+    bn.invoke(&echo, b"box is fine".to_vec());
     bn.net.sim.run_until(secs(26));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert_eq!(n.output_bytes(conn), b"box is fine");
-    });
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    assert_eq!(n.output_bytes(echo.conn), b"box is fine");
 }
 
 #[test]
@@ -645,36 +521,24 @@ fn network_budget_kills_flooder() {
     bn.net.sim.with_node::<bento::BentoBoxNode, _>(bx0, |n, _| {
         n.bento.set_function_network_budget(1 << 20);
     });
-    let (client, conn, container, inv, _shut) = establish(&mut bn, ImageKind::Plain);
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let spec = FunctionSpec {
-                params: vec![],
-                manifest: Manifest::minimal("flooder"),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net.sim.run_until(secs(11));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            assert!(n.upload_ok(conn));
-            n.bento.invoke(ctx, &mut n.tor, conn, inv, vec![]);
-        });
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("flooder"),
+    };
+    let flooder = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    bn.invoke(&flooder, vec![]);
     // Note: applying actions stops as soon as the container dies, so only
     // the data within budget ever leaves the box.
     bn.net.sim.run_until(secs(40));
-    let bx = bn.boxes[0];
-    bn.net.sim.with_node::<bento::BentoBoxNode, _>(bx, |n, _| {
-        assert_eq!(n.bento.live_functions(), 0, "flooder killed");
-    });
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        let got = n.output_bytes(conn).len() as u64;
-        // Budget 1 MB; attempted 100 MB. At most ~budget + one action's
-        // worth escaped before the kill.
-        assert!(got <= (1 << 20) + 512 * 1024, "flood truncated, got {got}");
-    });
+    let bx: &bento::BentoBoxNode = bn.net.sim.node_ref(bx0);
+    assert_eq!(bx.bento.live_functions(), 0, "flooder killed");
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    let got = n.output_bytes(flooder.conn).len() as u64;
+    // Budget 1 MB; attempted 100 MB. At most ~budget + one action's
+    // worth escaped before the kill.
+    assert!(got <= (1 << 20) + 512 * 1024, "flood truncated, got {got}");
 }
 
 #[test]
@@ -683,33 +547,21 @@ fn box_crash_recovers_functions_from_sealed_storage() {
     // replayed from the sealed store once the reborn onion proxy has a
     // consensus, and the client re-attaches with its ORIGINAL tokens.
     let mut bn = BentoNetwork::build(108, 1, MiddleboxPolicy::permissive(), registry);
-    let (client, conn, container, inv, _shut) = establish(&mut bn, ImageKind::Plain);
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let spec = FunctionSpec {
-                params: vec![],
-                manifest: Manifest::minimal("echo"),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net.sim.run_until(secs(11));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            assert!(n.upload_ok(conn), "upload accepted: {:?}", n.bento_events);
-            n.bento
-                .invoke(ctx, &mut n.tor, conn, inv, b"before crash".to_vec());
-        });
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("echo"),
+    };
+    let echo = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    bn.invoke(&echo, b"before crash".to_vec());
     bn.net.sim.run_until(secs(14));
     let bx = bn.boxes[0];
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert_eq!(n.output_bytes(conn), b"before crash");
-    });
-    bn.net.sim.with_node::<bento::BentoBoxNode, _>(bx, |n, _| {
-        assert_eq!(n.bento.live_functions(), 1);
-        assert_eq!(n.bento.sealed_functions(), 1, "record sealed to disk");
-    });
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    assert_eq!(n.output_bytes(echo.conn), b"before crash");
+    let b: &bento::BentoBoxNode = bn.net.sim.node_ref(bx);
+    assert_eq!(b.bento.live_functions(), 1);
+    assert_eq!(b.bento.sealed_functions(), 1, "record sealed to disk");
 
     // The box dies and comes back four seconds later.
     bn.net
@@ -721,43 +573,28 @@ fn box_crash_recovers_functions_from_sealed_storage() {
     // Give the reborn box time to re-register its relay, re-fetch the
     // consensus, and replay the sealed store.
     bn.net.sim.run_until(secs(40));
-    bn.net.sim.with_node::<bento::BentoBoxNode, _>(bx, |n, _| {
-        assert_eq!(
-            n.bento.live_functions(),
-            1,
-            "function restored from sealed storage"
-        );
-    });
+    let b: &bento::BentoBoxNode = bn.net.sim.node_ref(bx);
+    assert_eq!(
+        b.bento.live_functions(),
+        1,
+        "function restored from sealed storage"
+    );
 
     // The client's old session died with the box; it reconnects and
     // invokes with the token minted before the crash.
-    let conn2 = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-                .into_iter()
-                .cloned()
-                .collect();
-            n.bento
-                .connect_box(ctx, &mut n.tor, &boxes[0])
-                .expect("reconnect")
-        });
+    let reattached = Session {
+        conn: bn.connect(client, 0),
+        ..echo
+    };
     bn.net.sim.run_until(secs(45));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            n.bento
-                .invoke(ctx, &mut n.tor, conn2, inv, b"after crash".to_vec());
-        });
+    bn.invoke(&reattached, b"after crash".to_vec());
     bn.net.sim.run_until(secs(50));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert_eq!(
-            n.output_bytes(conn2),
-            b"after crash",
-            "original invocation token honoured by the recovered function"
-        );
-    });
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    assert_eq!(
+        n.output_bytes(reattached.conn),
+        b"after crash",
+        "original invocation token honoured by the recovered function"
+    );
 }
 
 #[test]
@@ -765,29 +602,23 @@ fn intentional_shutdown_is_not_resurrected_by_recovery() {
     // Shutdown erases the sealed record, so a crash + restart after an
     // intentional teardown must NOT bring the function back.
     let mut bn = BentoNetwork::build(109, 1, MiddleboxPolicy::permissive(), registry);
-    let (client, conn, container, _inv, shut) = establish(&mut bn, ImageKind::Plain);
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("echo"),
+    };
+    let echo = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
     bn.net
         .sim
         .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let spec = FunctionSpec {
-                params: vec![],
-                manifest: Manifest::minimal("echo"),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net.sim.run_until(secs(11));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            assert!(n.upload_ok(conn), "upload accepted: {:?}", n.bento_events);
-            n.bento.shutdown(ctx, &mut n.tor, conn, shut);
+            n.bento.shutdown(ctx, &mut n.tor, echo.conn, echo.shutdown);
         });
     bn.net.sim.run_until(secs(14));
     let bx = bn.boxes[0];
-    bn.net.sim.with_node::<bento::BentoBoxNode, _>(bx, |n, _| {
-        assert_eq!(n.bento.live_functions(), 0);
-        assert_eq!(n.bento.sealed_functions(), 0, "sealed record erased");
-    });
+    let b: &bento::BentoBoxNode = bn.net.sim.node_ref(bx);
+    assert_eq!(b.bento.live_functions(), 0);
+    assert_eq!(b.bento.sealed_functions(), 0, "sealed record erased");
     bn.net
         .sim
         .inject_fault(secs(16), simnet::FaultAction::Crash(bx));
@@ -795,7 +626,33 @@ fn intentional_shutdown_is_not_resurrected_by_recovery() {
         .sim
         .inject_fault(secs(20), simnet::FaultAction::Restart(bx));
     bn.net.sim.run_until(secs(40));
-    bn.net.sim.with_node::<bento::BentoBoxNode, _>(bx, |n, _| {
-        assert_eq!(n.bento.live_functions(), 0, "nothing resurrected");
+    let b: &bento::BentoBoxNode = bn.net.sim.node_ref(bx);
+    assert_eq!(b.bento.live_functions(), 0, "nothing resurrected");
+}
+
+#[test]
+fn step_until_stops_at_the_first_true_step_or_at_the_deadline() {
+    let mut bn = BentoNetwork::build(116, 1, MiddleboxPolicy::permissive(), registry);
+    let sim = &mut bn.net.sim;
+    let step = SimDuration::from_millis(300);
+    // Never true: 0.3, 0.6, 0.9, then the last step cut short at 1.0.
+    let mut asked = Vec::new();
+    let held = sim.step_until(step, secs(1), |sim| {
+        asked.push(sim.now().as_millis());
+        false
     });
+    assert!(!held);
+    assert_eq!(asked, [300, 600, 900, 1000]);
+    assert_eq!(sim.now(), secs(1));
+    // True from 1.5 s on: 1.3 is asked and passed over, 1.6 is where it stops.
+    let mut asked = 0;
+    let held = sim.step_until(step, secs(5), |sim| {
+        asked += 1;
+        sim.now().as_millis() >= 1500
+    });
+    assert!(held);
+    assert_eq!(asked, 2);
+    assert_eq!(sim.now().as_millis(), 1600);
+    // Already at the deadline: nothing runs, nothing is asked.
+    assert!(!sim.step_until(step, secs(1), |_| panic!("asked past the deadline")));
 }

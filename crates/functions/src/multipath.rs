@@ -97,23 +97,15 @@ pub struct Multipath {
     req: Option<MultipathRequest>,
     lanes: Vec<Lane>,
     finished: bool,
-    debug: bool,
 }
 
 impl Multipath {
-    /// Construct. Any nonempty parameter enables debug marker outputs.
-    pub fn new(params: &[u8]) -> Multipath {
+    /// Construct (the function takes no install-time parameters).
+    pub fn new(_params: &[u8]) -> Multipath {
         Multipath {
             req: None,
             lanes: Vec::new(),
             finished: false,
-            debug: !params.is_empty(),
-        }
-    }
-
-    fn dbg(&self, api: &mut FunctionApi<'_>, msg: String) {
-        if self.debug {
-            api.output(format!("DBG:{msg}").into_bytes());
         }
     }
 
@@ -182,7 +174,6 @@ impl Function for Multipath {
         if let Some(i) = self.lane_mut(circ) {
             let stream = api.open_stream(circ, FnStreamTarget::Node(req.server, req.port));
             self.lanes[i].stream = Some(stream);
-            self.dbg(api, format!("lane {i} circuit ready, stream opening"));
         }
     }
 
@@ -200,7 +191,6 @@ impl Function for Multipath {
                 let (start, end) = req.range(i as u8);
                 let range_req = format!("{}#{}-{}", req.path, start, end);
                 api.stream_send(circ, stream, encode_frame(range_req.as_bytes()));
-                self.dbg(api, format!("lane {i} connected, requested {start}-{end}"));
             }
         }
     }
@@ -212,9 +202,7 @@ impl Function for Multipath {
         }
         self.lanes[i].assembler.push(&data);
         if let Some(frame) = self.lanes[i].assembler.next_frame() {
-            let got = frame.len();
             self.lanes[i].data = Some(frame);
-            self.dbg(api, format!("lane {i} complete ({got} bytes)"));
             self.maybe_finish(api);
         }
     }

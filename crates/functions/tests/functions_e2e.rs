@@ -22,52 +22,6 @@ fn secs(s: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(s)
 }
 
-/// Connect a client to box `box_idx`, request a Plain container, upload
-/// `spec`, and return (conn, invocation token, shutdown token).
-fn install(
-    bn: &mut BentoNetwork,
-    client: NodeId,
-    box_idx: usize,
-    spec: FunctionSpec,
-    t0: u64,
-) -> (bento::BoxConn, Token, Token) {
-    let image = spec.manifest.image;
-    let conn = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-                .into_iter()
-                .cloned()
-                .collect();
-            n.bento
-                .connect_box(ctx, &mut n.tor, &boxes[box_idx])
-                .expect("session")
-        });
-    bn.net.sim.run_until(secs(t0 + 3));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            n.bento.request_container(ctx, &mut n.tor, conn, image);
-        });
-    bn.net.sim.run_until(secs(t0 + 6));
-    let (container, inv, shut) = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, _| n.container_ready(conn))
-        .expect("container ready");
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net.sim.run_until(secs(t0 + 9));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert!(n.upload_ok(conn), "upload accepted: {:?}", n.bento_events);
-    });
-    (conn, inv, shut)
-}
-
 #[test]
 fn browser_fetches_compresses_and_pads() {
     let mut bn = BentoNetwork::build(201, 1, MiddleboxPolicy::permissive(), standard_registry);
@@ -75,58 +29,45 @@ fn browser_fetches_compresses_and_pads() {
     let server = bn.net.add_web_server("web", site.server_pages());
     let client = bn.add_bento_client("alice");
     bn.net.sim.run_until(secs(2));
-    let (conn, inv, _shut) = install(
-        &mut bn,
-        client,
-        0,
-        FunctionSpec {
-            params: vec![],
-            manifest: browser::manifest(false),
-        },
-        2,
-    );
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: browser::manifest(false),
+    };
+    let session = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
     let padding = 1 << 20;
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let req = BrowseRequest {
-                server,
-                port: HTTP_PORT,
-                path: site.html_path(),
-                padding,
-                dropbox_on: None,
-            };
-            n.bento.invoke(ctx, &mut n.tor, conn, inv, req.encode());
-        });
-    bn.net.sim.run_until(secs(90));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert!(
-            n.output_done(conn),
-            "browse completed: {:?}",
-            n.bento_events.len()
-        );
-        // Output 1 = compressed digest, output 2 = padding.
-        let outputs: Vec<&Vec<u8>> = n
-            .bento_events
-            .iter()
-            .filter_map(|e| match e {
-                BentoEvent::Output(c, d) if *c == conn => Some(d),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(outputs.len(), 2, "digest then padding");
-        let digest = bento_functions::compress::decompress(outputs[0]).expect("valid digest");
-        // The digest contains the HTML followed by every asset.
-        let html = site.html.encode();
-        assert_eq!(&digest[..html.len()], &html[..]);
-        assert_eq!(
-            digest.len() as u64,
-            site.total_bytes() + html.len() as u64 - site.html.inline_len as u64
-        );
-        // Total transfer is a multiple of the padding quantum.
-        let total = (outputs[0].len() + outputs[1].len()) as u64;
-        assert_eq!(total % padding, 0, "padded to a multiple of {padding}");
-    });
+    let req = BrowseRequest {
+        server,
+        port: HTTP_PORT,
+        path: site.html_path(),
+        padding,
+        dropbox_on: None,
+    };
+    assert!(
+        bn.invoke_and_wait(&session, req.encode(), SimDuration::from_secs(1), secs(90)),
+        "browse completed"
+    );
+    // Output 1 = compressed digest, output 2 = padding.
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    let outputs: Vec<&Vec<u8>> = n
+        .bento_events
+        .iter()
+        .filter_map(|e| match e {
+            BentoEvent::Output(c, d) if *c == session.conn => Some(d),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(outputs.len(), 2, "digest then padding");
+    let digest = bento_functions::compress::decompress(outputs[0]).expect("valid digest");
+    // The digest contains the HTML followed by every asset.
+    let html = site.html.encode();
+    assert_eq!(&digest[..html.len()], &html[..]);
+    assert_eq!(
+        digest.len() as u64,
+        site.total_bytes() + html.len() as u64 - site.html.inline_len as u64
+    );
+    // Total transfer is a multiple of the padding quantum.
+    let total = (outputs[0].len() + outputs[1].len()) as u64;
+    assert_eq!(total % padding, 0, "padded to a multiple of {padding}");
 }
 
 #[test]
@@ -137,49 +78,31 @@ fn browser_composes_with_dropbox_figure2() {
     let dropbox_box = bn.boxes[1];
     let client = bn.add_bento_client("alice");
     bn.net.sim.run_until(secs(2));
-    let (conn, inv, _shut) = install(
-        &mut bn,
-        client,
-        0,
-        FunctionSpec {
-            params: vec![],
-            manifest: browser::manifest(true),
-        },
-        2,
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: browser::manifest(true),
+    };
+    let session = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    let req = BrowseRequest {
+        server,
+        port: HTTP_PORT,
+        path: site.html_path(),
+        padding: 0,
+        dropbox_on: Some((dropbox_box, BENTO_PORT)),
+    };
+    // Alice "goes offline completely during the website download".
+    assert!(
+        bn.invoke_and_wait(&session, req.encode(), SimDuration::from_secs(1), secs(120)),
+        "compose finished"
     );
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let req = BrowseRequest {
-                server,
-                port: HTTP_PORT,
-                path: site.html_path(),
-                padding: 0,
-                dropbox_on: Some((dropbox_box, BENTO_PORT)),
-            };
-            n.bento.invoke(ctx, &mut n.tor, conn, inv, req.encode());
-            // Alice "goes offline completely during the website download".
-        });
-    bn.net.sim.run_until(secs(120));
     // The browser's final output is the dropbox locator.
-    let locator = bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert!(n.output_done(conn), "compose finished");
-        n.output_bytes(conn)
-    });
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    let locator = n.output_bytes(session.conn);
     assert!(locator.starts_with(b"DROPBOX:"), "locator: {locator:?}");
     let token = Token::from_bytes(&locator[12..44]).expect("token bytes");
-    // Alice comes back online and fetches from the dropbox directly.
-    let conn2 = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-                .into_iter()
-                .cloned()
-                .collect();
-            let info = boxes.iter().find(|b| b.addr == dropbox_box).unwrap();
-            n.bento.connect_box(ctx, &mut n.tor, info).unwrap()
-        });
+    // Alice comes back online and fetches from the dropbox directly, with
+    // the one thing she holds of it: the locator's invocation token.
+    let conn2 = bn.connect(client, 1);
     bn.net.sim.run_until(secs(125));
     bn.net
         .sim
@@ -187,12 +110,11 @@ fn browser_composes_with_dropbox_figure2() {
             n.bento.invoke(ctx, &mut n.tor, conn2, token, b"G".to_vec());
         });
     bn.net.sim.run_until(secs(180));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        let fetched = n.output_bytes(conn2);
-        let digest = bento_functions::compress::decompress(&fetched).expect("digest");
-        let html = site.html.encode();
-        assert_eq!(&digest[..html.len()], &html[..], "page stored via dropbox");
-    });
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    let fetched = n.output_bytes(conn2);
+    let digest = bento_functions::compress::decompress(&fetched).expect("digest");
+    let html = site.html.encode();
+    assert_eq!(&digest[..html.len()], &html[..], "page stored via dropbox");
 }
 
 #[test]
@@ -200,41 +122,29 @@ fn cover_emits_fixed_rate_downstream_junk() {
     let mut bn = BentoNetwork::build(203, 1, MiddleboxPolicy::permissive(), standard_registry);
     let client = bn.add_bento_client("alice");
     bn.net.sim.run_until(secs(2));
-    let (conn, inv, _shut) = install(
-        &mut bn,
-        client,
-        0,
-        FunctionSpec {
-            params: vec![],
-            manifest: cover::manifest(false),
-        },
-        2,
-    );
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let req = CoverRequest {
-                interval_ms: 100,
-                count: 20,
-                chunk: 498,
-                mode: Mode::Downstream,
-            };
-            n.bento.invoke(ctx, &mut n.tor, conn, inv, req.encode());
-        });
-    bn.net.sim.run_until(secs(30));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        let junk: Vec<usize> = n
-            .bento_events
-            .iter()
-            .filter_map(|e| match e {
-                BentoEvent::Output(c, d) if *c == conn => Some(d.len()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(junk.len(), 20, "one emission per tick");
-        assert!(junk.iter().all(|&l| l == 498));
-        assert!(n.output_done(conn));
-    });
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: cover::manifest(false),
+    };
+    let session = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    let req = CoverRequest {
+        interval_ms: 100,
+        count: 20,
+        chunk: 498,
+        mode: Mode::Downstream,
+    };
+    assert!(bn.invoke_and_wait(&session, req.encode(), SimDuration::from_secs(1), secs(30)));
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    let junk: Vec<usize> = n
+        .bento_events
+        .iter()
+        .filter_map(|e| match e {
+            BentoEvent::Output(c, d) if *c == session.conn => Some(d.len()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(junk.len(), 20, "one emission per tick");
+    assert!(junk.iter().all(|&l| l == 498));
 }
 
 #[test]
@@ -242,52 +152,36 @@ fn dropbox_over_network_put_get_limit() {
     let mut bn = BentoNetwork::build(204, 1, MiddleboxPolicy::permissive(), standard_registry);
     let client = bn.add_bento_client("alice");
     bn.net.sim.run_until(secs(2));
-    let (conn, inv, _shut) = install(
-        &mut bn,
-        client,
-        0,
-        FunctionSpec {
-            params: dropbox::Params {
-                max_gets: 1,
-                expiry_ms: 0,
-                max_bytes: 0,
-            }
-            .encode(),
-            manifest: dropbox::manifest(),
-        },
-        2,
-    );
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let mut put = vec![b'P'];
-            put.extend_from_slice(&vec![0xAD; 50_000]);
-            n.bento.invoke(ctx, &mut n.tor, conn, inv, put);
-        });
+    let spec = FunctionSpec {
+        params: dropbox::Params {
+            max_gets: 1,
+            expiry_ms: 0,
+            max_bytes: 0,
+        }
+        .encode(),
+        manifest: dropbox::manifest(),
+    };
+    let session = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    let mut put = vec![b'P'];
+    put.extend_from_slice(&vec![0xAD; 50_000]);
+    bn.invoke(&session, put);
     bn.net.sim.run_until(secs(15));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            assert!(n.output_bytes(conn).ends_with(b"OK"));
-            n.bento.invoke(ctx, &mut n.tor, conn, inv, b"G".to_vec());
-        });
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    assert!(n.output_bytes(session.conn).ends_with(b"OK"));
+    bn.invoke(&session, b"G".to_vec());
     bn.net.sim.run_until(secs(40));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let out = n.output_bytes(conn);
-            assert!(out.len() >= 50_002 && out[2..].iter().all(|&b| b == 0xAD));
-            // max_gets = 1: the dropbox has self-destructed; further gets fail.
-            n.bento.invoke(ctx, &mut n.tor, conn, inv, b"G".to_vec());
-        });
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    let out = n.output_bytes(session.conn);
+    assert!(out.len() >= 50_002 && out[2..].iter().all(|&b| b == 0xAD));
+    // max_gets = 1: the dropbox has self-destructed; further gets fail.
+    bn.invoke(&session, b"G".to_vec());
     bn.net.sim.run_until(secs(50));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert_eq!(
-            n.rejection(conn),
-            Some("bad invocation token"),
-            "terminated dropbox no longer answers its token"
-        );
-    });
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    assert_eq!(
+        n.rejection(session.conn),
+        Some("bad invocation token"),
+        "terminated dropbox no longer answers its token"
+    );
 }
 
 #[test]
@@ -296,48 +190,30 @@ fn shard_deploys_and_any_k_reconstruct() {
     let mut bn = BentoNetwork::build(205, 4, MiddleboxPolicy::permissive(), standard_registry);
     let client = bn.add_bento_client("alice");
     bn.net.sim.run_until(secs(2));
-    let (conn, inv, _shut) = install(
-        &mut bn,
-        client,
-        0,
-        FunctionSpec {
-            params: vec![],
-            manifest: shard::manifest(),
-        },
-        2,
-    );
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: shard::manifest(),
+    };
+    let session = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
     let file: Vec<u8> = (0..60_000u32).map(|i| (i * 31 % 251) as u8).collect();
     let targets: Vec<(NodeId, u16)> = bn.boxes[1..4].iter().map(|b| (*b, BENTO_PORT)).collect();
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let req = ShardRequest {
-                k: 2,
-                targets,
-                file: file.clone(),
-            };
-            n.bento.invoke(ctx, &mut n.tor, conn, inv, req.encode());
-        });
-    bn.net.sim.run_until(secs(120));
-    let locators = bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert!(n.output_done(conn), "shard deployment finished");
-        decode_locators(&n.output_bytes(conn)).expect("locator list")
-    });
+    let req = ShardRequest {
+        k: 2,
+        targets,
+        file: file.clone(),
+    };
+    assert!(
+        bn.invoke_and_wait(&session, req.encode(), SimDuration::from_secs(1), secs(120)),
+        "shard deployment finished"
+    );
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    let locators = decode_locators(&n.output_bytes(session.conn)).expect("locator list");
     assert_eq!(locators.len(), 3, "one shard per target");
     // Fetch only k = 2 shards (skip the first) and reconstruct.
     let mut pieces = Vec::new();
     for (i, loc) in locators.iter().enumerate().skip(1) {
-        let conn_i = bn
-            .net
-            .sim
-            .with_node::<BentoClientNode, _>(client, |n, ctx| {
-                let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-                    .into_iter()
-                    .cloned()
-                    .collect();
-                let info = boxes.iter().find(|b| b.addr == loc.box_addr).unwrap();
-                n.bento.connect_box(ctx, &mut n.tor, info).unwrap()
-            });
+        let box_idx = bn.boxes.iter().position(|b| *b == loc.box_addr).unwrap();
+        let conn_i = bn.connect(client, box_idx);
         bn.net.sim.run_until(secs(125 + i as u64 * 20));
         bn.net
             .sim
@@ -346,10 +222,8 @@ fn shard_deploys_and_any_k_reconstruct() {
                     .invoke(ctx, &mut n.tor, conn_i, Token(loc.token), b"G".to_vec());
             });
         bn.net.sim.run_until(secs(140 + i as u64 * 20));
-        let bytes = bn
-            .net
-            .sim
-            .with_node::<BentoClientNode, _>(client, |n, _| n.output_bytes(conn_i));
+        let n: &BentoClientNode = bn.net.sim.node_ref(client);
+        let bytes = n.output_bytes(conn_i);
         let piece = erasure::ShardPiece::from_bytes(&bytes).expect("shard piece");
         pieces.push(piece);
     }
@@ -370,16 +244,11 @@ fn load_balancer_serves_and_scales() {
         max_per_replica: 1,
         replica_boxes: vec![(bn.boxes[1], BENTO_PORT)],
     };
-    let (_conn, _inv, _shut) = install(
-        &mut bn,
-        operator,
-        0,
-        FunctionSpec {
-            params: lb_params.encode(),
-            manifest: bento_functions::load_balancer::lb_manifest(),
-        },
-        2,
-    );
+    let spec = FunctionSpec {
+        params: lb_params.encode(),
+        manifest: bento_functions::load_balancer::lb_manifest(),
+    };
+    bn.install(operator, 0, &spec, [secs(5), secs(8), secs(11)]);
     // Let the service publish its descriptor.
     bn.net.sim.run_until(secs(25));
     let onion = HiddenServiceHost::new(seed, 0, true).onion_addr();
@@ -450,38 +319,33 @@ fn multipath_fetch_reassembles_over_k_circuits() {
         .add_web_server("web", vec![("/big".to_string(), vec![body.clone()])]);
     let client = bn.add_bento_client("alice");
     bn.net.sim.run_until(secs(2));
-    let (conn, inv, _shut) = install(
-        &mut bn,
-        client,
-        0,
-        FunctionSpec {
-            params: vec![],
-            manifest: multipath::manifest(),
-        },
-        2,
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: multipath::manifest(),
+    };
+    let session = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    let req = MultipathRequest {
+        server,
+        port: HTTP_PORT,
+        path: "/big".into(),
+        total_len: body.len() as u64,
+        k: 3,
+    };
+    assert!(
+        bn.invoke_and_wait(&session, req.encode(), SimDuration::from_secs(1), secs(90)),
+        "multipath finished"
     );
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let req = MultipathRequest {
-                server,
-                port: HTTP_PORT,
-                path: "/big".into(),
-                total_len: body.len() as u64,
-                k: 3,
-            };
-            n.bento.invoke(ctx, &mut n.tor, conn, inv, req.encode());
-        });
-    bn.net.sim.run_until(secs(90));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert!(n.output_done(conn), "multipath finished");
-        assert_eq!(n.output_bytes(conn), body, "ranges reassembled in order");
-    });
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    assert_eq!(
+        n.output_bytes(session.conn),
+        body,
+        "ranges reassembled in order"
+    );
 }
 
 #[test]
 fn load_balancer_fails_over_when_replica_goes_silent() {
-    // Box 0 runs the LoadBalancer; box 1 hosts a replica that will be
+    // Box 1 runs the LoadBalancer; box 0 hosts a replica that will be
     // partitioned away — a *silent* death: its circuits to the balancer
     // stay up, so only the missed-heartbeat health sweep can detect it.
     // Clients arriving afterwards must be redirected to a live machine
@@ -489,16 +353,7 @@ fn load_balancer_fails_over_when_replica_goes_silent() {
     let mut bn = BentoNetwork::build(213, 2, MiddleboxPolicy::permissive(), standard_registry);
     let operator = bn.add_bento_client("operator");
     bn.net.sim.run_until(secs(2));
-    // `install` puts the balancer on discover_boxes()[0], whose consensus
-    // ordering need not match bn.boxes — resolve which machine that is so
-    // the *other* one hosts the replica (and gets partitioned).
-    let lb_box = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(operator, |n, _| {
-            bento::BentoClient::discover_boxes(&n.tor)[0].addr
-        });
-    let replica_box = *bn.boxes.iter().find(|b| **b != lb_box).expect("two boxes");
+    let replica_box = bn.boxes[0];
     let seed = [0x6A; 32];
     let file_len = 200_000u64;
     let lb_params = LbParams {
@@ -507,16 +362,11 @@ fn load_balancer_fails_over_when_replica_goes_silent() {
         max_per_replica: 1,
         replica_boxes: vec![(replica_box, BENTO_PORT)],
     };
-    let (_conn, _inv, _shut) = install(
-        &mut bn,
-        operator,
-        0,
-        FunctionSpec {
-            params: lb_params.encode(),
-            manifest: bento_functions::load_balancer::lb_manifest(),
-        },
-        2,
-    );
+    let spec = FunctionSpec {
+        params: lb_params.encode(),
+        manifest: bento_functions::load_balancer::lb_manifest(),
+    };
+    bn.install(operator, 1, &spec, [secs(5), secs(8), secs(11)]);
     bn.net.sim.run_until(secs(25));
     let onion = HiddenServiceHost::new(seed, 0, true).onion_addr();
 

@@ -1171,17 +1171,6 @@ impl Simulator {
         })
     }
 
-    /// Create a sharded-engine simulator with default config, the given seed
-    /// and shard count (`shards >= 1`; worker threads default to one per
-    /// core).
-    pub fn with_seed_shards(seed: u64, shards: usize) -> Self {
-        Simulator::new(SimConfig {
-            seed,
-            shards: shards.max(1),
-            ..SimConfig::default()
-        })
-    }
-
     /// Number of shards the engine partitions nodes into (1 for the serial
     /// engine).
     pub fn shard_count(&self) -> usize {
@@ -1288,6 +1277,26 @@ impl Simulator {
             Engine::Serial(s) => s.run_until(limit),
             Engine::Sharded(s) => s.run_until(limit),
         }
+    }
+
+    /// Advance towards `deadline` one [`Simulator::run_until`] of `step` at
+    /// a time (the last one cut short at `deadline`), asking `pred` after
+    /// each. Returns `true` at the first step after which `pred` holds, and
+    /// `false` — with the clock at `deadline` — if it never does.
+    pub fn step_until(
+        &mut self,
+        step: SimDuration,
+        deadline: SimTime,
+        mut pred: impl FnMut(&mut Simulator) -> bool,
+    ) -> bool {
+        while self.now() < deadline {
+            let next = (self.now() + step).min(deadline);
+            self.run_until(next);
+            if pred(self) {
+                return true;
+            }
+        }
+        false
     }
 
     /// Run until no events remain (the simulation quiesces).

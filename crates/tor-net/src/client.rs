@@ -1077,38 +1077,6 @@ impl TorClient {
         self.send_cell(ctx, conn, cell);
     }
 
-    /// Send a control relay cell sealed for a specific hop (e.g. a
-    /// RENDEZVOUS1 to the penultimate hop of a circuit that already has a
-    /// virtual hop).
-    pub fn send_control_at(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        circ: CircuitHandle,
-        hop: usize,
-        cmd: RelayCmd,
-        data: Vec<u8>,
-    ) {
-        self.send_relay_at(ctx, circ.0, hop, RelayCell::new(cmd, 0, data));
-    }
-
-    fn send_relay_at(&mut self, ctx: &mut Ctx<'_>, slot: usize, hop: usize, rc: RelayCell) {
-        let Some(c) = self.circuits.get_mut(slot) else {
-            return;
-        };
-        if !c.alive || hop >= c.crypto.len() {
-            return;
-        }
-        let mut payload = rc.encode_payload();
-        c.crypto.seal_for_hop(hop, &mut payload);
-        let cell = Cell {
-            circ_id: c.circ_id,
-            cmd: CellCmd::Relay,
-            payload,
-        };
-        let conn = c.conn;
-        self.send_cell(ctx, conn, cell);
-    }
-
     /// Package borrowed stream bytes into one DATA cell; bytes are only
     /// copied to the heap when the package window is closed and the chunk
     /// must be queued.

@@ -190,11 +190,6 @@ impl HiddenServiceHost {
         std::mem::take(&mut self.events)
     }
 
-    /// Rendezvous circuits currently serving clients.
-    pub fn client_circuits(&self) -> &[CircuitHandle] {
-        &self.client_circs
-    }
-
     /// Fingerprints of the current intro relays (established or building),
     /// in circuit-handle order.
     pub fn intro_points(&self) -> Vec<Fingerprint> {

@@ -5,7 +5,6 @@
 use crate::client::{CircuitHandle, TorClient, TorEvent};
 use crate::dir::{ExitPolicy, Fingerprint, RelayFlags};
 use crate::hs::{HiddenServiceHost, HsEvent};
-use crate::ports::BENTO_PORT;
 use crate::relay::{RelayConfig, RelayNode};
 use crate::stream_frame::{encode_frame, FrameAssembler};
 use onion_crypto::hashsig::{MerkleSigner, MerkleVerifyKey};
@@ -54,7 +53,6 @@ pub struct NetworkBuilder {
     n_middles: usize,
     n_exits: usize,
     n_hsdirs: usize,
-    n_bento: usize,
     relay_iface: Iface,
     relay_bandwidth: u64,
     consensus_delay: SimDuration,
@@ -69,7 +67,6 @@ impl Default for NetworkBuilder {
             n_middles: 6,
             n_exits: 3,
             n_hsdirs: 2,
-            n_bento: 0,
             relay_iface: Iface::tor_relay(),
             relay_bandwidth: 2_000_000,
             consensus_delay: SimDuration::from_millis(500),
@@ -106,12 +103,6 @@ impl NetworkBuilder {
     /// Number of HSDir relays.
     pub fn hsdirs(mut self, n: usize) -> Self {
         self.n_hsdirs = n;
-        self
-    }
-
-    /// Number of exits that also advertise a Bento server port.
-    pub fn bento_boxes(mut self, n: usize) -> Self {
-        self.n_bento = n;
         self
     }
 
@@ -182,16 +173,12 @@ impl NetworkBuilder {
                          name: String,
                          seed_byte: u8,
                          flags: RelayFlags,
-                         policy: ExitPolicy,
-                         bento: bool| {
+                         policy: ExitPolicy| {
             let mut cfg = RelayConfig::middle(&name, [seed_byte; 32]);
             cfg.flags = flags;
             cfg.exit_policy = policy;
             cfg.bandwidth = self.relay_bandwidth;
             cfg.authority_addr = Some(authority);
-            if bento {
-                cfg.bento_port = Some(BENTO_PORT);
-            }
             let node = RelayNode::new(cfg);
             let fp = node.relay.fingerprint();
             let addr = sim.add_node(&name, self.relay_iface, Box::new(node));
@@ -207,23 +194,17 @@ impl NetworkBuilder {
                 seed_byte,
                 flags,
                 ExitPolicy::reject_all(),
-                false,
             ));
             seed_byte += 1;
         }
         for i in 0..self.n_exits {
-            let bento = i < self.n_bento;
-            let mut flags = RelayFlags::default().with(RelayFlags::EXIT | RelayFlags::FAST);
-            if bento {
-                flags = flags.with(RelayFlags::BENTO);
-            }
+            let flags = RelayFlags::default().with(RelayFlags::EXIT | RelayFlags::FAST);
             relays.push(add_relay(
                 &mut sim,
                 format!("exit{i}"),
                 seed_byte,
                 flags,
                 ExitPolicy::web_only(),
-                bento,
             ));
             seed_byte += 1;
         }
@@ -235,7 +216,6 @@ impl NetworkBuilder {
                 seed_byte,
                 flags,
                 ExitPolicy::reject_all(),
-                false,
             ));
             seed_byte += 1;
         }
@@ -361,14 +341,6 @@ impl TestClientNode {
     /// Whether any event satisfies the predicate.
     pub fn has_event(&self, pred: impl Fn(&TorEvent) -> bool) -> bool {
         self.events.iter().any(pred)
-    }
-
-    /// Find the first ready circuit handle among logged events.
-    pub fn first_ready_circuit(&self) -> Option<CircuitHandle> {
-        self.events.iter().find_map(|e| match e {
-            TorEvent::CircuitReady(h) => Some(*h),
-            _ => None,
-        })
     }
 
     /// Concatenated data received on (circ, stream).

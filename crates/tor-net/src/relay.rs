@@ -336,11 +336,6 @@ impl RelayCore {
         self.events.drain(..).collect()
     }
 
-    /// Whether the authority has published its consensus (authority only).
-    pub fn consensus_ready(&self) -> bool {
-        self.signed_consensus.is_some()
-    }
-
     // ------------------------------------------------------------------
     // Host-delegated callbacks. Each returns true when the relay claimed
     // the event.

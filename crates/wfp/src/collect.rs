@@ -7,12 +7,12 @@
 use crate::browse::BrowseNode;
 use crate::trace::Trace;
 use bento::protocol::FunctionSpec;
-use bento::testnet::BentoNetwork;
-use bento::{BentoClientNode, MiddleboxPolicy};
+use bento::testnet::{BentoNetwork, Session};
+use bento::{BentoClientNode, BentoEvent, MiddleboxPolicy};
 use bento_functions::browser::{self, BrowseRequest};
 use bento_functions::standard_registry;
 use bento_functions::web::{corpus, SiteModel};
-use simnet::{Iface, NodeId, SimDuration, SimTime};
+use simnet::{Iface, SimDuration, SimTime};
 use tor_net::ports::HTTP_PORT;
 
 /// The defense under evaluation (the rows of Table 1).
@@ -122,19 +122,11 @@ fn collect_standard(cfg: &CollectConfig) -> Vec<Trace> {
             });
             // Run until the visit completes or times out.
             let deadline = net.sim.now() + SimDuration::from_secs(cfg.visit_timeout_s);
-            loop {
-                let now = net.sim.now();
-                if now >= deadline {
-                    break;
-                }
-                net.sim.run_until(now + SimDuration::from_millis(500));
-                let done = net
-                    .sim
-                    .with_node::<BrowseNode, _>(client, |n, _| n.visits_done + n.visits_failed);
-                if done > done_before {
-                    break;
-                }
-            }
+            net.sim
+                .step_until(SimDuration::from_millis(500), deadline, |sim| {
+                    let n: &BrowseNode = sim.node_ref(client);
+                    n.visits_done + n.visits_failed > done_before
+                });
             let ok = net
                 .sim
                 .with_node::<BrowseNode, _>(client, |n, _| n.idle() && n.visits_failed == 0);
@@ -162,68 +154,16 @@ fn collect_browser(cfg: &CollectConfig, padding: u64) -> Vec<Trace> {
         .net
         .add_web_server("web", all_pages(&sites, cfg.n_visits, cfg.jitter_pct));
     let client = bn.add_bento_client("victim");
-    bn.net
-        .sim
-        .run_until(SimTime::ZERO + SimDuration::from_secs(2));
+    let secs = |s| SimTime::ZERO + SimDuration::from_secs(s);
+    bn.net.sim.run_until(secs(2));
     // Install the Browser function once (the paper's "small upload").
-    let conn = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-                .into_iter()
-                .cloned()
-                .collect();
-            n.bento
-                .connect_box(ctx, &mut n.tor, &boxes[0])
-                .expect("box session")
-        });
-    bn.net
-        .sim
-        .run_until(SimTime::ZERO + SimDuration::from_secs(5));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            n.bento
-                .request_container(ctx, &mut n.tor, conn, bento::protocol::ImageKind::Sgx);
-        });
-    bn.net
-        .sim
-        .run_until(SimTime::ZERO + SimDuration::from_secs(8));
-    let (container, inv, _shut) = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, _| n.container_ready(conn))
-        .expect("container");
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let spec = FunctionSpec {
-                params: vec![],
-                manifest: browser::manifest(false),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net
-        .sim
-        .run_until(SimTime::ZERO + SimDuration::from_secs(12));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert!(n.upload_ok(conn), "browser installed: {:?}", n.bento_events);
-    });
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: browser::manifest(false),
+    };
+    let browser = bn.install(client, 0, &spec, [secs(5), secs(8), secs(12)]);
     bn.net.sim.enable_sniffer(client);
 
-    let ends = |n: &BentoClientNode| {
-        n.bento_events
-            .iter()
-            .filter(|e| matches!(e, bento::BentoEvent::OutputEnd(_)))
-            .count()
-    };
-    let connections = |n: &BentoClientNode| {
-        n.bento_events
-            .iter()
-            .filter(|e| matches!(e, bento::BentoEvent::Connected(_)))
-            .count()
-    };
     let mut traces = Vec::new();
     for visit in 0..cfg.n_visits {
         for (label, site) in sites.iter().enumerate() {
@@ -239,66 +179,34 @@ fn collect_browser(cfg: &CollectConfig, padding: u64) -> Vec<Trace> {
             // A fresh session circuit per visit, like a real client whose
             // circuits rotate: this also keeps circuit-window (SENDME)
             // phase from leaking visit order into the trace.
-            let (visit_conn, conns_before) =
-                bn.net
-                    .sim
-                    .with_node::<BentoClientNode, _>(client, |n, ctx| {
-                        let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-                            .into_iter()
-                            .cloned()
-                            .collect();
-                        let c = n
-                            .bento
-                            .connect_box(ctx, &mut n.tor, &boxes[0])
-                            .expect("box session");
-                        (c, connections(n))
-                    });
-            // Wait for the session stream, then invoke.
+            let session = Session {
+                conn: bn.connect(client, 0),
+                ..browser
+            };
+            // Wait for the session stream, then invoke. A visit that runs
+            // out of time still leaves the trace the adversary saw of it.
             let deadline = bn.net.sim.now() + SimDuration::from_secs(cfg.visit_timeout_s);
-            loop {
-                let now = bn.net.sim.now();
-                if now >= deadline {
-                    break;
-                }
-                bn.net.sim.run_until(now + SimDuration::from_millis(200));
-                let c = bn
-                    .net
-                    .sim
-                    .with_node::<BentoClientNode, _>(client, |n, _| connections(n));
-                if c > conns_before {
-                    break;
-                }
-            }
-            let ends_before = bn
-                .net
+            bn.net
                 .sim
-                .with_node::<BentoClientNode, _>(client, |n, ctx| {
-                    let req = BrowseRequest {
-                        server,
-                        port: HTTP_PORT,
-                        path: site.html_path_variant(visit),
-                        padding,
-                        dropbox_on: None,
-                    };
-                    let e = ends(n);
-                    n.bento
-                        .invoke(ctx, &mut n.tor, visit_conn, inv, req.encode());
-                    e
+                .step_until(SimDuration::from_millis(200), deadline, |sim| {
+                    let n: &BentoClientNode = sim.node_ref(client);
+                    n.bento_events
+                        .iter()
+                        .any(|e| matches!(e, BentoEvent::Connected(c) if *c == session.conn))
                 });
-            loop {
-                let now = bn.net.sim.now();
-                if now >= deadline {
-                    break;
-                }
-                bn.net.sim.run_until(now + SimDuration::from_millis(500));
-                let e = bn
-                    .net
-                    .sim
-                    .with_node::<BentoClientNode, _>(client, |n, _| ends(n));
-                if e > ends_before {
-                    break;
-                }
-            }
+            let req = BrowseRequest {
+                server,
+                port: HTTP_PORT,
+                path: site.html_path_variant(visit),
+                padding,
+                dropbox_on: None,
+            };
+            bn.invoke_and_wait(
+                &session,
+                req.encode(),
+                SimDuration::from_millis(500),
+                deadline,
+            );
             let events = bn.net.sim.sniffer(client).events()[mark..].to_vec();
             if !events.is_empty() {
                 traces.push(Trace::from_events(label, &events));
@@ -307,7 +215,7 @@ fn collect_browser(cfg: &CollectConfig, padding: u64) -> Vec<Trace> {
             bn.net
                 .sim
                 .with_node::<BentoClientNode, _>(client, |n, ctx| {
-                    n.bento.close_box(ctx, &mut n.tor, visit_conn);
+                    n.bento.close_box(ctx, &mut n.tor, session.conn);
                 });
             let now = bn.net.sim.now();
             bn.net.sim.run_until(now + SimDuration::from_millis(500));
@@ -315,19 +223,3 @@ fn collect_browser(cfg: &CollectConfig, padding: u64) -> Vec<Trace> {
     }
     traces
 }
-
-/// The web server address helper for external drivers.
-pub fn corpus_total_bytes(n_sites: u32, corpus_seed: u64) -> Vec<(String, u64)> {
-    corpus(n_sites, corpus_seed)
-        .iter()
-        .map(|s| (s.name.clone(), s.total_bytes()))
-        .collect()
-}
-
-/// Site helper re-export for drivers.
-pub fn site(index: u32, corpus_seed: u64) -> SiteModel {
-    SiteModel::generate(index, corpus_seed)
-}
-
-/// Type alias re-export.
-pub type Server = NodeId;

@@ -5,10 +5,10 @@
 //!
 //!     cargo run -p bento --example anonymous_dropbox
 
-use bento::protocol::{FunctionSpec, ImageKind};
+use bento::protocol::FunctionSpec;
 use bento::testnet::BentoNetwork;
 use bento::tokens::Token;
-use bento::{BentoClient, BentoClientNode, MiddleboxPolicy};
+use bento::{BentoClientNode, MiddleboxPolicy};
 use bento_functions::browser::{self, BrowseRequest};
 use bento_functions::standard_registry;
 use bento_functions::web::SiteModel;
@@ -27,90 +27,55 @@ fn main() {
     let alice = bn.add_bento_client("alice");
     bn.net.sim.run_until(secs(2));
 
-    // Install Browser on box A.
-    let conn = bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        let boxes: Vec<_> = BentoClient::discover_boxes(&n.tor)
-            .into_iter()
-            .cloned()
-            .collect();
-        // Box A must be a *different* machine from the Dropbox host.
-        let box_a = boxes.iter().find(|b| b.addr != box_b).expect("two boxes");
-        println!(
-            "box A: {:?} hosts Browser; box B gets the Dropbox",
-            box_a.nickname
-        );
-        n.bento
-            .connect_box(ctx, &mut n.tor, box_a)
-            .expect("session")
-    });
-    bn.net.sim.run_until(secs(5));
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        // Browser's manifest targets the SGX conclave image.
-        n.bento
-            .request_container(ctx, &mut n.tor, conn, ImageKind::Sgx);
-    });
-    bn.net.sim.run_until(secs(8));
-    let (container, invocation, _) = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(alice, |n, _| n.container_ready(conn))
-        .expect("container");
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        let spec = FunctionSpec {
-            params: vec![],
-            manifest: browser::manifest(true), // composition needs Stem calls
-        };
-        n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-    });
-    bn.net.sim.run_until(secs(16));
+    // Install Browser on box A — a *different* machine from the Dropbox
+    // host. (Its manifest targets the SGX conclave image; composition needs
+    // Stem calls.)
+    println!(
+        "box A: {:?} hosts Browser; box B gets the Dropbox",
+        bn.net.sim.node_name(bn.boxes[0])
+    );
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: browser::manifest(true),
+    };
+    let browser = bn.install(alice, 0, &spec, [secs(5), secs(8), secs(16)]);
 
     // "1. Install Browser+Dropbox" — then Alice goes offline.
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        assert!(n.upload_ok(conn), "upload: {:?}", n.rejection(conn));
-        let req = BrowseRequest {
-            server,
-            port: HTTP_PORT,
-            path: site.html_path(),
-            padding: 0,
-            dropbox_on: Some((box_b, BENTO_PORT)),
-        };
-        n.bento
-            .invoke(ctx, &mut n.tor, conn, invocation, req.encode());
-        println!("Alice kicked off Browser→Dropbox and went offline.");
-    });
+    let req = BrowseRequest {
+        server,
+        port: HTTP_PORT,
+        path: site.html_path(),
+        padding: 0,
+        dropbox_on: Some((box_b, BENTO_PORT)),
+    };
+    bn.invoke(&browser, req.encode());
+    println!("Alice kicked off Browser→Dropbox and went offline.");
 
     // The network does the work while Alice is away.
     bn.net.sim.run_until(secs(120));
-    let locator = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(alice, |n, _| n.output_bytes(conn));
+    let output = |bn: &BentoNetwork, conn| {
+        let n: &BentoClientNode = bn.net.sim.node_ref(alice);
+        n.output_bytes(conn)
+    };
+    let locator = output(&bn, browser.conn);
     assert!(locator.starts_with(b"DROPBOX:"), "locator: {locator:?}");
     let token = Token::from_bytes(&locator[12..44]).expect("token");
     println!("Browser reports the page is parked at a Dropbox on box B.");
 
-    // Alice returns later and fetches from box B directly.
-    let conn2 = bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        let boxes: Vec<_> = BentoClient::discover_boxes(&n.tor)
-            .into_iter()
-            .cloned()
-            .collect();
-        let b = boxes.iter().find(|b| b.addr == box_b).unwrap();
-        n.bento.connect_box(ctx, &mut n.tor, b).unwrap()
-    });
+    // Alice returns later and fetches from box B directly: all she holds
+    // of that Dropbox is the invocation token the locator carried.
+    let conn2 = bn.connect(alice, 1);
     bn.net.sim.run_until(secs(126));
     bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
         n.bento.invoke(ctx, &mut n.tor, conn2, token, b"G".to_vec());
     });
     bn.net.sim.run_until(secs(200));
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, _| {
-        let fetched = n.output_bytes(conn2);
-        let page = bento_functions::compress::decompress(&fetched).expect("digest");
-        println!(
-            "Alice came back online and fetched the page: {} KB (decompressed {} KB).",
-            fetched.len() / 1024,
-            page.len() / 1024
-        );
-        println!("She was offline for the entire website download.");
-    });
+    let fetched = output(&bn, conn2);
+    let page = bento_functions::compress::decompress(&fetched).expect("digest");
+    println!(
+        "Alice came back online and fetched the page: {} KB (decompressed {} KB).",
+        fetched.len() / 1024,
+        page.len() / 1024
+    );
+    println!("She was offline for the entire website download.");
 }

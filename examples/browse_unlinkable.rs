@@ -9,7 +9,7 @@
 
 use bento::protocol::{FunctionSpec, ImageKind};
 use bento::testnet::BentoNetwork;
-use bento::{BentoClient, BentoClientNode, MiddleboxPolicy};
+use bento::{BentoClientNode, MiddleboxPolicy};
 use bento_functions::browser::{self, BrowseRequest};
 use bento_functions::standard_registry;
 use bento_functions::web::SiteModel;
@@ -35,61 +35,43 @@ fn main() {
     bn.net.sim.run_until(secs(2));
 
     // Install the Browser function in an SGX conclave (attested upload).
-    let conn = bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        let boxes: Vec<_> = BentoClient::discover_boxes(&n.tor)
-            .into_iter()
-            .cloned()
-            .collect();
-        n.bento
-            .connect_box(ctx, &mut n.tor, &boxes[0])
-            .expect("session")
-    });
+    let conn = bn.connect(alice, 0);
     bn.net.sim.run_until(secs(5));
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        n.bento
-            .request_container(ctx, &mut n.tor, conn, ImageKind::Sgx);
-    });
-    bn.net.sim.run_until(secs(9));
-    let (container, invocation, _) = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(alice, |n, _| n.container_ready(conn))
+    let session = bn
+        .request_container(
+            alice,
+            conn,
+            ImageKind::Sgx,
+            SimDuration::from_secs(4),
+            secs(9),
+        )
         .expect("conclave attested and ready");
     println!("conclave attested; uploading Browser over the attested channel");
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        let spec = FunctionSpec {
-            params: vec![],
-            manifest: browser::manifest(false),
-        };
-        n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-    });
-    bn.net.sim.run_until(secs(13));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: browser::manifest(false),
+    };
+    bn.upload(&session, &spec, secs(13)).expect("upload");
 
     // The adversary starts watching Alice's link now.
     bn.net.sim.enable_sniffer(alice);
     let padding = 1 << 20;
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        assert!(n.upload_ok(conn));
-        let req = BrowseRequest {
-            server,
-            port: HTTP_PORT,
-            path: site.html_path(),
-            padding,
-            dropbox_on: None,
-        };
-        n.bento
-            .invoke(ctx, &mut n.tor, conn, invocation, req.encode());
-    });
+    let req = BrowseRequest {
+        server,
+        port: HTTP_PORT,
+        path: site.html_path(),
+        padding,
+        dropbox_on: None,
+    };
+    bn.invoke(&session, req.encode());
     bn.net.sim.run_until(secs(120));
 
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, _| {
-        assert!(n.output_done(conn), "browse completed");
-        let bytes = n.output_bytes(conn);
-        println!(
-            "\nAlice received {} KB (digest + padding)",
-            bytes.len() / 1024
-        );
-    });
+    let n: &BentoClientNode = bn.net.sim.node_ref(alice);
+    assert!(n.output_done(conn), "browse completed");
+    println!(
+        "\nAlice received {} KB (digest + padding)",
+        n.output_bytes(conn).len() / 1024
+    );
     let sniff = bn.net.sim.sniffer(alice);
     let up = sniff.total_bytes(Direction::Outgoing);
     let down = sniff.total_bytes(Direction::Incoming);

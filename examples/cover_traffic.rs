@@ -7,9 +7,9 @@
 //!
 //!     cargo run -p bento --example cover_traffic
 
-use bento::protocol::{FunctionSpec, ImageKind};
+use bento::protocol::FunctionSpec;
 use bento::testnet::BentoNetwork;
-use bento::{BentoClient, BentoClientNode, MiddleboxPolicy};
+use bento::MiddleboxPolicy;
 use bento_functions::cover::{self, CoverRequest, Mode};
 use bento_functions::standard_registry;
 use simnet::trace::Direction;
@@ -34,48 +34,21 @@ fn main() {
     let mut bn = BentoNetwork::build(21, 1, MiddleboxPolicy::permissive(), standard_registry);
     let alice = bn.add_bento_client("alice");
     bn.net.sim.run_until(secs(2));
-    let conn = bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        let boxes: Vec<_> = BentoClient::discover_boxes(&n.tor)
-            .into_iter()
-            .cloned()
-            .collect();
-        n.bento
-            .connect_box(ctx, &mut n.tor, &boxes[0])
-            .expect("session")
-    });
-    bn.net.sim.run_until(secs(5));
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        n.bento
-            .request_container(ctx, &mut n.tor, conn, ImageKind::Plain);
-    });
-    bn.net.sim.run_until(secs(8));
-    let (container, invocation, _) = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(alice, |n, _| n.container_ready(conn))
-        .expect("container");
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        let spec = FunctionSpec {
-            params: vec![],
-            manifest: cover::manifest(false),
-        };
-        n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-    });
-    bn.net.sim.run_until(secs(12));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: cover::manifest(false),
+    };
+    let session = bn.install(alice, 0, &spec, [secs(5), secs(8), secs(12)]);
     bn.net.sim.enable_sniffer(alice);
 
     // Start a fixed 25 KB/s downstream cover stream for ~60 seconds.
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        assert!(n.upload_ok(conn));
-        let req = CoverRequest {
-            interval_ms: 20,
-            count: 3000,
-            chunk: 498,
-            mode: Mode::Downstream,
-        };
-        n.bento
-            .invoke(ctx, &mut n.tor, conn, invocation, req.encode());
-    });
+    let req = CoverRequest {
+        interval_ms: 20,
+        count: 3000,
+        chunk: 498,
+        mode: Mode::Downstream,
+    };
+    bn.invoke(&session, req.encode());
     bn.net.sim.run_until(secs(80));
 
     println!("downstream volume per 10s window (constant-rate cover running):");

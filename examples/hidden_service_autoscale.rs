@@ -7,9 +7,9 @@
 //!
 //!     cargo run -p bento --example hidden_service_autoscale
 
-use bento::protocol::{FunctionSpec, ImageKind};
+use bento::protocol::FunctionSpec;
 use bento::testnet::BentoNetwork;
-use bento::{BentoClient, BentoClientNode, MiddleboxPolicy};
+use bento::{BentoClientNode, MiddleboxPolicy};
 use bento_functions::load_balancer::{lb_manifest, LbParams, ServiceParams};
 use bento_functions::standard_registry;
 use simnet::{NodeId, SimDuration, SimTime};
@@ -34,47 +34,19 @@ fn main() {
 
     let replica_boxes: Vec<(NodeId, u16)> =
         bn.boxes[1..3].iter().map(|b| (*b, BENTO_PORT)).collect();
-    let conn = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(operator, |n, ctx| {
-            let boxes: Vec<_> = BentoClient::discover_boxes(&n.tor)
-                .into_iter()
-                .cloned()
-                .collect();
-            n.bento
-                .connect_box(ctx, &mut n.tor, &boxes[0])
-                .expect("session")
-        });
-    bn.net.sim.run_until(secs(5));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(operator, |n, ctx| {
-            n.bento
-                .request_container(ctx, &mut n.tor, conn, ImageKind::Plain);
-        });
-    bn.net.sim.run_until(secs(8));
-    let (container, invocation, _) = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(operator, |n, _| n.container_ready(conn))
-        .expect("container");
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(operator, |n, ctx| {
-            let spec = FunctionSpec {
-                params: LbParams {
-                    service: ServiceParams { seed, file_len },
-                    n_intro: 3,
-                    max_per_replica: 1, // aggressive watermark for the demo
-                    replica_boxes: replica_boxes.clone(),
-                }
-                .encode(),
-                manifest: lb_manifest(),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net.sim.run_until(secs(25));
+    let spec = FunctionSpec {
+        params: LbParams {
+            service: ServiceParams { seed, file_len },
+            n_intro: 3,
+            max_per_replica: 1, // aggressive watermark for the demo
+            replica_boxes,
+        }
+        .encode(),
+        manifest: lb_manifest(),
+    };
+    // `boxes[1]` is the box a client finds first in the consensus (relays
+    // sort by fingerprint); the balancer shares it with the first replica.
+    let balancer = bn.install(operator, 1, &spec, [secs(5), secs(8), secs(25)]);
     println!("LoadBalancer installed; descriptor published.");
 
     // Three clients connect in quick succession.
@@ -119,21 +91,15 @@ fn main() {
         assert_eq!(got as u64, file_len);
     }
     // Ask the balancer how many machines ended up serving.
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(operator, |n, ctx| {
-            n.bento.invoke(ctx, &mut n.tor, conn, invocation, vec![]);
-        });
+    bn.invoke(&balancer, vec![]);
     bn.net.sim.run_until(secs(130));
-    bn.net
+    let out = bn
+        .net
         .sim
-        .with_node::<BentoClientNode, _>(operator, |n, _| {
-            let out = n.output_bytes(conn);
-            if out.len() >= 13 && out.starts_with(b"machines:") {
-                let machines = u32::from_be_bytes([out[9], out[10], out[11], out[12]]);
-                println!(
-                    "balancer reports {machines} machine(s) serving (watermark 1 forced scale-up)"
-                );
-            }
-        });
+        .node_ref::<BentoClientNode>(operator)
+        .output_bytes(balancer.conn);
+    if out.len() >= 13 && out.starts_with(b"machines:") {
+        let machines = u32::from_be_bytes([out[9], out[10], out[11], out[12]]);
+        println!("balancer reports {machines} machine(s) serving (watermark 1 forced scale-up)");
+    }
 }

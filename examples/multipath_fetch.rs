@@ -5,9 +5,9 @@
 //!
 //!     cargo run -p bento --example multipath_fetch
 
-use bento::protocol::{FunctionSpec, ImageKind};
+use bento::protocol::FunctionSpec;
 use bento::testnet::BentoNetwork;
-use bento::{BentoClient, BentoClientNode, MiddleboxPolicy};
+use bento::{BentoClientNode, MiddleboxPolicy};
 use bento_functions::multipath::{self, MultipathRequest};
 use bento_functions::standard_registry;
 use simnet::{SimDuration, SimTime};
@@ -26,58 +26,30 @@ fn main() {
     let alice = bn.add_bento_client("alice");
     bn.net.sim.run_until(secs(2));
 
-    let conn = bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        let boxes: Vec<_> = BentoClient::discover_boxes(&n.tor)
-            .into_iter()
-            .cloned()
-            .collect();
-        n.bento
-            .connect_box(ctx, &mut n.tor, &boxes[0])
-            .expect("session")
-    });
-    bn.net.sim.run_until(secs(5));
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        n.bento
-            .request_container(ctx, &mut n.tor, conn, ImageKind::Plain);
-    });
-    bn.net.sim.run_until(secs(8));
-    let (container, invocation, _) = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(alice, |n, _| n.container_ready(conn))
-        .expect("container");
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        let spec = FunctionSpec {
-            params: vec![],
-            manifest: multipath::manifest(),
-        };
-        n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-    });
-    bn.net.sim.run_until(secs(12));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: multipath::manifest(),
+    };
+    let session = bn.install(alice, 0, &spec, [secs(5), secs(8), secs(12)]);
     println!("multipath function installed; fetching 2 MiB over 3 circuits...");
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        assert!(n.upload_ok(conn));
-        let req = MultipathRequest {
-            server,
-            port: HTTP_PORT,
-            path: "/big".into(),
-            total_len: body.len() as u64,
-            k: 3,
-        };
-        n.bento
-            .invoke(ctx, &mut n.tor, conn, invocation, req.encode());
-    });
+    let req = MultipathRequest {
+        server,
+        port: HTTP_PORT,
+        path: "/big".into(),
+        total_len: body.len() as u64,
+        k: 3,
+    };
+    bn.invoke(&session, req.encode());
     bn.net.sim.run_until(secs(120));
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, _| {
-        assert!(n.output_done(conn), "fetch completed");
-        let got = n.output_bytes(conn);
-        assert_eq!(got, body, "ranges reassembled in order");
-        println!(
-            "received {} KiB, byte-identical to the origin resource.",
-            got.len() / 1024
-        );
-        println!(
-            "see `cargo run -p bench --release --bin multipath_sweep` for the k-scaling ablation."
-        );
-    });
+    let n: &BentoClientNode = bn.net.sim.node_ref(alice);
+    assert!(n.output_done(session.conn), "fetch completed");
+    let got = n.output_bytes(session.conn);
+    assert_eq!(got, body, "ranges reassembled in order");
+    println!(
+        "received {} KiB, byte-identical to the origin resource.",
+        got.len() / 1024
+    );
+    println!(
+        "see `cargo run -p bench --release --bin multipath_sweep` for the k-scaling ablation."
+    );
 }

@@ -9,7 +9,7 @@
 
 use bento::protocol::{FunctionSpec, ImageKind};
 use bento::testnet::BentoNetwork;
-use bento::{BentoClient, BentoClientNode, BentoEvent, MiddleboxPolicy};
+use bento::{BentoClientNode, BentoEvent, MiddleboxPolicy};
 use bento_functions::{dropbox, standard_registry};
 use simnet::{SimDuration, SimTime};
 
@@ -26,91 +26,87 @@ fn main() {
 
     // 1. Discover Bento boxes in the consensus and open a session (a Tor
     //    circuit terminating at the box, then a stream to its Bento port).
-    let conn = bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        let boxes: Vec<_> = BentoClient::discover_boxes(&n.tor)
-            .into_iter()
-            .cloned()
-            .collect();
-        println!("discovered {} bento box(es) in the consensus", boxes.len());
-        let conn = n
-            .bento
-            .connect_box(ctx, &mut n.tor, &boxes[0])
-            .expect("session");
+    println!(
+        "discovered {} bento box(es) in the consensus",
+        bn.boxes.len()
+    );
+    let conn = bn.connect(alice, 0);
+    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
         n.bento.get_policy(ctx, &mut n.tor, conn);
-        conn
     });
     bn.net.sim.run_until(secs(6));
 
     // 2. Read the middlebox node policy the operator advertises.
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        for ev in &n.bento_events {
-            if let BentoEvent::Policy(_, p) = ev {
-                println!(
-                    "box policy: {} syscalls, {} stem calls, {} MB memory, {} functions max",
-                    p.syscalls.len(),
-                    p.stem.len(),
-                    p.max_memory >> 20,
-                    p.max_functions
-                );
-            }
+    for ev in &bn.net.sim.node_ref::<BentoClientNode>(alice).bento_events {
+        if let BentoEvent::Policy(_, p) = ev {
+            println!(
+                "box policy: {} syscalls, {} stem calls, {} MB memory, {} functions max",
+                p.syscalls.len(),
+                p.stem.len(),
+                p.max_memory >> 20,
+                p.max_functions
+            );
         }
-        // 3. Request a container; the box returns invocation + shutdown tokens.
-        n.bento
-            .request_container(ctx, &mut n.tor, conn, ImageKind::Plain);
-    });
-    bn.net.sim.run_until(secs(10));
-    let (container, invocation, shutdown) = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(alice, |n, _| n.container_ready(conn))
+    }
+
+    // 3. Request a container; the box returns invocation + shutdown tokens.
+    let session = bn
+        .request_container(
+            alice,
+            conn,
+            ImageKind::Plain,
+            SimDuration::from_secs(4),
+            secs(10),
+        )
         .expect("container ready");
-    println!("container {container} ready (invocation + shutdown tokens received)");
+    println!(
+        "container {} ready (invocation + shutdown tokens received)",
+        session.container
+    );
 
     // 4. Upload the Dropbox function with its manifest.
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        let spec = FunctionSpec {
-            params: dropbox::Params {
-                max_gets: 2,
-                expiry_ms: 0,
-                max_bytes: 0,
-            }
-            .encode(),
-            manifest: dropbox::manifest(),
-        };
-        n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-    });
-    bn.net.sim.run_until(secs(14));
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        assert!(n.upload_ok(conn), "{:?}", n.bento_events);
-        println!("dropbox function installed");
-        // 5. Invoke: store a note in the Tor network.
-        let mut put = vec![b'P'];
-        put.extend_from_slice(b"meet at the usual place");
-        n.bento.invoke(ctx, &mut n.tor, conn, invocation, put);
-    });
+    let spec = FunctionSpec {
+        params: dropbox::Params {
+            max_gets: 2,
+            expiry_ms: 0,
+            max_bytes: 0,
+        }
+        .encode(),
+        manifest: dropbox::manifest(),
+    };
+    bn.upload(&session, &spec, secs(14)).expect("upload");
+    println!("dropbox function installed");
+
+    // 5. Invoke: store a note in the Tor network, then fetch it back.
+    let mut put = vec![b'P'];
+    put.extend_from_slice(b"meet at the usual place");
+    bn.invoke(&session, put);
     bn.net.sim.run_until(secs(18));
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        println!(
-            "put acknowledged: {:?}",
-            String::from_utf8_lossy(&n.output_bytes(conn))
-        );
-        n.bento
-            .invoke(ctx, &mut n.tor, conn, invocation, b"G".to_vec());
-    });
+    let output = |bn: &BentoNetwork| {
+        bn.net
+            .sim
+            .node_ref::<BentoClientNode>(alice)
+            .output_bytes(conn)
+    };
+    println!(
+        "put acknowledged: {:?}",
+        String::from_utf8_lossy(&output(&bn))
+    );
+    bn.invoke(&session, b"G".to_vec());
     bn.net.sim.run_until(secs(22));
+    let all = output(&bn);
+    let note = &all[2..]; // after the "OK"
+    println!("fetched back: {:?}", String::from_utf8_lossy(note));
+
+    // 6. Shut the function down with the shutdown token.
     bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, ctx| {
-        let all = n.output_bytes(conn);
-        let note = &all[2..]; // after the "OK"
-        println!("fetched back: {:?}", String::from_utf8_lossy(note));
-        // 6. Shut the function down with the shutdown token.
-        n.bento.shutdown(ctx, &mut n.tor, conn, shutdown);
+        n.bento.shutdown(ctx, &mut n.tor, conn, session.shutdown);
     });
     bn.net.sim.run_until(secs(26));
-    bn.net.sim.with_node::<BentoClientNode, _>(alice, |n, _| {
-        assert!(n
-            .bento_events
-            .iter()
-            .any(|e| matches!(e, BentoEvent::ShutdownAck(_))));
-        println!("container shut down; done.");
-    });
+    let n: &BentoClientNode = bn.net.sim.node_ref(alice);
+    assert!(n
+        .bento_events
+        .iter()
+        .any(|e| matches!(e, BentoEvent::ShutdownAck(_))));
+    println!("container shut down; done.");
 }

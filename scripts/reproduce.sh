@@ -20,6 +20,11 @@ echo "findings document: results/bento_lint_findings.json (schema bento-lint/v1)
 echo "== dynamic determinism check: artifacts byte-identical across perturbations =="
 cargo run --release -p bench --bin determinism_check
 
+echo "== examples: the six walk-throughs, each asserting its own outcome =="
+for e in quickstart browse_unlinkable anonymous_dropbox hidden_service_autoscale cover_traffic multipath_fetch; do
+  cargo run --release -p bento --example $e
+done
+
 echo "== Table 1: WF attack accuracy (longest step, ~10-15 min) =="
 cargo run --release -p bench --bin table1
 

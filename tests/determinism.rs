@@ -3,7 +3,7 @@
 //! in EXPERIMENTS.md reproducible with `cargo run -p bench`.
 
 use bento::manifest::Manifest;
-use bento::protocol::{FunctionSpec, ImageKind};
+use bento::protocol::FunctionSpec;
 use bento::testnet::BentoNetwork;
 use bento::{BentoClientNode, MiddleboxPolicy};
 use bento_functions::standard_registry;
@@ -19,70 +19,32 @@ fn run_once(seed: u64) -> (u64, usize, Vec<u8>, [u8; 32]) {
     let mut bn = BentoNetwork::build(seed, 1, MiddleboxPolicy::permissive(), standard_registry);
     let client = bn.add_bento_client("alice");
     bn.net.sim.run_until(secs(2));
-    let conn = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-                .into_iter()
-                .cloned()
-                .collect();
-            n.bento
-                .connect_box(ctx, &mut n.tor, &boxes[0])
-                .expect("session")
-        });
-    bn.net.sim.run_until(secs(5));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            n.bento
-                .request_container(ctx, &mut n.tor, conn, ImageKind::Plain);
-        });
-    bn.net.sim.run_until(secs(9));
-    let (container, inv, _) = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, _| n.container_ready(conn))
-        .expect("container");
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let spec = FunctionSpec {
-                params: bento_functions::dropbox::Params {
-                    max_gets: 2,
-                    expiry_ms: 0,
-                    max_bytes: 0,
-                }
-                .encode(),
-                manifest: Manifest::minimal("dropbox").with_disk(1 << 20),
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net.sim.run_until(secs(13));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            assert!(n.upload_ok(conn));
-            let mut put = vec![b'P'];
-            put.extend_from_slice(&vec![0x11; 30_000]);
-            n.bento.invoke(ctx, &mut n.tor, conn, inv, put);
-        });
+    let spec = FunctionSpec {
+        params: bento_functions::dropbox::Params {
+            max_gets: 2,
+            expiry_ms: 0,
+            max_bytes: 0,
+        }
+        .encode(),
+        manifest: Manifest::minimal("dropbox").with_disk(1 << 20),
+    };
+    let session = bn.install(client, 0, &spec, [secs(5), secs(9), secs(13)]);
+    let mut put = vec![b'P'];
+    put.extend_from_slice(&vec![0x11; 30_000]);
+    bn.invoke(&session, put);
     bn.net.sim.run_until(secs(17));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            n.bento.invoke(ctx, &mut n.tor, conn, inv, b"G".to_vec());
-        });
+    bn.invoke(&session, b"G".to_vec());
     bn.net.sim.run_until(secs(40));
     let events = bn.net.sim.stats().events;
-    let (out_len, out_bytes) = bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        let b = n.output_bytes(conn);
-        (b.len(), b)
-    });
+    let out_bytes = bn
+        .net
+        .sim
+        .node_ref::<BentoClientNode>(client)
+        .output_bytes(session.conn);
     let digest = onion_crypto::sha256::sha256(&out_bytes);
     (
         events,
-        out_len,
+        out_bytes.len(),
         out_bytes[..8.min(out_bytes.len())].to_vec(),
         digest,
     )

@@ -52,74 +52,26 @@ fn registry() -> FunctionRegistry {
     r
 }
 
-/// Run the standard connect/request/upload dance; returns session pieces.
-fn setup(
-    bn: &mut BentoNetwork,
-    image: ImageKind,
-    manifest: Manifest,
-    t0: u64,
-) -> (simnet::NodeId, bento::BoxConn, bento::tokens::Token) {
-    let client = bn.add_bento_client("tester");
-    bn.net.sim.run_until(secs(t0 + 2));
-    let conn = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-                .into_iter()
-                .cloned()
-                .collect();
-            n.bento
-                .connect_box(ctx, &mut n.tor, &boxes[0])
-                .expect("session")
-        });
-    bn.net.sim.run_until(secs(t0 + 5));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            n.bento.request_container(ctx, &mut n.tor, conn, image);
-        });
-    bn.net.sim.run_until(secs(t0 + 9));
-    let (container, inv, _) = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, _| n.container_ready(conn))
-        .expect("container ready");
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let spec = FunctionSpec {
-                params: vec![],
-                manifest,
-            };
-            n.bento.upload(ctx, &mut n.tor, conn, container, &spec);
-        });
-    bn.net.sim.run_until(secs(t0 + 13));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert!(n.upload_ok(conn), "{:?}", n.bento_events);
-    });
-    (client, conn, inv)
-}
-
 /// §5.3/§6.2: the Stem firewall blocks a function whose manifest did not
 /// request circuit access, even when the node policy would allow it.
 #[test]
 fn stem_firewall_blocks_unrequested_circuits() {
     let mut bn = BentoNetwork::build(301, 1, MiddleboxPolicy::permissive(), registry);
-    let (client, conn, inv) = setup(&mut bn, ImageKind::Plain, Manifest::minimal("sneaky"), 0);
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            n.bento.invoke(ctx, &mut n.tor, conn, inv, vec![]);
-        });
+    let client = bn.add_bento_client("tester");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("sneaky"),
+    };
+    let session = bn.install(client, 0, &spec, [secs(5), secs(9), secs(13)]);
+    bn.invoke(&session, vec![]);
     bn.net.sim.run_until(secs(17));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        let out = n.output_bytes(conn);
-        // Ordering of "tried"/"denied" depends on action-application order;
-        // both must be present.
-        let s = String::from_utf8_lossy(&out);
-        assert!(s.contains("tried") && s.contains("denied"), "got {s:?}");
-    });
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    let out = n.output_bytes(session.conn);
+    // Ordering of "tried"/"denied" depends on action-application order;
+    // both must be present.
+    let s = String::from_utf8_lossy(&out);
+    assert!(s.contains("tried") && s.contains("denied"), "got {s:?}");
     // The denial is logged for the operator.
     let bx = bn.boxes[0];
     bn.net.sim.with_node::<BentoBoxNode, _>(bx, |n, _| {
@@ -132,18 +84,17 @@ fn stem_firewall_blocks_unrequested_circuits() {
 #[test]
 fn operator_cannot_read_fs_protect_contents() {
     let mut bn = BentoNetwork::build(302, 1, MiddleboxPolicy::permissive(), registry);
-    let manifest = Manifest::minimal("keeper").with_disk(1 << 20).with_sgx();
-    let (client, conn, inv) = setup(&mut bn, ImageKind::Sgx, manifest, 0);
-    let secret = b"the dissident list: alice, bob, carol".to_vec();
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            n.bento.invoke(ctx, &mut n.tor, conn, inv, secret.clone());
-        });
+    let client = bn.add_bento_client("tester");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("keeper").with_disk(1 << 20).with_sgx(),
+    };
+    let session = bn.install(client, 0, &spec, [secs(5), secs(9), secs(13)]);
+    bn.invoke(&session, b"the dissident list: alice, bob, carol".to_vec());
     bn.net.sim.run_until(secs(18));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert_eq!(n.output_bytes(conn), b"stored");
-    });
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    assert_eq!(n.output_bytes(session.conn), b"stored");
     // Operator-side inspection: nothing legible.
     let bx = bn.boxes[0];
     bn.net.sim.with_node::<BentoBoxNode, _>(bx, |n, _| {
@@ -170,36 +121,25 @@ fn stale_tcb_box_fails_attestation() {
     bn.ias.lock().expect("ias lock").set_min_tcb(99);
     let client = bn.add_bento_client("cautious");
     bn.net.sim.run_until(secs(2));
-    let conn = bn
-        .net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-                .into_iter()
-                .cloned()
-                .collect();
-            n.bento
-                .connect_box(ctx, &mut n.tor, &boxes[0])
-                .expect("session")
-        });
+    let conn = bn.connect(client, 0);
     bn.net.sim.run_until(secs(5));
-    bn.net
-        .sim
-        .with_node::<BentoClientNode, _>(client, |n, ctx| {
-            n.bento
-                .request_container(ctx, &mut n.tor, conn, ImageKind::Sgx);
-        });
-    bn.net.sim.run_until(secs(10));
-    bn.net.sim.with_node::<BentoClientNode, _>(client, |n, _| {
-        assert!(
-            n.bento_events
-                .iter()
-                .any(|e| matches!(e, BentoEvent::AttestationFailed(c, _) if *c == conn)),
-            "client must refuse the unpatched box: {:?}",
-            n.bento_events
-        );
-        assert!(n.container_ready(conn).is_none());
-    });
+    let refusal = bn
+        .request_container(
+            client,
+            conn,
+            ImageKind::Sgx,
+            SimDuration::from_secs(5),
+            secs(10),
+        )
+        .expect_err("client must refuse the unpatched box");
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    assert!(
+        n.bento_events.iter().any(
+            |e| matches!(e, BentoEvent::AttestationFailed(c, why) if *c == conn && *why == refusal)
+        ),
+        "refused for the attestation, not something else: {refusal}"
+    );
+    assert!(n.container_ready(conn).is_none());
 }
 
 /// §6.2: a function cannot connect to destinations the relay's exit policy
@@ -211,37 +151,31 @@ fn function_cap_holds_across_clients() {
     let mut policy = MiddleboxPolicy::permissive();
     policy.max_functions = 2;
     let mut bn = BentoNetwork::build(304, 1, policy, registry);
-    let (_c1, _conn1, _) = setup(
-        &mut bn,
-        ImageKind::Plain,
-        Manifest::minimal("keeper").with_disk(1024),
-        0,
-    );
-    let (_c2, _conn2, _) = setup(
-        &mut bn,
-        ImageKind::Plain,
-        Manifest::minimal("keeper").with_disk(1024),
-        13,
-    );
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("keeper").with_disk(1024),
+    };
+    for t0 in [0, 13] {
+        let client = bn.add_bento_client("tester");
+        bn.net.sim.run_until(secs(t0 + 2));
+        bn.install(
+            client,
+            0,
+            &spec,
+            [secs(t0 + 5), secs(t0 + 9), secs(t0 + 13)],
+        );
+    }
     // A third client is refused.
     let c3 = bn.add_bento_client("third");
     bn.net.sim.run_until(secs(29));
-    let conn3 = bn.net.sim.with_node::<BentoClientNode, _>(c3, |n, ctx| {
-        let boxes: Vec<_> = bento::BentoClient::discover_boxes(&n.tor)
-            .into_iter()
-            .cloned()
-            .collect();
-        n.bento
-            .connect_box(ctx, &mut n.tor, &boxes[0])
-            .expect("session")
-    });
+    let conn3 = bn.connect(c3, 0);
     bn.net.sim.run_until(secs(33));
-    bn.net.sim.with_node::<BentoClientNode, _>(c3, |n, ctx| {
-        n.bento
-            .request_container(ctx, &mut n.tor, conn3, ImageKind::Plain);
-    });
-    bn.net.sim.run_until(secs(37));
-    bn.net.sim.with_node::<BentoClientNode, _>(c3, |n, _| {
-        assert_eq!(n.rejection(conn3), Some("function limit reached"));
-    });
+    let refusal = bn.request_container(
+        c3,
+        conn3,
+        ImageKind::Plain,
+        SimDuration::from_secs(4),
+        secs(37),
+    );
+    assert_eq!(refusal, Err("function limit reached".to_string()));
 }
