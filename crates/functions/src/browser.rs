@@ -145,7 +145,9 @@ impl Browser {
         for p in &self.parts {
             raw.extend_from_slice(p);
         }
-        // Model the compression cost (~1 ms / 64 KiB).
+        // Model the compression cost: ~1 ms / 64 KiB of *simulated* CPU,
+        // part of every page-load time in `results/`. Not a measurement of
+        // `compress` on the host (see DESIGN.md §7, "Session kernels").
         let _ = api.cpu((raw.len() as u64 / 65_536).max(1));
         let compressed = compress(&raw);
         // Persist the digest (FS Protect under the SGX image).

@@ -5,6 +5,10 @@
 //! onion keys are X25519 keys, and circuit extension is two DH operations.
 //! Verified against the RFC 7748 test vectors.
 //!
+//! Key generation ([`x25519_base`]) does not run the ladder: the base point
+//! is fixed, so it adds precomputed multiples of it on the birationally
+//! equivalent Edwards curve (see [`base_table`]) and maps the sum back.
+//!
 //! Limbs are reduced lazily. `mul`, `square`, `mul_small` and `sub` return
 //! limbs below 2^52 and accept limbs below 2^54, so a sum of two of their
 //! outputs feeds the next product with no carry pass in between; only
@@ -23,6 +27,10 @@ fn m(x: u64, y: u64) -> u128 {
 impl Fe {
     const ZERO: Fe = Fe([0; 5]);
     const ONE: Fe = Fe([1, 0, 0, 0, 0]);
+
+    const fn small(n: u64) -> Fe {
+        Fe([n, 0, 0, 0, 0])
+    }
 
     fn from_bytes(b: &[u8; 32]) -> Fe {
         let load = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
@@ -154,8 +162,9 @@ impl Fe {
         Fe::carry_wide(self.0.map(|limb| m(limb, n)))
     }
 
-    /// Multiplicative inverse via Fermat: `self^(p-2)` with the ref10 chain.
-    fn invert(self) -> Fe {
+    /// `(self^(2^250 − 1), self^11)`: the head the two ref10 addition chains
+    /// below share.
+    fn pow_250_and_11(self) -> (Fe, Fe) {
         let z = self;
         let z2 = z.square(); // 2
         let z8 = z2.pow2k(2); // 8
@@ -170,7 +179,43 @@ impl Fe {
         let z_100_0 = z_50_0.pow2k(50).mul(z_50_0); // 2^100 - 1
         let z_200_0 = z_100_0.pow2k(100).mul(z_100_0); // 2^200 - 1
         let z_250_0 = z_200_0.pow2k(50).mul(z_50_0); // 2^250 - 1
+        (z_250_0, z11)
+    }
+
+    /// Multiplicative inverse via Fermat: `self^(p-2)` with the ref10 chain.
+    fn invert(self) -> Fe {
+        let (z_250_0, z11) = self.pow_250_and_11();
         z_250_0.pow2k(5).mul(z11) // 2^255 - 21
+    }
+
+    /// `self^((p-5)/8)`, the exponent square roots are taken through.
+    fn pow_p58(self) -> Fe {
+        let (z_250_0, _) = self.pow_250_and_11();
+        z_250_0.pow2k(2).mul(self) // 2^252 - 3
+    }
+
+    /// A square root, if `self` is a square (p ≡ 5 mod 8: `self^((p+3)/8)`
+    /// is a root of `self` or of `-self`, and √−1 = 2^((p−1)/4) turns the
+    /// second into the first).
+    fn sqrt(self) -> Option<Fe> {
+        let root = self.mul(self.pow_p58());
+        let sqrt_m1 = Fe::small(2).pow_p58().square().mul_small(2);
+        [root, root.mul(sqrt_m1)]
+            .into_iter()
+            .find(|r| r.square().to_bytes() == self.to_bytes())
+    }
+
+    fn neg(self) -> Fe {
+        Fe::ZERO.sub(self)
+    }
+
+    /// `other` where `mask` is all ones, `self` where it is zero.
+    fn select(self, other: Fe, mask: u64) -> Fe {
+        let mut out = self.0;
+        for (x, y) in out.iter_mut().zip(other.0) {
+            *x ^= mask & (*x ^ y);
+        }
+        Fe(out)
     }
 
     /// Swap `a` and `b` when `bit` is 1, with a mask instead of a branch.
@@ -184,11 +229,16 @@ impl Fe {
     }
 }
 
-/// X25519 scalar multiplication: `scalar * u_point`.
-pub fn x25519(mut k: [u8; 32], u_point: [u8; 32]) -> [u8; 32] {
-    // Clamp the scalar per RFC 7748.
+/// Clamp a scalar per RFC 7748: a multiple of 8 in [2^254, 2^255).
+fn clamp(mut k: [u8; 32]) -> [u8; 32] {
     k[0] &= 248;
     k[31] = k[31] & 127 | 64;
+    k
+}
+
+/// X25519 scalar multiplication: `scalar * u_point`.
+pub fn x25519(k: [u8; 32], u_point: [u8; 32]) -> [u8; 32] {
+    let k = clamp(k);
     let x1 = Fe::from_bytes(&u_point);
     let mut x2 = Fe::ONE;
     let mut z2 = Fe::ZERO;
@@ -219,11 +269,205 @@ pub fn x25519(mut k: [u8; 32], u_point: [u8; 32]) -> [u8; 32] {
     x2.mul(z2.invert()).to_bytes()
 }
 
-/// X25519 with the standard base point (u = 9): derive a public key.
-pub fn x25519_base(scalar: [u8; 32]) -> [u8; 32] {
-    let mut base = [0u8; 32];
-    base[0] = 9;
-    x25519(scalar, base)
+/// A point on the Edwards curve −x² + y² = 1 + d·x²y², d = −121665/121666,
+/// in extended coordinates: x = X/Z, y = Y/Z, xy = T/Z. The curve is
+/// Curve25519 under u = (1 + y)/(1 − y).
+#[derive(Clone, Copy)]
+struct EdPoint {
+    x: Fe,
+    y: Fe,
+    z: Fe,
+    t: Fe,
+}
+
+/// An affine point as the mixed addition wants it: y + x, y − x, 2d·xy.
+#[derive(Clone, Copy)]
+struct Niels {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    xy2d: Fe,
+}
+
+impl Niels {
+    const IDENTITY: Niels = Niels {
+        y_plus_x: Fe::ONE,
+        y_minus_x: Fe::ONE,
+        xy2d: Fe::ZERO,
+    };
+
+    fn select(self, other: &Niels, mask: u64) -> Niels {
+        Niels {
+            y_plus_x: self.y_plus_x.select(other.y_plus_x, mask),
+            y_minus_x: self.y_minus_x.select(other.y_minus_x, mask),
+            xy2d: self.xy2d.select(other.xy2d, mask),
+        }
+    }
+
+    fn neg(self) -> Niels {
+        Niels {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            xy2d: self.xy2d.neg(),
+        }
+    }
+}
+
+impl EdPoint {
+    const IDENTITY: EdPoint = EdPoint {
+        x: Fe::ZERO,
+        y: Fe::ONE,
+        z: Fe::ONE,
+        t: Fe::ZERO,
+    };
+
+    /// `self + q`: seven multiplications (madd-2008-hwcd-3). Like `double`,
+    /// every sum fed to a product is of two reduced values, so stays under
+    /// the 2^54 the module docs allow.
+    fn add_niels(self, q: &Niels) -> EdPoint {
+        let a = self.y.sub(self.x).mul(q.y_minus_x);
+        let b = self.y.add(self.x).mul(q.y_plus_x);
+        let c = self.t.mul(q.xy2d);
+        let d = self.z.add(self.z);
+        let (e, f, g, h) = (b.sub(a), d.sub(c), d.add(c), b.add(a));
+        EdPoint {
+            x: e.mul(f),
+            y: g.mul(h),
+            z: f.mul(g),
+            t: e.mul(h),
+        }
+    }
+
+    /// `2·self` (dbl-2008-hwcd with a = −1).
+    fn double(self) -> EdPoint {
+        let (xx, yy) = (self.x.square(), self.y.square());
+        let zz = self.z.square();
+        let zz2 = zz.add(zz);
+        let h = yy.add(xx);
+        let g = yy.sub(xx);
+        let e = self.x.add(self.y).square().sub(h);
+        let f = zz2.sub(g);
+        EdPoint {
+            x: e.mul(f),
+            y: g.mul(h),
+            z: f.mul(g),
+            t: e.mul(h),
+        }
+    }
+
+    /// The affine form, one inversion. `d2` is 2d.
+    fn to_niels(self, d2: Fe) -> Niels {
+        let zinv = self.z.invert();
+        let (x, y) = (self.x.mul(zinv), self.y.mul(zinv));
+        Niels {
+            y_plus_x: y.add(x).weak_reduce(),
+            y_minus_x: y.sub(x),
+            xy2d: x.mul(y).mul(d2),
+        }
+    }
+}
+
+fn edwards_d() -> Fe {
+    Fe::small(121665).neg().mul(Fe::small(121666).invert())
+}
+
+/// `BASE_TABLE[i][j]` = (j + 1)·256^i·B, for B the Edwards point that maps
+/// to u = 9: every scalar below 2^256 is a sum of 64 signed radix-16 digits
+/// times one entry each. 32 × 8 × 120 bytes = 30 KiB, built on first use
+/// (288 inversions, about 1.2 ms).
+fn base_table() -> &'static [[Niels; 8]; 32] {
+    static BASE_TABLE: std::sync::OnceLock<[[Niels; 8]; 32]> = std::sync::OnceLock::new();
+    BASE_TABLE.get_or_init(|| {
+        let d = edwards_d();
+        let d2 = d.add(d).weak_reduce();
+        let mut point = base_point(d);
+        let mut table = [[Niels::IDENTITY; 8]; 32];
+        for row in &mut table {
+            let step = point.to_niels(d2);
+            let mut multiple = EdPoint::IDENTITY;
+            for entry in row.iter_mut() {
+                multiple = multiple.add_niels(&step);
+                *entry = multiple.to_niels(d2);
+            }
+            for _ in 0..8 {
+                point = point.double();
+            }
+        }
+        table
+    })
+}
+
+/// B, derived rather than transcribed: y = 4/5 and x a root of the curve
+/// equation (either root — ±B share their u), checked to sit over u = 9.
+fn base_point(d: Fe) -> EdPoint {
+    let y = Fe::small(4).mul(Fe::small(5).invert());
+    let yy = y.square();
+    let x = yy
+        .sub(Fe::ONE)
+        .mul(d.mul(yy).add(Fe::ONE).invert())
+        .sqrt()
+        .expect("y = 4/5 is on the curve");
+    let u = Fe::ONE.add(y).mul(Fe::ONE.sub(y).invert());
+    assert_eq!(
+        u.to_bytes(),
+        Fe::small(9).to_bytes(),
+        "base point maps to u = 9"
+    );
+    EdPoint {
+        x,
+        y,
+        z: Fe::ONE,
+        t: x.mul(y),
+    }
+}
+
+/// Table entry `digit`·256^i·B for `digit` in −8..=8, read with masks
+/// rather than an index so the access pattern does not depend on the scalar.
+fn select_multiple(row: &[Niels; 8], digit: i8) -> Niels {
+    let magnitude = digit.unsigned_abs();
+    let mut out = Niels::IDENTITY;
+    for (j, entry) in row.iter().enumerate() {
+        let hit = (u64::from(magnitude ^ (j as u8 + 1)).wrapping_sub(1) >> 63).wrapping_neg();
+        out = out.select(entry, hit);
+    }
+    let negative = ((digit as u8 >> 7) as u64).wrapping_neg();
+    out.select(&out.neg(), negative)
+}
+
+/// X25519 with the standard base point (u = 9): derive a public key. The
+/// same function as `x25519(scalar, 9)`, computed as a fixed-base comb: 64
+/// table additions and 4 doublings in place of the ladder's 255 steps.
+pub fn x25519_base(k: [u8; 32]) -> [u8; 32] {
+    // Signed radix 16: k = Σ digits[i]·16^i with every digit in −8..=8 (the
+    // top one is at most 8 because the clamped scalar is below 2^255).
+    let mut digits = [0i8; 64];
+    for (pair, byte) in digits.chunks_exact_mut(2).zip(clamp(k)) {
+        pair[0] = (byte & 15) as i8;
+        pair[1] = (byte >> 4) as i8;
+    }
+    let mut carry = 0;
+    for digit in &mut digits[..63] {
+        *digit += carry;
+        carry = (*digit + 8) >> 4;
+        *digit -= carry << 4;
+    }
+    digits[63] += carry;
+
+    // Odd digits first, times 16, then the even ones: both halves use the
+    // same 256^i table rows.
+    let add_digits = |mut sum: EdPoint, parity: usize| {
+        for (row, pair) in base_table().iter().zip(digits.chunks_exact(2)) {
+            sum = sum.add_niels(&select_multiple(row, pair[parity]));
+        }
+        sum
+    };
+    let mut sum = add_digits(EdPoint::IDENTITY, 1);
+    for _ in 0..4 {
+        sum = sum.double();
+    }
+    let sum = add_digits(sum, 0);
+    // u = (1 + y)/(1 − y) = (Z + Y)/(Z − Y). B has prime order and a clamped
+    // scalar is no multiple of it, so the sum is never the identity (Z = Y).
+    sum.z.add(sum.y).mul(sum.z.sub(sum.y).invert()).to_bytes()
 }
 
 /// Decode 64 hex digits (at compile time for the table below).
@@ -381,6 +625,77 @@ mod tests {
             k,
             unhex("684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51")
         );
+    }
+
+    /// The ladder on u = 9: what [`x25519_base`] computed before the comb,
+    /// and the reference it must agree with on every scalar.
+    fn ladder_base(k: [u8; 32]) -> [u8; 32] {
+        let mut base = [0u8; 32];
+        base[0] = 9;
+        x25519(k, base)
+    }
+
+    #[test]
+    fn comb_matches_ladder_on_fixed_scalars() {
+        let mut low_digits = [0x88u8; 32]; // every signed digit −8 or carries
+        low_digits[0] = 0xf8;
+        for k in [
+            unhex("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a"),
+            unhex("5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb"),
+            [0x00; 32], // clamps to 2^254: one non-zero digit
+            [0xff; 32], // clamps to 2^255 − 8: the carry runs to the top digit
+            [0x77; 32], // no digit recodes
+            low_digits,
+        ] {
+            assert_eq!(x25519_base(k), ladder_base(k), "scalar {k:02x?}");
+        }
+    }
+
+    #[test]
+    fn comb_matches_ladder_on_random_scalars() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0B);
+        let mut k = [0u8; 32];
+        for _ in 0..1000 {
+            rng.fill(&mut k);
+            assert_eq!(x25519_base(k), ladder_base(k), "scalar {k:02x?}");
+        }
+    }
+
+    /// The derived base point is on the curve and is the point RFC 8032
+    /// names (up to sign): y = 4/5 encodes as 0x58 then thirty-one 0x66.
+    #[test]
+    fn derived_base_point_is_ed25519s() {
+        let d = edwards_d();
+        let b = base_point(d); // asserts u = 9 itself
+        let mut y = [0x66u8; 32];
+        y[0] = 0x58;
+        assert_eq!(b.y.to_bytes(), y);
+        let (xx, yy) = (b.x.square(), b.y.square());
+        assert_eq!(
+            yy.sub(xx).to_bytes(),
+            Fe::ONE.add(d.mul(xx).mul(yy)).to_bytes()
+        );
+        // Row 0, entry 0 of the table is B itself; entry 1 doubles it.
+        let twice = EdPoint::IDENTITY
+            .add_niels(&base_table()[0][0])
+            .add_niels(&base_table()[0][0]);
+        let doubled = EdPoint::IDENTITY.add_niels(&base_table()[0][1]);
+        assert_eq!(
+            twice.y.mul(doubled.z).to_bytes(),
+            doubled.y.mul(twice.z).to_bytes()
+        );
+    }
+
+    #[test]
+    fn sqrt_finds_roots_and_refuses_non_squares() {
+        // 4 takes the first candidate; −1 = 1·(−1) takes the √−1 one
+        // ((p+3)/8 is even); 2 is a non-residue for p ≡ 5 mod 8.
+        for square in [Fe::small(4), Fe::ONE.neg()] {
+            let root = square.sqrt().expect("a square");
+            assert_eq!(root.square().to_bytes(), square.to_bytes());
+        }
+        assert!(Fe::small(2).sqrt().is_none());
     }
 
     #[test]

@@ -126,9 +126,10 @@ pub trait Node: AsAny + Send {
     }
 
     /// Fold any locally batched telemetry into the process metrics. The
-    /// simulator calls this for every node after each `run_until` event
-    /// loop — out of the per-event hot path, and before any snapshot a
-    /// bench trial captures. Nodes that accumulate per-cell counters in
+    /// simulator calls this after each `run_until` event loop — out of the
+    /// per-event hot path, and before any snapshot a bench trial captures —
+    /// on every node (the serial engine: every node that has run since its
+    /// last flush; the others have nothing new to fold). Nodes that accumulate per-cell counters in
     /// plain fields (e.g. `tor-net`'s `RelayCore`) override this; the
     /// default does nothing.
     fn flush_telemetry(&mut self) {}

@@ -621,6 +621,10 @@ impl SimCore {
 pub(crate) struct SerialSim {
     core: SimCore,
     nodes: Vec<Option<Box<dyn Node>>>,
+    /// `touched[i]`: node `i` has been handed out mutably since its last
+    /// `flush_telemetry`. A driver that polls in small steps makes most
+    /// `run_until` calls dispatch nothing, and those flush nothing.
+    touched: Vec<bool>,
     /// Nodes with index < started_upto have had on_start called. Nodes
     /// added after the simulation begins are started on the next run call.
     started_upto: usize,
@@ -659,6 +663,7 @@ impl SerialSim {
                 fault_stats: FaultStats::default(),
             },
             nodes: Vec::new(),
+            touched: Vec::new(),
             started_upto: 0,
         }
     }
@@ -672,6 +677,7 @@ impl SerialSim {
     ) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Some(node));
+        self.touched.push(false);
         self.core.ifaces.push(iface);
         self.core.names.push(name.into());
         self.core.active_up.push(0);
@@ -742,6 +748,7 @@ impl SerialSim {
         let mut node = self.nodes[id.0 as usize]
             .take()
             .expect("node is being dispatched");
+        self.touched[id.0 as usize] = true;
         let mut ctx = Ctx {
             inner: CtxInner::Serial(&mut self.core),
             me: id,
@@ -764,6 +771,7 @@ impl SerialSim {
         let mut node = self.nodes[id.0 as usize]
             .take()
             .expect("node reentrancy during dispatch");
+        self.touched[id.0 as usize] = true;
         let mut ctx = Ctx {
             inner: CtxInner::Serial(&mut self.core),
             me: id,
@@ -836,9 +844,11 @@ impl SerialSim {
         }
         // Flush this run's deltas to telemetry in one shot; the loop above
         // only touched plain fields. Nodes batching their own counters
-        // (relays) flush here too.
-        for node in self.nodes.iter_mut().flatten() {
-            node.flush_telemetry();
+        // (relays) flush here too, if anything ran on them since last time.
+        for (node, touched) in self.nodes.iter_mut().zip(&mut self.touched) {
+            if let (Some(node), true) = (node, std::mem::take(touched)) {
+                node.flush_telemetry();
+            }
         }
         if !self.core.msg_bytes.is_empty() {
             T_MSG_BYTES.merge_from(&std::mem::take(&mut self.core.msg_bytes));
@@ -1070,6 +1080,7 @@ impl SerialSim {
         // Volatile state dies with the process. No Ctx: a dead host cannot
         // act on the network.
         if let Some(n) = self.nodes[i].as_mut() {
+            self.touched[i] = true;
             n.on_crash();
         }
     }
@@ -1424,6 +1435,37 @@ mod tests {
             }),
         );
         (sim, ping, echo)
+    }
+
+    /// Telemetry is flushed on nodes that ran since their last flush, and
+    /// only on those: an idle `run_until` flushes nobody.
+    #[test]
+    fn flush_telemetry_follows_dispatch_and_with_node() {
+        #[derive(Default)]
+        struct Flushes(u32);
+        impl Node for Flushes {
+            fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {}
+            fn flush_telemetry(&mut self) {
+                self.0 += 1;
+            }
+        }
+        let mut sim = Simulator::with_seed(1);
+        let ids = [0, 1].map(|i| {
+            let node = Box::new(Flushes::default());
+            sim.add_node(format!("n{i}"), Iface::datacenter(), node)
+        });
+        let flushes_at = |sim: &mut Simulator, ms: u64| {
+            sim.run_until(SimTime::ZERO + SimDuration::from_millis(ms));
+            ids.map(|id| sim.node_ref::<Flushes>(id).0)
+        };
+        assert_eq!(flushes_at(&mut sim, 1), [1, 1]); // on_start ran on both
+        assert_eq!(flushes_at(&mut sim, 2), [1, 1]); // nothing ran
+        sim.with_node::<Flushes, _>(ids[1], |_, ctx| {
+            ctx.set_timer(SimDuration::from_millis(5), 0);
+        });
+        assert_eq!(flushes_at(&mut sim, 3), [1, 2]); // handed out by with_node
+        assert_eq!(flushes_at(&mut sim, 4), [1, 2]); // timer not due yet
+        assert_eq!(flushes_at(&mut sim, 10), [1, 3]); // on_timer dispatched
     }
 
     #[test]

@@ -457,16 +457,15 @@ impl Node for WebServerNode {
             };
             match (self.pages.get(&path), range) {
                 (Some(parts), None) => {
-                    for part in parts.clone() {
-                        ctx.send(conn, encode_frame(&part));
+                    for part in parts {
+                        ctx.send(conn, encode_frame(part));
                     }
                 }
                 (Some(parts), Some((start, end))) => {
                     let body = &parts[0];
                     let start = start.min(body.len());
                     let end = end.clamp(start, body.len());
-                    let slice = body[start..end].to_vec();
-                    ctx.send(conn, encode_frame(&slice));
+                    ctx.send(conn, encode_frame(&body[start..end]));
                 }
                 (None, _) => {
                     ctx.send(conn, encode_frame(b"404"));
