@@ -4,14 +4,16 @@
 //! server, with it replicas spin up (at most 2 clients each, up to 4
 //! machines) and per-client throughput stays high.
 //!
-//! `cargo run -p bench --release --bin figure5`
+//! `cargo run -p bench --release --bin figure5` — exits non-zero unless
+//! every client completes in both arms, more than one machine served, and
+//! the balancer cut mean completion time (see the end of `main`).
 //! Watermark ablation: `--watermark N`. Scale: `--clients N --mb N`.
 
 use bench::runner::{run_sweep, SweepOpts, Trial};
-use bench::{arg_u64, write_csv};
+use bench::{arg_u64, require_shape, write_csv};
 use bento::protocol::FunctionSpec;
 use bento::testnet::BentoNetwork;
-use bento::MiddleboxPolicy;
+use bento::{BentoBoxNode, MiddleboxPolicy};
 use bento_functions::load_balancer::{lb_manifest, LbParams, ServiceParams};
 use bento_functions::standard_registry;
 use simnet::trace::Direction;
@@ -44,6 +46,7 @@ struct RunResult {
     series: Vec<Vec<(f64, f64)>>,
     /// Per-client completion time (s since experiment start), if finished.
     completion: Vec<Option<f64>>,
+    /// Machines hosting the service at the end of the run.
     machines: usize,
 }
 
@@ -163,7 +166,7 @@ fn run_clients(
     RunResult {
         series,
         completion,
-        machines: 0,
+        machines: 1,
     }
 }
 
@@ -260,8 +263,17 @@ fn main() {
         };
         bn.install(operator, 1, &spec, [secs(5), secs(8), secs(20)]);
         let mut r = run_clients(&mut bn, onion, n_clients, file_len, 22);
-        // Count active machines at the end (operator inspection).
-        r.machines = 1; // reported via logs; the LB box is always serving
+        // A box with a live function is serving: the balancer's, and every
+        // box it started a replica on.
+        let serving = |b: &&NodeId| {
+            bn.net
+                .sim
+                .node_ref::<BentoBoxNode>(**b)
+                .bento
+                .live_functions()
+                > 0
+        };
+        r.machines = bn.boxes.iter().filter(serving).count();
         r
     };
     let jobs: Vec<Trial<RunResult>> = vec![Box::new(without_trial), Box::new(with_lb_trial)];
@@ -305,11 +317,38 @@ fn main() {
             HORIZON_S, done_without, done_with, n_clients
         );
         println!(
-            "mean completion: without={:.1}s with={:.1}s",
+            "mean completion: without={:.1}s with={:.1}s; machines serving with LB: {}",
             mean(&without.completion),
-            mean(&with_lb.completion)
+            mean(&with_lb.completion),
+            with_lb.machines
         );
     }
     opts.write_json_table("figure5", "client,without_lb_s,with_lb_s", &summary_rows);
     opts.export_telemetry("figure5");
+
+    // The paper's shape, checked on what was just written. At the figure's
+    // 10 MB and above the balancer must cut mean completion to 0.85 of the
+    // single server's; a smaller download is mostly set-up, and there it
+    // only has to come out ahead.
+    let ratio = mean(&with_lb.completion) / mean(&without.completion);
+    let (ratio_ok, wanted) = if mb >= 10 {
+        (ratio <= 0.85, "at most 0.85")
+    } else {
+        (ratio < 1.0, "below 1")
+    };
+    let mut broken = Vec::new();
+    if (done_without, done_with) != (n_clients, n_clients) {
+        broken.push(format!(
+            "completed without={done_without} with={done_with} of {n_clients}"
+        ));
+    }
+    if with_lb.machines <= 1 {
+        broken.push(format!("{} machine(s) served with LB", with_lb.machines));
+    }
+    if !ratio_ok {
+        broken.push(format!(
+            "with-LB / without-LB mean completion {ratio:.3}, wanted {wanted}"
+        ));
+    }
+    require_shape("figure5", &broken);
 }

@@ -6,10 +6,11 @@
 //! the circuit's effective bandwidth (~85 KB/s in the paper's runs —
 //! the direct consequence of the anonymity trilemma it illustrates).
 //!
-//! `cargo run -p bench --release --bin table2`
+//! `cargo run -p bench --release --bin table2` — exits non-zero if the
+//! run does not have that shape (see the end of `main`).
 
 use bench::runner::{run_sweep, SweepOpts, Trial};
-use bench::{arg_u64, write_csv};
+use bench::{arg_u64, require_shape, write_csv};
 use bento::protocol::FunctionSpec;
 use bento::testnet::BentoNetwork;
 use bento::MiddleboxPolicy;
@@ -214,4 +215,27 @@ fn main() {
     write_csv("table2.csv", HEADER, &rows);
     opts.write_json_table("table2", HEADER, &rows);
     opts.export_telemetry("table2");
+
+    // The paper's shape, checked on what was just written: with no padding
+    // the Browser function beats standard Tor on the smallest page, and with
+    // 7 MB of padding it loses on every page.
+    let smallest = (0..sites.len())
+        .min_by_key(|&i| sites[i].total_bytes())
+        .expect("at least one domain");
+    let mut broken = Vec::new();
+    if browser_times[0][smallest] >= standard[smallest] {
+        broken.push(format!(
+            "{}: Browser 0MB {:.2} s does not beat standard Tor {:.2} s",
+            sites[smallest].name, browser_times[0][smallest], standard[smallest]
+        ));
+    }
+    for (i, site) in sites.iter().enumerate() {
+        if browser_times[2][i] <= standard[i] {
+            broken.push(format!(
+                "{}: Browser 7MB {:.2} s does not lose to standard Tor {:.2} s",
+                site.name, browser_times[2][i], standard[i]
+            ));
+        }
+    }
+    require_shape("table2", &broken);
 }

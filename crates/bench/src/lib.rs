@@ -112,6 +112,16 @@ pub fn write_json_table(path: &str, table: &str, header: &str, rows: &[String]) 
     }
 }
 
+/// End a figure or table bin whose run lost the paper's shape: print what
+/// broke and exit non-zero. Called after the results are written, so the
+/// files are there to look at. Does nothing when `broken` is empty.
+pub fn require_shape(bin: &str, broken: &[String]) {
+    if !broken.is_empty() {
+        eprintln!("{bin}: shape check failed:\n  {}", broken.join("\n  "));
+        std::process::exit(1);
+    }
+}
+
 /// Parse `--key value` style args with a default.
 pub fn arg_u64(key: &str, default: u64) -> u64 {
     let args: Vec<String> = std::env::args().collect();

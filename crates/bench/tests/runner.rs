@@ -129,9 +129,7 @@ fn parallel_sweep_is_byte_identical_to_sequential() {
     assert_eq!(sequential, parallel);
 
     // Sanity: the trials did real work and differ across seeds, so the
-    // equality above isn't vacuous. (Chunk packing coalesces many messages
-    // into one serialization quantum, so the event count sits well below the
-    // one-chunk-per-message era — ~300 events per fetch.)
+    // equality above isn't vacuous.
     for rec in &sequential {
         assert!(rec.stats.0 > 200, "trial processed events: {:?}", rec.stats);
         assert!(!rec.trace.is_empty(), "sniffer saw traffic");

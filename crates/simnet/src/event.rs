@@ -37,7 +37,8 @@ pub(crate) enum EventKind {
     ConnSynArrive { conn: ConnId },
     /// The connect handshake completed at the initiator.
     ConnEstablished { conn: ConnId },
-    /// A chunk finished serializing onto the bottleneck link.
+    /// Wake-up at the end of a chunk's serialization, queued only when
+    /// something waits behind the chunk.
     ChunkDone { conn: ConnId, dir: FlowDir },
     /// A complete message arrived at the receiving endpoint.
     MsgArrive {
@@ -126,22 +127,6 @@ impl EventQueue {
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
-    }
-
-    /// True if the earliest pending event is a `MsgArrive` on `conn`/`dir`
-    /// at exactly `time` — the precondition for coalescing it into the
-    /// delivery batch the event loop is forming. Only *adjacent* events are
-    /// ever coalesced, so relative order with any interleaved event is
-    /// preserved.
-    pub fn peek_is_arrival(&self, time: SimTime, conn: ConnId, dir: FlowDir) -> bool {
-        match self.heap.peek() {
-            Some(e) => {
-                e.time == time
-                    && matches!(e.kind,
-                        EventKind::MsgArrive { conn: c, dir: d, .. } if c == conn && d == dir)
-            }
-            None => false,
-        }
     }
 
     /// Number of pending events.

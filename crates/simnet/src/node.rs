@@ -93,9 +93,10 @@ pub trait Node: AsAny + Send {
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: Vec<u8>);
 
     /// A run of messages arrived on `conn` at the same instant, in delivery
-    /// order. The event loop coalesces adjacent same-tick arrivals on one
-    /// connection and direction into a single call, so a node that wants
-    /// the delivery as a unit (the relay records its size; another could
+    /// order. The sharded engine hands over the whole messages one packed
+    /// chunk carried in a single call (the serial engine serializes one
+    /// message per chunk and never calls this), so a node that wants the
+    /// delivery as a unit (the relay records its size; another could
     /// amortize per-message work) may override this. Every message in the
     /// batch had already arrived before the first was dispatched, so the
     /// default — delivering each through [`Node::on_msg`] in order — is

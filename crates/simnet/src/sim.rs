@@ -119,6 +119,12 @@ struct Conn {
     b: NodeId,
     port: u16,
     dirs: [DirState; 2],
+    /// Per direction: when the chunk last started finishes serializing. The
+    /// direction may start another once `now` has reached it.
+    busy_until: [SimTime; 2],
+    /// Per direction: the time of the one `ChunkDone` wake-up in the queue
+    /// that still counts. A wake-up popped at any other time is stale.
+    wake_at: [Option<SimTime>; 2],
     dead: bool,
 }
 
@@ -267,8 +273,11 @@ pub(crate) struct SimCore {
     ifaces: Vec<Iface>,
     names: Vec<String>,
     conns: Vec<Conn>,
-    active_up: Vec<u32>,
-    active_down: Vec<u32>,
+    /// Per node: end times of the chunks serializing on its uplink, and on
+    /// its downlink. An entry stops counting once the clock reaches it;
+    /// `kick` prunes in place.
+    up_ends: Vec<Vec<SimTime>>,
+    down_ends: Vec<Vec<SimTime>>,
     sniffers: Vec<Option<Sniffer>>,
     stats: SimStats,
     /// Fault plane. `faults_active` stays `false` until a plan (or manual
@@ -361,6 +370,8 @@ impl SimCore {
             b: dst,
             port,
             dirs: [DirState::new(&self.cfg), DirState::new(&self.cfg)],
+            busy_until: [SimTime::ZERO; 2],
+            wake_at: [None; 2],
             dead: false,
         });
         self.stats.conns_opened += 1;
@@ -439,179 +450,167 @@ impl SimCore {
         self.maybe_send_close(conn, dir);
     }
 
+    /// Send the close once everything queued ahead of it has left the sender;
+    /// while the last chunk is still serializing, wait for its wake-up.
     fn maybe_send_close(&mut self, conn: ConnId, dir: FlowDir) {
-        let one_way;
-        {
-            let c = &mut self.conns[conn.0 as usize];
-            let d = &mut c.dirs[Conn::dir_index(dir)];
-            if !d.closing || d.close_sent || d.busy || !d.queue.is_empty() || !d.ready {
-                return;
-            }
-            d.close_sent = true;
-            one_way = if c.a == c.b {
-                self.cfg.loopback_rtt / 2
-            } else {
-                self.ifaces[c.a.0 as usize].latency + self.ifaces[c.b.0 as usize].latency
-            };
+        let di = Conn::dir_index(dir);
+        let c = &mut self.conns[conn.0 as usize];
+        let d = &mut c.dirs[di];
+        if !d.closing || d.close_sent || !d.queue.is_empty() || !d.ready {
+            return;
         }
+        if c.busy_until[di] > self.now {
+            self.arm_wake(conn, dir);
+            return;
+        }
+        d.close_sent = true;
+        let (a, b) = (c.a, c.b);
+        let one_way = self.one_way(a, b);
         self.queue
             .push(self.now + one_way, EventKind::CloseArrive { conn, dir });
     }
 
-    /// Start serializing the next chunk on `dir` of `conn`, if there is data,
-    /// the direction is ready, and no chunk is already in flight.
-    fn kick(&mut self, conn: ConnId, dir: FlowDir) {
-        let (sender, receiver, loopback, rtt);
-        let chunk;
-        {
-            let c = &mut self.conns[conn.0 as usize];
-            if c.dead {
-                return;
-            }
-            sender = c.sender(dir);
-            receiver = c.receiver(dir);
-            loopback = sender == receiver;
-            let di = Conn::dir_index(dir);
-            let d = &mut c.dirs[di];
-            if !d.ready || d.busy || d.queue.is_empty() {
-                return;
-            }
-            // Pack the serialization quantum: the front message's remainder,
-            // then as many *whole* queued messages as still fit. Small
-            // messages (relay cells) thus finish serializing together and
-            // arrive together — the same-instant delivery batches the
-            // batched relay data plane drains per dispatch.
-            let overhead = self.cfg.per_msg_overhead as u64;
-            let front_total = d.queue.front().map(|m| m.len() as u64).unwrap_or(0) + overhead;
-            let mut total = front_total.saturating_sub(d.front_sent);
-            for m in d.queue.iter().skip(1) {
-                let need = m.len() as u64 + overhead;
-                if total + need > self.cfg.chunk as u64 {
-                    break;
-                }
-                total += need;
-            }
-            chunk = total.min(self.cfg.chunk as u64) as u32;
-            d.busy = true;
-            d.inflight_chunk = chunk;
+    /// Queue the `ChunkDone` wake-up for the chunk now serializing on `dir`,
+    /// unless it is already queued.
+    fn arm_wake(&mut self, conn: ConnId, dir: FlowDir) {
+        let di = Conn::dir_index(dir);
+        let c = &mut self.conns[conn.0 as usize];
+        let end = c.busy_until[di];
+        if c.wake_at[di] != Some(end) {
+            c.wake_at[di] = Some(end);
+            self.queue.push(end, EventKind::ChunkDone { conn, dir });
         }
-        rtt = self.rtt(sender, receiver);
-        let rate = if loopback {
-            let c = &self.conns[conn.0 as usize];
-            let d = &c.dirs[Conn::dir_index(dir)];
-            d.cwnd.rate(rtt).min(self.cfg.loopback_bps)
-        } else {
-            self.active_up[sender.0 as usize] += 1;
-            self.active_down[receiver.0 as usize] += 1;
-            let up =
-                self.ifaces[sender.0 as usize].up_share(self.active_up[sender.0 as usize] as usize);
-            let down = self.ifaces[receiver.0 as usize]
-                .down_share(self.active_down[receiver.0 as usize] as usize);
-            let c = &self.conns[conn.0 as usize];
-            let d = &c.dirs[Conn::dir_index(dir)];
-            d.cwnd.rate(rtt).min(up).min(down)
-        };
-        let dur = SimDuration::for_bytes(chunk as u64, rate);
-        self.queue
-            .push(self.now + dur, EventKind::ChunkDone { conn, dir });
     }
 
-    /// A chunk finished serializing: grow the window, maybe complete a
-    /// message, keep the pipeline moving.
-    fn on_chunk_done(&mut self, conn: ConnId, dir: FlowDir) {
-        let (sender, receiver, loopback);
-        // The common chunk covers exactly one message; keep that case
-        // allocation-free and only spill to a Vec when packing completed
-        // several at once.
-        let mut first_done: Option<Vec<u8>> = None;
-        let mut rest_done: Vec<Vec<u8>> = Vec::new();
-        {
+    /// Put the front of `dir`'s send queue on the wire, if the direction is
+    /// ready and its previous chunk has finished serializing.
+    ///
+    /// A chunk is one message, or one piece of at most `cfg.chunk` bytes of
+    /// a larger one, serialized at the rate the congestion window and the
+    /// two interfaces' fair shares give it at the moment it starts. Its
+    /// completion is not an event. A chunk that ends a message schedules
+    /// that message's arrival for `end + one_way` here and now; the window
+    /// grows by the chunk when the direction is next kicked; the chunk holds
+    /// its fair-share slots for as long as its end time lies ahead of the
+    /// clock. A `ChunkDone` wake-up is queued only while something (more
+    /// data, or a close) waits behind a chunk still serializing.
+    ///
+    /// This is also the wire-entry fault point: a blocked path, loss and
+    /// corruption are drawn when the chunk that ends the message *starts*
+    /// (healthy traffic draws nothing). A message already in flight when its
+    /// link, peer or partition side dies is dropped at arrival.
+    fn kick(&mut self, conn: ConnId, dir: FlowDir) {
+        let di = Conn::dir_index(dir);
+        let now = self.now;
+        loop {
             let c = &mut self.conns[conn.0 as usize];
-            sender = c.sender(dir);
-            receiver = c.receiver(dir);
-            loopback = sender == receiver;
-            let d = &mut c.dirs[Conn::dir_index(dir)];
-            let chunk = d.inflight_chunk;
-            d.busy = false;
-            d.inflight_chunk = 0;
-            d.cwnd.on_acked(chunk);
-            d.front_sent += chunk as u64;
-            // Drain every message the packed chunk covered, in queue order.
-            // Messages queued after the chunk was sized stay for the next
-            // kick; a large message spanning chunks completes when its last
-            // chunk lands.
-            while let Some(front_total) = d
-                .queue
-                .front()
-                .map(|m| m.len() as u64 + self.cfg.per_msg_overhead as u64)
-            {
-                if d.front_sent < front_total {
-                    break;
-                }
-                d.front_sent -= front_total;
-                let m = d.queue.pop_front().expect("front exists");
-                if first_done.is_none() {
-                    first_done = Some(m);
-                } else {
-                    rest_done.push(m);
-                }
+            let d = &mut c.dirs[di];
+            if c.dead || !d.ready {
+                return;
             }
-            if d.queue.is_empty() {
+            let Some(front) = d.queue.front() else {
+                return;
+            };
+            let front_total = front.len() as u64 + self.cfg.per_msg_overhead as u64;
+            if c.busy_until[di] > now {
+                self.arm_wake(conn, dir);
+                return;
+            }
+            if d.busy {
+                // The previous chunk is through: the window grows by it.
+                d.busy = false;
+                d.cwnd.on_acked(d.inflight_chunk);
+            }
+            let chunk = (front_total - d.front_sent).min(self.cfg.chunk as u64);
+            d.front_sent += chunk;
+            let completed = if d.front_sent == front_total {
                 d.front_sent = 0;
+                d.queue.pop_front()
+            } else {
+                None
+            };
+            d.busy = true;
+            d.inflight_chunk = chunk as u32;
+            let cwnd = d.cwnd;
+            let (sender, receiver) = (c.sender(dir), c.receiver(dir));
+            let window_rate = cwnd.rate(self.rtt(sender, receiver));
+            let end = if sender == receiver {
+                now + SimDuration::for_bytes(chunk, window_rate.min(self.cfg.loopback_bps))
+            } else {
+                // Fair shares count this chunk and every chunk on the same
+                // interface that is still serializing.
+                let up = &mut self.up_ends[sender.0 as usize];
+                up.retain(|&e| e > now);
+                let down = &mut self.down_ends[receiver.0 as usize];
+                down.retain(|&e| e > now);
+                let rate = window_rate
+                    .min(self.ifaces[sender.0 as usize].up_share(up.len() + 1))
+                    .min(self.ifaces[receiver.0 as usize].down_share(down.len() + 1));
+                let end = now + SimDuration::for_bytes(chunk, rate);
+                up.push(end);
+                down.push(end);
+                end
+            };
+            self.conns[conn.0 as usize].busy_until[di] = end;
+            if let Some(msg) = completed {
+                self.enter_wire(conn, dir, end, msg);
             }
         }
-        if !loopback {
-            let su = &mut self.active_up[sender.0 as usize];
-            *su = su.saturating_sub(1);
-            let rd = &mut self.active_down[receiver.0 as usize];
-            *rd = rd.saturating_sub(1);
+    }
+
+    /// `msg`'s last byte leaves the sender at `end`: the sender-side sniffer
+    /// sees it then, and it arrives one propagation delay later — unless the
+    /// fault plane takes it (see [`SimCore::kick`]).
+    fn enter_wire(&mut self, conn: ConnId, dir: FlowDir, end: SimTime, mut msg: Vec<u8>) {
+        let c = &self.conns[conn.0 as usize];
+        let (sender, receiver) = (c.sender(dir), c.receiver(dir));
+        if let Some(s) = self.sniffers[sender.0 as usize].as_mut() {
+            s.record(TraceEvent {
+                time: end,
+                dir: Direction::Outgoing,
+                bytes: msg.len() as u32,
+                conn,
+                peer: receiver,
+            });
         }
-        for mut msg in first_done.into_iter().chain(rest_done) {
-            // The whole message is on the wire: the sender-side sniffer sees
-            // it now; it arrives one propagation delay later. Messages that
-            // shared a chunk arrive at the same instant, back to back in the
-            // event queue — the coalesced delivery path picks them up.
-            if let Some(s) = self.sniffers[sender.0 as usize].as_mut() {
-                s.record(TraceEvent {
-                    time: self.now,
-                    dir: Direction::Outgoing,
-                    bytes: msg.len() as u32,
-                    conn,
-                    peer: receiver,
-                });
-            }
-            let mut one_way = self.one_way(sender, receiver);
-            let mut dropped = false;
-            if self.faults_active {
-                // Wire-entry fault point: everything a hostile network can do
-                // to a message happens here, off the shared seeded RNG — and
-                // only while a fault is in force, so healthy traffic draws
-                // nothing.
-                let f = self.effective_fault(sender, receiver);
-                if self.path_blocked(sender, receiver)
-                    || (f.loss_ppm > 0 && self.rng.gen_range(0..1_000_000u32) < f.loss_ppm)
-                {
-                    dropped = true;
-                } else {
-                    if f.corrupt_ppm > 0
-                        && !msg.is_empty()
-                        && self.rng.gen_range(0..1_000_000u32) < f.corrupt_ppm
-                    {
-                        let i = self.rng.gen_range(0..msg.len());
-                        msg[i] ^= 0x55;
-                        self.fault_stats.msgs_corrupted += 1;
-                    }
-                    one_way += f.extra_latency;
-                }
-            }
-            if dropped {
+        let mut one_way = self.one_way(sender, receiver);
+        if self.faults_active {
+            // Everything a hostile network can do to a message happens here,
+            // off the shared seeded RNG — and only while a fault is in
+            // force, so healthy traffic draws nothing.
+            let f = self.effective_fault(sender, receiver);
+            if self.path_blocked(sender, receiver)
+                || (f.loss_ppm > 0 && self.rng.gen_range(0..1_000_000u32) < f.loss_ppm)
+            {
                 self.fault_stats.msgs_dropped += 1;
                 self.pool.put(msg);
-            } else {
-                self.queue
-                    .push(self.now + one_way, EventKind::MsgArrive { conn, dir, msg });
+                return;
             }
+            if f.corrupt_ppm > 0
+                && !msg.is_empty()
+                && self.rng.gen_range(0..1_000_000u32) < f.corrupt_ppm
+            {
+                let i = self.rng.gen_range(0..msg.len());
+                msg[i] ^= 0x55;
+                self.fault_stats.msgs_corrupted += 1;
+            }
+            one_way += f.extra_latency;
         }
+        self.queue
+            .push(end + one_way, EventKind::MsgArrive { conn, dir, msg });
+    }
+
+    /// A `ChunkDone` wake-up fired: whatever waited behind the chunk goes
+    /// next. Only the wake-up armed for the current `busy_until` counts — a
+    /// `send` at exactly `busy_until` has already started the next chunk and
+    /// armed its own, and acting on the stale one would arm a duplicate.
+    fn on_chunk_done(&mut self, conn: ConnId, dir: FlowDir) {
+        let di = Conn::dir_index(dir);
+        let c = &mut self.conns[conn.0 as usize];
+        if c.dead || c.wake_at[di] != Some(self.now) {
+            return;
+        }
+        c.wake_at[di] = None;
         self.kick(conn, dir);
         self.maybe_send_close(conn, dir);
     }
@@ -648,8 +647,8 @@ impl SerialSim {
                 ifaces: Vec::new(),
                 names: Vec::new(),
                 conns: Vec::new(),
-                active_up: Vec::new(),
-                active_down: Vec::new(),
+                up_ends: Vec::new(),
+                down_ends: Vec::new(),
                 sniffers: Vec::new(),
                 stats: SimStats::default(),
                 msg_bytes: telemetry::hist::LogHistogram::new(),
@@ -680,8 +679,8 @@ impl SerialSim {
         self.touched.push(false);
         self.core.ifaces.push(iface);
         self.core.names.push(name.into());
-        self.core.active_up.push(0);
-        self.core.active_down.push(0);
+        self.core.up_ends.push(Vec::new());
+        self.core.down_ends.push(Vec::new());
         self.core.sniffers.push(None);
         self.core.crashed.push(false);
         self.core.incarnation.push(0);
@@ -817,27 +816,7 @@ impl SerialSim {
             self.core.now = ev.time;
             self.core.stats.events += 1;
             processed += 1;
-            match ev.kind {
-                // Coalesce an adjacent run of same-instant arrivals on one
-                // connection and direction into a single delivery batch (see
-                // [`Node::on_msgs`]). The guard keeps the common solitary
-                // arrival on the plain path with just one extra heap peek.
-                EventKind::MsgArrive { conn, dir, msg }
-                    if self.core.queue.peek_is_arrival(ev.time, conn, dir) =>
-                {
-                    let mut batch = vec![msg];
-                    while self.core.queue.peek_is_arrival(ev.time, conn, dir) {
-                        let next = self.core.queue.pop().expect("peeked event vanished");
-                        self.core.stats.events += 1;
-                        processed += 1;
-                        if let EventKind::MsgArrive { msg, .. } = next.kind {
-                            batch.push(msg);
-                        }
-                    }
-                    self.handle_msg_batch(conn, dir, batch);
-                }
-                kind => self.handle(kind),
-            }
+            self.handle(ev.kind);
         }
         if self.core.now < limit {
             self.core.now = limit;
@@ -873,48 +852,6 @@ impl SerialSim {
         T_QUEUE_DEPTH.set(max_depth as u64);
         T_RUN.record_events(enter_ns, self.core.now.as_nanos(), processed);
         processed
-    }
-
-    /// Deliver a coalesced run (≥ 2) of same-instant messages on one
-    /// connection and direction. Per-message accounting matches the
-    /// sequential path exactly. The dead/fault checks run once for the
-    /// whole run, which is equivalent: every message in the run had been
-    /// popped before any receiver code ran, so no dispatch could have
-    /// changed connection or fault state between them.
-    fn handle_msg_batch(&mut self, conn: ConnId, dir: FlowDir, msgs: Vec<Vec<u8>>) {
-        let (dead, receiver, sender) = {
-            let c = &self.core.conns[conn.0 as usize];
-            (c.dead, c.receiver(dir), c.sender(dir))
-        };
-        if dead {
-            return;
-        }
-        if self.core.faults_active && self.core.path_blocked(sender, receiver) {
-            // In flight when the cut (or crash, or link kill) happened: the
-            // whole run dies on the wire.
-            self.core.fault_stats.msgs_dropped += msgs.len() as u64;
-            for msg in msgs {
-                self.core.pool.put(msg);
-            }
-            return;
-        }
-        self.core.stats.msgs_delivered += msgs.len() as u64;
-        for msg in &msgs {
-            self.core.stats.bytes_delivered += msg.len() as u64;
-            if self.core.hist_full {
-                self.core.msg_bytes.record(msg.len() as u64);
-            }
-            if let Some(s) = self.core.sniffers[receiver.0 as usize].as_mut() {
-                s.record(TraceEvent {
-                    time: self.core.now,
-                    dir: Direction::Incoming,
-                    bytes: msg.len() as u32,
-                    conn,
-                    peer: sender,
-                });
-            }
-        }
-        self.dispatch(receiver, |n, ctx| n.on_msgs(ctx, conn, msgs));
     }
 
     fn handle(&mut self, kind: EventKind) {
@@ -1052,10 +989,9 @@ impl SerialSim {
         self.core.fault_stats.crashes += 1;
         // Every connection touching the node dies instantly on the node's
         // side; the surviving peer learns one propagation delay later, like
-        // a reset. In-flight chunks still release their fair-share slots
-        // when their ChunkDone events fire (on_chunk_done decrements
-        // unconditionally), and pending MsgArrive/CloseArrive events see the
-        // dead conn and drop.
+        // a reset. In-flight chunks hold their fair-share slots until their
+        // end times pass, as on a live connection, and pending
+        // MsgArrive/CloseArrive events see the dead conn and drop.
         let mut notices: Vec<(ConnId, NodeId)> = Vec::new();
         for (ci, c) in self.core.conns.iter_mut().enumerate() {
             if c.dead || (c.a != node && c.b != node) {
@@ -1130,9 +1066,10 @@ impl SerialSim {
     /// The node's current (uplink, downlink) active-flow slot counts — test
     /// hook for asserting crash cleanup leaves no dangling fair-share slots.
     pub fn active_link_slots(&self, node: NodeId) -> (u32, u32) {
+        let live = |ends: &[SimTime]| ends.iter().filter(|&&e| e > self.core.now).count() as u32;
         (
-            self.core.active_up[node.0 as usize],
-            self.core.active_down[node.0 as usize],
+            live(&self.core.up_ends[node.0 as usize]),
+            live(&self.core.down_ends[node.0 as usize]),
         )
     }
 }

@@ -116,9 +116,16 @@ impl SimDuration {
         if bytes_per_sec == 0 {
             return SimDuration::ZERO;
         }
-        // bytes * 1e9 / rate, computed in u128 to avoid overflow.
-        let ns = (bytes as u128 * 1_000_000_000u128) / bytes_per_sec as u128;
-        SimDuration(ns.min(u64::MAX as u128) as u64)
+        // bytes * 1e9 / rate. Every chunk pays this, so the product stays
+        // in u64 whenever it fits (anything under 18 GB); the u128 division
+        // is the overflow path.
+        match bytes.checked_mul(1_000_000_000) {
+            Some(scaled) => SimDuration(scaled / bytes_per_sec),
+            None => {
+                let ns = (bytes as u128 * 1_000_000_000u128) / bytes_per_sec as u128;
+                SimDuration(ns.min(u64::MAX as u128) as u64)
+            }
+        }
     }
 }
 

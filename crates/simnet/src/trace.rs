@@ -55,9 +55,17 @@ impl Sniffer {
         Sniffer { events: Vec::new() }
     }
 
-    /// Append an observation.
+    /// Add an observation, keeping the trace in time order. The serial
+    /// engine records a departure when its serialization starts, stamped
+    /// with the (later) instant it ends, so an observation made afterwards
+    /// may belong before it; equal times keep recording order.
     pub fn record(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
+        // Walk back from the end: at most the few observations made while
+        // one chunk serialized are later than `ev`.
+        let later = (self.events.iter().rev())
+            .take_while(|e| e.time > ev.time)
+            .count();
+        self.events.insert(self.events.len() - later, ev);
     }
 
     /// All observations so far, in time order.
@@ -115,6 +123,18 @@ mod tests {
         assert_eq!(s.len(), 3);
         s.clear();
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn a_late_record_of_an_earlier_instant_lands_in_time_order() {
+        let mut s = Sniffer::new();
+        s.record(ev(1, Direction::Incoming, 1));
+        s.record(ev(9, Direction::Outgoing, 2)); // stamped with its chunk's end
+        s.record(ev(4, Direction::Incoming, 3));
+        s.record(ev(9, Direction::Incoming, 4)); // equal times: recording order
+        s.record(ev(7, Direction::Incoming, 5));
+        let order: Vec<(u64, u32)> = s.events().iter().map(|e| (e.time.0, e.bytes)).collect();
+        assert_eq!(order, [(1, 1), (4, 3), (7, 5), (9, 2), (9, 4)]);
     }
 
     #[test]

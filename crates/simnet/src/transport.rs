@@ -25,8 +25,9 @@ pub struct TransportCfg {
     pub ssthresh: u32,
     /// Hard cap on the congestion window (receive-window stand-in).
     pub max_cwnd: u32,
-    /// Serialization quantum: rates are re-evaluated every chunk of at most
-    /// this many bytes.
+    /// Piece size of a message longer than this: it serializes in chunks of
+    /// at most this many bytes, each at the rate in force when it starts.
+    /// (The sharded engine also fills a chunk with whole queued messages.)
     pub chunk: u32,
     /// Round-trip time of a node's loopback, for same-host connections
     /// (e.g. a Bento server talking to its co-resident Tor relay).
@@ -99,9 +100,9 @@ impl Cwnd {
         if rtt.is_zero() {
             return u64::MAX;
         }
-        // window / rtt  =  window * 1e9 / rtt_ns
-        ((self.window as u128 * 1_000_000_000u128) / rtt.as_nanos() as u128).min(u64::MAX as u128)
-            as u64
+        // window / rtt  =  window * 1e9 / rtt_ns; a u32 window times 1e9
+        // fits in u64, so no wider division is needed.
+        self.window as u64 * 1_000_000_000 / rtt.as_nanos()
     }
 }
 

@@ -1,8 +1,8 @@
-//! Delivery-batch coalescing: adjacent same-instant arrivals on one
-//! connection reach the receiver as a single [`Node::on_msgs`] run, in
-//! order, with per-message stats accounting intact — and nodes that don't
-//! override `on_msgs` see the exact per-message callback sequence they
-//! always did.
+//! Delivery batches on the sharded engine: the whole messages one packed
+//! chunk carried reach the receiver as a single [`Node::on_msgs`] run, in
+//! order, with per-message stats accounting intact — and a message that
+//! crosses alone takes the plain `on_msg` path. (The serial engine
+//! serializes one message per chunk and never forms a batch.)
 
 use simnet::{ConnId, Ctx, Iface, Node, NodeId, SimConfig, Simulator};
 
@@ -22,8 +22,8 @@ impl Node for BatchSink {
     }
 }
 
-/// Sends `n` back-to-back messages at start; over an ideal interface they
-/// all arrive at the same instant.
+/// Sends `n` back-to-back messages at start; small ones share a chunk and
+/// arrive at the same instant.
 struct Burst {
     dst: NodeId,
     n: u8,
@@ -40,9 +40,16 @@ impl Node for Burst {
     fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {}
 }
 
+fn one_shard() -> Simulator {
+    Simulator::new(SimConfig {
+        shards: 1,
+        ..SimConfig::default()
+    })
+}
+
 #[test]
 fn same_tick_arrivals_coalesce_in_order() {
-    let mut sim = Simulator::new(SimConfig::default());
+    let mut sim = one_shard();
     let sink = sim.add_node("sink", Iface::ideal(), Box::new(BatchSink::default()));
     sim.add_node(
         "burst",
@@ -70,7 +77,7 @@ fn single_arrivals_use_on_msg() {
     // so each completes on its own chunk boundary at a distinct time:
     // every delivery is a singleton and takes the plain on_msg path of the
     // default impl.
-    let mut sim = Simulator::new(SimConfig::default());
+    let mut sim = one_shard();
     let iface = Iface::symmetric(simnet::SimDuration::from_millis(5), 100_000);
     let sink = sim.add_node("sink", iface, Box::new(BatchSink::default()));
     sim.add_node(

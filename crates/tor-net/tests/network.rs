@@ -680,7 +680,13 @@ fn hostile_delivery_neither_panics_nor_desynchronises_the_relay() {
     use tor_net::relay_crypto::LayerCrypto;
     const CIRC: u32 = 1;
 
-    let mut sim = simnet::Simulator::with_seed(5);
+    // On one shard: the sharded engine packs what is queued into one chunk
+    // and delivers it as a unit; the serial engine never forms a batch.
+    let mut sim = simnet::Simulator::new(simnet::SimConfig {
+        seed: 5,
+        shards: 1,
+        ..simnet::SimConfig::default()
+    });
     let core = tor_net::RelayCore::new(tor_net::RelayConfig::middle("r", [0x51; 32]));
     let (fingerprint, onion_key) = (core.fingerprint(), core.descriptor(NodeId(0)).onion_key);
     let host = CountingRelay {
