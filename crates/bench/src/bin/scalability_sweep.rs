@@ -7,7 +7,11 @@
 //! events/s per configuration. All rows run on the sharded engine, so the
 //! simulation outcome (events, messages, bytes, end time) is identical
 //! across rows by construction — the sweep only varies how the work is
-//! partitioned. Rows land in `results/BENCH_scale.json`.
+//! partitioned. Rows land in `results/BENCH_scale.json`. A connection here
+//! carries one exchange and costs the engine eight events; the sweep exits
+//! non-zero (after writing its rows) if a row spends more than
+//! [`EVENT_BUDGET`] a connection — a chunk-completion or half-death event
+//! has come back.
 //!
 //! ```text
 //! cargo run -p bench --release --bin scalability_sweep            # 10^4 clients
@@ -52,6 +56,11 @@ struct ScaleClient {
 }
 
 const TAG_ROUND: u64 = 1;
+
+/// Events a connection may cost: timer, two handshake events, two arrivals
+/// each followed by its ingress-pipe `Deliver`, and the close, plus a little
+/// for the closes that trail a busy ingress pipe (`CloseDone`).
+const EVENT_BUDGET: f64 = 8.1;
 
 impl ScaleClient {
     fn stagger(&self) -> SimDuration {
@@ -228,6 +237,7 @@ fn main() {
     }
     let mut rows = Vec::new();
     let mut baseline: Option<(u64, f64)> = None;
+    let mut over_budget = false;
     for &shards in &shard_list {
         let out = run_config(seed, clients, rounds, shards, threads);
         if let Some((check, _)) = baseline {
@@ -241,10 +251,13 @@ fn main() {
         if baseline.is_none() {
             baseline = Some((out.checksum, eps));
         }
+        let per_conn = out.events as f64 / out.conns.max(1) as f64;
+        over_budget |= per_conn > EVENT_BUDGET;
         if !opts.quiet {
             println!(
-                "  shards {shards:>2}: {} events in {:.2}s -> {:.0} events/s ({speedup:.2}x)",
-                out.events, out.wall_s, eps
+                "  shards {shards:>2}: {} events, {} connections ({per_conn:.3} a connection) \
+                 in {:.2}s -> {:.0} events/s ({speedup:.2}x)",
+                out.events, out.conns, out.wall_s, eps
             );
         }
         rows.push(format!(
@@ -264,4 +277,8 @@ fn main() {
         &rows,
     );
     opts.export_telemetry("scalability_sweep");
+    if over_budget {
+        eprintln!("scalability_sweep: more than {EVENT_BUDGET} events a connection");
+        std::process::exit(1);
+    }
 }

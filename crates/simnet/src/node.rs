@@ -92,15 +92,13 @@ pub trait Node: AsAny + Send {
     /// A complete message arrived on `conn`.
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: Vec<u8>);
 
-    /// A run of messages arrived on `conn` at the same instant, in delivery
-    /// order. The sharded engine hands over the whole messages one packed
-    /// chunk carried in a single call (the serial engine serializes one
-    /// message per chunk and never calls this), so a node that wants the
-    /// delivery as a unit (the relay records its size; another could
-    /// amortize per-message work) may override this. Every message in the
-    /// batch had already arrived before the first was dispatched, so the
-    /// default — delivering each through [`Node::on_msg`] in order — is
-    /// always equivalent.
+    /// A run of messages for `conn`, in delivery order. Neither engine calls
+    /// this: both serialize one message per chunk and deliver each through
+    /// [`Node::on_msg`] at its own arrival. It stays for callers that hand a
+    /// node several messages at once (the repo benchmark's fetch probe wraps
+    /// and calls it; `RelayCore::on_msgs` records the run's size), and the
+    /// default — each message through [`Node::on_msg`] in order — is what
+    /// any override must be equivalent to.
     fn on_msgs(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msgs: Vec<Vec<u8>>) {
         for msg in msgs {
             self.on_msg(ctx, conn, msg);
@@ -129,8 +127,8 @@ pub trait Node: AsAny + Send {
     /// Fold any locally batched telemetry into the process metrics. The
     /// simulator calls this after each `run_until` event loop — out of the
     /// per-event hot path, and before any snapshot a bench trial captures —
-    /// on every node (the serial engine: every node that has run since its
-    /// last flush; the others have nothing new to fold). Nodes that accumulate per-cell counters in
+    /// on every node that has run since its last flush (the others have
+    /// nothing new to fold). Nodes that accumulate per-cell counters in
     /// plain fields (e.g. `tor-net`'s `RelayCore`) override this; the
     /// default does nothing.
     fn flush_telemetry(&mut self) {}

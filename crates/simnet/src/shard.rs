@@ -15,11 +15,10 @@
 //! node's [`NodeLocal`] holds its connection halves: initiator halves in a
 //! dense sequence indexed by the per-initiator counter in the low 32 bits of
 //! the `ConnId`, acceptor halves in a small ordered map keyed by conn id. A
-//! half is dropped once it is dead and no chunk of it is in flight, so
-//! memory and lookup cost follow the connections *open now*, not every
-//! connection the run has seen; a lookup that misses means "closed" and the
-//! event is dropped, exactly as it was when the dead half was still around
-//! to say so.
+//! half is dropped once it is dead, so memory and lookup cost follow the
+//! connections *open now*, not every connection the run has seen; a lookup
+//! that misses means "closed" and the event is dropped, exactly as it was
+//! when the dead half was still around to say so.
 //!
 //! **Determinism.** Every event is keyed `(time, src node, per-src sequence)`
 //! instead of the serial engine's global insertion order; connection and
@@ -30,22 +29,23 @@
 //! depends on the partition, so runs are byte-identical across any shard
 //! count and any worker-thread count — `determinism_check` gates this.
 //!
-//! The serial engine in [`crate::sim`] remains the default and is untouched;
-//! see `DESIGN.md` §12 for the lookahead derivation, the barrier protocol and
-//! the model deltas between the two engines.
+//! The sender is the serial engine's ([`DirState::advance`]); the receiver is
+//! an ingress pipe where the serial engine, the default, shares the downlink
+//! fairly. See `DESIGN.md` §12 for that delta, the lookahead derivation and
+//! the barrier protocol.
 
 use crate::iface::Iface;
 // NB: `AsAny` is deliberately NOT imported: with the blanket `impl<T: Any>
 // AsAny for T` in scope, `Box<dyn Node>::as_any()` would resolve on the Box
 // itself instead of deref'ing to the node, breaking every downcast.
 use crate::node::{ConnId, Ctx, CtxInner, Node, NodeId, TimerId};
-use crate::sim::{BufPool, DirState, RunFlush, SimConfig, SimStats};
+use crate::sim::{BufPool, DirState, Kick, RunFlush, SimConfig, SimStats};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Direction, Sniffer, TraceEvent};
 use crate::transport::TransportCfg;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 // bento-lint: allow(BL001) -- HashSet is only the membership-only cancelled-timer
 // tombstone set (never iterated), same contract as the serial engine's.
@@ -75,10 +75,8 @@ fn role_of(me: NodeId, conn: ConnId) -> u8 {
     }
 }
 
-/// Shard-engine events. Unlike the serial engine, whole chunk payloads travel
-/// as one `WireBatch` (they arrive at the same instant anyway), and each event
-/// carries its partition-independent ordering key explicitly. The node an
-/// event acts on is its [`SEvent::dst`].
+/// Shard-engine events. Each carries its partition-independent ordering key
+/// explicitly; the node an event acts on is its [`SEvent::dst`].
 #[derive(Debug)]
 enum SKind {
     /// Connect handshake reached the acceptor; creates the accept half.
@@ -89,28 +87,25 @@ enum SKind {
     },
     /// Connect handshake completed at the initiator.
     Established { conn: ConnId },
-    /// A chunk finished serializing on the sender's uplink.
+    /// Wake-up at the end of a chunk that a message or a close waits behind.
     ChunkDone { conn: ConnId, role: u8 },
-    /// A chunk's worth of whole messages crossed the wire to the receiver.
-    WireBatch {
+    /// A message crossed the wire to the receiver's access link.
+    Wire {
         conn: ConnId,
         sender_role: u8,
-        msgs: Vec<Vec<u8>>,
+        msg: Vec<u8>,
     },
     /// Ingress-pipe serialization finished; deliver to the node.
     Deliver {
         conn: ConnId,
         sender_role: u8,
-        msgs: Vec<Vec<u8>>,
+        msg: Vec<u8>,
     },
     /// A graceful close reached the receiving half.
     CloseArrive { conn: ConnId, sender_role: u8 },
     /// A close finished trailing the receiver's ingress pipe; the half dies
     /// and the node hears `on_conn_closed`.
     CloseDone { conn: ConnId, recv_role: u8 },
-    /// The closing side's own half goes dead (scheduled alongside the
-    /// `CloseArrive`, so both ends die at the same simulated instant).
-    HalfDead { conn: ConnId, role: u8 },
     /// A node timer fired.
     Timer { id: u64, tag: u64 },
 }
@@ -203,7 +198,12 @@ impl ShardQueue {
 struct Half {
     peer: NodeId,
     dir: DirState,
+    /// The peer's close took effect; the half goes after `on_conn_closed`.
     dead: bool,
+    /// When the closing side's own half dies: the instant its close reaches
+    /// the peer (`SimTime::MAX` until one is sent). Not an event — liveness
+    /// reads [`Half::gone`], [`ShardCore::reap_due`] drops it sometime after.
+    dies_at: SimTime,
 }
 
 impl Half {
@@ -212,12 +212,17 @@ impl Half {
             peer,
             dir: DirState::new(cfg),
             dead: false,
+            dies_at: SimTime::MAX,
         }
+    }
+
+    fn gone(&self, now: SimTime) -> bool {
+        self.dead || now >= self.dies_at
     }
 }
 
 /// The connection halves one node owns. A half is resident from the moment
-/// it opens until [`ShardCore::reap`] drops it, so memory and lookup depth
+/// it opens until it is dead, so memory and lookup depth
 /// follow the node's *live* connections, not every connection it ever had;
 /// every lookup is fallible, and a miss means "closed".
 #[derive(Default)]
@@ -229,8 +234,9 @@ struct Halves {
     /// leaves a `None` that is trimmed once everything before it is gone too.
     init: VecDeque<Option<Box<Half>>>,
     /// Acceptor halves by conn id: other nodes' counters, so not dense.
-    /// Ordered map, so nothing here can iterate in a run-dependent order.
-    accept: BTreeMap<u64, Half>,
+    /// Ordered map, so nothing here can iterate in a run-dependent order;
+    /// boxed, or a leaf holds room for eleven halves whatever is open.
+    accept: BTreeMap<u64, Box<Half>>,
 }
 
 impl Halves {
@@ -242,7 +248,7 @@ impl Halves {
         if role == ROLE_INIT {
             self.init.get(self.init_slot(conn))?.as_deref()
         } else {
-            self.accept.get(&conn.0)
+            self.accept.get(&conn.0).map(Box::as_ref)
         }
     }
 
@@ -251,7 +257,7 @@ impl Halves {
             let slot = self.init_slot(conn);
             self.init.get_mut(slot)?.as_deref_mut()
         } else {
-            self.accept.get_mut(&conn.0)
+            self.accept.get_mut(&conn.0).map(Box::as_mut)
         }
     }
 
@@ -282,6 +288,36 @@ impl Halves {
     }
 }
 
+/// End times of the chunks serializing on a node's uplink: each holds a
+/// fair-share slot for as long as its end lies ahead of the clock.
+#[derive(Default)]
+struct Uplink {
+    /// One chunk's end, inline: a node with a single chunk in flight (every
+    /// client of a scale run) allocates nothing for its slot count.
+    one: SimTime,
+    /// The ends of chunks that started while `one` was taken. Behind a thin
+    /// pointer, so that [`NodeLocal`] stays at 64 bytes.
+    #[allow(clippy::box_collection)]
+    more: Option<Box<Vec<SimTime>>>,
+}
+
+impl Uplink {
+    fn live(&self, now: SimTime) -> usize {
+        let more = self.more.as_deref().into_iter().flatten();
+        usize::from(self.one > now) + more.filter(|&&e| e > now).count()
+    }
+
+    fn hold(&mut self, now: SimTime, end: SimTime) {
+        if self.one <= now {
+            self.one = end;
+        } else {
+            let more = self.more.get_or_insert_default();
+            more.retain(|&e| e > now);
+            more.push(end);
+        }
+    }
+}
+
 /// Per-node engine-side state, stored dense by local index (`id / N`).
 struct NodeLocal {
     /// Lazily seeded from `(run seed, node id)`: identical draws at any
@@ -293,13 +329,18 @@ struct NodeLocal {
     timer_ctr: u32,
     /// When this node's downlink ingress pipe next frees up.
     ingress_free: SimTime,
-    /// Concurrently serializing chunks on this node's uplink (fair share).
-    active_up: u32,
+    up: Uplink,
     /// Allocated at the node's first connection (like `rng`, boxed so that
     /// adding a node to a big topology writes 64 bytes here, not its tables).
     halves: Option<Box<Halves>>,
-    sniffer: Option<Sniffer>,
+    sniffer: Option<Box<Sniffer>>,
+    /// Dispatched (or handed to `with_node`) since its last
+    /// `flush_telemetry`, and so listed in [`ShardCore::ran`].
+    ran: bool,
 }
+
+/// A topology of 10⁵ idle nodes costs this much each, and no more.
+const _: () = assert!(std::mem::size_of::<NodeLocal>() <= 64);
 
 impl NodeLocal {
     fn half(&self, conn: ConnId, role: u8) -> Option<&Half> {
@@ -320,9 +361,10 @@ impl NodeLocal {
             seq: 0,
             timer_ctr: 0,
             ingress_free: SimTime::ZERO,
-            active_up: 0,
+            up: Uplink::default(),
             halves: None,
             sniffer: None,
+            ran: false,
         }
     }
 }
@@ -372,6 +414,12 @@ pub(crate) struct ShardCore {
     /// Cross-shard emissions accumulated during a window; drained at the
     /// barrier (or immediately by the main thread between runs).
     outbox: Vec<SEvent>,
+    /// Closing-side halves waiting to die, `(dies_at, node, conn, role)`,
+    /// earliest first. Not events: nothing observable depends on when
+    /// [`ShardCore::reap_due`] drops them.
+    dying: BinaryHeap<Reverse<(SimTime, u32, u64, u8)>>,
+    /// Ids of the nodes whose `ran` flag is set, in dispatch order.
+    ran: Vec<u32>,
     pub(crate) pool: BufPool,
     stats: SimStats,
     // bento-lint: allow(BL001) -- membership-only tombstone set; never iterated.
@@ -398,6 +446,8 @@ impl ShardCore {
             nodes: Vec::new(),
             locals: Vec::new(),
             outbox: Vec::new(),
+            dying: BinaryHeap::new(),
+            ran: Vec::new(),
             pool: BufPool::default(),
             stats: SimStats::default(),
             // bento-lint: allow(BL001) -- see field declaration.
@@ -484,11 +534,20 @@ impl ShardCore {
 
     pub(crate) fn peer_of(&self, me: NodeId, conn: ConnId) -> Option<NodeId> {
         let l = self.local(me);
+        // Up to and including `on_conn_closed` (flagged dead there, dropped
+        // after), but not past a closing half's own death, reaped or not.
+        let half = |role| l.half(conn, role).filter(|h| self.now < h.dies_at);
         // A loopback connection has both halves here, under one id: answer
-        // while either is resident, so its `on_conn_closed` (the accept
-        // half's; the initiator half is already reaped) still learns the peer.
-        let h = l.half(conn, role_of(me, conn));
-        Some(h.or_else(|| l.half(conn, ROLE_ACCEPT))?.peer)
+        // while either is around, so its `on_conn_closed` (the accept
+        // half's; the initiator half is already gone) still learns the peer.
+        Some(half(role_of(me, conn)).or_else(|| half(ROLE_ACCEPT))?.peer)
+    }
+
+    /// `me`'s half of `conn`, unless it can no longer send or receive.
+    fn live_mut(&mut self, me: NodeId, conn: ConnId, role: u8) -> Option<&mut Half> {
+        let now = self.now;
+        let half = self.local_mut(me).half_mut(conn, role);
+        half.filter(|h| !h.gone(now))
     }
 
     pub(crate) fn send(
@@ -499,12 +558,9 @@ impl ShardCore {
         msg: Vec<u8>,
     ) -> bool {
         let role = role_of(me, conn);
-        let Some(h) = self.local_mut(me).half_mut(conn, role) else {
+        let Some(h) = self.live_mut(me, conn, role).filter(|h| !h.dir.closing) else {
             return false;
         };
-        if h.dead || h.dir.closing {
-            return false;
-        }
         h.dir.queue.push_back(msg);
         self.kick(shared, me, conn, role);
         true
@@ -512,50 +568,27 @@ impl ShardCore {
 
     pub(crate) fn close(&mut self, shared: &ShardShared, me: NodeId, conn: ConnId) {
         let role = role_of(me, conn);
-        let Some(h) = self.local_mut(me).half_mut(conn, role) else {
+        let Some(h) = self.live_mut(me, conn, role) else {
             return;
         };
-        if h.dead {
-            return;
-        }
         h.dir.closing = true;
-        self.maybe_send_close(shared, me, conn, role);
-    }
-
-    fn maybe_send_close(&mut self, shared: &ShardShared, me: NodeId, conn: ConnId, role: u8) {
-        let Some(h) = self.local_mut(me).half_mut(conn, role) else {
-            return;
-        };
-        let d = &mut h.dir;
-        if !d.closing || d.close_sent || d.busy || !d.queue.is_empty() || !d.ready {
-            return;
+        // Behind queued data the close goes when the queue has drained.
+        if h.dir.queue.is_empty() {
+            self.kick(shared, me, conn, role);
         }
-        d.close_sent = true;
-        let peer = h.peer;
-        let t = self.now + shared.one_way(me, peer);
-        let arrive = SKind::CloseArrive {
-            conn,
-            sender_role: role,
-        };
-        self.post(t, me, peer, arrive);
-        // Our own half dies at the same instant the peer learns of the close,
-        // mirroring the serial engine's single conn-wide dead flag.
-        self.post(t, me, me, SKind::HalfDead { conn, role });
     }
 
-    /// Drop `me`'s half of `conn` once it is dead and no chunk of it is
-    /// serializing. A dead half with a chunk in flight stays until that
-    /// chunk's `ChunkDone` has found it and released the uplink fair-share
-    /// slot the chunk holds.
-    fn reap(&mut self, me: NodeId, conn: ConnId, role: u8) {
-        let Some(halves) = self.local_mut(me).halves.as_deref_mut() else {
-            return;
-        };
-        if halves
-            .get(conn, role)
-            .is_some_and(|h| h.dead && !h.dir.busy)
-        {
-            halves.remove(conn, role);
+    /// Drop every closing-side half whose death the clock has reached.
+    fn reap_due(&mut self) {
+        while let Some(&Reverse((t, node, conn, role))) = self.dying.peek() {
+            if t > self.now {
+                break;
+            }
+            self.dying.pop();
+            // A miss: the peer's own close got here first.
+            if let Some(halves) = self.local_mut(NodeId(node)).halves.as_deref_mut() {
+                halves.remove(ConnId(conn), role);
+            }
         }
     }
 
@@ -581,143 +614,98 @@ impl ShardCore {
         }
     }
 
-    /// Start serializing the next chunk on `me`'s half of `conn` — the
-    /// serial engine's packing rules, with the receiver `down_share` term
-    /// replaced by the receiver-side ingress pipe (see module docs).
+    /// The sharded engine's transmit path: [`DirState::advance`] at
+    /// `min(window rate, uplink / n_up)`, where `n_up` counts this chunk and
+    /// every chunk of the node whose end time lies ahead of the clock. The
+    /// receiver's downlink is charged on arrival, by its ingress pipe.
     fn kick(&mut self, shared: &ShardShared, me: NodeId, conn: ConnId, role: u8) {
-        let l = self.local_mut(me);
-        let Some(h) = l.half_mut(conn, role) else {
-            return;
-        };
-        if h.dead {
-            return;
-        }
-        let peer = h.peer;
-        let d = &mut h.dir;
-        if !d.ready || d.busy || d.queue.is_empty() {
-            return;
-        }
-        let overhead = shared.cfg.per_msg_overhead as u64;
-        let front_total = d.queue.front().map(|m| m.len() as u64).unwrap_or(0) + overhead;
-        let mut total = front_total.saturating_sub(d.front_sent);
-        for m in d.queue.iter().skip(1) {
-            let need = m.len() as u64 + overhead;
-            if total + need > shared.cfg.chunk as u64 {
-                break;
+        let (now, sender_role) = (self.now, role);
+        loop {
+            let l = self.local_mut(me);
+            let halves = l.halves.as_deref_mut();
+            let Some(h) = halves.and_then(|hs| hs.get_mut(conn, role)) else {
+                return;
+            };
+            if h.gone(now) {
+                return;
             }
-            total += need;
-        }
-        let chunk = total.min(shared.cfg.chunk as u64) as u32;
-        let cw_rate = d.cwnd.rate(shared.rtt(me, peer));
-        d.busy = true;
-        d.inflight_chunk = chunk;
-        let rate = if me == peer {
-            cw_rate.min(shared.cfg.loopback_bps)
-        } else {
-            l.active_up += 1;
-            cw_rate.min(shared.ifaces[me.0 as usize].up_share(l.active_up as usize))
-        };
-        let t = self.now + SimDuration::for_bytes(chunk as u64, rate);
-        self.post(t, me, me, SKind::ChunkDone { conn, role });
-    }
-
-    fn on_chunk_done(&mut self, shared: &ShardShared, me: NodeId, conn: ConnId, role: u8) {
-        let now = self.now;
-        let l = self.local_mut(me);
-        // A busy half is never reaped, so the chunk's owner is still here.
-        let Some(h) = l.half_mut(conn, role) else {
-            return;
-        };
-        let peer = h.peer;
-        let d = &mut h.dir;
-        let chunk = d.inflight_chunk;
-        d.busy = false;
-        d.inflight_chunk = 0;
-        d.cwnd.on_acked(chunk);
-        d.front_sent += chunk as u64;
-        let mut done: Vec<Vec<u8>> = Vec::new();
-        while let Some(m) = d.queue.front() {
-            let front_total = m.len() as u64 + shared.cfg.per_msg_overhead as u64;
-            if d.front_sent < front_total {
-                break;
-            }
-            d.front_sent -= front_total;
-            done.extend(d.queue.pop_front());
-        }
-        if d.queue.is_empty() {
-            d.front_sent = 0;
-        }
-        if me != peer {
-            l.active_up = l.active_up.saturating_sub(1);
-        }
-        if !done.is_empty() {
-            if let Some(s) = l.sniffer.as_mut() {
-                for m in &done {
-                    s.record(TraceEvent {
-                        time: now,
-                        dir: Direction::Outgoing,
-                        bytes: m.len() as u32,
+            let peer = h.peer;
+            let up = &mut l.up;
+            let step = h.dir.advance(&shared.cfg, now, |cwnd| {
+                let window_rate = cwnd.rate(shared.rtt(me, peer));
+                if me == peer {
+                    return window_rate.min(shared.cfg.loopback_bps);
+                }
+                window_rate.min(shared.ifaces[me.0 as usize].up_share(up.live(now) + 1))
+            });
+            match step {
+                Kick::Idle => return,
+                Kick::Wake(end) => return self.post(end, me, me, SKind::ChunkDone { conn, role }),
+                Kick::Close => {
+                    // Our own half dies as the peer learns of the close, like
+                    // the serial engine's single conn-wide dead flag.
+                    let t = now + shared.one_way(me, peer);
+                    h.dies_at = t;
+                    self.dying.push(Reverse((t, me.0, conn.0, role)));
+                    return self.post(t, me, peer, SKind::CloseArrive { conn, sender_role });
+                }
+                Kick::Started { end, msg } => {
+                    if me != peer {
+                        up.hold(now, end);
+                    }
+                    let Some(msg) = msg else { continue };
+                    if let Some(s) = l.sniffer.as_mut() {
+                        s.record(TraceEvent {
+                            time: end,
+                            dir: Direction::Outgoing,
+                            bytes: msg.len() as u32,
+                            conn,
+                            peer,
+                        });
+                    }
+                    let wire = SKind::Wire {
                         conn,
-                        peer,
-                    });
+                        sender_role,
+                        msg,
+                    };
+                    self.post(end + shared.one_way(me, peer), me, peer, wire);
                 }
             }
-            // One event per chunk: every whole message the chunk covered
-            // crosses the wire together and arrives at the same instant
-            // (preserving the serial engine's same-instant delivery batches).
-            let batch = SKind::WireBatch {
-                conn,
-                sender_role: role,
-                msgs: done,
-            };
-            self.post(now + shared.one_way(me, peer), me, peer, batch);
         }
-        self.kick(shared, me, conn, role);
-        self.maybe_send_close(shared, me, conn, role);
-        self.reap(me, conn, role);
     }
 
-    /// `me`'s half of `conn` if it can still receive: `Some(peer)`.
-    fn live_peer(&self, me: NodeId, conn: ConnId, role: u8) -> Option<NodeId> {
-        let h = self.local(me).half(conn, role)?;
-        (!h.dead).then_some(h.peer)
-    }
-
-    /// A chunk's messages reached this node's access link: serialize them
-    /// through the downlink ingress pipe, then deliver.
-    fn on_wire_batch(
+    /// A message reached this node's access link: serialize it through the
+    /// downlink ingress pipe, then deliver.
+    fn on_wire(
         &mut self,
         shared: &ShardShared,
         me: NodeId,
         conn: ConnId,
         sender_role: u8,
-        msgs: Vec<Vec<u8>>,
+        msg: Vec<u8>,
     ) {
         let recv_role = 1 - sender_role;
-        if self.live_peer(me, conn, recv_role).is_none() {
+        if self.live_mut(me, conn, recv_role).is_none() {
             return;
         }
         let down = shared.ifaces[me.0 as usize].down_bps;
-        if down == 0 {
-            self.deliver(shared, me, conn, recv_role, msgs);
-            return;
-        }
-        let wire: u64 = msgs
-            .iter()
-            .map(|m| m.len() as u64 + shared.cfg.per_msg_overhead as u64)
-            .sum();
+        let wire = msg.len() as u64 + shared.cfg.per_msg_overhead as u64;
         let now = self.now;
         let l = self.local_mut(me);
-        let start = now.max(l.ingress_free);
-        let done_at = start + SimDuration::for_bytes(wire, down);
-        l.ingress_free = done_at;
+        // An unlimited downlink takes no time and leaves the pipe alone.
+        let done_at = if down == 0 {
+            now
+        } else {
+            l.ingress_free = now.max(l.ingress_free) + SimDuration::for_bytes(wire, down);
+            l.ingress_free
+        };
         if done_at == now {
-            self.deliver(shared, me, conn, recv_role, msgs);
+            self.deliver(shared, me, conn, recv_role, msg);
         } else {
             let deliver = SKind::Deliver {
                 conn,
                 sender_role,
-                msgs,
+                msg,
             };
             self.post(done_at, me, me, deliver);
         }
@@ -729,39 +717,33 @@ impl ShardCore {
         me: NodeId,
         conn: ConnId,
         recv_role: u8,
-        msgs: Vec<Vec<u8>>,
+        msg: Vec<u8>,
     ) {
-        let Some(peer) = self.live_peer(me, conn, recv_role) else {
+        let Some(peer) = self.live_mut(me, conn, recv_role).map(|h| h.peer) else {
             return;
         };
-        self.stats.msgs_delivered += msgs.len() as u64;
+        self.stats.msgs_delivered += 1;
+        self.stats.bytes_delivered += msg.len() as u64;
+        if self.hist_full {
+            self.msg_bytes.record(msg.len() as u64);
+        }
         let now = self.now;
-        let hist_full = self.hist_full;
-        let mut bytes = 0u64;
-        for m in &msgs {
-            bytes += m.len() as u64;
-            if hist_full {
-                self.msg_bytes.record(m.len() as u64);
-            }
-        }
-        self.stats.bytes_delivered += bytes;
         if let Some(s) = self.local_mut(me).sniffer.as_mut() {
-            for m in &msgs {
-                s.record(TraceEvent {
-                    time: now,
-                    dir: Direction::Incoming,
-                    bytes: m.len() as u32,
-                    conn,
-                    peer,
-                });
-            }
+            s.record(TraceEvent {
+                time: now,
+                dir: Direction::Incoming,
+                bytes: msg.len() as u32,
+                conn,
+                peer,
+            });
         }
-        if msgs.len() == 1 {
-            // bento-lint: allow(BL010) -- guarded by the msgs.len() == 1 branch above
-            let msg = msgs.into_iter().next().expect("one msg");
-            self.dispatch(shared, me, |n, ctx| n.on_msg(ctx, conn, msg));
-        } else {
-            self.dispatch(shared, me, |n, ctx| n.on_msgs(ctx, conn, msgs));
+        self.dispatch(shared, me, |n, ctx| n.on_msg(ctx, conn, msg));
+    }
+
+    /// Node `id` is handed out mutably: it is owed a `flush_telemetry`.
+    fn mark_ran(&mut self, li: usize, id: NodeId) {
+        if !std::mem::replace(&mut self.locals[li].ran, true) {
+            self.ran.push(id.0);
         }
     }
 
@@ -772,6 +754,7 @@ impl ShardCore {
         f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>),
     ) {
         let li = self.local_index(id);
+        self.mark_ran(li, id);
         let mut node = self.nodes[li]
             .take()
             // bento-lint: allow(BL010) -- the node slot is vacated only for this dispatch frame; handlers cannot re-enter
@@ -789,23 +772,21 @@ impl ShardCore {
 
     /// A graceful close takes effect on the receiving half. The half is
     /// still resident (dead) while the node hears `on_conn_closed`, so
-    /// `Ctx::peer_of` answers there; it is reaped right after.
+    /// `Ctx::peer_of` answers there; it is dropped right after. A chunk it
+    /// has in flight keeps its uplink slot by its end time, not by the half.
     fn close_done(&mut self, shared: &ShardShared, me: NodeId, conn: ConnId, recv_role: u8) {
-        let Some(h) = self.local_mut(me).half_mut(conn, recv_role) else {
+        let Some(h) = self.live_mut(me, conn, recv_role) else {
             return;
         };
-        if h.dead {
-            return;
-        }
         h.dead = true;
         self.dispatch(shared, me, |n, ctx| n.on_conn_closed(ctx, conn));
-        self.reap(me, conn, recv_role);
+        self.local_mut(me).halves_mut().remove(conn, recv_role);
     }
 
     fn handle(&mut self, shared: &ShardShared, me: NodeId, kind: SKind) {
         match kind {
             SKind::SynArrive { conn, from, port } => {
-                let mut h = Half::new(&shared.cfg, from);
+                let mut h = Box::new(Half::new(&shared.cfg, from));
                 h.dir.ready = true;
                 self.local_mut(me).halves_mut().accept.insert(conn.0, h);
                 // No kick/close check needed: the half was born this instant,
@@ -815,32 +796,36 @@ impl ShardCore {
             SKind::Established { conn } => {
                 // A miss: the acceptor's close landed first (same instant,
                 // lower key) and the half is already gone.
-                let Some(h) = self.local_mut(me).half_mut(conn, ROLE_INIT) else {
+                let Some(h) = self.live_mut(me, conn, ROLE_INIT) else {
                     return;
                 };
-                if h.dead {
-                    return;
-                }
                 h.dir.ready = true;
                 let peer = h.peer;
                 self.kick(shared, me, conn, ROLE_INIT);
-                self.maybe_send_close(shared, me, conn, ROLE_INIT);
                 self.dispatch(shared, me, |n, ctx| n.on_conn_established(ctx, conn, peer));
             }
-            SKind::ChunkDone { conn, role } => self.on_chunk_done(shared, me, conn, role),
-            SKind::WireBatch {
+            SKind::ChunkDone { conn, role } => {
+                // Whatever waited behind the chunk goes next, unless the half
+                // is gone or the wake-up is stale.
+                let now = self.now;
+                let half = self.live_mut(me, conn, role);
+                if half.is_some_and(|h| h.dir.take_wake(now)) {
+                    self.kick(shared, me, conn, role);
+                }
+            }
+            SKind::Wire {
                 conn,
                 sender_role,
-                msgs,
-            } => self.on_wire_batch(shared, me, conn, sender_role, msgs),
+                msg,
+            } => self.on_wire(shared, me, conn, sender_role, msg),
             SKind::Deliver {
                 conn,
                 sender_role,
-                msgs,
-            } => self.deliver(shared, me, conn, 1 - sender_role, msgs),
+                msg,
+            } => self.deliver(shared, me, conn, 1 - sender_role, msg),
             SKind::CloseArrive { conn, sender_role } => {
                 let recv_role = 1 - sender_role;
-                if self.live_peer(me, conn, recv_role).is_none() {
+                if self.live_mut(me, conn, recv_role).is_none() {
                     return;
                 }
                 // The close trails anything still serializing through this
@@ -857,12 +842,6 @@ impl ShardCore {
                 }
             }
             SKind::CloseDone { conn, recv_role } => self.close_done(shared, me, conn, recv_role),
-            SKind::HalfDead { conn, role } => {
-                if let Some(h) = self.local_mut(me).half_mut(conn, role) {
-                    h.dead = true;
-                }
-                self.reap(me, conn, role);
-            }
             SKind::Timer { id, tag } => {
                 self.pending_timers = self.pending_timers.saturating_sub(1);
                 if self.cancelled_timers.remove(&id) {
@@ -888,6 +867,7 @@ impl ShardCore {
             // bento-lint: allow(BL010) -- the loop condition peeked this event; nothing pops between peek and here
             let ev = self.queue.pop().expect("peeked event vanished");
             self.now = ev.time;
+            self.reap_due();
             self.stats.events += 1;
             processed += 1;
             self.handle(shared, NodeId(ev.dst), ev.kind);
@@ -978,7 +958,7 @@ impl ShardedSim {
 
     pub(crate) fn enable_sniffer(&mut self, id: NodeId) {
         let (s, li) = self.locate(id);
-        self.shards[s].locals[li].sniffer = Some(Sniffer::new());
+        self.shards[s].locals[li].sniffer = Some(Box::new(Sniffer::new()));
     }
 
     pub(crate) fn sniffer(&self, id: NodeId) -> &Sniffer {
@@ -1036,6 +1016,7 @@ impl ShardedSim {
         f: impl FnOnce(&mut T, &mut Ctx<'_>) -> R,
     ) -> R {
         let (s, li) = self.locate(id);
+        self.shards[s].mark_ran(li, id);
         let mut node = self.shards[s].nodes[li]
             .take()
             .expect("node is being dispatched");
@@ -1061,9 +1042,8 @@ impl ShardedSim {
 
     pub(crate) fn active_link_slots(&self, id: NodeId) -> (u32, u32) {
         let (s, li) = self.locate(id);
-        // The sharded model has no receiver-side slot count (the ingress pipe
-        // replaces downlink fair sharing); report 0 for the downlink.
-        (self.shards[s].locals[li].active_up, 0)
+        let shard = &self.shards[s];
+        (shard.locals[li].up.live(shard.now) as u32, 0)
     }
 
     /// Halves resident across all nodes (walks every node: diagnostics only).
@@ -1163,6 +1143,7 @@ impl ShardedSim {
             if s.now < end {
                 s.now = end;
             }
+            s.reap_due();
         }
         self.flush_run(enter_ns, processed);
         processed
@@ -1276,12 +1257,17 @@ impl ShardedSim {
         counts.iter().map(|c| c.load(AtOrd::SeqCst)).sum()
     }
 
-    /// Post-run telemetry epilogue, all from the main thread: node-local
-    /// counters flush in global id order, then per-shard engine deltas merge
-    /// in shard-index order.
+    /// Post-run telemetry epilogue, all from the main thread: the nodes
+    /// that ran since their last flush fold their counters in global id
+    /// order, then per-shard engine deltas merge in shard-index order.
     fn flush_run(&mut self, enter_ns: u64, processed: u64) {
-        for id in 0..self.total_nodes {
-            let (s, li) = self.locate(NodeId(id as u32));
+        // Taken, not drained: the first run's list (`on_start`) is every node.
+        let shards = self.shards.iter_mut();
+        let mut ran: Vec<u32> = shards.flat_map(|s| std::mem::take(&mut s.ran)).collect();
+        ran.sort_unstable();
+        for id in ran {
+            let (s, li) = self.locate(NodeId(id));
+            self.shards[s].locals[li].ran = false;
             if let Some(node) = self.shards[s].nodes[li].as_mut() {
                 node.flush_telemetry();
             }
@@ -1596,7 +1582,7 @@ mod tests {
                 (1, 0),
                 "the flood's chunk holds its slot past the close (shards={shards})"
             );
-            assert_eq!(sim.live_conn_halves(), 1, "only the flooder's busy half");
+            assert_eq!(sim.live_conn_halves(), 0, "the slot outlives the half");
             sim.run_to_quiescence();
             assert_eq!(sim.live_conn_halves(), 0, "shards={shards}");
             for id in 0..6 {

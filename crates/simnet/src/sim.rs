@@ -87,15 +87,36 @@ pub struct SimStats {
 pub(crate) struct DirState {
     pub(crate) queue: VecDeque<Vec<u8>>,
     /// Bytes of the front message (payload + overhead) already serialized.
-    pub(crate) front_sent: u64,
-    /// Size of the chunk currently serializing, if `busy`.
-    pub(crate) inflight_chunk: u32,
-    pub(crate) busy: bool,
+    front_sent: u64,
+    /// Size of the chunk last started; credited to the window, if `busy`,
+    /// when the next one starts.
+    inflight_chunk: u32,
+    busy: bool,
     /// True once this direction may transmit (handshake progress).
     pub(crate) ready: bool,
     pub(crate) closing: bool,
-    pub(crate) close_sent: bool,
-    pub(crate) cwnd: Cwnd,
+    close_sent: bool,
+    cwnd: Cwnd,
+    /// When the chunk last started finishes serializing. The direction may
+    /// start another once `now` has reached it.
+    busy_until: SimTime,
+    /// The time of the one `ChunkDone` wake-up in the queue that still
+    /// counts. A wake-up popped at any other time is stale.
+    wake_at: Option<SimTime>,
+}
+
+/// What [`DirState::advance`] did, and what is left for the engine to do.
+pub(crate) enum Kick {
+    /// Nothing: not ready, nothing to send, or its wake-up is already queued.
+    Idle,
+    /// Queue a `ChunkDone` wake-up for this time: a message or the close
+    /// waits behind the chunk serializing until then.
+    Wake(SimTime),
+    /// A chunk started and ends at `end`; the message it completes, if any,
+    /// arrives one propagation delay later.
+    Started { end: SimTime, msg: Option<Vec<u8>> },
+    /// Everything queued has left the sender: the close goes now.
+    Close,
 }
 
 impl DirState {
@@ -109,7 +130,67 @@ impl DirState {
             closing: false,
             close_sent: false,
             cwnd: Cwnd::new(cfg),
+            busy_until: SimTime::ZERO,
+            wake_at: None,
         }
+    }
+
+    /// The transmit rule of both engines: put the front of the send queue —
+    /// or, behind it, a pending close — on the wire, if the direction is
+    /// ready and its previous chunk has finished serializing.
+    ///
+    /// A chunk is one message, or one piece of at most `cfg.chunk` bytes of
+    /// a larger one, serialized at the rate `rate` gives it at the moment it
+    /// starts: the engine's `min(window rate, link shares)`, asked once the
+    /// previous chunk has been credited to the window. A chunk's completion
+    /// is not an event. The arrival of a message it ends is the caller's to
+    /// schedule here and now; a wake-up is asked for only while something
+    /// waits behind a chunk still serializing, and once per chunk.
+    pub(crate) fn advance(
+        &mut self,
+        cfg: &TransportCfg,
+        now: SimTime,
+        rate: impl FnOnce(&Cwnd) -> u64,
+    ) -> Kick {
+        let close = self.closing && !self.close_sent;
+        if !self.ready || (self.queue.is_empty() && !close) {
+            return Kick::Idle;
+        }
+        let wake = self.busy_until;
+        if wake > now {
+            let armed = self.wake_at.replace(wake) == Some(wake);
+            return if armed { Kick::Idle } else { Kick::Wake(wake) };
+        }
+        let Some(front) = self.queue.front() else {
+            self.close_sent = true;
+            return Kick::Close;
+        };
+        let front_total = front.len() as u64 + cfg.per_msg_overhead as u64;
+        if self.busy {
+            // The previous chunk is through: the window grows by it.
+            self.cwnd.on_acked(self.inflight_chunk);
+        }
+        let chunk = (front_total - self.front_sent).min(cfg.chunk as u64);
+        self.front_sent += chunk;
+        let msg = if self.front_sent == front_total {
+            self.front_sent = 0;
+            self.queue.pop_front()
+        } else {
+            None
+        };
+        self.busy = true;
+        self.inflight_chunk = chunk as u32;
+        let end = now + SimDuration::for_bytes(chunk, rate(&self.cwnd));
+        self.busy_until = end;
+        Kick::Started { end, msg }
+    }
+
+    /// A `ChunkDone` wake-up popped at `now`: is it the one that counts?
+    /// Only the wake-up armed for the current `busy_until` does — a `send`
+    /// at exactly `busy_until` has already started the next chunk and armed
+    /// its own, and acting on the stale one would arm a duplicate.
+    pub(crate) fn take_wake(&mut self, now: SimTime) -> bool {
+        self.wake_at.take_if(|at| *at == now).is_some()
     }
 }
 
@@ -119,12 +200,6 @@ struct Conn {
     b: NodeId,
     port: u16,
     dirs: [DirState; 2],
-    /// Per direction: when the chunk last started finishes serializing. The
-    /// direction may start another once `now` has reached it.
-    busy_until: [SimTime; 2],
-    /// Per direction: the time of the one `ChunkDone` wake-up in the queue
-    /// that still counts. A wake-up popped at any other time is stale.
-    wake_at: [Option<SimTime>; 2],
     dead: bool,
 }
 
@@ -355,11 +430,12 @@ impl SimCore {
         }
     }
 
-    fn rtt(&self, a: NodeId, b: NodeId) -> SimDuration {
+    /// No `&self`: `kick` asks while it holds a connection mutably.
+    fn rtt(cfg: &TransportCfg, ifaces: &[Iface], a: NodeId, b: NodeId) -> SimDuration {
         if a == b {
-            self.cfg.loopback_rtt
+            cfg.loopback_rtt
         } else {
-            self.one_way(a, b) * 2
+            (ifaces[a.0 as usize].latency + ifaces[b.0 as usize].latency) * 2
         }
     }
 
@@ -370,13 +446,11 @@ impl SimCore {
             b: dst,
             port,
             dirs: [DirState::new(&self.cfg), DirState::new(&self.cfg)],
-            busy_until: [SimTime::ZERO; 2],
-            wake_at: [None; 2],
             dead: false,
         });
         self.stats.conns_opened += 1;
         let one_way = self.one_way(src, dst);
-        let rtt = self.rtt(src, dst);
+        let rtt = Self::rtt(&self.cfg, &self.ifaces, src, dst);
         if self.faults_active && self.path_blocked(src, dst) {
             // Connection refused: the conn is born dead and the initiator
             // hears about it after a round trip, like a reset.
@@ -446,114 +520,65 @@ impl SimCore {
         } else {
             return;
         };
-        c.dirs[Conn::dir_index(dir)].closing = true;
-        self.maybe_send_close(conn, dir);
-    }
-
-    /// Send the close once everything queued ahead of it has left the sender;
-    /// while the last chunk is still serializing, wait for its wake-up.
-    fn maybe_send_close(&mut self, conn: ConnId, dir: FlowDir) {
-        let di = Conn::dir_index(dir);
-        let c = &mut self.conns[conn.0 as usize];
-        let d = &mut c.dirs[di];
-        if !d.closing || d.close_sent || !d.queue.is_empty() || !d.ready {
-            return;
-        }
-        if c.busy_until[di] > self.now {
-            self.arm_wake(conn, dir);
-            return;
-        }
-        d.close_sent = true;
-        let (a, b) = (c.a, c.b);
-        let one_way = self.one_way(a, b);
-        self.queue
-            .push(self.now + one_way, EventKind::CloseArrive { conn, dir });
-    }
-
-    /// Queue the `ChunkDone` wake-up for the chunk now serializing on `dir`,
-    /// unless it is already queued.
-    fn arm_wake(&mut self, conn: ConnId, dir: FlowDir) {
-        let di = Conn::dir_index(dir);
-        let c = &mut self.conns[conn.0 as usize];
-        let end = c.busy_until[di];
-        if c.wake_at[di] != Some(end) {
-            c.wake_at[di] = Some(end);
-            self.queue.push(end, EventKind::ChunkDone { conn, dir });
+        let d = &mut c.dirs[Conn::dir_index(dir)];
+        d.closing = true;
+        // Behind queued data the close goes when the queue has drained.
+        if d.queue.is_empty() {
+            self.kick(conn, dir);
         }
     }
 
-    /// Put the front of `dir`'s send queue on the wire, if the direction is
-    /// ready and its previous chunk has finished serializing.
-    ///
-    /// A chunk is one message, or one piece of at most `cfg.chunk` bytes of
-    /// a larger one, serialized at the rate the congestion window and the
-    /// two interfaces' fair shares give it at the moment it starts. Its
-    /// completion is not an event. A chunk that ends a message schedules
-    /// that message's arrival for `end + one_way` here and now; the window
-    /// grows by the chunk when the direction is next kicked; the chunk holds
-    /// its fair-share slots for as long as its end time lies ahead of the
-    /// clock. A `ChunkDone` wake-up is queued only while something (more
-    /// data, or a close) waits behind a chunk still serializing.
+    /// The serial engine's transmit path: [`DirState::advance`] at
+    /// `min(window rate, uplink / n_up, downlink / n_down)`, where `n_up` and
+    /// `n_down` count this chunk and every chunk on the same interface whose
+    /// end time lies ahead of the clock.
     ///
     /// This is also the wire-entry fault point: a blocked path, loss and
     /// corruption are drawn when the chunk that ends the message *starts*
     /// (healthy traffic draws nothing). A message already in flight when its
     /// link, peer or partition side dies is dropped at arrival.
     fn kick(&mut self, conn: ConnId, dir: FlowDir) {
-        let di = Conn::dir_index(dir);
         let now = self.now;
         loop {
-            let c = &mut self.conns[conn.0 as usize];
-            let d = &mut c.dirs[di];
-            if c.dead || !d.ready {
+            let c = &self.conns[conn.0 as usize];
+            if c.dead {
                 return;
             }
-            let Some(front) = d.queue.front() else {
-                return;
-            };
-            let front_total = front.len() as u64 + self.cfg.per_msg_overhead as u64;
-            if c.busy_until[di] > now {
-                self.arm_wake(conn, dir);
-                return;
-            }
-            if d.busy {
-                // The previous chunk is through: the window grows by it.
-                d.busy = false;
-                d.cwnd.on_acked(d.inflight_chunk);
-            }
-            let chunk = (front_total - d.front_sent).min(self.cfg.chunk as u64);
-            d.front_sent += chunk;
-            let completed = if d.front_sent == front_total {
-                d.front_sent = 0;
-                d.queue.pop_front()
-            } else {
-                None
-            };
-            d.busy = true;
-            d.inflight_chunk = chunk as u32;
-            let cwnd = d.cwnd;
             let (sender, receiver) = (c.sender(dir), c.receiver(dir));
-            let window_rate = cwnd.rate(self.rtt(sender, receiver));
-            let end = if sender == receiver {
-                now + SimDuration::for_bytes(chunk, window_rate.min(self.cfg.loopback_bps))
-            } else {
-                // Fair shares count this chunk and every chunk on the same
-                // interface that is still serializing.
-                let up = &mut self.up_ends[sender.0 as usize];
+            let (si, ri) = (sender.0 as usize, receiver.0 as usize);
+            let (cfg, ifaces) = (&self.cfg, &self.ifaces);
+            let (up_ends, down_ends) = (&mut self.up_ends, &mut self.down_ends);
+            let d = &mut self.conns[conn.0 as usize].dirs[Conn::dir_index(dir)];
+            let step = d.advance(cfg, now, |cwnd| {
+                let window_rate = cwnd.rate(Self::rtt(cfg, ifaces, sender, receiver));
+                if sender == receiver {
+                    return window_rate.min(cfg.loopback_bps);
+                }
+                let (up, down) = (&mut up_ends[si], &mut down_ends[ri]);
                 up.retain(|&e| e > now);
-                let down = &mut self.down_ends[receiver.0 as usize];
                 down.retain(|&e| e > now);
-                let rate = window_rate
-                    .min(self.ifaces[sender.0 as usize].up_share(up.len() + 1))
-                    .min(self.ifaces[receiver.0 as usize].down_share(down.len() + 1));
-                let end = now + SimDuration::for_bytes(chunk, rate);
-                up.push(end);
-                down.push(end);
-                end
-            };
-            self.conns[conn.0 as usize].busy_until[di] = end;
-            if let Some(msg) = completed {
-                self.enter_wire(conn, dir, end, msg);
+                window_rate
+                    .min(ifaces[si].up_share(up.len() + 1))
+                    .min(ifaces[ri].down_share(down.len() + 1))
+            });
+            match step {
+                Kick::Idle => return,
+                Kick::Wake(end) => {
+                    return self.queue.push(end, EventKind::ChunkDone { conn, dir });
+                }
+                Kick::Close => {
+                    let at = now + self.one_way(sender, receiver);
+                    return self.queue.push(at, EventKind::CloseArrive { conn, dir });
+                }
+                Kick::Started { end, msg } => {
+                    if sender != receiver {
+                        self.up_ends[si].push(end);
+                        self.down_ends[ri].push(end);
+                    }
+                    if let Some(msg) = msg {
+                        self.enter_wire(conn, dir, end, msg);
+                    }
+                }
             }
         }
     }
@@ -598,21 +623,6 @@ impl SimCore {
         }
         self.queue
             .push(end + one_way, EventKind::MsgArrive { conn, dir, msg });
-    }
-
-    /// A `ChunkDone` wake-up fired: whatever waited behind the chunk goes
-    /// next. Only the wake-up armed for the current `busy_until` counts — a
-    /// `send` at exactly `busy_until` has already started the next chunk and
-    /// armed its own, and acting on the stale one would arm a duplicate.
-    fn on_chunk_done(&mut self, conn: ConnId, dir: FlowDir) {
-        let di = Conn::dir_index(dir);
-        let c = &mut self.conns[conn.0 as usize];
-        if c.dead || c.wake_at[di] != Some(self.now) {
-            return;
-        }
-        c.wake_at[di] = None;
-        self.kick(conn, dir);
-        self.maybe_send_close(conn, dir);
     }
 }
 
@@ -866,7 +876,6 @@ impl SerialSim {
                 }
                 self.core.conns[conn.0 as usize].dirs[1].ready = true;
                 self.core.kick(conn, FlowDir::Backward);
-                self.core.maybe_send_close(conn, FlowDir::Backward);
                 self.dispatch(b, |n, ctx| n.on_conn_open(ctx, conn, a, port));
             }
             EventKind::ConnEstablished { conn } => {
@@ -879,11 +888,15 @@ impl SerialSim {
                 }
                 self.core.conns[conn.0 as usize].dirs[0].ready = true;
                 self.core.kick(conn, FlowDir::Forward);
-                self.core.maybe_send_close(conn, FlowDir::Forward);
                 self.dispatch(a, |n, ctx| n.on_conn_established(ctx, conn, b));
             }
             EventKind::ChunkDone { conn, dir } => {
-                self.core.on_chunk_done(conn, dir);
+                // Whatever waited behind the chunk goes next, unless the
+                // connection is dead or the wake-up is stale.
+                let c = &mut self.core.conns[conn.0 as usize];
+                if !c.dead && c.dirs[Conn::dir_index(dir)].take_wake(self.core.now) {
+                    self.core.kick(conn, dir);
+                }
             }
             EventKind::MsgArrive { conn, dir, msg } => {
                 let (dead, receiver, sender) = {
@@ -1375,7 +1388,7 @@ mod tests {
     }
 
     /// Telemetry is flushed on nodes that ran since their last flush, and
-    /// only on those: an idle `run_until` flushes nobody.
+    /// only on those: an idle `run_until` flushes nobody. On both engines.
     #[test]
     fn flush_telemetry_follows_dispatch_and_with_node() {
         #[derive(Default)]
@@ -1386,23 +1399,28 @@ mod tests {
                 self.0 += 1;
             }
         }
-        let mut sim = Simulator::with_seed(1);
-        let ids = [0, 1].map(|i| {
-            let node = Box::new(Flushes::default());
-            sim.add_node(format!("n{i}"), Iface::datacenter(), node)
-        });
-        let flushes_at = |sim: &mut Simulator, ms: u64| {
-            sim.run_until(SimTime::ZERO + SimDuration::from_millis(ms));
-            ids.map(|id| sim.node_ref::<Flushes>(id).0)
-        };
-        assert_eq!(flushes_at(&mut sim, 1), [1, 1]); // on_start ran on both
-        assert_eq!(flushes_at(&mut sim, 2), [1, 1]); // nothing ran
-        sim.with_node::<Flushes, _>(ids[1], |_, ctx| {
-            ctx.set_timer(SimDuration::from_millis(5), 0);
-        });
-        assert_eq!(flushes_at(&mut sim, 3), [1, 2]); // handed out by with_node
-        assert_eq!(flushes_at(&mut sim, 4), [1, 2]); // timer not due yet
-        assert_eq!(flushes_at(&mut sim, 10), [1, 3]); // on_timer dispatched
+        for shards in [0, 2] {
+            let mut sim = Simulator::new(SimConfig {
+                shards,
+                ..SimConfig::default()
+            });
+            let ids = [0, 1].map(|i| {
+                let node = Box::new(Flushes::default());
+                sim.add_node(format!("n{i}"), Iface::datacenter(), node)
+            });
+            let flushes_at = |sim: &mut Simulator, ms: u64| {
+                sim.run_until(SimTime::ZERO + SimDuration::from_millis(ms));
+                ids.map(|id| sim.node_ref::<Flushes>(id).0)
+            };
+            assert_eq!(flushes_at(&mut sim, 1), [1, 1]); // on_start ran on both
+            assert_eq!(flushes_at(&mut sim, 2), [1, 1]); // nothing ran
+            sim.with_node::<Flushes, _>(ids[1], |_, ctx| {
+                ctx.set_timer(SimDuration::from_millis(5), 0);
+            });
+            assert_eq!(flushes_at(&mut sim, 3), [1, 2]); // handed out by with_node
+            assert_eq!(flushes_at(&mut sim, 4), [1, 2]); // timer not due yet
+            assert_eq!(flushes_at(&mut sim, 10), [1, 3]); // on_timer dispatched
+        }
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub struct TransportCfg {
     pub max_cwnd: u32,
     /// Piece size of a message longer than this: it serializes in chunks of
     /// at most this many bytes, each at the rate in force when it starts.
-    /// (The sharded engine also fills a chunk with whole queued messages.)
     pub chunk: u32,
     /// Round-trip time of a node's loopback, for same-host connections
     /// (e.g. a Bento server talking to its co-resident Tor relay).

@@ -1,8 +1,8 @@
-//! Delivery batches on the sharded engine: the whole messages one packed
-//! chunk carried reach the receiver as a single [`Node::on_msgs`] run, in
-//! order, with per-message stats accounting intact — and a message that
-//! crosses alone takes the plain `on_msg` path. (The serial engine
-//! serializes one message per chunk and never forms a batch.)
+//! No engine forms a delivery batch: both serialize one message per chunk,
+//! so every message reaches its receiver through `Node::on_msg` at its own
+//! arrival, in order — however many were queued at one instant. What is
+//! left of [`Node::on_msgs`] is its default, for callers that hand a node a
+//! run of messages themselves.
 
 use simnet::{ConnId, Ctx, Iface, Node, NodeId, SimConfig, Simulator};
 
@@ -22,8 +22,19 @@ impl Node for BatchSink {
     }
 }
 
-/// Sends `n` back-to-back messages at start; small ones share a chunk and
-/// arrive at the same instant.
+/// Keeps the default `on_msgs`.
+#[derive(Default)]
+struct PlainSink {
+    got: Vec<Vec<u8>>,
+}
+
+impl Node for PlainSink {
+    fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, msg: Vec<u8>) {
+        self.got.push(msg);
+    }
+}
+
+/// Sends `n` back-to-back messages at start.
 struct Burst {
     dst: NodeId,
     n: u8,
@@ -40,44 +51,51 @@ impl Node for Burst {
     fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {}
 }
 
-fn one_shard() -> Simulator {
+fn engine(shards: usize) -> Simulator {
     Simulator::new(SimConfig {
-        shards: 1,
+        shards,
         ..SimConfig::default()
     })
 }
 
 #[test]
-fn same_tick_arrivals_coalesce_in_order() {
-    let mut sim = one_shard();
-    let sink = sim.add_node("sink", Iface::ideal(), Box::new(BatchSink::default()));
-    sim.add_node(
-        "burst",
-        Iface::ideal(),
-        Box::new(Burst {
-            dst: sink,
-            n: 5,
-            msg_len: 16,
-        }),
-    );
-    sim.run_to_quiescence();
-    assert_eq!(sim.stats().msgs_delivered, 5);
-    let sink = sim.node_ref::<BatchSink>(sink);
-    assert_eq!(sink.deliveries.len(), 1, "one coalesced dispatch");
-    let batch = &sink.deliveries[0];
-    assert_eq!(batch.len(), 5);
-    for (i, msg) in batch.iter().enumerate() {
-        assert_eq!(msg, &vec![i as u8; 16], "delivery order preserved");
+fn same_tick_arrivals_stay_per_message_in_order() {
+    // Ideal interfaces: all five serialize in no time and arrive at the
+    // same instant — as five dispatches, on either engine.
+    for shards in [0, 1] {
+        let mut sim = engine(shards);
+        let sink = sim.add_node("sink", Iface::ideal(), Box::new(BatchSink::default()));
+        sim.add_node(
+            "burst",
+            Iface::ideal(),
+            Box::new(Burst {
+                dst: sink,
+                n: 5,
+                msg_len: 16,
+            }),
+        );
+        sim.run_to_quiescence();
+        assert_eq!(sim.stats().msgs_delivered, 5);
+        let sink = sim.node_ref::<BatchSink>(sink);
+        let expect: Vec<Vec<Vec<u8>>> = (0..5).map(|i| vec![vec![i; 16]]).collect();
+        assert_eq!(sink.deliveries, expect, "shards={shards}");
     }
 }
 
 #[test]
+fn default_on_msgs_hands_each_message_to_on_msg_in_order() {
+    let mut sim = engine(0);
+    let sink = sim.add_node("sink", Iface::ideal(), Box::new(PlainSink::default()));
+    let run: Vec<Vec<u8>> = (0..4).map(|i| vec![i; 8]).collect();
+    sim.with_node::<PlainSink, _>(sink, |n, ctx| n.on_msgs(ctx, ConnId(0), run.clone()));
+    assert_eq!(sim.node_ref::<PlainSink>(sink).got, run);
+}
+
+#[test]
 fn single_arrivals_use_on_msg() {
-    // Messages larger than the serialization quantum never share a chunk,
-    // so each completes on its own chunk boundary at a distinct time:
-    // every delivery is a singleton and takes the plain on_msg path of the
-    // default impl.
-    let mut sim = one_shard();
+    // Messages larger than a chunk complete on their own chunk boundaries
+    // at distinct times: every delivery is a singleton through on_msg.
+    let mut sim = engine(1);
     let iface = Iface::symmetric(simnet::SimDuration::from_millis(5), 100_000);
     let sink = sim.add_node("sink", iface, Box::new(BatchSink::default()));
     sim.add_node(

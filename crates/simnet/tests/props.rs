@@ -175,8 +175,9 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Sharded-engine properties: the partition is a pure function of node id, the
-// barrier exchange makes results invariant under shard count, and conservative
-// lookahead never delivers a message before its serial-engine arrival time.
+// barrier exchange makes results invariant under shard count, and with
+// unlimited downlinks every message of a burst arrives at the nanosecond the
+// serial engine delivers it.
 // ---------------------------------------------------------------------------
 
 use simnet::{shard_of, ConnId, NodeId, SimConfig};
@@ -189,30 +190,37 @@ impl Node for PropEcho {
     }
 }
 
-/// Connects to `target` at start, sends `payload` bytes, records when the
-/// echo lands.
+/// Connects to `target` at start, sends a burst of `burst` messages — the
+/// first of `payload` bytes, each next one half the size — and records when
+/// each echo lands.
 struct PropPinger {
     target: NodeId,
     payload: usize,
-    reply_at: Option<SimTime>,
+    burst: usize,
+    replies_at: Vec<u64>,
 }
 impl Node for PropPinger {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let c = ctx.connect(self.target, 80);
-        ctx.send(c, vec![0xAB; self.payload]);
+        for k in 0..self.burst {
+            ctx.send(c, vec![0xAB; 1 + (self.payload >> k)]);
+        }
     }
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {
-        self.reply_at = Some(ctx.now());
+        self.replies_at.push(ctx.now().as_nanos());
     }
 }
 
-/// Build a pinger/echo topology from (latency_ms, up_kbps, payload) rows and
-/// run it to quiescence on the given engine config. Downlinks are unlimited
-/// so the serial fair-share model and the sharded ingress-pipe model agree on
-/// receive-side cost (zero), which is what makes serial arrival times a
-/// comparable baseline. Returns per-pinger echo times keyed by the echo
-/// node's id (connection ids differ between engines; node ids do not).
-fn run_topology(rows: &[(u64, u64, usize)], shards: usize) -> (Vec<(u32, u64)>, u64, u64) {
+/// One pinger/echo pair: `(latency ms, up kB/s, first payload, burst)`.
+type PingRow = (u64, u64, usize, usize);
+
+/// Build a pinger/echo topology from [`PingRow`]s and run it to quiescence
+/// on the given engine config. Downlinks are unlimited so the serial
+/// fair-share model and the sharded ingress-pipe model agree on receive-side
+/// cost (zero), which is what makes serial arrival times a comparable
+/// baseline. Returns per-pinger echo times keyed by the echo node's id
+/// (connection ids differ between engines; node ids do not).
+fn run_topology(rows: &[PingRow], shards: usize) -> (Vec<(u32, Vec<u64>)>, u64, u64) {
     let mut sim = Simulator::new(SimConfig {
         seed: 11,
         shards,
@@ -220,7 +228,7 @@ fn run_topology(rows: &[(u64, u64, usize)], shards: usize) -> (Vec<(u32, u64)>, 
         ..SimConfig::default()
     });
     let mut pingers = Vec::new();
-    for (i, &(lat_ms, up_kbps, payload)) in rows.iter().enumerate() {
+    for (i, &(lat_ms, up_kbps, payload, burst)) in rows.iter().enumerate() {
         let iface = SimIface {
             latency: SimDuration::from_millis(1 + lat_ms),
             up_bps: up_kbps * 1000,
@@ -232,8 +240,9 @@ fn run_topology(rows: &[(u64, u64, usize)], shards: usize) -> (Vec<(u32, u64)>, 
             iface,
             Box::new(PropPinger {
                 target: echo,
-                payload: 1 + payload,
-                reply_at: None,
+                payload,
+                burst,
+                replies_at: Vec::new(),
             }),
         );
         pingers.push((ping, echo));
@@ -241,8 +250,10 @@ fn run_topology(rows: &[(u64, u64, usize)], shards: usize) -> (Vec<(u32, u64)>, 
     sim.run_to_quiescence();
     let mut out = Vec::new();
     for &(ping, echo) in &pingers {
-        let t = sim.with_node::<PropPinger, _>(ping, |n, _| n.reply_at);
-        out.push((echo.0, t.expect("every pinger hears its echo").as_nanos()));
+        let (at, burst) =
+            sim.with_node::<PropPinger, _>(ping, |n, _| (n.replies_at.clone(), n.burst));
+        assert_eq!(at.len(), burst, "every pinger hears every echo");
+        out.push((echo.0, at));
     }
     let stats = sim.stats();
     (out, stats.msgs_delivered, stats.bytes_delivered)
@@ -266,7 +277,7 @@ proptest! {
     /// `--shards N >= 1`.
     #[test]
     fn sharded_results_invariant_under_shard_count(
-        rows in proptest::collection::vec((0u64..40, 50u64..500, 0usize..30_000), 1..5),
+        rows in proptest::collection::vec((0u64..40, 50u64..500, 0usize..30_000, 1usize..6), 1..5),
     ) {
         let base = run_topology(&rows, 1);
         for shards in [2usize, 3, 4] {
@@ -275,26 +286,18 @@ proptest! {
         }
     }
 
-    /// Conservative lookahead never delivers a message earlier than the
-    /// serial engine would: with unlimited downlinks the two cost models
-    /// coincide, so every sharded echo time must be >= (here: ==) its serial
-    /// arrival time.
+    /// One queueing model on the sender's side: with unlimited downlinks the
+    /// two engines' cost models coincide, so the sharded engine delivers
+    /// every echo of every burst — queued messages, messages of several
+    /// chunks, slow start — at its serial arrival time, to the nanosecond.
+    /// (In particular conservative lookahead never delivers one earlier.)
     #[test]
     fn lookahead_never_beats_serial_arrival(
-        rows in proptest::collection::vec((0u64..40, 50u64..500, 0usize..30_000), 1..4),
+        rows in proptest::collection::vec((0u64..40, 50u64..500, 0usize..30_000, 1usize..6), 1..4),
     ) {
         let serial = run_topology(&rows, 0);
         let sharded = run_topology(&rows, 3);
-        for ((peer_a, t_serial), (peer_b, t_sharded)) in
-            serial.0.iter().zip(sharded.0.iter())
-        {
-            prop_assert_eq!(peer_a, peer_b);
-            prop_assert!(
-                *t_sharded >= *t_serial,
-                "sharded delivered early: peer n{} serial={} sharded={}",
-                peer_a, t_serial, t_sharded
-            );
-        }
+        prop_assert_eq!(&sharded, &serial);
     }
 }
 

@@ -467,10 +467,12 @@ impl RelayCore {
         false
     }
 
-    /// Delegate of [`Node::on_msgs`]: one coalesced delivery (everything
-    /// `simnet` handed over for `conn` at this instant), dispatched message
-    /// by message through [`RelayCore::on_msg`] in arrival order. On a link
-    /// the delivery's size goes into `relay.batch_cells`.
+    /// Delegate of [`Node::on_msgs`]: a run of messages for `conn`,
+    /// dispatched message by message through [`RelayCore::on_msg`] in
+    /// arrival order. On a link the run's size goes into
+    /// `relay.batch_cells`. Neither `simnet` engine forms a run any more;
+    /// this stays for the callers that do (the repo benchmark's fetch probe
+    /// and the hostile-delivery test in `tests/network.rs`).
     pub fn on_msgs(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msgs: Vec<Vec<u8>>) -> bool {
         if self.links.contains_key(&conn) {
             self.batch_hist.record(msgs.len() as u64);

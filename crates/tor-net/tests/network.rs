@@ -671,22 +671,16 @@ impl Node for RawPeer {
 
 #[test]
 fn hostile_delivery_neither_panics_nor_desynchronises_the_relay() {
-    // What a link peer can put into one coalesced delivery: cells the relay
-    // must drop sit between cells it must switch, and only the latter may
-    // advance the circuit's cipher and digest.
+    // What a link peer can put into one delivery: cells the relay must drop
+    // sit between cells it must switch, and only the latter may advance the
+    // circuit's cipher and digest.
     use onion_crypto::ntor;
     use rand::SeedableRng;
     use tor_net::cell::{Cell, CellCmd, RelayCell, RelayCmd, PAYLOAD_LEN};
     use tor_net::relay_crypto::LayerCrypto;
     const CIRC: u32 = 1;
 
-    // On one shard: the sharded engine packs what is queued into one chunk
-    // and delivers it as a unit; the serial engine never forms a batch.
-    let mut sim = simnet::Simulator::new(simnet::SimConfig {
-        seed: 5,
-        shards: 1,
-        ..simnet::SimConfig::default()
-    });
+    let mut sim = simnet::Simulator::with_seed(5);
     let core = tor_net::RelayCore::new(tor_net::RelayConfig::middle("r", [0x51; 32]));
     let (fingerprint, onion_key) = (core.fingerprint(), core.descriptor(NodeId(0)).onion_key);
     let host = CountingRelay {
@@ -700,22 +694,16 @@ fn hostile_delivery_neither_panics_nor_desynchronises_the_relay() {
         inbox: Vec::new(),
     };
     let peer = sim.add_node("peer", simnet::Iface::ideal(), Box::new(peer));
-    // Send `msgs` back to back, run, and hand back what the relay answered.
-    // An idle connection puts its first message on the wire alone; what
-    // queues behind it crosses the ideal interface as one delivery, so a
-    // padding cell goes first.
+    sim.run_to_quiescence();
+    // The serial engine's connection ids are the same at both ends.
+    let conn = sim.node_ref::<RawPeer>(peer).conn.expect("connected");
+    // Hand `msgs` to the relay as one delivery — no engine forms one, so
+    // straight into `on_msgs` — run, and hand back what the relay answered.
     let exchange = |sim: &mut simnet::Simulator, msgs: Vec<Vec<u8>>| {
-        sim.with_node::<RawPeer, _>(peer, |n, ctx| {
-            let conn = n.conn.expect("connected at start");
-            ctx.send(conn, Cell::new(0, CellCmd::Padding).encode());
-            for msg in msgs {
-                ctx.send(conn, msg);
-            }
-        });
+        sim.with_node::<CountingRelay, _>(relay, |n, ctx| n.on_msgs(ctx, conn, msgs));
         sim.run_to_quiescence();
         sim.with_node::<RawPeer, _>(peer, |n, _| std::mem::take(&mut n.inbox))
     };
-    sim.run_to_quiescence();
 
     // One-hop circuit, by hand.
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
@@ -743,11 +731,11 @@ fn hostile_delivery_neither_panics_nor_desynchronises_the_relay() {
     let replies = exchange(&mut sim, vec![valid(1), short, stray, valid(2)]);
 
     let host = sim.node_ref::<CountingRelay>(relay);
-    assert_eq!(host.deliveries, [1, 1, 1, 4], "the burst was one delivery");
+    assert_eq!(host.deliveries, [1, 4], "the burst was one delivery");
     let stats = host.relay.stats();
-    // Two padding cells, Create, two valid cells and the stray one; the
-    // short message is no cell.
-    assert_eq!(stats.cells_in, 6);
+    // Create, two valid cells and the stray one; the short message is no
+    // cell.
+    assert_eq!(stats.cells_in, 4);
     // Two layers stripped and two replies sealed: the dropped messages
     // consumed no keystream, or the second valid cell would have been noise.
     assert_eq!(stats.crypto_bytes, 4 * PAYLOAD_LEN as u64);
@@ -771,7 +759,7 @@ fn hostile_delivery_neither_panics_nor_desynchronises_the_relay() {
     assert_eq!(recognised(&replies[0]), RelayCmd::RendezvousEstablished);
     assert_eq!(Cell::peek_cmd(&replies[1]), Some(CellCmd::Destroy));
     let host = sim.node_ref::<CountingRelay>(relay);
-    assert_eq!(host.deliveries, [1, 1, 1, 4, 1, 3]);
-    assert_eq!(host.relay.stats().cells_in, 10);
+    assert_eq!(host.deliveries, [1, 4, 3]);
+    assert_eq!(host.relay.stats().cells_in, 7);
     assert_eq!(host.relay.stats().crypto_bytes, 6 * PAYLOAD_LEN as u64);
 }

@@ -49,7 +49,7 @@ cargo run --release -p bench --bin multipath_sweep
 echo "== padding-quantum ablation =="
 cargo run --release -p bench --bin padding_sweep
 
-echo "== sharded engine: scalability sweep (10^4 clients, shards 1/2/4/8; aborts if a connection half is still live at quiescence) =="
+echo "== sharded engine: scalability sweep (10^4 clients, shards 1/2/4/8; aborts if a connection half is still live at quiescence or a connection costs more than 8.1 events) =="
 cargo run --release -p bench --bin scalability_sweep
 
 echo "== chaos sweep: fault injection vs goodput + recovery assertions =="
