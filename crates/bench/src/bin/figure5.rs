@@ -194,9 +194,6 @@ fn main() {
     let mb = arg_u64("--mb", 10);
     let watermark = arg_u64("--watermark", 2) as u32;
     let seed = arg_u64("--seed", 9);
-    // 0 = serial engine (default, matches checked-in artifacts); N >= 1 runs
-    // both conditions on the sharded conservative-PDES engine.
-    let shards = arg_u64("--shards", 0) as usize;
     let file_len = mb << 20;
     let svc_seed = [0x5E; 32];
     let onion = HiddenServiceHost::new(svc_seed, 0, true).onion_addr();
@@ -209,14 +206,13 @@ fn main() {
         println!("== with LoadBalancer: watermark {watermark}, up to 4 machines ==");
     }
     let without_trial = move || {
-        let mut bn = BentoNetwork::build_full_opts(
+        let mut bn = BentoNetwork::build_full(
             seed,
             1,
             MiddleboxPolicy::permissive(),
             standard_registry,
             relay_iface(),
             relay_iface(),
-            shards,
         );
         let mut node = TestClientNode::new(bn.net.authority, bn.net.authority_key)
             .with_hs(HiddenServiceHost::new(svc_seed, 3, true));
@@ -231,14 +227,13 @@ fn main() {
     let with_lb_trial = move || {
         // Four Bento boxes: the balancer's box plus three replica boxes —
         // each box's access link is the same as the single service above.
-        let mut bn = BentoNetwork::build_full_opts(
+        let mut bn = BentoNetwork::build_full(
             seed ^ 0xF5,
             4,
             MiddleboxPolicy::permissive(),
             standard_registry,
             relay_iface(),
             service_iface(),
-            shards,
         );
         let operator = bn.add_bento_client("operator");
         bn.net.sim.run_until(secs(2));

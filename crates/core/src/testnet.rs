@@ -83,38 +83,12 @@ impl BentoNetwork {
         relay_iface: Iface,
         box_iface: Iface,
     ) -> BentoNetwork {
-        Self::build_full_opts(
-            seed,
-            n_boxes,
-            policy,
-            make_registry,
-            relay_iface,
-            box_iface,
-            0,
-        )
-    }
-
-    /// Like [`BentoNetwork::build_full`], plus the simulator engine choice:
-    /// `shards == 0` is the default serial engine, `shards >= 1` runs on the
-    /// sharded conservative-PDES engine (a distinct, internally
-    /// shard-count-invariant baseline).
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_full_opts(
-        seed: u64,
-        n_boxes: usize,
-        policy: MiddleboxPolicy,
-        make_registry: fn() -> FunctionRegistry,
-        relay_iface: Iface,
-        box_iface: Iface,
-        shards: usize,
-    ) -> BentoNetwork {
         let mut net = NetworkBuilder::new()
             .seed(seed)
             .middles(6)
             .exits(2)
             .hsdirs(2)
             .relay_iface(relay_iface)
-            .shards(shards)
             .build();
         let ias = Arc::new(Mutex::new(Ias::new([0xC0; 32], 5)));
         let ias_key = ias.lock().expect("ias lock").verify_key();

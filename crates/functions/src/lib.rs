@@ -18,10 +18,11 @@
 //!   INTRODUCE2 to the least-loaded replica and auto-scales the replica set
 //!   between watermarks; replicas share the service key material.
 //!
-//! §9.4's future-work items are implemented too: [`multipath`] (split one
-//! fetch across k circuits) and proof-of-work-gated introductions
-//! (`tor_net::hs::solve_pow` + `HiddenServiceHost::with_pow`, wired into
-//! the replica functions here).
+//! §9.4's future-work items: [`multipath`] (split one fetch across k
+//! circuits) is here. Proof-of-work-gated introductions are not: they live
+//! in `tor-net` (`tor_net::hs::solve_pow` + `HiddenServiceHost::with_pow`),
+//! no function here calls them, and only `tor-net`'s own network test
+//! drives them — the HS DoS defence is parked (ROADMAP "Parked").
 //!
 //! Plus the substrate those functions need: a [`web`] page model shared
 //! with the fingerprinting harness, a small [`compress`] codec (the

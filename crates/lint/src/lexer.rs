@@ -4,9 +4,8 @@
 //! tokens with exact `line:col` spans, and keeps comments in a side table
 //! (rules need them for `// SAFETY:` checks and suppression directives).
 //! String, char, and byte literals are tokenized as opaque atoms so rule
-//! patterns never fire on words *inside* a literal — with one deliberate
-//! exception: string contents are retained, because the telemetry-name rule
-//! (BL006) inspects instrument names.
+//! patterns never fire on words *inside* a literal. The atoms keep their
+//! contents; no rule reads them.
 //!
 //! It is not a full Rust lexer — no float-vs-range disambiguation subtleties
 //! beyond what the rules need — but it handles the constructs that appear in

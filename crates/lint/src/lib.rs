@@ -8,19 +8,19 @@
 //! interprocedural rules. No external parser dependencies, consistent with
 //! the offline `vendor/` policy.
 //!
+//! There is no configuration file: every scope is a `const` beside the rule
+//! that reads it, and every finding fails the run.
+//!
 //! ## Rule catalog
 //!
 //! | Code  | Checks |
 //! |-------|--------|
 //! | BL000 | malformed suppression directives |
-//! | BL001 | `HashMap`/`HashSet` in deterministic crates |
-//! | BL002 | wall-clock (`Instant`/`SystemTime`) outside host-side crates |
-//! | BL003 | ambient randomness (`thread_rng`, `from_entropy`, `OsRng`, …) |
+//! | BL001 | `HashMap`/`HashSet` in [`DETERMINISTIC_CRATES`] |
 //! | BL004 | `unsafe` without a preceding `// SAFETY:` comment |
 //! | BL005 | `.unwrap()`/`.expect()` in fault-recovery paths |
-//! | BL006 | telemetry instrument names: `[a-z0-9_.]+`, globally unique |
 //! | BL007 | lock-order inversion across the workspace call graph |
-//! | BL008 | nondeterminism taint reaching sim-visible crates through calls |
+//! | BL008 | wall-clock / thread-identity sources in [`DETERMINISTIC_CRATES`], where they sit or through calls |
 //! | BL009 | lock held across `Barrier::wait` / a cross-shard sync point |
 //! | BL010 | panic/`unwrap`/`expect` reachable from sharded-engine entries |
 //! | BL011 | stale suppression directives that no longer suppress anything |
@@ -43,23 +43,42 @@
 
 #![forbid(unsafe_code)]
 
-pub mod config;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
 pub mod workspace;
 
-use config::{Config, Severity};
 use lexer::{lex, Comment, Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// One finding, ready to print as `file:line:col [code] message`.
+/// The crates (by `crates/<dir>` name) whose code runs inside the
+/// simulation: BL001 bans hash-ordered collections here, and BL008 reports
+/// a wall-clock or thread-identity source here — where it sits, or at the
+/// call that reaches one. The other three crates (`bench`, `telemetry`,
+/// `lint`) are host-side tooling and may read the clock.
+pub const DETERMINISTIC_CRATES: [&str; 8] = [
+    "simnet",
+    "tor-net",
+    "core",
+    "functions",
+    "onion-crypto",
+    "wfp",
+    "conclave",
+    "sandbox",
+];
+
+pub(crate) fn is_deterministic(crate_name: &str) -> bool {
+    DETERMINISTIC_CRATES.contains(&crate_name)
+}
+
+/// One finding, ready to print as `file:line:col [code deny] message`.
+/// Every finding fails the run; "deny" stays in the output (and in the
+/// JSON document) so the `bento-lint/v1` format is unchanged.
 #[derive(Debug, Clone)]
 pub struct Diag {
     pub code: String,
-    pub severity: Severity,
     pub file: String,
     pub line: u32,
     pub col: u32,
@@ -70,13 +89,8 @@ impl fmt::Display for Diag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}:{} [{} {}] {}",
-            self.file,
-            self.line,
-            self.col,
-            self.code,
-            self.severity.label(),
-            self.message
+            "{}:{}:{} [{} deny] {}",
+            self.file, self.line, self.col, self.code, self.message
         )
     }
 }
@@ -92,7 +106,7 @@ pub struct FileCtx<'a> {
     pub test_cutoff: u32,
 }
 
-/// A rule finding before severity/suppression filtering.
+/// A rule finding before suppression filtering.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawDiag {
     pub code: &'static str,
@@ -117,22 +131,16 @@ pub(crate) type UsedSet = BTreeSet<(String, u32)>;
 /// The result of an analysis run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// All findings at `warn` or `deny`, sorted by (file, line, col, code).
+    /// All findings that survived suppression, sorted by (file, line, col,
+    /// code).
     pub diags: Vec<Diag>,
 }
 
 impl Report {
-    /// True when any `deny`-severity finding survived suppression —
-    /// the process should exit non-zero.
+    /// True when any finding survived suppression — the process should
+    /// exit non-zero.
     pub fn failed(&self) -> bool {
-        self.diags.iter().any(|d| d.severity == Severity::Deny)
-    }
-
-    pub fn deny_count(&self) -> usize {
-        self.diags
-            .iter()
-            .filter(|d| d.severity == Severity::Deny)
-            .count()
+        !self.diags.is_empty()
     }
 
     /// Machine-readable findings: schema-versioned, sorted, and a pure
@@ -141,9 +149,8 @@ impl Report {
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n  \"schema\": \"bento-lint/v1\",\n");
         s.push_str(&format!(
-            "  \"counts\": {{ \"deny\": {}, \"warn\": {} }},\n",
-            self.deny_count(),
-            self.diags.len() - self.deny_count()
+            "  \"counts\": {{ \"deny\": {}, \"warn\": 0 }},\n",
+            self.diags.len()
         ));
         s.push_str("  \"findings\": [");
         for (i, d) in self.diags.iter().enumerate() {
@@ -152,12 +159,11 @@ impl Report {
             }
             s.push_str(&format!(
                 "\n    {{ \"file\": \"{}\", \"line\": {}, \"col\": {}, \"code\": \"{}\", \
-                 \"severity\": \"{}\", \"message\": \"{}\" }}",
+                 \"severity\": \"deny\", \"message\": \"{}\" }}",
                 json_escape(&d.file),
                 d.line,
                 d.col,
                 json_escape(&d.code),
-                d.severity.label(),
                 json_escape(&d.message)
             ));
         }
@@ -186,13 +192,11 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Streaming analyzer: feed files with [`add_file`](Analyzer::add_file), then
-/// [`finish`](Analyzer::finish) to run the cross-file rules (BL006–BL011)
+/// [`finish`](Analyzer::finish) to run the cross-file rules (BL007–BL011)
 /// and get the sorted report.
+#[derive(Default)]
 pub struct Analyzer {
-    cfg: Config,
     diags: Vec<Diag>,
-    /// Telemetry registration sites for the cross-file uniqueness check.
-    regs: Vec<rules::Registration>,
     /// Per-file suppression tables, kept so `finish` can filter the
     /// cross-file diagnostics too.
     supps: BTreeMap<String, Vec<Suppression>>,
@@ -205,23 +209,11 @@ pub struct Analyzer {
 }
 
 impl Analyzer {
-    pub fn new(cfg: Config) -> Analyzer {
-        Analyzer {
-            cfg,
-            diags: Vec::new(),
-            regs: Vec::new(),
-            supps: BTreeMap::new(),
-            files: Vec::new(),
-            cutoffs: BTreeMap::new(),
-            used: UsedSet::new(),
-        }
-    }
-
     /// Lex, lint, and parse one file. `rel_path` is workspace-relative with
     /// `/` separators (used in diagnostics and BL005 scoping); `crate_name`
     /// is the directory under `crates/` (used for per-crate rule scoping).
-    /// Suppression, test-region, and severity filtering happen here, next to
-    /// the directive-usage tracking (BL011) they feed.
+    /// Suppression and test-region filtering happen here, next to the
+    /// directive-usage tracking (BL011) they feed.
     pub fn add_file(&mut self, rel_path: &str, crate_name: &str, src: &str) {
         let lexed = lex(src);
         let test_cutoff = find_test_cutoff(&lexed.toks);
@@ -233,16 +225,7 @@ impl Analyzer {
             comments: &lexed.comments,
             test_cutoff,
         };
-        let (rule_raw, regs) = rules::check_file(&ctx, &self.cfg);
-        raw.extend(rule_raw);
-        // Registrations in test code never reach exported artifacts.
-        self.regs
-            .extend(regs.into_iter().filter(|r| r.line < test_cutoff).map(|r| {
-                rules::Registration {
-                    file: rel_path.to_string(),
-                    ..r
-                }
-            }));
+        raw.extend(rules::check_file(&ctx));
         self.supps.insert(rel_path.to_string(), supps);
         self.cutoffs.insert(rel_path.to_string(), test_cutoff);
         for d in raw {
@@ -262,18 +245,13 @@ impl Analyzer {
         self.files.push(workspace::WsFile {
             rel_path: rel_path.to_string(),
             crate_name: crate_name.to_string(),
-            index: parser::parse_file(&lexed.toks, test_cutoff, &self.cfg.lock_methods),
+            index: parser::parse_file(&lexed.toks, test_cutoff),
         });
     }
 
     fn push(&mut self, code: &str, file: &str, line: u32, col: u32, message: String) {
-        let severity = self.cfg.severity_of(code);
-        if severity == Severity::Off {
-            return;
-        }
         self.diags.push(Diag {
             code: code.to_string(),
-            severity,
             file: file.to_string(),
             line,
             col,
@@ -283,15 +261,8 @@ impl Analyzer {
 
     /// Resolve cross-file rules and return the sorted report.
     pub fn finish(mut self) -> Report {
-        // BL006 global uniqueness (the rule itself lives in `rules`).
-        for (file, d) in rules::bl006_uniqueness(&self.regs) {
-            if !suppressed_mark(&self.supps, &mut self.used, &file, d.code, d.line) {
-                self.push(d.code, &file, d.line, d.col, d.message);
-            }
-        }
         // Interprocedural passes (BL007–BL010) over the parsed indexes.
-        let ws_diags =
-            workspace::check_workspace(&self.files, &self.cfg, &self.supps, &mut self.used);
+        let ws_diags = workspace::check_workspace(&self.files, &self.supps, &mut self.used);
         for d in ws_diags {
             let cutoff = self.cutoffs.get(&d.file).copied().unwrap_or(u32::MAX);
             if d.line >= cutoff {
@@ -323,12 +294,6 @@ impl Analyzer {
                     continue; // directives in test regions can never fire
                 }
                 if self.used.contains(&(file.clone(), s.lines[0])) {
-                    continue;
-                }
-                if s.codes
-                    .iter()
-                    .any(|c| self.cfg.suppression_audit_exempt.contains(c))
-                {
                     continue;
                 }
                 candidates.push((file.clone(), s.lines[0], s.col, s.codes.join(", ")));
@@ -511,8 +476,8 @@ fn workspace_sources(root: &Path) -> Result<Vec<(PathBuf, String, String)>, Stri
 /// Walk `root`'s `crates/*/src` trees (sorted, deterministic) and lint every
 /// `.rs` file. This is the whole-workspace entry point shared by the binary
 /// and the self-test.
-pub fn scan_workspace(root: &Path, cfg: Config) -> Result<Report, String> {
-    let mut analyzer = Analyzer::new(cfg);
+pub fn scan_workspace(root: &Path) -> Result<Report, String> {
+    let mut analyzer = Analyzer::default();
     for (path, rel, crate_name) in workspace_sources(root)? {
         let src = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
         analyzer.add_file(&rel, &crate_name, &src);
@@ -538,7 +503,7 @@ mod tests {
     use super::*;
 
     fn run(crate_name: &str, src: &str) -> Vec<Diag> {
-        let mut a = Analyzer::new(Config::default());
+        let mut a = Analyzer::default();
         a.add_file("crates/x/src/lib.rs", crate_name, src);
         a.finish().diags
     }
@@ -584,36 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn severity_off_drops_and_warn_does_not_fail() {
-        let mut cfg = Config::default();
-        cfg.severity.insert("BL001".into(), Severity::Warn);
-        let mut a = Analyzer::new(cfg);
-        a.add_file("crates/x/src/lib.rs", "core", "let m = HashMap::new();");
-        let rep = a.finish();
-        assert_eq!(rep.diags.len(), 1);
-        assert!(!rep.failed());
-    }
-
-    #[test]
-    fn duplicate_instrument_names_across_files() {
-        let mut a = Analyzer::new(Config::default());
-        a.add_file(
-            "crates/a/src/lib.rs",
-            "a",
-            r#"static T: telemetry::Counter = telemetry::Counter::new("x.events");"#,
-        );
-        a.add_file(
-            "crates/b/src/lib.rs",
-            "b",
-            r#"static T: telemetry::Counter = telemetry::Counter::new("x.events");"#,
-        );
-        let rep = a.finish();
-        assert_eq!(rep.diags.len(), 1, "{:?}", rep.diags);
-        assert_eq!(rep.diags[0].file, "crates/b/src/lib.rs");
-        assert!(rep.diags[0].message.contains("crates/a/src/lib.rs:1"));
-    }
-
-    #[test]
     fn stale_suppression_fires_bl011() {
         // BL001 cannot fire in a non-deterministic crate, so the directive
         // is dead weight.
@@ -651,7 +586,7 @@ mod tests {
 
     #[test]
     fn json_output_is_stable_and_escaped() {
-        let mut a = Analyzer::new(Config::default());
+        let mut a = Analyzer::default();
         a.add_file("crates/x/src/lib.rs", "simnet", "let m = HashMap::new();\n");
         let rep = a.finish();
         let j1 = rep.to_json();

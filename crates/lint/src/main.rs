@@ -1,28 +1,24 @@
 //! `bento_lint` — run the workspace determinism & safety linter.
 //!
 //! ```text
-//! bento_lint [--root <workspace>] [--config <lint.toml>]
-//!            [--format text|json]
+//! bento_lint [--root <workspace>] [--format text|json]
 //! ```
 //!
 //! Walks `crates/*/src/**/*.rs` (sorted — output order is deterministic),
-//! prints `file:line:col [code severity] message` per finding (or the
+//! prints `file:line:col [code deny] message` per finding (or the
 //! schema-versioned JSON findings document with `--format json`), and exits
-//! 1 when any `deny`-severity finding survives suppression.
+//! 1 when any finding survives suppression.
 
 #![forbid(unsafe_code)]
 
-use lint::config::Config;
 use lint::scan_workspace;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: bento_lint [--root <workspace>] [--config <lint.toml>] [--format text|json]";
+const USAGE: &str = "usage: bento_lint [--root <workspace>] [--format text|json]";
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut config_path: Option<PathBuf> = None;
     let mut format_json = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -30,10 +26,6 @@ fn main() -> ExitCode {
             "--root" => match args.next() {
                 Some(v) => root = PathBuf::from(v),
                 None => return usage("--root needs a value"),
-            },
-            "--config" => match args.next() {
-                Some(v) => config_path = Some(PathBuf::from(v)),
-                None => return usage("--config needs a value"),
             },
             "--format" => match args.next().as_deref() {
                 Some("text") => format_json = false,
@@ -57,27 +49,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let config_path = config_path.unwrap_or_else(|| root.join("lint.toml"));
-    let cfg = if config_path.is_file() {
-        let text = match std::fs::read_to_string(&config_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("bento_lint: {}: {e}", config_path.display());
-                return ExitCode::from(2);
-            }
-        };
-        match Config::parse(&text) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("bento_lint: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        Config::default()
-    };
-
-    let report = match scan_workspace(&root, cfg) {
+    let report = match scan_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("bento_lint: {e}");
@@ -87,22 +59,18 @@ fn main() -> ExitCode {
 
     if format_json {
         print!("{}", report.to_json());
-        return if report.failed() {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        };
+    } else {
+        for d in &report.diags {
+            println!("{d}");
+        }
+        match report.diags.len() {
+            0 => println!("bento_lint: ok — 0 errors, 0 warning(s)"),
+            n => println!("bento_lint: FAILED — {n} error(s), 0 warning(s)"),
+        }
     }
-    for d in &report.diags {
-        println!("{d}");
-    }
-    let denies = report.deny_count();
-    let warns = report.diags.len() - denies;
     if report.failed() {
-        println!("bento_lint: FAILED — {denies} error(s), {warns} warning(s)");
         ExitCode::FAILURE
     } else {
-        println!("bento_lint: ok — 0 errors, {warns} warning(s)");
         ExitCode::SUCCESS
     }
 }

@@ -9,13 +9,14 @@
 //! * `use` declarations (for resolving cross-crate call paths);
 //! * call expressions inside each function body — plain calls, path calls,
 //!   and method calls (with a `self.`-receiver flag);
-//! * mutex acquisitions (`.lock()` by default, [`crate::config::Config::
-//!   lock_methods`]), with a guard-lifetime model deep enough to know which
-//!   locks are *held* at any later point in the function;
+//! * mutex acquisitions (`.lock()`), with a guard-lifetime model deep
+//!   enough to know which locks are *held* at any later point in the
+//!   function;
 //! * barrier waits (`.wait()` on a `barrier`-named receiver,
 //!   `Barrier::wait(..)`), with the locks held at the wait;
 //! * nondeterminism source tokens (wall clock, thread identity/parallelism,
-//!   hash-ordered collections, ambient RNG) — BL008's taint seeds;
+//!   hash-ordered collections) — BL008's taint seeds, and the one token
+//!   table the workspace has for them;
 //! * panic sites (`panic!`/`unreachable!`/`todo!`, `.unwrap()`, `.expect()`).
 //!
 //! ## Guard-lifetime model
@@ -103,7 +104,6 @@ pub enum SourceKind {
     WallClock,
     ThreadId,
     HashOrder,
-    AmbientRng,
 }
 
 impl SourceKind {
@@ -112,19 +112,17 @@ impl SourceKind {
             SourceKind::WallClock => "wall-clock",
             SourceKind::ThreadId => "thread-identity",
             SourceKind::HashOrder => "hash-order",
-            SourceKind::AmbientRng => "ambient-rng",
         }
     }
 
-    /// The single-file rule that already polices this source kind, if any.
-    /// A reasoned suppression of that rule at the source line also stops
-    /// BL008 from seeding taint there.
+    /// The single-file rule that already reports this source kind where it
+    /// sits, if any (BL008 reports the others there itself). A reasoned
+    /// suppression of that rule at the source line also stops BL008 from
+    /// seeding taint there.
     pub fn single_file_rule(self) -> Option<&'static str> {
         match self {
             SourceKind::HashOrder => Some("BL001"),
-            SourceKind::WallClock => Some("BL002"),
-            SourceKind::AmbientRng => Some("BL003"),
-            SourceKind::ThreadId => None,
+            SourceKind::WallClock | SourceKind::ThreadId => None,
         }
     }
 }
@@ -183,14 +181,11 @@ pub struct FileIndex {
 
 const WALL_CLOCK: [&str; 2] = ["Instant", "SystemTime"];
 const THREAD_ID: [&str; 2] = ["available_parallelism", "ThreadId"];
-const HASH_ORDER: [&str; 2] = ["HashMap", "HashSet"];
-const AMBIENT_RNG: [&str; 5] = [
-    "thread_rng",
-    "ThreadRng",
-    "from_entropy",
-    "OsRng",
-    "getrandom",
-];
+/// Idents that construct or name the hash-ordered collections (BL001 bans
+/// every mention of them in a deterministic crate).
+pub(crate) const HASH_ORDER: [&str; 2] = ["HashMap", "HashSet"];
+/// The method whose receiver becomes a tracked lock acquisition (BL007/BL009).
+const LOCK_METHOD: &str = "lock";
 const PANIC_MACROS: [&str; 3] = ["panic", "unreachable", "todo"];
 /// Keywords that can directly precede `(` without being calls.
 const NON_CALL_KEYWORDS: [&str; 12] = [
@@ -218,9 +213,8 @@ struct OpenFn {
 
 /// Parse one file's token stream into its [`FileIndex`]. `test_cutoff` is
 /// the line of the first `#[cfg(test)]` ([`crate::find_test_cutoff`]);
-/// functions at or past it are skipped. `lock_methods` names the methods
-/// treated as mutex acquisition (normally just `lock`).
-pub fn parse_file(toks: &[Tok], test_cutoff: u32, lock_methods: &[String]) -> FileIndex {
+/// functions at or past it are skipped.
+pub fn parse_file(toks: &[Tok], test_cutoff: u32) -> FileIndex {
     let mut out = FileIndex::default();
     let mut depth: u32 = 0;
     // (self type, depth at the `impl` keyword).
@@ -298,7 +292,7 @@ pub fn parse_file(toks: &[Tok], test_cutoff: u32, lock_methods: &[String]) -> Fi
             }
             _ => {
                 if let Some(f) = fn_stack.last_mut() {
-                    i = scan_body_token(toks, i, depth, f, lock_methods, &impl_stack);
+                    i = scan_body_token(toks, i, depth, f, &impl_stack);
                 } else {
                     i += 1;
                 }
@@ -479,7 +473,6 @@ fn scan_body_token(
     i: usize,
     depth: u32,
     f: &mut OpenFn,
-    lock_methods: &[String],
     impl_stack: &[(String, u32)],
 ) -> usize {
     let t = &toks[i];
@@ -488,7 +481,7 @@ fn scan_body_token(
         if let (Some(m), Some(p)) = (toks.get(i + 1), toks.get(i + 2)) {
             if m.kind == TokKind::Ident && p.text == "(" {
                 let name = m.text.as_str();
-                if lock_methods.iter().any(|l| l == name) {
+                if name == LOCK_METHOD {
                     handle_lock(toks, i, depth, f, impl_stack, m);
                     return i + 3;
                 }
@@ -534,8 +527,6 @@ fn scan_body_token(
             Some(SourceKind::ThreadId)
         } else if HASH_ORDER.contains(&t.text.as_str()) {
             Some(SourceKind::HashOrder)
-        } else if AMBIENT_RNG.contains(&t.text.as_str()) {
-            Some(SourceKind::AmbientRng)
         } else {
             None
         };
@@ -824,7 +815,7 @@ mod tests {
 
     fn parse(src: &str) -> FileIndex {
         let lexed = lex(src);
-        parse_file(&lexed.toks, u32::MAX, &["lock".to_string()])
+        parse_file(&lexed.toks, u32::MAX)
     }
 
     #[test]
@@ -992,7 +983,7 @@ mod tests {
     fn test_modules_are_not_indexed() {
         let lexed = lex("fn live() {}\n#[cfg(test)]\nmod tests { fn dead() { x.unwrap(); } }\n");
         let cutoff = crate::find_test_cutoff(&lexed.toks);
-        let idx = parse_file(&lexed.toks, cutoff, &["lock".to_string()]);
+        let idx = parse_file(&lexed.toks, cutoff);
         assert_eq!(idx.fns.len(), 1);
         assert_eq!(idx.fns[0].name, "live");
     }

@@ -1,78 +1,41 @@
-//! The token-stream rules (BL001–BL006).
+//! The token-stream rules (BL001, BL004, BL005).
 //!
-//! Each rule walks the lexed token stream of one file. BL006 lives here in
-//! both halves: the per-file name-syntax check in [`check_file`] and the
-//! cross-file uniqueness resolution in [`bl006_uniqueness`] (called from
-//! `Analyzer::finish` once every file's registrations are in) — one rule,
-//! one site, the registration pattern new cross-file rules should follow.
-//! Rules never look inside string/char literals or comments — the lexer
-//! already atomized those — so `// a HashMap of ...` or `"Instant"` can
-//! never trip a check.
+//! Each rule walks the lexed token stream of one file. Rules never look
+//! inside string/char literals or comments — the lexer already atomized
+//! those — so `// a HashMap of ...` can never trip a check.
 
-use crate::config::Config;
-use crate::lexer::{Tok, TokKind};
-use crate::{FileCtx, RawDiag};
+use crate::lexer::TokKind;
+use crate::parser::HASH_ORDER;
+use crate::{is_deterministic, FileCtx, RawDiag};
 
-/// A telemetry instrument registration site (for the BL006 cross-file
-/// uniqueness check).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Registration {
-    pub name: String,
-    pub file: String,
-    pub line: u32,
-    pub col: u32,
-}
-
-/// Idents that construct or name the hash-ordered collections BL001 bans.
-const HASH_COLLECTIONS: [&str; 2] = ["HashMap", "HashSet"];
-
-/// Wall-clock types (BL002).
-const WALL_CLOCK: [&str; 2] = ["Instant", "SystemTime"];
-
-/// Ambient-randomness entry points (BL003): anything that seeds or draws
-/// outside the sim's deterministic RNG stream.
-const AMBIENT_RNG: [&str; 5] = [
-    "thread_rng",
-    "ThreadRng",
-    "from_entropy",
-    "OsRng",
-    "getrandom",
+/// Fault-recovery files where PR 4 promises graceful degradation (BL005
+/// scope), matched by path suffix: a panic here turns a recoverable fault
+/// into a crash.
+const RECOVERY_PATHS: [&str; 3] = [
+    "tor-net/src/retry.rs",
+    "tor-net/src/client.rs",
+    "core/src/server.rs",
 ];
 
-/// Telemetry instrument types whose `::new("name")` registers a global
-/// instrument (BL006). `LogHistogram`/`Histogram` take no name and are not
-/// registration sites.
-const INSTRUMENT_TYPES: [&str; 3] = ["Counter", "Gauge", "Span"];
-
-/// Run all per-file rules. Returns the raw diagnostics plus the telemetry
-/// registration sites (collected once, shared by the BL006 name-syntax
-/// check here and the uniqueness pass in [`bl006_uniqueness`]). Test-region
-/// and suppression filtering happens in the caller.
-pub fn check_file(ctx: &FileCtx<'_>, cfg: &Config) -> (Vec<RawDiag>, Vec<Registration>) {
+/// Run all per-file rules. Test-region and suppression filtering happens in
+/// the caller.
+pub fn check_file(ctx: &FileCtx<'_>) -> Vec<RawDiag> {
     let mut out = Vec::new();
-    bl001_hash_collections(ctx, cfg, &mut out);
-    bl002_wall_clock(ctx, cfg, &mut out);
-    bl003_ambient_randomness(ctx, &mut out);
+    bl001_hash_collections(ctx, &mut out);
     bl004_unsafe_needs_safety_comment(ctx, &mut out);
-    bl005_unwrap_in_recovery_paths(ctx, cfg, &mut out);
-    let regs = registrations(ctx);
-    bl006_instrument_name_syntax(&regs, &mut out);
-    (out, regs)
+    bl005_unwrap_in_recovery_paths(ctx, &mut out);
+    out
 }
 
-fn is_ident(t: &Tok, names: &[&str]) -> bool {
-    t.kind == TokKind::Ident && names.iter().any(|n| t.text == *n)
-}
-
-/// BL001: no `HashMap`/`HashSet` in deterministic crates. Any mention —
-/// import, construction, type position — counts: if the type is present at
-/// all, its iteration order can leak into the simulation.
-fn bl001_hash_collections(ctx: &FileCtx<'_>, cfg: &Config, out: &mut Vec<RawDiag>) {
-    if !cfg.deterministic_crates.iter().any(|c| c == ctx.crate_name) {
+/// BL001: no `HashMap`/`HashSet` in [`crate::DETERMINISTIC_CRATES`]. Any
+/// mention — import, construction, type position — counts: if the type is
+/// present at all, its iteration order can leak into the simulation.
+fn bl001_hash_collections(ctx: &FileCtx<'_>, out: &mut Vec<RawDiag>) {
+    if !is_deterministic(ctx.crate_name) {
         return;
     }
     for t in ctx.toks {
-        if is_ident(t, &HASH_COLLECTIONS) {
+        if t.kind == TokKind::Ident && HASH_ORDER.contains(&t.text.as_str()) {
             out.push(RawDiag {
                 code: "BL001",
                 line: t.line,
@@ -83,51 +46,6 @@ fn bl001_hash_collections(ctx: &FileCtx<'_>, cfg: &Config, out: &mut Vec<RawDiag
                     t.text,
                     ctx.crate_name,
                     &t.text[4..],
-                ),
-            });
-        }
-    }
-}
-
-/// BL002: no wall-clock reads outside the host-side crates. Sim code must
-/// take time from `SimTime`, never `std::time`.
-fn bl002_wall_clock(ctx: &FileCtx<'_>, cfg: &Config, out: &mut Vec<RawDiag>) {
-    if cfg
-        .wallclock_allowed_crates
-        .iter()
-        .any(|c| c == ctx.crate_name)
-    {
-        return;
-    }
-    for t in ctx.toks {
-        if is_ident(t, &WALL_CLOCK) {
-            out.push(RawDiag {
-                code: "BL002",
-                line: t.line,
-                col: t.col,
-                message: format!(
-                    "wall-clock type `{}` in crate `{}`: sim-visible code must use \
-                     SimTime (wall clock is allowed only in host-side crates)",
-                    t.text, ctx.crate_name,
-                ),
-            });
-        }
-    }
-}
-
-/// BL003: no ambient randomness anywhere in the workspace — every draw must
-/// flow from the sim's seeded RNG.
-fn bl003_ambient_randomness(ctx: &FileCtx<'_>, out: &mut Vec<RawDiag>) {
-    for t in ctx.toks {
-        if is_ident(t, &AMBIENT_RNG) {
-            out.push(RawDiag {
-                code: "BL003",
-                line: t.line,
-                col: t.col,
-                message: format!(
-                    "ambient randomness `{}`: all RNG must be seeded from the \
-                     simulation's StdRng",
-                    t.text,
                 ),
             });
         }
@@ -161,8 +79,8 @@ fn bl004_unsafe_needs_safety_comment(ctx: &FileCtx<'_>, out: &mut Vec<RawDiag>) 
 /// BL005: no `.unwrap()` / `.expect(` in the fault-recovery files — those
 /// paths promise graceful degradation, and a panic there turns a recoverable
 /// fault into a crash.
-fn bl005_unwrap_in_recovery_paths(ctx: &FileCtx<'_>, cfg: &Config, out: &mut Vec<RawDiag>) {
-    if !cfg.recovery_paths.iter().any(|p| ctx.rel_path.ends_with(p)) {
+fn bl005_unwrap_in_recovery_paths(ctx: &FileCtx<'_>, out: &mut Vec<RawDiag>) {
+    if !RECOVERY_PATHS.iter().any(|p| ctx.rel_path.ends_with(p)) {
         return;
     }
     for w in ctx.toks.windows(3) {
@@ -184,95 +102,6 @@ fn bl005_unwrap_in_recovery_paths(ctx: &FileCtx<'_>, cfg: &Config, out: &mut Vec
     }
 }
 
-/// BL006 (local half): instrument names must match `[a-z0-9_.]+`. The
-/// global-uniqueness half is [`bl006_uniqueness`], run once all files'
-/// registrations are collected.
-fn bl006_instrument_name_syntax(regs: &[Registration], out: &mut Vec<RawDiag>) {
-    for reg in regs {
-        let ok = !reg.name.is_empty()
-            && reg
-                .name
-                .bytes()
-                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_' || b == b'.');
-        if !ok {
-            out.push(RawDiag {
-                code: "BL006",
-                line: reg.line,
-                col: reg.col,
-                message: format!(
-                    "telemetry instrument name `{}` must match [a-z0-9_.]+",
-                    reg.name,
-                ),
-            });
-        }
-    }
-}
-
-/// All `Counter::new("…")` / `Gauge::new("…")` / `Span::new("…")` sites with
-/// a literal name. Calls with a non-literal argument (e.g. `Counter::new(name)`
-/// inside the telemetry crate's own constructors) are not registration sites.
-pub fn registrations(ctx: &FileCtx<'_>) -> Vec<Registration> {
-    let mut out = Vec::new();
-    let toks = ctx.toks;
-    for i in 0..toks.len() {
-        if !is_ident(&toks[i], &INSTRUMENT_TYPES) {
-            continue;
-        }
-        let Some(w) = toks.get(i + 1..i + 6) else {
-            continue;
-        };
-        let path_sep = w[0].text == ":" && w[1].text == ":";
-        let is_new = w[2].kind == TokKind::Ident && w[2].text == "new";
-        let open = w[3].text == "(";
-        let lit = w[4].kind == TokKind::Str;
-        if path_sep && is_new && open && lit {
-            out.push(Registration {
-                name: w[4].text.clone(),
-                file: ctx.rel_path.to_string(),
-                line: w[4].line,
-                col: w[4].col,
-            });
-        }
-    }
-    out
-}
-
-/// BL006 (global half): every instrument name registers exactly once across
-/// the workspace. Sites are ordered by (file, line, col); every site beyond
-/// the first is blamed, pointing back at the origin. Returns `(file, raw
-/// diag)` pairs for the caller to filter through suppressions.
-pub fn bl006_uniqueness(regs: &[Registration]) -> Vec<(String, RawDiag)> {
-    let mut by_name: std::collections::BTreeMap<&str, Vec<&Registration>> =
-        std::collections::BTreeMap::new();
-    for reg in regs {
-        by_name.entry(&reg.name).or_default().push(reg);
-    }
-    let mut out = Vec::new();
-    for (name, mut sites) in by_name {
-        if sites.len() < 2 {
-            continue;
-        }
-        sites.sort_by(|a, b| (&a.file, a.line, a.col).cmp(&(&b.file, b.line, b.col)));
-        let first = &sites[0];
-        let origin = format!("{}:{}", first.file, first.line);
-        for dup in &sites[1..] {
-            out.push((
-                dup.file.clone(),
-                RawDiag {
-                    code: "BL006",
-                    line: dup.line,
-                    col: dup.col,
-                    message: format!(
-                        "duplicate telemetry instrument name `{name}` \
-                         (first registered at {origin})"
-                    ),
-                },
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,7 +116,7 @@ mod tests {
             comments: &lexed.comments,
             test_cutoff: u32::MAX,
         };
-        check_file(&ctx, &Config::default()).0
+        check_file(&ctx)
     }
 
     #[test]
@@ -298,19 +127,6 @@ mod tests {
             1
         );
         assert!(ctx_diags("bench", "crates/bench/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn bl002_allows_host_side_crates() {
-        let src = "let t = std::time::Instant::now();";
-        assert_eq!(ctx_diags("simnet", "crates/simnet/src/x.rs", src).len(), 1);
-        assert!(ctx_diags("bench", "crates/bench/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn bl003_is_workspace_wide() {
-        let src = "let mut r = rand::thread_rng();";
-        assert_eq!(ctx_diags("bench", "crates/bench/src/x.rs", src).len(), 1);
     }
 
     #[test]
@@ -332,27 +148,5 @@ mod tests {
         // `unwrap_or` is a different identifier and must not match.
         let soft = "let v = maybe.unwrap_or(0);";
         assert!(ctx_diags("tor-net", "crates/tor-net/src/retry.rs", soft).is_empty());
-    }
-
-    #[test]
-    fn bl006_checks_name_syntax() {
-        let bad = r#"static T: telemetry::Counter = telemetry::Counter::new("Tor Cells!");"#;
-        let good = r#"static T: telemetry::Counter = telemetry::Counter::new("tor.cells_in");"#;
-        assert_eq!(ctx_diags("relay", "crates/x/src/x.rs", bad).len(), 1);
-        assert!(ctx_diags("relay", "crates/x/src/x.rs", good).is_empty());
-    }
-
-    #[test]
-    fn bl006_ignores_non_literal_constructors() {
-        let src = "let c = Counter::new(name);";
-        let lexed = lex(src);
-        let ctx = FileCtx {
-            rel_path: "crates/telemetry/src/lib.rs",
-            crate_name: "telemetry",
-            toks: &lexed.toks,
-            comments: &lexed.comments,
-            test_cutoff: u32::MAX,
-        };
-        assert!(registrations(&ctx).is_empty());
     }
 }

@@ -15,14 +15,27 @@
 //! | Rule  | Checks |
 //! |-------|--------|
 //! | BL007 | lock-order inversion: cycles (incl. self-cycles) in the mutex acquisition graph, nested acquisitions propagated through calls |
-//! | BL008 | nondeterminism taint: wall-clock / thread-identity / hash-order / ambient-RNG sources reaching sim-visible crates through function calls |
-//! | BL009 | a lock held across `Barrier::wait` or a configured cross-shard sync point (directly or via a call that reaches one) |
-//! | BL010 | panic / `unwrap` / `expect` reachable from the configured sharded-engine entry points (DESIGN.md §12 promises panic-free windows) |
+//! | BL008 | nondeterminism: a wall-clock / thread-identity source in a deterministic crate, and a call from one into a function that reaches a wall-clock / thread-identity / hash-order source |
+//! | BL009 | a lock held across `Barrier::wait` or a `SYNC_FNS` cross-shard sync point (directly or via a call that reaches one) |
+//! | BL010 | panic / `unwrap` / `expect` reachable from the `ENTRY_POINTS` of the sharded engine (DESIGN.md §12 promises panic-free windows) |
 
-use crate::config::Config;
 use crate::parser::{CallKind, CallSite, FileIndex, FnInfo};
-use crate::{suppressed_mark, Suppression, UsedSet};
+use crate::{is_deterministic, suppressed_mark, Suppression, UsedSet};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Qualified names (`Type::method`) of cross-shard synchronization points
+/// beyond any `*barrier*.wait()`: holding a lock into one of these stalls
+/// every other worker parked at the same rendezvous (BL009).
+const SYNC_FNS: [&str; 1] = ["ShardedSim::route_outboxes"];
+
+/// The sharded-engine entry points DESIGN.md §12 promises are panic-free
+/// (BL010 reachability roots), walked in this order.
+const ENTRY_POINTS: [&str; 4] = [
+    "ShardCore::run_window",
+    "ShardedSim::run_parallel",
+    "ShardedSim::run_sequential",
+    "ShardedSim::run_until",
+];
 
 /// One file's contribution to the workspace passes.
 #[derive(Debug, Clone)]
@@ -239,16 +252,15 @@ impl<'a> Workspace<'a> {
 /// call site must also stop taint propagation, not just hide one finding.
 pub(crate) fn check_workspace(
     files: &[WsFile],
-    cfg: &Config,
     supps: &BTreeMap<String, Vec<Suppression>>,
     used: &mut UsedSet,
 ) -> Vec<WsDiag> {
     let ws = Workspace::build(files);
     let mut out = Vec::new();
     bl007_lock_order(&ws, &mut out);
-    bl008_taint(&ws, cfg, supps, used, &mut out);
-    bl009_lock_across_wait(&ws, cfg, &mut out);
-    bl010_reachable_panics(&ws, cfg, &mut out);
+    bl008_taint(&ws, supps, used, &mut out);
+    bl009_lock_across_wait(&ws, &mut out);
+    bl010_reachable_panics(&ws, &mut out);
     out
 }
 
@@ -351,13 +363,16 @@ fn bl007_lock_order(ws: &Workspace<'_>, out: &mut Vec<WsDiag>) {
     }
 }
 
-/// BL008: nondeterminism sources reaching sim-visible crates through calls.
-/// A suppression on the source line (for the matching single-file rule or
-/// for BL008) kills the seed; a BL008 suppression on a call site stops both
-/// the finding *and* further caller-ward propagation.
+/// BL008: nondeterminism sources in deterministic crates, where they sit
+/// and through calls. A wall-clock or thread-identity source in a
+/// deterministic crate is reported at the source (hash order is BL001's to
+/// report there); any source seeds taint, and a call from a deterministic
+/// crate into a tainted function is reported at the call. A suppression on
+/// the source line (for BL008, or BL001 on a hash-order source) kills the
+/// seed; a BL008 suppression on a call site stops both the finding *and*
+/// further caller-ward propagation.
 fn bl008_taint(
     ws: &Workspace<'_>,
-    cfg: &Config,
     supps: &BTreeMap<String, Vec<Suppression>>,
     used: &mut UsedSet,
     out: &mut Vec<WsDiag>,
@@ -368,21 +383,38 @@ fn bl008_taint(
     for (id, (fi, func)) in ws.fns.iter().enumerate() {
         let file = &ws.files[*fi];
         for s in &func.sources {
-            let mut dead = false;
-            if let Some(rule) = s.kind.single_file_rule() {
-                dead |= suppressed_mark(supps, used, &file.rel_path, rule, s.line);
+            let rule = s.kind.single_file_rule();
+            let dead = rule
+                .is_some_and(|r| suppressed_mark(supps, used, &file.rel_path, r, s.line))
+                | suppressed_mark(supps, used, &file.rel_path, "BL008", s.line);
+            if dead {
+                continue;
             }
-            dead |= suppressed_mark(supps, used, &file.rel_path, "BL008", s.line);
-            if !dead {
-                witness[id] = Some(format!(
+            if rule.is_none() && is_deterministic(&file.crate_name) {
+                out.push(WsDiag {
+                    code: "BL008",
+                    file: file.rel_path.clone(),
+                    line: s.line,
+                    col: s.col,
+                    message: format!(
+                        "{} source `{}` in deterministic crate `{}`: simulated \
+                         behaviour must not depend on the host — remove it or \
+                         suppress with the reason it cannot reach the simulation",
+                        s.kind.label(),
+                        s.token,
+                        file.crate_name,
+                    ),
+                });
+            }
+            witness[id].get_or_insert_with(|| {
+                format!(
                     "{} source `{}` at {}:{}",
                     s.kind.label(),
                     s.token,
                     file.rel_path,
                     s.line
-                ));
-                break;
-            }
+                )
+            });
         }
     }
     // Propagate callee → caller; a BL008-suppressed call site is a firewall.
@@ -409,10 +441,10 @@ fn bl008_taint(
             break;
         }
     }
-    // Findings: sim-visible fns calling tainted callees.
+    // Findings: deterministic-crate fns calling tainted callees.
     for (id, (fi, _)) in ws.fns.iter().enumerate() {
         let file = &ws.files[*fi];
-        if !cfg.sim_visible_crates.iter().any(|c| c == &file.crate_name) {
+        if !is_deterministic(&file.crate_name) {
             continue;
         }
         for (call, callee) in &ws.calls[id] {
@@ -438,11 +470,11 @@ fn bl008_taint(
     }
 }
 
-/// BL009: a lock held across a barrier wait or a configured cross-shard
+/// BL009: a lock held across a barrier wait or a `SYNC_FNS` cross-shard
 /// sync point — the shard-engine deadlock class (every shard must reach the
 /// barrier; one of them blocking on a mutex another holds past it stalls
 /// the window protocol).
-fn bl009_lock_across_wait(ws: &Workspace<'_>, cfg: &Config, out: &mut Vec<WsDiag>) {
+fn bl009_lock_across_wait(ws: &Workspace<'_>, out: &mut Vec<WsDiag>) {
     // Which fns contain (or transitively reach) a wait point.
     let reach = ws.closure(
         ws.fns
@@ -452,7 +484,7 @@ fn bl009_lock_across_wait(ws: &Workspace<'_>, cfg: &Config, out: &mut Vec<WsDiag
                 if let Some(w) = f.waits.first() {
                     s.insert(format!("`{}` wait", w.what));
                 }
-                if cfg.sync_fns.iter().any(|q| *q == f.qual_name()) {
+                if SYNC_FNS.contains(&f.qual_name().as_str()) {
                     s.insert(format!("sync point `{}`", f.qual_name()));
                 }
                 s
@@ -496,7 +528,7 @@ fn bl009_lock_across_wait(ws: &Workspace<'_>, cfg: &Config, out: &mut Vec<WsDiag
                 });
             }
         }
-        // Unresolved path calls can still match a configured sync point
+        // Unresolved path calls can still match a sync point
         // textually (`ShardedSim::route_outboxes(&core)` from outside).
         for call in &func.calls {
             if call.held.is_empty() || call.kind != CallKind::Path {
@@ -504,7 +536,7 @@ fn bl009_lock_across_wait(ws: &Workspace<'_>, cfg: &Config, out: &mut Vec<WsDiag
             }
             let joined = call.path.join("::");
             let resolved = ws.calls[id].iter().any(|(c, _)| std::ptr::eq(*c, call));
-            if !resolved && cfg.sync_fns.iter().any(|q| joined.ends_with(q.as_str())) {
+            if !resolved && SYNC_FNS.iter().any(|q| joined.ends_with(q)) {
                 out.push(WsDiag {
                     code: "BL009",
                     file: rel.clone(),
@@ -523,11 +555,11 @@ fn bl009_lock_across_wait(ws: &Workspace<'_>, cfg: &Config, out: &mut Vec<WsDiag
 /// BL010: panic sites reachable from the sharded-engine entry points that
 /// DESIGN.md §12 documents as panic-free. `assert!` is deliberately out of
 /// scope — asserts state contracts; `unwrap`/`expect`/`panic!` state hope.
-fn bl010_reachable_panics(ws: &Workspace<'_>, cfg: &Config, out: &mut Vec<WsDiag>) {
-    // BFS from each entry in config order; first entry to reach wins the
+fn bl010_reachable_panics(ws: &Workspace<'_>, out: &mut Vec<WsDiag>) {
+    // BFS from each entry in order; first entry to reach wins the
     // attribution (deterministic).
     let mut via: Vec<Option<&str>> = vec![None; ws.fns.len()];
-    for entry in &cfg.entry_points {
+    for entry in ENTRY_POINTS {
         let start: Vec<FnId> = ws
             .fns
             .iter()
@@ -540,7 +572,7 @@ fn bl010_reachable_panics(ws: &Workspace<'_>, cfg: &Config, out: &mut Vec<WsDiag
             if via[id].is_some() {
                 continue;
             }
-            via[id] = Some(entry.as_str());
+            via[id] = Some(entry);
             for (_, callee) in &ws.calls[id] {
                 if via[*callee].is_none() {
                     queue.push_back(*callee);

@@ -1,5 +1,5 @@
-//! Wall-clock source living in a wallclock-allowed crate (`bench`): BL002
-//! stays quiet here, but the taint still flows to sim-visible callers.
+//! Wall-clock source living in a host-side crate (`bench`): not reported
+//! where it sits, but the taint still flows to deterministic callers.
 
 pub fn wall_ms() -> u128 {
     std::time::SystemTime::now()

@@ -1,10 +1,9 @@
-//! Self-test: the shipped workspace must lint clean under the shipped
-//! `lint.toml`. This is the same run CI performs via the `bento_lint`
-//! binary, held down as a plain test so `cargo test` alone catches a
-//! regression (a new HashMap in simnet, a reasonless suppression, a
-//! duplicated telemetry name) without the CI wiring.
+//! Self-test: the shipped workspace must lint clean. This is the same run
+//! CI performs via the `bento_lint` binary, held down as a plain test so
+//! `cargo test` alone catches a regression (a new HashMap in simnet, a
+//! reasonless suppression, a wall-clock read in a deterministic crate)
+//! without the CI wiring.
 
-use lint::config::Config;
 use lint::scan_workspace;
 use std::path::Path;
 
@@ -15,18 +14,10 @@ fn workspace_root() -> std::path::PathBuf {
         .expect("workspace root")
 }
 
-fn shipped_config(root: &Path) -> Config {
-    match std::fs::read_to_string(root.join("lint.toml")) {
-        Ok(text) => Config::parse(&text).expect("lint.toml parses"),
-        Err(_) => Config::default(),
-    }
-}
-
 #[test]
 fn shipped_workspace_lints_clean() {
     let root = workspace_root();
-    let cfg = shipped_config(&root);
-    let report = scan_workspace(&root, cfg).expect("workspace scan");
+    let report = scan_workspace(&root).expect("workspace scan");
     assert!(
         !report.failed(),
         "workspace must lint clean; findings:\n{}",

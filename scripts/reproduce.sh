@@ -12,7 +12,7 @@ cargo build --release -p bench
 echo "== unsafe budget: two cfg-proven calls in onion-crypto, forbid(unsafe_code) in the other ten crates =="
 bash scripts/unsafe_budget.sh
 
-echo "== static analysis: bento_lint workspace pass (BL000-BL011, incl. stale-suppression audit) =="
+echo "== static analysis: bento_lint workspace pass (BL000, BL001, BL004, BL005, BL007-BL011, incl. stale-suppression audit) =="
 cargo run --release -p lint
 cargo run --release -p lint -- --format json > results/bento_lint_findings.json
 echo "findings document: results/bento_lint_findings.json (schema bento-lint/v1)"
