@@ -7,19 +7,14 @@
 //!
 //! `cargo run -p bench --release --bin chaos_sweep`
 //! `--smoke` runs a single short trial (CI); `--seed N` reseeds the sweep.
-//! `--shards N` with `N > 0` is rejected at parse time: the fault plane is
-//! serial-only (DESIGN.md §12).
 //! Artifacts: `results/chaos.csv`, `results/BENCH_chaos.json`, and
 //! `results/TELEMETRY_chaos_sweep.json`.
 
 use bench::chaos::{assert_recovered, run_chaos_trial, ChaosConfig, ChaosOutcome};
 use bench::runner::{run_sweep, SweepOpts, Trial};
-use bench::{arg_flag, arg_u64, reject_sharded_fault_plane, write_csv, write_json_table};
+use bench::{arg_flag, arg_u64, write_csv, write_json_table};
 
 fn main() {
-    // The fault plane is serial-only (DESIGN.md §12): fail at parse time,
-    // not via `install_faults` panicking trials deep into the sweep.
-    reject_sharded_fault_plane("chaos_sweep");
     let opts = SweepOpts::from_args();
     let seed = arg_u64("--seed", 11);
     let smoke = arg_flag("--smoke");

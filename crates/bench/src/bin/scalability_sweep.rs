@@ -1,5 +1,6 @@
-//! **Sharded-engine scalability sweep** — how far past the single-event-loop
-//! ceiling does the conservative-PDES engine carry a request/reply workload?
+//! **Sharded-engine scalability sweep** — what does partitioning a
+//! request/reply workload into shards cost the conservative engine, on the
+//! one thread it runs on?
 //!
 //! Builds a pure-simnet topology of `--clients C` clients talking to a
 //! deterministic pool of reply servers (one server per 64 clients), runs the
@@ -20,13 +21,12 @@
 //! ```
 //!
 //! `--det` switches to the determinism-harness mode used by
-//! `determinism_check`: one configuration (first entry of `--shards`,
-//! `--threads` workers), writing `results/SCALE_determinism.json` with *only*
-//! simulation-deterministic fields — no shard count, worker count, or
-//! wall-clock values — so runs at different shard/thread settings must
-//! produce byte-identical artifacts.
+//! `determinism_check`: one configuration (first entry of `--shards`),
+//! writing `results/SCALE_determinism.json` with *only*
+//! simulation-deterministic fields — no shard count or wall-clock values —
+//! so runs at different shard counts must produce byte-identical artifacts.
 
-use bench::runner::{available_threads, SweepOpts};
+use bench::runner::SweepOpts;
 use bench::{arg_flag, arg_str, arg_u64, write_json_table};
 use simnet::{ConnId, Ctx, Iface, Node, NodeId, SimConfig, SimDuration, SimTime, Simulator};
 use std::time::Instant;
@@ -106,11 +106,10 @@ struct RunOutcome {
 }
 
 /// Build the topology and run it to quiescence at the given shard count.
-fn run_config(seed: u64, clients: u64, rounds: u32, shards: usize, threads: usize) -> RunOutcome {
+fn run_config(seed: u64, clients: u64, rounds: u32, shards: usize) -> RunOutcome {
     let mut sim = Simulator::new(SimConfig {
         seed,
         shards,
-        shard_threads: threads,
         ..SimConfig::default()
     });
     // Server pool: one per 64 clients. Datacenter-ish links; the nonzero
@@ -196,7 +195,6 @@ fn main() {
     let det = arg_flag("--det");
     let clients = arg_u64("--clients", if smoke { 400 } else { 10_000 });
     let rounds = arg_u64("--rounds", 3) as u32;
-    let threads = arg_u64("--threads", 0) as usize;
     let default_shards = if smoke { "1,2" } else { "1,2,4,8" };
     let shard_list: Vec<usize> = arg_str("--shards", default_shards)
         .split(',')
@@ -209,8 +207,8 @@ fn main() {
     if det {
         // Determinism-harness mode: one run, artifact carries only
         // simulation-deterministic fields. determinism_check re-runs this at
-        // several shard/thread settings and byte-compares the result tree.
-        let out = run_config(seed, clients, rounds, shard_list[0], threads.max(1));
+        // several shard counts and byte-compares the result tree.
+        let out = run_config(seed, clients, rounds, shard_list[0]);
         write_json_table(
             "results/SCALE_determinism.json",
             "scale_determinism",
@@ -231,15 +229,14 @@ fn main() {
     if !opts.quiet {
         println!(
             "scalability sweep: {clients} clients x {rounds} rounds, shards {shard_list:?} \
-             ({} cores)",
-            available_threads()
+             (one thread)"
         );
     }
     let mut rows = Vec::new();
     let mut baseline: Option<(u64, f64)> = None;
     let mut over_budget = false;
     for &shards in &shard_list {
-        let out = run_config(seed, clients, rounds, shards, threads);
+        let out = run_config(seed, clients, rounds, shards);
         if let Some((check, _)) = baseline {
             assert_eq!(
                 check, out.checksum,
@@ -261,7 +258,7 @@ fn main() {
             );
         }
         rows.push(format!(
-            "{clients},{shards},{threads},{},{},{},{:.3},{:.0},{:.3}",
+            "{clients},{shards},{},{},{},{:.3},{:.0},{:.3}",
             out.events,
             out.msgs,
             out.bytes,
@@ -273,7 +270,7 @@ fn main() {
     write_json_table(
         "results/BENCH_scale.json",
         "scalability_sweep",
-        "clients,shards,threads,events,msgs,bytes,wall_s,events_per_sec,sim_s",
+        "clients,shards,events,msgs,bytes,wall_s,events_per_sec,sim_s",
         &rows,
     );
     opts.export_telemetry("scalability_sweep");

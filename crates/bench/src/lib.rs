@@ -155,79 +155,3 @@ pub fn arg_opt(key: &str) -> Option<String> {
 pub fn arg_flag(key: &str) -> bool {
     std::env::args().any(|a| a == key)
 }
-
-/// Why a fault-plane sweep must refuse its `--shards` argument, if it must.
-///
-/// The fault plane is serial-only (DESIGN.md §12): `install_faults` panics
-/// mid-run on the sharded engine, long after the sweep has started burning
-/// CPU. Fault-plane binaries call [`reject_sharded_fault_plane`] first so a
-/// sharded invocation dies at argument parsing with an actionable message
-/// instead. Returns `None` when `--shards` is absent or explicitly `0`.
-pub fn sharded_fault_plane_error(args: &[String], bin: &str) -> Option<String> {
-    let val = args
-        .iter()
-        .position(|a| a == "--shards")
-        .map(|i| args.get(i + 1).cloned().unwrap_or_default())?;
-    match val.parse::<u64>() {
-        Ok(0) => None,
-        Ok(n) => Some(format!(
-            "{bin}: --shards {n} is not supported: the fault plane is \
-             serial-only (DESIGN.md §12). Drop --shards (or pass 0) to run \
-             this sweep on the serial engine."
-        )),
-        Err(_) => Some(format!(
-            "{bin}: --shards needs a number (got `{val}`); the fault plane \
-             is serial-only (DESIGN.md §12), so only 0 is accepted here."
-        )),
-    }
-}
-
-/// Exit with code 2 if this fault-plane sweep was asked for `--shards > 0`.
-pub fn reject_sharded_fault_plane(bin: &str) {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(err) = sharded_fault_plane_error(&args, bin) {
-        eprintln!("{err}");
-        std::process::exit(2);
-    }
-}
-
-#[cfg(test)]
-mod arg_tests {
-    use super::sharded_fault_plane_error;
-
-    fn argv(rest: &[&str]) -> Vec<String> {
-        std::iter::once("chaos_sweep")
-            .chain(rest.iter().copied())
-            .map(String::from)
-            .collect()
-    }
-
-    #[test]
-    fn absent_or_zero_shards_pass() {
-        assert_eq!(sharded_fault_plane_error(&argv(&[]), "chaos_sweep"), None);
-        assert_eq!(
-            sharded_fault_plane_error(&argv(&["--shards", "0"]), "chaos_sweep"),
-            None
-        );
-    }
-
-    #[test]
-    fn nonzero_shards_are_rejected_with_pointer_to_design() {
-        let err = sharded_fault_plane_error(&argv(&["--shards", "4"]), "chaos_sweep")
-            .expect("must reject");
-        assert!(err.contains("DESIGN.md §12"), "{err}");
-        assert!(err.contains("--shards 4"), "{err}");
-    }
-
-    #[test]
-    fn unparseable_shards_are_rejected() {
-        let err = sharded_fault_plane_error(&argv(&["--shards", "many"]), "chaos_sweep")
-            .expect("must reject");
-        assert!(err.contains("DESIGN.md §12"), "{err}");
-    }
-
-    #[test]
-    fn missing_value_is_rejected() {
-        assert!(sharded_fault_plane_error(&argv(&["--shards"]), "chaos_sweep").is_some());
-    }
-}

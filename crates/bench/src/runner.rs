@@ -27,18 +27,11 @@ pub type Trial<T> = Box<dyn FnOnce() -> T + Send>;
 fn threads_for(jobs: usize) -> usize {
     let requested = crate::arg_u64("--threads", 0) as usize;
     let n = if requested == 0 {
-        available_threads()
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
         requested
     };
     n.clamp(1, jobs.max(1))
-}
-
-/// The host's available parallelism (1 if it cannot be determined).
-pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Run every trial and return their results **in trial-index order**.

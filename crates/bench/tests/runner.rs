@@ -6,7 +6,6 @@
 //! Each trial is a full Tor fetch (client → 3-hop circuit → web server) on a
 //! fresh simulator, so this also pins down that the pooled-buffer data plane
 //! and in-place cell crypto stay deterministic under concurrent execution.
-//! The same fetch also pins the sharded engine's shard-count invariance.
 
 use bench::runner::{run_trials, run_trials_traced, Trial};
 use simnet::trace::Direction;
@@ -32,16 +31,10 @@ struct TrialRecord {
 }
 
 /// Fetch `kib` KiB through a fresh 3-hop circuit seeded with `seed`, with a
-/// sniffer on the client's link. `shards == 0` is the serial engine,
-/// `shards >= 1` the sharded one.
-fn fetch_trial(seed: u64, kib: usize, shards: usize) -> TrialRecord {
+/// sniffer on the client's link.
+fn fetch_trial(seed: u64, kib: usize) -> TrialRecord {
     let file_len = kib << 10;
-    let mut net = NetworkBuilder::new()
-        .seed(seed)
-        .middles(3)
-        .exits(2)
-        .shards(shards)
-        .build();
+    let mut net = NetworkBuilder::new().seed(seed).middles(3).exits(2).build();
     let page = vec![vec![0x5Au8; file_len]];
     let server = net.add_web_server("web", vec![("/page".to_string(), page)]);
     let client = net.add_client("alice");
@@ -106,7 +99,7 @@ fn jobs(seeds: &[u64]) -> Vec<Trial<TrialRecord>> {
             // (the client's access link sees the same cell schedule whatever
             // relays the seed picks).
             let kib = 32 + 8 * i;
-            Box::new(move || fetch_trial(seed, kib, 0)) as Trial<TrialRecord>
+            Box::new(move || fetch_trial(seed, kib)) as Trial<TrialRecord>
         })
         .collect()
 }
@@ -147,18 +140,6 @@ fn repeated_runs_are_reproducible() {
     let a = run_trials(1, jobs(&[42]));
     let b = run_trials(2, jobs(&[42]));
     assert_eq!(a[0], b[0]);
-}
-
-#[test]
-fn fetch_is_identical_on_one_shard_and_two() {
-    // The sharded engine's outcome must not depend on how the nodes are
-    // partitioned: the same fetch on 1 shard and on 2 yields the same
-    // `SimStats` and the same client-link trace.
-    let one = fetch_trial(31, 256, 1);
-    let two = fetch_trial(31, 256, 2);
-    assert!(one.stats.0 > 200, "trial processed events: {:?}", one.stats);
-    assert!(!one.trace.is_empty(), "sniffer saw traffic");
-    assert_eq!(one, two);
 }
 
 #[cfg(feature = "telemetry-on")]

@@ -337,9 +337,8 @@ impl<'a> FunctionApi<'a> {
 /// functions are only a few lines — mirroring the paper's "about four lines
 /// of Python" Browser.
 ///
-/// Functions must be [`Send`]: the host node (and everything inside it) may
-/// migrate across worker threads between windows of the sharded simulator
-/// engine. Functions are never called concurrently.
+/// Functions must be [`Send`], like the simulator node that hosts them.
+/// Functions are never called concurrently.
 pub trait Function: Send {
     /// The function was installed (once, after upload).
     fn on_install(&mut self, _api: &mut FunctionApi<'_>) {}

@@ -21,7 +21,6 @@
 //! | BL005 | `.unwrap()`/`.expect()` in fault-recovery paths |
 //! | BL007 | lock-order inversion across the workspace call graph |
 //! | BL008 | wall-clock / thread-identity sources in [`DETERMINISTIC_CRATES`], where they sit or through calls |
-//! | BL009 | lock held across `Barrier::wait` / a cross-shard sync point |
 //! | BL010 | panic/`unwrap`/`expect` reachable from sharded-engine entries |
 //! | BL011 | stale suppression directives that no longer suppress anything |
 //!
@@ -261,7 +260,7 @@ impl Analyzer {
 
     /// Resolve cross-file rules and return the sorted report.
     pub fn finish(mut self) -> Report {
-        // Interprocedural passes (BL007–BL010) over the parsed indexes.
+        // Interprocedural passes (BL007, BL008, BL010) over the parsed indexes.
         let ws_diags = workspace::check_workspace(&self.files, &self.supps, &mut self.used);
         for d in ws_diags {
             let cutoff = self.cutoffs.get(&d.file).copied().unwrap_or(u32::MAX);

@@ -3,7 +3,7 @@
 //!
 //! This is deliberately **not** a Rust grammar. One linear pass over the
 //! lexed tokens recovers just the structure the interprocedural rules
-//! (BL007–BL010) need:
+//! (BL007, BL008, BL010) need:
 //!
 //! * `fn` items, attributed to their `impl` type when inside one;
 //! * `use` declarations (for resolving cross-crate call paths);
@@ -12,8 +12,6 @@
 //! * mutex acquisitions (`.lock()`), with a guard-lifetime model deep
 //!   enough to know which locks are *held* at any later point in the
 //!   function;
-//! * barrier waits (`.wait()` on a `barrier`-named receiver,
-//!   `Barrier::wait(..)`), with the locks held at the wait;
 //! * nondeterminism source tokens (wall clock, thread identity/parallelism,
 //!   hash-ordered collections) — BL008's taint seeds, and the one token
 //!   table the workspace has for them;
@@ -62,7 +60,7 @@ pub struct CallSite {
     pub path: Vec<String>,
     /// Method calls only: receiver is literally `self`.
     pub recv_self: bool,
-    /// Lock names held when the call is made (BL007/BL009 interprocedural).
+    /// Lock names held when the call is made (BL007 interprocedural).
     pub held: Vec<String>,
     pub line: u32,
     pub col: u32,
@@ -84,16 +82,6 @@ pub struct LockSite {
 pub struct LockEdge {
     pub held: String,
     pub acquired: String,
-    pub line: u32,
-    pub col: u32,
-}
-
-/// A barrier-style wait point, with the locks held when it runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WaitSite {
-    /// The receiver or path that waited (`barrier`, `Barrier::wait`).
-    pub what: String,
-    pub held: Vec<String>,
     pub line: u32,
     pub col: u32,
 }
@@ -156,7 +144,6 @@ pub struct FnInfo {
     pub calls: Vec<CallSite>,
     pub locks: Vec<LockSite>,
     pub lock_edges: Vec<LockEdge>,
-    pub waits: Vec<WaitSite>,
     pub sources: Vec<SourceSite>,
     pub panics: Vec<PanicSite>,
 }
@@ -184,7 +171,7 @@ const THREAD_ID: [&str; 2] = ["available_parallelism", "ThreadId"];
 /// Idents that construct or name the hash-ordered collections (BL001 bans
 /// every mention of them in a deterministic crate).
 pub(crate) const HASH_ORDER: [&str; 2] = ["HashMap", "HashSet"];
-/// The method whose receiver becomes a tracked lock acquisition (BL007/BL009).
+/// The method whose receiver becomes a tracked lock acquisition (BL007).
 const LOCK_METHOD: &str = "lock";
 const PANIC_MACROS: [&str; 3] = ["panic", "unreachable", "todo"];
 /// Keywords that can directly precede `(` without being calls.
@@ -476,7 +463,7 @@ fn scan_body_token(
     impl_stack: &[(String, u32)],
 ) -> usize {
     let t = &toks[i];
-    // `.method(` — lock acquisition, wait, panic adapter, or method call.
+    // `.method(` — lock acquisition, panic adapter, or method call.
     if t.kind == TokKind::Punct && t.text == "." {
         if let (Some(m), Some(p)) = (toks.get(i + 1), toks.get(i + 2)) {
             if m.kind == TokKind::Ident && p.text == "(" {
@@ -492,18 +479,6 @@ fn scan_body_token(
                         col: m.col,
                     });
                     return i + 3;
-                }
-                if name == "wait" {
-                    let recv = receiver_chain(toks, i, impl_stack);
-                    if recv.to_ascii_lowercase().contains("barrier") {
-                        f.info.waits.push(WaitSite {
-                            what: recv,
-                            held: held_names(&f.held),
-                            line: m.line,
-                            col: m.col,
-                        });
-                        return i + 3;
-                    }
                 }
                 let recv = receiver_chain_raw(toks, i);
                 f.info.calls.push(CallSite {
@@ -572,23 +547,9 @@ fn scan_body_token(
         {
             let prev = i.checked_sub(1).map(|p| toks[p].text.as_str());
             if prev != Some(".") && prev != Some("!") {
-                let path = path_chain(toks, i);
-                // `Barrier::wait(&b)` — UFCS wait counts as a wait point.
-                if path.len() >= 2
-                    && path[path.len() - 1] == "wait"
-                    && path[path.len() - 2] == "Barrier"
-                {
-                    f.info.waits.push(WaitSite {
-                        what: path.join("::"),
-                        held: held_names(&f.held),
-                        line: t.line,
-                        col: t.col,
-                    });
-                    return i + 2;
-                }
                 f.info.calls.push(CallSite {
                     kind: CallKind::Path,
-                    path,
+                    path: path_chain(toks, i),
                     recv_self: false,
                     held: held_names(&f.held),
                     line: t.line,
@@ -639,7 +600,7 @@ fn handle_lock(
     });
 }
 
-/// Walk back from the `.` of `.lock()`/`.wait()` and normalize the receiver:
+/// Walk back from the `.` of `.lock()` and normalize the receiver:
 /// `self` becomes the impl type, index groups (`[..]`) and call parens are
 /// dropped. Returns `""` when nothing chain-like precedes.
 fn receiver_chain(toks: &[Tok], dot: usize, impl_stack: &[(String, u32)]) -> String {
@@ -920,20 +881,6 @@ mod tests {
     fn index_receivers_drop_the_subscript() {
         let idx = parse("fn f() { inboxes[ds].lock().unwrap().append(v); }\n");
         assert_eq!(idx.fns[0].locks[0].lock, "inboxes");
-    }
-
-    #[test]
-    fn barrier_waits_record_held_locks() {
-        let idx = parse(
-            "fn f() {\n\
-                 let g = m.lock().unwrap();\n\
-                 barrier.wait();\n\
-             }\n\
-             fn clean() { barrier.wait(); }\n",
-        );
-        assert_eq!(idx.fns[0].waits.len(), 1);
-        assert_eq!(idx.fns[0].waits[0].held, ["m"]);
-        assert!(idx.fns[1].waits[0].held.is_empty());
     }
 
     #[test]

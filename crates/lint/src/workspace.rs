@@ -1,5 +1,5 @@
 //! Workspace passes: symbol table, call graph, and the interprocedural
-//! rules BL007–BL010.
+//! rules BL007, BL008 and BL010.
 //!
 //! These run in [`crate::Analyzer::finish`] over the per-file
 //! [`FileIndex`]es the parser produced. Resolution is deliberately
@@ -16,23 +16,16 @@
 //! |-------|--------|
 //! | BL007 | lock-order inversion: cycles (incl. self-cycles) in the mutex acquisition graph, nested acquisitions propagated through calls |
 //! | BL008 | nondeterminism: a wall-clock / thread-identity source in a deterministic crate, and a call from one into a function that reaches a wall-clock / thread-identity / hash-order source |
-//! | BL009 | a lock held across `Barrier::wait` or a `SYNC_FNS` cross-shard sync point (directly or via a call that reaches one) |
 //! | BL010 | panic / `unwrap` / `expect` reachable from the `ENTRY_POINTS` of the sharded engine (DESIGN.md §12 promises panic-free windows) |
 
 use crate::parser::{CallKind, CallSite, FileIndex, FnInfo};
 use crate::{is_deterministic, suppressed_mark, Suppression, UsedSet};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Qualified names (`Type::method`) of cross-shard synchronization points
-/// beyond any `*barrier*.wait()`: holding a lock into one of these stalls
-/// every other worker parked at the same rendezvous (BL009).
-const SYNC_FNS: [&str; 1] = ["ShardedSim::route_outboxes"];
-
 /// The sharded-engine entry points DESIGN.md §12 promises are panic-free
 /// (BL010 reachability roots), walked in this order.
-const ENTRY_POINTS: [&str; 4] = [
+const ENTRY_POINTS: [&str; 3] = [
     "ShardCore::run_window",
-    "ShardedSim::run_parallel",
     "ShardedSim::run_sequential",
     "ShardedSim::run_until",
 ];
@@ -246,7 +239,7 @@ impl<'a> Workspace<'a> {
     }
 }
 
-/// Run BL007–BL010 over the workspace. `supps`/`used` are the per-file
+/// Run BL007, BL008 and BL010 over the workspace. `supps`/`used` are the per-file
 /// suppression tables and the used-directive set (BL011's input): BL008
 /// consults suppressions *during* the pass because a suppressed source or
 /// call site must also stop taint propagation, not just hide one finding.
@@ -259,7 +252,6 @@ pub(crate) fn check_workspace(
     let mut out = Vec::new();
     bl007_lock_order(&ws, &mut out);
     bl008_taint(&ws, supps, used, &mut out);
-    bl009_lock_across_wait(&ws, &mut out);
     bl010_reachable_panics(&ws, &mut out);
     out
 }
@@ -466,88 +458,6 @@ fn bl008_taint(
                     ws.qual(*callee),
                 ),
             });
-        }
-    }
-}
-
-/// BL009: a lock held across a barrier wait or a `SYNC_FNS` cross-shard
-/// sync point — the shard-engine deadlock class (every shard must reach the
-/// barrier; one of them blocking on a mutex another holds past it stalls
-/// the window protocol).
-fn bl009_lock_across_wait(ws: &Workspace<'_>, out: &mut Vec<WsDiag>) {
-    // Which fns contain (or transitively reach) a wait point.
-    let reach = ws.closure(
-        ws.fns
-            .iter()
-            .map(|(_, f)| {
-                let mut s = BTreeSet::new();
-                if let Some(w) = f.waits.first() {
-                    s.insert(format!("`{}` wait", w.what));
-                }
-                if SYNC_FNS.contains(&f.qual_name().as_str()) {
-                    s.insert(format!("sync point `{}`", f.qual_name()));
-                }
-                s
-            })
-            .collect(),
-    );
-    for (id, (fi, func)) in ws.fns.iter().enumerate() {
-        let rel = &ws.files[*fi].rel_path;
-        for w in &func.waits {
-            if w.held.is_empty() {
-                continue;
-            }
-            out.push(WsDiag {
-                code: "BL009",
-                file: rel.clone(),
-                line: w.line,
-                col: w.col,
-                message: format!(
-                    "lock(s) `{}` held across barrier wait `{}` — a shard blocked \
-                     on the mutex can never reach the barrier",
-                    w.held.join("`, `"),
-                    w.what
-                ),
-            });
-        }
-        for (call, callee) in &ws.calls[id] {
-            if call.held.is_empty() || *callee == id {
-                continue;
-            }
-            if let Some(what) = reach[*callee].iter().next() {
-                out.push(WsDiag {
-                    code: "BL009",
-                    file: rel.clone(),
-                    line: call.line,
-                    col: call.col,
-                    message: format!(
-                        "lock(s) `{}` held while calling `{}`, which reaches {what}",
-                        call.held.join("`, `"),
-                        ws.qual(*callee),
-                    ),
-                });
-            }
-        }
-        // Unresolved path calls can still match a sync point
-        // textually (`ShardedSim::route_outboxes(&core)` from outside).
-        for call in &func.calls {
-            if call.held.is_empty() || call.kind != CallKind::Path {
-                continue;
-            }
-            let joined = call.path.join("::");
-            let resolved = ws.calls[id].iter().any(|(c, _)| std::ptr::eq(*c, call));
-            if !resolved && SYNC_FNS.iter().any(|q| joined.ends_with(q)) {
-                out.push(WsDiag {
-                    code: "BL009",
-                    file: rel.clone(),
-                    line: call.line,
-                    col: call.col,
-                    message: format!(
-                        "lock(s) `{}` held across cross-shard sync point `{joined}`",
-                        call.held.join("`, `"),
-                    ),
-                });
-            }
         }
     }
 }

@@ -161,11 +161,6 @@ fn bl008_cross_crate_wall_clock_taint() {
 }
 
 #[test]
-fn bl009_lock_across_wait_triad() {
-    assert_triad("BL009", "crates/simnet/src/fixture.rs", "simnet");
-}
-
-#[test]
 fn bl010_reachable_panic_triad() {
     assert_triad("BL010", "crates/simnet/src/fixture.rs", "simnet");
 }

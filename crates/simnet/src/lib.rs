@@ -25,11 +25,11 @@
 //!
 //! The crate deliberately avoids an async runtime: a discrete-event core is
 //! smaller, fully deterministic and trivially replayable, which matters more
-//! for reproducing published experiments than wall-clock concurrency. When a
-//! single topology outgrows one core, the [`shard`] module provides a second
-//! engine — conservative parallel discrete-event simulation over node shards
-//! with a deterministic barrier exchange — whose results are byte-identical
-//! at any shard count and any worker-thread count (`SimConfig::shards`).
+//! for reproducing published experiments than wall-clock concurrency. The
+//! [`shard`] module provides a second engine — conservative discrete-event
+//! simulation over node shards, advanced window by window on one thread with
+//! a deterministic cross-shard exchange — whose results are byte-identical at
+//! any shard count (`SimConfig::shards`). No paper artifact runs on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

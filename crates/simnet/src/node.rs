@@ -73,10 +73,8 @@ impl<T: Any> AsAny for T {
 /// All methods have no-op defaults except [`Node::on_msg`]; most nodes only
 /// care about messages and timers.
 ///
-/// Nodes must be [`Send`]: the sharded engine moves whole shards (and the
-/// nodes inside them) across worker threads between barrier windows. Nodes
-/// are still never called concurrently with themselves — each lives in
-/// exactly one shard, and a shard is driven by one thread per window.
+/// Nodes must be [`Send`]. They are never called concurrently with
+/// themselves: every engine dispatches on the thread that drives it.
 pub trait Node: AsAny + Send {
     /// Called once when the simulation starts (time zero, insertion order).
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}

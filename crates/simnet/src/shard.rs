@@ -1,14 +1,14 @@
-//! Sharded conservative parallel discrete-event engine.
+//! Sharded conservative discrete-event engine.
 //!
 //! Nodes are partitioned into `N` shards by node id (`id % N`); each shard
 //! owns its nodes, their connection halves, a private event queue and its own
-//! clock. Shards advance in lockstep *windows*: every window runs each shard
-//! from the global minimum pending-event time `gn` up to an exclusive horizon
-//! `gn + λ`, where the lookahead `λ` is the minimum possible cross-shard
-//! one-way latency. Cross-shard traffic never travels faster than `λ`, so no
-//! event generated inside a window can land inside the same window on another
-//! shard — shards are free to run their windows in parallel. At the barrier
-//! between windows, cross-shard events are exchanged and inserted in
+//! clock. Shards advance in lockstep *windows*: every window runs each shard,
+//! one after the other on the calling thread, from the global minimum
+//! pending-event time `gn` up to an exclusive horizon `gn + λ`, where the
+//! lookahead `λ` is the minimum possible cross-shard one-way latency.
+//! Cross-shard traffic never travels faster than `λ`, so no event generated
+//! inside a window can land inside the same window on another shard. Between
+//! windows, cross-shard events are exchanged and inserted in
 //! `(time, src, seq)`-sorted order.
 //!
 //! **Connection state.** Every event names the node it acts on, and that
@@ -27,12 +27,12 @@
 //! state lives on exactly one shard (sender-side congestion/uplink sharing, a
 //! receiver-side ingress pipe for downlink serialization). Nothing observable
 //! depends on the partition, so runs are byte-identical across any shard
-//! count and any worker-thread count — `determinism_check` gates this.
+//! count — `determinism_check` gates this.
 //!
 //! The sender is the serial engine's ([`DirState::advance`]); the receiver is
 //! an ingress pipe where the serial engine, the default, shares the downlink
 //! fairly. See `DESIGN.md` §12 for that delta, the lookahead derivation and
-//! the barrier protocol.
+//! the worker-thread protocol that was tried and removed.
 
 use crate::iface::Iface;
 // NB: `AsAny` is deliberately NOT imported: with the blanket `impl<T: Any>
@@ -50,15 +50,12 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 // bento-lint: allow(BL001) -- HashSet is only the membership-only cancelled-timer
 // tombstone set (never iterated), same contract as the serial engine's.
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtOrd};
-use std::sync::{Barrier, Mutex};
 
 /// The shard that owns `node` when the run is split into `shards` shards.
 ///
 /// A pure, total function of the node id alone: `id % shards`. Every engine
-/// instance, at any shard count and on any thread, places a node the same
-/// way, which is what lets connection/timer ids and event keys stay
-/// partition-independent.
+/// instance, at any shard count, places a node the same way, which is what
+/// lets connection/timer ids and event keys stay partition-independent.
 pub fn shard_of(node: NodeId, shards: usize) -> usize {
     (node.0 as usize) % shards.max(1)
 }
@@ -411,8 +408,8 @@ pub(crate) struct ShardCore {
     queue: ShardQueue,
     nodes: Vec<Option<Box<dyn Node>>>,
     locals: Vec<NodeLocal>,
-    /// Cross-shard emissions accumulated during a window; drained at the
-    /// barrier (or immediately by the main thread between runs).
+    /// Cross-shard emissions accumulated during a window; drained by
+    /// [`ShardedSim::route_outboxes`] when the window ends.
     outbox: Vec<SEvent>,
     /// Closing-side halves waiting to die, `(dies_at, node, conn, role)`,
     /// earliest first. Not events: nothing observable depends on when
@@ -490,7 +487,7 @@ impl ShardCore {
     /// Schedule `kind` on `dst` at `time`, keyed by `src`'s next sequence
     /// number (`src` is always a node of this shard: the one acting). Same
     /// shard goes straight into the queue, cross-shard into the outbox for
-    /// the next barrier exchange.
+    /// the exchange at the end of the window.
     fn post(&mut self, time: SimTime, src: NodeId, dst: NodeId, kind: SKind) {
         let l = self.local_mut(src);
         let seq = l.seq;
@@ -904,7 +901,6 @@ impl ShardCore {
 pub(crate) struct ShardedSim {
     shared: ShardShared,
     shards: Vec<ShardCore>,
-    threads: usize,
     total_nodes: usize,
     started_upto: usize,
     /// Smallest access latency among each shard's nodes (`None`: no nodes
@@ -926,16 +922,11 @@ impl ShardedSim {
                 names: Vec::new(),
             },
             shards: (0..n).map(|i| ShardCore::new(i as u32, n as u32)).collect(),
-            threads: cfg.shard_threads,
             total_nodes: 0,
             started_upto: 0,
             shard_min_latency: vec![None; n],
             routing: Vec::new(),
         }
-    }
-
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     fn locate(&self, id: NodeId) -> (usize, usize) {
@@ -1064,8 +1055,8 @@ impl ShardedSim {
     }
 
     /// Drain every shard's outbox into the destination queues, in
-    /// `(time, src, seq)`-sorted order (main-thread path, used between runs
-    /// and by the sequential window loop).
+    /// `(time, src, seq)`-sorted order: between runs, and at the end of
+    /// every window.
     fn route_outboxes(&mut self) {
         let mut pending = std::mem::take(&mut self.routing);
         for s in &mut self.shards {
@@ -1103,19 +1094,6 @@ impl ShardedSim {
         Some(SimDuration(lambda))
     }
 
-    fn effective_threads(&self) -> usize {
-        let n = self.shards.len();
-        let t = if self.threads == 0 {
-            // bento-lint: allow(BL008) -- thread count only sizes the worker pool; outcomes are thread-count invariant (gated by determinism_check)
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        };
-        t.clamp(1, n)
-    }
-
     pub(crate) fn run_until(&mut self, limit: SimTime) -> u64 {
         self.ensure_started();
         let hist_full = telemetry::mode() >= telemetry::Mode::Full;
@@ -1125,13 +1103,7 @@ impl ShardedSim {
         }
         let enter_ns = self.now().as_nanos();
         let lookahead = self.lookahead();
-        let threads = self.effective_threads();
-        let processed = if threads <= 1 || self.shards.len() == 1 {
-            self.run_sequential(limit, lookahead)
-        } else {
-            // bento-lint: allow(BL010) -- lookahead() is Some whenever shards.len() > 1, the branch condition here
-            self.run_parallel(limit, lookahead.expect("multi-shard lookahead"), threads)
-        };
+        let processed = self.run_sequential(limit, lookahead);
         // Settle every shard clock on the common end time, as the serial
         // engine does for its single clock.
         let end = if limit < SimTime::MAX {
@@ -1157,6 +1129,8 @@ impl ShardedSim {
         }
     }
 
+    /// The window loop: every shard runs up to the horizon in shard-index
+    /// order, then the cross-shard events are exchanged.
     fn run_sequential(&mut self, limit: SimTime, lookahead: Option<SimDuration>) -> u64 {
         let mut processed = 0u64;
         while let Some(gn) = self.shards.iter().filter_map(|s| s.queue.peek_time()).min() {
@@ -1172,94 +1146,9 @@ impl ShardedSim {
         processed
     }
 
-    fn run_parallel(&mut self, limit: SimTime, lookahead: SimDuration, threads: usize) -> u64 {
-        let n = self.shards.len();
-        let per_worker = n.div_ceil(threads);
-        let nworkers = n.div_ceil(per_worker);
-        let barrier = Barrier::new(nworkers);
-        let stop = AtomicBool::new(false);
-        let horizon = AtomicU64::new(0);
-        let mins: Vec<AtomicU64> = (0..nworkers).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let counts: Vec<AtomicU64> = (0..nworkers).map(|_| AtomicU64::new(0)).collect();
-        let inboxes: Vec<Mutex<Vec<SEvent>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
-        let shared = &self.shared;
-        std::thread::scope(|scope| {
-            for (w, chunk) in self.shards.chunks_mut(per_worker).enumerate() {
-                let barrier = &barrier;
-                let stop = &stop;
-                let horizon = &horizon;
-                let mins = &mins;
-                let counts = &counts;
-                let inboxes = &inboxes;
-                scope.spawn(move || {
-                    let mut per_dst: Vec<Vec<SEvent>> = (0..n).map(|_| Vec::new()).collect();
-                    let mut processed = 0u64;
-                    loop {
-                        // Barrier 1: publish this worker's minimum pending
-                        // time; the leader derives the window horizon.
-                        let my_min = chunk
-                            .iter()
-                            .filter_map(|s| s.queue.peek_time())
-                            .map(|t| t.0)
-                            .min()
-                            .unwrap_or(u64::MAX);
-                        mins[w].store(my_min, AtOrd::SeqCst);
-                        if barrier.wait().is_leader() {
-                            let gn = mins
-                                .iter()
-                                .map(|m| m.load(AtOrd::SeqCst))
-                                .min()
-                                .unwrap_or(u64::MAX);
-                            if gn == u64::MAX || gn > limit.0 {
-                                stop.store(true, AtOrd::SeqCst);
-                            } else {
-                                let h = Self::window_horizon(SimTime(gn), Some(lookahead), limit);
-                                horizon.store(h.0, AtOrd::SeqCst);
-                            }
-                        }
-                        // Barrier 2: everyone sees the horizon (or the stop
-                        // flag) before any shard advances.
-                        barrier.wait();
-                        if stop.load(AtOrd::SeqCst) {
-                            break;
-                        }
-                        let h = SimTime(horizon.load(AtOrd::SeqCst));
-                        for s in chunk.iter_mut() {
-                            processed += s.run_window(shared, h);
-                            for ev in s.outbox.drain(..) {
-                                per_dst[shard_of(NodeId(ev.dst), n)].push(ev);
-                            }
-                        }
-                        for (ds, v) in per_dst.iter_mut().enumerate() {
-                            if !v.is_empty() {
-                                // bento-lint: allow(BL010) -- poisoning needs a worker panic; window code is panic-free (BL010-audited)
-                                inboxes[ds].lock().expect("inbox lock").append(v);
-                            }
-                        }
-                        // Barrier 3: all outboxes are posted; each worker
-                        // drains its own shards' inboxes in sorted order.
-                        barrier.wait();
-                        for s in chunk.iter_mut() {
-                            let mut inb = std::mem::take(
-                                // bento-lint: allow(BL010) -- poisoning needs a worker panic; window code is panic-free (BL010-audited)
-                                &mut *inboxes[s.idx as usize].lock().expect("inbox lock"),
-                            );
-                            inb.sort_by_key(SEvent::key);
-                            for ev in inb {
-                                s.queue.push(ev);
-                            }
-                        }
-                    }
-                    counts[w].store(processed, AtOrd::SeqCst);
-                });
-            }
-        });
-        counts.iter().map(|c| c.load(AtOrd::SeqCst)).sum()
-    }
-
-    /// Post-run telemetry epilogue, all from the main thread: the nodes
-    /// that ran since their last flush fold their counters in global id
-    /// order, then per-shard engine deltas merge in shard-index order.
+    /// Post-run telemetry epilogue: the nodes that ran since their last
+    /// flush fold their counters in global id order, then per-shard engine
+    /// deltas merge in shard-index order.
     fn flush_run(&mut self, enter_ns: u64, processed: u64) {
         // Taken, not drained: the first run's list (`on_start`) is every node.
         let shards = self.shards.iter_mut();
@@ -1328,19 +1217,18 @@ mod tests {
         }
     }
 
-    fn sharded(seed: u64, shards: usize, threads: usize) -> Simulator {
+    fn sharded(seed: u64, shards: usize) -> Simulator {
         Simulator::new(SimConfig {
             seed,
             shards,
-            shard_threads: threads,
             ..SimConfig::default()
         })
     }
 
     /// Build a ring of pingers+echoes and run to quiescence, returning
     /// (stats, per-pinger reply times) — the invariance fingerprint.
-    fn ring_run(shards: usize, threads: usize, n: usize) -> (crate::sim::SimStats, Vec<u64>) {
-        let mut sim = sharded(7, shards, threads);
+    fn ring_run(shards: usize, n: usize) -> (crate::sim::SimStats, Vec<u64>) {
+        let mut sim = sharded(7, shards);
         let iface = Iface::symmetric(SimDuration::from_millis(10), 1_000_000);
         let mut ids = Vec::new();
         for i in 0..n {
@@ -1388,21 +1276,11 @@ mod tests {
 
     #[test]
     fn echo_rtt_matches_across_shard_counts() {
-        let (s1, r1) = ring_run(1, 1, 8);
+        let (s1, r1) = ring_run(1, 8);
         for shards in [2, 3, 4, 7] {
-            let (s, r) = ring_run(shards, 1, 8);
+            let (s, r) = ring_run(shards, 8);
             assert_eq!(r, r1, "reply times differ at shards={shards}");
             assert_eq!(s, s1, "stats differ at shards={shards}");
-        }
-    }
-
-    #[test]
-    fn results_invariant_under_worker_threads() {
-        let (s1, r1) = ring_run(4, 1, 10);
-        for threads in [2, 3, 4, 8] {
-            let (s, r) = ring_run(4, threads, 10);
-            assert_eq!(r, r1, "reply times differ at threads={threads}");
-            assert_eq!(s, s1, "stats differ at threads={threads}");
         }
     }
 
@@ -1436,7 +1314,7 @@ mod tests {
         // the lookahead zero, which the engine rejects by design.
         let iface = Iface::symmetric(SimDuration::from_millis(1), 0);
         for shards in [1usize, 3] {
-            let mut sim = sharded(3, shards, 1);
+            let mut sim = sharded(3, shards);
             // Pad so the timer node lands in shard 1 of 3.
             sim.add_node("pad0", iface, Box::new(Echo));
             let t = sim.add_node(
@@ -1461,7 +1339,7 @@ mod tests {
     fn loopback_connection_works_in_shard_engine() {
         // A node pinging itself exercises the loopback path (no cross-shard
         // traffic, rate capped by loopback_bps).
-        let mut sim = sharded(5, 2, 1);
+        let mut sim = sharded(5, 2);
         let a = sim.add_node(
             "self",
             Iface::residential(),
@@ -1513,7 +1391,7 @@ mod tests {
         // Shards 0 is the serial engine: what `peer_of` answers from inside
         // `on_conn_closed` is part of the `Node` contract on both.
         for shards in [0usize, 2] {
-            let mut sim = sharded(9, shards, 1);
+            let mut sim = sharded(9, shards);
             let sink = sim.add_node("sink", iface, Box::new(Sink::default()));
             let closer = sim.add_node("closer", iface, Box::new(Closer { target: sink }));
             sim.run_to_quiescence();
@@ -1569,7 +1447,7 @@ mod tests {
         // of it in key order.
         let iface = Iface::symmetric(SimDuration::from_millis(1), 100_000);
         for shards in [1usize, 2, 3] {
-            let mut sim = sharded(13, shards, 1);
+            let mut sim = sharded(13, shards);
             let sink = sim.add_node("sink", iface, Box::new(Sink::default()));
             let flooder = sim.add_node("flooder", iface, Box::new(Flooder));
             let refuser = sim.add_node("refuser", iface, Box::new(Refuser));

@@ -50,9 +50,12 @@ pub struct SimConfig {
     /// slightly different (partition-independent) transport model than the
     /// serial engine, so `0` and `N >= 1` are distinct baselines.
     pub shards: usize,
-    /// Worker threads for the sharded engine's window loop: `0` (default)
-    /// means one per available core, capped at the shard count. Thread count
-    /// never affects results.
+    /// Read by nothing: it used to size the sharded engine's worker pool,
+    /// and the engine now runs its windows on the calling thread. Kept only
+    /// because `benchmark/src/workloads/scale_sharded.rs`, which a change to
+    /// this crate may not edit, still assigns it; the `benchmark` PR that
+    /// re-points `scale_sharded` (ROADMAP items 1 and 3) removes that
+    /// assignment and this field together.
     pub shard_threads: usize,
 }
 
@@ -1103,8 +1106,9 @@ enum Engine {
 ///   loop, one clock, one RNG; byte-compatible with every artifact produced
 ///   before the sharded engine existed;
 /// * the **sharded** engine (`SimConfig::shards >= 1`, [`crate::shard`]) —
-///   conservative parallel discrete-event simulation whose results are
-///   byte-identical at any shard count and any worker-thread count.
+///   conservative discrete-event simulation over node shards, run window by
+///   window on one thread, whose results are byte-identical at any shard
+///   count.
 ///
 /// The fault plane ([`Simulator::install_faults`] etc.) is serial-only for
 /// now; chaos workloads keep running on the serial engine.
@@ -1130,15 +1134,6 @@ impl Simulator {
             seed,
             ..SimConfig::default()
         })
-    }
-
-    /// Number of shards the engine partitions nodes into (1 for the serial
-    /// engine).
-    pub fn shard_count(&self) -> usize {
-        match &self.engine {
-            Engine::Serial(_) => 1,
-            Engine::Sharded(s) => s.shard_count(),
-        }
     }
 
     /// Add a node with the given access interface. Nodes cannot be removed.

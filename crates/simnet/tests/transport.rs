@@ -46,7 +46,7 @@ fn wide_open(shards: usize) -> Simulator {
             ..TransportCfg::default()
         },
         shards,
-        shard_threads: 1,
+        ..SimConfig::default()
     })
 }
 

@@ -56,8 +56,6 @@ pub struct NetworkBuilder {
     relay_iface: Iface,
     relay_bandwidth: u64,
     consensus_delay: SimDuration,
-    shards: usize,
-    shard_threads: usize,
 }
 
 impl Default for NetworkBuilder {
@@ -70,8 +68,6 @@ impl Default for NetworkBuilder {
             relay_iface: Iface::tor_relay(),
             relay_bandwidth: 2_000_000,
             consensus_delay: SimDuration::from_millis(500),
-            shards: 0,
-            shard_threads: 0,
         }
     }
 }
@@ -128,27 +124,10 @@ impl NetworkBuilder {
         self
     }
 
-    /// Run on the sharded conservative-PDES engine with `n` shards
-    /// (0 = the default serial engine). Results are byte-identical across
-    /// shard counts ≥ 1, but the sharded engine is a distinct baseline from
-    /// serial — compare like with like.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
-    }
-
-    /// Worker threads for the sharded engine (0 = one per core).
-    pub fn shard_threads(mut self, n: usize) -> Self {
-        self.shard_threads = n;
-        self
-    }
-
     /// Build the simulator, authority, and relays.
     pub fn build(self) -> TorNetwork {
         let mut sim = Simulator::new(SimConfig {
             seed: self.seed,
-            shards: self.shards,
-            shard_threads: self.shard_threads,
             ..SimConfig::default()
         });
         let signer = Arc::new(Mutex::new(MerkleSigner::generate(

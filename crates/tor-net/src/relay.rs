@@ -63,8 +63,8 @@ pub struct RelayConfig {
     /// authority itself).
     pub authority_addr: Option<NodeId>,
     /// If this relay *is* the authority: its consensus signer. Shared with
-    /// the test harness via `Arc<Mutex>` so `RelayNode` stays `Send` (the
-    /// sharded engine moves nodes across worker threads).
+    /// the test harness via `Arc<Mutex>` so `RelayNode` stays `Send`, as
+    /// every simulator node must.
     pub authority_signer: Option<std::sync::Arc<std::sync::Mutex<MerkleSigner>>>,
     /// How long after start the authority waits before building the
     /// consensus (letting descriptors arrive).

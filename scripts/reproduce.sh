@@ -12,12 +12,12 @@ cargo build --release -p bench
 echo "== unsafe budget: two cfg-proven calls in onion-crypto, forbid(unsafe_code) in the other ten crates =="
 bash scripts/unsafe_budget.sh
 
-echo "== static analysis: bento_lint workspace pass (BL000, BL001, BL004, BL005, BL007-BL011, incl. stale-suppression audit) =="
+echo "== static analysis: bento_lint workspace pass (BL000, BL001, BL004, BL005, BL007, BL008, BL010, BL011, incl. stale-suppression audit) =="
 cargo run --release -p lint
 cargo run --release -p lint -- --format json > results/bento_lint_findings.json
 echo "findings document: results/bento_lint_findings.json (schema bento-lint/v1)"
 
-echo "== dynamic determinism check: artifacts byte-identical across perturbations =="
+echo "== dynamic determinism check: artifacts byte-identical across hash seeds, trial-runner thread counts and shard counts 1/3/4 =="
 cargo run --release -p bench --bin determinism_check
 
 echo "== examples: the six walk-throughs, each asserting its own outcome =="
@@ -49,7 +49,7 @@ cargo run --release -p bench --bin multipath_sweep
 echo "== padding-quantum ablation =="
 cargo run --release -p bench --bin padding_sweep
 
-echo "== sharded engine: scalability sweep (10^4 clients, shards 1/2/4/8; aborts if a connection half is still live at quiescence or a connection costs more than 8.1 events) =="
+echo "== sharded engine: scalability sweep (10^4 clients, shards 1/2/4/8 on one thread; aborts if a connection half is still live at quiescence or a connection costs more than 8.1 events) =="
 cargo run --release -p bench --bin scalability_sweep
 
 echo "== chaos sweep: fault injection vs goodput + recovery assertions =="
