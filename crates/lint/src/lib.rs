@@ -19,7 +19,6 @@
 //! | BL001 | `HashMap`/`HashSet` in [`DETERMINISTIC_CRATES`] |
 //! | BL004 | `unsafe` without a preceding `// SAFETY:` comment |
 //! | BL005 | `.unwrap()`/`.expect()` in fault-recovery paths |
-//! | BL007 | lock-order inversion across the workspace call graph |
 //! | BL008 | wall-clock / thread-identity sources in [`DETERMINISTIC_CRATES`], where they sit or through calls |
 //! | BL010 | panic/`unwrap`/`expect` reachable from sharded-engine entries |
 //! | BL011 | stale suppression directives that no longer suppress anything |
@@ -191,7 +190,7 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Streaming analyzer: feed files with [`add_file`](Analyzer::add_file), then
-/// [`finish`](Analyzer::finish) to run the cross-file rules (BL007–BL011)
+/// [`finish`](Analyzer::finish) to run the cross-file rules (BL008–BL011)
 /// and get the sorted report.
 #[derive(Default)]
 pub struct Analyzer {
@@ -260,7 +259,7 @@ impl Analyzer {
 
     /// Resolve cross-file rules and return the sorted report.
     pub fn finish(mut self) -> Report {
-        // Interprocedural passes (BL007, BL008, BL010) over the parsed indexes.
+        // Interprocedural passes (BL008, BL010) over the parsed indexes.
         let ws_diags = workspace::check_workspace(&self.files, &self.supps, &mut self.used);
         for d in ws_diags {
             let cutoff = self.cutoffs.get(&d.file).copied().unwrap_or(u32::MAX);

@@ -3,30 +3,16 @@
 //!
 //! This is deliberately **not** a Rust grammar. One linear pass over the
 //! lexed tokens recovers just the structure the interprocedural rules
-//! (BL007, BL008, BL010) need:
+//! (BL008, BL010) need:
 //!
 //! * `fn` items, attributed to their `impl` type when inside one;
 //! * `use` declarations (for resolving cross-crate call paths);
 //! * call expressions inside each function body — plain calls, path calls,
 //!   and method calls (with a `self.`-receiver flag);
-//! * mutex acquisitions (`.lock()`), with a guard-lifetime model deep
-//!   enough to know which locks are *held* at any later point in the
-//!   function;
 //! * nondeterminism source tokens (wall clock, thread identity/parallelism,
 //!   hash-ordered collections) — BL008's taint seeds, and the one token
 //!   table the workspace has for them;
 //! * panic sites (`panic!`/`unreachable!`/`todo!`, `.unwrap()`, `.expect()`).
-//!
-//! ## Guard-lifetime model
-//!
-//! A `.lock()` bound through `let` (`let g = m.lock().unwrap();`, including
-//! `let Ok(g) = m.lock() else { .. }`) holds its mutex until the enclosing
-//! block closes or an explicit `drop(g)`. A `.lock()` used as a temporary
-//! (`m.lock().unwrap().push(x);` or any call chained past the
-//! `unwrap`/`expect` adapter) holds only to the end of its statement. This
-//! matches how every acquisition in this workspace is written; `match`
-//! scrutinee temporaries (which live for the whole `match`) are the known
-//! under-approximation and are called out in DESIGN.md §13.
 //!
 //! Function items at or past the file's `#[cfg(test)]` cutoff are not
 //! indexed — test code is outside the lint contract.
@@ -60,28 +46,6 @@ pub struct CallSite {
     pub path: Vec<String>,
     /// Method calls only: receiver is literally `self`.
     pub recv_self: bool,
-    /// Lock names held when the call is made (BL007 interprocedural).
-    pub held: Vec<String>,
-    pub line: u32,
-    pub col: u32,
-}
-
-/// One mutex acquisition site.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockSite {
-    /// Normalized receiver chain (`self` replaced by the impl type, index
-    /// expressions dropped): `inboxes[ds].lock()` → `inboxes`,
-    /// `self.ias.lock()` inside `impl BentoServer` → `BentoServer.ias`.
-    pub lock: String,
-    pub line: u32,
-    pub col: u32,
-}
-
-/// A nested acquisition: `acquired` was taken while `held` was still live.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockEdge {
-    pub held: String,
-    pub acquired: String,
     pub line: u32,
     pub col: u32,
 }
@@ -142,8 +106,6 @@ pub struct FnInfo {
     pub line: u32,
     pub col: u32,
     pub calls: Vec<CallSite>,
-    pub locks: Vec<LockSite>,
-    pub lock_edges: Vec<LockEdge>,
     pub sources: Vec<SourceSite>,
     pub panics: Vec<PanicSite>,
 }
@@ -171,31 +133,16 @@ const THREAD_ID: [&str; 2] = ["available_parallelism", "ThreadId"];
 /// Idents that construct or name the hash-ordered collections (BL001 bans
 /// every mention of them in a deterministic crate).
 pub(crate) const HASH_ORDER: [&str; 2] = ["HashMap", "HashSet"];
-/// The method whose receiver becomes a tracked lock acquisition (BL007).
-const LOCK_METHOD: &str = "lock";
 const PANIC_MACROS: [&str; 3] = ["panic", "unreachable", "todo"];
 /// Keywords that can directly precede `(` without being calls.
 const NON_CALL_KEYWORDS: [&str; 12] = [
     "if", "while", "for", "match", "return", "loop", "in", "as", "move", "else", "let", "fn",
 ];
 
-/// One lock currently held at a point in a function body.
-struct Held {
-    lock: String,
-    /// Guard variable, when `let`-bound (releasable via `drop(var)`).
-    guard: Option<String>,
-    /// Brace depth at acquisition; the hold ends when the depth drops
-    /// below this.
-    depth: u32,
-    /// Statement temporary: released at the next statement boundary.
-    temp: bool,
-}
-
 /// A function item currently open in the linear pass.
 struct OpenFn {
     info: FnInfo,
     body_depth: u32,
-    held: Vec<Held>,
 }
 
 /// Parse one file's token stream into its [`FileIndex`]. `test_cutoff` is
@@ -213,12 +160,10 @@ pub fn parse_file(toks: &[Tok], test_cutoff: u32) -> FileIndex {
         match (t.kind, t.text.as_str()) {
             (TokKind::Punct, "{") => {
                 depth += 1;
-                release_temps(&mut fn_stack);
                 i += 1;
             }
             (TokKind::Punct, "}") => {
                 depth = depth.saturating_sub(1);
-                release_temps(&mut fn_stack);
                 // Close any function whose body just ended.
                 while fn_stack.last().is_some_and(|f| f.body_depth > depth) {
                     let f = fn_stack.pop().unwrap_or_else(|| unreachable!());
@@ -227,13 +172,6 @@ pub fn parse_file(toks: &[Tok], test_cutoff: u32) -> FileIndex {
                 while impl_stack.last().is_some_and(|(_, d)| *d >= depth) {
                     impl_stack.pop();
                 }
-                if let Some(f) = fn_stack.last_mut() {
-                    f.held.retain(|h| h.depth <= depth);
-                }
-                i += 1;
-            }
-            (TokKind::Punct, ";") => {
-                release_temps(&mut fn_stack);
                 i += 1;
             }
             (TokKind::Ident, "use") if fn_stack.is_empty() => {
@@ -269,7 +207,6 @@ pub fn parse_file(toks: &[Tok], test_cutoff: u32) -> FileIndex {
                             },
                             // The `{` itself is processed by the main loop.
                             body_depth: depth + 1,
-                            held: Vec::new(),
                         });
                     }
                     i = body_start;
@@ -279,7 +216,7 @@ pub fn parse_file(toks: &[Tok], test_cutoff: u32) -> FileIndex {
             }
             _ => {
                 if let Some(f) = fn_stack.last_mut() {
-                    i = scan_body_token(toks, i, depth, f, &impl_stack);
+                    i = scan_body_token(toks, i, &mut f.info);
                 } else {
                     i += 1;
                 }
@@ -291,12 +228,6 @@ pub fn parse_file(toks: &[Tok], test_cutoff: u32) -> FileIndex {
         out.fns.push(f.info);
     }
     out
-}
-
-fn release_temps(fn_stack: &mut [OpenFn]) {
-    if let Some(f) = fn_stack.last_mut() {
-        f.held.retain(|h| !h.temp);
-    }
 }
 
 /// `use a::b::{c, d as e};` — record every bound alias. Returns the index
@@ -455,25 +386,15 @@ fn parse_fn_header(toks: &[Tok], i: usize) -> Option<(String, u32, u32, usize)> 
 }
 
 /// Process one token inside a function body; returns the next index.
-fn scan_body_token(
-    toks: &[Tok],
-    i: usize,
-    depth: u32,
-    f: &mut OpenFn,
-    impl_stack: &[(String, u32)],
-) -> usize {
+fn scan_body_token(toks: &[Tok], i: usize, f: &mut FnInfo) -> usize {
     let t = &toks[i];
-    // `.method(` — lock acquisition, panic adapter, or method call.
+    // `.method(` — panic adapter or method call.
     if t.kind == TokKind::Punct && t.text == "." {
         if let (Some(m), Some(p)) = (toks.get(i + 1), toks.get(i + 2)) {
             if m.kind == TokKind::Ident && p.text == "(" {
                 let name = m.text.as_str();
-                if name == LOCK_METHOD {
-                    handle_lock(toks, i, depth, f, impl_stack, m);
-                    return i + 3;
-                }
                 if name == "unwrap" || name == "expect" {
-                    f.info.panics.push(PanicSite {
+                    f.panics.push(PanicSite {
                         what: name.to_string(),
                         line: m.line,
                         col: m.col,
@@ -481,11 +402,10 @@ fn scan_body_token(
                     return i + 3;
                 }
                 let recv = receiver_chain_raw(toks, i);
-                f.info.calls.push(CallSite {
+                f.calls.push(CallSite {
                     kind: CallKind::Method,
                     path: vec![name.to_string()],
                     recv_self: recv.as_deref() == Some("self"),
-                    held: held_names(&f.held),
                     line: m.line,
                     col: m.col,
                 });
@@ -506,7 +426,7 @@ fn scan_body_token(
             None
         };
         if let Some(kind) = kind {
-            f.info.sources.push(SourceSite {
+            f.sources.push(SourceSite {
                 kind,
                 token: t.text.clone(),
                 line: t.line,
@@ -520,25 +440,13 @@ fn scan_body_token(
                 .is_some_and(|n| matches!(n.text.as_str(), "(" | "[" | "{"))
         {
             if PANIC_MACROS.contains(&t.text.as_str()) {
-                f.info.panics.push(PanicSite {
+                f.panics.push(PanicSite {
                     what: format!("{}!", t.text),
                     line: t.line,
                     col: t.col,
                 });
             }
             return i + 2;
-        }
-        // `drop(guard)` releases a let-bound lock guard.
-        if t.text == "drop"
-            && toks.get(i + 1).is_some_and(|n| n.text == "(")
-            && toks.get(i + 3).is_some_and(|n| n.text == ")")
-        {
-            if let Some(var) = toks.get(i + 2) {
-                if var.kind == TokKind::Ident {
-                    f.held
-                        .retain(|h| h.guard.as_deref() != Some(var.text.as_str()));
-                }
-            }
         }
         // Plain or path call: `seg::seg::name(` where the previous token is
         // not `.` (method) and the name is not a keyword or macro.
@@ -547,11 +455,10 @@ fn scan_body_token(
         {
             let prev = i.checked_sub(1).map(|p| toks[p].text.as_str());
             if prev != Some(".") && prev != Some("!") {
-                f.info.calls.push(CallSite {
+                f.calls.push(CallSite {
                     kind: CallKind::Path,
                     path: path_chain(toks, i),
                     recv_self: false,
-                    held: held_names(&f.held),
                     line: t.line,
                     col: t.col,
                 });
@@ -559,97 +466,6 @@ fn scan_body_token(
         }
     }
     i + 1
-}
-
-fn held_names(held: &[Held]) -> Vec<String> {
-    held.iter().map(|h| h.lock.clone()).collect()
-}
-
-/// Record a `.lock()` acquisition at `i` (the `.` token).
-fn handle_lock(
-    toks: &[Tok],
-    i: usize,
-    depth: u32,
-    f: &mut OpenFn,
-    impl_stack: &[(String, u32)],
-    method_tok: &Tok,
-) {
-    let lock = receiver_chain(toks, i, impl_stack);
-    if lock.is_empty() {
-        return;
-    }
-    for h in &f.held {
-        f.info.lock_edges.push(LockEdge {
-            held: h.lock.clone(),
-            acquired: lock.clone(),
-            line: method_tok.line,
-            col: method_tok.col,
-        });
-    }
-    f.info.locks.push(LockSite {
-        lock: lock.clone(),
-        line: method_tok.line,
-        col: method_tok.col,
-    });
-    let (guard, temp) = classify_binding(toks, i);
-    f.held.push(Held {
-        lock,
-        guard,
-        depth,
-        temp,
-    });
-}
-
-/// Walk back from the `.` of `.lock()` and normalize the receiver:
-/// `self` becomes the impl type, index groups (`[..]`) and call parens are
-/// dropped. Returns `""` when nothing chain-like precedes.
-fn receiver_chain(toks: &[Tok], dot: usize, impl_stack: &[(String, u32)]) -> String {
-    let mut segs: Vec<String> = Vec::new();
-    let mut j = dot;
-    while j > 0 {
-        let p = &toks[j - 1];
-        match (p.kind, p.text.as_str()) {
-            (TokKind::Punct, "]") | (TokKind::Punct, ")") => {
-                // Skip the balanced group.
-                let close = p.text.as_bytes()[0];
-                let open = if close == b']' { "[" } else { "(" };
-                let close_s = p.text.clone();
-                let mut d = 1;
-                j -= 1;
-                while j > 0 && d > 0 {
-                    let q = &toks[j - 1];
-                    if q.text == close_s {
-                        d += 1;
-                    } else if q.text == open {
-                        d -= 1;
-                    }
-                    j -= 1;
-                }
-            }
-            (TokKind::Ident, _) => {
-                segs.push(p.text.clone());
-                j -= 1;
-                // Continue only through `.` / `::` connectors.
-                if j > 0 && (toks[j - 1].text == "." || toks[j - 1].text == ":") {
-                    continue;
-                }
-                break;
-            }
-            (TokKind::Punct, ".")
-            | (TokKind::Punct, ":")
-            | (TokKind::Punct, "*")
-            | (TokKind::Punct, "&") => {
-                j -= 1;
-            }
-            _ => break,
-        }
-    }
-    segs.reverse();
-    if segs.first().map(String::as_str) == Some("self") {
-        let ty = impl_stack.last().map(|(t, _)| t.as_str()).unwrap_or("self");
-        segs[0] = ty.to_string();
-    }
-    segs.join(".")
 }
 
 /// The raw (unnormalized) single receiver segment right before a `.method(`,
@@ -678,95 +494,6 @@ fn path_chain(toks: &[Tok], i: usize) -> Vec<String> {
     }
     segs.reverse();
     segs
-}
-
-/// Is the `.lock()` at `dot` a `let`-bound guard, and under what name?
-/// Returns `(guard_var, is_temporary)`.
-fn classify_binding(toks: &[Tok], dot: usize) -> (Option<String>, bool) {
-    // Chained past the unwrap/expect adapter → statement temporary.
-    // `.lock ( )` then optionally `.expect ( "…" )` / `.unwrap ( )`; if a
-    // further `.` follows, the guard never binds.
-    let mut j = dot + 2; // at `(`
-    let mut d = 0i32;
-    while j < toks.len() {
-        match toks[j].text.as_str() {
-            "(" => d += 1,
-            ")" => {
-                d -= 1;
-                if d == 0 {
-                    j += 1;
-                    break;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    if toks.get(j).is_some_and(|t| t.text == ".") {
-        let adapter = toks
-            .get(j + 1)
-            .is_some_and(|t| t.text == "unwrap" || t.text == "expect");
-        if !adapter {
-            return (None, true);
-        }
-        // Skip the adapter's argument list, then look again.
-        let mut k = j + 2;
-        let mut d = 0i32;
-        while k < toks.len() {
-            match toks[k].text.as_str() {
-                "(" => d += 1,
-                ")" => {
-                    d -= 1;
-                    if d == 0 {
-                        k += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        if toks.get(k).is_some_and(|t| t.text == ".") {
-            return (None, true);
-        }
-    }
-    // Scan back to the statement start for a `let`.
-    let mut k = dot;
-    let mut eq_pos: Option<usize> = None;
-    let mut let_pos: Option<usize> = None;
-    while k > 0 {
-        let p = &toks[k - 1];
-        match (p.kind, p.text.as_str()) {
-            (TokKind::Punct, ";") | (TokKind::Punct, "{") | (TokKind::Punct, "}") => break,
-            (TokKind::Punct, "=") => {
-                // `=` but not `==`, `=>`, `<=` etc.
-                let prev_ok = k < 2
-                    || !matches!(toks[k - 2].text.as_str(), "=" | "<" | ">" | "!" | "+" | "-");
-                let next_ok = !matches!(toks[k].text.as_str(), "=" | ">");
-                if prev_ok && next_ok {
-                    eq_pos = Some(k - 1);
-                }
-                k -= 1;
-            }
-            (TokKind::Ident, "let") => {
-                let_pos = Some(k - 1);
-                break;
-            }
-            _ => k -= 1,
-        }
-    }
-    let (Some(lp), Some(ep)) = (let_pos, eq_pos) else {
-        return (None, true);
-    };
-    // Guard variable: last binding ident between `let` and `=`.
-    let guard = toks[lp + 1..ep]
-        .iter()
-        .rfind(|t| {
-            t.kind == TokKind::Ident
-                && !matches!(t.text.as_str(), "mut" | "Ok" | "Some" | "Err" | "ref")
-        })
-        .map(|t| t.text.clone());
-    (guard, false)
 }
 
 #[cfg(test)]
@@ -815,91 +542,6 @@ mod tests {
         );
         assert!(f.calls[3].recv_self);
         assert!(!f.calls[4].recv_self);
-    }
-
-    #[test]
-    fn let_bound_guard_holds_until_block_end() {
-        let idx = parse(
-            "fn f() {\n\
-                 let g = a.lock().unwrap();\n\
-                 b.lock().unwrap().push(1);\n\
-             }\n",
-        );
-        let f = &idx.fns[0];
-        assert_eq!(f.locks.len(), 2);
-        assert_eq!(f.lock_edges.len(), 1);
-        assert_eq!(f.lock_edges[0].held, "a");
-        assert_eq!(f.lock_edges[0].acquired, "b");
-    }
-
-    #[test]
-    fn temporaries_release_at_statement_end() {
-        let idx = parse(
-            "fn f() {\n\
-                 a.lock().unwrap().push(1);\n\
-                 b.lock().unwrap().push(2);\n\
-             }\n",
-        );
-        assert!(idx.fns[0].lock_edges.is_empty());
-    }
-
-    #[test]
-    fn chained_past_adapter_is_a_temporary() {
-        // The guard never binds to `v`: the chain continues past unwrap.
-        let idx = parse(
-            "fn f() {\n\
-                 let v = q.lock().unwrap().pop();\n\
-                 s.lock().unwrap().push(v);\n\
-             }\n",
-        );
-        assert!(idx.fns[0].lock_edges.is_empty());
-    }
-
-    #[test]
-    fn drop_releases_a_guard() {
-        let idx = parse(
-            "fn f() {\n\
-                 let g = a.lock().unwrap();\n\
-                 drop(g);\n\
-                 b.lock().unwrap().push(1);\n\
-             }\n",
-        );
-        assert!(idx.fns[0].lock_edges.is_empty());
-    }
-
-    #[test]
-    fn self_receivers_normalize_to_the_impl_type() {
-        let idx = parse(
-            "impl Server {\n\
-                 fn f(&self) { let g = self.ias.lock().unwrap(); g.touch(); }\n\
-             }\n",
-        );
-        assert_eq!(idx.fns[0].locks[0].lock, "Server.ias");
-    }
-
-    #[test]
-    fn index_receivers_drop_the_subscript() {
-        let idx = parse("fn f() { inboxes[ds].lock().unwrap().append(v); }\n");
-        assert_eq!(idx.fns[0].locks[0].lock, "inboxes");
-    }
-
-    #[test]
-    fn let_else_guard_binds_and_drop_works() {
-        let idx = parse(
-            "impl Server { fn f(&self) {\n\
-                 let Ok(mut ias) = self.ias.lock() else { return; };\n\
-                 other.lock().unwrap().go();\n\
-                 drop(ias);\n\
-                 late.lock().unwrap().go();\n\
-             } }\n",
-        );
-        let f = &idx.fns[0];
-        let edges: Vec<(String, String)> = f
-            .lock_edges
-            .iter()
-            .map(|e| (e.held.clone(), e.acquired.clone()))
-            .collect();
-        assert_eq!(edges, [("Server.ias".to_string(), "other".to_string())]);
     }
 
     #[test]

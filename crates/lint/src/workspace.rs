@@ -1,5 +1,5 @@
 //! Workspace passes: symbol table, call graph, and the interprocedural
-//! rules BL007, BL008 and BL010.
+//! rules BL008 and BL010.
 //!
 //! These run in [`crate::Analyzer::finish`] over the per-file
 //! [`FileIndex`]es the parser produced. Resolution is deliberately
@@ -14,7 +14,6 @@
 //!
 //! | Rule  | Checks |
 //! |-------|--------|
-//! | BL007 | lock-order inversion: cycles (incl. self-cycles) in the mutex acquisition graph, nested acquisitions propagated through calls |
 //! | BL008 | nondeterminism: a wall-clock / thread-identity source in a deterministic crate, and a call from one into a function that reaches a wall-clock / thread-identity / hash-order source |
 //! | BL010 | panic / `unwrap` / `expect` reachable from the `ENTRY_POINTS` of the sharded engine (DESIGN.md §12 promises panic-free windows) |
 
@@ -210,36 +209,9 @@ impl<'a> Workspace<'a> {
         }
         (cands.len() == 1).then(|| cands[0])
     }
-
-    /// Per-fn transitive closure of a per-fn seed set, propagated callee →
-    /// caller (a fn inherits everything its callees have).
-    fn closure(&self, mut sets: Vec<BTreeSet<String>>) -> Vec<BTreeSet<String>> {
-        loop {
-            let mut changed = false;
-            for id in 0..self.fns.len() {
-                for (_, callee) in &self.calls[id] {
-                    if *callee == id {
-                        continue;
-                    }
-                    let add: Vec<String> = sets[*callee]
-                        .iter()
-                        .filter(|s| !sets[id].contains(*s))
-                        .cloned()
-                        .collect();
-                    if !add.is_empty() {
-                        sets[id].extend(add);
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                return sets;
-            }
-        }
-    }
 }
 
-/// Run BL007, BL008 and BL010 over the workspace. `supps`/`used` are the per-file
+/// Run BL008 and BL010 over the workspace. `supps`/`used` are the per-file
 /// suppression tables and the used-directive set (BL011's input): BL008
 /// consults suppressions *during* the pass because a suppressed source or
 /// call site must also stop taint propagation, not just hide one finding.
@@ -250,109 +222,9 @@ pub(crate) fn check_workspace(
 ) -> Vec<WsDiag> {
     let ws = Workspace::build(files);
     let mut out = Vec::new();
-    bl007_lock_order(&ws, &mut out);
     bl008_taint(&ws, supps, used, &mut out);
     bl010_reachable_panics(&ws, &mut out);
     out
-}
-
-/// BL007: build the lock-acquisition-order graph (edge `a → b` when `b` is
-/// acquired while `a` is held, in one body or through a call) and flag every
-/// edge that participates in a cycle.
-fn bl007_lock_order(ws: &Workspace<'_>, out: &mut Vec<WsDiag>) {
-    // Locks each fn may take, transitively through its callees.
-    let acquires = ws.closure(
-        ws.fns
-            .iter()
-            .map(|(_, f)| f.locks.iter().map(|l| l.lock.clone()).collect())
-            .collect(),
-    );
-    // (held, acquired) → attribution sites as (file, line, col).
-    type EdgeSites = BTreeSet<(String, u32, u32)>;
-    let mut edges: BTreeMap<(String, String), EdgeSites> = BTreeMap::new();
-    for (id, (fi, func)) in ws.fns.iter().enumerate() {
-        let rel = &ws.files[*fi].rel_path;
-        for e in &func.lock_edges {
-            edges
-                .entry((e.held.clone(), e.acquired.clone()))
-                .or_default()
-                .insert((rel.clone(), e.line, e.col));
-        }
-        for (call, callee) in &ws.calls[id] {
-            if call.held.is_empty() {
-                continue;
-            }
-            for acq in &acquires[*callee] {
-                for h in &call.held {
-                    if h == acq {
-                        continue; // re-entry through a call is BL007's
-                                  // self-cycle below only when direct; via a
-                                  // call it is usually a different instance
-                    }
-                    edges.entry((h.clone(), acq.clone())).or_default().insert((
-                        rel.clone(),
-                        call.line,
-                        call.col,
-                    ));
-                }
-            }
-        }
-    }
-    // Strongly connected components over the lock graph (iterative Tarjan,
-    // nodes visited in sorted order for determinism).
-    let nodes: BTreeSet<String> = edges
-        .keys()
-        .flat_map(|(a, b)| [a.clone(), b.clone()])
-        .collect();
-    let nodes: Vec<String> = nodes.into_iter().collect();
-    let idx_of: BTreeMap<&str, usize> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), i))
-        .collect();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-    for (a, b) in edges.keys() {
-        adj[idx_of[a.as_str()]].push(idx_of[b.as_str()]);
-    }
-    let scc = tarjan_scc(&adj);
-    // Component id → members (for the cycle description).
-    let mut members: BTreeMap<usize, Vec<&str>> = BTreeMap::new();
-    for (n, c) in scc.iter().enumerate() {
-        members.entry(*c).or_default().push(&nodes[n]);
-    }
-    for ((held, acq), sites) in &edges {
-        let (hc, ac) = (scc[idx_of[held.as_str()]], scc[idx_of[acq.as_str()]]);
-        let cyclic = if held == acq {
-            true
-        } else {
-            hc == ac && members[&hc].len() >= 2
-        };
-        if !cyclic {
-            continue;
-        }
-        let msg = if held == acq {
-            format!(
-                "nested acquisition of `{held}` while `{held}` is already held \
-                 (self-deadlock, or unordered acquisition of sibling locks)"
-            )
-        } else {
-            let cycle = members[&hc].join(" → ");
-            format!(
-                "lock-order inversion: `{acq}` acquired while holding `{held}` \
-                 closes the cycle {cycle} → {first}",
-                first = members[&hc][0]
-            )
-        };
-        for (file, line, col) in sites {
-            out.push(WsDiag {
-                code: "BL007",
-                file: file.clone(),
-                line: *line,
-                col: *col,
-                message: msg.clone(),
-            });
-        }
-    }
 }
 
 /// BL008: nondeterminism sources in deterministic crates, where they sit
@@ -509,65 +381,4 @@ fn bl010_reachable_panics(ws: &Workspace<'_>, out: &mut Vec<WsDiag>) {
             });
         }
     }
-}
-
-/// Iterative Tarjan SCC; returns the component id per node. Component ids
-/// are renumbered by smallest member node for determinism.
-fn tarjan_scc(adj: &[Vec<usize>]) -> Vec<usize> {
-    let n = adj.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut comp = vec![usize::MAX; n];
-    let mut next_index = 0usize;
-    let mut next_comp = 0usize;
-    // Explicit DFS frames: (node, next child position).
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        frames.push((root, 0));
-        while let Some(&mut (v, ref mut ci)) = frames.last_mut() {
-            if *ci == 0 {
-                index[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if let Some(&w) = adj[v].get(*ci) {
-                *ci += 1;
-                if index[w] == usize::MAX {
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-                continue;
-            }
-            // v is done: close its component if it is a root.
-            if low[v] == index[v] {
-                while let Some(w) = stack.pop() {
-                    on_stack[w] = false;
-                    comp[w] = next_comp;
-                    if w == v {
-                        break;
-                    }
-                }
-                next_comp += 1;
-            }
-            frames.pop();
-            if let Some(&mut (u, _)) = frames.last_mut() {
-                low[u] = low[u].min(low[v]);
-            }
-        }
-    }
-    // Renumber components by smallest member for stable output.
-    let mut first_seen: BTreeMap<usize, usize> = BTreeMap::new();
-    for &c in &comp {
-        let next = first_seen.len();
-        first_seen.entry(c).or_insert(next);
-    }
-    comp.iter().map(|c| first_seen[c]).collect()
 }

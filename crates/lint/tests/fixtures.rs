@@ -65,62 +65,6 @@ fn bl005_recovery_unwrap_triad() {
 }
 
 #[test]
-fn bl007_lock_order_triad() {
-    assert_triad("BL007", "crates/simnet/src/fixture.rs", "simnet");
-}
-
-#[test]
-fn bl007_cross_file_inversion() {
-    let a = ("crates/simnet/src/locks_a.rs", "simnet", "bl007_pair_a.rs");
-    // A takes route→stats, B takes stats→route: the cycle only exists in
-    // the merged workspace graph, and both edge sites are reported.
-    let bad = analyze(&[
-        a,
-        (
-            "crates/tor-net/src/locks_b.rs",
-            "tor-net",
-            "bl007_pair_b.rs",
-        ),
-    ]);
-    assert!(bad.failed(), "cross-file inversion must fail");
-    assert!(
-        deny_codes(&bad).iter().all(|c| *c == "BL007"),
-        "only BL007 expected, got {:?}",
-        bad.diags
-    );
-    assert!(
-        bad.diags.iter().any(|d| d.file.ends_with("locks_a.rs"))
-            && bad.diags.iter().any(|d| d.file.ends_with("locks_b.rs")),
-        "both files carry an inverted edge: {:?}",
-        bad.diags
-    );
-    // Suppressing both inverted edges (with reasons) clears the cycle.
-    let sup = analyze(&[
-        (
-            "crates/simnet/src/locks_a.rs",
-            "simnet",
-            "bl007_pair_a_suppressed.rs",
-        ),
-        (
-            "crates/tor-net/src/locks_b.rs",
-            "tor-net",
-            "bl007_pair_b_suppressed.rs",
-        ),
-    ]);
-    assert!(!sup.failed(), "{:?}", sup.diags);
-    // B rewritten into the global order: no cycle.
-    let clean = analyze(&[
-        a,
-        (
-            "crates/tor-net/src/locks_b.rs",
-            "tor-net",
-            "bl007_pair_clean_b.rs",
-        ),
-    ]);
-    assert!(!clean.failed(), "{:?}", clean.diags);
-}
-
-#[test]
 fn bl008_taint_triad() {
     assert_triad("BL008", "crates/simnet/src/fixture.rs", "simnet");
 }

@@ -189,37 +189,6 @@ struct ManagedCirc {
     origin: Option<usize>,
 }
 
-/// Knobs of the client's failure-recovery machinery. Recovery is off by
-/// default — [`TorClient::enable_recovery`] switches it on — so programs
-/// that never opt in keep their exact pre-recovery event and RNG streams.
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryConfig {
-    /// A circuit still building after this long is abandoned (and the hop
-    /// being extended is recorded in the failure cache).
-    pub build_timeout: SimDuration,
-    /// A stream not Connected after this long is torn down.
-    pub stream_timeout: SimDuration,
-    /// Backoff between rebuild attempts of a managed circuit.
-    pub rebuild_backoff: BackoffPolicy,
-    /// How long a failed relay stays avoided during path selection.
-    pub failure_decay: SimDuration,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            build_timeout: SimDuration::from_secs(8),
-            stream_timeout: SimDuration::from_secs(10),
-            rebuild_backoff: BackoffPolicy::new(
-                SimDuration::from_millis(300),
-                SimDuration::from_secs(10),
-            )
-            .with_max_attempts(12),
-            failure_decay: SimDuration::from_secs(30),
-        }
-    }
-}
-
 struct LinkState {
     established: bool,
     queued: Vec<Cell>,
@@ -291,8 +260,8 @@ pub struct TorClient {
     fetch_backoff: Backoff,
     /// Consensus-fetch retries performed (also mirrored to telemetry).
     consensus_retries: u64,
-    /// `Some` once [`TorClient::enable_recovery`] has been called.
-    recovery: Option<RecoveryConfig>,
+    /// Set once [`TorClient::enable_recovery`] has been called.
+    recovery: bool,
     /// Relays that recently failed us; avoided during path selection until
     /// their entries decay.
     failures: FailureCache,
@@ -319,8 +288,8 @@ impl TorClient {
             events: VecDeque::new(),
             fetch_backoff: Backoff::new(Self::FETCH_BACKOFF),
             consensus_retries: 0,
-            recovery: None,
-            failures: FailureCache::new(SimDuration::from_secs(30)),
+            recovery: false,
+            failures: FailureCache::new(Self::FAILURE_DECAY),
             pending_rebuilds: BTreeMap::new(),
             next_rebuild_token: 0,
         }
@@ -334,6 +303,23 @@ impl TorClient {
         max_attempts: 0,
     };
 
+    /// Recovery mode: a circuit still building after this long is abandoned
+    /// (and the hop being extended is recorded in the failure cache).
+    const BUILD_TIMEOUT: SimDuration = SimDuration(8_000_000_000);
+
+    /// Recovery mode: a stream not Connected after this long is torn down.
+    const STREAM_TIMEOUT: SimDuration = SimDuration(10_000_000_000);
+
+    /// Recovery mode: backoff between rebuild attempts of a managed circuit.
+    const REBUILD_BACKOFF: BackoffPolicy = BackoffPolicy {
+        base: SimDuration(300_000_000),   // 300 ms
+        cap: SimDuration(10_000_000_000), // 10 s
+        max_attempts: 12,
+    };
+
+    /// How long a failed relay stays avoided during path selection.
+    const FAILURE_DECAY: SimDuration = SimDuration(30_000_000_000);
+
     /// Exclude a relay (by fingerprint) from every path this client builds;
     /// used by Bento boxes to keep their onion proxy off their own relay.
     pub fn exclude_relay(&mut self, fp: Fingerprint) {
@@ -345,13 +331,7 @@ impl TorClient {
     /// managed circuits. Off by default so recovery-oblivious programs keep
     /// their exact event streams.
     pub fn enable_recovery(&mut self) {
-        self.enable_recovery_with(RecoveryConfig::default());
-    }
-
-    /// [`TorClient::enable_recovery`] with explicit knobs.
-    pub fn enable_recovery_with(&mut self, cfg: RecoveryConfig) {
-        self.failures = FailureCache::new(cfg.failure_decay);
-        self.recovery = Some(cfg);
+        self.recovery = true;
     }
 
     /// Consensus-fetch retries performed so far.
@@ -361,7 +341,7 @@ impl TorClient {
 
     /// Drop all volatile state, as a host crash would: consensus, links,
     /// circuits, onion connections, queued events. Configuration (authority,
-    /// trust key, exclusions, recovery knobs) survives, like files on disk.
+    /// trust key, exclusions, the recovery switch) survives, like files on disk.
     /// The simulator suppresses the old incarnation's timers, so stale tags
     /// can never reach the reborn client.
     pub fn reset(&mut self) {
@@ -566,8 +546,8 @@ impl TorClient {
             managed: None,
         });
         self.circ_lookup.insert((conn, circ_id), slot);
-        if let Some(rc) = self.recovery {
-            let t = ctx.set_timer(rc.build_timeout, TAG_BUILD_TIMEOUT_BASE + slot as u64);
+        if self.recovery {
+            let t = ctx.set_timer(Self::BUILD_TIMEOUT, TAG_BUILD_TIMEOUT_BASE + slot as u64);
             self.circuits[slot].build_timer = Some(t);
         }
         let create = Cell::with_payload(circ_id, CellCmd::Create, &onionskin);
@@ -586,12 +566,14 @@ impl TorClient {
         ctx: &mut Ctx<'_>,
         req: TerminalReq,
     ) -> Option<CircuitHandle> {
-        let rc = self.recovery?;
+        if !self.recovery {
+            return None;
+        }
         let path = self.select_path_resilient(ctx, req)?;
         let handle = self.build_circuit(ctx, path)?;
         self.circuits[handle.0].managed = Some(ManagedCirc {
             req,
-            backoff: Backoff::new(rc.rebuild_backoff),
+            backoff: Backoff::new(Self::REBUILD_BACKOFF),
             failed_at: None,
             origin: None,
         });
@@ -635,9 +617,9 @@ impl TorClient {
             StreamTarget::Dir => StreamKind::Dir(FrameAssembler::new()),
             _ => StreamKind::App,
         };
-        let timeout = self.recovery.map(|rc| {
+        let timeout = self.recovery.then(|| {
             let tag = TAG_STREAM_TIMEOUT_BASE + ((circ.0 as u64) << 16 | stream_id as u64);
-            ctx.set_timer(rc.stream_timeout, tag)
+            ctx.set_timer(Self::STREAM_TIMEOUT, tag)
         });
         self.circuits[circ.0].streams.insert(
             stream_id,
@@ -887,7 +869,7 @@ impl TorClient {
             // is the circuit-allocation order, not the map's key order.
             slots.sort_unstable();
             for slot in slots {
-                if self.recovery.is_some() {
+                if self.recovery {
                     // The guard link died under this circuit: remember the
                     // guard so rebuilds steer around it while it decays.
                     if let Some(fp) = self.circuits[slot].path.first().map(|r| r.fingerprint) {
@@ -941,7 +923,7 @@ impl TorClient {
     /// shared RNG — so recovery-oblivious programs keep their exact event
     /// and RNG streams.
     fn schedule_fetch_retry(&mut self, ctx: &mut Ctx<'_>) {
-        let delay = if self.recovery.is_some() {
+        let delay = if self.recovery {
             self.fetch_backoff
                 .next_delay(ctx.rng())
                 .unwrap_or(Self::FETCH_BACKOFF.cap)
@@ -953,7 +935,7 @@ impl TorClient {
         T_CONSENSUS_RETRIES.inc();
     }
 
-    /// A circuit took longer than `build_timeout` to finish building: blame
+    /// A circuit took longer than `BUILD_TIMEOUT` to finish building: blame
     /// the hop being extended, tear the circuit down, and (if managed) let
     /// `circuit_closed` schedule the rebuild.
     fn fire_build_timeout(&mut self, ctx: &mut Ctx<'_>, slot: usize) {
@@ -965,7 +947,7 @@ impl TorClient {
             return;
         }
         T_BUILD_TIMEOUTS.inc();
-        if self.recovery.is_some() {
+        if self.recovery {
             let blamed = c
                 .building
                 .as_ref()
@@ -979,7 +961,7 @@ impl TorClient {
         self.circuit_closed(ctx, slot);
     }
 
-    /// A stream never reached Connected within `stream_timeout`: end it.
+    /// A stream never reached Connected within `STREAM_TIMEOUT`: end it.
     fn fire_stream_timeout(&mut self, ctx: &mut Ctx<'_>, slot: usize, stream: u16) {
         let Some(c) = self.circuits.get_mut(slot) else {
             return;
@@ -1415,7 +1397,7 @@ impl TorClient {
                     self.hs_fail(ctx, idx, "rendezvous circuit closed");
                 } else if phase == HsPhase::Done {
                     self.events.push_back(TorEvent::CircuitClosed(circ));
-                } else if self.recovery.is_some() && phase != HsPhase::Failed {
+                } else if self.recovery && phase != HsPhase::Failed {
                     // Recovery mode: a support circuit (intro / HSDir) dying
                     // mid-handshake is retried on a fresh path, up to
                     // MAX_HS_RETRIES per role.

@@ -382,7 +382,7 @@ impl Node for TestClientNode {
     }
     fn on_crash(&mut self) {
         // Volatile Tor state dies with the host; configuration (authority,
-        // trust key, recovery knobs) persists like files on disk.
+        // trust key, the recovery switch) persists like files on disk.
         self.tor.reset();
         self.events.clear();
         self.hs_events.clear();

@@ -24,23 +24,6 @@ pub struct BackoffPolicy {
     pub max_attempts: u32,
 }
 
-impl BackoffPolicy {
-    /// A policy with `base` and `cap` and unlimited attempts.
-    pub fn new(base: SimDuration, cap: SimDuration) -> BackoffPolicy {
-        BackoffPolicy {
-            base,
-            cap,
-            max_attempts: 0,
-        }
-    }
-
-    /// Limit the number of attempts.
-    pub fn with_max_attempts(mut self, n: u32) -> BackoffPolicy {
-        self.max_attempts = n;
-        self
-    }
-}
-
 /// Mutable backoff state: counts attempts, produces the next delay.
 #[derive(Debug, Clone)]
 pub struct Backoff {
@@ -155,16 +138,20 @@ mod tests {
     use rand::SeedableRng;
 
     fn policy_ms(base: u64, cap: u64) -> BackoffPolicy {
-        BackoffPolicy::new(
-            SimDuration::from_millis(base),
-            SimDuration::from_millis(cap),
-        )
+        BackoffPolicy {
+            base: SimDuration::from_millis(base),
+            cap: SimDuration::from_millis(cap),
+            max_attempts: 0,
+        }
     }
 
     #[test]
     fn backoff_respects_attempt_limit() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut b = Backoff::new(policy_ms(100, 1000).with_max_attempts(3));
+        let mut b = Backoff::new(BackoffPolicy {
+            max_attempts: 3,
+            ..policy_ms(100, 1000)
+        });
         assert!(b.next_delay(&mut rng).is_some());
         assert!(b.next_delay(&mut rng).is_some());
         assert!(b.next_delay(&mut rng).is_some());

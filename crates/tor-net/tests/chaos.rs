@@ -4,18 +4,19 @@
 //!    operations against one healthy network — circuits built and torn
 //!    down mid-use, streams to real and bogus targets, onion connections,
 //!    cover cells.
-//! 2. Fault-plane chaos: the same kind of network under a deterministic
-//!    [`FaultPlan`] — a relay crash + restart targeted at a live circuit,
-//!    5% link loss, and a partition that heals — with recovery-enabled
-//!    clients that must keep delivering data.
+//! 2. Hidden-service intro recovery: both intro relays crash and stay
+//!    dead; the service must re-establish its intro set elsewhere.
 //!
 //! The assertions are survival properties: the simulator never panics,
-//! traffic flows (goodput under 5% loss is nonzero), failed circuits are
-//! rebuilt, and every run replays byte-identically from its seed.
+//! traffic flows, failed circuits are rebuilt, and every run replays
+//! byte-identically from its seed. Client recovery under the default fault
+//! plan (crash, loss, partition) is `bench::chaos::run_chaos_trial`'s, tested
+//! in `crates/bench/tests/chaos.rs`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::{FaultAction, FaultPlan, LinkFault, SimDuration, SimTime};
+use std::collections::BTreeMap;
 use tor_net::client::TerminalReq;
 use tor_net::netbuild::{NetworkBuilder, TestClientNode};
 use tor_net::ports::{HS_VIRTUAL_PORT, HTTP_PORT};
@@ -155,163 +156,146 @@ fn chaos_other_seeds_also_survive() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Fault-plane chaos: a deterministic fault schedule instead of random client
-// operations. Recovery-enabled clients download in a loop while the plan
-// crashes a relay under a live circuit, degrades every link, and partitions
-// two relays away — all of which heals before the horizon.
-// ---------------------------------------------------------------------------
-
 fn secs(s: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(s)
 }
 
-#[derive(Debug, PartialEq, Eq)]
-struct FaultRun {
+// ---------------------------------------------------------------------------
+// Corruption on a circuit's three hops: a recovery-enabled client fetches a
+// page in a loop while every link of its first circuit flips a byte in 2%
+// of the cells for ten seconds. An altered cell fails the per-hop digest (or
+// no longer parses as a cell) and is refused; none may reach the
+// application. A refusal can leave the fetch stalled — the exit drops a
+// refused forward cell silently, and a circuit the client refuses a cell on
+// is torn down without a `CircuitClosed` event or a rebuild — so the loop
+// abandons a fetch that makes no progress for 4 s and starts over on a
+// fresh circuit.
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Default, PartialEq, Eq)]
+struct CorruptRun {
     events: u64,
-    delivered: u64,
+    corrupted: u64,
+    /// Application bytes received, every one checked against the page.
+    checked: u64,
+    pages: u64,
     rebuilds: u64,
-    msgs_dropped: u64,
-    crashes: u64,
-    restarts: u64,
+    abandoned: u64,
 }
 
-fn run_fault_plan(seed: u64) -> FaultRun {
+fn run_corrupt_fetch(seed: u64) -> CorruptRun {
     let mut net = NetworkBuilder::new()
         .seed(seed)
         .middles(8)
         .exits(3)
         .hsdirs(2)
         .build();
-    let server = net.add_web_server("web", vec![("/".to_string(), vec![vec![0x5Au8; 20_000]])]);
-    let middles: Vec<simnet::NodeId> = net.relays[1..].iter().map(|(id, _)| *id).collect();
-    // Static schedule: 5% loss on every link [6s, 20s); two middles cut off
-    // from the world [14s, 17s).
-    net.sim.install_faults(
-        FaultPlan::new()
-            .all_links(secs(6), LinkFault::loss_pct(5.0))
-            .all_links_clear(secs(20))
-            .partition(secs(14), vec![middles[1], middles[2]])
-            .heal(secs(17)),
-    );
-    let clients: Vec<_> = (0..3).map(|i| net.add_client(&format!("fc{i}"))).collect();
-    for &c in &clients {
-        net.sim
-            .with_node::<TestClientNode, _>(c, |n, _| n.tor.enable_recovery());
-    }
+    let page: Vec<u8> = (0..100_000u32).map(|i| (i * 31 % 251) as u8).collect();
+    // The server sends the page as one frame; the stream carries exactly this.
+    let served = encode_frame(&page);
+    let server = net.add_web_server("web", vec![("/".to_string(), vec![page])]);
+    let client = net.add_client("victim");
+    net.sim
+        .with_node::<TestClientNode, _>(client, |n, _| n.tor.enable_recovery());
     net.sim.run_until(secs(3));
-    let mut circs: Vec<Option<CircuitHandle>> = clients
-        .iter()
-        .map(|&c| {
-            net.sim.with_node::<TestClientNode, _>(c, |n, ctx| {
-                n.tor
-                    .build_circuit_managed(ctx, TerminalReq::ExitTo(server, HTTP_PORT))
-            })
-        })
-        .collect();
-    net.sim.run_until(secs(5));
-    // Crash a relay under client 0's circuit (so the crash provably kills a
-    // live circuit), restart it four seconds later. Any hop will do, but
-    // never the authority — skip hops that don't map to net.relays[1..].
-    let path = net.sim.with_node::<TestClientNode, _>(clients[0], |n, _| {
-        circs[0].map(|h| n.tor.circuit_path(h)).unwrap_or_default()
+    let to_server = TerminalReq::ExitTo(server, HTTP_PORT);
+    let mut circ = net.sim.with_node::<TestClientNode, _>(client, |n, ctx| {
+        n.tor
+            .build_circuit_managed(ctx, to_server)
+            .expect("circuit")
     });
-    let victim = path
-        .iter()
-        .find_map(|fp| {
-            net.relays[1..]
-                .iter()
-                .find(|(_, f)| f == fp)
-                .map(|(id, _)| *id)
-        })
-        .unwrap_or(middles[0]);
-    net.sim.inject_fault(secs(6), FaultAction::Crash(victim));
-    net.sim.inject_fault(secs(10), FaultAction::Restart(victim));
+    net.sim.run_until(secs(5));
+    // client–guard, guard–middle, middle–exit; never the exit–server link,
+    // which carries plain stream bytes no digest covers.
+    let path = net
+        .sim
+        .with_node::<TestClientNode, _>(client, |n, _| n.tor.circuit_path(circ));
+    let mut hops = vec![client];
+    hops.extend(path.iter().map(|fp| {
+        let relay = net.relays.iter().find(|(_, f)| f == fp);
+        relay.expect("hop is a relay").0
+    }));
+    assert_eq!(hops.len(), 4);
+    let mut plan = FaultPlan::new();
+    for pair in hops.windows(2) {
+        plan = plan
+            .link(secs(5), pair[0], pair[1], LinkFault::corrupt_pct(2.0))
+            .link_clear(secs(15), pair[0], pair[1]);
+    }
+    net.sim.install_faults(plan);
 
-    let mut run = FaultRun {
-        events: 0,
-        delivered: 0,
-        rebuilds: 0,
-        msgs_dropped: 0,
-        crashes: 0,
-        restarts: 0,
-    };
-    // The web server keeps streams open, so "download complete" is the full
-    // page having arrived, not a StreamEnded.
-    let mut busy = vec![false; clients.len()];
-    let mut got = vec![0u64; clients.len()];
-    while net.sim.now() < secs(30) {
+    let mut run = CorruptRun::default();
+    let mut received: BTreeMap<(usize, u16), usize> = BTreeMap::new();
+    let mut in_flight = false;
+    let mut last_progress = net.sim.now();
+    while net.sim.now() < secs(40) {
         let now = net.sim.now();
         net.sim.run_until(now + SimDuration::from_millis(500));
-        for (i, &c) in clients.iter().enumerate() {
-            let events = net
-                .sim
-                .with_node::<TestClientNode, _>(c, |n, _| n.take_events());
-            for ev in events {
-                match ev {
-                    TorEvent::StreamData(_, _, d) => {
-                        run.delivered += d.len() as u64;
-                        got[i] += d.len() as u64;
-                        if got[i] >= 20_000 {
-                            busy[i] = false;
-                        }
+        let now = net.sim.now();
+        let events = net
+            .sim
+            .with_node::<TestClientNode, _>(client, |n, _| n.take_events());
+        for ev in events {
+            match ev {
+                TorEvent::StreamData(h, s, data) => {
+                    let at = received.entry((h.0, s)).or_default();
+                    assert_eq!(
+                        served.get(*at..*at + data.len()),
+                        Some(&data[..]),
+                        "circuit {} stream {s}: bytes {at}.. are not the page's",
+                        h.0
+                    );
+                    *at += data.len();
+                    run.checked += data.len() as u64;
+                    last_progress = now;
+                    if *at == served.len() {
+                        run.pages += 1;
+                        in_flight = false;
                     }
-                    TorEvent::StreamEnded(..) => busy[i] = false,
-                    TorEvent::CircuitRebuilt(old, new) => {
-                        run.rebuilds += 1;
-                        if circs[i] == Some(old) {
-                            circs[i] = Some(new);
-                            busy[i] = false;
-                        }
-                    }
-                    TorEvent::CircuitClosed(h) if circs[i] == Some(h) => busy[i] = false,
-                    _ => {}
                 }
-            }
-            let Some(h) = circs[i] else { continue };
-            if !busy[i] {
-                got[i] = 0;
-                busy[i] = net.sim.with_node::<TestClientNode, _>(c, |n, ctx| {
-                    if !n.tor.is_ready(h) {
-                        return false;
-                    }
-                    match n
-                        .tor
-                        .open_stream(ctx, h, StreamTarget::Node(server, HTTP_PORT))
-                    {
-                        Some(s) => {
-                            n.tor.send_stream(ctx, h, s, &encode_frame(b"/"));
-                            true
-                        }
-                        None => false,
-                    }
-                });
+                TorEvent::CircuitRebuilt(old, new) if old == circ => {
+                    run.rebuilds += 1;
+                    circ = new;
+                    in_flight = false;
+                }
+                _ => {}
             }
         }
+        if in_flight && now.since(last_progress) > SimDuration::from_secs(4) {
+            run.abandoned += 1;
+            circ = net.sim.with_node::<TestClientNode, _>(client, |n, ctx| {
+                n.tor.destroy_circuit(ctx, circ);
+                n.tor
+                    .build_circuit_managed(ctx, to_server)
+                    .expect("circuit")
+            });
+            in_flight = false;
+        }
+        if !in_flight {
+            in_flight = net.sim.with_node::<TestClientNode, _>(client, |n, ctx| {
+                let s = n
+                    .tor
+                    .open_stream(ctx, circ, StreamTarget::Node(server, HTTP_PORT));
+                if let Some(s) = s {
+                    n.tor.send_stream(ctx, circ, s, &encode_frame(b"/"));
+                }
+                s.is_some()
+            });
+            last_progress = now;
+        }
     }
-    let stats = net.sim.stats();
-    let faults = net.sim.fault_stats();
-    run.events = stats.events;
-    run.msgs_dropped = faults.msgs_dropped;
-    run.crashes = faults.crashes;
-    run.restarts = faults.restarts;
+    run.events = net.sim.stats().events;
+    run.corrupted = net.sim.fault_stats().msgs_corrupted;
     run
 }
 
 #[test]
-fn fault_plan_chaos_recovers_and_is_deterministic() {
-    let a = run_fault_plan(404);
-    // The faults really happened ...
-    assert_eq!(a.crashes, 1, "{a:?}");
-    assert_eq!(a.restarts, 1, "{a:?}");
-    assert!(a.msgs_dropped > 0, "loss/partition dropped messages: {a:?}");
-    // ... and the clients recovered from them: the crashed guard's circuit
-    // came back, and goodput under 5% loss is nonzero.
-    assert!(a.rebuilds >= 1, "managed circuit rebuilt: {a:?}");
-    assert!(a.delivered > 0, "goodput under faults: {a:?}");
-    // Same seed, same fault plan -> byte-identical outcome.
-    let b = run_fault_plan(404);
-    assert_eq!(a, b, "fault-plane runs replay deterministically");
+fn corrupted_cells_never_reach_the_application() {
+    let a = run_corrupt_fetch(606);
+    assert!(a.corrupted > 0, "cells were corrupted: {a:?}");
+    assert!(a.pages > 0, "whole pages still arrive: {a:?}");
+    let b = run_corrupt_fetch(606);
+    assert_eq!(a, b, "corruption runs replay deterministically");
 }
 
 // ---------------------------------------------------------------------------
