@@ -11,9 +11,6 @@
 //! * **`--threads 1` vs `--threads 4`** — the sweep runner's "parallel equals
 //!   sequential" contract, checked over full processes rather than the unit
 //!   test's in-process trials.
-//! * **`--shards 1` vs `--shards 3` vs `--shards 4`** — the sharded
-//!   conservative engine's shard-count invariance contract, checked through
-//!   `scalability_sweep --det` in fresh processes.
 //!
 //! Workloads: the chaos smoke sweep (`chaos_sweep --smoke`, the fault-plane
 //! recovery path) and one Table 2 trial (`table2 --domains 1`, the download
@@ -169,44 +166,6 @@ fn main() {
                 eprintln!("  scratch kept for inspection: {}", scratch.display());
                 failures += 1;
             }
-        }
-    }
-    // Sharded-engine arms: the conservative engine must produce the same
-    // simulation outcome at any shard count. `scalability_sweep --det`
-    // writes an artifact with only sim-deterministic fields (no shard or
-    // wall columns), so three fresh-process runs — one shard, three (an
-    // uneven partition) and four — must agree to the byte.
-    {
-        let bin = sibling("scalability_sweep");
-        let arms = ["1", "3", "4"];
-        let dirs: Vec<PathBuf> = arms
-            .iter()
-            .map(|shards| {
-                let args = ["--smoke", "--det", "--quiet", "--shards", shards];
-                let dir = scratch.join(format!("shard_arms_s{shards}"));
-                println!("determinism_check: shard_arms: scalability_sweep {args:?}");
-                run_child(&bin, &args, &dir);
-                dir
-            })
-            .collect();
-        let mut ok = true;
-        for (i, dir) in dirs.iter().enumerate().skip(1) {
-            if let Some(diff) = diff_runs(&dirs[0], dir) {
-                eprintln!(
-                    "determinism_check: shard_arms: SHARD-COUNT DIVERGENCE (shards {} vs {})\n  {diff}",
-                    arms[0], arms[i]
-                );
-                eprintln!("  scratch kept for inspection: {}", scratch.display());
-                failures += 1;
-                ok = false;
-            }
-        }
-        if ok {
-            let n = artifact_list(&dirs[0].join("results")).len();
-            println!(
-                "determinism_check: shard_arms: {n} artifact(s) byte-identical across \
-                 shards 1/3/4"
-            );
         }
     }
     if failures > 0 {

@@ -20,7 +20,7 @@
 //! | BL004 | `unsafe` without a preceding `// SAFETY:` comment |
 //! | BL005 | `.unwrap()`/`.expect()` in fault-recovery paths |
 //! | BL008 | wall-clock / thread-identity sources in [`DETERMINISTIC_CRATES`], where they sit or through calls |
-//! | BL010 | panic/`unwrap`/`expect` reachable from sharded-engine entries |
+//! | BL010 | panic/`unwrap`/`expect` reachable from the simulator's run loop |
 //! | BL011 | stale suppression directives that no longer suppress anything |
 //!
 //! ## Suppression

@@ -15,19 +15,15 @@
 //! | Rule  | Checks |
 //! |-------|--------|
 //! | BL008 | nondeterminism: a wall-clock / thread-identity source in a deterministic crate, and a call from one into a function that reaches a wall-clock / thread-identity / hash-order source |
-//! | BL010 | panic / `unwrap` / `expect` reachable from the `ENTRY_POINTS` of the sharded engine (DESIGN.md §12 promises panic-free windows) |
+//! | BL010 | panic / `unwrap` / `expect` reachable from the simulator's run loop (`ENTRY_POINTS`) |
 
 use crate::parser::{CallKind, CallSite, FileIndex, FnInfo};
 use crate::{is_deterministic, suppressed_mark, Suppression, UsedSet};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The sharded-engine entry points DESIGN.md §12 promises are panic-free
-/// (BL010 reachability roots), walked in this order.
-const ENTRY_POINTS: [&str; 3] = [
-    "ShardCore::run_window",
-    "ShardedSim::run_sequential",
-    "ShardedSim::run_until",
-];
+/// BL010's reachability roots, walked in this order: the simulator's run
+/// loop, which every event of every run passes through.
+const ENTRY_POINTS: [&str; 1] = ["Simulator::run_until"];
 
 /// One file's contribution to the workspace passes.
 #[derive(Debug, Clone)]
@@ -334,9 +330,9 @@ fn bl008_taint(
     }
 }
 
-/// BL010: panic sites reachable from the sharded-engine entry points that
-/// DESIGN.md §12 documents as panic-free. `assert!` is deliberately out of
-/// scope — asserts state contracts; `unwrap`/`expect`/`panic!` state hope.
+/// BL010: panic sites reachable from the `ENTRY_POINTS`. `assert!` is
+/// deliberately out of scope — asserts state contracts;
+/// `unwrap`/`expect`/`panic!` state hope.
 fn bl010_reachable_panics(ws: &Workspace<'_>, out: &mut Vec<WsDiag>) {
     // BFS from each entry in order; first entry to reach wins the
     // attribution (deterministic).
@@ -372,8 +368,8 @@ fn bl010_reachable_panics(ws: &Workspace<'_>, out: &mut Vec<WsDiag>) {
                 line: p.line,
                 col: p.col,
                 message: format!(
-                    "`{}` in `{}` is reachable from sharded-engine entry `{entry}` \
-                     (DESIGN.md §12 promises panic-free windows) — handle the error \
+                    "`{}` in `{}` is reachable from the simulator's run loop \
+                     `{entry}`, which every event passes through — handle the error \
                      or suppress with the invariant that rules it out",
                     p.what,
                     func.qual_name(),

@@ -1,11 +1,11 @@
-//! Panic site reachable from a sharded-engine entry point through the
+//! Panic site reachable from the simulator's run loop through the
 //! call graph: `run_until` → `step` → `.expect(...)`.
 
-pub struct ShardedSim {
+pub struct Simulator {
     pending: Option<u64>,
 }
 
-impl ShardedSim {
+impl Simulator {
     pub fn run_until(&mut self, limit: u64) -> u64 {
         self.step(limit)
     }

@@ -1,10 +1,10 @@
 //! Panic-free variant: the missing-event case is handled, not unwrapped.
 
-pub struct ShardedSim {
+pub struct Simulator {
     pending: Option<u64>,
 }
 
-impl ShardedSim {
+impl Simulator {
     pub fn run_until(&mut self, limit: u64) -> u64 {
         self.step(limit)
     }

@@ -1,11 +1,11 @@
 //! The same reachable panic, suppressed with the invariant that rules
 //! the `None` case out.
 
-pub struct ShardedSim {
+pub struct Simulator {
     pending: Option<u64>,
 }
 
-impl ShardedSim {
+impl Simulator {
     pub fn run_until(&mut self, limit: u64) -> u64 {
         self.step(limit)
     }

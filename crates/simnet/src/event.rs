@@ -124,6 +124,14 @@ impl EventQueue {
         self.heap.pop()
     }
 
+    /// Remove and return the earliest event if it is due by `limit`.
+    pub fn pop_until(&mut self, limit: SimTime) -> Option<Event> {
+        if self.peek_time()? > limit {
+            return None;
+        }
+        self.pop()
+    }
+
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)

@@ -25,11 +25,11 @@
 //!
 //! The crate deliberately avoids an async runtime: a discrete-event core is
 //! smaller, fully deterministic and trivially replayable, which matters more
-//! for reproducing published experiments than wall-clock concurrency. The
-//! [`shard`] module provides a second engine — conservative discrete-event
-//! simulation over node shards, advanced window by window on one thread with
-//! a deterministic cross-shard exchange — whose results are byte-identical at
-//! any shard count (`SimConfig::shards`). No paper artifact runs on it.
+//! for reproducing published experiments than wall-clock concurrency. There
+//! is one engine, [`Simulator`]; a connection's state lives from `connect`
+//! until the connection dies and is freed then, so memory follows the
+//! connections open now. (A sharded conservative engine was tried and
+//! removed; DESIGN.md §12 has the record.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +38,6 @@ pub mod event;
 pub mod fault;
 pub mod iface;
 pub mod node;
-pub mod shard;
 pub mod sim;
 pub mod stats;
 pub mod time;
@@ -49,7 +48,6 @@ pub mod wire;
 pub use fault::{FaultAction, FaultPlan, FaultStats, LinkFault};
 pub use iface::Iface;
 pub use node::{ConnId, Ctx, Node, NodeId};
-pub use shard::shard_of;
 pub use sim::{SimConfig, Simulator};
 pub use stats::TimeSeries;
 pub use time::{SimDuration, SimTime};

@@ -4,10 +4,8 @@
 //! A node is a state machine driven by callbacks: connection lifecycle
 //! events, message arrivals and timers. All side effects (connecting,
 //! sending, scheduling timers) go through [`Ctx`], which borrows the
-//! engine core; this keeps nodes pure state and the event loop the single
-//! owner of time. `Ctx` is engine-agnostic: the same node code runs on the
-//! classic serial engine and on the sharded conservative-PDES engine
-//! (`crate::shard`) without change.
+//! simulator's core; this keeps nodes pure state and the event loop the
+//! single owner of time.
 
 use crate::event::EventKind;
 use crate::sim::SimCore;
@@ -34,9 +32,10 @@ impl fmt::Display for NodeId {
 
 /// Identifies a connection between two nodes.
 ///
-/// The value is opaque to nodes: the serial engine hands out sequential ids,
-/// the sharded engine packs `(initiator, per-initiator counter)` so ids are
-/// partition-independent. Only equality/ordering may be relied on.
+/// The simulator hands out ids in sequence, one per [`Ctx::connect`], and
+/// never reuses one: an id outlives its connection, which is freed when it
+/// dies. The value is opaque to nodes; only equality/ordering may be relied
+/// on.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConnId(pub u64);
 
@@ -73,8 +72,8 @@ impl<T: Any> AsAny for T {
 /// All methods have no-op defaults except [`Node::on_msg`]; most nodes only
 /// care about messages and timers.
 ///
-/// Nodes must be [`Send`]. They are never called concurrently with
-/// themselves: every engine dispatches on the thread that drives it.
+/// Nodes must be [`Send`]. A node is never called concurrently with itself:
+/// the simulator dispatches on the thread that drives it.
 pub trait Node: AsAny + Send {
     /// Called once when the simulation starts (time zero, insertion order).
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
@@ -90,12 +89,12 @@ pub trait Node: AsAny + Send {
     /// A complete message arrived on `conn`.
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: Vec<u8>);
 
-    /// A run of messages for `conn`, in delivery order. Neither engine calls
-    /// this: both serialize one message per chunk and deliver each through
-    /// [`Node::on_msg`] at its own arrival. It stays for callers that hand a
-    /// node several messages at once (the repo benchmark's fetch probe wraps
-    /// and calls it; `RelayCore::on_msgs` records the run's size), and the
-    /// default — each message through [`Node::on_msg`] in order — is what
+    /// A run of messages for `conn`, in delivery order. The simulator never
+    /// calls this: it serializes one message per chunk and delivers each
+    /// through [`Node::on_msg`] at its own arrival. It stays for callers that
+    /// hand a node several messages at once (the repo benchmark's fetch probe
+    /// wraps and calls it; `RelayCore::on_msgs` records the run's size), and
+    /// the default — each message through [`Node::on_msg`] in order — is what
     /// any override must be equivalent to.
     fn on_msgs(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msgs: Vec<Vec<u8>>) {
         for msg in msgs {
@@ -132,20 +131,11 @@ pub trait Node: AsAny + Send {
     fn flush_telemetry(&mut self) {}
 }
 
-/// Which engine a [`Ctx`] is borrowing. Nodes never see this: every public
-/// `Ctx` method dispatches on it, so node code is engine-agnostic.
-pub(crate) enum CtxInner<'a> {
-    /// The classic single-event-loop engine.
-    Serial(&'a mut SimCore),
-    /// One shard of the conservative-PDES engine.
-    Shard(crate::shard::ShardCtx<'a>),
-}
-
 /// The handle through which a node (or the experiment harness) acts on the
 /// simulated world: connect, send, close, set timers, read the clock, draw
 /// randomness.
 pub struct Ctx<'a> {
-    pub(crate) inner: CtxInner<'a>,
+    pub(crate) core: &'a mut SimCore,
     pub(crate) me: NodeId,
 }
 
@@ -157,34 +147,20 @@ impl<'a> Ctx<'a> {
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        match &self.inner {
-            CtxInner::Serial(core) => core.now,
-            CtxInner::Shard(sc) => sc.shard.now,
-        }
+        self.core.now
     }
 
-    /// A deterministic random number generator.
-    ///
-    /// The serial engine has one run-global stream; the sharded engine gives
-    /// each node its own stream seeded from `(run seed, node id)` so draws
-    /// are independent of the partition and of dispatch interleaving.
+    /// The run's deterministic random number generator: one stream, seeded
+    /// by [`crate::SimConfig::seed`] and shared by every node.
     pub fn rng(&mut self) -> &mut StdRng {
-        let me = self.me;
-        match &mut self.inner {
-            CtxInner::Serial(core) => &mut core.rng,
-            CtxInner::Shard(sc) => sc.shard.rng_for(sc.shared, me),
-        }
+        &mut self.core.rng
     }
 
     /// Open a connection to `dst`'s `port`. The returned [`ConnId`] is usable
     /// for [`Ctx::send`] immediately — messages queue until the handshake
     /// completes one RTT later ([`Node::on_conn_established`]).
     pub fn connect(&mut self, dst: NodeId, port: u16) -> ConnId {
-        let me = self.me;
-        match &mut self.inner {
-            CtxInner::Serial(core) => core.connect(me, dst, port),
-            CtxInner::Shard(sc) => sc.shard.connect(sc.shared, me, dst, port),
-        }
+        self.core.connect(self.me, dst, port)
     }
 
     /// Queue `msg` for reliable, ordered delivery on `conn`.
@@ -193,98 +169,72 @@ impl<'a> Ctx<'a> {
     /// unknown, or if this node is not an endpoint — a node can never write
     /// to another node's connection.
     pub fn send(&mut self, conn: ConnId, msg: Vec<u8>) -> bool {
-        let me = self.me;
-        match &mut self.inner {
-            CtxInner::Serial(core) => core.send(me, conn, msg),
-            CtxInner::Shard(sc) => sc.shard.send(sc.shared, me, conn, msg),
-        }
+        self.core.send(self.me, conn, msg)
     }
 
-    /// Take a cleared buffer with at least `cap` capacity from the engine's
-    /// buffer pool (per shard on the sharded engine), allocating only when
-    /// the pool is empty. Pair with [`Ctx::recycle_buf`] to keep per-message
-    /// sends allocation-free in steady state.
+    /// Take a cleared buffer with at least `cap` capacity from the
+    /// simulator's buffer pool, allocating only when the pool is empty. Pair
+    /// with [`Ctx::recycle_buf`] to keep per-message sends allocation-free in
+    /// steady state.
     pub fn take_buf(&mut self, cap: usize) -> Vec<u8> {
-        match &mut self.inner {
-            CtxInner::Serial(core) => core.pool.take(cap),
-            CtxInner::Shard(sc) => sc.shard.pool.take(cap),
-        }
+        self.core.pool.take(cap)
     }
 
     /// Return a buffer (typically a consumed `on_msg` payload) to the pool
     /// for reuse by later [`Ctx::take_buf`] calls.
     pub fn recycle_buf(&mut self, buf: Vec<u8>) {
-        match &mut self.inner {
-            CtxInner::Serial(core) => core.pool.put(buf),
-            CtxInner::Shard(sc) => sc.shard.pool.put(buf),
-        }
+        self.core.pool.put(buf)
     }
 
     /// Gracefully close `conn`: queued messages drain, then the peer sees
     /// [`Node::on_conn_closed`].
     pub fn close(&mut self, conn: ConnId) {
-        let me = self.me;
-        match &mut self.inner {
-            CtxInner::Serial(core) => core.close(me, conn),
-            CtxInner::Shard(sc) => sc.shard.close(sc.shared, me, conn),
-        }
+        self.core.close(self.me, conn)
     }
 
     /// Schedule [`Node::on_timer`] with `tag` after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
-        let me = self.me;
-        match &mut self.inner {
-            CtxInner::Serial(core) => {
-                let id = core.next_timer_id;
-                core.next_timer_id += 1;
-                core.pending_timers += 1;
-                let at = core.now + delay;
-                let inc = core.incarnation_of(me);
-                core.queue.push(
-                    at,
-                    EventKind::Timer {
-                        node: me,
-                        id,
-                        tag,
-                        inc,
-                    },
-                );
-                TimerId(id)
-            }
-            CtxInner::Shard(sc) => sc.shard.set_timer(me, delay, tag),
-        }
+        let core = &mut *self.core;
+        let id = core.next_timer_id;
+        core.next_timer_id += 1;
+        core.pending_timers += 1;
+        let at = core.now + delay;
+        let inc = core.incarnation_of(self.me);
+        core.queue.push(
+            at,
+            EventKind::Timer {
+                node: self.me,
+                id,
+                tag,
+                inc,
+            },
+        );
+        TimerId(id)
     }
 
     /// Cancel a pending timer. Cancelling an already-fired timer is a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        match &mut self.inner {
-            CtxInner::Serial(core) => {
-                core.cancelled_timers.insert(id.0);
-                // Cancelling an already-popped timer leaves a tombstone nothing
-                // will ever collect; when tombstones outnumber timers actually
-                // in the queue by a margin, sweep out the dead ones.
-                if core.cancelled_timers.len() > core.pending_timers + 64 {
-                    let live: std::collections::BTreeSet<u64> =
-                        core.queue.live_timer_ids().collect();
-                    core.cancelled_timers.retain(|t| live.contains(t));
-                    core.timer_sweeps += 1;
-                }
-            }
-            CtxInner::Shard(sc) => sc.shard.cancel_timer(id),
+        let core = &mut *self.core;
+        core.cancelled_timers.insert(id.0);
+        // Cancelling an already-popped timer leaves a tombstone nothing
+        // will ever collect; when tombstones outnumber timers actually
+        // in the queue by a margin, sweep out the dead ones.
+        if core.cancelled_timers.len() > core.pending_timers + 64 {
+            let live: std::collections::BTreeSet<u64> = core.queue.live_timer_ids().collect();
+            core.cancelled_timers.retain(|t| live.contains(t));
+            core.timer_sweeps += 1;
         }
     }
 
-    /// The remote endpoint of `conn`, if this node is an endpoint of it.
+    /// The remote endpoint of `conn`, if this node is an endpoint of it and
+    /// the connection has not died.
     ///
-    /// The sharded engine keeps a connection's state only while it is open:
-    /// there the answer is `Some` up to and including the node's
-    /// [`Node::on_conn_closed`] (or, on the closing side, until the close
-    /// takes effect) and `None` afterwards. The serial engine never forgets.
+    /// A connection dies when its first close arrives: the receiving node
+    /// still gets `Some` inside [`Node::on_conn_closed`], and both ends get
+    /// `None` from then on. A connection the fault plane refused or that a
+    /// crash took down answers `None` from the moment it died, so also in the
+    /// `on_conn_closed` that reports it.
     pub fn peer_of(&self, conn: ConnId) -> Option<NodeId> {
-        let me = self.me;
-        match &self.inner {
-            CtxInner::Serial(core) => core.peer_of(me, conn),
-            CtxInner::Shard(sc) => sc.shard.peer_of(me, conn),
-        }
+        self.core.peer_of(self.me, conn)
     }
 }

@@ -1,11 +1,10 @@
 //! The simulator: owns the clock, the event queue, the nodes, their access
-//! interfaces, every connection's transport state, and the sniffers.
+//! interfaces, every live connection's transport state, and the sniffers.
 
 use crate::event::{EventKind, EventQueue, FlowDir};
 use crate::fault::{FaultAction, FaultPlan, FaultStats, LinkFault};
 use crate::iface::Iface;
-use crate::node::{ConnId, Ctx, CtxInner, Node, NodeId};
-use crate::shard::ShardedSim;
+use crate::node::{ConnId, Ctx, Node, NodeId};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Direction, Sniffer, TraceEvent};
 use crate::transport::{Cwnd, TransportCfg};
@@ -44,18 +43,14 @@ pub struct SimConfig {
     pub seed: u64,
     /// Transport cost-model parameters.
     pub transport: TransportCfg,
-    /// `0` (default) selects the classic serial engine. `N >= 1` selects the
-    /// sharded conservative-PDES engine ([`crate::shard`]) with `N` shards;
-    /// sharded results are byte-identical for every `N >= 1` but use a
-    /// slightly different (partition-independent) transport model than the
-    /// serial engine, so `0` and `N >= 1` are distinct baselines.
+    /// Read by nothing: it used to select the sharded engine, which is gone
+    /// (DESIGN.md §12). Kept only because
+    /// `benchmark/src/workloads/scale_sharded.rs`, which a change to this
+    /// crate may not edit, still assigns it; it goes together with that
+    /// assignment (ROADMAP item 3).
     pub shards: usize,
-    /// Read by nothing: it used to size the sharded engine's worker pool,
-    /// and the engine now runs its windows on the calling thread. Kept only
-    /// because `benchmark/src/workloads/scale_sharded.rs`, which a change to
-    /// this crate may not edit, still assigns it; the `benchmark` PR that
-    /// re-points `scale_sharded` (ROADMAP items 1 and 3) removes that
-    /// assignment and this field together.
+    /// Read by nothing, like [`SimConfig::shards`], and kept for the same
+    /// assignment.
     pub shard_threads: usize,
 }
 
@@ -84,11 +79,10 @@ pub struct SimStats {
 }
 
 /// One direction's transmit state: the send queue, chunk-serialization
-/// progress, handshake/close flags and the congestion window. Shared with
-/// the sharded engine, where each connection *half* owns one of these.
+/// progress, handshake/close flags and the congestion window.
 #[derive(Debug)]
-pub(crate) struct DirState {
-    pub(crate) queue: VecDeque<Vec<u8>>,
+struct DirState {
+    queue: VecDeque<Vec<u8>>,
     /// Bytes of the front message (payload + overhead) already serialized.
     front_sent: u64,
     /// Size of the chunk last started; credited to the window, if `busy`,
@@ -96,8 +90,8 @@ pub(crate) struct DirState {
     inflight_chunk: u32,
     busy: bool,
     /// True once this direction may transmit (handshake progress).
-    pub(crate) ready: bool,
-    pub(crate) closing: bool,
+    ready: bool,
+    closing: bool,
     close_sent: bool,
     cwnd: Cwnd,
     /// When the chunk last started finishes serializing. The direction may
@@ -109,7 +103,7 @@ pub(crate) struct DirState {
 }
 
 /// What [`DirState::advance`] did, and what is left for the engine to do.
-pub(crate) enum Kick {
+enum Kick {
     /// Nothing: not ready, nothing to send, or its wake-up is already queued.
     Idle,
     /// Queue a `ChunkDone` wake-up for this time: a message or the close
@@ -123,7 +117,7 @@ pub(crate) enum Kick {
 }
 
 impl DirState {
-    pub(crate) fn new(cfg: &TransportCfg) -> Self {
+    fn new(cfg: &TransportCfg) -> Self {
         DirState {
             queue: VecDeque::new(),
             front_sent: 0,
@@ -138,9 +132,9 @@ impl DirState {
         }
     }
 
-    /// The transmit rule of both engines: put the front of the send queue —
-    /// or, behind it, a pending close — on the wire, if the direction is
-    /// ready and its previous chunk has finished serializing.
+    /// The transmit rule: put the front of the send queue — or, behind it,
+    /// a pending close — on the wire, if the direction is ready and its
+    /// previous chunk has finished serializing.
     ///
     /// A chunk is one message, or one piece of at most `cfg.chunk` bytes of
     /// a larger one, serialized at the rate `rate` gives it at the moment it
@@ -149,7 +143,7 @@ impl DirState {
     /// is not an event. The arrival of a message it ends is the caller's to
     /// schedule here and now; a wake-up is asked for only while something
     /// waits behind a chunk still serializing, and once per chunk.
-    pub(crate) fn advance(
+    fn advance(
         &mut self,
         cfg: &TransportCfg,
         now: SimTime,
@@ -192,18 +186,20 @@ impl DirState {
     /// Only the wake-up armed for the current `busy_until` does — a `send`
     /// at exactly `busy_until` has already started the next chunk and armed
     /// its own, and acting on the stale one would arm a duplicate.
-    pub(crate) fn take_wake(&mut self, now: SimTime) -> bool {
+    fn take_wake(&mut self, now: SimTime) -> bool {
         self.wake_at.take_if(|at| *at == now).is_some()
     }
 }
 
+/// A live connection: both directions' transmit state. It exists from
+/// `connect` until the connection dies — its first close arrives, the fault
+/// plane refuses it, or either endpoint crashes — and is freed then.
 #[derive(Debug)]
 struct Conn {
     a: NodeId,
     b: NodeId,
     port: u16,
     dirs: [DirState; 2],
-    dead: bool,
 }
 
 impl Conn {
@@ -225,6 +221,21 @@ impl Conn {
             FlowDir::Backward => self.a,
         }
     }
+    /// `me`'s sending direction, if `me` is an endpoint.
+    fn dir_of(&self, me: NodeId) -> Option<FlowDir> {
+        if self.a == me {
+            Some(FlowDir::Forward)
+        } else if self.b == me {
+            Some(FlowDir::Backward)
+        } else {
+            None
+        }
+    }
+}
+
+/// The live connection `conn`, or `None` once it has died.
+fn live(conns: &mut [Option<Box<Conn>>], conn: ConnId) -> Option<&mut Conn> {
+    conns.get_mut(conn.0 as usize)?.as_deref_mut()
 }
 
 /// A free-list of cleared `Vec<u8>` buffers shared by every node in a run.
@@ -277,48 +288,6 @@ impl BufPool {
         self.bufs.push(buf);
         self.recycled += 1;
     }
-
-    /// `(hits, misses, recycled)` so other engines can flush pool telemetry.
-    pub(crate) fn counters(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.recycled)
-    }
-}
-
-/// One run's worth of engine telemetry deltas, flushed to the process
-/// registry in a single shot by [`flush_run_telemetry`]. The serial engine
-/// inlines the equivalent in `run_until`; the sharded engine sums per-shard
-/// deltas in shard-index order and flushes here, so both engines report
-/// through the same instruments (names are registered once, in this module).
-#[derive(Default)]
-pub(crate) struct RunFlush {
-    pub(crate) events: u64,
-    pub(crate) msgs: u64,
-    pub(crate) bytes: u64,
-    pub(crate) conns: u64,
-    pub(crate) pool_hits: u64,
-    pub(crate) pool_misses: u64,
-    pub(crate) pool_recycled: u64,
-    pub(crate) timer_sweeps: u64,
-    pub(crate) queue_depth: u64,
-    pub(crate) enter_ns: u64,
-    pub(crate) exit_ns: u64,
-    pub(crate) processed: u64,
-}
-
-pub(crate) fn flush_run_telemetry(f: &RunFlush, hist: &mut telemetry::hist::LogHistogram) {
-    if !hist.is_empty() {
-        T_MSG_BYTES.merge_from(&std::mem::take(hist));
-    }
-    T_EVENTS.add(f.events);
-    T_MSGS.add(f.msgs);
-    T_BYTES.add(f.bytes);
-    T_CONNS.add(f.conns);
-    T_POOL_HITS.add(f.pool_hits);
-    T_POOL_MISSES.add(f.pool_misses);
-    T_POOL_RECYCLED.add(f.pool_recycled);
-    T_TIMER_SWEEPS.add(f.timer_sweeps);
-    T_QUEUE_DEPTH.set(f.queue_depth);
-    T_RUN.record_events(f.enter_ns, f.exit_ns, f.processed);
 }
 
 /// Everything in the simulator except the node objects themselves; nodes are
@@ -328,7 +297,7 @@ pub(crate) struct SimCore {
     pub(crate) now: SimTime,
     pub(crate) rng: StdRng,
     pub(crate) queue: EventQueue,
-    pub(crate) cfg: TransportCfg,
+    cfg: TransportCfg,
     pub(crate) next_timer_id: u64,
     // bento-lint: allow(BL001) -- membership-only (insert/remove/contains/retain
     // against an ordered id list); never iterated, so hash order cannot reach
@@ -350,7 +319,12 @@ pub(crate) struct SimCore {
     hist_full: bool,
     ifaces: Vec<Iface>,
     names: Vec<String>,
-    conns: Vec<Conn>,
+    /// Indexed by `ConnId`, which is handed out in sequence. A slot is
+    /// emptied, and its connection freed, the moment the connection dies,
+    /// so memory follows the connections open now; an event or call that
+    /// names an emptied slot is dropped, as it would be on a closed
+    /// connection.
+    conns: Vec<Option<Box<Conn>>>,
     /// Per node: end times of the chunks serializing on its uplink, and on
     /// its downlink. An entry stops counting once the clock reaches it;
     /// `kick` prunes in place.
@@ -442,23 +416,19 @@ impl SimCore {
         }
     }
 
+    fn conn(&self, conn: ConnId) -> Option<&Conn> {
+        self.conns.get(conn.0 as usize)?.as_deref()
+    }
+
     pub(crate) fn connect(&mut self, src: NodeId, dst: NodeId, port: u16) -> ConnId {
         let id = ConnId(self.conns.len() as u64);
-        self.conns.push(Conn {
-            a: src,
-            b: dst,
-            port,
-            dirs: [DirState::new(&self.cfg), DirState::new(&self.cfg)],
-            dead: false,
-        });
         self.stats.conns_opened += 1;
-        let one_way = self.one_way(src, dst);
-        let rtt = Self::rtt(&self.cfg, &self.ifaces, src, dst);
         if self.faults_active && self.path_blocked(src, dst) {
             // Connection refused: the conn is born dead and the initiator
             // hears about it after a round trip, like a reset.
-            self.conns[id.0 as usize].dead = true;
+            self.conns.push(None);
             self.fault_stats.conns_refused += 1;
+            let rtt = Self::rtt(&self.cfg, &self.ifaces, src, dst);
             self.queue.push(
                 self.now + rtt,
                 EventKind::PeerGone {
@@ -468,6 +438,14 @@ impl SimCore {
             );
             return id;
         }
+        self.conns.push(Some(Box::new(Conn {
+            a: src,
+            b: dst,
+            port,
+            dirs: [DirState::new(&self.cfg), DirState::new(&self.cfg)],
+        })));
+        let one_way = self.one_way(src, dst);
+        let rtt = Self::rtt(&self.cfg, &self.ifaces, src, dst);
         self.queue
             .push(self.now + one_way, EventKind::ConnSynArrive { conn: id });
         self.queue
@@ -476,28 +454,15 @@ impl SimCore {
     }
 
     pub(crate) fn peer_of(&self, me: NodeId, conn: ConnId) -> Option<NodeId> {
-        let c = self.conns.get(conn.0 as usize)?;
-        if c.a == me {
-            Some(c.b)
-        } else if c.b == me {
-            Some(c.a)
-        } else {
-            None
-        }
+        let c = self.conn(conn)?;
+        c.dir_of(me).map(|d| c.receiver(d))
     }
 
     pub(crate) fn send(&mut self, me: NodeId, conn: ConnId, msg: Vec<u8>) -> bool {
-        let Some(c) = self.conns.get_mut(conn.0 as usize) else {
+        let Some(c) = live(&mut self.conns, conn) else {
             return false;
         };
-        if c.dead {
-            return false;
-        }
-        let dir = if c.a == me {
-            FlowDir::Forward
-        } else if c.b == me {
-            FlowDir::Backward
-        } else {
+        let Some(dir) = c.dir_of(me) else {
             return false;
         };
         let d = &mut c.dirs[Conn::dir_index(dir)];
@@ -510,17 +475,10 @@ impl SimCore {
     }
 
     pub(crate) fn close(&mut self, me: NodeId, conn: ConnId) {
-        let Some(c) = self.conns.get_mut(conn.0 as usize) else {
+        let Some(c) = live(&mut self.conns, conn) else {
             return;
         };
-        if c.dead {
-            return;
-        }
-        let dir = if c.a == me {
-            FlowDir::Forward
-        } else if c.b == me {
-            FlowDir::Backward
-        } else {
+        let Some(dir) = c.dir_of(me) else {
             return;
         };
         let d = &mut c.dirs[Conn::dir_index(dir)];
@@ -531,10 +489,10 @@ impl SimCore {
         }
     }
 
-    /// The serial engine's transmit path: [`DirState::advance`] at
-    /// `min(window rate, uplink / n_up, downlink / n_down)`, where `n_up` and
-    /// `n_down` count this chunk and every chunk on the same interface whose
-    /// end time lies ahead of the clock.
+    /// The transmit path: [`DirState::advance`] at `min(window rate,
+    /// uplink / n_up, downlink / n_down)`, where `n_up` and `n_down` count
+    /// this chunk and every chunk on the same interface whose end time lies
+    /// ahead of the clock.
     ///
     /// This is also the wire-entry fault point: a blocked path, loss and
     /// corruption are drawn when the chunk that ends the message *starts*
@@ -543,16 +501,14 @@ impl SimCore {
     fn kick(&mut self, conn: ConnId, dir: FlowDir) {
         let now = self.now;
         loop {
-            let c = &self.conns[conn.0 as usize];
-            if c.dead {
+            let Some(c) = live(&mut self.conns, conn) else {
                 return;
-            }
+            };
             let (sender, receiver) = (c.sender(dir), c.receiver(dir));
             let (si, ri) = (sender.0 as usize, receiver.0 as usize);
             let (cfg, ifaces) = (&self.cfg, &self.ifaces);
             let (up_ends, down_ends) = (&mut self.up_ends, &mut self.down_ends);
-            let d = &mut self.conns[conn.0 as usize].dirs[Conn::dir_index(dir)];
-            let step = d.advance(cfg, now, |cwnd| {
+            let step = c.dirs[Conn::dir_index(dir)].advance(cfg, now, |cwnd| {
                 let window_rate = cwnd.rate(Self::rtt(cfg, ifaces, sender, receiver));
                 if sender == receiver {
                     return window_rate.min(cfg.loopback_bps);
@@ -579,19 +535,24 @@ impl SimCore {
                         self.down_ends[ri].push(end);
                     }
                     if let Some(msg) = msg {
-                        self.enter_wire(conn, dir, end, msg);
+                        self.enter_wire(conn, dir, (sender, receiver), end, msg);
                     }
                 }
             }
         }
     }
 
-    /// `msg`'s last byte leaves the sender at `end`: the sender-side sniffer
+    /// `msg`'s last byte leaves `sender` at `end`: the sender-side sniffer
     /// sees it then, and it arrives one propagation delay later — unless the
     /// fault plane takes it (see [`SimCore::kick`]).
-    fn enter_wire(&mut self, conn: ConnId, dir: FlowDir, end: SimTime, mut msg: Vec<u8>) {
-        let c = &self.conns[conn.0 as usize];
-        let (sender, receiver) = (c.sender(dir), c.receiver(dir));
+    fn enter_wire(
+        &mut self,
+        conn: ConnId,
+        dir: FlowDir,
+        (sender, receiver): (NodeId, NodeId),
+        end: SimTime,
+        mut msg: Vec<u8>,
+    ) {
         if let Some(s) = self.sniffers[sender.0 as usize].as_mut() {
             s.record(TraceEvent {
                 time: end,
@@ -629,8 +590,9 @@ impl SimCore {
     }
 }
 
-/// The classic serial discrete-event engine: one queue, one clock, one RNG.
-pub(crate) struct SerialSim {
+/// The discrete-event simulator: one event queue, one clock, one RNG. See
+/// the crate docs for the model.
+pub struct Simulator {
     core: SimCore,
     nodes: Vec<Option<Box<dyn Node>>>,
     /// `touched[i]`: node `i` has been handed out mutably since its last
@@ -642,10 +604,10 @@ pub(crate) struct SerialSim {
     started_upto: usize,
 }
 
-impl SerialSim {
-    /// Create a serial engine with the given configuration.
-    fn new(cfg: SimConfig) -> Self {
-        SerialSim {
+impl Simulator {
+    /// Create a simulator with the given configuration.
+    pub fn new(cfg: SimConfig) -> Self {
+        Simulator {
             core: SimCore {
                 now: SimTime::ZERO,
                 rng: StdRng::seed_from_u64(cfg.seed),
@@ -678,6 +640,14 @@ impl SerialSim {
             touched: Vec::new(),
             started_upto: 0,
         }
+    }
+
+    /// Create a simulator with default config and the given seed.
+    pub fn with_seed(seed: u64) -> Self {
+        Simulator::new(SimConfig {
+            seed,
+            ..SimConfig::default()
+        })
     }
 
     /// Add a node with the given access interface. Nodes cannot be removed.
@@ -762,7 +732,7 @@ impl SerialSim {
             .expect("node is being dispatched");
         self.touched[id.0 as usize] = true;
         let mut ctx = Ctx {
-            inner: CtxInner::Serial(&mut self.core),
+            core: &mut self.core,
             me: id,
         };
         let r = f(
@@ -782,10 +752,11 @@ impl SerialSim {
         }
         let mut node = self.nodes[id.0 as usize]
             .take()
+            // bento-lint: allow(BL010) -- the node slot is vacated only for this dispatch frame; handlers cannot re-enter
             .expect("node reentrancy during dispatch");
         self.touched[id.0 as usize] = true;
         let mut ctx = Ctx {
-            inner: CtxInner::Serial(&mut self.core),
+            core: &mut self.core,
             me: id,
         };
         f(node.as_mut(), &mut ctx);
@@ -817,15 +788,9 @@ impl SerialSim {
         let faults_before = self.core.fault_stats;
         let mut max_depth = self.core.queue.len();
         let mut processed = 0;
-        while let Some(t) = self.core.queue.peek_time() {
-            if t > limit {
-                break;
-            }
-            let depth = self.core.queue.len();
-            if depth > max_depth {
-                max_depth = depth;
-            }
-            let ev = self.core.queue.pop().expect("peeked event vanished");
+        while let Some(ev) = self.core.queue.pop_until(limit) {
+            // The depth the queue had with this event still in it.
+            max_depth = max_depth.max(self.core.queue.len() + 1);
             self.core.now = ev.time;
             self.core.stats.events += 1;
             processed += 1;
@@ -867,48 +832,67 @@ impl SerialSim {
         processed
     }
 
+    /// Advance towards `deadline` one [`Simulator::run_until`] of `step` at
+    /// a time (the last one cut short at `deadline`), asking `pred` after
+    /// each. Returns `true` at the first step after which `pred` holds, and
+    /// `false` — with the clock at `deadline` — if it never does.
+    pub fn step_until(
+        &mut self,
+        step: SimDuration,
+        deadline: SimTime,
+        mut pred: impl FnMut(&mut Simulator) -> bool,
+    ) -> bool {
+        while self.now() < deadline {
+            let next = (self.now() + step).min(deadline);
+            self.run_until(next);
+            if pred(self) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Run until no events remain (the simulation quiesces).
+    pub fn run_to_quiescence(&mut self) -> u64 {
+        self.run_until(SimTime::MAX)
+    }
+
+    /// Every event whose connection has died is dropped here: its slot in
+    /// `SimCore::conns` is empty.
     fn handle(&mut self, kind: EventKind) {
         match kind {
             EventKind::ConnSynArrive { conn } => {
-                let (dead, b, a, port) = {
-                    let c = &self.core.conns[conn.0 as usize];
-                    (c.dead, c.b, c.a, c.port)
-                };
-                if dead {
+                let Some(c) = live(&mut self.core.conns, conn) else {
                     return;
-                }
-                self.core.conns[conn.0 as usize].dirs[1].ready = true;
+                };
+                c.dirs[1].ready = true;
+                let (a, b, port) = (c.a, c.b, c.port);
                 self.core.kick(conn, FlowDir::Backward);
                 self.dispatch(b, |n, ctx| n.on_conn_open(ctx, conn, a, port));
             }
             EventKind::ConnEstablished { conn } => {
-                let (dead, a, b) = {
-                    let c = &self.core.conns[conn.0 as usize];
-                    (c.dead, c.a, c.b)
-                };
-                if dead {
+                let Some(c) = live(&mut self.core.conns, conn) else {
                     return;
-                }
-                self.core.conns[conn.0 as usize].dirs[0].ready = true;
+                };
+                c.dirs[0].ready = true;
+                let (a, b) = (c.a, c.b);
                 self.core.kick(conn, FlowDir::Forward);
                 self.dispatch(a, |n, ctx| n.on_conn_established(ctx, conn, b));
             }
             EventKind::ChunkDone { conn, dir } => {
                 // Whatever waited behind the chunk goes next, unless the
                 // connection is dead or the wake-up is stale.
-                let c = &mut self.core.conns[conn.0 as usize];
-                if !c.dead && c.dirs[Conn::dir_index(dir)].take_wake(self.core.now) {
+                let now = self.core.now;
+                let c = live(&mut self.core.conns, conn);
+                if c.is_some_and(|c| c.dirs[Conn::dir_index(dir)].take_wake(now)) {
                     self.core.kick(conn, dir);
                 }
             }
             EventKind::MsgArrive { conn, dir, msg } => {
-                let (dead, receiver, sender) = {
-                    let c = &self.core.conns[conn.0 as usize];
-                    (c.dead, c.receiver(dir), c.sender(dir))
-                };
-                if dead {
+                let Some(c) = self.core.conn(conn) else {
                     return;
-                }
+                };
+                let (receiver, sender) = (c.receiver(dir), c.sender(dir));
                 if self.core.faults_active && self.core.path_blocked(sender, receiver) {
                     // In flight when the cut (or crash, or link kill)
                     // happened: the message dies on the wire.
@@ -933,15 +917,20 @@ impl SerialSim {
                 self.dispatch(receiver, |n, ctx| n.on_msg(ctx, conn, msg));
             }
             EventKind::CloseArrive { conn, dir } => {
-                let receiver = {
-                    let c = &mut self.core.conns[conn.0 as usize];
-                    if c.dead {
-                        return;
-                    }
-                    c.dead = true;
-                    c.receiver(dir)
+                let Some(c) = live(&mut self.core.conns, conn) else {
+                    return;
                 };
+                // The connection dies here. It stays resident while the
+                // receiver hears `on_conn_closed`, so `Ctx::peer_of` still
+                // answers there, but shut: neither end may queue or start
+                // anything on it. Then it is freed.
+                for d in &mut c.dirs {
+                    d.ready = false;
+                    d.closing = true;
+                }
+                let receiver = c.receiver(dir);
                 self.dispatch(receiver, |n, ctx| n.on_conn_closed(ctx, conn));
+                self.core.conns[conn.0 as usize] = None;
             }
             EventKind::Timer { node, id, tag, inc } => {
                 self.core.pending_timers = self.core.pending_timers.saturating_sub(1);
@@ -1004,17 +993,20 @@ impl SerialSim {
         self.core.crashed[i] = true;
         self.core.fault_stats.crashes += 1;
         // Every connection touching the node dies instantly on the node's
-        // side; the surviving peer learns one propagation delay later, like
-        // a reset. In-flight chunks hold their fair-share slots until their
-        // end times pass, as on a live connection, and pending
-        // MsgArrive/CloseArrive events see the dead conn and drop.
+        // side and is freed; the surviving peer learns one propagation delay
+        // later, like a reset. In-flight chunks hold their fair-share slots
+        // until their end times pass, as on a live connection, and pending
+        // MsgArrive/CloseArrive events find no connection and drop.
         let mut notices: Vec<(ConnId, NodeId)> = Vec::new();
-        for (ci, c) in self.core.conns.iter_mut().enumerate() {
-            if c.dead || (c.a != node && c.b != node) {
+        for (ci, slot) in self.core.conns.iter_mut().enumerate() {
+            let Some(c) = slot.as_deref() else {
                 continue;
-            }
-            c.dead = true;
-            let peer = if c.a == node { c.b } else { c.a };
+            };
+            let Some(dir) = c.dir_of(node) else {
+                continue;
+            };
+            let peer = c.receiver(dir);
+            *slot = None;
             if peer != node {
                 notices.push((ConnId(ci as u64), peer));
             }
@@ -1088,251 +1080,13 @@ impl SerialSim {
             live(&self.core.down_ends[node.0 as usize]),
         )
     }
-}
 
-/// Which engine a [`Simulator`] runs on. The serial engine is boxed: it is
-/// an order of magnitude larger than the sharded handle, and one allocation
-/// per simulator keeps the facade thin for both.
-enum Engine {
-    Serial(Box<SerialSim>),
-    Sharded(ShardedSim),
-}
-
-/// The discrete-event simulator. See the crate docs for the model.
-///
-/// A facade over two engines sharing the same [`Node`]/[`Ctx`] contract:
-///
-/// * the **serial** engine (default, `SimConfig::shards == 0`) — one event
-///   loop, one clock, one RNG; byte-compatible with every artifact produced
-///   before the sharded engine existed;
-/// * the **sharded** engine (`SimConfig::shards >= 1`, [`crate::shard`]) —
-///   conservative discrete-event simulation over node shards, run window by
-///   window on one thread, whose results are byte-identical at any shard
-///   count.
-///
-/// The fault plane ([`Simulator::install_faults`] etc.) is serial-only for
-/// now; chaos workloads keep running on the serial engine.
-pub struct Simulator {
-    engine: Engine,
-}
-
-impl Simulator {
-    /// Create a simulator with the given configuration.
-    pub fn new(cfg: SimConfig) -> Self {
-        let engine = if cfg.shards >= 1 {
-            Engine::Sharded(ShardedSim::new(&cfg))
-        } else {
-            Engine::Serial(Box::new(SerialSim::new(cfg)))
-        };
-        Simulator { engine }
-    }
-
-    /// Create a serial-engine simulator with default config and the given
-    /// seed.
-    pub fn with_seed(seed: u64) -> Self {
-        Simulator::new(SimConfig {
-            seed,
-            ..SimConfig::default()
-        })
-    }
-
-    /// Add a node with the given access interface. Nodes cannot be removed.
-    pub fn add_node(
-        &mut self,
-        name: impl Into<String>,
-        iface: Iface,
-        node: Box<dyn Node>,
-    ) -> NodeId {
-        match &mut self.engine {
-            Engine::Serial(s) => s.add_node(name, iface, node),
-            Engine::Sharded(s) => s.add_node(name.into(), iface, node),
-        }
-    }
-
-    /// Begin recording a directional trace of `node`'s access link.
-    pub fn enable_sniffer(&mut self, node: NodeId) {
-        match &mut self.engine {
-            Engine::Serial(s) => s.enable_sniffer(node),
-            Engine::Sharded(s) => s.enable_sniffer(node),
-        }
-    }
-
-    /// The trace recorded so far on `node`'s link (panics if no sniffer).
-    pub fn sniffer(&self, node: NodeId) -> &Sniffer {
-        match &self.engine {
-            Engine::Serial(s) => s.sniffer(node),
-            Engine::Sharded(s) => s.sniffer(node),
-        }
-    }
-
-    /// Mutable access to `node`'s sniffer, e.g. to clear it between trials.
-    pub fn sniffer_mut(&mut self, node: NodeId) -> &mut Sniffer {
-        match &mut self.engine {
-            Engine::Serial(s) => s.sniffer_mut(node),
-            Engine::Sharded(s) => s.sniffer_mut(node),
-        }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        match &self.engine {
-            Engine::Serial(s) => s.now(),
-            Engine::Sharded(s) => s.now(),
-        }
-    }
-
-    /// Aggregate run statistics (summed over shards in shard-index order on
-    /// the sharded engine).
-    pub fn stats(&self) -> SimStats {
-        match &self.engine {
-            Engine::Serial(s) => s.stats(),
-            Engine::Sharded(s) => s.stats(),
-        }
-    }
-
-    /// The display name a node was registered with.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        match &self.engine {
-            Engine::Serial(s) => s.node_name(id),
-            Engine::Sharded(s) => s.node_name(id),
-        }
-    }
-
-    /// Immutable access to a node, downcast to its concrete type.
-    ///
-    /// # Panics
-    /// If `id` does not refer to a `T`.
-    pub fn node_ref<T: Node>(&self, id: NodeId) -> &T {
-        match &self.engine {
-            Engine::Serial(s) => s.node_ref(id),
-            Engine::Sharded(s) => s.node_ref(id),
-        }
-    }
-
-    /// Run a closure against a node with a [`Ctx`], e.g. to start a workload
-    /// from the experiment harness.
-    ///
-    /// # Panics
-    /// If `id` does not refer to a `T`.
-    pub fn with_node<T: Node, R>(
-        &mut self,
-        id: NodeId,
-        f: impl FnOnce(&mut T, &mut Ctx<'_>) -> R,
-    ) -> R {
-        match &mut self.engine {
-            Engine::Serial(s) => s.with_node(id, f),
-            Engine::Sharded(s) => s.with_node(id, f),
-        }
-    }
-
-    /// Process events until the queue is empty or `limit` is reached; the
-    /// clock ends at `min(limit, time of last event)`. Returns the number of
-    /// events processed.
-    pub fn run_until(&mut self, limit: SimTime) -> u64 {
-        match &mut self.engine {
-            Engine::Serial(s) => s.run_until(limit),
-            Engine::Sharded(s) => s.run_until(limit),
-        }
-    }
-
-    /// Advance towards `deadline` one [`Simulator::run_until`] of `step` at
-    /// a time (the last one cut short at `deadline`), asking `pred` after
-    /// each. Returns `true` at the first step after which `pred` holds, and
-    /// `false` — with the clock at `deadline` — if it never does.
-    pub fn step_until(
-        &mut self,
-        step: SimDuration,
-        deadline: SimTime,
-        mut pred: impl FnMut(&mut Simulator) -> bool,
-    ) -> bool {
-        while self.now() < deadline {
-            let next = (self.now() + step).min(deadline);
-            self.run_until(next);
-            if pred(self) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Run until no events remain (the simulation quiesces).
-    pub fn run_to_quiescence(&mut self) -> u64 {
-        self.run_until(SimTime::MAX)
-    }
-
-    /// Install a fault plan: each action is scheduled into the event queue at
-    /// its absolute time, interleaved deterministically with regular traffic.
-    /// Installing any (non-empty) plan switches the fault plane on for the
-    /// rest of the run.
-    ///
-    /// # Panics
-    /// On the sharded engine — the fault plane is serial-only for now.
-    pub fn install_faults(&mut self, plan: FaultPlan) {
-        if plan.entries.is_empty() {
-            return;
-        }
-        match &mut self.engine {
-            Engine::Serial(s) => s.install_faults(plan),
-            Engine::Sharded(_) => panic!(
-                "the fault plane is not supported on the sharded engine yet; \
-                 run chaos workloads with shards = 0 (see DESIGN.md §12)"
-            ),
-        }
-    }
-
-    /// Schedule a single fault action at an absolute time (same effect as a
-    /// one-entry [`FaultPlan`]).
-    ///
-    /// # Panics
-    /// On the sharded engine — the fault plane is serial-only for now.
-    pub fn inject_fault(&mut self, at: SimTime, action: FaultAction) {
-        match &mut self.engine {
-            Engine::Serial(s) => s.inject_fault(at, action),
-            Engine::Sharded(_) => panic!(
-                "the fault plane is not supported on the sharded engine yet; \
-                 run chaos workloads with shards = 0 (see DESIGN.md §12)"
-            ),
-        }
-    }
-
-    /// Is `node` currently crashed? (Always `false` on the sharded engine,
-    /// which has no fault plane.)
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        match &self.engine {
-            Engine::Serial(s) => s.is_crashed(node),
-            Engine::Sharded(_) => false,
-        }
-    }
-
-    /// Counters of faults applied so far this run.
-    pub fn fault_stats(&self) -> FaultStats {
-        match &self.engine {
-            Engine::Serial(s) => s.fault_stats(),
-            Engine::Sharded(_) => FaultStats::default(),
-        }
-    }
-
-    /// The node's current (uplink, downlink) active-flow slot counts — test
-    /// hook for asserting crash cleanup leaves no dangling fair-share slots.
-    /// The sharded engine has no downlink slot (its ingress pipe replaces
-    /// receiver fair sharing) and reports 0 there.
-    pub fn active_link_slots(&self, node: NodeId) -> (u32, u32) {
-        match &self.engine {
-            Engine::Serial(s) => s.active_link_slots(node),
-            Engine::Sharded(s) => s.active_link_slots(node),
-        }
-    }
-
-    /// Connection halves the engine still holds state for — test and CI
-    /// hook: once every connection has closed and the run is quiescent this
-    /// must read 0, or the sharded engine's reaping leaked a half. (The
-    /// serial engine never releases a connection; it counts two per
-    /// connection not yet dead.)
+    /// Connection halves the engine still holds state for, two for every
+    /// connection not yet freed — test and CI hook: once every connection
+    /// has closed and the run is quiescent this must read 0, or a connection
+    /// leaked. (Walks every connection the run has opened.)
     pub fn live_conn_halves(&self) -> usize {
-        match &self.engine {
-            Engine::Serial(s) => 2 * s.core.conns.iter().filter(|c| !c.dead).count(),
-            Engine::Sharded(s) => s.live_halves(),
-        }
+        2 * self.core.conns.iter().filter(|c| c.is_some()).count()
     }
 }
 
@@ -1383,7 +1137,7 @@ mod tests {
     }
 
     /// Telemetry is flushed on nodes that ran since their last flush, and
-    /// only on those: an idle `run_until` flushes nobody. On both engines.
+    /// only on those: an idle `run_until` flushes nobody.
     #[test]
     fn flush_telemetry_follows_dispatch_and_with_node() {
         #[derive(Default)]
@@ -1394,28 +1148,23 @@ mod tests {
                 self.0 += 1;
             }
         }
-        for shards in [0, 2] {
-            let mut sim = Simulator::new(SimConfig {
-                shards,
-                ..SimConfig::default()
-            });
-            let ids = [0, 1].map(|i| {
-                let node = Box::new(Flushes::default());
-                sim.add_node(format!("n{i}"), Iface::datacenter(), node)
-            });
-            let flushes_at = |sim: &mut Simulator, ms: u64| {
-                sim.run_until(SimTime::ZERO + SimDuration::from_millis(ms));
-                ids.map(|id| sim.node_ref::<Flushes>(id).0)
-            };
-            assert_eq!(flushes_at(&mut sim, 1), [1, 1]); // on_start ran on both
-            assert_eq!(flushes_at(&mut sim, 2), [1, 1]); // nothing ran
-            sim.with_node::<Flushes, _>(ids[1], |_, ctx| {
-                ctx.set_timer(SimDuration::from_millis(5), 0);
-            });
-            assert_eq!(flushes_at(&mut sim, 3), [1, 2]); // handed out by with_node
-            assert_eq!(flushes_at(&mut sim, 4), [1, 2]); // timer not due yet
-            assert_eq!(flushes_at(&mut sim, 10), [1, 3]); // on_timer dispatched
-        }
+        let mut sim = Simulator::new(SimConfig::default());
+        let ids = [0, 1].map(|i| {
+            let node = Box::new(Flushes::default());
+            sim.add_node(format!("n{i}"), Iface::datacenter(), node)
+        });
+        let flushes_at = |sim: &mut Simulator, ms: u64| {
+            sim.run_until(SimTime::ZERO + SimDuration::from_millis(ms));
+            ids.map(|id| sim.node_ref::<Flushes>(id).0)
+        };
+        assert_eq!(flushes_at(&mut sim, 1), [1, 1]); // on_start ran on both
+        assert_eq!(flushes_at(&mut sim, 2), [1, 1]); // nothing ran
+        sim.with_node::<Flushes, _>(ids[1], |_, ctx| {
+            ctx.set_timer(SimDuration::from_millis(5), 0);
+        });
+        assert_eq!(flushes_at(&mut sim, 3), [1, 2]); // handed out by with_node
+        assert_eq!(flushes_at(&mut sim, 4), [1, 2]); // timer not due yet
+        assert_eq!(flushes_at(&mut sim, 10), [1, 3]); // on_timer dispatched
     }
 
     #[test]
@@ -1516,45 +1265,130 @@ mod tests {
         assert_eq!(tr.len(), 2);
     }
 
+    /// Connects at start, sends three bytes and closes at once.
+    struct Closer {
+        target: NodeId,
+    }
+    impl Node for Closer {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let c = ctx.connect(self.target, 80);
+            ctx.send(c, vec![1, 2, 3]);
+            ctx.close(c);
+        }
+        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {}
+    }
+
+    /// Counts messages; on each `on_conn_closed` records what `peer_of` and
+    /// a reply said there, and closes back.
+    #[derive(Default)]
+    struct Sink {
+        msgs: u32,
+        /// Per `on_conn_closed`: the conn, `peer_of` it, and `send` on it.
+        closed: Vec<(ConnId, Option<NodeId>, bool)>,
+    }
+    impl Node for Sink {
+        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {
+            self.msgs += 1;
+        }
+        fn on_conn_closed(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
+            let peer = ctx.peer_of(conn);
+            let sent = ctx.send(conn, b"too late".to_vec());
+            ctx.close(conn);
+            self.closed.push((conn, peer, sent));
+        }
+    }
+
+    /// A close drains the data queued ahead of it and reaches the peer,
+    /// which still learns who it was talking to inside `on_conn_closed` but
+    /// can no longer send or close on it. The connection is freed right
+    /// after: `peer_of` forgets it on both ends.
     #[test]
     fn close_notifies_peer_and_stops_traffic() {
-        struct Closer {
-            target: NodeId,
-        }
-        impl Node for Closer {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                let c = ctx.connect(self.target, 80);
-                ctx.send(c, b"bye".to_vec());
-                ctx.close(c);
-            }
-            fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _c: ConnId, _m: Vec<u8>) {}
-        }
-        struct Watcher {
-            got_msg: bool,
-            got_close: bool,
-        }
-        impl Node for Watcher {
-            fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _c: ConnId, _m: Vec<u8>) {
-                self.got_msg = true;
-            }
-            fn on_conn_closed(&mut self, _ctx: &mut Ctx<'_>, _c: ConnId) {
-                self.got_close = true;
-            }
-        }
         let mut sim = Simulator::with_seed(9);
-        let w = sim.add_node(
-            "w",
+        let sink = sim.add_node("sink", Iface::residential(), Box::<Sink>::default());
+        let closer = sim.add_node(
+            "closer",
             Iface::residential(),
-            Box::new(Watcher {
-                got_msg: false,
-                got_close: false,
-            }),
+            Box::new(Closer { target: sink }),
         );
-        let _c = sim.add_node("c", Iface::residential(), Box::new(Closer { target: w }));
         sim.run_to_quiescence();
-        let w: &Watcher = sim.node_ref(w);
-        assert!(w.got_msg, "message delivered before close");
-        assert!(w.got_close, "peer observed close");
+        let s: &Sink = sim.node_ref(sink);
+        assert_eq!(s.msgs, 1, "message delivered before close");
+        let [(conn, peer_then, sent)] = s.closed[..] else {
+            panic!("peer observed one close, not {:?}", s.closed);
+        };
+        assert_eq!(peer_then, Some(closer));
+        assert!(!sent, "a closed connection takes no more data");
+        assert_eq!(sim.stats().msgs_delivered, 1);
+        let sink_now = sim.with_node::<Sink, _>(sink, |_, ctx| ctx.peer_of(conn));
+        let closer_now = sim.with_node::<Closer, _>(closer, |_, ctx| ctx.peer_of(conn));
+        assert_eq!((sink_now, closer_now), (None, None));
+        assert_eq!(sim.live_conn_halves(), 0);
+    }
+
+    /// Floods whoever connects; the flood outlives the connection.
+    struct Flooder;
+    impl Node for Flooder {
+        fn on_conn_open(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _peer: NodeId, _port: u16) {
+            ctx.send(conn, vec![7; 100_000]);
+        }
+        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {}
+    }
+
+    /// Connects at start and hangs up the moment the handshake completes.
+    struct HangUp {
+        target: NodeId,
+    }
+    impl Node for HangUp {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.connect(self.target, 80);
+        }
+        fn on_conn_established(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _peer: NodeId) {
+            ctx.close(conn);
+        }
+        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {}
+    }
+
+    /// Refuses every connection the instant it opens.
+    struct Refuser;
+    impl Node for Refuser {
+        fn on_conn_open(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _peer: NodeId, _port: u16) {
+            ctx.close(conn);
+        }
+        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {}
+    }
+
+    #[test]
+    fn closed_connections_leave_no_half_and_no_uplink_slot() {
+        // 16 KiB chunks at 100 kB/s take 160 ms against 1 ms links, so the
+        // hang-up reaches the flooder mid-chunk; the refuser's close reaches
+        // its initiator at the instant of `Established`, just behind it.
+        let iface = Iface::symmetric(SimDuration::from_millis(1), 100_000);
+        let mut sim = Simulator::with_seed(13);
+        let sink = sim.add_node("sink", iface, Box::<Sink>::default());
+        let flooder = sim.add_node("flooder", iface, Box::new(Flooder));
+        let refuser = sim.add_node("refuser", iface, Box::new(Refuser));
+        sim.add_node("closer", iface, Box::new(Closer { target: sink }));
+        let hangup = sim.add_node("hangup", iface, Box::new(HangUp { target: flooder }));
+        sim.add_node("refused", iface, Box::new(HangUp { target: refuser }));
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(10));
+        assert_eq!(
+            (
+                sim.active_link_slots(flooder),
+                sim.active_link_slots(hangup)
+            ),
+            ((1, 0), (0, 1)),
+            "the flood's chunk holds its slots past the close"
+        );
+        assert_eq!(
+            sim.live_conn_halves(),
+            0,
+            "the slots outlive the connection"
+        );
+        sim.run_to_quiescence();
+        for id in 0..6 {
+            assert_eq!(sim.active_link_slots(NodeId(id)), (0, 0), "node {id}");
+        }
     }
 
     #[test]

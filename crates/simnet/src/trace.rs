@@ -55,8 +55,8 @@ impl Sniffer {
         Sniffer { events: Vec::new() }
     }
 
-    /// Add an observation, keeping the trace in time order. The serial
-    /// engine records a departure when its serialization starts, stamped
+    /// Add an observation, keeping the trace in time order. The simulator
+    /// records a departure when its serialization starts, stamped
     /// with the (later) instant it ends, so an observation made afterwards
     /// may belong before it; equal times keep recording order.
     pub fn record(&mut self, ev: TraceEvent) {

@@ -1,10 +1,10 @@
-//! No engine forms a delivery batch: both serialize one message per chunk,
-//! so every message reaches its receiver through `Node::on_msg` at its own
+//! The simulator forms no delivery batch: it serializes one message per
+//! chunk, so every message reaches its receiver through `Node::on_msg` at its own
 //! arrival, in order — however many were queued at one instant. What is
 //! left of [`Node::on_msgs`] is its default, for callers that hand a node a
 //! run of messages themselves.
 
-use simnet::{ConnId, Ctx, Iface, Node, NodeId, SimConfig, Simulator};
+use simnet::{ConnId, Ctx, Iface, Node, NodeId, Simulator};
 
 /// Records every delivery exactly as the event loop hands it over.
 #[derive(Default)]
@@ -51,40 +51,31 @@ impl Node for Burst {
     fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {}
 }
 
-fn engine(shards: usize) -> Simulator {
-    Simulator::new(SimConfig {
-        shards,
-        ..SimConfig::default()
-    })
-}
-
 #[test]
 fn same_tick_arrivals_stay_per_message_in_order() {
     // Ideal interfaces: all five serialize in no time and arrive at the
-    // same instant — as five dispatches, on either engine.
-    for shards in [0, 1] {
-        let mut sim = engine(shards);
-        let sink = sim.add_node("sink", Iface::ideal(), Box::new(BatchSink::default()));
-        sim.add_node(
-            "burst",
-            Iface::ideal(),
-            Box::new(Burst {
-                dst: sink,
-                n: 5,
-                msg_len: 16,
-            }),
-        );
-        sim.run_to_quiescence();
-        assert_eq!(sim.stats().msgs_delivered, 5);
-        let sink = sim.node_ref::<BatchSink>(sink);
-        let expect: Vec<Vec<Vec<u8>>> = (0..5).map(|i| vec![vec![i; 16]]).collect();
-        assert_eq!(sink.deliveries, expect, "shards={shards}");
-    }
+    // same instant — as five dispatches.
+    let mut sim = Simulator::with_seed(1);
+    let sink = sim.add_node("sink", Iface::ideal(), Box::new(BatchSink::default()));
+    sim.add_node(
+        "burst",
+        Iface::ideal(),
+        Box::new(Burst {
+            dst: sink,
+            n: 5,
+            msg_len: 16,
+        }),
+    );
+    sim.run_to_quiescence();
+    assert_eq!(sim.stats().msgs_delivered, 5);
+    let sink = sim.node_ref::<BatchSink>(sink);
+    let expect: Vec<Vec<Vec<u8>>> = (0..5).map(|i| vec![vec![i; 16]]).collect();
+    assert_eq!(sink.deliveries, expect);
 }
 
 #[test]
 fn default_on_msgs_hands_each_message_to_on_msg_in_order() {
-    let mut sim = engine(0);
+    let mut sim = Simulator::with_seed(1);
     let sink = sim.add_node("sink", Iface::ideal(), Box::new(PlainSink::default()));
     let run: Vec<Vec<u8>> = (0..4).map(|i| vec![i; 8]).collect();
     sim.with_node::<PlainSink, _>(sink, |n, ctx| n.on_msgs(ctx, ConnId(0), run.clone()));
@@ -95,7 +86,7 @@ fn default_on_msgs_hands_each_message_to_on_msg_in_order() {
 fn single_arrivals_use_on_msg() {
     // Messages larger than a chunk complete on their own chunk boundaries
     // at distinct times: every delivery is a singleton through on_msg.
-    let mut sim = engine(1);
+    let mut sim = Simulator::with_seed(1);
     let iface = Iface::symmetric(simnet::SimDuration::from_millis(5), 100_000);
     let sink = sim.add_node("sink", iface, Box::new(BatchSink::default()));
     sim.add_node(

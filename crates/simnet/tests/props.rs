@@ -174,139 +174,14 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded-engine properties: the partition is a pure function of node id, the
-// cross-shard exchange makes results invariant under shard count, and with
-// unlimited downlinks every message of a burst arrives at the nanosecond the
-// serial engine delivers it.
+// Connection lifecycle: a connection is freed the moment it dies, so every
+// schedule of connects, sends and closes — closes racing the peer's
+// in-flight chunk, sends after close, loopback, several connections between
+// one pair — must replay identically, leave no link slot behind, and keep
+// resident exactly the connections no close has reached.
 // ---------------------------------------------------------------------------
 
-use simnet::{shard_of, ConnId, NodeId, SimConfig};
-
-/// Echoes every message back.
-struct PropEcho;
-impl Node for PropEcho {
-    fn on_msg(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: Vec<u8>) {
-        ctx.send(conn, msg);
-    }
-}
-
-/// Connects to `target` at start, sends a burst of `burst` messages — the
-/// first of `payload` bytes, each next one half the size — and records when
-/// each echo lands.
-struct PropPinger {
-    target: NodeId,
-    payload: usize,
-    burst: usize,
-    replies_at: Vec<u64>,
-}
-impl Node for PropPinger {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let c = ctx.connect(self.target, 80);
-        for k in 0..self.burst {
-            ctx.send(c, vec![0xAB; 1 + (self.payload >> k)]);
-        }
-    }
-    fn on_msg(&mut self, ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {
-        self.replies_at.push(ctx.now().as_nanos());
-    }
-}
-
-/// One pinger/echo pair: `(latency ms, up kB/s, first payload, burst)`.
-type PingRow = (u64, u64, usize, usize);
-
-/// Build a pinger/echo topology from [`PingRow`]s and run it to quiescence
-/// on the given engine config. Downlinks are unlimited so the serial
-/// fair-share model and the sharded ingress-pipe model agree on receive-side
-/// cost (zero), which is what makes serial arrival times a comparable
-/// baseline. Returns per-pinger echo times keyed by the echo node's id
-/// (connection ids differ between engines; node ids do not).
-fn run_topology(rows: &[PingRow], shards: usize) -> (Vec<(u32, Vec<u64>)>, u64, u64) {
-    let mut sim = Simulator::new(SimConfig {
-        seed: 11,
-        shards,
-        ..SimConfig::default()
-    });
-    let mut pingers = Vec::new();
-    for (i, &(lat_ms, up_kbps, payload, burst)) in rows.iter().enumerate() {
-        let iface = SimIface {
-            latency: SimDuration::from_millis(1 + lat_ms),
-            up_bps: up_kbps * 1000,
-            down_bps: 0,
-        };
-        let echo = sim.add_node(format!("echo{i}"), iface, Box::new(PropEcho));
-        let ping = sim.add_node(
-            format!("ping{i}"),
-            iface,
-            Box::new(PropPinger {
-                target: echo,
-                payload,
-                burst,
-                replies_at: Vec::new(),
-            }),
-        );
-        pingers.push((ping, echo));
-    }
-    sim.run_to_quiescence();
-    let mut out = Vec::new();
-    for &(ping, echo) in &pingers {
-        let (at, burst) =
-            sim.with_node::<PropPinger, _>(ping, |n, _| (n.replies_at.clone(), n.burst));
-        assert_eq!(at.len(), burst, "every pinger hears every echo");
-        out.push((echo.0, at));
-    }
-    let stats = sim.stats();
-    (out, stats.msgs_delivered, stats.bytes_delivered)
-}
-
-proptest! {
-    /// `shard_of` is total (never panics, always in range) and depends only
-    /// on the node id and shard count.
-    #[test]
-    fn shard_partition_is_total_and_deterministic(id: u32, shards in 0usize..64) {
-        let s = shard_of(NodeId(id), shards);
-        prop_assert!(s < shards.max(1));
-        prop_assert_eq!(s, shard_of(NodeId(id), shards));
-        // Placement ignores everything but (id, shards): recomputing through
-        // a fresh NodeId value cannot move the node.
-        prop_assert_eq!(s, shard_of(NodeId(id.wrapping_add(0)), shards));
-    }
-
-    /// Cross-shard exchange ordering is invariant under shard count: the same
-    /// topology produces identical delivery times and counters at any
-    /// `--shards N >= 1`.
-    #[test]
-    fn sharded_results_invariant_under_shard_count(
-        rows in proptest::collection::vec((0u64..40, 50u64..500, 0usize..30_000, 1usize..6), 1..5),
-    ) {
-        let base = run_topology(&rows, 1);
-        for shards in [2usize, 3, 4] {
-            let got = run_topology(&rows, shards);
-            prop_assert_eq!(&got, &base, "diverged at shards={}", shards);
-        }
-    }
-
-    /// One queueing model on the sender's side: with unlimited downlinks the
-    /// two engines' cost models coincide, so the sharded engine delivers
-    /// every echo of every burst — queued messages, messages of several
-    /// chunks, slow start — at its serial arrival time, to the nanosecond.
-    /// (In particular conservative lookahead never delivers one earlier.)
-    #[test]
-    fn lookahead_never_beats_serial_arrival(
-        rows in proptest::collection::vec((0u64..40, 50u64..500, 0usize..30_000, 1usize..6), 1..4),
-    ) {
-        let serial = run_topology(&rows, 0);
-        let sharded = run_topology(&rows, 3);
-        prop_assert_eq!(&sharded, &serial);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Connection-half lifecycle on the sharded engine: halves live in their
-// owner's node-local tables and are dropped once dead, so every schedule of
-// connects, sends and closes — closes racing the peer's in-flight chunk,
-// sends after close, loopback, several connections between one pair — must
-// still play out identically at any shard count.
-// ---------------------------------------------------------------------------
+use simnet::{ConnId, NodeId};
 
 /// One transcript line: `(time ns, what, conn id, detail)`.
 type Line = (u64, u8, u64, u64);
@@ -397,18 +272,13 @@ struct ScriptedOutcome {
 /// unlimited)` and its script.
 type ScriptedRow = ((u64, u64, u64), Vec<(u64, u8, usize, usize)>);
 
-fn run_scripted(rows: &[ScriptedRow], shards: usize) -> ScriptedOutcome {
-    let mut sim = Simulator::new(SimConfig {
-        seed: 5,
-        shards,
-        ..SimConfig::default()
-    });
+fn run_scripted(rows: &[ScriptedRow]) -> ScriptedOutcome {
+    let mut sim = Simulator::with_seed(5);
     let ids: Vec<NodeId> = rows
         .iter()
         .enumerate()
         .map(|(i, ((lat_ms, up_kbps, down_kbps), script))| {
             let iface = SimIface {
-                // Nonzero, or two shards would have no lookahead.
                 latency: SimDuration::from_millis(1 + lat_ms),
                 up_bps: up_kbps * 1000,
                 down_bps: down_kbps * 1000,
@@ -438,9 +308,9 @@ proptest! {
     /// Few nodes, slow uplinks, messages of up to three chunks and steps a
     /// few milliseconds apart: closes land while the peer is mid-chunk,
     /// sends hit closed connections, pairs hold several connections and
-    /// nodes connect to themselves. Three shards split the nodes unevenly.
+    /// nodes connect to themselves.
     #[test]
-    fn half_lifecycle_invariant_under_shards(
+    fn scripted_lifecycle_replays_and_frees_closed_connections(
         rows in proptest::collection::vec(
             (
                 (0u64..12, 20u64..400, 0u64..400),
@@ -449,12 +319,16 @@ proptest! {
             2..5,
         ),
     ) {
-        let base = run_scripted(&rows, 1);
-        // A chunk that outlives its half must still give its uplink slot back.
+        let base = run_scripted(&rows);
+        // A chunk that outlives its connection must still give its slots back.
         prop_assert!(base.slots.iter().all(|s| *s == (0, 0)), "slots leaked: {:?}", base.slots);
-        for shards in [2usize, 3, 4, 8] {
-            let got = run_scripted(&rows, shards);
-            prop_assert_eq!(&got, &base, "diverged at shards={}", shards);
-        }
+        prop_assert_eq!(&run_scripted(&rows), &base, "the replay diverged");
+        // Every close that was sent has arrived by quiescence: what is still
+        // resident is every connection opened, less those a close reached.
+        let lines = || base.logs.iter().flatten();
+        let opened = lines().filter(|l| l.1 == L_CONNECT).count();
+        let closed: std::collections::BTreeSet<u64> =
+            lines().filter(|l| l.1 == L_CLOSED).map(|l| l.2).collect();
+        prop_assert_eq!(base.live_halves, 2 * (opened - closed.len()));
     }
 }
