@@ -1326,6 +1326,55 @@ mod tests {
         assert_eq!(sim.live_conn_halves(), 0);
     }
 
+    /// Connects at start; records, at each `on_conn_closed`, what `peer_of`
+    /// said there.
+    struct Dialer {
+        target: NodeId,
+        closed: Vec<(ConnId, Option<NodeId>)>,
+    }
+    impl Node for Dialer {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.connect(self.target, 80);
+        }
+        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {}
+        fn on_conn_closed(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
+            self.closed.push((conn, ctx.peer_of(conn)));
+        }
+    }
+
+    /// Whichever end closes, the other learns its peer inside
+    /// `on_conn_closed` and `peer_of` forgets the connection afterwards:
+    /// the acceptor hears the initiator's close, the initiator the
+    /// acceptor's refusal.
+    #[test]
+    fn peer_of_answers_inside_on_conn_closed_on_both_ends() {
+        let iface = Iface::symmetric(SimDuration::from_millis(1), 0);
+        let mut sim = Simulator::with_seed(9);
+        let sink = sim.add_node("sink", iface, Box::<Sink>::default());
+        let closer = sim.add_node("closer", iface, Box::new(Closer { target: sink }));
+        let refuser = sim.add_node("refuser", iface, Box::new(Refuser));
+        let dialer = Box::new(Dialer {
+            target: refuser,
+            closed: Vec::new(),
+        });
+        let dialer = sim.add_node("dialer", iface, dialer);
+        sim.run_to_quiescence();
+        let s: &Sink = sim.node_ref(sink);
+        assert_eq!(s.msgs, 1, "queued message drains before close");
+        let [(at_sink, from_closer, _)] = s.closed[..] else {
+            panic!("sink observed one close, not {:?}", s.closed);
+        };
+        let d: &Dialer = sim.node_ref(dialer);
+        let [(at_dialer, from_refuser)] = d.closed[..] else {
+            panic!("dialer observed one close, not {:?}", d.closed);
+        };
+        assert_eq!((from_closer, from_refuser), (Some(closer), Some(refuser)));
+        let sink_now = sim.with_node::<Sink, _>(sink, |_, ctx| ctx.peer_of(at_sink));
+        let dialer_now = sim.with_node::<Dialer, _>(dialer, |_, ctx| ctx.peer_of(at_dialer));
+        assert_eq!((sink_now, dialer_now), (None, None));
+        assert_eq!(sim.live_conn_halves(), 0);
+    }
+
     /// Floods whoever connects; the flood outlives the connection.
     struct Flooder;
     impl Node for Flooder {
@@ -1426,6 +1475,25 @@ mod tests {
         );
     }
 
+    /// A node's `on_start` may connect to a node added after it: `on_start`
+    /// runs when the run begins, once every node is in place.
+    #[test]
+    fn a_node_can_connect_to_one_added_after_it() {
+        let mut sim = Simulator::with_seed(5);
+        let pinger = Box::new(Pinger {
+            target: NodeId(1),
+            payload: 512,
+            reply_at: None,
+            replies: 0,
+        });
+        let a = sim.add_node("ping", Iface::residential(), pinger);
+        let b = sim.add_node("echo", Iface::residential(), Box::new(Echo));
+        assert_eq!(b, NodeId(1));
+        sim.run_to_quiescence();
+        let p: &Pinger = sim.node_ref(a);
+        assert_eq!(p.replies, 1);
+    }
+
     #[test]
     fn timers_fire_and_cancel() {
         struct Timed {
@@ -1448,6 +1516,44 @@ mod tests {
         sim.run_to_quiescence();
         let t: &Timed = sim.node_ref(n);
         assert_eq!(t.fired, vec![1, 3]);
+    }
+
+    /// On a node between two others, timers fire at their exact instants,
+    /// and one cancelled from inside another timer's callback never fires.
+    #[test]
+    fn timers_fire_on_time_and_cancel_from_a_callback() {
+        struct TimerNode {
+            fired: Vec<(u64, SimTime)>,
+            cancel_me: Option<crate::node::TimerId>,
+        }
+        impl Node for TimerNode {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.set_timer(SimDuration::from_millis(5), 1);
+                let t = ctx.set_timer(SimDuration::from_millis(7), 2);
+                ctx.set_timer(SimDuration::from_millis(9), 3);
+                self.cancel_me = Some(t);
+            }
+            fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _c: ConnId, _m: Vec<u8>) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+                if let Some(t) = self.cancel_me.take() {
+                    ctx.cancel_timer(t);
+                }
+                self.fired.push((tag, ctx.now()));
+            }
+        }
+        let iface = Iface::symmetric(SimDuration::from_millis(1), 0);
+        let mut sim = Simulator::with_seed(3);
+        sim.add_node("pad0", iface, Box::new(Echo));
+        let timers = Box::new(TimerNode {
+            fired: Vec::new(),
+            cancel_me: None,
+        });
+        let n = sim.add_node("timers", iface, timers);
+        sim.add_node("pad2", iface, Box::new(Echo));
+        sim.run_to_quiescence();
+        let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        let t: &TimerNode = sim.node_ref(n);
+        assert_eq!(t.fired, vec![(1, at(5)), (3, at(9))]);
     }
 
     #[test]
