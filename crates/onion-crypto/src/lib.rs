@@ -16,6 +16,9 @@
 //!   of [`aead`].
 //! * [`x25519`] — Curve25519 Diffie–Hellman (RFC 7748) via the Montgomery
 //!   ladder over GF(2^255 − 19); the basis of the ntor circuit handshake.
+//!   The ladder runs two at a time on AVX-512 IFMA when the build targets a
+//!   CPU that has it ([`x25519::backend`] says which), in portable scalar
+//!   code otherwise.
 //! * [`hashsig`] — Winternitz one-time signatures under a Merkle tree
 //!   (an XMSS-style few-time scheme), used for directory and descriptor
 //!   signatures; hash-based so it needs nothing beyond SHA-256, sixteen
@@ -33,11 +36,12 @@
 //! exists to make the reproduction's code paths genuine, not to protect
 //! production traffic.
 
-// `deny`, not `forbid`, for one reason, met twice: `sha256::compress` and
-// `aes::ctr_xor` carry the workspace's only two `allow(unsafe_code)`, each
-// a single call from a function without `#[target_feature]` into one with
-// it, under a `cfg` on the same item that proves the features at compile
-// time. Every other crate forbids.
+// `deny`, not `forbid`, for one reason, met three times:
+// `sha256::compress`, `aes::ctr_xor` and `x25519::ladder_pair` carry the
+// workspace's only three `allow(unsafe_code)`, each a single call from a
+// function without `#[target_feature]` into one with it, under a `cfg` on
+// the same item that proves the features at compile time. Every other
+// crate forbids.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -216,7 +216,8 @@ pub fn server_respond(
     let x = PublicKey(x_bytes);
     let eph = StaticSecret::random(rng);
     let y = eph.public_key();
-    let (Some(xy), Some(xb)) = (eph.diffie_hellman(&x), identity.diffie_hellman(&x)) else {
+    let [Some(xy), Some(xb)] = StaticSecret::diffie_hellman_pair([(&eph, &x), (identity, &x)])
+    else {
         // A small-order X: the keys would not depend on either secret.
         T_FAILURES.inc();
         return Err(NtorError::Malformed);
@@ -239,10 +240,9 @@ pub fn client_finish(state: &ClientHandshake, reply: &[u8]) -> Result<CircuitKey
     let mut y_bytes = [0u8; 32];
     y_bytes.copy_from_slice(&reply[..32]);
     let y = PublicKey(y_bytes);
-    let (Some(xy), Some(xb)) = (
-        state.eph.diffie_hellman(&y),
-        state.eph.diffie_hellman(&state.relay_onion_key),
-    ) else {
+    let [Some(xy), Some(xb)] =
+        StaticSecret::diffie_hellman_pair([(&state.eph, &y), (&state.eph, &state.relay_onion_key)])
+    else {
         T_FAILURES.inc();
         return Err(NtorError::Malformed);
     };

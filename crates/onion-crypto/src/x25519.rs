@@ -13,6 +13,30 @@
 //! limbs below 2^52 and accept limbs below 2^54, so a sum of two of their
 //! outputs feeds the next product with no carry pass in between; only
 //! [`Fe::to_bytes`] reduces fully.
+//!
+//! The variable-base ladder has two backends, chosen when the crate is
+//! compiled: [`x25519_portable`] (scalar, every target) and, when the
+//! build's target features include AVX-512 IFMA, the `ifma` module, which
+//! runs two ladders at once in eight vector lanes. [`x25519_pair`] is two
+//! scalar multiplications on whichever the build selected, [`x25519`] one
+//! (the second lane a copy of the first), and [`backend`] names it; there
+//! is no runtime detection. Both produce the same bytes — the unit tests
+//! compare them on random pairs and on the edge cases of the encoding.
+
+/// Hardware backend: present only when the build proves its instructions.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "avx512ifma"
+))]
+mod ifma;
+
+/// Whether this build runs the ladder on the `ifma` backend.
+const IFMA: bool = cfg!(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "avx512ifma"
+));
 
 /// A field element mod 2^255 − 19, five 51-bit limbs, little-endian.
 #[derive(Clone, Copy, Debug)]
@@ -236,8 +260,74 @@ fn clamp(mut k: [u8; 32]) -> [u8; 32] {
     k
 }
 
-/// X25519 scalar multiplication: `scalar * u_point`.
+/// Name of the ladder backend this build selected: `"x86-avx512-ifma"` or
+/// `"portable"`.
+pub fn backend() -> &'static str {
+    if IFMA {
+        "x86-avx512-ifma"
+    } else {
+        "portable"
+    }
+}
+
+/// X25519 scalar multiplication: `scalar * u_point`, on the backend this
+/// build selected (see [`backend`]).
 pub fn x25519(k: [u8; 32], u_point: [u8; 32]) -> [u8; 32] {
+    if IFMA {
+        let [end, _] = ladder_pair([(k, u_point); 2]);
+        affine(end)
+    } else {
+        x25519_portable(k, u_point)
+    }
+}
+
+/// Two X25519 scalar multiplications, `k * u` for each `(k, u)`, on the
+/// backend this build selected: one pass of the `ifma` backend, or two of
+/// the portable ladder.
+pub fn x25519_pair(pairs: [([u8; 32], [u8; 32]); 2]) -> [[u8; 32]; 2] {
+    ladder_pair(pairs).map(affine)
+}
+
+/// [`x25519`] in portable scalar code: the backend of every build without
+/// AVX-512 IFMA, and the reference the hardware backend is tested against
+/// on builds with it.
+pub fn x25519_portable(k: [u8; 32], u_point: [u8; 32]) -> [u8; 32] {
+    affine(ladder(k, u_point))
+}
+
+/// The projective ladder results `(x2, z2)` of two pairs on the backend
+/// this build selected.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "avx512ifma"
+))]
+#[allow(unsafe_code)]
+#[inline]
+fn ladder_pair(pairs: [([u8; 32], [u8; 32]); 2]) -> [(Fe, Fe); 2] {
+    // SAFETY: the callee's only precondition is that the CPU has the target
+    // features it enables (avx512f, avx512ifma), and the cfg on this very
+    // item admits it to the build only when the compiler targets both.
+    unsafe { ifma::ladder_pair(pairs) }
+}
+
+#[cfg(not(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "avx512ifma"
+)))]
+fn ladder_pair(pairs: [([u8; 32], [u8; 32]); 2]) -> [(Fe, Fe); 2] {
+    pairs.map(|(k, u)| ladder(k, u))
+}
+
+/// The encoding of x2 / z2, where every ladder ends. A small-order point
+/// leaves z2 = 0, whose "inverse" 0^(p−2) is 0, so the output is all zero.
+fn affine((x2, z2): (Fe, Fe)) -> [u8; 32] {
+    x2.mul(z2.invert()).to_bytes()
+}
+
+/// The Montgomery ladder of RFC 7748 §5, up to its projective result.
+fn ladder(k: [u8; 32], u_point: [u8; 32]) -> (Fe, Fe) {
     let k = clamp(k);
     let x1 = Fe::from_bytes(&u_point);
     let mut x2 = Fe::ONE;
@@ -266,7 +356,7 @@ pub fn x25519(k: [u8; 32], u_point: [u8; 32]) -> [u8; 32] {
     }
     Fe::cswap(&mut x2, &mut x3, swap);
     Fe::cswap(&mut z2, &mut z3, swap);
-    x2.mul(z2.invert()).to_bytes()
+    (x2, z2)
 }
 
 /// A point on the Edwards curve −x² + y² = 1 + d·x²y², d = −121665/121666,
@@ -535,9 +625,19 @@ impl StaticSecret {
     /// secret is all zero: the peer sent a small-order point, which would
     /// let it fix the derived keys whatever our secret is (RFC 7748 §6.1).
     pub fn diffie_hellman(&self, peer: &PublicKey) -> Option<[u8; 32]> {
-        let shared = x25519(self.secret, peer.0);
-        (shared.iter().fold(0, |acc, b| acc | b) != 0).then_some(shared)
+        refuse_zero(x25519(self.secret, peer.0))
     }
+
+    /// [`Self::diffie_hellman`] on two (secret, peer) pairs at once, through
+    /// [`x25519_pair`]; each output is refused on its own.
+    pub fn diffie_hellman_pair(pairs: [(&StaticSecret, &PublicKey); 2]) -> [Option<[u8; 32]>; 2] {
+        x25519_pair(pairs.map(|(secret, peer)| (secret.secret, peer.0))).map(refuse_zero)
+    }
+}
+
+/// `None` for the all-zero shared secret of a small-order peer key.
+fn refuse_zero(shared: [u8; 32]) -> Option<[u8; 32]> {
+    (shared.iter().fold(0, |acc, b| acc | b) != 0).then_some(shared)
 }
 
 impl PublicKey {
@@ -551,28 +651,43 @@ impl PublicKey {
 mod tests {
     use super::*;
 
+    /// RFC 7748 §5.2's two test vectors: (scalar, u, output).
+    const VECTORS: [([u8; 32], [u8; 32], [u8; 32]); 2] = [
+        (
+            unhex("a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4"),
+            unhex("e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c"),
+            unhex("c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552"),
+        ),
+        (
+            unhex("4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d"),
+            unhex("e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493"),
+            unhex("95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957"),
+        ),
+    ];
+
     /// RFC 7748 §5.2 test vector 1.
     #[test]
     fn rfc7748_vector1() {
-        let k = unhex("a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
-        let u = unhex("e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c");
-        let out = x25519(k, u);
-        assert_eq!(
-            out,
-            unhex("c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552")
-        );
+        let (k, u, want) = VECTORS[0];
+        assert_eq!(x25519(k, u), want, "{}", backend());
+        assert_eq!(x25519_portable(k, u), want);
     }
 
     /// RFC 7748 §5.2 test vector 2.
     #[test]
     fn rfc7748_vector2() {
-        let k = unhex("4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d");
-        let u = unhex("e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493");
-        let out = x25519(k, u);
-        assert_eq!(
-            out,
-            unhex("95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957")
-        );
+        let (k, u, want) = VECTORS[1];
+        assert_eq!(x25519(k, u), want, "{}", backend());
+        assert_eq!(x25519_portable(k, u), want);
+    }
+
+    /// Both §5.2 vectors side by side through [`x25519_pair`], in both lane
+    /// orders.
+    #[test]
+    fn rfc7748_vectors_through_pair() {
+        let [(k1, u1, want1), (k2, u2, want2)] = VECTORS;
+        assert_eq!(x25519_pair([(k1, u1), (k2, u2)]), [want1, want2]);
+        assert_eq!(x25519_pair([(k2, u2), (k1, u1)]), [want2, want1]);
     }
 
     /// RFC 7748 §6.1 Diffie–Hellman test.
@@ -595,6 +710,15 @@ mod tests {
         let expected = unhex("4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742");
         assert_eq!(shared_a, expected);
         assert_eq!(shared_b, expected);
+        // Both sides in one pair call, in both lane orders.
+        assert_eq!(
+            x25519_pair([(a_priv, b_pub), (b_priv, a_pub)]),
+            [expected; 2]
+        );
+        assert_eq!(
+            x25519_pair([(b_priv, a_pub), (a_priv, b_pub)]),
+            [expected; 2]
+        );
     }
 
     /// RFC 7748 §5.2 iterated test, 1 iteration (k = u = base).
@@ -708,6 +832,96 @@ mod tests {
         let s2 = b.diffie_hellman(&a.public_key());
         assert_eq!(s1, s2);
         assert!(s1.is_some());
+    }
+
+    /// Whatever backend this build selected computes exactly what the
+    /// portable ladder does, with a different scalar and point in each lane.
+    #[test]
+    fn active_backend_equals_portable() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1F3A);
+        let mut bytes = || {
+            let mut b = [0u8; 32];
+            rng.fill(&mut b);
+            b
+        };
+        for case in 0..1000 {
+            let (ka, ua, kb, ub) = (bytes(), bytes(), bytes(), bytes());
+            let want = [x25519_portable(ka, ua), x25519_portable(kb, ub)];
+            assert_eq!(
+                x25519_pair([(ka, ua), (kb, ub)]),
+                want,
+                "case {case} on {}",
+                backend()
+            );
+            if case % 10 == 0 {
+                assert_eq!(x25519(ka, ua), want[0], "case {case} on {}", backend());
+            }
+        }
+    }
+
+    /// A non-canonical `u` in either lane — one of the 19 values in
+    /// [p, 2^255), or any value with bit 255 set — multiplies like its
+    /// reduced form, beside an ordinary point in the other lane.
+    #[test]
+    fn noncanonical_u_in_either_lane() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x255);
+        let mut bytes = || {
+            let mut b = [0u8; 32];
+            rng.fill(&mut b);
+            b
+        };
+        for d in 0..19u8 {
+            let (mut above_p, mut reduced) = ([0xffu8; 32], [0u8; 32]);
+            above_p[0] = 0xed + d;
+            above_p[31] = 0x7f;
+            reduced[0] = d;
+            let mut high = bytes();
+            let mut masked = high;
+            high[31] |= 0x80;
+            masked[31] &= 0x7f;
+            let (k, k2, other) = (bytes(), bytes(), bytes());
+            let normal = x25519_portable(k2, other);
+            for (odd, plain) in [(above_p, reduced), (high, masked)] {
+                let want = x25519_portable(k, plain);
+                assert_eq!(x25519_portable(k, odd), want);
+                assert_eq!(x25519_pair([(k, odd), (k2, other)]), [want, normal]);
+                assert_eq!(x25519_pair([(k2, other), (k, odd)]), [normal, want]);
+            }
+        }
+    }
+
+    /// A small-order point in one lane sends that lane to zero and leaves
+    /// the other alone; `diffie_hellman_pair` refuses only that lane.
+    #[test]
+    fn small_order_point_stays_in_its_lane() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let (ours, theirs) = (
+            StaticSecret::random(&mut rng),
+            StaticSecret::random(&mut rng),
+        );
+        let peer = theirs.public_key();
+        let shared = ours.diffie_hellman(&peer).expect("an ordinary point");
+        for mut point in SMALL_ORDER_POINTS {
+            for top in [0, 0x80] {
+                point[31] |= top;
+                let bad = PublicKey(point);
+                assert_eq!(
+                    x25519_pair([(ours.secret, point), (ours.secret, peer.0)]),
+                    [[0; 32], shared]
+                );
+                assert_eq!(
+                    StaticSecret::diffie_hellman_pair([(&ours, &bad), (&ours, &peer)]),
+                    [None, Some(shared)]
+                );
+                assert_eq!(
+                    StaticSecret::diffie_hellman_pair([(&ours, &peer), (&theirs, &bad)]),
+                    [Some(shared), None]
+                );
+            }
+        }
     }
 
     proptest::proptest! {
