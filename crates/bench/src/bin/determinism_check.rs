@@ -1,13 +1,15 @@
-//! **Dynamic determinism check** — the runtime complement to `bento_lint`'s
-//! static rules. The linter proves no workspace source *names* an unordered
-//! collection, the wall clock, or ambient randomness in sim-visible code;
-//! this binary proves the property actually holds end to end by running the
-//! same workloads under deliberately perturbed conditions and requiring the
-//! exported artifacts to come back byte-identical:
+//! **Dynamic determinism check** — the runtime complement to the static
+//! bans in the workspace's `clippy.toml`. Clippy proves no workspace source
+//! *names* a hash-ordered collection, the wall clock or thread identity
+//! (outside a site that says why with an `#[expect]`); this binary proves
+//! the property actually holds end to end by running the same workloads
+//! under deliberately perturbed conditions and requiring the exported
+//! artifacts to come back byte-identical:
 //!
 //! * **Fresh process per run** — every `std` `HashMap` in the address space
 //!   gets new SipHash keys, so any hash-order dependence left in a hot path
-//!   (the exact bug class BL001 exists for) shows up as an artifact diff.
+//!   (the exact bug class `disallowed-types` exists for) shows up as an
+//!   artifact diff.
 //! * **`--threads 1` vs `--threads 4`** — the sweep runner's "parallel equals
 //!   sequential" contract, checked over full processes rather than the unit
 //!   test's in-process trials.

@@ -7,7 +7,7 @@
 //! fresh simulator, so this also pins down that the pooled-buffer data plane
 //! and in-place cell crypto stay deterministic under concurrent execution.
 
-use bench::runner::{run_trials, run_trials_traced, Trial};
+use bench::runner::{run_trials, Trial};
 use simnet::trace::Direction;
 use simnet::{SimDuration, SimTime};
 use tor_net::client::TerminalReq;
@@ -150,8 +150,8 @@ fn telemetry_snapshots_are_byte_identical_across_thread_counts() {
     // depends on it.
     telemetry::set_mode(telemetry::Mode::Full);
     let seeds = [21u64, 22, 23];
-    let seq = run_trials_traced(1, jobs(&seeds));
-    let par = run_trials_traced(3, jobs(&seeds));
+    let seq = bench::runner::run_trials_traced(1, jobs(&seeds));
+    let par = bench::runner::run_trials_traced(3, jobs(&seeds));
     for (i, ((ra, sa), (rb, sb))) in seq.iter().zip(par.iter()).enumerate() {
         assert_eq!(ra, rb, "trial {i} results match");
         let (mut ja, mut jb) = (String::new(), String::new());

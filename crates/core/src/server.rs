@@ -7,6 +7,10 @@
 //! the functions' direct network I/O, and Tor events for the functions'
 //! Stem-mediated circuits.
 
+// A fault-recovery path: a panic here turns a recoverable fault into a
+// crash.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::function::{ContainerRuntime, FnAction, Function, FunctionApi, FunctionRegistry};
 use crate::manifest::Manifest;
 use crate::policy::MiddleboxPolicy;
@@ -273,11 +277,12 @@ impl BentoServer {
                         .list()
                         .iter()
                         .map(|p| {
-                            (
-                                onion_crypto::sha256::sha256(p.as_bytes()),
-                                // bento-lint: allow(BL005) -- `p` came from fs().list() on the same immutable borrow
-                                rt.container.fs().read(p).expect("listed file").to_vec(),
-                            )
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "`p` came from fs().list() on the same immutable borrow"
+                            )]
+                            let blob = rt.container.fs().read(p).expect("listed file").to_vec();
+                            (onion_crypto::sha256::sha256(p.as_bytes()), blob)
                         })
                         .collect(),
                 };
@@ -620,7 +625,10 @@ impl BentoServer {
             reject(self, deps, "box function memory exhausted".into());
             return;
         }
-        // bento-lint: allow(BL005) -- entry inserted into `containers` earlier in this function
+        #[expect(
+            clippy::expect_used,
+            reason = "entry inserted into `containers` earlier in this function"
+        )]
         let entry = self.containers.get_mut(&container_id).expect("exists");
         entry.runtime = Some(ContainerRuntime {
             container,
@@ -637,19 +645,10 @@ impl BentoServer {
         entry.manifest = Some(spec.manifest);
         self.run_function(deps, container_id, |f, api| f.on_install(api));
         // The entry may have terminated itself during install.
-        if self
-            .containers
-            .get(&container_id)
-            .map(|c| c.alive)
-            .unwrap_or(false)
-        {
+        if let Some(e) = self.containers.get(&container_id).filter(|c| c.alive) {
             // Persist the function to the box's sealed disk so a host crash
             // can rebuild it with the same client-held tokens.
-            let (invocation_token, shutdown_token) = {
-                // bento-lint: allow(BL005) -- presence just checked by the surrounding `alive` guard
-                let e = self.containers.get(&container_id).expect("exists");
-                (e.invocation_token, e.shutdown_token)
-            };
+            let (invocation_token, shutdown_token) = (e.invocation_token, e.shutdown_token);
             let record = StoredFunction {
                 image: entry_image,
                 invocation_token,
@@ -673,13 +672,6 @@ impl BentoServer {
         }
     }
 
-    fn find_by_invocation(&self, token: &[u8; 32]) -> Option<u64> {
-        self.containers
-            .iter()
-            .find(|(_, c)| c.alive && c.invocation_token.matches(token))
-            .map(|(id, _)| *id)
-    }
-
     fn find_by_shutdown(&self, token: &[u8; 32]) -> Option<u64> {
         self.containers
             .iter()
@@ -694,7 +686,11 @@ impl BentoServer {
         token: [u8; 32],
         input: Vec<u8>,
     ) {
-        let Some(id) = self.find_by_invocation(&token) else {
+        let Some((&id, entry)) = self
+            .containers
+            .iter_mut()
+            .find(|(_, c)| c.alive && c.invocation_token.matches(&token))
+        else {
             self.reply(
                 deps,
                 stream,
@@ -704,8 +700,6 @@ impl BentoServer {
             );
             return;
         };
-        // bento-lint: allow(BL005) -- `id` was returned by find_by_invocation over this same map
-        let entry = self.containers.get_mut(&id).expect("exists");
         if entry.function.is_none() {
             self.reply(
                 deps,

@@ -138,7 +138,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // index math mirrors the A*A^-1 formula
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "index math mirrors the A*A^-1 formula"
+    )]
     fn matrix_inversion_roundtrip() {
         // A Vandermonde matrix is invertible; A * A^-1 = I.
         let n = 5;

@@ -168,7 +168,7 @@ pub fn encrypt_block(keys: &RoundKeys, block: &[u8; BLOCK_LEN]) -> [u8; BLOCK_LE
     target_feature = "aes",
     target_feature = "sse2"
 ))]
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "the cfg above proves the target features")]
 #[inline]
 pub fn ctr_xor(
     keys: &RoundKeys,

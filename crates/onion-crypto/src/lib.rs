@@ -38,7 +38,7 @@
 
 // `deny`, not `forbid`, for one reason, met three times:
 // `sha256::compress`, `aes::ctr_xor` and `x25519::ladder_pair` carry the
-// workspace's only three `allow(unsafe_code)`, each a single call from a
+// workspace's only three `expect(unsafe_code)`, each a single call from a
 // function without `#[target_feature]` into one with it, under a `cfg` on
 // the same item that proves the features at compile time. Every other
 // crate forbids.

@@ -248,7 +248,7 @@ impl Sha256 {
     target_feature = "sse4.1",
     target_feature = "ssse3"
 ))]
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "the cfg above proves the target features")]
 #[inline]
 pub fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
     // SAFETY: the callee's only precondition is that the CPU has the target

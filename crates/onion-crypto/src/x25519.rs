@@ -302,7 +302,7 @@ pub fn x25519_portable(k: [u8; 32], u_point: [u8; 32]) -> [u8; 32] {
     target_feature = "avx512f",
     target_feature = "avx512ifma"
 ))]
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "the cfg above proves the target features")]
 #[inline]
 fn ladder_pair(pairs: [([u8; 32], [u8; 32]); 2]) -> [(Fe, Fe); 2] {
     // SAFETY: the callee's only precondition is that the CPU has the target

@@ -138,15 +138,8 @@ impl EventQueue {
     }
 
     /// Number of pending events.
-    #[allow(dead_code)]
     pub fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    /// True if no events are pending.
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Ids of every timer event still in the queue (fired or not), in
@@ -282,7 +275,7 @@ mod tests {
                 popped += 1;
             }
             prop_assert_eq!(popped, times.len());
-            prop_assert!(q.is_empty());
+            prop_assert_eq!(q.len(), 0);
         }
 
         /// `live_timer_ids` reports exactly the timers still queued, at every
@@ -301,7 +294,7 @@ mod tests {
                 // Interleave non-timer events: they must never be reported.
                 q.push(SimTime(t), EventKind::ConnEstablished { conn: ConnId(i as u64) });
             }
-            let mut gone = std::collections::HashSet::new();
+            let mut gone = std::collections::BTreeSet::new();
             for _ in 0..drain.min(q.len()) {
                 if let Some(e) = q.pop() {
                     if let EventKind::Timer { id, .. } = e.kind {
@@ -309,8 +302,8 @@ mod tests {
                     }
                 }
             }
-            let live: std::collections::HashSet<u64> = q.live_timer_ids().collect();
-            let expect: std::collections::HashSet<u64> = (0..times.len() as u64)
+            let live: std::collections::BTreeSet<u64> = q.live_timer_ids().collect();
+            let expect: std::collections::BTreeSet<u64> = (0..times.len() as u64)
                 .filter(|id| !gone.contains(id))
                 .collect();
             prop_assert_eq!(live, expect);

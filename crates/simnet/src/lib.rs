@@ -31,6 +31,9 @@
 //! connections open now. (A sharded conservative engine was tried and
 //! removed; DESIGN.md §12 has the record.)
 
+// The run loop must not panic: a panic anywhere in the crate is a crashed
+// experiment, not a recovered fault. Test code is exempt (`clippy.toml`).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

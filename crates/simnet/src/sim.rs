@@ -10,8 +10,7 @@ use crate::trace::{Direction, Sniffer, TraceEvent};
 use crate::transport::{Cwnd, TransportCfg};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-// bento-lint: allow(BL001) -- HashSet here is only `cancelled_timers` (see below)
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 // Telemetry is flushed once per `run_until` call, not per event: the hot
 // loop accumulates into plain `SimStats`/`BufPool` fields exactly as before
@@ -299,10 +298,13 @@ pub(crate) struct SimCore {
     pub(crate) queue: EventQueue,
     cfg: TransportCfg,
     pub(crate) next_timer_id: u64,
-    // bento-lint: allow(BL001) -- membership-only (insert/remove/contains/retain
-    // against an ordered id list); never iterated, so hash order cannot reach
-    // the event stream, and it sits on the per-cell hot path.
-    pub(crate) cancelled_timers: HashSet<u64>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership-only (insert/remove/contains/retain against an ordered id list); \
+                  never iterated, so hash order cannot reach the event stream, and it sits \
+                  on the per-cell hot path"
+    )]
+    pub(crate) cancelled_timers: std::collections::HashSet<u64>,
     /// Timer events still sitting in the queue (fired or cancelled); lets
     /// [`Ctx::cancel_timer`] bound the tombstone set cheaply.
     pub(crate) pending_timers: usize,
@@ -614,8 +616,7 @@ impl Simulator {
                 queue: EventQueue::new(),
                 cfg: cfg.transport,
                 next_timer_id: 0,
-                // bento-lint: allow(BL001) -- see field declaration: membership-only set
-                cancelled_timers: HashSet::new(),
+                cancelled_timers: Default::default(),
                 pending_timers: 0,
                 pool: BufPool::default(),
                 timer_sweeps: 0,
@@ -676,13 +677,22 @@ impl Simulator {
     }
 
     /// The trace recorded so far on `node`'s link (panics if no sniffer).
+    #[expect(
+        clippy::expect_used,
+        reason = "harness accessor: asking for a sniffer never enabled is a harness bug"
+    )]
     pub fn sniffer(&self, node: NodeId) -> &Sniffer {
         self.core.sniffers[node.0 as usize]
             .as_ref()
             .expect("sniffer not enabled on this node")
     }
 
-    /// Mutable access to `node`'s sniffer, e.g. to clear it between trials.
+    /// Mutable access to `node`'s sniffer, e.g. to clear it between trials
+    /// (panics if no sniffer).
+    #[expect(
+        clippy::expect_used,
+        reason = "harness accessor: asking for a sniffer never enabled is a harness bug"
+    )]
     pub fn sniffer_mut(&mut self, node: NodeId) -> &mut Sniffer {
         self.core.sniffers[node.0 as usize]
             .as_mut()
@@ -708,6 +718,10 @@ impl Simulator {
     ///
     /// # Panics
     /// If `id` does not refer to a `T`.
+    #[expect(
+        clippy::expect_used,
+        reason = "harness accessor with a documented `# Panics` contract"
+    )]
     pub fn node_ref<T: Node>(&self, id: NodeId) -> &T {
         self.nodes[id.0 as usize]
             .as_ref()
@@ -722,6 +736,10 @@ impl Simulator {
     ///
     /// # Panics
     /// If `id` does not refer to a `T`.
+    #[expect(
+        clippy::expect_used,
+        reason = "harness accessor with a documented `# Panics` contract"
+    )]
     pub fn with_node<T: Node, R>(
         &mut self,
         id: NodeId,
@@ -750,9 +768,12 @@ impl Simulator {
             // A crashed host runs no code. Whatever event reached it is lost.
             return;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the node slot is vacated only for this dispatch frame; handlers cannot re-enter"
+        )]
         let mut node = self.nodes[id.0 as usize]
             .take()
-            // bento-lint: allow(BL010) -- the node slot is vacated only for this dispatch frame; handlers cannot re-enter
             .expect("node reentrancy during dispatch");
         self.touched[id.0 as usize] = true;
         let mut ctx = Ctx {

@@ -50,8 +50,13 @@
 
 pub mod export;
 pub mod hist;
-// With recording compiled out, only the snapshot/merge plumbing is reachable.
-#[cfg_attr(not(feature = "on"), allow(dead_code))]
+#[cfg_attr(
+    not(feature = "on"),
+    expect(
+        dead_code,
+        reason = "with recording compiled out, only the snapshot/merge plumbing is reachable"
+    )
+)]
 mod registry;
 pub mod snapshot;
 
@@ -122,7 +127,10 @@ pub fn mode() -> Mode {
 /// A monotonically increasing event count. Declare as a `static`.
 pub struct Counter {
     name: &'static str,
-    #[cfg_attr(not(feature = "on"), allow(dead_code))]
+    #[cfg_attr(
+        not(feature = "on"),
+        expect(dead_code, reason = "the registry slot is read only when recording")
+    )]
     slot: OnceLock<usize>,
 }
 
@@ -165,7 +173,10 @@ impl Counter {
 /// high-water mark. Declare as a `static`.
 pub struct Gauge {
     name: &'static str,
-    #[cfg_attr(not(feature = "on"), allow(dead_code))]
+    #[cfg_attr(
+        not(feature = "on"),
+        expect(dead_code, reason = "the registry slot is read only when recording")
+    )]
     slot: OnceLock<usize>,
 }
 
@@ -202,7 +213,10 @@ impl Gauge {
 /// only in [`Mode::Full`]. Declare as a `static`.
 pub struct Histo {
     name: &'static str,
-    #[cfg_attr(not(feature = "on"), allow(dead_code))]
+    #[cfg_attr(
+        not(feature = "on"),
+        expect(dead_code, reason = "the registry slot is read only when recording")
+    )]
     slot: OnceLock<usize>,
 }
 

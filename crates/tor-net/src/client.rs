@@ -8,6 +8,10 @@
 //! (DROP) cells, and runs the client side of the hidden-service rendezvous
 //! protocol — including the end-to-end virtual hop.
 
+// A fault-recovery path: a panic here turns a recoverable fault into a
+// crash.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::cell::{Cell, CellCmd, RelayCell, RelayCmd, CELL_LEN, MAX_RELAY_DATA, PAYLOAD_LEN};
 use crate::dir::{
     Consensus, DirMsg, Fingerprint, HsDescriptor, OnionAddr, RelayFlags, RelayInfo, SignedConsensus,
@@ -519,8 +523,7 @@ impl TorClient {
             }
         };
         let circ_id = {
-            // bento-lint: allow(BL005) -- the link was found or inserted in the match above
-            let link = self.links.get_mut(&conn).expect("link exists");
+            let link = self.links.get_mut(&conn)?;
             let id = link.next_circ_id;
             link.next_circ_id += 2;
             id

@@ -735,7 +735,7 @@ mod tests {
         };
         c.relays[0].flags = RelayFlags::default(); // no flags
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..200 {
             let r = c
                 .pick_weighted(&mut rng, RelayFlags::GUARD, |_| true)

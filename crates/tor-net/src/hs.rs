@@ -526,7 +526,7 @@ mod tests {
         let a2 = responsible_hsdir(&cons, &addr_a).unwrap();
         assert_eq!(a1, a2, "same inputs, same HSDir");
         // Over many addresses, more than one HSDir should be used.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..32u8 {
             let addr = OnionAddr([i; 32]);
             seen.insert(responsible_hsdir(&cons, &addr).unwrap());

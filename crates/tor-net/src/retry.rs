@@ -6,6 +6,10 @@
 //! failure cache is a `BTreeMap` so its iteration order can never leak hash
 //! randomness into the simulation.
 
+// A fault-recovery path: a panic here turns a recoverable fault into a
+// crash.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::dir::Fingerprint;
 use rand::rngs::StdRng;
 use rand::Rng;

@@ -171,7 +171,7 @@ mod tests {
     fn split_keeps_every_class_in_train() {
         let traces = corpus(5, 3);
         let (train, test) = split(&traces, 0.7);
-        let train_labels: std::collections::HashSet<usize> =
+        let train_labels: std::collections::BTreeSet<usize> =
             train.iter().map(|t| t.label).collect();
         assert_eq!(train_labels.len(), 5);
         assert!(!test.is_empty());

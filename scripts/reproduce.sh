@@ -9,13 +9,11 @@ cd "$(dirname "$0")/.."
 echo "== building (release) =="
 cargo build --release -p bench
 
-echo "== unsafe budget: three cfg-proven calls in onion-crypto, forbid(unsafe_code) in the other ten crates =="
+echo "== unsafe budget: three cfg-proven calls in onion-crypto, forbid(unsafe_code) in the other nine crates =="
 bash scripts/unsafe_budget.sh
 
-echo "== static analysis: bento_lint workspace pass (BL000, BL001, BL004, BL005, BL008, BL010, BL011, incl. stale-suppression audit) =="
-cargo run --release -p lint
-cargo run --release -p lint -- --format json > results/bento_lint_findings.json
-echo "findings document: results/bento_lint_findings.json (schema bento-lint/v1)"
+echo "== static analysis: clippy with clippy.toml's determinism bans and the workspace lints, unfulfilled expectations included =="
+cargo clippy --all-targets -- -D warnings
 
 echo "== dynamic determinism check: artifacts byte-identical across hash seeds and trial-runner thread counts =="
 cargo run --release -p bench --bin determinism_check
