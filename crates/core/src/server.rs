@@ -256,6 +256,16 @@ impl BentoServer {
         self.firewall.violations().len()
     }
 
+    /// Seccomp violations logged by the containers the box holds
+    /// (operator inspection).
+    pub fn seccomp_violations(&self) -> usize {
+        self.containers
+            .values()
+            .filter_map(|c| c.runtime.as_ref())
+            .map(|rt| rt.container.violations().len())
+            .sum()
+    }
+
     /// What the operator can see of each container's storage: FS Protect
     /// ciphertext for conclave containers, raw files for plain ones
     /// (§6.2's plausible-deniability inspection surface). Each entry pairs

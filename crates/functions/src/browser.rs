@@ -140,7 +140,8 @@ impl Browser {
     }
 
     fn finish_page(&mut self, api: &mut FunctionApi<'_>) {
-        // Build the single digest file: HTML + assets, compressed.
+        // Build the single digest: HTML + assets, compressed. It stays in
+        // memory; the manifest grants no file write.
         let mut raw = Vec::new();
         for p in &self.parts {
             raw.extend_from_slice(p);
@@ -149,10 +150,7 @@ impl Browser {
         // part of every page-load time in `results/`. Not a measurement of
         // `compress` on the host (see DESIGN.md §7, "Session kernels").
         let _ = api.cpu((raw.len() as u64 / 65_536).max(1));
-        let compressed = compress(&raw);
-        // Persist the digest (FS Protect under the SGX image).
-        let _ = api.fs_write("digest", &compressed);
-        self.digest = compressed;
+        self.digest = compress(&raw);
         let req = self.req.clone().expect("request in flight");
         match req.dropbox_on {
             None => {

@@ -5,7 +5,7 @@
 use bento::protocol::FunctionSpec;
 use bento::testnet::BentoNetwork;
 use bento::tokens::Token;
-use bento::{BentoClientNode, BentoEvent, MiddleboxPolicy};
+use bento::{BentoBoxNode, BentoClientNode, BentoEvent, MiddleboxPolicy};
 use bento_functions::browser::{self, BrowseRequest};
 use bento_functions::cover::{self, CoverRequest, Mode};
 use bento_functions::dropbox;
@@ -68,6 +68,39 @@ fn browser_fetches_compresses_and_pads() {
     // Total transfer is a multiple of the padding quantum.
     let total = (outputs[0].len() + outputs[1].len()) as u64;
     assert_eq!(total % padding, 0, "padded to a multiple of {padding}");
+}
+
+/// Browser's manifest grants no file writes, and a page load attempts
+/// none: the box's containers log no seccomp violation.
+#[test]
+fn browser_invoke_breaks_no_seccomp_rule() {
+    let mut bn = BentoNetwork::build(203, 1, MiddleboxPolicy::permissive(), standard_registry);
+    let site = SiteModel::generate(0, 77);
+    let server = bn.net.add_web_server("web", site.server_pages());
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: browser::manifest(false),
+    };
+    let session = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    let req = BrowseRequest {
+        server,
+        port: HTTP_PORT,
+        path: site.html_path(),
+        padding: 0,
+        dropbox_on: None,
+    };
+    assert!(
+        bn.invoke_and_wait(&session, req.encode(), SimDuration::from_secs(1), secs(90)),
+        "browse completed"
+    );
+    bn.net
+        .sim
+        .with_node::<BentoBoxNode, _>(bn.boxes[0], |n, _| {
+            assert_eq!(n.bento.live_functions(), 1, "Browser's container is up");
+            assert_eq!(n.bento.seccomp_violations(), 0, "no refused syscall");
+        });
 }
 
 #[test]

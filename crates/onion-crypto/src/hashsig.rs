@@ -8,8 +8,8 @@
 //! standard assumptions, simple to audit, and a few-time property (2^h
 //! signatures per key) that fits the epoch-signed documents it is used for.
 
-use crate::hmac::hmac_sha256_lanes;
-use crate::sha256::{finish_lanes, sha256_concat, Lanes, DIGEST_LEN, H0, LANES};
+use crate::hmac::HmacKey;
+use crate::sha256::{chain_lanes, pad_lanes, sha256_concat, Lanes, DIGEST_LEN, H0, LANES};
 use std::array::from_fn;
 
 /// Winternitz parameter: 4 bits per chain.
@@ -116,19 +116,28 @@ fn advance(x: &mut [Lanes; 8], steps: &[u8]) {
     for (row, word) in msg.iter_mut().zip(be_words::<4>(b"bento-wots-chain")) {
         *row = [word; LANES];
     }
-    for i in 0..steps.into_iter().max().unwrap_or(0) {
-        msg[4..].copy_from_slice(x);
-        for (row, next) in x.iter_mut().zip(finish_lanes(H0, 0, &msg)) {
-            *row = from_fn(|l| if i < steps[l] { next[l] } else { row[l] });
-        }
-    }
+    msg[4..].copy_from_slice(x);
+    *x = chain_lanes(H0, pad_lanes(0, &msg), 4, steps);
 }
 
-/// Secret chain starts `HMAC(seed, leaf ‖ chain)` for chains `first_chain..`
-/// of `leaf`, one per lane.
-fn secret_lanes(seed: &[u8; 32], leaf: u32, first_chain: usize) -> [Lanes; 8] {
-    let info = [[leaf; LANES], from_fn(|l| (first_chain + l) as u32)];
-    hmac_sha256_lanes(seed, &info)
+/// Secret chain starts `HMAC(seed, leaf ‖ chain)`, one per lane, for the
+/// key's chains `first..first + LANES` counted across leaves: chain `n` of
+/// the key is chain `n % L` of leaf `n / L`.
+fn secret_lanes(key: &HmacKey, first: usize) -> [Lanes; 8] {
+    let info = [
+        from_fn(|l| ((first + l) / L) as u32),
+        from_fn(|l| ((first + l) % L) as u32),
+    ];
+    key.mac_lanes(&info)
+}
+
+/// Lane `l` of `x` as bytes.
+fn lane_bytes(x: &[Lanes; 8], l: usize) -> [u8; DIGEST_LEN] {
+    let mut out = [0u8; DIGEST_LEN];
+    for (bytes, row) in out.chunks_exact_mut(4).zip(x) {
+        bytes.copy_from_slice(&row[l].to_be_bytes());
+    }
+    out
 }
 
 /// Run all `L` chains of one WOTS key, `LANES` at a time: chain `c` starts
@@ -139,9 +148,7 @@ fn run_chains(steps: &[u8; L], start: impl Fn(usize) -> [Lanes; 8]) -> [[u8; DIG
         let mut x = start(group * LANES);
         advance(&mut x, steps);
         for (l, val) in vals.iter_mut().enumerate() {
-            for (bytes, row) in val.chunks_exact_mut(4).zip(x) {
-                bytes.copy_from_slice(&row[l].to_be_bytes());
-            }
+            *val = lane_bytes(&x, l);
         }
     }
     out
@@ -181,18 +188,29 @@ pub struct MerkleVerifyKey {
 }
 
 impl MerkleSigner {
-    /// Generate a signer from a seed. `height` of 4–8 is typical; keygen cost
-    /// is `2^height * 67 * 16` hashes.
+    /// Generate a signer from a seed. `height` of 4–8 is typical. Keygen
+    /// runs `2^height * 67` chains of 15 steps, each step one compression,
+    /// plus two HMAC compressions for each chain's secret, plus one leaf
+    /// hash (34 compressions) a leaf. The chains of consecutive leaves share
+    /// lane groups, so only the key's last group can have idle lanes.
     pub fn generate(seed: [u8; 32], height: usize) -> Self {
         assert!((1..=16).contains(&height), "unreasonable tree height");
-        let n_leaves = 1usize << height;
-        let leaves: Vec<[u8; DIGEST_LEN]> = (0..n_leaves as u32)
-            .map(|leaf| {
-                leaf_hash(&run_chains(&[W as u8 - 1; L], |c| {
-                    secret_lanes(&seed, leaf, c)
-                }))
-            })
-            .collect();
+        let key = HmacKey::new(&seed);
+        let n_chains = L << height;
+        let mut leaves = Vec::with_capacity(1 << height);
+        let mut tops = [[0u8; DIGEST_LEN]; L];
+        for first in (0..n_chains).step_by(LANES) {
+            let lanes = LANES.min(n_chains - first);
+            let mut x = secret_lanes(&key, first);
+            advance(&mut x, &[W as u8 - 1; LANES][..lanes]);
+            for l in 0..lanes {
+                let chain = (first + l) % L;
+                tops[chain] = lane_bytes(&x, l);
+                if chain == L - 1 {
+                    leaves.push(leaf_hash(&tops));
+                }
+            }
+        }
         let mut tree = vec![leaves];
         for level in 0..height {
             let prev = &tree[level];
@@ -232,7 +250,8 @@ impl MerkleSigner {
         self.next_leaf += 1;
         let digest = sha256_concat(&[b"bento-wots-msg", msg]);
         let d = digits(&digest);
-        let wots = run_chains(&d, |c| secret_lanes(&self.seed, leaf, c)).to_vec();
+        let key = HmacKey::new(&self.seed);
+        let wots = run_chains(&d, |c| secret_lanes(&key, leaf as usize * L + c)).to_vec();
         let mut auth_path = Vec::with_capacity(self.height);
         let mut idx = leaf as usize;
         for level in 0..self.height {
@@ -371,6 +390,28 @@ mod tests {
         assert!(!vk.verify(b"m", &sig));
     }
 
+    /// Every lane of `advance` is the scalar chain, for step lists of every
+    /// length up to `LANES` (the lanes past the end stand still).
+    #[test]
+    fn advance_equals_scalar_chains_for_short_step_lists() {
+        use crate::sha256::sha256;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+        for len in 0..=LANES {
+            let start: [Lanes; 8] = from_fn(|_| from_fn(|_| rng.gen()));
+            let steps: Vec<u8> = (0..len).map(|_| rng.gen_range(0..W as u8)).collect();
+            let mut x = start;
+            advance(&mut x, &steps);
+            for l in 0..LANES {
+                let mut want = lane_bytes(&start, l);
+                for _ in 0..steps.get(l).copied().unwrap_or(0) {
+                    want = sha256(&[&b"bento-wots-chain"[..], &want].concat());
+                }
+                assert_eq!(lane_bytes(&x, l), want, "{len} steps given, lane {l}");
+            }
+        }
+    }
+
     /// Roots and first signatures pinned from the scalar code: keys and
     /// signatures are a function of the seed alone, whatever computes them.
     #[test]
@@ -393,8 +434,16 @@ mod tests {
                 "c8e6f34cfebdc8f4a1a6d624e6684b75911f07bf61305c122b2ccfdbdda8ecd6",
                 "9d24a80e60002cccbce6316466220badfc01f648aec7c4178ecafeb10e717128",
             ),
+            (
+                "0a240df413ac6a8eb5dd3bd50ccc2a990b282e2c09f3668dc308bb9658101fe3",
+                "bd6fe56072698e7b2b6998c4d3ce944c8c74699cb763c7c3ab9a5c27ee3e60ec",
+            ),
+            (
+                "230e6b9078065487f9d3f7de14e21711d05f14e8c88b9a20ff1cbd08ec1865e7",
+                "abb90fd3c057f948c0ded3779295238b3a9ede90033d416fc7d345afeb1a6737",
+            ),
         ];
-        for (height, (root, sig_digest)) in (1..=4).zip(pinned) {
+        for (height, (root, sig_digest)) in (1..=6).zip(pinned) {
             let mut s = MerkleSigner::generate([0x5e; 32], height);
             let sig = s.sign(b"pinned message").unwrap();
             assert_eq!(digest_hex(&s.verify_key().root), root, "height {height}");

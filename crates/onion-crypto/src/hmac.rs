@@ -53,20 +53,20 @@ impl HmacKey {
         outer.update(&inner.finalize());
         outer.finalize()
     }
+
+    /// `LANES` tags at once, for messages of at most 13 words each
+    /// (`msg[i][l]` is word `i` of lane `l`'s message); the tags in word
+    /// form. Equal to [`hmac_sha256`] lane by lane.
+    pub(crate) fn mac_lanes(&self, msg: &[Lanes]) -> [Lanes; 8] {
+        let inner = finish_lanes(self.inner, BLOCK as u32, msg);
+        finish_lanes(self.outer, BLOCK as u32, &inner)
+    }
 }
 
 /// HMAC over multiple message parts, streamed straight into the inner hash
 /// (the message is never concatenated into a scratch buffer).
 pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
     HmacKey::new(key).mac_parts(parts)
-}
-
-/// `LANES` HMACs under one key at once, for messages of at most 13 words
-/// each (`msg[i][l]` is word `i` of lane `l`'s message); the digests in
-/// word form. Equal to [`hmac_sha256`] lane by lane.
-pub(crate) fn hmac_sha256_lanes(key: &[u8], msg: &[Lanes]) -> [Lanes; 8] {
-    let HmacKey { inner, outer } = HmacKey::new(key);
-    finish_lanes(outer, BLOCK as u32, &finish_lanes(inner, BLOCK as u32, msg))
 }
 
 /// HKDF-Extract: a pseudorandom key from input keying material and salt.
@@ -198,6 +198,28 @@ mod tests {
         assert!(!ct_eq(b"same", b"sane"));
         assert!(!ct_eq(b"short", b"longer"));
         assert!(ct_eq(b"", b""));
+    }
+
+    /// Sixteen lane tags, on the build's lane backend, equal the scalar
+    /// tag of each lane's message, for every message length the lanes take
+    /// and for a key longer than a block.
+    #[test]
+    fn mac_lanes_equals_scalar_in_every_lane() {
+        use crate::sha256::LANES;
+        use rand::{Rng, SeedableRng};
+        use std::array::from_fn;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+        for words in 0..=13 {
+            let key: Vec<u8> = (0..[32, 20, 100][words % 3]).map(|_| rng.gen()).collect();
+            let msg: Vec<Lanes> = (0..words).map(|_| from_fn(|_| rng.gen())).collect();
+            let tags = HmacKey::new(&key).mac_lanes(&msg);
+            for l in 0..LANES {
+                let bytes: Vec<u8> = msg.iter().flat_map(|row| row[l].to_be_bytes()).collect();
+                let want = hmac_sha256(&key, &bytes);
+                let got: Vec<u8> = tags.iter().flat_map(|row| row[l].to_be_bytes()).collect();
+                assert_eq!(got, want, "{words} words, lane {l}");
+            }
+        }
     }
 
     #[test]

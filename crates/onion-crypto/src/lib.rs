@@ -22,7 +22,8 @@
 //! * [`hashsig`] — Winternitz one-time signatures under a Merkle tree
 //!   (an XMSS-style few-time scheme), used for directory and descriptor
 //!   signatures; hash-based so it needs nothing beyond SHA-256, sixteen
-//!   chains to a vectorized compression call.
+//!   chains to a lane call, which runs in `zmm` registers when the build
+//!   targets AVX-512F ([`Sha256::lanes_backend`] says which).
 //! * [`aead`] — encrypt-then-MAC authenticated encryption from ChaCha20 +
 //!   HMAC-SHA256: the conclave channel, sealed storage and FS Protect.
 //! * [`ntor`] — the ntor-style authenticated circuit handshake.
@@ -36,9 +37,10 @@
 //! exists to make the reproduction's code paths genuine, not to protect
 //! production traffic.
 
-// `deny`, not `forbid`, for one reason, met three times:
-// `sha256::compress`, `aes::ctr_xor` and `x25519::ladder_pair` carry the
-// workspace's only three `expect(unsafe_code)`, each a single call from a
+// `deny`, not `forbid`, for one reason, met four times:
+// `sha256::compress`, `sha256::chain_lanes`, `aes::ctr_xor` and
+// `x25519::ladder_pair` carry the workspace's only four
+// `expect(unsafe_code)`, each a single call from a
 // function without `#[target_feature]` into one with it, under a `cfg` on
 // the same item that proves the features at compile time. Every other
 // crate forbids.

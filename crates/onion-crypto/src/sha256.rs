@@ -9,6 +9,11 @@
 //! [`compress`] is whichever the build selected and [`Sha256::backend`]
 //! names it; there is no runtime detection. Both produce the same bytes —
 //! the unit tests compare them block for block.
+//!
+//! The sixteen-lane code behind hash chains and lane HMACs
+//! (`chain_lanes`) has two backends the same way: portable lane arrays
+//! (`chain_lanes_portable`) and, when the build's target features include
+//! AVX-512F, the `zmm` module; [`Sha256::lanes_backend`] names the one built.
 
 /// Hardware backend: present only when the build proves its instructions.
 #[cfg(all(
@@ -18,6 +23,10 @@
     target_feature = "ssse3"
 ))]
 mod ni;
+
+/// Lane backend: present only when the build proves its instructions.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod zmm;
 
 /// Digest length in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -73,6 +82,16 @@ impl Sha256 {
             target_feature = "ssse3"
         )) {
             "x86-sha-ni"
+        } else {
+            "portable"
+        }
+    }
+
+    /// Name of the sixteen-lane backend this build selected:
+    /// `"x86-avx512f"` or `"portable"`.
+    pub fn lanes_backend() -> &'static str {
+        if cfg!(all(target_arch = "x86_64", target_feature = "avx512f")) {
+            "x86-avx512f"
         } else {
             "portable"
         }
@@ -274,7 +293,7 @@ pub fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
     }
 }
 
-/// How many independent hashes [`finish_lanes`] computes at once.
+/// How many independent hashes the lane code computes at once.
 pub(crate) const LANES: usize = 16;
 
 /// One 32-bit word of `LANES` independent hash computations.
@@ -318,20 +337,73 @@ fn compress_lanes(state: &mut [Lanes; 8], mut w: [Lanes; 16]) {
     }
 }
 
-/// Finish `LANES` hashes at once: each has absorbed `prior_bytes` (whole
-/// blocks) to reach `state`, and lane `l`'s remaining message is the words
-/// `tail[..][l]`, at most 13 so that it pads into one block. The digests
-/// come back in word form, ready to be the next call's `tail` — which is
-/// what hash chains and HMAC's outer hash both want. Hash-based signatures,
-/// whose chains are independent one-block hashes, are the caller.
-pub(crate) fn finish_lanes(state: [u32; 8], prior_bytes: u32, tail: &[Lanes]) -> [Lanes; 8] {
+/// The last block of `LANES` messages that have absorbed `prior_bytes`
+/// (whole blocks) and end in the words `tail[..][l]`, at most 13 so that
+/// they pad into one block.
+pub(crate) fn pad_lanes(prior_bytes: u32, tail: &[Lanes]) -> [Lanes; 16] {
     let mut w = [[0u32; LANES]; 16];
     w[..tail.len()].copy_from_slice(tail);
     w[tail.len()] = [0x8000_0000; LANES];
     w[15] = [(prior_bytes + 4 * tail.len() as u32) * 8; LANES];
-    let mut lanes = state.map(|word| [word; LANES]);
-    compress_lanes(&mut lanes, w);
-    lanes
+    w
+}
+
+/// `LANES` hash chains in lockstep, on the backend this build selected (see
+/// [`Sha256::lanes_backend`]). Lane `l` holds the padded last block
+/// `block[..][l]` of a message hashed from `state`, whose words `at..at + 8`
+/// are the chain's value; a step replaces them with the block's digest, and
+/// lane `l` takes `steps[l]` steps. Returns the value words after the
+/// steps. With every step count 1, that is one digest per lane whatever
+/// `at` is.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[expect(unsafe_code, reason = "the cfg above proves the target feature")]
+#[inline]
+pub(crate) fn chain_lanes(
+    state: [u32; 8],
+    block: [Lanes; 16],
+    at: usize,
+    steps: Lanes,
+) -> [Lanes; 8] {
+    // SAFETY: the callee's only precondition is that the CPU has the target
+    // feature it enables (avx512f), and the cfg on this very item admits it
+    // to the build only when the compiler targets it.
+    unsafe { zmm::chain_lanes(state, block, at, steps) }
+}
+
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+pub(crate) use chain_lanes_portable as chain_lanes;
+
+/// [`chain_lanes`] in portable lane arrays: the backend of every build
+/// without AVX-512F, and the reference the `zmm` backend is tested against
+/// on builds with it.
+#[cfg_attr(
+    all(target_arch = "x86_64", target_feature = "avx512f", not(test)),
+    expect(dead_code, reason = "the zmm backend replaces it outside the tests")
+)]
+pub(crate) fn chain_lanes_portable(
+    state: [u32; 8],
+    mut block: [Lanes; 16],
+    at: usize,
+    steps: Lanes,
+) -> [Lanes; 8] {
+    let start = state.map(|word| [word; LANES]);
+    for i in 0..steps.into_iter().max().unwrap_or(0) {
+        let mut digest = start;
+        compress_lanes(&mut digest, block);
+        for (row, word) in block[at..at + 8].iter_mut().zip(digest) {
+            *row = std::array::from_fn(|l| if i < steps[l] { word[l] } else { row[l] });
+        }
+    }
+    std::array::from_fn(|r| block[at + r])
+}
+
+/// Finish `LANES` hashes at once: each has absorbed `prior_bytes` (whole
+/// blocks) to reach `state`, and lane `l`'s remaining message is the words
+/// `tail[..][l]`, at most 13 so that it pads into one block. The digests
+/// come back in word form, ready to be the next call's `tail` — which is
+/// what HMAC's outer hash wants.
+pub(crate) fn finish_lanes(state: [u32; 8], prior_bytes: u32, tail: &[Lanes]) -> [Lanes; 8] {
+    chain_lanes(state, pad_lanes(prior_bytes, tail), 0, [1; LANES])
 }
 
 /// One-shot SHA-256.
@@ -501,6 +573,44 @@ mod tests {
         let b = b"world";
         let joined: Vec<u8> = a.iter().chain(b.iter()).copied().collect();
         assert_eq!(sha256_concat(&[a, b]), sha256(&joined));
+    }
+
+    /// The active lane backend computes what the portable lane code does,
+    /// and both what a scalar chain over `compress_portable` does lane by
+    /// lane: random states and blocks in every lane, 0–15 steps per lane,
+    /// the chain's value anywhere in the block.
+    #[test]
+    fn chain_lanes_equal_portable_and_scalar_in_every_lane() {
+        use rand::{Rng, SeedableRng};
+        use std::array::from_fn;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+        for case in 0..36 {
+            let state: [u32; 8] = from_fn(|_| rng.gen());
+            let block: [Lanes; 16] = from_fn(|_| from_fn(|_| rng.gen()));
+            let at = case % 9;
+            let steps: Lanes = from_fn(|_| rng.gen_range(0..16));
+            let active = chain_lanes(state, block, at, steps);
+            let what = format!("case {case} on {}", Sha256::lanes_backend());
+            assert_eq!(
+                active,
+                chain_lanes_portable(state, block, at, steps),
+                "{what}"
+            );
+            for l in 0..LANES {
+                let mut words: [u32; 16] = from_fn(|i| block[i][l]);
+                for _ in 0..steps[l] {
+                    let bytes: [u8; 64] = from_fn(|b| words[b / 4].to_be_bytes()[b % 4]);
+                    let mut digest = state;
+                    compress_portable(&mut digest, &[bytes]);
+                    words[at..at + 8].copy_from_slice(&digest);
+                }
+                assert_eq!(
+                    active.map(|row| row[l]),
+                    words[at..at + 8],
+                    "{what}, lane {l}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 echo "== building (release) =="
 cargo build --release -p bench
 
-echo "== unsafe budget: three cfg-proven calls in onion-crypto, forbid(unsafe_code) in the other nine crates =="
+echo "== unsafe budget: four cfg-proven calls in onion-crypto, forbid(unsafe_code) in the other nine crates =="
 bash scripts/unsafe_budget.sh
 
 echo "== static analysis: clippy with clippy.toml's determinism bans and the workspace lints, unfulfilled expectations included =="
