@@ -222,6 +222,23 @@ mod tests {
         assert_ne!(s1, s2);
     }
 
+    /// Sealed messages of lengths that cross every boundary of the
+    /// block-parallel ChaCha20 paths this crate used to have, hashed in
+    /// order into one digest, pinned from that code.
+    #[test]
+    fn sealed_lengths_are_pinned() {
+        use crate::sha256::{digest_hex, Sha256};
+        let mut h = Sha256::new();
+        for len in [0usize, 63, 64, 65, 256, 257, 512, 1024, 4096] {
+            let pt: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            h.update(&seal(&key(), &[5u8; 12], b"pin", &pt));
+        }
+        assert_eq!(
+            digest_hex(&h.finalize()),
+            "da452c8f9077b4ecc6a5e4b01da3330f6acc015f5c13c7cc728140b12e57cf8e"
+        );
+    }
+
     /// One sealed message pinned from the code before `AeadKey` kept its
     /// HMAC mid-states and before the hardware SHA-256 backend: key
     /// derivation, keystream and tag, byte for byte.

@@ -531,6 +531,36 @@ mod tests {
         }
     }
 
+    /// The keystream for every length 0..=1100, from a fresh cipher and
+    /// from one a byte into its stream, hashed in order into one digest per
+    /// start. Pinned from the block-parallel cipher this module replaced,
+    /// whose 4-, 8- and 16-lane paths switched at lengths up to 1 KiB: the
+    /// lengths cross every one of their boundaries.
+    #[test]
+    fn keystream_is_pinned_across_lengths() {
+        use crate::sha256::{digest_hex, Sha256};
+        let key: [u8; 32] = core::array::from_fn(|i| (i as u8).wrapping_mul(29) ^ 0x5c);
+        let nonce: [u8; 12] = core::array::from_fn(|i| 0xa0 + i as u8);
+        let zeros = [0u8; 1100];
+        let digest = |skip: usize| {
+            let mut h = Sha256::new();
+            for len in 0..=zeros.len() {
+                let mut c = ChaCha20::new(&key, &nonce);
+                c.apply(&mut [0u8; 1][..skip]);
+                h.update(&c.apply_copy(&zeros[..len]));
+            }
+            digest_hex(&h.finalize())
+        };
+        assert_eq!(
+            digest(0),
+            "de31637e434b61d9b86f401f45a72b9fbda62812ed959f6f6262ea7de9726295"
+        );
+        assert_eq!(
+            digest(1),
+            "40e0ef065d85f5ac960464c803ff339cfb0a553015a75b2abf4695c08f0dabce"
+        );
+    }
+
     #[test]
     fn different_nonces_differ() {
         let key = [5u8; 32];
