@@ -96,6 +96,36 @@ struct ContainerEntry {
     alive: bool,
 }
 
+impl ContainerEntry {
+    /// A live container with no function installed yet.
+    fn new(
+        image: ImageKind,
+        invocation_token: Token,
+        shutdown_token: Token,
+        channel: Option<AttestedChannel>,
+        enclave_id: Option<u64>,
+    ) -> Self {
+        ContainerEntry {
+            image,
+            invocation_token,
+            shutdown_token,
+            channel,
+            enclave_id,
+            runtime: None,
+            function: None,
+            manifest: None,
+            invoker: None,
+            conns: BTreeMap::new(),
+            circs: BTreeMap::new(),
+            circs_rev: BTreeMap::new(),
+            streams: BTreeMap::new(),
+            streams_rev: BTreeMap::new(),
+            hss: BTreeMap::new(),
+            alive: true,
+        }
+    }
+}
+
 struct HsEntry {
     container: u64,
     fn_handle: u64,
@@ -338,13 +368,7 @@ impl BentoServer {
         for frame in frames {
             match BentoMsg::decode(&frame) {
                 Ok(msg) => self.handle_msg(deps, stream, msg),
-                Err(_) => self.reply(
-                    deps,
-                    stream,
-                    &BentoMsg::Rejected {
-                        reason: "malformed frame".into(),
-                    },
-                ),
+                Err(_) => self.reject(deps, stream, "malformed frame"),
             }
         }
     }
@@ -358,6 +382,12 @@ impl BentoServer {
                 c.invoker = None;
             }
         }
+    }
+
+    /// Refuse a client's request, saying why.
+    fn reject(&mut self, deps: &mut Deps<'_, '_>, stream: LocalStream, reason: impl Into<String>) {
+        let reason = reason.into();
+        self.reply(deps, stream, &BentoMsg::Rejected { reason });
     }
 
     fn reply(&mut self, deps: &mut Deps<'_, '_>, stream: LocalStream, msg: &BentoMsg) {
@@ -390,13 +420,7 @@ impl BentoServer {
             BentoMsg::Shutdown { token } => self.handle_shutdown(deps, stream, token),
             // Client-bound messages arriving at the server are protocol
             // violations; refuse quietly.
-            _ => self.reply(
-                deps,
-                stream,
-                &BentoMsg::Rejected {
-                    reason: "unexpected message".into(),
-                },
-            ),
+            _ => self.reject(deps, stream, "unexpected message"),
         }
     }
 
@@ -408,13 +432,7 @@ impl BentoServer {
         client_hello: Option<Vec<u8>>,
     ) {
         if self.live_functions() >= self.policy.max_functions as usize {
-            self.reply(
-                deps,
-                stream,
-                &BentoMsg::Rejected {
-                    reason: "function limit reached".into(),
-                },
-            );
+            self.reject(deps, stream, "function limit reached");
             return;
         }
         let offered = match image {
@@ -422,13 +440,7 @@ impl BentoServer {
             ImageKind::Sgx => self.policy.offers_sgx,
         };
         if !offered {
-            self.reply(
-                deps,
-                stream,
-                &BentoMsg::Rejected {
-                    reason: "image not offered".into(),
-                },
-            );
+            self.reject(deps, stream, "image not offered");
             return;
         }
         let id = self.next_container;
@@ -439,13 +451,7 @@ impl BentoServer {
             ImageKind::Plain => (None, None, None),
             ImageKind::Sgx => {
                 let Some(hello) = client_hello else {
-                    self.reply(
-                        deps,
-                        stream,
-                        &BentoMsg::Rejected {
-                            reason: "SGX image requires attestation hello".into(),
-                        },
-                    );
+                    self.reject(deps, stream, "SGX image requires attestation hello");
                     return;
                 };
                 // The conclave's footprint is the runtime base plus the
@@ -458,13 +464,7 @@ impl BentoServer {
                     self.platform.tcb_version,
                 );
                 if !self.epc.register(id, footprint) {
-                    self.reply(
-                        deps,
-                        stream,
-                        &BentoMsg::Rejected {
-                            reason: "enclave exceeds EPC".into(),
-                        },
-                    );
+                    self.reject(deps, stream, "enclave exceeds EPC");
                     return;
                 }
                 self.epc.touch(id);
@@ -473,13 +473,7 @@ impl BentoServer {
                 // degrade to a rejection rather than unwrap.
                 let Ok(mut ias) = self.ias.lock() else {
                     self.epc.unregister(id);
-                    self.reply(
-                        deps,
-                        stream,
-                        &BentoMsg::Rejected {
-                            reason: "attestation service unavailable".into(),
-                        },
-                    );
+                    self.reject(deps, stream, "attestation service unavailable");
                     return;
                 };
                 match AttestedChannel::server_respond(
@@ -493,13 +487,7 @@ impl BentoServer {
                     Err(e) => {
                         drop(ias);
                         self.epc.unregister(id);
-                        self.reply(
-                            deps,
-                            stream,
-                            &BentoMsg::Rejected {
-                                reason: format!("attestation failed: {e}"),
-                            },
-                        );
+                        self.reject(deps, stream, format!("attestation failed: {e}"));
                         return;
                     }
                 }
@@ -507,24 +495,7 @@ impl BentoServer {
         };
         self.containers.insert(
             id,
-            ContainerEntry {
-                image,
-                invocation_token,
-                shutdown_token,
-                channel,
-                enclave_id,
-                runtime: None,
-                function: None,
-                manifest: None,
-                invoker: None,
-                conns: BTreeMap::new(),
-                circs: BTreeMap::new(),
-                circs_rev: BTreeMap::new(),
-                streams: BTreeMap::new(),
-                streams_rev: BTreeMap::new(),
-                hss: BTreeMap::new(),
-                alive: true,
-            },
+            ContainerEntry::new(image, invocation_token, shutdown_token, channel, enclave_id),
         );
         let ready = BentoMsg::ContainerReady {
             container_id: id,
@@ -559,110 +530,64 @@ impl BentoServer {
         payload: Vec<u8>,
         sealed: bool,
     ) {
-        let reject = |server: &mut Self, deps: &mut Deps<'_, '_>, reason: String| {
-            server.reply(deps, stream, &BentoMsg::Rejected { reason });
-        };
         let Some(entry) = self.containers.get_mut(&container_id) else {
-            reject(self, deps, "no such container".into());
+            self.reject(deps, stream, "no such container");
             return;
         };
         if !entry.alive || entry.runtime.is_some() {
-            reject(self, deps, "container not accepting uploads".into());
+            self.reject(deps, stream, "container not accepting uploads");
             return;
         }
         let plain = if sealed {
             let Some(channel) = entry.channel.as_mut() else {
-                reject(self, deps, "no attested channel".into());
+                self.reject(deps, stream, "no attested channel");
                 return;
             };
-            match channel.open_msg(&payload) {
-                Ok(p) => p,
-                Err(_) => {
-                    reject(self, deps, "sealed payload failed to open".into());
-                    return;
-                }
-            }
+            let Ok(plain) = channel.open_msg(&payload) else {
+                self.reject(deps, stream, "sealed payload failed to open");
+                return;
+            };
+            plain
         } else {
             payload
         };
-        let spec = match FunctionSpec::decode(&plain) {
-            Ok(s) => s,
-            Err(_) => {
-                reject(self, deps, "malformed function spec".into());
-                return;
-            }
+        let Ok(spec) = FunctionSpec::decode(&plain) else {
+            self.reject(deps, stream, "malformed function spec");
+            return;
         };
         // Manifest vs image consistency and node policy (§5.5).
         let entry_image = entry.image;
         if spec.manifest.image != entry_image {
-            reject(self, deps, "manifest image mismatch".into());
+            self.reject(deps, stream, "manifest image mismatch");
             return;
         }
         if let Some(reason) = self.policy.refuses(&spec.manifest) {
-            reject(self, deps, reason);
+            self.reject(deps, stream, reason);
             return;
         }
         let Some(function) = self.registry.instantiate(&spec.manifest.name, &spec.params) else {
-            reject(
-                self,
+            self.reject(
                 deps,
+                stream,
                 format!("unknown function {:?}", spec.manifest.name),
             );
             return;
         };
-        // Build the execution environment, least-privilege per manifest.
-        let limits = ResourceLimits {
-            memory: spec.manifest.memory.min(self.policy.max_memory),
-            cpu_ms: self.policy.max_cpu_ms,
-            disk: spec.manifest.disk.min(self.policy.max_disk),
-            network: self.function_network_budget,
-        };
-        let net_rules = self.compile_net_rules();
-        let container = Container::new(
-            container_id,
-            limits,
-            spec.manifest.to_seccomp(),
-            net_rules,
-            limits.disk.max(1),
-            1024,
-        );
-        let fsp = match entry_image {
-            ImageKind::Sgx => Some(FsProtect::launch(&mut self.rng)),
-            ImageKind::Plain => None,
-        };
-        // Charge the base footprint against the aggregate group.
-        if self.aggregate.alloc_memory(FN_BASE_MEMORY).is_err() {
-            reject(self, deps, "box function memory exhausted".into());
-            return;
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "entry inserted into `containers` earlier in this function"
-        )]
-        let entry = self.containers.get_mut(&container_id).expect("exists");
-        entry.runtime = Some(ContainerRuntime {
-            container,
-            fsp,
-            image: entry_image,
-        });
-        entry.function = Some(function);
         // Until the first Invoke arrives, function output (e.g. unsolicited
         // load reports from a timer) rides the uploader's stream — otherwise
         // a never-invoked function has no way to speak at all.
-        entry.invoker = Some(stream);
-        self.firewall
-            .register_function(container_id, spec.manifest.stem.iter().copied());
-        entry.manifest = Some(spec.manifest);
-        self.run_function(deps, container_id, |f, api| f.on_install(api));
+        if !self.install_function(deps, container_id, spec.manifest, function, Some(stream)) {
+            self.reject(deps, stream, "box function memory exhausted");
+            return;
+        }
         // The entry may have terminated itself during install.
         if let Some(e) = self.containers.get(&container_id).filter(|c| c.alive) {
             // Persist the function to the box's sealed disk so a host crash
             // can rebuild it with the same client-held tokens.
-            let (invocation_token, shutdown_token) = (e.invocation_token, e.shutdown_token);
             let record = StoredFunction {
                 image: entry_image,
-                invocation_token,
-                shutdown_token,
+                invocation_token: e.invocation_token,
+                shutdown_token: e.shutdown_token,
                 spec: plain,
             };
             let (secret, measurement) = self.sealing_identity();
@@ -672,14 +597,61 @@ impl BentoServer {
             );
             self.reply(deps, stream, &BentoMsg::UploadOk { container_id });
         } else {
-            self.reply(
-                deps,
-                stream,
-                &BentoMsg::Rejected {
-                    reason: "function terminated during install".into(),
-                },
-            );
+            self.reject(deps, stream, "function terminated during install");
         }
+    }
+
+    /// Install `function` into container `id`, for an upload and for a
+    /// restore from the sealed store alike: the execution environment,
+    /// least-privilege per manifest (§5.5), FS Protect for an SGX image,
+    /// the base footprint charged against the aggregate group and the Stem
+    /// grant, then the function's `on_install`. False, with nothing
+    /// installed, when the box's function memory is exhausted.
+    fn install_function(
+        &mut self,
+        deps: &mut Deps<'_, '_>,
+        id: u64,
+        manifest: Manifest,
+        function: Box<dyn Function>,
+        invoker: Option<LocalStream>,
+    ) -> bool {
+        let net_rules = self.compile_net_rules();
+        let Some(entry) = self.containers.get_mut(&id) else {
+            return false;
+        };
+        let limits = ResourceLimits {
+            memory: manifest.memory.min(self.policy.max_memory),
+            cpu_ms: self.policy.max_cpu_ms,
+            disk: manifest.disk.min(self.policy.max_disk),
+            network: self.function_network_budget,
+        };
+        let container = Container::new(
+            id,
+            limits,
+            manifest.to_seccomp(),
+            net_rules,
+            limits.disk.max(1),
+            1024,
+        );
+        let fsp = match entry.image {
+            ImageKind::Sgx => Some(FsProtect::launch(&mut self.rng)),
+            ImageKind::Plain => None,
+        };
+        if self.aggregate.alloc_memory(FN_BASE_MEMORY).is_err() {
+            return false;
+        }
+        self.firewall
+            .register_function(id, manifest.stem.iter().copied());
+        entry.runtime = Some(ContainerRuntime {
+            container,
+            fsp,
+            image: entry.image,
+        });
+        entry.function = Some(function);
+        entry.manifest = Some(manifest);
+        entry.invoker = invoker;
+        self.run_function(deps, id, |f, api| f.on_install(api));
+        true
     }
 
     fn find_by_shutdown(&self, token: &[u8; 32]) -> Option<u64> {
@@ -701,23 +673,11 @@ impl BentoServer {
             .iter_mut()
             .find(|(_, c)| c.alive && c.invocation_token.matches(&token))
         else {
-            self.reply(
-                deps,
-                stream,
-                &BentoMsg::Rejected {
-                    reason: "bad invocation token".into(),
-                },
-            );
+            self.reject(deps, stream, "bad invocation token");
             return;
         };
         if entry.function.is_none() {
-            self.reply(
-                deps,
-                stream,
-                &BentoMsg::Rejected {
-                    reason: "no function uploaded".into(),
-                },
-            );
+            self.reject(deps, stream, "no function uploaded");
             return;
         }
         entry.invoker = Some(stream);
@@ -734,13 +694,7 @@ impl BentoServer {
         // The invocation token must NOT be sufficient: only the shutdown
         // token terminates (§5.3).
         let Some(id) = self.find_by_shutdown(&token) else {
-            self.reply(
-                deps,
-                stream,
-                &BentoMsg::Rejected {
-                    reason: "bad shutdown token".into(),
-                },
-            );
+            self.reject(deps, stream, "bad shutdown token");
             return;
         };
         self.teardown_container(deps, id, "shutdown token presented");
@@ -856,68 +810,34 @@ impl BentoServer {
         let Some(function) = self.registry.instantiate(&spec.manifest.name, &spec.params) else {
             return false;
         };
-        let limits = ResourceLimits {
-            memory: spec.manifest.memory.min(self.policy.max_memory),
-            cpu_ms: self.policy.max_cpu_ms,
-            disk: spec.manifest.disk.min(self.policy.max_disk),
-            network: self.function_network_budget,
-        };
-        let net_rules = self.compile_net_rules();
-        let container = Container::new(
-            id,
-            limits,
-            spec.manifest.to_seccomp(),
-            net_rules,
-            limits.disk.max(1),
-            1024,
-        );
-        let (fsp, enclave_id) = match record.image {
+        let enclave_id = match record.image {
             ImageKind::Sgx => {
-                let footprint = Self::enclave_footprint(0);
-                if !self.epc.register(id, footprint) {
+                if !self.epc.register(id, Self::enclave_footprint(0)) {
                     return false;
                 }
                 self.epc.touch(id);
-                (Some(FsProtect::launch(&mut self.rng)), Some(id))
+                Some(id)
             }
-            ImageKind::Plain => (None, None),
+            ImageKind::Plain => None,
         };
-        if self.aggregate.alloc_memory(FN_BASE_MEMORY).is_err() {
+        // No attested channel: clients must re-attest for sealed uploads.
+        let entry = ContainerEntry::new(
+            record.image,
+            record.invocation_token,
+            record.shutdown_token,
+            None,
+            enclave_id,
+        );
+        self.containers.insert(id, entry);
+        if !self.install_function(deps, id, spec.manifest, function, None) {
+            self.containers.remove(&id);
             if let Some(eid) = enclave_id {
                 self.epc.unregister(eid);
             }
             return false;
         }
         self.next_container = self.next_container.max(id + 1);
-        self.firewall
-            .register_function(id, spec.manifest.stem.iter().copied());
-        self.containers.insert(
-            id,
-            ContainerEntry {
-                image: record.image,
-                invocation_token: record.invocation_token,
-                shutdown_token: record.shutdown_token,
-                channel: None, // clients must re-attest for sealed uploads
-                enclave_id,
-                runtime: Some(ContainerRuntime {
-                    container,
-                    fsp,
-                    image: record.image,
-                }),
-                function: Some(function),
-                manifest: Some(spec.manifest),
-                invoker: None,
-                conns: BTreeMap::new(),
-                circs: BTreeMap::new(),
-                circs_rev: BTreeMap::new(),
-                streams: BTreeMap::new(),
-                streams_rev: BTreeMap::new(),
-                hss: BTreeMap::new(),
-                alive: true,
-            },
-        );
-        self.run_function(deps, id, |f, api| f.on_install(api));
-        self.containers.get(&id).map(|c| c.alive).unwrap_or(false)
+        self.containers.get(&id).is_some_and(|c| c.alive)
     }
 
     // ------------------------------------------------------------------

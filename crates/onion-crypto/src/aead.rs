@@ -1,8 +1,12 @@
 //! Authenticated encryption: ChaCha20 + HMAC-SHA256 encrypt-then-MAC.
 //!
 //! Used wherever the reproduction needs confidentiality *and* integrity in
-//! one shot: FS Protect file blocks, sealed enclave storage, and the
-//! attested channel a Bento client uploads its function over.
+//! one shot: FS Protect file blocks, sealed enclave storage, the attested
+//! channel a Bento client uploads its function over and hidden-service
+//! descriptors. Every one of those hands [`open_in_place`] bytes from
+//! outside, so nothing here may panic on them.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::chacha20::{ChaCha20, NONCE_LEN};
 use crate::hmac::{ct_eq, hkdf, HmacKey};
@@ -245,9 +249,8 @@ mod tests {
     #[test]
     fn sealed_output_is_pinned() {
         let sealed = seal(&key(), &[1u8; 12], b"header", b"secret payload");
-        let hex: String = sealed.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
-            hex,
+            crate::sha256::hex(&sealed),
             "86b038290c163094ae99b4a991112a0e85d07f67e625c71660ea042ae1580e2f\
              6641488170542d6fe2fcf83c6171"
         );

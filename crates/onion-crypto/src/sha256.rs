@@ -422,7 +422,8 @@ pub fn sha256_concat(parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
     h.finalize()
 }
 
-fn hex(bytes: &[u8]) -> String {
+/// Lowercase hex of any byte string.
+pub(crate) fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 

@@ -189,7 +189,8 @@ struct ManagedCirc {
     /// When the previous incarnation died (drives the time-to-recover
     /// histogram); cleared once a rebuild succeeds.
     failed_at: Option<SimTime>,
-    /// Slot of the incarnation that most recently failed, if any.
+    /// Slot of the failed incarnation its owner holds: the one the next
+    /// `CircuitRebuilt` names, however many attempts fail in between.
     origin: Option<usize>,
 }
 
@@ -960,8 +961,7 @@ impl TorClient {
                 self.failures.record(fp, ctx.now());
             }
         }
-        self.destroy_circuit(ctx, CircuitHandle(slot));
-        self.circuit_closed(ctx, slot);
+        self.refuse_circuit(ctx, slot);
     }
 
     /// A stream never reached Connected within `STREAM_TIMEOUT`: end it.
@@ -1120,8 +1120,7 @@ impl TorClient {
                     }
                     None => {
                         // Unrecognized backward cell: integrity violation.
-                        self.destroy_circuit(ctx, CircuitHandle(slot));
-                        self.circuit_closed(ctx, slot);
+                        self.refuse_circuit(ctx, slot);
                     }
                 }
             }
@@ -1138,8 +1137,7 @@ impl TorClient {
             return;
         };
         let Ok(keys) = ntor::client_finish(&build.handshake, reply) else {
-            self.destroy_circuit(ctx, CircuitHandle(slot));
-            self.circuit_closed(ctx, slot);
+            self.refuse_circuit(ctx, slot);
             return;
         };
         self.circuits[slot]
@@ -1653,6 +1651,21 @@ impl TorClient {
         ));
     }
 
+    /// The client gives up on a circuit itself (a build timeout, a failed
+    /// handshake, an unrecognized cell): DESTROY goes out, then the same
+    /// close bookkeeping as when the far side closes it.
+    fn refuse_circuit(&mut self, ctx: &mut Ctx<'_>, slot: usize) {
+        let c = &self.circuits[slot];
+        if !c.alive {
+            return;
+        }
+        let (conn, destroy) = (c.conn, Cell::new(c.circ_id, CellCmd::Destroy));
+        self.send_cell(ctx, conn, destroy);
+        self.circuit_closed(ctx, slot);
+    }
+
+    /// A circuit died: drop its lookup entry and timers, queue a managed
+    /// circuit's rebuild and emit [`TorEvent::CircuitClosed`].
     fn circuit_closed(&mut self, ctx: &mut Ctx<'_>, slot: usize) {
         if !self.circuits[slot].alive {
             return;
@@ -1672,9 +1685,11 @@ impl TorClient {
             ctx.cancel_timer(t);
         }
         // A managed circuit dying is not the end: carry its rebuild state
-        // into the backoff queue.
+        // into the backoff queue. A replacement that dies before it is ready
+        // keeps the origin its owner holds, so the eventual
+        // `CircuitRebuilt` names that circuit, not a failed attempt.
         if let Some(mut m) = self.circuits[slot].managed.take() {
-            m.origin = Some(slot);
+            m.origin.get_or_insert(slot);
             if m.failed_at.is_none() {
                 m.failed_at = Some(ctx.now());
             }

@@ -710,9 +710,10 @@ impl RelayCore {
                 self.send_spliced_wire(ctx, other, msg);
                 return;
             }
-            // Unrecognized cell at the end of an unspliced circuit — drop
-            // (protocol violation or tagging attack).
+            // Unrecognized cell at the end of an unspliced circuit: a
+            // protocol violation or tagging attack, so tear the circuit down.
             ctx.recycle_buf(msg);
+            self.teardown_circuit(ctx, slot, true);
         } else {
             // Backward direction: add our layer, pass toward the origin.
             let prev = {

@@ -15,10 +15,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simnet::{FaultAction, FaultPlan, LinkFault, SimDuration, SimTime};
+use simnet::{FaultAction, FaultPlan, LinkFault, NodeId, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use tor_net::client::TerminalReq;
-use tor_net::netbuild::{NetworkBuilder, TestClientNode};
+use tor_net::netbuild::{NetworkBuilder, TestClientNode, TorNetwork};
 use tor_net::ports::{HS_VIRTUAL_PORT, HTTP_PORT};
 use tor_net::stream_frame::encode_frame;
 use tor_net::{CircuitHandle, HiddenServiceHost, StreamTarget, TorEvent};
@@ -160,16 +160,64 @@ fn secs(s: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(s)
 }
 
+/// A web server holding a page at "/" and one recovery-enabled client
+/// whose managed circuit to it is ready at 5 s; `hops` are the client and
+/// the circuit's guard, middle and exit.
+struct OneCircuit {
+    client: NodeId,
+    server: NodeId,
+    circ: CircuitHandle,
+    hops: [NodeId; 4],
+}
+
+fn one_circuit(seed: u64, page: Vec<u8>) -> (TorNetwork, OneCircuit) {
+    let mut net = NetworkBuilder::new()
+        .seed(seed)
+        .middles(8)
+        .exits(3)
+        .hsdirs(2)
+        .build();
+    let server = net.add_web_server("web", vec![("/".to_string(), vec![page])]);
+    let client = net.add_client("victim");
+    net.sim
+        .with_node::<TestClientNode, _>(client, |n, _| n.tor.enable_recovery());
+    net.sim.run_until(secs(3));
+    let circ = net.sim.with_node::<TestClientNode, _>(client, |n, ctx| {
+        n.tor
+            .build_circuit_managed(ctx, TerminalReq::ExitTo(server, HTTP_PORT))
+            .expect("circuit")
+    });
+    net.sim.run_until(secs(5));
+    let path = net.sim.with_node::<TestClientNode, _>(client, |n, _| {
+        assert!(n.tor.is_ready(circ), "built before the faults");
+        n.tor.circuit_path(circ)
+    });
+    let relay = |i: usize| {
+        net.relays
+            .iter()
+            .find(|(_, f)| *f == path[i])
+            .expect("relay")
+            .0
+    };
+    let hops = [client, relay(0), relay(1), relay(2)];
+    (
+        net,
+        OneCircuit {
+            client,
+            server,
+            circ,
+            hops,
+        },
+    )
+}
+
 // ---------------------------------------------------------------------------
-// Corruption on a circuit's three hops: a recovery-enabled client fetches a
-// page in a loop while every link of its first circuit flips a byte in 2%
-// of the cells for ten seconds. An altered cell fails the per-hop digest (or
-// no longer parses as a cell) and is refused; none may reach the
-// application. A refusal can leave the fetch stalled — the exit drops a
-// refused forward cell silently, and a circuit the client refuses a cell on
-// is torn down without a `CircuitClosed` event or a rebuild — so the loop
-// abandons a fetch that makes no progress for 4 s and starts over on a
-// fresh circuit.
+// Corruption on a circuit's three hops: the client fetches a page in a loop
+// while every link of its first circuit flips a byte in 2% of the cells for
+// ten seconds. An altered cell fails the per-hop digest (or no longer
+// parses as a cell) and is refused; none may reach the application.
+// Whichever end refuses a cell tears the circuit down, so a stalled fetch
+// ends in `CircuitRebuilt` and starts over on the new circuit.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -180,44 +228,18 @@ struct CorruptRun {
     checked: u64,
     pages: u64,
     rebuilds: u64,
-    abandoned: u64,
 }
 
 fn run_corrupt_fetch(seed: u64) -> CorruptRun {
-    let mut net = NetworkBuilder::new()
-        .seed(seed)
-        .middles(8)
-        .exits(3)
-        .hsdirs(2)
-        .build();
     let page: Vec<u8> = (0..100_000u32).map(|i| (i * 31 % 251) as u8).collect();
     // The server sends the page as one frame; the stream carries exactly this.
     let served = encode_frame(&page);
-    let server = net.add_web_server("web", vec![("/".to_string(), vec![page])]);
-    let client = net.add_client("victim");
-    net.sim
-        .with_node::<TestClientNode, _>(client, |n, _| n.tor.enable_recovery());
-    net.sim.run_until(secs(3));
-    let to_server = TerminalReq::ExitTo(server, HTTP_PORT);
-    let mut circ = net.sim.with_node::<TestClientNode, _>(client, |n, ctx| {
-        n.tor
-            .build_circuit_managed(ctx, to_server)
-            .expect("circuit")
-    });
-    net.sim.run_until(secs(5));
-    // client–guard, guard–middle, middle–exit; never the exit–server link,
-    // which carries plain stream bytes no digest covers.
-    let path = net
-        .sim
-        .with_node::<TestClientNode, _>(client, |n, _| n.tor.circuit_path(circ));
-    let mut hops = vec![client];
-    hops.extend(path.iter().map(|fp| {
-        let relay = net.relays.iter().find(|(_, f)| f == fp);
-        relay.expect("hop is a relay").0
-    }));
-    assert_eq!(hops.len(), 4);
+    let (mut net, one) = one_circuit(seed, page);
+    let (client, mut circ) = (one.client, one.circ);
+    // Never the exit–server link, which carries plain stream bytes no
+    // digest covers.
     let mut plan = FaultPlan::new();
-    for pair in hops.windows(2) {
+    for pair in one.hops.windows(2) {
         plan = plan
             .link(secs(5), pair[0], pair[1], LinkFault::corrupt_pct(2.0))
             .link_clear(secs(15), pair[0], pair[1]);
@@ -227,11 +249,9 @@ fn run_corrupt_fetch(seed: u64) -> CorruptRun {
     let mut run = CorruptRun::default();
     let mut received: BTreeMap<(usize, u16), usize> = BTreeMap::new();
     let mut in_flight = false;
-    let mut last_progress = net.sim.now();
     while net.sim.now() < secs(40) {
         let now = net.sim.now();
         net.sim.run_until(now + SimDuration::from_millis(500));
-        let now = net.sim.now();
         let events = net
             .sim
             .with_node::<TestClientNode, _>(client, |n, _| n.take_events());
@@ -247,7 +267,6 @@ fn run_corrupt_fetch(seed: u64) -> CorruptRun {
                     );
                     *at += data.len();
                     run.checked += data.len() as u64;
-                    last_progress = now;
                     if *at == served.len() {
                         run.pages += 1;
                         in_flight = false;
@@ -261,27 +280,16 @@ fn run_corrupt_fetch(seed: u64) -> CorruptRun {
                 _ => {}
             }
         }
-        if in_flight && now.since(last_progress) > SimDuration::from_secs(4) {
-            run.abandoned += 1;
-            circ = net.sim.with_node::<TestClientNode, _>(client, |n, ctx| {
-                n.tor.destroy_circuit(ctx, circ);
-                n.tor
-                    .build_circuit_managed(ctx, to_server)
-                    .expect("circuit")
-            });
-            in_flight = false;
-        }
         if !in_flight {
             in_flight = net.sim.with_node::<TestClientNode, _>(client, |n, ctx| {
                 let s = n
                     .tor
-                    .open_stream(ctx, circ, StreamTarget::Node(server, HTTP_PORT));
+                    .open_stream(ctx, circ, StreamTarget::Node(one.server, HTTP_PORT));
                 if let Some(s) = s {
                     n.tor.send_stream(ctx, circ, s, &encode_frame(b"/"));
                 }
                 s.is_some()
             });
-            last_progress = now;
         }
     }
     run.events = net.sim.stats().events;
@@ -294,8 +302,67 @@ fn corrupted_cells_never_reach_the_application() {
     let a = run_corrupt_fetch(606);
     assert!(a.corrupted > 0, "cells were corrupted: {a:?}");
     assert!(a.pages > 0, "whole pages still arrive: {a:?}");
+    assert!(a.rebuilds > 0, "a refused cell's circuit is rebuilt: {a:?}");
     let b = run_corrupt_fetch(606);
     assert_eq!(a, b, "corruption runs replay deterministically");
+}
+
+/// A rebuild whose first attempt fails: the guard crashes while the client
+/// is cut off, so the replacement cannot be built until the heal. The
+/// owner holds only the original handle, and the one `CircuitRebuilt`
+/// must name it.
+#[test]
+fn rebuild_after_a_failed_attempt_names_the_original_circuit() {
+    let (mut net, one) = one_circuit(31, vec![1u8; 1000]);
+    let (client, circ) = (one.client, one.circ);
+    let plan = FaultPlan::new().partition(secs(5), vec![client]);
+    net.sim.install_faults(plan.heal(secs(20)));
+    net.sim
+        .inject_fault(secs(6), FaultAction::Crash(one.hops[1]));
+    net.sim.run_until(secs(40));
+    let events = net
+        .sim
+        .with_node::<TestClientNode, _>(client, |n, _| n.take_events());
+    let rebuilt: Vec<_> = events
+        .iter()
+        .filter(|e| matches!(e, TorEvent::CircuitRebuilt(..)))
+        .collect();
+    assert!(
+        matches!(rebuilt[..], [TorEvent::CircuitRebuilt(old, _)] if *old == circ),
+        "one rebuild, naming the circuit the owner holds: {rebuilt:?}"
+    );
+}
+
+/// The exit's refusal: one forward cell is lost on the client–guard link,
+/// so every later forward cell reaches the exit under the wrong keystream.
+/// The exit tears the circuit down and the client hears of it.
+#[test]
+fn exit_tears_down_a_circuit_it_cannot_recognize() {
+    let (mut net, one) = one_circuit(13, vec![1u8; 1000]);
+    let (client, guard, circ) = (one.client, one.hops[1], one.circ);
+    let plan = FaultPlan::new().link(secs(5), client, guard, LinkFault::loss_pct(100.0));
+    net.sim
+        .install_faults(plan.link_clear(secs(6), client, guard));
+    for until in [5_100, 7_000] {
+        net.sim
+            .run_until(SimTime::ZERO + SimDuration::from_millis(until));
+        // The first BEGIN is lost; the second reaches the exit one
+        // keystream position behind.
+        net.sim.with_node::<TestClientNode, _>(client, |n, ctx| {
+            let s = n
+                .tor
+                .open_stream(ctx, circ, StreamTarget::Node(one.server, HTTP_PORT));
+            assert!(s.is_some(), "the circuit is still ready");
+        });
+    }
+    net.sim.run_until(secs(9));
+    net.sim.with_node::<TestClientNode, _>(client, |n, _| {
+        assert!(
+            n.has_event(|e| matches!(e, TorEvent::CircuitClosed(c) if *c == circ)),
+            "the client hears the exit's DESTROY"
+        );
+        assert!(!n.tor.is_ready(circ));
+    });
 }
 
 // ---------------------------------------------------------------------------
