@@ -66,7 +66,6 @@ fn main() {
     }
     write_csv("chaos.csv", header, &rows);
     write_json_table("results/BENCH_chaos.json", "chaos", header, &rows);
-    opts.write_json_table("chaos", header, &rows);
     opts.export_telemetry("chaos_sweep");
     if !opts.quiet {
         println!("all trials recovered (goodput > 0, crash survived, circuits rebuilt)");

@@ -128,14 +128,5 @@ fn main() {
         "cover should mask activity: {ratio0:.1} -> {ratio1:.1}"
     );
     write_report("cover_ablation.txt", &report);
-    let rows = vec![
-        format!("no cover,{q0:.0},{a0:.0},{ratio0:.2}"),
-        format!("with cover,{q1:.0},{a1:.0},{ratio1:.2}"),
-    ];
-    opts.write_json_table(
-        "cover_ablation",
-        "condition,quiet_bytes,active_bytes,ratio",
-        &rows,
-    );
     opts.export_telemetry("cover_ablation");
 }

@@ -285,7 +285,6 @@ fn main() {
     }
     let mut done_without = 0;
     let mut done_with = 0;
-    let mut summary_rows = Vec::new();
     for i in 0..n_clients {
         let w = without.completion[i];
         let l = with_lb.completion[i];
@@ -300,7 +299,6 @@ fn main() {
         if !opts.quiet {
             println!("{:<8} {:>14} {:>14}", i + 1, w, l);
         }
-        summary_rows.push(format!("{},{w},{l}", i + 1));
     }
     let mean = |v: &Vec<Option<f64>>| {
         let xs: Vec<f64> = v.iter().flatten().copied().collect();
@@ -318,7 +316,6 @@ fn main() {
             with_lb.machines
         );
     }
-    opts.write_json_table("figure5", "client,without_lb_s,with_lb_s", &summary_rows);
     opts.export_telemetry("figure5");
 
     // The paper's shape, checked on what was just written. At the figure's

@@ -130,6 +130,5 @@ fn main() {
         rows.push(format!("{k},{fetch:.2},{:.3},{e2e:.2}", base / fetch));
     }
     write_csv("multipath_sweep.csv", "k,fetch_s,speedup,e2e_s", &rows);
-    opts.write_json_table("multipath_sweep", "k,fetch_s,speedup,e2e_s", &rows);
     opts.export_telemetry("multipath_sweep");
 }

@@ -61,6 +61,5 @@ fn main() {
         rows.push(format!("{padding},{acc:.4}"));
     }
     write_csv("padding_sweep.csv", "padding_bytes,accuracy", &rows);
-    opts.write_json_table("padding_sweep", "padding_bytes,accuracy", &rows);
     opts.export_telemetry("padding_sweep");
 }

@@ -88,14 +88,10 @@ fn main() {
             }) as Trial<PagingRow>
         })
         .collect();
-    let mut paging_rows = Vec::new();
     for (n, invocations, pages_in, pages_out, evictions, cost_us) in run_sweep("epc_paging", jobs) {
         report.push_str(&format!(
             "{n:<8} {invocations:<13} {pages_in:<10} {pages_out:<11} {evictions:<11} \
              {cost_us:>8} us\n",
-        ));
-        paging_rows.push(format!(
-            "{n},{invocations},{pages_in},{pages_out},{evictions},{cost_us}"
         ));
     }
     report.push('\n');
@@ -168,10 +164,5 @@ fn main() {
         print!("{report}");
     }
     write_report("scalability.txt", &report);
-    opts.write_json_table(
-        "scalability_epc_paging",
-        "loaded,invocations,pages_in,pages_out,evictions,paging_cost_us",
-        &paging_rows,
-    );
     opts.export_telemetry("scalability");
 }

@@ -5,16 +5,14 @@
 //!
 //! Full scale: `cargo run -p bench --release --bin table1`
 //! Quick check: add `--sites 20 --visits 4`.
-//! Classifier ablation rows: add `--ablate`.
 
-use bench::{arg_flag, arg_u64, write_csv};
+use bench::{arg_u64, write_csv};
 use wfp::{collect_traces, evaluate, Classifier, CollectConfig, Defense};
 
 fn main() {
     let n_sites = arg_u64("--sites", 100) as u32;
     let n_visits = arg_u64("--visits", 10) as u32;
     let seed = arg_u64("--seed", 1);
-    let ablate = arg_flag("--ablate");
 
     let conditions = [
         Defense::StandardTor,
@@ -66,15 +64,6 @@ fn main() {
             knn.n_train,
             knn.n_test
         ));
-        if ablate {
-            let mlp = evaluate(&traces, Classifier::Mlp, 0.7);
-            println!(
-                "    ablation: knn={:.2}% nb={:.2}% mlp={:.2}%",
-                knn.accuracy * 100.0,
-                nb.accuracy * 100.0,
-                mlp.accuracy * 100.0
-            );
-        }
     }
     write_csv(
         "table1.csv",

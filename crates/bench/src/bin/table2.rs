@@ -213,7 +213,6 @@ fn main() {
     const HEADER: &str = "domain,standard_s,browser0_s,browser1mb_s,browser7mb_s,\
                           paper_standard,paper_0mb,paper_1mb,paper_7mb";
     write_csv("table2.csv", HEADER, &rows);
-    opts.write_json_table("table2", HEADER, &rows);
     opts.export_telemetry("table2");
 
     // The paper's shape, checked on what was just written: with no padding

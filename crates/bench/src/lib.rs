@@ -12,9 +12,8 @@
 //! | §9.1 Cover ablation          | `cover_ablation` | `results/cover_ablation.txt` |
 //!
 //! Every sweep binary shares one CLI surface via [`runner::SweepOpts`]:
-//! `--quiet` (suppress progress chatter), `--json <path>` (mirror the
-//! primary table as JSON), and `--telemetry off|summary|full` (recording
-//! mode; each binary also exports `results/TELEMETRY_<name>.json`).
+//! `--quiet` (suppress progress chatter). Each records telemetry at the
+//! `summary` mode and exports it as `results/TELEMETRY_<name>.json`.
 
 #![forbid(unsafe_code)]
 
@@ -130,25 +129,6 @@ pub fn arg_u64(key: &str, default: u64) -> u64 {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Parse a `--key value` style string arg with a default.
-pub fn arg_str(key: &str, default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
-}
-
-/// Parse an optional `--key value` arg (`None` when absent).
-pub fn arg_opt(key: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 /// Whether a bare flag is present.

@@ -118,43 +118,19 @@ pub fn run_sweep<T: Send + 'static>(what: &str, jobs: Vec<Trial<T>>) -> Vec<T> {
     run_trials(threads, jobs)
 }
 
-/// The CLI surface every sweep binary shares: `--quiet`, `--json <path>`,
-/// and `--telemetry off|summary|full`. Constructing it applies the flags
-/// process-wide (recording mode, quiet), so call it at the top of `main`.
+/// The CLI surface every sweep binary shares: `--quiet`. Constructing it
+/// applies the flag process-wide, so call it at the top of `main`.
 pub struct SweepOpts {
     /// Suppress progress chatter (`--quiet`).
     pub quiet: bool,
-    /// Mirror the primary table to this path as JSON (`--json <path>`).
-    pub json: Option<String>,
-    /// Telemetry recording mode (`--telemetry`, default `summary`).
-    pub telemetry: telemetry::Mode,
 }
 
 impl SweepOpts {
     /// Parse the shared flags from `std::env::args` and apply them.
     pub fn from_args() -> SweepOpts {
         let quiet = crate::arg_flag("--quiet");
-        let json = crate::arg_opt("--json");
-        let raw = crate::arg_str("--telemetry", "summary");
-        let mode = telemetry::Mode::parse(&raw).unwrap_or_else(|| {
-            eprintln!("unknown --telemetry mode {raw:?} (want off|summary|full)");
-            std::process::exit(2);
-        });
-        telemetry::set_mode(mode);
         crate::set_quiet(quiet);
-        SweepOpts {
-            quiet,
-            json,
-            telemetry: mode,
-        }
-    }
-
-    /// Mirror a table already written via [`crate::write_csv`] to the
-    /// `--json` path, if one was given.
-    pub fn write_json_table(&self, table: &str, header: &str, rows: &[String]) {
-        if let Some(path) = &self.json {
-            crate::write_json_table(path, table, header, rows);
-        }
+        SweepOpts { quiet }
     }
 
     /// Export the calling thread's telemetry totals accumulated so far

@@ -6,10 +6,15 @@
 //! report data) with a key provisioned by the attestation service; the
 //! service verifies the MAC, checks the TCB against known vulnerabilities,
 //! and signs a verification report that anyone holding the service's public
-//! key can check. Both of the paper's verification flows are supported:
-//! the client submits the quote itself, or the server staples a
-//! pre-fetched report (the OCSP-stapling analog, which hides the client
-//! from the attestation service).
+//! key can check. The server staples the report to its reply (the paper's
+//! OCSP-stapling flow, which hides the client from the attestation
+//! service); the paper's other flow, where the client submits the quote
+//! itself, is not modelled.
+//!
+//! A box reaches [`Ias::verify_quote`] for every SGX container it spawns,
+//! so a refusal here is a typed error, never a panic.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::enclave::Enclave;
 use onion_crypto::hashsig::{MerkleSigner, MerkleVerifyKey, Signature};
@@ -35,6 +40,8 @@ pub enum AttestationError {
     BadReportSignature,
     /// The report does not cover this quote.
     QuoteMismatch,
+    /// The service has used every one-time signature of its key.
+    ServiceExhausted,
 }
 
 impl std::fmt::Display for AttestationError {
@@ -47,6 +54,7 @@ impl std::fmt::Display for AttestationError {
             }
             AttestationError::BadReportSignature => write!(f, "report signature invalid"),
             AttestationError::QuoteMismatch => write!(f, "report does not match quote"),
+            AttestationError::ServiceExhausted => write!(f, "attestation service key exhausted"),
         }
     }
 }
@@ -150,7 +158,7 @@ impl IasReport {
     }
 
     /// Verify this report against the service's public key and the quote it
-    /// claims to cover. This is the *client-side* check in both §5.4 flows.
+    /// claims to cover: the client's check of a stapled report (§5.4).
     pub fn verify(
         &self,
         service_key: &MerkleVerifyKey,
@@ -206,7 +214,8 @@ impl Ias {
         self.min_tcb = min;
     }
 
-    /// Verify a quote and issue a signed report.
+    /// Verify a quote and issue a signed report. The signing key holds 64
+    /// one-time signatures; past them every quote is refused.
     pub fn verify_quote(&mut self, quote: &Quote) -> Result<IasReport, AttestationError> {
         let key = self
             .platforms
@@ -219,7 +228,10 @@ impl Ias {
         let tcb_ok = quote.tcb_version >= self.min_tcb;
         let digest = quote.digest();
         let body = IasReport::signed_body(&digest, tcb_ok);
-        let signature = self.signer.sign(&body).expect("IAS signer exhausted");
+        let signature = self
+            .signer
+            .sign(&body)
+            .ok_or(AttestationError::ServiceExhausted)?;
         Ok(IasReport {
             quote_digest: digest,
             tcb_ok,

@@ -7,6 +7,11 @@
 //! flow, so the attestation service never observes the client). The client
 //! verifies report → quote → binding → expected measurement, then both
 //! sides derive AEAD keys for the upload.
+//!
+//! [`AttestedChannel::client_finish`] parses bytes the conclave's operator
+//! controls, so nothing here may panic on them.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::attest::{AttestationError, Ias, IasReport, Platform, Quote};
 use crate::enclave::Enclave;
@@ -71,6 +76,15 @@ fn dh(eph: &StaticSecret, peer: [u8; 32]) -> Result<[u8; 32], ChannelError> {
         .ok_or(ChannelError::Malformed)
 }
 
+/// Splits the next `N` bytes off the front of a message being parsed.
+fn take<'a, const N: usize>(rest: &mut &'a [u8]) -> Result<&'a [u8; N], ChannelError> {
+    let (head, tail) = rest
+        .split_first_chunk::<N>()
+        .ok_or(ChannelError::Malformed)?;
+    *rest = tail;
+    Ok(head)
+}
+
 fn dir_nonce(counter: u64, from_client: bool) -> [u8; 12] {
     let mut n = [0u8; 12];
     n[0] = from_client as u8;
@@ -79,121 +93,6 @@ fn dir_nonce(counter: u64, from_client: bool) -> [u8; 12] {
 }
 
 impl AttestedChannel {
-    /// Server step (non-stapled variant): respond with the quote alone; the
-    /// client submits it to the attestation service itself — the paper's
-    /// first §5.4 flow ("the server generates an attestation report and
-    /// returns the report to the client, who could then present the report
-    /// to IAS for verification"), which avoids the server ever contacting
-    /// IAS at container-spawn time.
-    pub fn server_respond_unstapled(
-        rng: &mut impl rand::Rng,
-        enclave: &Enclave,
-        platform: &Platform,
-        client_hello: &[u8],
-    ) -> Result<(Vec<u8>, AttestedChannel), ChannelError> {
-        if client_hello.len() != 64 {
-            return Err(ChannelError::Malformed);
-        }
-        let mut client_pub = [0u8; 32];
-        client_pub.copy_from_slice(&client_hello[32..]);
-        let eph = StaticSecret::random(rng);
-        let eph_pub = eph.public_key();
-        let shared = dh(&eph, client_pub)?;
-        let mut binding = Vec::with_capacity(96);
-        binding.extend_from_slice(eph_pub.as_bytes());
-        binding.extend_from_slice(client_hello);
-        let report_data = sha256(&binding);
-        let quote = platform.quote(enclave, report_data);
-        // Serialize: eph_pub | quote (no report).
-        let mut msg = Vec::new();
-        msg.extend_from_slice(eph_pub.as_bytes());
-        msg.extend_from_slice(&quote.platform_id.to_be_bytes());
-        msg.extend_from_slice(&quote.measurement);
-        msg.extend_from_slice(&quote.tcb_version.to_be_bytes());
-        msg.extend_from_slice(&quote.report_data);
-        msg.extend_from_slice(&quote.mac);
-        let mut transcript = client_hello.to_vec();
-        transcript.extend_from_slice(eph_pub.as_bytes());
-        let key = derive_key(&shared, &transcript);
-        Ok((
-            msg,
-            AttestedChannel {
-                key,
-                send_counter: 0,
-                recv_counter: 0,
-                is_client: false,
-            },
-        ))
-    }
-
-    /// Client step 2 (non-stapled variant): parse the quote, submit it to
-    /// the attestation service directly, verify, and derive the channel.
-    /// This can be done "at any time before a client loads the function,
-    /// preventing any correlation between client and function load" (§5.4).
-    pub fn client_finish_with_ias(
-        state: &ClientHello,
-        server_hello: &[u8],
-        ias: &mut Ias,
-        expected_measurement: &[u8; 32],
-    ) -> Result<AttestedChannel, ChannelError> {
-        // 32 eph | 8 pid | 32 meas | 4 tcb | 32 rd | 32 mac
-        if server_hello.len() != 32 + 8 + 32 + 4 + 32 + 32 {
-            return Err(ChannelError::Malformed);
-        }
-        let mut pos = 0usize;
-        let mut take = |n: usize| {
-            let s = &server_hello[pos..pos + n];
-            pos += n;
-            s
-        };
-        let mut eph_pub = [0u8; 32];
-        eph_pub.copy_from_slice(take(32));
-        let shared = dh(&state.eph, eph_pub)?;
-        let platform_id = u64::from_be_bytes(take(8).try_into().expect("len"));
-        let mut measurement = [0u8; 32];
-        measurement.copy_from_slice(take(32));
-        let tcb_version = u32::from_be_bytes(take(4).try_into().expect("len"));
-        let mut report_data = [0u8; 32];
-        report_data.copy_from_slice(take(32));
-        let mut mac = [0u8; 32];
-        mac.copy_from_slice(take(32));
-        let quote = Quote {
-            platform_id,
-            measurement,
-            tcb_version,
-            report_data,
-            mac,
-        };
-        // The client presents the quote to the attestation service itself.
-        let report = ias
-            .verify_quote(&quote)
-            .map_err(ChannelError::Attestation)?;
-        report
-            .verify(&ias.verify_key(), &quote)
-            .map_err(ChannelError::Attestation)?;
-        let mut binding = Vec::with_capacity(96);
-        binding.extend_from_slice(&eph_pub);
-        binding.extend_from_slice(&state.nonce);
-        binding.extend_from_slice(state.eph.public_key().as_bytes());
-        if sha256(&binding) != report_data {
-            return Err(ChannelError::BindingMismatch);
-        }
-        if &measurement != expected_measurement {
-            return Err(ChannelError::WrongMeasurement);
-        }
-        let mut transcript = Vec::with_capacity(96);
-        transcript.extend_from_slice(&state.nonce);
-        transcript.extend_from_slice(state.eph.public_key().as_bytes());
-        transcript.extend_from_slice(&eph_pub);
-        let key = derive_key(&shared, &transcript);
-        Ok(AttestedChannel {
-            key,
-            send_counter: 0,
-            recv_counter: 0,
-            is_client: true,
-        })
-    }
-
     /// Client step 1: produce the hello message (nonce ‖ eph key).
     pub fn client_hello(rng: &mut impl rand::Rng) -> (ClientHello, Vec<u8>) {
         let mut nonce = [0u8; 32];
@@ -271,34 +170,25 @@ impl AttestedChannel {
     ) -> Result<AttestedChannel, ChannelError> {
         // 32 eph | 8 pid | 32 meas | 4 tcb | 32 rd | 32 mac | 32 digest |
         // 1 ok | 4 siglen | sig
-        if server_hello.len() < 32 + 8 + 32 + 4 + 32 + 32 + 32 + 1 + 4 {
-            return Err(ChannelError::Malformed);
-        }
-        let mut pos = 0usize;
-        let mut take = |n: usize| {
-            let s = &server_hello[pos..pos + n];
-            pos += n;
-            s
+        let mut rest = server_hello;
+        let eph_pub = *take(&mut rest)?;
+        let platform_id = u64::from_be_bytes(*take(&mut rest)?);
+        let measurement = *take(&mut rest)?;
+        let tcb_version = u32::from_be_bytes(*take(&mut rest)?);
+        let report_data = *take(&mut rest)?;
+        let mac = *take(&mut rest)?;
+        let quote_digest = *take(&mut rest)?;
+        let tcb_ok = match take(&mut rest)? {
+            [0] => false,
+            [1] => true,
+            _ => return Err(ChannelError::Malformed),
         };
-        let mut eph_pub = [0u8; 32];
-        eph_pub.copy_from_slice(take(32));
-        let shared = dh(&state.eph, eph_pub)?;
-        let platform_id = u64::from_be_bytes(take(8).try_into().expect("len"));
-        let mut measurement = [0u8; 32];
-        measurement.copy_from_slice(take(32));
-        let tcb_version = u32::from_be_bytes(take(4).try_into().expect("len"));
-        let mut report_data = [0u8; 32];
-        report_data.copy_from_slice(take(32));
-        let mut mac = [0u8; 32];
-        mac.copy_from_slice(take(32));
-        let mut quote_digest = [0u8; 32];
-        quote_digest.copy_from_slice(take(32));
-        let tcb_ok = take(1)[0] != 0;
-        let sig_len = u32::from_be_bytes(take(4).try_into().expect("len")) as usize;
-        if server_hello.len() != 32 + 8 + 32 + 4 + 32 + 32 + 32 + 1 + 4 + sig_len {
+        let sig_len = u32::from_be_bytes(*take(&mut rest)?) as usize;
+        if rest.len() != sig_len {
             return Err(ChannelError::Malformed);
         }
-        let signature = Signature::from_bytes(take(sig_len)).ok_or(ChannelError::Malformed)?;
+        let signature = Signature::from_bytes(rest).ok_or(ChannelError::Malformed)?;
+        let shared = dh(&state.eph, eph_pub)?;
 
         let quote = Quote {
             platform_id,
@@ -567,25 +457,18 @@ mod tests {
         let (ias_key, meas) = (s.ias.verify_key(), s.enclave.measurement);
         for point in onion_crypto::x25519::SMALL_ORDER_POINTS {
             let (state, hello) = AttestedChannel::client_hello(&mut s.rng);
-            // From the client, in the hello, to either server flow...
+            // From the client, in the hello...
             let mut bad = hello.clone();
             bad[32..].copy_from_slice(&point);
-            let stapled = AttestedChannel::server_respond(
+            let refused = AttestedChannel::server_respond(
                 &mut s.rng,
                 &s.enclave,
                 &s.platform,
                 &mut s.ias,
                 &bad,
             );
-            assert_eq!(stapled.err(), Some(ChannelError::Malformed));
-            let unstapled = AttestedChannel::server_respond_unstapled(
-                &mut s.rng,
-                &s.enclave,
-                &s.platform,
-                &bad,
-            );
-            assert_eq!(unstapled.err(), Some(ChannelError::Malformed));
-            // ...and from the conclave, in place of its key in honest replies.
+            assert_eq!(refused.err(), Some(ChannelError::Malformed));
+            // ...and from the conclave, in place of its key in an honest reply.
             let (mut reply, _) = AttestedChannel::server_respond(
                 &mut s.rng,
                 &s.enclave,
@@ -597,18 +480,107 @@ mod tests {
             reply[..32].copy_from_slice(&point);
             let finished = AttestedChannel::client_finish(&state, &reply, &ias_key, &meas);
             assert_eq!(finished.err(), Some(ChannelError::Malformed));
-            let (mut reply, _) = AttestedChannel::server_respond_unstapled(
+        }
+    }
+
+    #[test]
+    fn exhausted_attestation_service_is_a_typed_refusal() {
+        let mut s = setup();
+        for _ in 0..64 {
+            let (_, hello) = AttestedChannel::client_hello(&mut s.rng);
+            AttestedChannel::server_respond(
                 &mut s.rng,
                 &s.enclave,
                 &s.platform,
+                &mut s.ias,
                 &hello,
             )
             .unwrap();
-            reply[..32].copy_from_slice(&point);
-            let finished =
-                AttestedChannel::client_finish_with_ias(&state, &reply, &mut s.ias, &meas);
-            assert_eq!(finished.err(), Some(ChannelError::Malformed));
         }
+        let (_, hello) = AttestedChannel::client_hello(&mut s.rng);
+        let r = AttestedChannel::server_respond(
+            &mut s.rng,
+            &s.enclave,
+            &s.platform,
+            &mut s.ias,
+            &hello,
+        );
+        assert_eq!(
+            r.err(),
+            Some(ChannelError::Attestation(
+                AttestationError::ServiceExhausted
+            ))
+        );
+    }
+
+    /// Where each field of a server hello ends, signature sections included.
+    const FIELD_ENDS: [usize; 14] = [
+        32, 40, 72, 76, 108, 140, 172, 173, 177, 181, 182, 183, 2327, 2519,
+    ];
+
+    /// `client_finish` refuses every mutation of an honest server hello
+    /// without panicking: single bit flips, truncation at each field
+    /// boundary and anywhere else, trailing bytes and any other `sig_len`.
+    /// Refusing leaves the client able to finish with the honest reply, and
+    /// a fresh exchange afterwards still carries messages.
+    #[test]
+    fn channel_robust() {
+        use proptest::prelude::*;
+        use proptest::test_runner::{case_count, run};
+        let mut s = setup();
+        let (ias_key, meas) = (s.ias.verify_key(), s.enclave.measurement);
+        let (state, hello) = AttestedChannel::client_hello(&mut s.rng);
+        let (reply, _) = AttestedChannel::server_respond(
+            &mut s.rng,
+            &s.enclave,
+            &s.platform,
+            &mut s.ias,
+            &hello,
+        )
+        .unwrap();
+        assert_eq!(reply.len(), FIELD_ENDS[FIELD_ENDS.len() - 1]);
+        let refused =
+            |msg: &[u8]| AttestedChannel::client_finish(&state, msg, &ias_key, &meas).is_err();
+        let mutations = (
+            prop::collection::vec((0..reply.len(), 0u8..8), 1..4),
+            0..reply.len(),
+            any::<u32>(),
+            prop::collection::vec(any::<u8>(), 1..8),
+        );
+        run(case_count(), "channel_robust", |rng| {
+            let (flips, cut, sig_len, trailer) = mutations.generate(rng);
+            // A `tcb_ok` byte other than 0 or 1, always.
+            for (pos, bit) in flips.into_iter().chain([(172, 1)]) {
+                let mut m = reply.clone();
+                m[pos] ^= 1 << bit;
+                prop_assert!(refused(&m), "bit {bit} of byte {pos} flipped");
+            }
+            for end in FIELD_ENDS[..FIELD_ENDS.len() - 1].iter().chain([&0, &cut]) {
+                prop_assert!(refused(&reply[..*end]), "truncated to {end}");
+            }
+            let mut m = reply.clone();
+            m.extend_from_slice(&trailer);
+            prop_assert!(refused(&m), "{} trailing bytes", trailer.len());
+            if sig_len as usize != reply.len() - 177 {
+                let mut m = reply.clone();
+                m[173..177].copy_from_slice(&sig_len.to_be_bytes());
+                prop_assert!(refused(&m), "sig_len {sig_len}");
+            }
+            prop_assert!(!refused(&reply), "the honest reply stopped verifying");
+            Ok(())
+        });
+        let (state, hello) = AttestedChannel::client_hello(&mut s.rng);
+        let (reply, mut server) = AttestedChannel::server_respond(
+            &mut s.rng,
+            &s.enclave,
+            &s.platform,
+            &mut s.ias,
+            &hello,
+        )
+        .unwrap();
+        let mut client = AttestedChannel::client_finish(&state, &reply, &ias_key, &meas).unwrap();
+        let m = client.seal_msg(b"after the storm");
+        assert_eq!(server.open_msg(&m).unwrap(), b"after the storm");
     }
 
     #[test]
@@ -633,56 +605,6 @@ mod tests {
                 &s.enclave.measurement
             ),
             Err(ChannelError::Malformed)
-        ));
-    }
-}
-
-#[cfg(test)]
-mod unstapled_tests {
-    use super::*;
-    use rand::SeedableRng;
-
-    #[test]
-    fn unstapled_flow_establishes_channel() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let mut ias = Ias::new([4u8; 32], 2);
-        let platform = ias.provision_platform(2, &mut rng);
-        let enclave = Enclave::create(2, b"image", 1 << 20, platform.tcb_version);
-        let (state, hello) = AttestedChannel::client_hello(&mut rng);
-        let (reply, mut server) =
-            AttestedChannel::server_respond_unstapled(&mut rng, &enclave, &platform, &hello)
-                .unwrap();
-        let mut client =
-            AttestedChannel::client_finish_with_ias(&state, &reply, &mut ias, &enclave.measurement)
-                .unwrap();
-        let m = client.seal_msg(b"function source");
-        assert_eq!(server.open_msg(&m).unwrap(), b"function source");
-    }
-
-    #[test]
-    fn unstapled_rejects_unknown_platform_and_wrong_image() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
-        let mut ias = Ias::new([4u8; 32], 2);
-        let platform = ias.provision_platform(3, &mut rng);
-        let enclave = Enclave::create(3, b"image", 1 << 20, platform.tcb_version);
-        // A rogue platform IAS never provisioned.
-        let rogue = Platform::new(99, [9u8; 32], 5);
-        let (state, hello) = AttestedChannel::client_hello(&mut rng);
-        let (reply, _) =
-            AttestedChannel::server_respond_unstapled(&mut rng, &enclave, &rogue, &hello).unwrap();
-        assert!(matches!(
-            AttestedChannel::client_finish_with_ias(&state, &reply, &mut ias, &enclave.measurement),
-            Err(ChannelError::Attestation(AttestationError::UnknownPlatform))
-        ));
-        // Honest platform but unexpected image.
-        let (state, hello) = AttestedChannel::client_hello(&mut rng);
-        let (reply, _) =
-            AttestedChannel::server_respond_unstapled(&mut rng, &enclave, &platform, &hello)
-                .unwrap();
-        let wrong = sha256(b"different image");
-        assert!(matches!(
-            AttestedChannel::client_finish_with_ias(&state, &reply, &mut ias, &wrong),
-            Err(ChannelError::WrongMeasurement)
         ));
     }
 }

@@ -12,10 +12,9 @@
 //!   when demand exceeds it.
 //! * [`enclave`] — enclaves with code measurement, TCB versioning, and
 //!   per-call transition (swap-in/out) costs.
-//! * [`attest`] — quotes MAC'd by a platform key, a simulated Intel
-//!   Attestation Service that signs verification reports, and both of the
-//!   paper's §5.4 verification flows (client-submitted and OCSP-style
-//!   stapling).
+//! * [`attest`] — quotes MAC'd by a platform key and a simulated Intel
+//!   Attestation Service that signs verification reports, stapled by the
+//!   server (the paper's OCSP-style §5.4 flow).
 //! * [`sealed`] — sealed storage bound to (platform, measurement).
 //! * [`fsprotect`] — FS Protect: the encrypted, integrity-protected
 //!   filesystem with an ephemeral in-enclave key; the operator only ever

@@ -246,6 +246,36 @@ fn manifest_exceeding_policy_rejected() {
 }
 
 #[test]
+fn exhausted_attestation_service_refuses_sgx_and_the_box_keeps_serving() {
+    use rand::SeedableRng;
+    let mut bn = BentoNetwork::build(112, 1, MiddleboxPolicy::permissive(), registry);
+    {
+        // Spend every one-time signature of the network's shared service.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(112);
+        let mut ias = bn.ias.lock().unwrap();
+        let platform = ias.provision_platform(7, &mut rng);
+        let enclave = conclave::Enclave::create(7, b"any image", 1 << 20, platform.tcb_version);
+        let quote = platform.quote(&enclave, [0; 32]);
+        for _ in 0..64 {
+            ias.verify_quote(&quote).unwrap();
+        }
+    }
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let conn = bn.connect(client, 0);
+    bn.net.sim.run_until(secs(5));
+    let three = SimDuration::from_secs(3);
+    let refusal = bn
+        .request_container(client, conn, ImageKind::Sgx, three, secs(8))
+        .unwrap_err();
+    assert!(refusal.starts_with("attestation failed:"), "{refusal}");
+    let bx: &bento::BentoBoxNode = bn.net.sim.node_ref(bn.boxes[0]);
+    assert_eq!(bx.bento.epc().resident(), 0, "the reservation was returned");
+    bn.request_container(client, conn, ImageKind::Plain, three, secs(11))
+        .expect("box still serving");
+}
+
+#[test]
 fn unknown_function_rejected() {
     let mut bn = BentoNetwork::build(106, 1, MiddleboxPolicy::permissive(), registry);
     let client = bn.add_bento_client("alice");

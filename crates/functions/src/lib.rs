@@ -19,10 +19,8 @@
 //!   between watermarks; replicas share the service key material.
 //!
 //! §9.4's future-work items: [`multipath`] (split one fetch across k
-//! circuits) is here. Proof-of-work-gated introductions are not: they live
-//! in `tor-net` (`tor_net::hs::solve_pow` + `HiddenServiceHost::with_pow`),
-//! no function here calls them, and only `tor-net`'s own network test
-//! drives them — the HS DoS defence is parked (ROADMAP "Parked").
+//! circuits) is here. The hidden-service DoS defence (proof-of-work-gated
+//! introductions) is not modelled — it is parked (ROADMAP "Parked").
 //!
 //! Plus the substrate those functions need: a [`web`] page model shared
 //! with the fingerprinting harness, a small [`compress`] codec (the

@@ -79,22 +79,12 @@ pub enum Mode {
 }
 
 impl Mode {
-    /// Stable name (matches the `--telemetry` flag values).
+    /// Stable name (the export's `mode` field).
     pub fn name(self) -> &'static str {
         match self {
             Mode::Off => "off",
             Mode::Summary => "summary",
             Mode::Full => "full",
-        }
-    }
-
-    /// Parse a `--telemetry` flag value.
-    pub fn parse(s: &str) -> Option<Mode> {
-        match s {
-            "off" => Some(Mode::Off),
-            "summary" => Some(Mode::Summary),
-            "full" => Some(Mode::Full),
-            _ => None,
         }
     }
 }
@@ -365,13 +355,5 @@ mod tests {
         merge(&inner);
         assert_eq!(snapshot().counters["test.count"], 107);
         reset();
-    }
-
-    #[test]
-    fn mode_parse_roundtrips() {
-        for m in [Mode::Off, Mode::Summary, Mode::Full] {
-            assert_eq!(Mode::parse(m.name()), Some(m));
-        }
-        assert_eq!(Mode::parse("verbose"), None);
     }
 }

@@ -211,7 +211,6 @@ enum HsPhase {
 
 struct HsConn {
     addr: OnionAddr,
-    pow_bits: u8,
     rendezvous_circ: usize,
     hsdir_circ: Option<usize>,
     intro_circ: Option<usize>,
@@ -753,18 +752,6 @@ impl TorClient {
     /// rendezvous circuit; wait for [`TorEvent::RendezvousReady`] before
     /// opening streams on it with [`StreamTarget::Hs`].
     pub fn connect_onion(&mut self, ctx: &mut Ctx<'_>, addr: OnionAddr) -> Option<CircuitHandle> {
-        self.connect_onion_with_pow(ctx, addr, 0)
-    }
-
-    /// Like [`TorClient::connect_onion`], attaching `bits` of hashcash over
-    /// the rendezvous cookie to the introduction — for services running the
-    /// §9.4 DDoS defense.
-    pub fn connect_onion_with_pow(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        addr: OnionAddr,
-        pow_bits: u8,
-    ) -> Option<CircuitHandle> {
         // Rendezvous circuit: 3 arbitrary hops.
         let rp_path = self.select_path(ctx, TerminalReq::Any)?;
         let rendezvous = self.build_circuit(ctx, rp_path)?;
@@ -778,7 +765,6 @@ impl TorClient {
         let idx = self.hs_conns.len();
         self.hs_conns.push(HsConn {
             addr,
-            pow_bits,
             rendezvous_circ: rendezvous.0,
             hsdir_circ: Some(hsdir.0),
             intro_circ: None,
@@ -1561,11 +1547,6 @@ impl TorClient {
         plain.extend_from_slice(&rp_info.or_port.to_be_bytes());
         plain.extend_from_slice(&cookie);
         plain.extend_from_slice(&onionskin);
-        let pow_bits = self.hs_conns[idx].pow_bits;
-        if pow_bits > 0 {
-            let nonce = crate::hs::solve_pow(&cookie, pow_bits);
-            plain.extend_from_slice(&nonce.to_be_bytes());
-        }
         let sealed = aead_seal(&key, &[0u8; 12], &addr.0, &plain);
 
         let mut data = Vec::new();

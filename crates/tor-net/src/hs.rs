@@ -13,6 +13,11 @@
 //! [`HiddenServiceHost::handle_introduction`] itself. Replicas share the
 //! service's key material ("copies all files including the hostname and
 //! private key", §8.2), so a replica's RENDEZVOUS1 authenticates correctly.
+//!
+//! An introduction is bytes any client chose, relayed by an intro point
+//! that may be hostile, so decoding one refuses instead of panicking.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::cell::RelayCmd;
 use crate::client::{CircuitHandle, TerminalReq, TorClient, TorEvent};
@@ -27,43 +32,6 @@ use simnet::Ctx;
 use std::collections::{BTreeMap, BTreeSet};
 
 pub use crate::dir::OnionAddr as HsAddr;
-
-/// §9.4 DDoS defense: hashcash over the rendezvous cookie. Count the
-/// leading zero bits of SHA-256(cookie ‖ nonce).
-fn pow_zero_bits(cookie: &[u8; 20], nonce: u64) -> u32 {
-    let mut input = Vec::with_capacity(28);
-    input.extend_from_slice(cookie);
-    input.extend_from_slice(&nonce.to_be_bytes());
-    let d = sha256(&input);
-    let mut bits = 0u32;
-    for b in d {
-        if b == 0 {
-            bits += 8;
-        } else {
-            bits += b.leading_zeros();
-            break;
-        }
-    }
-    bits
-}
-
-/// Solve the client puzzle: find a nonce whose digest has at least `bits`
-/// leading zeros. Cost doubles per bit; this is the "client-side proofs of
-/// work prior to establishing a connection" of §9.4.
-pub fn solve_pow(cookie: &[u8; 20], bits: u8) -> u64 {
-    let mut nonce = 0u64;
-    loop {
-        if pow_zero_bits(cookie, nonce) >= bits as u32 {
-            return nonce;
-        }
-        nonce += 1;
-    }
-}
-
-/// Verify a client puzzle solution.
-pub fn check_pow(cookie: &[u8; 20], nonce: u64, bits: u8) -> bool {
-    pow_zero_bits(cookie, nonce) >= bits as u32
-}
 
 /// Pick the HSDir responsible for an onion address by rendezvous hashing —
 /// service and client derive the same answer from the same consensus.
@@ -104,10 +72,6 @@ pub struct HiddenServiceHost {
     enc_secret: StaticSecret,
     n_intro: usize,
     auto_rendezvous: bool,
-    /// Required proof-of-work bits on introductions (0 = none).
-    require_pow_bits: u8,
-    /// Introductions dropped for missing/invalid proof of work.
-    pub pow_rejections: u64,
     /// Rendezvous cookies already answered (replay protection: a malicious
     /// intro point re-forwarding an INTRODUCE2 must not make the service
     /// build endless rendezvous circuits).
@@ -148,8 +112,6 @@ impl HiddenServiceHost {
             enc_secret,
             n_intro,
             auto_rendezvous,
-            require_pow_bits: 0,
-            pow_rejections: 0,
             seen_cookies: BTreeSet::new(),
             replay_rejections: 0,
             onion_addr,
@@ -165,14 +127,6 @@ impl HiddenServiceHost {
             revision: 0,
             events: Vec::new(),
         }
-    }
-
-    /// Require `bits` of client proof of work on every introduction
-    /// (§9.4's hidden-service DDoS defense, as a per-service policy
-    /// rather than a Tor protocol change).
-    pub fn with_pow(mut self, bits: u8) -> Self {
-        self.require_pow_bits = bits;
-        self
     }
 
     /// The service's onion address.
@@ -240,47 +194,41 @@ impl HiddenServiceHost {
     ) -> bool {
         // data = onion_addr(32) | eph_pub(32) | sealed(rp_fp 20 | rp_addr 4 |
         //        rp_port 2 | cookie 20 | onionskin 84 | tag 32)
-        if data.len() < 64 {
+        let Some((&addr, rest)) = data.split_first_chunk::<32>() else {
             return false;
-        }
-        let mut addr = [0u8; 32];
-        addr.copy_from_slice(&data[..32]);
+        };
         if OnionAddr(addr) != self.onion_addr {
             return false;
         }
-        let mut eph = [0u8; 32];
-        eph.copy_from_slice(&data[32..64]);
+        let Some((&eph, sealed)) = rest.split_first_chunk::<32>() else {
+            return false;
+        };
+        // X25519 ignores the top bit, so a key with it set is a second
+        // encoding of an honest one: a relay could alter it undetected.
+        if eph[31] & 0x80 != 0 {
+            return false;
+        }
         // A small-order key would let anyone seal a blob we accept.
         let Some(shared) = self.enc_secret.diffie_hellman(&PublicKey(eph)) else {
             return false;
         };
         let key = AeadKey::from_master(&hkdf(b"bento-intro", &shared, b"blob"));
-        let Ok(plain) = aead_open(&key, &[0u8; 12], &addr, &data[64..]) else {
+        let Ok(plain) = aead_open(&key, &[0u8; 12], &addr, sealed) else {
             return false;
         };
         const BASE: usize = 20 + 4 + 2 + 20 + ntor::ONIONSKIN_LEN;
-        if plain.len() != BASE && plain.len() != BASE + 8 {
+        if plain.len() != BASE {
             return false;
         }
         let mut rp_fp = [0u8; 20];
         rp_fp.copy_from_slice(&plain[..20]);
         let mut cookie = [0u8; 20];
         cookie.copy_from_slice(&plain[26..46]);
-        if self.require_pow_bits > 0 {
-            let ok = plain.len() == BASE + 8 && {
-                let nonce = u64::from_be_bytes(plain[BASE..].try_into().expect("8 bytes"));
-                check_pow(&cookie, nonce, self.require_pow_bits)
-            };
-            if !ok {
-                self.pow_rejections += 1;
-                return false;
-            }
-        }
         if !self.seen_cookies.insert(cookie) {
             self.replay_rejections += 1;
             return false;
         }
-        let onionskin = &plain[46..BASE];
+        let onionskin = &plain[46..];
         // E2E handshake: we are the "server"; our identity is the enc key.
         let mut svc_id = [0u8; 20];
         svc_id.copy_from_slice(&addr[..20]);

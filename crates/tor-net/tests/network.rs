@@ -304,59 +304,6 @@ fn deterministic_across_runs() {
 }
 
 #[test]
-fn pow_gated_service_rejects_unpaid_introductions() {
-    use tor_net::hs::{check_pow, solve_pow};
-    // The puzzle primitive behaves.
-    let cookie = [7u8; 20];
-    let nonce = solve_pow(&cookie, 8);
-    assert!(check_pow(&cookie, nonce, 8));
-    assert!(!check_pow(&cookie, nonce.wrapping_add(1), 16) || nonce == u64::MAX);
-
-    // A service requiring 8 bits of work.
-    let mut net = NetworkBuilder::new().seed(47).middles(8).build();
-    let service = {
-        let hs = HiddenServiceHost::new([0x77; 32], 2, true).with_pow(8);
-        let node = TestClientNode::new(net.authority, net.authority_key).with_hs(hs);
-        net.sim
-            .add_node("service", simnet::Iface::datacenter(), Box::new(node))
-    };
-    let freeloader = net.add_client("freeloader");
-    let payer = net.add_client("payer");
-    net.sim.run_until(secs(6));
-    let onion = net.sim.with_node::<TestClientNode, _>(service, |n, _| {
-        assert!(n.hs.as_ref().unwrap().is_published());
-        n.hs.as_ref().unwrap().onion_addr()
-    });
-    // The freeloader introduces without solving the puzzle.
-    let r_free = net
-        .sim
-        .with_node::<TestClientNode, _>(freeloader, |n, ctx| {
-            n.tor.connect_onion(ctx, onion).unwrap()
-        });
-    // The payer attaches the proof of work.
-    let r_paid = net.sim.with_node::<TestClientNode, _>(payer, |n, ctx| {
-        n.tor.connect_onion_with_pow(ctx, onion, 8).unwrap()
-    });
-    net.sim.run_until(secs(15));
-    net.sim.with_node::<TestClientNode, _>(freeloader, |n, _| {
-        assert!(
-            !n.has_event(|e| matches!(e, TorEvent::RendezvousReady(h) if *h == r_free)),
-            "unpaid introduction must be dropped"
-        );
-    });
-    net.sim.with_node::<TestClientNode, _>(payer, |n, _| {
-        assert!(
-            n.has_event(|e| matches!(e, TorEvent::RendezvousReady(h) if *h == r_paid)),
-            "paid introduction completes: {:?}",
-            n.events
-        );
-    });
-    net.sim.with_node::<TestClientNode, _>(service, |n, _| {
-        assert_eq!(n.hs.as_ref().unwrap().pow_rejections, 1);
-    });
-}
-
-#[test]
 fn destroy_circuit_tears_down_exit_stream() {
     let mut net = NetworkBuilder::new().seed(53).build();
     let server = net.add_web_server("web", vec![("/".to_string(), vec![vec![1u8; 6_000_000]])]);
@@ -582,6 +529,96 @@ fn small_order_introduction_key_is_refused() {
         let shared = eph.diffie_hellman(&enc_key).unwrap();
         let blob = intro(eph.public_key().0, shared, 0xff);
         assert!(hs.handle_introduction(ctx, tor, &blob), "honest key works");
+    });
+}
+
+/// `handle_introduction` refuses every mutated INTRODUCE2 without
+/// panicking: bit flips, truncation at each field boundary and anywhere
+/// else, correctly sealed plaintexts of any length but the one layout (the
+/// `BASE + 8` bytes of the deleted proof-of-work layout among them) and
+/// garbage. The refusals leave the service answering a valid introduction.
+#[test]
+fn introduction_robust() {
+    use onion_crypto::aead::{seal, AeadKey};
+    use onion_crypto::x25519::StaticSecret;
+    use onion_crypto::{hmac::hkdf, ntor, sha256::sha256};
+    use proptest::prelude::*;
+    use proptest::test_runner::{case_count, run};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cell::RefCell;
+    // rp_fp 20 | rp_addr 4 | rp_port 2 | cookie 20 | onionskin
+    const BASE: usize = 20 + 4 + 2 + 20 + ntor::ONIONSKIN_LEN;
+    let seed = [0x8a; 32];
+    let mut net = NetworkBuilder::new().seed(83).middles(8).build();
+    let service = {
+        let hs = HiddenServiceHost::new(seed, 2, false); // manual mode
+        let node = TestClientNode::new(net.authority, net.authority_key).with_hs(hs);
+        net.sim
+            .add_node("service", simnet::Iface::datacenter(), Box::new(node))
+    };
+    net.sim.run_until(secs(6));
+    let rendezvous = net.relays[1].1;
+    let enc_key = StaticSecret::from_bytes(sha256(&[&seed[..], b"enc"].concat())).public_key();
+    net.sim.with_node::<TestClientNode, _>(service, |n, ctx| {
+        let (hs, tor) = (n.hs.as_mut().unwrap(), &mut n.tor);
+        let addr = hs.onion_addr().0;
+        // An introduction sealed to the service, its honest plaintext cut or
+        // zero-padded to `len` bytes.
+        let intro = |rng: &mut StdRng, len: usize| {
+            let svc_id = addr[..20].try_into().unwrap();
+            let (_, onionskin) = ntor::client_begin(rng, svc_id, enc_key);
+            let mut cookie = [0u8; 20];
+            rng.fill(&mut cookie);
+            let mut plain = [&rendezvous[..], &[0; 6], &cookie, &onionskin].concat();
+            plain.resize(len, 0);
+            let eph = StaticSecret::random(rng);
+            let shared = eph.diffie_hellman(&enc_key).unwrap();
+            let key = AeadKey::from_master(&hkdf(b"bento-intro", &shared, b"blob"));
+            let sealed = seal(&key, &[0; 12], &addr, &plain);
+            [&addr[..], eph.public_key().as_bytes(), &sealed].concat()
+        };
+        let service = RefCell::new((hs, tor, ctx));
+        let answered = |blob: &[u8]| {
+            let (hs, tor, ctx) = &mut *service.borrow_mut();
+            hs.handle_introduction(ctx, tor, blob)
+        };
+        let mutations = (
+            any::<u64>(),
+            prop::collection::vec((any::<usize>(), 0u8..8), 1..4),
+            0..3 * BASE,
+            prop::collection::vec(any::<u8>(), 0..300),
+        );
+        run(case_count(), "introduction_robust", |trng| {
+            let (seed, flips, len, garbage) = mutations.generate(trng);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let honest = intro(&mut rng, BASE);
+            // Bit 255 of the ephemeral key, which X25519 ignores, always.
+            for (pos, bit) in flips.into_iter().chain([(63, 7)]) {
+                let mut m = honest.clone();
+                let pos = pos % m.len();
+                m[pos] ^= 1 << bit;
+                prop_assert!(!answered(&m), "bit {bit} of byte {pos} flipped");
+            }
+            let ends = [0, 32, 64, 84, 88, 90, 110, 64 + BASE, len % honest.len()];
+            for end in ends {
+                prop_assert!(!answered(&honest[..end]), "truncated to {end}");
+            }
+            prop_assert!(
+                !answered(&intro(&mut rng, BASE + 8)),
+                "the proof-of-work layout"
+            );
+            if len != BASE {
+                prop_assert!(!answered(&intro(&mut rng, len)), "a {len}-byte plaintext");
+            }
+            prop_assert!(!answered(&garbage), "{} bytes of garbage", garbage.len());
+            Ok(())
+        });
+        let mut rng = StdRng::seed_from_u64(0);
+        assert!(
+            answered(&intro(&mut rng, BASE)),
+            "a valid introduction is answered"
+        );
     });
 }
 

@@ -1,5 +1,5 @@
 //! k-nearest-neighbors over normalized trace features, with inverse
-//! distance voting — the strongest of the three attackers on this corpus.
+//! distance voting — the stronger of the two attackers on this corpus.
 
 use crate::features::Normalizer;
 

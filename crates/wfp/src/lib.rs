@@ -4,15 +4,15 @@
 //! recording packet direction, size and timing, trying to identify which of
 //! a closed world of sites the client visited. The paper evaluates the
 //! Deep Fingerprinting CNN; this crate implements the same experiment with
-//! three from-scratch classifiers (k-NN on trace features, Gaussian naive
-//! Bayes, and a small feed-forward network trained with SGD) and reports
-//! the strongest — any competent classifier over direction/size/burst
-//! features reproduces Table 1's accuracy staircase (see DESIGN.md).
+//! two from-scratch classifiers (k-NN on trace features and Gaussian naive
+//! Bayes) and reports the stronger — any competent classifier over
+//! direction/size/burst features reproduces Table 1's accuracy staircase
+//! (see DESIGN.md).
 //!
 //! * [`trace`] — the adversary's view: a timestamped, directional record.
 //! * [`features`] — the feature vector (volumes, bursts, direction
 //!   signature, timing).
-//! * [`knn`], [`bayes`], [`mlp`] — the classifiers.
+//! * [`knn`], [`bayes`] — the classifiers.
 //! * [`browse`] — a client-side page fetcher over Tor (the *undefended*
 //!   baseline: the traffic dynamics fingerprinting feeds on).
 //! * [`collect`] — run the full network simulation under a given defense
@@ -28,7 +28,6 @@ pub mod collect;
 pub mod eval;
 pub mod features;
 pub mod knn;
-pub mod mlp;
 pub mod trace;
 
 pub use collect::{collect_traces, CollectConfig, Defense};

@@ -11,6 +11,9 @@
 #    runtime crates' `src/`: each file up to its `#[cfg(test)]` line, with
 #    `//` comment lines skipped. `#[expect(…)]` attributes have no dot and
 #    are not counted.
+# 3. Every `src/` file under `crates/` that carries
+#    `#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]`:
+#    the modules where hostile input may not panic (ROADMAP item 5(a)).
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,3 +32,9 @@ for crate in simnet onion-crypto tor-net sandbox conclave core functions; do
   total=$((total + n))
 done
 printf '  %-14s %6d\n' total "$total"
+
+echo "census: files denying unwrap, expect and panic"
+grep -rlF --include='*.rs' \
+  '#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]' crates/*/src \
+  | sort | sed 's/^/  /'
+exit 0
