@@ -3,11 +3,34 @@
 //! Events are ordered by `(time, sequence)`. The sequence number makes the
 //! ordering *total* and insertion-ordered among simultaneous events, which is
 //! what makes whole-simulation runs reproducible byte-for-byte.
+//!
+//! The queue is a calendar (R. Brown, CACM 1988) that pops in exactly that
+//! order. Simulated time is cut into buckets of 2²⁰ ns (≈ 1.05 ms), and a ring
+//! of 4 096 buckets covers the next ≈ 4.3 s after the *cursor*, the first
+//! bucket not yet taken out of the ring:
+//!
+//! * Events live in one slab with a free list; a bucket is an intrusive
+//!   singly linked list of slab slots, so a push is O(1) and, once the slab
+//!   has grown to the run's peak depth, allocates nothing.
+//! * An event past the ring's window waits in an *overflow* heap of
+//!   `(time, seq, slot)` keys and moves into the ring as the cursor advances.
+//!   When the ring is empty, the cursor jumps to the overflow's first bucket.
+//! * When the earliest bucket comes due, its keys move into `current`,
+//!   sorted once (descending, popped from the end).
+//! * An event pushed into a bucket already taken out of the ring goes to a
+//!   small *side* heap; a pop takes the smaller of `current`'s last key and
+//!   the side heap's top.
+//!
+//! Every key in `current` or the side heap lies in a bucket before the
+//! cursor, and every key in the ring or the overflow heap in a bucket at or
+//! after it, so the smaller of those two candidates is the global minimum.
+//! `seq` is unique, so the `(time, seq)` order has no ties and the pop
+//! sequence is the one a binary heap of the same pushes gives.
 
 use crate::fault::FaultAction;
 use crate::node::{ConnId, NodeId};
 use crate::time::SimTime;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Direction of travel over a connection, from the perspective of the
@@ -59,8 +82,9 @@ pub(crate) enum EventKind {
     /// `node` abruptly learned its peer on `conn` vanished (crash or refused
     /// connect) — delivered as `on_conn_closed`, like a TCP reset.
     PeerGone { conn: ConnId, node: NodeId },
-    /// A scheduled fault-plan action fires.
-    Fault { action: FaultAction },
+    /// A scheduled fault-plan action fires. Boxed: fault actions are rare,
+    /// and unboxed the largest of them would widen every queued event.
+    Fault { action: Box<FaultAction> },
 }
 
 pub(crate) struct Event {
@@ -69,45 +93,64 @@ pub(crate) struct Event {
     pub kind: EventKind,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
+/// log₂ of a bucket's width in nanoseconds: 2²⁰ ns ≈ 1.05 ms.
+const BUCKET_SHIFT: u32 = 20;
+/// Buckets in the ring: 4 096 × 1.05 ms ≈ 4.3 s of simulated time.
+const RING_BUCKETS: u64 = 4096;
+/// End of a bucket's slot list.
+const NIL: u32 = u32::MAX;
 
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// A queued event's place in the total order, and its slab slot.
+type Key = (SimTime, u64, u32);
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so earliest (time, seq) pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+fn bucket_of(t: SimTime) -> u64 {
+    t.0 >> BUCKET_SHIFT
 }
 
 /// A deterministic min-priority queue of simulator events.
-#[derive(Default)]
 pub(crate) struct EventQueue {
-    heap: BinaryHeap<Event>,
+    /// Every queued event; `None` marks a free slot.
+    slab: Vec<Option<Event>>,
+    /// `next[slot]`: the following slot in the same ring bucket's list, or
+    /// in the free list; [`NIL`] ends both.
+    next: Vec<u32>,
+    /// Head of the free list: freed slots are reused last-freed first.
+    free: u32,
+    /// Occupied slots.
+    len: usize,
+    /// Head slot of each ring bucket's list; bucket `b` lives at
+    /// `b % RING_BUCKETS` while `cursor <= b < cursor + RING_BUCKETS`.
+    ring: Vec<u32>,
+    /// Events linked into the ring.
+    in_ring: usize,
+    /// The first bucket not yet taken out of the ring.
+    cursor: u64,
+    /// Keys of the last bucket taken out of the ring, sorted descending.
+    current: Vec<Key>,
+    /// Keys pushed into buckets before `cursor`.
+    side: BinaryHeap<Reverse<Key>>,
+    /// Keys in buckets at or past `cursor + RING_BUCKETS`.
+    overflow: BinaryHeap<Reverse<Key>>,
     next_seq: u64,
 }
 
 impl EventQueue {
     /// Pre-size for a busy run: even a small Tor network keeps hundreds of
-    /// chunk/arrival events in flight, and growing the heap mid-run both
-    /// reallocates and memmoves every pending event.
+    /// chunk/arrival events in flight.
     const INITIAL_CAPACITY: usize = 1024;
 
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(Self::INITIAL_CAPACITY),
+            slab: Vec::with_capacity(Self::INITIAL_CAPACITY),
+            next: Vec::with_capacity(Self::INITIAL_CAPACITY),
+            free: NIL,
+            len: 0,
+            ring: vec![NIL; RING_BUCKETS as usize],
+            in_ring: 0,
+            cursor: 0,
+            current: Vec::new(),
+            side: BinaryHeap::new(),
+            overflow: BinaryHeap::new(),
             next_seq: 0,
         }
     }
@@ -116,12 +159,32 @@ impl EventQueue {
     pub fn push(&mut self, t: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Event { time: t, seq, kind });
+        let ev = Some(Event { time: t, seq, kind });
+        let slot = if self.free == NIL {
+            self.slab.push(ev);
+            self.next.push(NIL);
+            (self.slab.len() - 1) as u32
+        } else {
+            let slot = self.free;
+            self.free = self.next[slot as usize];
+            self.slab[slot as usize] = ev;
+            slot
+        };
+        self.len += 1;
+        let b = bucket_of(t);
+        if b < self.cursor {
+            self.side.push(Reverse((t, seq, slot)));
+        } else if b < self.cursor + RING_BUCKETS {
+            self.link(b, slot);
+        } else {
+            self.overflow.push(Reverse((t, seq, slot)));
+        }
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
+        let key = self.min_key()?;
+        self.take(key)
     }
 
     /// Remove and return the earliest event if it is due by `limit`.
@@ -132,23 +195,104 @@ impl EventQueue {
         self.pop()
     }
 
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+    /// Time of the earliest pending event. Takes `&mut self` because it may
+    /// take the next bucket out of the ring.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.min_key().map(|(t, ..)| t)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Ids of every timer event still in the queue (fired or not), in
     /// unspecified order. Used to prune the cancelled-timer tombstone set.
     pub fn live_timer_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.heap.iter().filter_map(|e| match e.kind {
+        self.slab.iter().flatten().filter_map(|e| match e.kind {
             EventKind::Timer { id, .. } => Some(id),
             _ => None,
         })
+    }
+
+    /// Put `slot` at the head of ring bucket `b`'s list.
+    fn link(&mut self, b: u64, slot: u32) {
+        let head = &mut self.ring[(b % RING_BUCKETS) as usize];
+        self.next[slot as usize] = *head;
+        *head = slot;
+        self.in_ring += 1;
+    }
+
+    /// The earliest key, taking the next bucket out of the ring first if
+    /// `current` and the side heap are both empty.
+    fn min_key(&mut self) -> Option<Key> {
+        if self.current.is_empty() && self.side.is_empty() {
+            self.load_next_bucket();
+        }
+        match (self.current.last(), self.side.peek()) {
+            (Some(&c), Some(&Reverse(s))) => Some(c.min(s)),
+            (Some(&c), None) => Some(c),
+            (None, Some(&Reverse(s))) => Some(s),
+            (None, None) => None,
+        }
+    }
+
+    /// Remove `key` — the value [`Self::min_key`] just returned — and free
+    /// its slot.
+    fn take(&mut self, key: Key) -> Option<Event> {
+        if self.current.last() == Some(&key) {
+            self.current.pop();
+        } else {
+            self.side.pop();
+        }
+        let slot = key.2 as usize;
+        self.next[slot] = self.free;
+        self.free = key.2;
+        self.len -= 1;
+        self.slab[slot].take()
+    }
+
+    /// Move the earliest non-empty bucket's keys into `current`, sorted.
+    /// Does nothing when the ring and the overflow heap are both empty.
+    fn load_next_bucket(&mut self) {
+        if self.in_ring == 0 {
+            let Some(&Reverse((t, ..))) = self.overflow.peek() else {
+                return;
+            };
+            self.cursor = bucket_of(t);
+            self.refill_from_overflow();
+        }
+        // Every overflow key lies past the ring's window, so the first
+        // non-empty bucket at or after the cursor is the earliest one.
+        let mut slot = NIL;
+        while slot == NIL {
+            let i = (self.cursor % RING_BUCKETS) as usize;
+            slot = std::mem::replace(&mut self.ring[i], NIL);
+            self.cursor += 1;
+        }
+        while slot != NIL {
+            if let Some(e) = &self.slab[slot as usize] {
+                self.current.push((e.time, e.seq, slot));
+            }
+            self.in_ring -= 1;
+            slot = self.next[slot as usize];
+        }
+        self.current.sort_unstable_by(|a, b| b.cmp(a));
+        self.refill_from_overflow();
+    }
+
+    /// Link into the ring every overflow key whose bucket the window now
+    /// covers. Their ring positions belong to buckets the cursor has just
+    /// passed, which are empty.
+    fn refill_from_overflow(&mut self) {
+        while let Some(&Reverse((t, _, slot))) = self.overflow.peek() {
+            let b = bucket_of(t);
+            if b >= self.cursor + RING_BUCKETS {
+                break;
+            }
+            self.overflow.pop();
+            self.link(b, slot);
+        }
     }
 }
 
@@ -307,6 +451,169 @@ mod tests {
                 .filter(|id| !gone.contains(id))
                 .collect();
             prop_assert_eq!(live, expect);
+        }
+    }
+
+    /// Draws push times that hit the queue's edges: the clock itself and the
+    /// rest of the due bucket, a few shared instants, bucket edges, the
+    /// ring window's edges, and times past the window.
+    fn draw_time(rng: &mut rand::rngs::StdRng, q: &EventQueue, now: u64) -> u64 {
+        use rand::Rng;
+        const BUCKET: u64 = 1 << BUCKET_SHIFT;
+        const WINDOW: u64 = BUCKET * RING_BUCKETS;
+        let edge = |b: u64, rng: &mut rand::rngs::StdRng| {
+            (b * BUCKET + rng.gen_range(0..3)).saturating_sub(1)
+        };
+        match rng.gen_range(0..9) {
+            0 => now,
+            1 => now + rng.gen_range(0..BUCKET / 8),
+            2 => (now / BUCKET + rng.gen_range(0..3)) * BUCKET + rng.gen_range(0..3) * 1000,
+            3 => edge(now / BUCKET + rng.gen_range(0..64), rng),
+            4 => edge(q.cursor, rng),
+            5 => edge(q.cursor + RING_BUCKETS, rng),
+            6 => edge(q.cursor + RING_BUCKETS - rng.gen_range(0..4), rng),
+            7 => now + rng.gen_range(WINDOW..4 * WINDOW),
+            _ => now + rng.gen_range(0..WINDOW),
+        }
+    }
+
+    /// The queue under test beside a reference binary heap of the same
+    /// pushes, and the ids of the timers still queued.
+    struct Model {
+        q: EventQueue,
+        heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+        timers: std::collections::BTreeSet<u64>,
+        seq: u64,
+    }
+
+    impl Model {
+        /// Push at `t` into both; every other event is a timer.
+        fn push(&mut self, t: u64) {
+            let seq = self.seq;
+            self.seq += 1;
+            if seq.is_multiple_of(2) {
+                self.timers.insert(seq);
+                let kind = EventKind::Timer {
+                    node: NodeId(0),
+                    id: seq,
+                    tag: 0,
+                    inc: 0,
+                };
+                self.q.push(SimTime(t), kind);
+            } else {
+                self.q
+                    .push(SimTime(t), EventKind::ConnEstablished { conn: ConnId(seq) });
+            }
+            self.heap.push(Reverse((SimTime(t), seq)));
+        }
+
+        /// Pop from both — `pop_until(limit)` on the queue when `limit` is
+        /// given — and assert the same `(time, seq)`.
+        fn pop(&mut self, limit: Option<u64>, seed: u64) -> Option<(SimTime, u64)> {
+            let got = match limit {
+                Some(l) => self.q.pop_until(SimTime(l)),
+                None => self.q.pop(),
+            };
+            let got = got.map(|e| (e.time, e.seq));
+            let want = match (self.heap.peek(), limit) {
+                (Some(Reverse((t, _))), Some(l)) if t.0 > l => None,
+                _ => self.heap.pop().map(|Reverse(k)| k),
+            };
+            assert_eq!(got, want, "seed {seed}");
+            if let Some((_, seq)) = got {
+                self.timers.remove(&seq);
+            }
+            got
+        }
+
+        /// Assert the same `len`, `peek_time` and live timer set.
+        fn check(&mut self, seed: u64) {
+            assert_eq!(self.q.len(), self.heap.len(), "seed {seed}");
+            let want = self.heap.peek().map(|Reverse((t, _))| *t);
+            assert_eq!(self.q.peek_time(), want, "seed {seed}");
+            let live: std::collections::BTreeSet<u64> = self.q.live_timer_ids().collect();
+            assert_eq!(live, self.timers, "seed {seed}");
+        }
+    }
+
+    /// The calendar and a reference binary heap, driven by the same seeded
+    /// schedules of pushes, pops, `pop_until`s and full drains, pop the same
+    /// `(time, seq)` sequence and agree on `len`, `peek_time` and the live
+    /// timers at random points.
+    #[test]
+    fn matches_reference_heap() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const WINDOW: u64 = (1 << BUCKET_SHIFT) * RING_BUCKETS;
+        for seed in 0..2000u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut m = Model {
+                q: EventQueue::new(),
+                heap: BinaryHeap::new(),
+                timers: Default::default(),
+                seq: 0,
+            };
+            let mut now = 0u64;
+            for _ in 0..rng.gen_range(1..400) {
+                match rng.gen_range(0..16) {
+                    0..=7 => {
+                        let t = draw_time(&mut rng, &m.q, now);
+                        m.push(t);
+                    }
+                    8..=10 => {
+                        if let Some((t, _)) = m.pop(None, seed) {
+                            now = now.max(t.0);
+                        }
+                    }
+                    11..=13 => {
+                        let limit = draw_time(&mut rng, &m.q, now);
+                        while m.pop(Some(limit), seed).is_some() {}
+                        now = now.max(limit);
+                    }
+                    14 => {
+                        // Drain, then leave a gap longer than the ring.
+                        while m.pop(None, seed).is_some() {}
+                        now += rng.gen_range(WINDOW..8 * WINDOW);
+                        m.push(now);
+                    }
+                    _ => m.check(seed),
+                }
+            }
+            while m.pop(None, seed).is_some() {}
+            m.check(seed);
+        }
+    }
+
+    /// A slab slot is 56 bytes on a 64-bit target: the boxed fault action
+    /// keeps the rarest event kind from widening every queued one.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn slab_slot_is_56_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Event>>(), 56);
+    }
+
+    /// Freed slab slots are reused: 1 000 rounds of push-k / pop-k never
+    /// grow the slab past k slots.
+    #[test]
+    fn slab_reuses_freed_slots() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        const K: usize = 8;
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut q = EventQueue::new();
+        let mut now = 0u64;
+        for _ in 0..1000 {
+            for _ in 0..K {
+                let t = draw_time(&mut rng, &q, now);
+                q.push(SimTime(t), EventKind::ConnEstablished { conn: ConnId(0) });
+            }
+            for _ in 0..K {
+                let e = q.pop();
+                assert!(e.is_some());
+                now = now.max(e.map_or(0, |e| e.time.0));
+            }
+            assert_eq!(q.len(), 0);
+            assert!(q.slab.len() <= K, "slab grew to {}", q.slab.len());
         }
     }
 }

@@ -289,6 +289,24 @@ impl BufPool {
     }
 }
 
+/// The nodes handed out mutably since their last `flush_telemetry`. A driver
+/// that polls in small steps makes most `run_until` calls dispatch nothing,
+/// and those flush nothing and walk no node list.
+#[derive(Default)]
+struct TouchedNodes {
+    /// `flags[i]`: node `i` is in `ids`.
+    flags: Vec<bool>,
+    ids: Vec<u32>,
+}
+
+impl TouchedNodes {
+    fn mark(&mut self, i: usize) {
+        if !std::mem::replace(&mut self.flags[i], true) {
+            self.ids.push(i as u32);
+        }
+    }
+}
+
 /// Everything in the simulator except the node objects themselves; nodes are
 /// taken out of their slot during dispatch so [`Ctx`] can borrow this core
 /// mutably without aliasing the node.
@@ -597,10 +615,8 @@ impl SimCore {
 pub struct Simulator {
     core: SimCore,
     nodes: Vec<Option<Box<dyn Node>>>,
-    /// `touched[i]`: node `i` has been handed out mutably since its last
-    /// `flush_telemetry`. A driver that polls in small steps makes most
-    /// `run_until` calls dispatch nothing, and those flush nothing.
-    touched: Vec<bool>,
+    /// Nodes handed out mutably since their last `flush_telemetry`.
+    touched: TouchedNodes,
     /// Nodes with index < started_upto have had on_start called. Nodes
     /// added after the simulation begins are started on the next run call.
     started_upto: usize,
@@ -638,7 +654,7 @@ impl Simulator {
                 fault_stats: FaultStats::default(),
             },
             nodes: Vec::new(),
-            touched: Vec::new(),
+            touched: TouchedNodes::default(),
             started_upto: 0,
         }
     }
@@ -660,7 +676,7 @@ impl Simulator {
     ) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Some(node));
-        self.touched.push(false);
+        self.touched.flags.push(false);
         self.core.ifaces.push(iface);
         self.core.names.push(name.into());
         self.core.up_ends.push(Vec::new());
@@ -748,7 +764,7 @@ impl Simulator {
         let mut node = self.nodes[id.0 as usize]
             .take()
             .expect("node is being dispatched");
-        self.touched[id.0 as usize] = true;
+        self.touched.mark(id.0 as usize);
         let mut ctx = Ctx {
             core: &mut self.core,
             me: id,
@@ -775,7 +791,7 @@ impl Simulator {
         let mut node = self.nodes[id.0 as usize]
             .take()
             .expect("node reentrancy during dispatch");
-        self.touched[id.0 as usize] = true;
+        self.touched.mark(id.0 as usize);
         let mut ctx = Ctx {
             core: &mut self.core,
             me: id,
@@ -823,8 +839,11 @@ impl Simulator {
         // Flush this run's deltas to telemetry in one shot; the loop above
         // only touched plain fields. Nodes batching their own counters
         // (relays) flush here too, if anything ran on them since last time.
-        for (node, touched) in self.nodes.iter_mut().zip(&mut self.touched) {
-            if let (Some(node), true) = (node, std::mem::take(touched)) {
+        // Ascending node order, as the export expects.
+        self.touched.ids.sort_unstable();
+        for i in self.touched.ids.drain(..) {
+            self.touched.flags[i as usize] = false;
+            if let Some(node) = self.nodes[i as usize].as_mut() {
                 node.flush_telemetry();
             }
         }
@@ -971,7 +990,7 @@ impl Simulator {
                 self.dispatch(node, |n, ctx| n.on_conn_closed(ctx, conn));
             }
             EventKind::Fault { action } => {
-                self.apply_fault(action);
+                self.apply_fault(*action);
             }
         }
     }
@@ -1045,7 +1064,7 @@ impl Simulator {
         // Volatile state dies with the process. No Ctx: a dead host cannot
         // act on the network.
         if let Some(n) = self.nodes[i].as_mut() {
-            self.touched[i] = true;
+            self.touched.mark(i);
             n.on_crash();
         }
     }
@@ -1071,7 +1090,12 @@ impl Simulator {
         }
         self.core.faults_active = true;
         for (at, action) in plan.entries {
-            self.core.queue.push(at, EventKind::Fault { action });
+            self.core.queue.push(
+                at,
+                EventKind::Fault {
+                    action: Box::new(action),
+                },
+            );
         }
     }
 
@@ -1079,7 +1103,12 @@ impl Simulator {
     /// one-entry [`FaultPlan`]).
     pub fn inject_fault(&mut self, at: SimTime, action: FaultAction) {
         self.core.faults_active = true;
-        self.core.queue.push(at, EventKind::Fault { action });
+        self.core.queue.push(
+            at,
+            EventKind::Fault {
+                action: Box::new(action),
+            },
+        );
     }
 
     /// Is `node` currently crashed?
