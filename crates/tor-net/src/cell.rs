@@ -15,6 +15,15 @@
 //! `recognized` is zero and `digest` is the running-digest prefix only at the
 //! hop a relay cell is addressed to; at every other hop both fields are
 //! ciphertext (see [`crate::relay_crypto`]).
+//!
+//! Two relay-cell bodies have a layout of their own, each with one encoder
+//! and one decoder here: EXTEND ([`ExtendBody`]) and BEGIN ([`StreamTarget`]).
+//! Their decoders take bytes off the wire and refuse instead of panicking.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use onion_crypto::ntor::ONIONSKIN_LEN;
+use simnet::NodeId;
 
 /// Total cell length on the wire.
 pub const CELL_LEN: usize = 514;
@@ -360,6 +369,95 @@ impl RelayCell {
     }
 }
 
+/// Where a stream should terminate: the body of a BEGIN cell.
+///
+/// ```text
+/// Node: 0 | addr (4) | port (2)
+/// Dir:  1
+/// Hs:   2 | port (2)
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StreamTarget {
+    /// An external host:port, opened by the exit relay.
+    Node(NodeId, u16),
+    /// The terminal relay's own directory service.
+    Dir,
+    /// The hidden service at the far end of a rendezvous circuit.
+    Hs(u16),
+}
+
+impl StreamTarget {
+    /// Encode as a BEGIN body.
+    pub fn encode(&self) -> Vec<u8> {
+        match self {
+            StreamTarget::Node(addr, port) => {
+                [&[0][..], &addr.0.to_be_bytes(), &port.to_be_bytes()].concat()
+            }
+            StreamTarget::Dir => vec![1],
+            StreamTarget::Hs(port) => [&[2][..], &port.to_be_bytes()].concat(),
+        }
+    }
+
+    /// Decode a BEGIN body; `None` unless it is exactly one of the three
+    /// layouts.
+    pub fn decode(data: &[u8]) -> Option<StreamTarget> {
+        match *data {
+            [0, a, b, c, d, p, q] => Some(StreamTarget::Node(
+                NodeId(u32::from_be_bytes([a, b, c, d])),
+                u16::from_be_bytes([p, q]),
+            )),
+            [1] => Some(StreamTarget::Dir),
+            [2, p, q] => Some(StreamTarget::Hs(u16::from_be_bytes([p, q]))),
+            _ => None,
+        }
+    }
+}
+
+/// The body of an EXTEND cell, borrowed from the bytes it was decoded from:
+///
+/// ```text
+/// fingerprint (20) | addr (4) | or_port (2) | onionskin (84)
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExtendBody<'a> {
+    /// Identity fingerprint of the relay to extend to.
+    pub fingerprint: [u8; 20],
+    /// That relay's address.
+    pub addr: NodeId,
+    /// That relay's OR port.
+    pub or_port: u16,
+    /// The ntor onionskin for that relay.
+    pub onionskin: &'a [u8],
+}
+
+impl<'a> ExtendBody<'a> {
+    /// Length of an encoded body.
+    pub const LEN: usize = 20 + 4 + 2 + ONIONSKIN_LEN;
+
+    /// Encode as an EXTEND body.
+    pub fn encode(&self) -> Vec<u8> {
+        let (addr, or_port) = (self.addr.0.to_be_bytes(), self.or_port.to_be_bytes());
+        [&self.fingerprint[..], &addr, &or_port, self.onionskin].concat()
+    }
+
+    /// Decode an EXTEND body; `None` unless it is exactly [`Self::LEN`]
+    /// bytes long.
+    pub fn decode(data: &'a [u8]) -> Option<ExtendBody<'a>> {
+        if data.len() != Self::LEN {
+            return None;
+        }
+        let (fingerprint, rest) = data.split_first_chunk::<20>()?;
+        let (addr, rest) = rest.split_first_chunk::<4>()?;
+        let (or_port, onionskin) = rest.split_first_chunk::<2>()?;
+        Some(ExtendBody {
+            fingerprint: *fingerprint,
+            addr: NodeId(u32::from_be_bytes(*addr)),
+            or_port: u16::from_be_bytes(*or_port),
+            onionskin,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,5 +542,25 @@ mod tests {
             let back = RelayCell::parse_payload(&rc.encode_payload()).unwrap();
             assert_eq!(back.cmd, cmd);
         }
+    }
+
+    #[test]
+    fn stream_target_roundtrip() {
+        for t in [
+            StreamTarget::Node(NodeId(7), 80),
+            StreamTarget::Dir,
+            StreamTarget::Hs(443),
+        ] {
+            assert_eq!(StreamTarget::decode(&t.encode()), Some(t));
+        }
+    }
+
+    #[test]
+    fn stream_target_rejects_malformed() {
+        assert_eq!(StreamTarget::decode(&[]), None);
+        assert_eq!(StreamTarget::decode(&[0, 1, 2]), None); // short Node
+        assert_eq!(StreamTarget::decode(&[1, 9]), None); // long Dir
+        assert_eq!(StreamTarget::decode(&[2, 1]), None); // short Hs
+        assert_eq!(StreamTarget::decode(&[9]), None); // unknown tag
     }
 }

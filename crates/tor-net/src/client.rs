@@ -12,12 +12,14 @@
 // crash.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::cell::{Cell, CellCmd, RelayCell, RelayCmd, CELL_LEN, MAX_RELAY_DATA, PAYLOAD_LEN};
+use crate::cell::{
+    Cell, CellCmd, ExtendBody, RelayCell, RelayCmd, StreamTarget, MAX_RELAY_DATA, PAYLOAD_LEN,
+};
 use crate::dir::{
     Consensus, DirMsg, Fingerprint, HsDescriptor, OnionAddr, RelayFlags, RelayInfo, SignedConsensus,
 };
+use crate::link::{CircWindow, LinkTable};
 use crate::ports::DIR_PORT;
-use crate::relay::{CIRC_WINDOW, SENDME_INCREMENT};
 use crate::relay_crypto::{CircuitCrypto, LayerCrypto};
 use crate::retry::{Backoff, BackoffPolicy, FailureCache};
 use crate::stream_frame::{encode_frame, FrameAssembler};
@@ -61,49 +63,6 @@ const MAX_HS_RETRIES: u32 = 3;
 /// Handle to a client circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CircuitHandle(pub usize);
-
-/// Where a stream should terminate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamTarget {
-    /// An external host:port, opened by the exit relay.
-    Node(NodeId, u16),
-    /// The terminal relay's own directory service.
-    Dir,
-    /// The hidden service at the far end of a rendezvous circuit.
-    Hs(u16),
-}
-
-impl StreamTarget {
-    fn encode(&self) -> Vec<u8> {
-        match self {
-            StreamTarget::Node(addr, port) => {
-                let mut v = vec![0u8];
-                v.extend_from_slice(&addr.0.to_be_bytes());
-                v.extend_from_slice(&port.to_be_bytes());
-                v
-            }
-            StreamTarget::Dir => vec![1u8],
-            StreamTarget::Hs(port) => {
-                let mut v = vec![2u8];
-                v.extend_from_slice(&port.to_be_bytes());
-                v
-            }
-        }
-    }
-
-    /// Parse from Begin data (used by the service side of rendezvous).
-    pub fn decode(data: &[u8]) -> Option<StreamTarget> {
-        match data.first()? {
-            0 if data.len() == 7 => Some(StreamTarget::Node(
-                NodeId(u32::from_be_bytes([data[1], data[2], data[3], data[4]])),
-                u16::from_be_bytes([data[5], data[6]]),
-            )),
-            1 if data.len() == 1 => Some(StreamTarget::Dir),
-            2 if data.len() == 3 => Some(StreamTarget::Hs(u16::from_be_bytes([data[1], data[2]]))),
-            _ => None,
-        }
-    }
-}
 
 /// Events the client surfaces to its host.
 #[derive(Debug)]
@@ -169,9 +128,8 @@ struct ClientCircuit {
     ready: bool,
     alive: bool,
     streams: BTreeMap<u16, ClientStream>,
-    package_window: i32,
-    delivered_since_sendme: i32,
-    queued_data: VecDeque<(u16, Vec<u8>)>,
+    /// Flow control of the cells this client sends to the last hop.
+    window: CircWindow,
     /// Outstanding e2e handshake awaiting RENDEZVOUS2.
     pending_e2e: Option<ntor::ClientHandshake>,
     /// Index into `hs_conns` if this circuit belongs to an onion connection.
@@ -192,12 +150,6 @@ struct ManagedCirc {
     /// Slot of the failed incarnation its owner holds: the one the next
     /// `CircuitRebuilt` names, however many attempts fail in between.
     origin: Option<usize>,
-}
-
-struct LinkState {
-    established: bool,
-    queued: Vec<Cell>,
-    next_circ_id: u32,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,10 +205,8 @@ pub struct TorClient {
     excluded: Option<Fingerprint>,
     consensus: Option<Consensus>,
     dir_conn: Option<ConnId>,
-    links: BTreeMap<ConnId, LinkState>,
-    links_by_peer: BTreeMap<NodeId, ConnId>,
+    links: LinkTable,
     circuits: Vec<ClientCircuit>,
-    circ_lookup: BTreeMap<(ConnId, u32), usize>,
     hs_conns: Vec<HsConn>,
     next_stream_id: u16,
     events: VecDeque<TorEvent>,
@@ -283,10 +233,8 @@ impl TorClient {
             excluded: None,
             consensus: None,
             dir_conn: None,
-            links: BTreeMap::new(),
-            links_by_peer: BTreeMap::new(),
+            links: LinkTable::default(),
             circuits: Vec::new(),
-            circ_lookup: BTreeMap::new(),
             hs_conns: Vec::new(),
             next_stream_id: 1,
             events: VecDeque::new(),
@@ -351,10 +299,8 @@ impl TorClient {
     pub fn reset(&mut self) {
         self.consensus = None;
         self.dir_conn = None;
-        self.links.clear();
-        self.links_by_peer.clear();
+        self.links = LinkTable::default();
         self.circuits.clear();
-        self.circ_lookup.clear();
         self.hs_conns.clear();
         self.next_stream_id = 1;
         self.events.clear();
@@ -506,28 +452,9 @@ impl TorClient {
         }
         let guard = infos.first()?.clone();
         // Reuse or open the guard link.
-        let conn = match self.links_by_peer.get(&guard.addr) {
-            Some(&c) => c,
-            None => {
-                let c = ctx.connect(guard.addr, guard.or_port);
-                self.links.insert(
-                    c,
-                    LinkState {
-                        established: false,
-                        queued: Vec::new(),
-                        next_circ_id: 1,
-                    },
-                );
-                self.links_by_peer.insert(guard.addr, c);
-                c
-            }
-        };
-        let circ_id = {
-            let link = self.links.get_mut(&conn)?;
-            let id = link.next_circ_id;
-            link.next_circ_id += 2;
-            id
-        };
+        let (conn, circ_id) = self
+            .links
+            .new_circ(guard.addr, || ctx.connect(guard.addr, guard.or_port));
         let (handshake, onionskin) =
             ntor::client_begin(ctx.rng(), guard.fingerprint, guard.onion_key);
         let slot = self.circuits.len();
@@ -540,21 +467,19 @@ impl TorClient {
             ready: false,
             alive: true,
             streams: BTreeMap::new(),
-            package_window: CIRC_WINDOW,
-            delivered_since_sendme: 0,
-            queued_data: VecDeque::new(),
+            window: CircWindow::new(),
             pending_e2e: None,
             hs_conn: None,
             build_timer: None,
             managed: None,
         });
-        self.circ_lookup.insert((conn, circ_id), slot);
+        self.links.bind(conn, circ_id, slot);
         if self.recovery {
             let t = ctx.set_timer(Self::BUILD_TIMEOUT, TAG_BUILD_TIMEOUT_BASE + slot as u64);
             self.circuits[slot].build_timer = Some(t);
         }
         let create = Cell::with_payload(circ_id, CellCmd::Create, &onionskin);
-        self.send_cell(ctx, conn, create);
+        self.links.send_cell(ctx, conn, create);
         Some(CircuitHandle(slot))
     }
 
@@ -592,11 +517,10 @@ impl TorClient {
             return;
         }
         c.alive = false;
-        let destroy = Cell::new(c.circ_id, CellCmd::Destroy);
-        let conn = c.conn;
-        self.circ_lookup
-            .remove(&(conn, self.circuits[circ.0].circ_id));
-        self.send_cell(ctx, conn, destroy);
+        let (conn, circ_id) = (c.conn, c.circ_id);
+        self.links.unbind(conn, circ_id);
+        self.links
+            .send_cell(ctx, conn, Cell::new(circ_id, CellCmd::Destroy));
     }
 
     // ------------------------------------------------------------------
@@ -633,17 +557,11 @@ impl TorClient {
                 timeout,
             },
         );
-        let cmd = if matches!(target, StreamTarget::Dir) {
-            RelayCmd::BeginDir
-        } else {
-            RelayCmd::Begin
+        let (cmd, data) = match target {
+            StreamTarget::Dir => (RelayCmd::BeginDir, vec![]),
+            _ => (RelayCmd::Begin, target.encode()),
         };
-        let data = if matches!(target, StreamTarget::Dir) {
-            vec![]
-        } else {
-            target.encode()
-        };
-        self.send_relay_last(ctx, circ.0, RelayCell::new(cmd, stream_id, data));
+        self.send_relay(ctx, circ.0, cmd, stream_id, &data);
         Some(stream_id)
     }
 
@@ -657,11 +575,12 @@ impl TorClient {
         data: &[u8],
     ) {
         for chunk in data.chunks(MAX_RELAY_DATA) {
-            self.send_data_chunk(ctx, circ.0, stream, chunk);
+            self.send_relay(ctx, circ.0, RelayCmd::Data, stream, chunk);
         }
     }
 
-    /// Close a stream.
+    /// Close a stream. Its END follows any of its DATA still waiting for
+    /// the circuit window.
     pub fn close_stream(&mut self, ctx: &mut Ctx<'_>, circ: CircuitHandle, stream: u16) {
         let Some(c) = self.circuits.get_mut(circ.0) else {
             return;
@@ -670,7 +589,7 @@ impl TorClient {
             if let Some(t) = s.timeout {
                 ctx.cancel_timer(t);
             }
-            self.send_relay_last(ctx, circ.0, RelayCell::new(RelayCmd::End, stream, vec![]));
+            self.send_relay(ctx, circ.0, RelayCmd::End, stream, &[]);
         }
     }
 
@@ -688,16 +607,12 @@ impl TorClient {
                     s.connected = true;
                 }
             }
-            self.send_relay_last(
-                ctx,
-                circ.0,
-                RelayCell::new(RelayCmd::Connected, stream, vec![]),
-            );
+            self.send_relay(ctx, circ.0, RelayCmd::Connected, stream, &[]);
         } else {
             if let Some(c) = self.circuits.get_mut(circ.0) {
                 c.streams.remove(&stream);
             }
-            self.send_relay_last(ctx, circ.0, RelayCell::new(RelayCmd::End, stream, vec![]));
+            self.send_relay(ctx, circ.0, RelayCmd::End, stream, &[]);
         }
     }
 
@@ -705,7 +620,7 @@ impl TorClient {
     /// observer it is indistinguishable from data.
     pub fn send_drop(&mut self, ctx: &mut Ctx<'_>, circ: CircuitHandle) {
         if self.is_ready(circ) {
-            self.send_relay_last(ctx, circ.0, RelayCell::new(RelayCmd::Drop, 0, vec![]));
+            self.send_relay(ctx, circ.0, RelayCmd::Drop, 0, &[]);
         }
     }
 
@@ -717,7 +632,7 @@ impl TorClient {
         cmd: RelayCmd,
         data: Vec<u8>,
     ) {
-        self.send_relay_last(ctx, circ.0, RelayCell::new(cmd, 0, data));
+        self.send_relay(ctx, circ.0, cmd, 0, &data);
     }
 
     /// Open a dir stream on `circ` and send one directory request; the
@@ -792,17 +707,7 @@ impl TorClient {
         if Some(conn) == self.dir_conn {
             return true;
         }
-        if let Some(link) = self.links.get_mut(&conn) {
-            link.established = true;
-            let queued = std::mem::take(&mut link.queued);
-            for cell in queued {
-                let mut wire = ctx.take_buf(CELL_LEN);
-                cell.encode_into(&mut wire);
-                ctx.send(conn, wire);
-            }
-            return true;
-        }
-        false
+        self.links.established(ctx, conn).is_some()
     }
 
     /// Delegate of [`simnet::Node::on_msg`].
@@ -826,7 +731,7 @@ impl TorClient {
             }
             return true;
         }
-        if self.links.contains_key(&conn) {
+        if self.links.contains(conn) {
             if let Some(cell) = Cell::decode(&msg) {
                 ctx.recycle_buf(msg);
                 self.handle_cell(ctx, conn, cell);
@@ -847,17 +752,7 @@ impl TorClient {
             }
             return true;
         }
-        if self.links.remove(&conn).is_some() {
-            self.links_by_peer.retain(|_, c| *c != conn);
-            let mut slots: Vec<usize> = self
-                .circ_lookup
-                .iter()
-                .filter(|((c, _), _)| *c == conn)
-                .map(|(_, &s)| s)
-                .collect();
-            // Sorted by slot so teardown order (which feeds the shared RNG)
-            // is the circuit-allocation order, not the map's key order.
-            slots.sort_unstable();
+        if let Some(slots) = self.links.close(conn) {
             for slot in slots {
                 if self.recovery {
                     // The guard link died under this circuit: remember the
@@ -965,7 +860,7 @@ impl TorClient {
         }
         c.streams.remove(&stream);
         T_STREAM_TIMEOUTS.inc();
-        self.send_relay_last(ctx, slot, RelayCell::new(RelayCmd::End, stream, vec![]));
+        self.send_relay(ctx, slot, RelayCmd::End, stream, &[]);
         self.emit_or_hs(
             ctx,
             slot,
@@ -1010,28 +905,27 @@ impl TorClient {
     // Internals.
     // ------------------------------------------------------------------
 
-    fn send_cell(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, cell: Cell) {
-        if let Some(link) = self.links.get_mut(&conn) {
-            if !link.established {
-                link.queued.push(cell);
-                return;
-            }
-        }
-        let mut wire = ctx.take_buf(CELL_LEN);
-        cell.encode_into(&mut wire);
-        ctx.send(conn, wire);
-    }
-
-    fn send_relay_last(&mut self, ctx: &mut Ctx<'_>, slot: usize, rc: RelayCell) {
-        self.send_relay_last_payload(ctx, slot, rc.encode_payload());
-    }
-
-    fn send_relay_last_payload(
+    /// Send a relay cell to the circuit's last hop through the circuit
+    /// window. The data is borrowed, and copied to the heap only when the
+    /// cell must wait in the window's queue.
+    fn send_relay(
         &mut self,
         ctx: &mut Ctx<'_>,
         slot: usize,
-        mut payload: [u8; PAYLOAD_LEN],
+        cmd: RelayCmd,
+        stream: u16,
+        data: &[u8],
     ) {
+        let Some(c) = self.circuits.get_mut(slot) else {
+            return;
+        };
+        if c.window.admit(cmd, stream, data) {
+            let payload = RelayCell::encode_payload_from(cmd, stream, data);
+            self.seal_for_last(ctx, slot, payload);
+        }
+    }
+
+    fn seal_for_last(&mut self, ctx: &mut Ctx<'_>, slot: usize, mut payload: [u8; PAYLOAD_LEN]) {
         let Some(c) = self.circuits.get_mut(slot) else {
             return;
         };
@@ -1045,50 +939,11 @@ impl TorClient {
             payload,
         };
         let conn = c.conn;
-        self.send_cell(ctx, conn, cell);
-    }
-
-    /// Package borrowed stream bytes into one DATA cell; bytes are only
-    /// copied to the heap when the package window is closed and the chunk
-    /// must be queued.
-    fn send_data_chunk(&mut self, ctx: &mut Ctx<'_>, slot: usize, stream: u16, chunk: &[u8]) {
-        {
-            let Some(c) = self.circuits.get_mut(slot) else {
-                return;
-            };
-            if c.package_window <= 0 {
-                c.queued_data.push_back((stream, chunk.to_vec()));
-                return;
-            }
-            c.package_window -= 1;
-        }
-        let payload = RelayCell::encode_payload_from(RelayCmd::Data, stream, chunk);
-        self.send_relay_last_payload(ctx, slot, payload);
-    }
-
-    fn flush_queued_data(&mut self, ctx: &mut Ctx<'_>, slot: usize) {
-        loop {
-            let item = {
-                let Some(c) = self.circuits.get_mut(slot) else {
-                    return;
-                };
-                if c.package_window <= 0 {
-                    return;
-                }
-                match c.queued_data.pop_front() {
-                    Some(x) => {
-                        c.package_window -= 1;
-                        x
-                    }
-                    None => return,
-                }
-            };
-            self.send_relay_last(ctx, slot, RelayCell::new(RelayCmd::Data, item.0, item.1));
-        }
+        self.links.send_cell(ctx, conn, cell);
     }
 
     fn handle_cell(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, mut cell: Cell) {
-        let Some(&slot) = self.circ_lookup.get(&(conn, cell.circ_id)) else {
+        let Some(slot) = self.links.circ(conn, cell.circ_id) else {
             return;
         };
         match cell.cmd {
@@ -1139,12 +994,13 @@ impl TorClient {
                 hop: next_hop,
                 handshake,
             });
-            let mut data = Vec::with_capacity(26 + onionskin.len());
-            data.extend_from_slice(&next.fingerprint);
-            data.extend_from_slice(&next.addr.0.to_be_bytes());
-            data.extend_from_slice(&next.or_port.to_be_bytes());
-            data.extend_from_slice(&onionskin);
-            self.send_relay_last(ctx, slot, RelayCell::new(RelayCmd::Extend, 0, data));
+            let body = ExtendBody {
+                fingerprint: next.fingerprint,
+                addr: next.addr,
+                or_port: next.or_port,
+                onionskin: &onionskin,
+            };
+            self.send_relay(ctx, slot, RelayCmd::Extend, 0, &body.encode());
         } else {
             self.circuits[slot].ready = true;
             if let Some(t) = self.circuits[slot].build_timer.take() {
@@ -1198,7 +1054,9 @@ impl TorClient {
                 );
             }
             RelayCmd::Data => {
-                self.account_delivery(ctx, slot);
+                if self.circuits[slot].window.delivered() {
+                    self.send_relay(ctx, slot, RelayCmd::Sendme, 0, &[]);
+                }
                 enum D {
                     App(Vec<u8>),
                     Dir(Vec<Vec<u8>>),
@@ -1272,8 +1130,10 @@ impl TorClient {
                 );
             }
             RelayCmd::Sendme => {
-                self.circuits[slot].package_window += SENDME_INCREMENT;
-                self.flush_queued_data(ctx, slot);
+                self.circuits[slot].window.credit();
+                while let Some(rc) = self.circuits[slot].window.next_ready() {
+                    self.seal_for_last(ctx, slot, rc.encode_payload());
+                }
             }
             RelayCmd::Drop => {}
             RelayCmd::Rendezvous2 => {
@@ -1317,22 +1177,6 @@ impl TorClient {
             | RelayCmd::Introduce1
             | RelayCmd::EstablishRendezvous
             | RelayCmd::Rendezvous1 => {}
-        }
-    }
-
-    fn account_delivery(&mut self, ctx: &mut Ctx<'_>, slot: usize) {
-        let send_sendme = {
-            let c = &mut self.circuits[slot];
-            c.delivered_since_sendme += 1;
-            if c.delivered_since_sendme >= SENDME_INCREMENT {
-                c.delivered_since_sendme -= SENDME_INCREMENT;
-                true
-            } else {
-                false
-            }
-        };
-        if send_sendme {
-            self.send_relay_last(ctx, slot, RelayCell::new(RelayCmd::Sendme, 0, vec![]));
         }
     }
 
@@ -1443,10 +1287,12 @@ impl TorClient {
         if self.circuits[rendezvous_circ].ready && !self.hs_conns[idx].est_sent {
             self.hs_conns[idx].est_sent = true;
             let cookie = self.hs_conns[idx].cookie;
-            self.send_relay_last(
+            self.send_relay(
                 ctx,
                 rendezvous_circ,
-                RelayCell::new(RelayCmd::EstablishRendezvous, 0, cookie.to_vec()),
+                RelayCmd::EstablishRendezvous,
+                0,
+                &cookie,
             );
             self.hs_conns[idx].phase = HsPhase::Waiting;
         }
@@ -1553,11 +1399,7 @@ impl TorClient {
         data.extend_from_slice(&addr.0);
         data.extend_from_slice(eph.public_key().as_bytes());
         data.extend_from_slice(&sealed);
-        self.send_relay_last(
-            ctx,
-            intro_slot,
-            RelayCell::new(RelayCmd::Introduce1, 0, data),
-        );
+        self.send_relay(ctx, intro_slot, RelayCmd::Introduce1, 0, &data);
         self.hs_conns[idx].phase = HsPhase::Introduced;
     }
 
@@ -1641,7 +1483,7 @@ impl TorClient {
             return;
         }
         let (conn, destroy) = (c.conn, Cell::new(c.circ_id, CellCmd::Destroy));
-        self.send_cell(ctx, conn, destroy);
+        self.links.send_cell(ctx, conn, destroy);
         self.circuit_closed(ctx, slot);
     }
 
@@ -1655,7 +1497,7 @@ impl TorClient {
         self.circuits[slot].ready = false;
         let conn = self.circuits[slot].conn;
         let circ_id = self.circuits[slot].circ_id;
-        self.circ_lookup.remove(&(conn, circ_id));
+        self.links.unbind(conn, circ_id);
         // Quiesce every timer owned by the dead circuit before its slot can
         // be misread by a later firing.
         let mut timers: Vec<TimerId> = self.circuits[slot].build_timer.take().into_iter().collect();
@@ -1683,26 +1525,6 @@ impl TorClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stream_target_roundtrip() {
-        for t in [
-            StreamTarget::Node(NodeId(7), 80),
-            StreamTarget::Dir,
-            StreamTarget::Hs(443),
-        ] {
-            assert_eq!(StreamTarget::decode(&t.encode()), Some(t));
-        }
-    }
-
-    #[test]
-    fn stream_target_rejects_malformed() {
-        assert_eq!(StreamTarget::decode(&[]), None);
-        assert_eq!(StreamTarget::decode(&[0, 1, 2]), None); // short Node
-        assert_eq!(StreamTarget::decode(&[1, 9]), None); // long Dir
-        assert_eq!(StreamTarget::decode(&[2, 1]), None); // short Hs
-        assert_eq!(StreamTarget::decode(&[9]), None); // unknown tag
-    }
 
     #[test]
     fn client_without_consensus_cannot_build() {

@@ -5,6 +5,11 @@
 //! The authority signs the consensus with a hash-based Merkle signature
 //! ([`onion_crypto::hashsig`]); clients verify against a pinned authority
 //! key, mirroring Tor's hardcoded directory-authority keys.
+//!
+//! Every document here is decoded from bytes a peer sent, so decoding
+//! refuses instead of panicking.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use onion_crypto::hashsig::{MerkleVerifyKey, Signature};
 use onion_crypto::sha256::sha256;

@@ -4,7 +4,8 @@
 //! of the Tor substrate it runs on:
 //!
 //! * **Cells** ([`cell`]): fixed 514-byte link cells with the relay-cell
-//!   sublayout (recognized / stream id / digest / length).
+//!   sublayout (recognized / stream id / digest / length), and the EXTEND
+//!   and BEGIN bodies.
 //! * **Layered onion crypto** ([`relay_crypto`]): per-hop AES-128-CTR
 //!   streams, as in Tor, and running "recognized" digests — Tor's scheme
 //!   with SHA-256 in place of SHA-1.
@@ -19,6 +20,9 @@
 //!   bootstrap, weighted path selection, circuit construction, streams,
 //!   circuit-level SENDME flow control, cover (DROP) cells, and the
 //!   client side of rendezvous with an end-to-end virtual hop.
+//! * **Links** (`link`, private): the OR-link table and the circuit
+//!   window both of the above use — links, circuit ids, cells queued
+//!   until a link is up, and SENDME flow control.
 //! * **Hidden services** ([`hs`]): descriptor publication to HSDirs,
 //!   introduction-point management, and rendezvous-side splicing — plus
 //!   the hook the LoadBalancer function uses to hand an INTRODUCE2 to a
@@ -39,6 +43,7 @@ pub mod cell;
 pub mod client;
 pub mod dir;
 pub mod hs;
+mod link;
 pub mod netbuild;
 pub mod ports;
 pub mod relay;
@@ -46,8 +51,8 @@ pub mod relay_crypto;
 pub mod retry;
 pub mod stream_frame;
 
-pub use cell::{Cell, CellCmd, RelayCmd, CELL_LEN, MAX_RELAY_DATA};
-pub use client::{CircuitHandle, StreamTarget, TorClient, TorEvent};
+pub use cell::{Cell, CellCmd, RelayCmd, StreamTarget, CELL_LEN, MAX_RELAY_DATA};
+pub use client::{CircuitHandle, TorClient, TorEvent};
 pub use dir::OnionAddr;
 pub use dir::{Consensus, ExitPolicy, Fingerprint, RelayFlags, RelayInfo};
 pub use hs::{HiddenServiceHost, HsEvent};

@@ -6,11 +6,20 @@
 //! callbacks here (see [`RelayNode`] for the standalone wrapper). This is
 //! what lets the Bento crate build one host that is simultaneously a Tor
 //! relay, a Bento server and an onion proxy, as in Figure 3 of the paper.
+//!
+//! Every cell a relay handles comes off a link a stranger may hold, so
+//! nothing here may panic on it.
 
-use crate::cell::{Cell, CellCmd, RelayCell, RelayCmd, CELL_LEN, MAX_RELAY_DATA, PAYLOAD_LEN};
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use crate::cell::{
+    Cell, CellCmd, ExtendBody, RelayCell, RelayCmd, StreamTarget, CELL_LEN, MAX_RELAY_DATA,
+    PAYLOAD_LEN,
+};
 use crate::dir::{
     Consensus, DirMsg, ExitPolicy, Fingerprint, OnionAddr, RelayFlags, RelayInfo, SignedConsensus,
 };
+use crate::link::{CircWindow, LinkTable};
 use crate::ports::{DIR_PORT, OR_PORT};
 use crate::relay_crypto::LayerCrypto;
 use crate::stream_frame::{encode_frame, FrameAssembler};
@@ -38,11 +47,6 @@ static T_BATCH_CELLS: telemetry::Histo = telemetry::Histo::new("relay.batch_cell
 /// Timer-tag namespace reserved by the relay component.
 pub const RELAY_TAG_BASE: u64 = 0x0100_0000_0000_0000;
 const TAG_BUILD_CONSENSUS: u64 = RELAY_TAG_BASE + 1;
-
-/// Circuit-level flow-control window, in RELAY_DATA cells (Tor's 1000).
-pub const CIRC_WINDOW: i32 = 1000;
-/// A SENDME is sent for every this many delivered data cells (Tor's 100).
-pub const SENDME_INCREMENT: i32 = 100;
 
 /// Configuration of one relay.
 #[derive(Clone)]
@@ -125,21 +129,17 @@ pub enum RelayEvent {
     },
 }
 
-enum StreamKind {
-    /// Stream exits to an external destination connection.
-    Exit,
-    /// Stream terminates at this relay's directory service.
+/// Where a stream that ends at this relay goes.
+enum Stream {
+    /// To an external destination whose connection is still opening; data
+    /// cells wait here until it is ready.
+    Opening(ConnId, Vec<Vec<u8>>),
+    /// To an external destination over a ready connection.
+    Exit(ConnId),
+    /// To this relay's directory service.
     Dir(FrameAssembler),
-    /// Stream terminates at the co-resident local service.
+    /// To the co-resident local service.
     Local(u64),
-}
-
-struct ExitStream {
-    kind: StreamKind,
-    conn: Option<ConnId>,
-    connected: bool,
-    /// Data cells received before the outbound connection was ready.
-    pending: Vec<Vec<u8>>,
 }
 
 struct RelayCircuit {
@@ -148,20 +148,15 @@ struct RelayCircuit {
     crypto: LayerCrypto,
     /// Waiting for CREATED from the next hop (circ id allocated there).
     pending_extend: bool,
-    streams: BTreeMap<u16, ExitStream>,
+    streams: BTreeMap<u16, Stream>,
     /// Rendezvous splice partner (slot index).
     splice: Option<usize>,
     /// Set if this circuit registered as an introduction circuit.
     intro_service: Option<OnionAddr>,
     /// Set if this circuit registered a rendezvous cookie.
     rendezvous_cookie: Option<[u8; 20]>,
-    /// Window for data cells we may send toward the origin.
-    package_window: i32,
-    /// Data cells delivered from the origin since the last SENDME we sent.
-    delivered_since_sendme: i32,
-    /// Data cells queued awaiting package window.
-    queued_to_origin: VecDeque<RelayCell>,
-    alive: bool,
+    /// Flow control of the cells this relay sends toward the origin.
+    window: CircWindow,
 }
 
 impl RelayCircuit {
@@ -175,19 +170,9 @@ impl RelayCircuit {
             splice: None,
             intro_service: None,
             rendezvous_cookie: None,
-            package_window: CIRC_WINDOW,
-            delivered_since_sendme: 0,
-            queued_to_origin: VecDeque::new(),
-            alive: true,
+            window: CircWindow::new(),
         }
     }
-}
-
-struct LinkState {
-    peer: NodeId,
-    established: bool,
-    next_circ_id: u32,
-    queued: Vec<Cell>,
 }
 
 /// Aggregate relay counters.
@@ -212,12 +197,9 @@ pub struct RelayCore {
     cfg: RelayConfig,
     fingerprint: Fingerprint,
     onion_secret: StaticSecret,
-    my_addr: Option<NodeId>,
-    links: BTreeMap<ConnId, LinkState>,
-    links_by_peer: BTreeMap<NodeId, ConnId>,
+    links: LinkTable,
     dir_conns: BTreeSet<ConnId>,
     circuits: Vec<Option<RelayCircuit>>,
-    circ_lookup: BTreeMap<(ConnId, u32), usize>,
     exit_conns: BTreeMap<ConnId, (usize, u16)>,
     /// Authority state: received descriptors and the signed consensus.
     received_descs: Vec<RelayInfo>,
@@ -253,12 +235,9 @@ impl RelayCore {
             cfg,
             fingerprint,
             onion_secret,
-            my_addr: None,
-            links: BTreeMap::new(),
-            links_by_peer: BTreeMap::new(),
+            links: LinkTable::default(),
             dir_conns: BTreeSet::new(),
             circuits: Vec::new(),
-            circ_lookup: BTreeMap::new(),
             exit_conns: BTreeMap::new(),
             received_descs: Vec::new(),
             signed_consensus: None,
@@ -343,7 +322,6 @@ impl RelayCore {
 
     /// Delegate of [`Node::on_start`].
     pub fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.my_addr = Some(ctx.me());
         if self.cfg.authority_signer.is_some() {
             // We are the authority: include our own descriptor and schedule
             // consensus construction.
@@ -371,15 +349,7 @@ impl RelayCore {
     ) -> bool {
         match port {
             OR_PORT => {
-                self.links.insert(
-                    conn,
-                    LinkState {
-                        peer,
-                        established: true,
-                        next_circ_id: 2, // acceptor allocates even ids
-                        queued: Vec::new(),
-                    },
-                );
+                self.links.accept(conn, peer);
                 true
             }
             DIR_PORT => {
@@ -393,34 +363,26 @@ impl RelayCore {
     /// Delegate of [`Node::on_conn_established`]. Claims conns this relay
     /// opened (outbound OR links and exit streams).
     pub fn on_conn_established(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _peer: NodeId) -> bool {
-        if let Some(link) = self.links.get_mut(&conn) {
-            link.established = true;
-            let queued = std::mem::take(&mut link.queued);
-            for cell in queued {
-                self.send_cell(ctx, conn, cell);
-            }
+        if let Some(sent) = self.links.established(ctx, conn) {
+            self.stats.cells_out += sent as u64;
             return true;
         }
         if let Some(&(slot, stream_id)) = self.exit_conns.get(&conn) {
             // Outbound exit connection ready: flush buffered data, confirm.
-            let pending = {
-                let Some(circ) = self.circuits[slot].as_mut() else {
-                    return true;
-                };
-                let Some(stream) = circ.streams.get_mut(&stream_id) else {
-                    return true;
-                };
-                stream.connected = true;
-                std::mem::take(&mut stream.pending)
+            let Some(stream) = self.circuits[slot]
+                .as_mut()
+                .and_then(|c| c.streams.get_mut(&stream_id))
+            else {
+                return true;
             };
-            for chunk in pending {
-                ctx.send(conn, chunk);
+            if let Stream::Opening(exit, pending) = stream {
+                let (exit, pending) = (*exit, std::mem::take(pending));
+                *stream = Stream::Exit(exit);
+                for chunk in pending {
+                    ctx.send(conn, chunk);
+                }
             }
-            self.send_to_origin(
-                ctx,
-                slot,
-                RelayCell::new(RelayCmd::Connected, stream_id, vec![]),
-            );
+            self.send_to_origin(ctx, slot, RelayCmd::Connected, stream_id, &[]);
             return true;
         }
         false
@@ -428,7 +390,7 @@ impl RelayCore {
 
     /// Delegate of [`Node::on_msg`].
     pub fn on_msg(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: Vec<u8>) -> bool {
-        if self.links.contains_key(&conn) {
+        if self.links.contains(conn) {
             match Cell::peek_cmd(&msg) {
                 Some(CellCmd::Relay) => {
                     // The hot path: switched in place inside `msg`, which is
@@ -459,7 +421,7 @@ impl RelayCore {
         if let Some(&(slot, stream_id)) = self.exit_conns.get(&conn) {
             // Data from an external destination: package into cells.
             for chunk in msg.chunks(MAX_RELAY_DATA) {
-                self.send_data_to_origin(ctx, slot, stream_id, chunk);
+                self.send_to_origin(ctx, slot, RelayCmd::Data, stream_id, chunk);
             }
             ctx.recycle_buf(msg);
             return true;
@@ -474,7 +436,7 @@ impl RelayCore {
     /// this stays for the callers that do (the repo benchmark's fetch probe
     /// and the hostile-delivery test in `tests/network.rs`).
     pub fn on_msgs(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msgs: Vec<Vec<u8>>) -> bool {
-        if self.links.contains_key(&conn) {
+        if self.links.contains(conn) {
             self.batch_hist.record(msgs.len() as u64);
         }
         let mut claimed = false;
@@ -486,23 +448,12 @@ impl RelayCore {
 
     /// Delegate of [`Node::on_conn_closed`].
     pub fn on_conn_closed(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) -> bool {
-        if let Some(link) = self.links.remove(&conn) {
-            self.links_by_peer.remove(&link.peer);
-            // Tear down circuits using this link.
-            let mut slots: Vec<usize> = self
-                .circ_lookup
-                .iter()
-                .filter(|((c, _), _)| *c == conn)
-                .map(|(_, &s)| s)
-                .collect();
-            // Sorted by slot so teardown order (which feeds events and the
-            // RNG) is the circuit-allocation order, not the key order the
-            // ordered map happens to yield. notify=true so the circuit's
-            // *other* side hears a Destroy and can start recovering; the
-            // send toward the dead link itself no-ops.
-            slots.sort_unstable();
+        if let Some(slots) = self.links.close(conn) {
+            // Tear down the circuits using this link: each circuit's *other*
+            // side hears a Destroy and can start recovering; the send toward
+            // the dead link itself no-ops.
             for slot in slots {
-                self.teardown_circuit(ctx, slot, true);
+                self.teardown_circuit(ctx, slot);
             }
             return true;
         }
@@ -510,15 +461,7 @@ impl RelayCore {
             return true;
         }
         if let Some((slot, stream_id)) = self.exit_conns.remove(&conn) {
-            if let Some(Some(circ)) = self.circuits.get_mut(slot) {
-                if circ.streams.remove(&stream_id).is_some() && circ.alive {
-                    self.send_to_origin(
-                        ctx,
-                        slot,
-                        RelayCell::new(RelayCmd::End, stream_id, vec![]),
-                    );
-                }
-            }
+            self.end_stream(ctx, slot, stream_id);
             return true;
         }
         false
@@ -544,22 +487,14 @@ impl RelayCore {
             return;
         };
         for chunk in data.chunks(MAX_RELAY_DATA) {
-            self.send_data_to_origin(ctx, slot, stream_id, chunk);
+            self.send_to_origin(ctx, slot, RelayCmd::Data, stream_id, chunk);
         }
     }
 
     /// Close a local-service stream.
     pub fn local_close(&mut self, ctx: &mut Ctx<'_>, stream: LocalStream) {
         if let Some((slot, stream_id)) = self.local_streams.remove(&stream.0) {
-            if let Some(Some(circ)) = self.circuits.get_mut(slot) {
-                if circ.streams.remove(&stream_id).is_some() && circ.alive {
-                    self.send_to_origin(
-                        ctx,
-                        slot,
-                        RelayCell::new(RelayCmd::End, stream_id, vec![]),
-                    );
-                }
-            }
+            self.end_stream(ctx, slot, stream_id);
         }
     }
 
@@ -567,34 +502,28 @@ impl RelayCore {
     // Internals.
     // ------------------------------------------------------------------
 
-    fn send_cell(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, cell: Cell) {
-        if let Some(link) = self.links.get_mut(&conn) {
-            if !link.established {
-                link.queued.push(cell);
-                return;
-            }
+    /// A stream ending at this relay closed on this side: forget it and
+    /// send END toward the origin, behind any DATA still queued for it.
+    fn end_stream(&mut self, ctx: &mut Ctx<'_>, slot: usize, stream_id: u16) {
+        let removed = self.circuits[slot]
+            .as_mut()
+            .and_then(|c| c.streams.remove(&stream_id));
+        if removed.is_some() {
+            self.send_to_origin(ctx, slot, RelayCmd::End, stream_id, &[]);
         }
-        self.stats.cells_out += 1;
-        let mut wire = ctx.take_buf(CELL_LEN);
-        cell.encode_into(&mut wire);
-        ctx.send(conn, wire);
     }
 
-    /// Send an already-encoded cell buffer without copying it. On the rare
-    /// unestablished-link path the cell is decoded back into the link queue
-    /// and the buffer recycled.
-    fn send_wire(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, wire: Vec<u8>) {
-        if let Some(link) = self.links.get_mut(&conn) {
-            if !link.established {
-                if let Some(cell) = Cell::decode(&wire) {
-                    link.queued.push(cell);
-                }
-                ctx.recycle_buf(wire);
-                return;
-            }
+    fn send_cell(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, cell: Cell) {
+        if self.links.send_cell(ctx, conn, cell) {
+            self.stats.cells_out += 1;
         }
-        self.stats.cells_out += 1;
-        ctx.send(conn, wire);
+    }
+
+    /// Send an already-encoded cell buffer without copying it.
+    fn send_wire(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, wire: Vec<u8>) {
+        if self.links.send_wire(ctx, conn, wire) {
+            self.stats.cells_out += 1;
+        }
     }
 
     fn handle_cell(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, cell: Cell) {
@@ -606,8 +535,8 @@ impl RelayCore {
             // in-place wire path (handle_relay_wire).
             CellCmd::Relay => {}
             CellCmd::Destroy => {
-                if let Some(&slot) = self.circ_lookup.get(&(conn, cell.circ_id)) {
-                    self.teardown_circuit(ctx, slot, true);
+                if let Some(slot) = self.links.circ(conn, cell.circ_id) {
+                    self.teardown_circuit(ctx, slot);
                 }
             }
         }
@@ -624,7 +553,7 @@ impl RelayCore {
         };
         let crypto = LayerCrypto::relay_side(&keys);
         let slot = self.alloc_circuit(RelayCircuit::new((conn, cell.circ_id), crypto));
-        self.circ_lookup.insert((conn, cell.circ_id), slot);
+        self.links.bind(conn, cell.circ_id, slot);
         self.stats.circuits += 1;
         let created = Cell::with_payload(cell.circ_id, CellCmd::Created, &reply);
         self.send_cell(ctx, conn, created);
@@ -633,21 +562,15 @@ impl RelayCore {
     fn handle_created(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, cell: Cell) {
         // A next-hop circuit we extended finished its handshake: relay the
         // reply backward as EXTENDED.
-        let Some(&slot) = self.circ_lookup.get(&(conn, cell.circ_id)) else {
+        let Some(slot) = self.links.circ(conn, cell.circ_id) else {
             return;
         };
-        let is_pending = self.circuits[slot]
-            .as_ref()
-            .map(|c| c.pending_extend)
-            .unwrap_or(false);
-        if !is_pending {
+        let Some(c) = self.circuits[slot].as_mut().filter(|c| c.pending_extend) else {
             return;
-        }
-        if let Some(c) = self.circuits[slot].as_mut() {
-            c.pending_extend = false;
-        }
-        let reply = cell.payload[..ntor::REPLY_LEN].to_vec();
-        self.send_to_origin(ctx, slot, RelayCell::new(RelayCmd::Extended, 0, reply));
+        };
+        c.pending_extend = false;
+        let reply = &cell.payload[..ntor::REPLY_LEN];
+        self.send_to_origin(ctx, slot, RelayCmd::Extended, 0, reply);
     }
 
     /// Relay-cell switching, performed directly on the encoded buffer the
@@ -659,7 +582,7 @@ impl RelayCore {
         let Some(circ_id) = Cell::peek_circ_id(&msg) else {
             return;
         };
-        let Some(&slot) = self.circ_lookup.get(&(conn, circ_id)) else {
+        let Some(slot) = self.links.circ(conn, circ_id) else {
             ctx.recycle_buf(msg);
             return;
         };
@@ -707,50 +630,28 @@ impl RelayCore {
             let splice = self.circuits[slot].as_ref().and_then(|c| c.splice);
             if let Some(other) = splice {
                 self.stats.cells_forwarded += 1;
-                self.send_spliced_wire(ctx, other, msg);
+                self.send_backward_wire(ctx, other, msg);
                 return;
             }
             // Unrecognized cell at the end of an unspliced circuit: a
             // protocol violation or tagging attack, so tear the circuit down.
             ctx.recycle_buf(msg);
-            self.teardown_circuit(ctx, slot, true);
+            self.teardown_circuit(ctx, slot);
         } else {
-            // Backward direction: add our layer, pass toward the origin.
-            let prev = {
-                let Some(c) = self.circuits[slot].as_mut() else {
-                    ctx.recycle_buf(msg);
-                    return;
-                };
-                match Cell::wire_payload_mut(&mut msg) {
-                    Some(payload) => {
-                        self.stats.crypto_bytes += payload.len() as u64;
-                        c.crypto.encrypt_layer(payload)
-                    }
-                    None => {
-                        ctx.recycle_buf(msg);
-                        return;
-                    }
-                }
-                c.prev
-            };
-            Cell::set_wire_circ_id(&mut msg, prev.1);
             self.stats.cells_forwarded += 1;
-            self.send_wire(ctx, prev.0, msg);
+            self.send_backward_wire(ctx, slot, msg);
         }
     }
 
-    /// Inject an encoded relay cell into a spliced circuit, re-encrypting in
-    /// place so it travels toward that circuit's originator.
-    fn send_spliced_wire(&mut self, ctx: &mut Ctx<'_>, slot: usize, mut msg: Vec<u8>) {
+    /// Add this hop's layer to an encoded relay cell in place and pass it
+    /// toward the origin of circuit `slot`: the backward direction, and the
+    /// far side of a rendezvous splice.
+    fn send_backward_wire(&mut self, ctx: &mut Ctx<'_>, slot: usize, mut msg: Vec<u8>) {
         let prev = {
             let Some(c) = self.circuits[slot].as_mut() else {
                 ctx.recycle_buf(msg);
                 return;
             };
-            if !c.alive {
-                ctx.recycle_buf(msg);
-                return;
-            }
             match Cell::wire_payload_mut(&mut msg) {
                 Some(payload) => {
                     self.stats.crypto_bytes += payload.len() as u64;
@@ -767,59 +668,24 @@ impl RelayCore {
         self.send_wire(ctx, prev.0, msg);
     }
 
-    /// Seal a relay cell as the terminal hop and send it toward the origin,
-    /// honoring the package window for data cells.
-    fn send_to_origin(&mut self, ctx: &mut Ctx<'_>, slot: usize, rc: RelayCell) {
-        let is_data = rc.cmd == RelayCmd::Data;
-        {
-            let Some(c) = self.circuits[slot].as_mut() else {
-                return;
-            };
-            if !c.alive {
-                return;
-            }
-            if is_data && c.package_window <= 0 {
-                c.queued_to_origin.push_back(rc);
-                return;
-            }
-            if is_data {
-                c.package_window -= 1;
-            }
-        }
-        let payload = rc.encode_payload();
-        self.seal_and_send_to_origin(ctx, slot, payload);
-    }
-
-    /// Package borrowed stream bytes into a DATA cell toward the origin —
-    /// the zero-copy path behind exit, local-service and dir responses. The
-    /// bytes are only copied to the heap when the package window is closed
-    /// and the cell must be queued.
-    fn send_data_to_origin(
+    /// Seal a relay cell as the terminal hop and send it toward the origin
+    /// through the circuit window. The data is borrowed, and copied to the
+    /// heap only when the cell must wait in the window's queue.
+    fn send_to_origin(
         &mut self,
         ctx: &mut Ctx<'_>,
         slot: usize,
+        cmd: RelayCmd,
         stream_id: u16,
-        chunk: &[u8],
+        data: &[u8],
     ) {
-        {
-            let Some(c) = self.circuits[slot].as_mut() else {
-                return;
-            };
-            if !c.alive {
-                return;
-            }
-            if c.package_window <= 0 {
-                c.queued_to_origin.push_back(RelayCell::new(
-                    RelayCmd::Data,
-                    stream_id,
-                    chunk.to_vec(),
-                ));
-                return;
-            }
-            c.package_window -= 1;
+        let Some(c) = self.circuits[slot].as_mut() else {
+            return;
+        };
+        if c.window.admit(cmd, stream_id, data) {
+            let payload = RelayCell::encode_payload_from(cmd, stream_id, data);
+            self.seal_and_send_to_origin(ctx, slot, payload);
         }
-        let payload = RelayCell::encode_payload_from(RelayCmd::Data, stream_id, chunk);
-        self.seal_and_send_to_origin(ctx, slot, payload);
     }
 
     fn seal_and_send_to_origin(
@@ -843,21 +709,13 @@ impl RelayCore {
         self.send_wire(ctx, prev.0, wire);
     }
 
-    fn flush_queued_to_origin(&mut self, ctx: &mut Ctx<'_>, slot: usize) {
-        loop {
-            let rc = {
-                let Some(c) = self.circuits[slot].as_mut() else {
-                    return;
-                };
-                if c.package_window <= 0 {
-                    return;
-                }
-                match c.queued_to_origin.pop_front() {
-                    Some(rc) => rc,
-                    None => return,
-                }
-            };
-            self.send_to_origin(ctx, slot, rc);
+    /// Send what the window lets go of after a SENDME.
+    fn flush_to_origin(&mut self, ctx: &mut Ctx<'_>, slot: usize) {
+        while let Some(rc) = self.circuits[slot]
+            .as_mut()
+            .and_then(|c| c.window.next_ready())
+        {
+            self.seal_and_send_to_origin(ctx, slot, rc.encode_payload());
         }
     }
 
@@ -871,9 +729,9 @@ impl RelayCore {
             RelayCmd::End => self.handle_stream_end(ctx, slot, rc),
             RelayCmd::Sendme => {
                 if let Some(c) = self.circuits[slot].as_mut() {
-                    c.package_window += SENDME_INCREMENT;
+                    c.window.credit();
                 }
-                self.flush_queued_to_origin(ctx, slot);
+                self.flush_to_origin(ctx, slot);
             }
             RelayCmd::Drop => {
                 // Long-range cover traffic: absorbed silently.
@@ -894,304 +752,178 @@ impl RelayCore {
     }
 
     fn handle_extend(&mut self, ctx: &mut Ctx<'_>, slot: usize, rc: RelayCell) {
-        // data = fingerprint(20) | addr(4) | or_port(2) | onionskin(84)
-        if rc.data.len() != 20 + 4 + 2 + ntor::ONIONSKIN_LEN {
+        let Some(body) = ExtendBody::decode(&rc.data) else {
             return;
-        }
-        let addr = NodeId(u32::from_be_bytes([
-            rc.data[20],
-            rc.data[21],
-            rc.data[22],
-            rc.data[23],
-        ]));
-        let or_port = u16::from_be_bytes([rc.data[24], rc.data[25]]);
-        let onionskin = &rc.data[26..];
-        // Reuse an existing link or open one.
-        let conn = match self.links_by_peer.get(&addr) {
-            Some(&c) => c,
-            None => {
-                let c = ctx.connect(addr, or_port);
-                self.links.insert(
-                    c,
-                    LinkState {
-                        peer: addr,
-                        established: false,
-                        next_circ_id: 1, // initiator allocates odd ids
-                        queued: Vec::new(),
-                    },
-                );
-                self.links_by_peer.insert(addr, c);
-                c
-            }
         };
-        let circ_id = {
-            let link = self.links.get_mut(&conn).expect("link exists");
-            let id = link.next_circ_id;
-            link.next_circ_id += 2;
-            id
-        };
+        // Reuse the link to that relay or open one.
+        let (conn, circ_id) = self
+            .links
+            .new_circ(body.addr, || ctx.connect(body.addr, body.or_port));
         if let Some(c) = self.circuits[slot].as_mut() {
             c.next = Some((conn, circ_id));
             c.pending_extend = true;
         }
-        self.circ_lookup.insert((conn, circ_id), slot);
-        let create = Cell::with_payload(circ_id, CellCmd::Create, onionskin);
+        self.links.bind(conn, circ_id, slot);
+        let create = Cell::with_payload(circ_id, CellCmd::Create, body.onionskin);
         self.send_cell(ctx, conn, create);
     }
 
     fn handle_begin(&mut self, ctx: &mut Ctx<'_>, slot: usize, rc: RelayCell) {
-        // data = 0 | addr(4) | port(2): open an external connection.
-        if rc.data.len() != 7 || rc.data[0] != 0 {
-            self.send_to_origin(
-                ctx,
-                slot,
-                RelayCell::new(RelayCmd::End, rc.stream_id, vec![]),
-            );
+        // Only an external host:port is opened here.
+        let Some(StreamTarget::Node(addr, port)) = StreamTarget::decode(&rc.data) else {
+            self.send_to_origin(ctx, slot, RelayCmd::End, rc.stream_id, &[]);
             return;
-        }
-        let addr = NodeId(u32::from_be_bytes([
-            rc.data[1], rc.data[2], rc.data[3], rc.data[4],
-        ]));
-        let port = u16::from_be_bytes([rc.data[5], rc.data[6]]);
-        let me = self.my_addr.expect("relay started");
+        };
+        let me = ctx.me();
         // Local service port? Advertising a bento_port *is* the operator's
         // exit-policy opt-in for localhost (§5 of the paper).
-        if Some(addr) == self.my_addr && Some(port) == self.cfg.bento_port {
+        if addr == me && Some(port) == self.cfg.bento_port {
             let id = self.next_local_stream;
             self.next_local_stream += 1;
             self.local_streams.insert(id, (slot, rc.stream_id));
             if let Some(c) = self.circuits[slot].as_mut() {
-                c.streams.insert(
-                    rc.stream_id,
-                    ExitStream {
-                        kind: StreamKind::Local(id),
-                        conn: None,
-                        connected: true,
-                        pending: Vec::new(),
-                    },
-                );
+                c.streams.insert(rc.stream_id, Stream::Local(id));
             }
             self.events.push_back(RelayEvent::LocalStreamOpened {
                 stream: LocalStream(id),
                 port,
             });
-            self.send_to_origin(
-                ctx,
-                slot,
-                RelayCell::new(RelayCmd::Connected, rc.stream_id, vec![]),
-            );
+            self.send_to_origin(ctx, slot, RelayCmd::Connected, rc.stream_id, &[]);
             return;
         }
         // Exit policy check (never exit back into ourselves otherwise).
         if addr == me || !self.cfg.exit_policy.allows(addr, port) {
-            self.send_to_origin(
-                ctx,
-                slot,
-                RelayCell::new(RelayCmd::End, rc.stream_id, vec![]),
-            );
+            self.send_to_origin(ctx, slot, RelayCmd::End, rc.stream_id, &[]);
             return;
         }
         let conn = ctx.connect(addr, port);
         self.exit_conns.insert(conn, (slot, rc.stream_id));
         self.stats.exit_streams += 1;
         if let Some(c) = self.circuits[slot].as_mut() {
-            c.streams.insert(
-                rc.stream_id,
-                ExitStream {
-                    kind: StreamKind::Exit,
-                    conn: Some(conn),
-                    connected: false,
-                    pending: Vec::new(),
-                },
-            );
+            c.streams
+                .insert(rc.stream_id, Stream::Opening(conn, Vec::new()));
         }
         // CONNECTED is sent from on_conn_established.
     }
 
     fn handle_begin_dir(&mut self, ctx: &mut Ctx<'_>, slot: usize, rc: RelayCell) {
         if let Some(c) = self.circuits[slot].as_mut() {
-            c.streams.insert(
-                rc.stream_id,
-                ExitStream {
-                    kind: StreamKind::Dir(FrameAssembler::new()),
-                    conn: None,
-                    connected: true,
-                    pending: Vec::new(),
-                },
-            );
+            c.streams
+                .insert(rc.stream_id, Stream::Dir(FrameAssembler::new()));
         }
-        self.send_to_origin(
-            ctx,
-            slot,
-            RelayCell::new(RelayCmd::Connected, rc.stream_id, vec![]),
-        );
+        self.send_to_origin(ctx, slot, RelayCmd::Connected, rc.stream_id, &[]);
     }
 
     fn handle_stream_data(&mut self, ctx: &mut Ctx<'_>, slot: usize, rc: RelayCell) {
         // Count toward the deliver window and credit the sender as needed.
-        let send_sendme = {
-            let Some(c) = self.circuits[slot].as_mut() else {
-                return;
-            };
-            c.delivered_since_sendme += 1;
-            if c.delivered_since_sendme >= SENDME_INCREMENT {
-                c.delivered_since_sendme -= SENDME_INCREMENT;
-                true
-            } else {
-                false
-            }
+        let Some(c) = self.circuits[slot].as_mut() else {
+            return;
         };
-        if send_sendme {
-            self.send_to_origin(ctx, slot, RelayCell::new(RelayCmd::Sendme, 0, vec![]));
+        if c.window.delivered() {
+            self.send_to_origin(ctx, slot, RelayCmd::Sendme, 0, &[]);
         }
-        enum Action {
-            ToExit(ConnId, Vec<u8>),
-            ToDir(Vec<Vec<u8>>),
-            ToLocal(u64, Vec<u8>),
-            None,
-        }
-        let action = {
-            let Some(c) = self.circuits[slot].as_mut() else {
-                return;
-            };
-            match c.streams.get_mut(&rc.stream_id) {
-                Some(stream) => match &mut stream.kind {
-                    StreamKind::Exit => {
-                        if stream.connected {
-                            Action::ToExit(stream.conn.expect("connected exit"), rc.data)
-                        } else {
-                            stream.pending.push(rc.data);
-                            Action::None
-                        }
-                    }
-                    StreamKind::Dir(asm) => {
-                        asm.push(&rc.data);
-                        Action::ToDir(asm.drain_frames())
-                    }
-                    StreamKind::Local(id) => Action::ToLocal(*id, rc.data),
-                },
-                None => Action::None,
-            }
+        let Some(c) = self.circuits[slot].as_mut() else {
+            return;
         };
-        match action {
-            Action::ToExit(conn, data) => {
-                ctx.send(conn, data);
+        match c.streams.get_mut(&rc.stream_id) {
+            Some(Stream::Opening(_, pending)) => pending.push(rc.data),
+            Some(Stream::Exit(conn)) => {
+                ctx.send(*conn, rc.data);
             }
-            Action::ToDir(frames) => {
-                for frame in frames {
-                    if let Ok(dm) = DirMsg::decode(&frame) {
-                        if let Some(resp) = self.handle_dir_msg(dm) {
-                            let framed = encode_frame(&resp.encode());
-                            for chunk in framed.chunks(MAX_RELAY_DATA) {
-                                self.send_data_to_origin(ctx, slot, rc.stream_id, chunk);
-                            }
+            Some(Stream::Dir(asm)) => {
+                asm.push(&rc.data);
+                for frame in asm.drain_frames() {
+                    let Ok(dm) = DirMsg::decode(&frame) else {
+                        continue;
+                    };
+                    if let Some(resp) = self.handle_dir_msg(dm) {
+                        let framed = encode_frame(&resp.encode());
+                        for chunk in framed.chunks(MAX_RELAY_DATA) {
+                            self.send_to_origin(ctx, slot, RelayCmd::Data, rc.stream_id, chunk);
                         }
                     }
                 }
             }
-            Action::ToLocal(id, data) => {
+            Some(Stream::Local(id)) => {
+                let stream = LocalStream(*id);
                 self.events.push_back(RelayEvent::LocalStreamData {
-                    stream: LocalStream(id),
-                    data,
+                    stream,
+                    data: rc.data,
                 });
             }
-            Action::None => {}
+            None => {}
         }
     }
 
     fn handle_stream_end(&mut self, ctx: &mut Ctx<'_>, slot: usize, rc: RelayCell) {
-        let removed = {
-            let Some(c) = self.circuits[slot].as_mut() else {
-                return;
-            };
-            c.streams.remove(&rc.stream_id)
-        };
+        let removed = self.circuits[slot]
+            .as_mut()
+            .and_then(|c| c.streams.remove(&rc.stream_id));
         if let Some(stream) = removed {
-            match stream.kind {
-                StreamKind::Exit => {
-                    if let Some(conn) = stream.conn {
-                        self.exit_conns.remove(&conn);
-                        ctx.close(conn);
-                    }
-                }
-                StreamKind::Local(id) => {
-                    self.local_streams.remove(&id);
-                    self.events.push_back(RelayEvent::LocalStreamClosed {
-                        stream: LocalStream(id),
-                    });
-                }
-                StreamKind::Dir(_) => {}
+            self.release_stream(ctx, stream);
+        }
+    }
+
+    /// Let go of what a stream that is gone held: its exit connection, or
+    /// its local-service handle (the host hears it closed).
+    fn release_stream(&mut self, ctx: &mut Ctx<'_>, stream: Stream) {
+        match stream {
+            Stream::Opening(conn, _) | Stream::Exit(conn) => {
+                self.exit_conns.remove(&conn);
+                ctx.close(conn);
             }
+            Stream::Local(id) => {
+                self.local_streams.remove(&id);
+                self.events.push_back(RelayEvent::LocalStreamClosed {
+                    stream: LocalStream(id),
+                });
+            }
+            Stream::Dir(_) => {}
         }
     }
 
     fn handle_establish_intro(&mut self, ctx: &mut Ctx<'_>, slot: usize, rc: RelayCell) {
-        if rc.data.len() != 32 {
+        let Ok(addr) = <[u8; 32]>::try_from(rc.data.as_slice()) else {
             return;
-        }
-        let mut addr = [0u8; 32];
-        addr.copy_from_slice(&rc.data);
+        };
         let addr = OnionAddr(addr);
         self.intro_points.insert(addr, slot);
         if let Some(c) = self.circuits[slot].as_mut() {
             c.intro_service = Some(addr);
         }
-        self.send_to_origin(
-            ctx,
-            slot,
-            RelayCell::new(RelayCmd::IntroEstablished, 0, vec![]),
-        );
+        self.send_to_origin(ctx, slot, RelayCmd::IntroEstablished, 0, &[]);
     }
 
     fn handle_introduce1(&mut self, ctx: &mut Ctx<'_>, slot: usize, rc: RelayCell) {
-        if rc.data.len() < 32 {
+        let Some(&addr) = rc.data.first_chunk::<32>() else {
             return;
-        }
-        let mut addr = [0u8; 32];
-        addr.copy_from_slice(&rc.data[..32]);
-        let addr = OnionAddr(addr);
-        let Some(&service_slot) = self.intro_points.get(&addr) else {
+        };
+        let Some(&service_slot) = self.intro_points.get(&OnionAddr(addr)) else {
             // Unknown service: NACK with a nonempty payload.
-            self.send_to_origin(
-                ctx,
-                slot,
-                RelayCell::new(RelayCmd::IntroduceAck, 0, vec![1]),
-            );
+            self.send_to_origin(ctx, slot, RelayCmd::IntroduceAck, 0, &[1]);
             return;
         };
         // Forward the whole payload to the service as INTRODUCE2.
-        self.send_to_origin(
-            ctx,
-            service_slot,
-            RelayCell::new(RelayCmd::Introduce2, 0, rc.data.clone()),
-        );
-        self.send_to_origin(ctx, slot, RelayCell::new(RelayCmd::IntroduceAck, 0, vec![]));
+        self.send_to_origin(ctx, service_slot, RelayCmd::Introduce2, 0, &rc.data);
+        self.send_to_origin(ctx, slot, RelayCmd::IntroduceAck, 0, &[]);
     }
 
     fn handle_establish_rendezvous(&mut self, ctx: &mut Ctx<'_>, slot: usize, rc: RelayCell) {
-        if rc.data.len() != 20 {
+        let Ok(cookie) = <[u8; 20]>::try_from(rc.data.as_slice()) else {
             return;
-        }
-        let mut cookie = [0u8; 20];
-        cookie.copy_from_slice(&rc.data);
+        };
         self.rendezvous.insert(cookie, slot);
         if let Some(c) = self.circuits[slot].as_mut() {
             c.rendezvous_cookie = Some(cookie);
         }
-        self.send_to_origin(
-            ctx,
-            slot,
-            RelayCell::new(RelayCmd::RendezvousEstablished, 0, vec![]),
-        );
+        self.send_to_origin(ctx, slot, RelayCmd::RendezvousEstablished, 0, &[]);
     }
 
     fn handle_rendezvous1(&mut self, ctx: &mut Ctx<'_>, slot: usize, rc: RelayCell) {
-        if rc.data.len() < 20 {
+        let Some((cookie, reply)) = rc.data.split_first_chunk::<20>() else {
             return;
-        }
-        let mut cookie = [0u8; 20];
-        cookie.copy_from_slice(&rc.data[..20]);
-        let Some(client_slot) = self.rendezvous.remove(&cookie) else {
+        };
+        let Some(client_slot) = self.rendezvous.remove(cookie) else {
             return;
         };
         // Splice the two circuits.
@@ -1202,11 +934,7 @@ impl RelayCore {
             c.splice = Some(client_slot);
         }
         // Deliver the handshake reply to the waiting client.
-        self.send_to_origin(
-            ctx,
-            client_slot,
-            RelayCell::new(RelayCmd::Rendezvous2, 0, rc.data[20..].to_vec()),
-        );
+        self.send_to_origin(ctx, client_slot, RelayCmd::Rendezvous2, 0, reply);
     }
 
     fn handle_dir_msg(&mut self, dm: DirMsg) -> Option<DirMsg> {
@@ -1247,20 +975,19 @@ impl RelayCore {
     }
 
     fn build_consensus(&mut self) {
-        let Some(signer) = self.cfg.authority_signer.clone() else {
+        let Some(signer) = self.cfg.authority_signer.as_ref() else {
             return;
         };
         let mut relays = self.received_descs.clone();
         relays.sort_by_key(|a| a.fingerprint);
-        let consensus = Consensus { epoch: 1, relays };
-        let body = consensus.encode();
-        let signature = signer
-            .lock()
-            .expect("authority signer lock poisoned")
-            .sign(&body)
-            .expect("authority signer exhausted");
-        let signed = SignedConsensus { body, signature };
-        self.signed_consensus = Some(signed.encode());
+        let body = Consensus { epoch: 1, relays }.encode();
+        // A poisoned lock or a signer out of one-time keys is a refusal: the
+        // authority keeps answering "not ready" (an empty `ConsensusResp`)
+        // and keeps relaying.
+        let Some(signature) = signer.lock().ok().and_then(|mut s| s.sign(&body)) else {
+            return;
+        };
+        self.signed_consensus = Some(SignedConsensus { body, signature }.encode());
     }
 
     fn alloc_circuit(&mut self, circ: RelayCircuit) -> usize {
@@ -1274,38 +1001,19 @@ impl RelayCore {
         self.circuits.len() - 1
     }
 
-    fn teardown_circuit(&mut self, ctx: &mut Ctx<'_>, slot: usize, notify: bool) {
+    /// Free a circuit and everything it holds, and send DESTROY both ways.
+    fn teardown_circuit(&mut self, ctx: &mut Ctx<'_>, slot: usize) {
         let Some(circ) = self.circuits.get_mut(slot).and_then(Option::take) else {
             return;
         };
-        self.circ_lookup.remove(&circ.prev);
+        self.links.unbind(circ.prev.0, circ.prev.1);
         if let Some(next) = circ.next {
-            self.circ_lookup.remove(&next);
-            if notify {
-                let destroy = Cell::new(next.1, CellCmd::Destroy);
-                self.send_cell(ctx, next.0, destroy);
-            }
+            self.links.unbind(next.0, next.1);
+            self.send_cell(ctx, next.0, Cell::new(next.1, CellCmd::Destroy));
         }
-        if notify {
-            let destroy = Cell::new(circ.prev.1, CellCmd::Destroy);
-            self.send_cell(ctx, circ.prev.0, destroy);
-        }
-        for (_, stream) in circ.streams {
-            match stream.kind {
-                StreamKind::Exit => {
-                    if let Some(conn) = stream.conn {
-                        self.exit_conns.remove(&conn);
-                        ctx.close(conn);
-                    }
-                }
-                StreamKind::Local(id) => {
-                    self.local_streams.remove(&id);
-                    self.events.push_back(RelayEvent::LocalStreamClosed {
-                        stream: LocalStream(id),
-                    });
-                }
-                StreamKind::Dir(_) => {}
-            }
+        self.send_cell(ctx, circ.prev.0, Cell::new(circ.prev.1, CellCmd::Destroy));
+        for stream in circ.streams.into_values() {
+            self.release_stream(ctx, stream);
         }
         if let Some(addr) = circ.intro_service {
             self.intro_points.remove(&addr);

@@ -15,11 +15,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simnet::{FaultAction, FaultPlan, LinkFault, NodeId, SimDuration, SimTime};
+use simnet::{ConnId, Ctx, FaultAction, FaultPlan, LinkFault, Node, NodeId, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use tor_net::client::TerminalReq;
+use tor_net::dir::DirMsg;
 use tor_net::netbuild::{NetworkBuilder, TestClientNode, TorNetwork};
-use tor_net::ports::{HS_VIRTUAL_PORT, HTTP_PORT};
+use tor_net::ports::{DIR_PORT, HS_VIRTUAL_PORT, HTTP_PORT};
 use tor_net::stream_frame::encode_frame;
 use tor_net::{CircuitHandle, HiddenServiceHost, StreamTarget, TorEvent};
 
@@ -471,4 +472,51 @@ fn hs_intro_circuits_rebuild_after_relay_crash() {
     // Same seed -> byte-identical recovery.
     let b = run_intro_crash(808);
     assert_eq!(a, b, "intro recovery replays deterministically");
+}
+
+/// A node that asks the authority's DIR port for the consensus once and
+/// keeps the answer.
+struct ConsensusProbe {
+    authority: NodeId,
+    answer: Option<DirMsg>,
+}
+
+impl Node for ConsensusProbe {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        let conn = ctx.connect(self.authority, DIR_PORT);
+        ctx.send(conn, DirMsg::FetchConsensus.encode());
+    }
+    fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, msg: Vec<u8>) {
+        self.answer = DirMsg::decode(&msg).ok();
+    }
+}
+
+#[test]
+fn authority_out_of_signatures_serves_not_ready() {
+    // The authority's signer holds 16 one-time signatures and every start
+    // signs one consensus: the 16th restart finds it exhausted. The
+    // authority must refuse to sign, not take the simulation down.
+    let mut net = NetworkBuilder::new().seed(3).build();
+    let mut plan = FaultPlan::new();
+    for k in 0..17 {
+        let at = SimTime::ZERO + SimDuration::from_millis(1_000 + 1_000 * k);
+        plan = plan
+            .crash(at, net.authority)
+            .restart(at + SimDuration::from_millis(100), net.authority);
+    }
+    net.sim.install_faults(plan);
+    net.sim.run_until(secs(19));
+    let probe = ConsensusProbe {
+        authority: net.authority,
+        answer: None,
+    };
+    let probe = net
+        .sim
+        .add_node("probe", simnet::Iface::datacenter(), Box::new(probe));
+    net.sim.run_until(secs(21));
+    let answer = &net.sim.node_ref::<ConsensusProbe>(probe).answer;
+    assert!(
+        matches!(answer, Some(DirMsg::ConsensusResp(b)) if b.is_empty()),
+        "an exhausted authority answers \"not ready\", got {answer:?}"
+    );
 }

@@ -348,6 +348,68 @@ fn destroy_circuit_tears_down_exit_stream() {
     });
 }
 
+/// A destination that writes `len` bytes to whoever connects, then closes.
+struct WriteThenClose {
+    len: usize,
+}
+
+impl Node for WriteThenClose {
+    fn on_conn_open(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _peer: NodeId, _port: u16) {
+        ctx.send(conn, (0..self.len).map(|i| (i % 251) as u8).collect());
+        ctx.close(conn);
+    }
+    fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {}
+}
+
+#[test]
+fn end_follows_the_data_queued_behind_the_window() {
+    // 1 200 cells' worth: when the destination closes, the exit still holds
+    // about 200 DATA cells behind the 1 000-cell package window, and the
+    // END it owes the client must wait behind them.
+    let len = 1_200 * tor_net::MAX_RELAY_DATA;
+    let mut net = NetworkBuilder::new().seed(61).build();
+    let server = net.sim.add_node(
+        "sink",
+        simnet::Iface::datacenter(),
+        Box::new(WriteThenClose { len }),
+    );
+    let client = net.add_client("alice");
+    net.sim.run_until(secs(2));
+    let circ = net.sim.with_node::<TestClientNode, _>(client, |n, ctx| {
+        let path = n
+            .tor
+            .select_path(ctx, TerminalReq::ExitTo(server, HTTP_PORT))
+            .expect("exit path");
+        n.tor.build_circuit(ctx, path).expect("build started")
+    });
+    net.sim.run_until(secs(4));
+    let stream = net.sim.with_node::<TestClientNode, _>(client, |n, ctx| {
+        n.tor
+            .open_stream(ctx, circ, StreamTarget::Node(server, HTTP_PORT))
+            .expect("stream")
+    });
+    net.sim.run_until(secs(60));
+    net.sim.with_node::<TestClientNode, _>(client, |n, _| {
+        let end = n
+            .events
+            .iter()
+            .position(|e| matches!(e, TorEvent::StreamEnded(c, s) if *c == circ && *s == stream))
+            .expect("the stream ended");
+        let before_end: Vec<u8> = n.events[..end]
+            .iter()
+            .filter_map(|e| match e {
+                TorEvent::StreamData(c, s, d) if *c == circ && *s == stream => Some(&d[..]),
+                _ => None,
+            })
+            .flatten()
+            .copied()
+            .collect();
+        let sent: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        assert_eq!(before_end.len(), len, "every byte arrives before END");
+        assert!(before_end == sent, "and in order");
+    });
+}
+
 #[test]
 fn concurrent_clients_share_relays() {
     let mut net = NetworkBuilder::new().seed(59).middles(3).exits(1).build();

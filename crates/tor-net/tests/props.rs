@@ -1,9 +1,12 @@
 //! Property-based tests: cell/frame codecs, onion-layer roundtrips, and
 //! directory document robustness under arbitrary inputs.
 
-use onion_crypto::ntor::CircuitKeys;
+use onion_crypto::ntor::{CircuitKeys, ONIONSKIN_LEN};
 use proptest::prelude::*;
-use tor_net::cell::{Cell, RelayCell, RelayCmd, MAX_RELAY_DATA, PAYLOAD_LEN};
+use simnet::NodeId;
+use tor_net::cell::{
+    Cell, ExtendBody, RelayCell, RelayCmd, StreamTarget, MAX_RELAY_DATA, PAYLOAD_LEN,
+};
 use tor_net::dir::{DirMsg, HsDescriptor, RelayInfo, SignedConsensus};
 use tor_net::relay_crypto::{CircuitCrypto, LayerCrypto};
 use tor_net::stream_frame::{encode_frame, FrameAssembler};
@@ -29,10 +32,41 @@ proptest! {
         prop_assert_eq!(RelayCell::parse_payload(&payload).unwrap(), rc);
     }
 
-    /// Cell decode never panics on arbitrary bytes.
+    /// Cell decode and the EXTEND and BEGIN body decoders never panic on
+    /// arbitrary bytes.
     #[test]
     fn cell_decode_robust(bytes in proptest::collection::vec(any::<u8>(), 0..600)) {
         let _ = Cell::decode(&bytes);
+        let _ = ExtendBody::decode(&bytes);
+        let _ = StreamTarget::decode(&bytes);
+    }
+
+    /// Any EXTEND body roundtrips through its codec, and so does any BEGIN
+    /// body.
+    #[test]
+    fn extend_and_begin_bodies_roundtrip(
+        fingerprint in proptest::collection::vec(any::<u8>(), 20..21),
+        onionskin in proptest::collection::vec(any::<u8>(), ONIONSKIN_LEN..ONIONSKIN_LEN + 1),
+        addr: u32,
+        port: u16,
+        kind in 0u8..3,
+    ) {
+        let mut fp = [0u8; 20];
+        fp.copy_from_slice(&fingerprint);
+        let body = ExtendBody {
+            fingerprint: fp,
+            addr: NodeId(addr),
+            or_port: port,
+            onionskin: &onionskin,
+        };
+        let wire = body.encode();
+        prop_assert_eq!(ExtendBody::decode(&wire), Some(body));
+        let target = match kind {
+            0 => StreamTarget::Node(NodeId(addr), port),
+            1 => StreamTarget::Dir,
+            _ => StreamTarget::Hs(port),
+        };
+        prop_assert_eq!(StreamTarget::decode(&target.encode()), Some(target));
     }
 
     /// A cell sealed for any hop of a 1–4 hop circuit is recognized exactly
