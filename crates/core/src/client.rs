@@ -1,6 +1,9 @@
 //! The Bento client: discover boxes, fetch policies, attest, upload,
 //! invoke, compose, shut down — all over ordinary Tor circuits.
 
+// Every frame a box sends arrives off the wire: no panics here.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::policy::MiddleboxPolicy;
 use crate::protocol::{BentoMsg, FunctionSpec, ImageKind};
 use crate::tokens::Token;
@@ -51,15 +54,34 @@ pub enum BentoEvent {
     Closed(BoxConn),
 }
 
+/// A session's stream to the box's Bento port.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BoxStream {
+    /// No stream: the circuit is still building, or the session closed.
+    Unopened,
+    /// Opened, not yet connected: frames queue.
+    Opening(u16),
+    /// Connected: frames go out at once.
+    Connected(u16),
+}
+
+impl BoxStream {
+    fn id(self) -> Option<u16> {
+        match self {
+            BoxStream::Unopened => None,
+            BoxStream::Opening(id) | BoxStream::Connected(id) => Some(id),
+        }
+    }
+}
+
 struct Session {
     circ: CircuitHandle,
-    stream: Option<u16>,
+    stream: BoxStream,
     relay_addr: NodeId,
     bento_port: u16,
     assembler: FrameAssembler,
     /// Queued frames awaiting stream establishment.
     queued: Vec<Vec<u8>>,
-    connected: bool,
     pending_hello: Option<ClientHello>,
     channel: Option<AttestedChannel>,
     alive: bool,
@@ -118,12 +140,11 @@ impl BentoClient {
         let id = self.sessions.len();
         self.sessions.push(Session {
             circ,
-            stream: None,
+            stream: BoxStream::Unopened,
             relay_addr: relay.addr,
             bento_port,
             assembler: FrameAssembler::new(),
             queued: Vec::new(),
-            connected: false,
             pending_hello: None,
             channel: None,
             alive: true,
@@ -136,11 +157,9 @@ impl BentoClient {
             return;
         };
         let frame = encode_frame(&msg.encode());
-        if s.connected {
-            let (circ, stream) = (s.circ, s.stream.expect("connected session has stream"));
-            tor.send_stream(ctx, circ, stream, &frame);
-        } else {
-            s.queued.push(frame);
+        match s.stream {
+            BoxStream::Connected(stream) => tor.send_stream(ctx, s.circ, stream, &frame),
+            _ => s.queued.push(frame),
         }
     }
 
@@ -241,7 +260,7 @@ impl BentoClient {
             return;
         }
         s.alive = false;
-        if let Some(stream) = s.stream.take() {
+        if let Some(stream) = std::mem::replace(&mut s.stream, BoxStream::Unopened).id() {
             tor.close_stream(ctx, s.circ, stream);
         }
         tor.destroy_circuit(ctx, s.circ);
@@ -272,14 +291,14 @@ impl BentoClient {
                     .sessions
                     .iter_mut()
                     .enumerate()
-                    .find(|(_, s)| s.circ == h && s.stream.is_none() && s.alive);
+                    .find(|(_, s)| s.circ == h && s.stream == BoxStream::Unopened && s.alive);
                 if let Some((_idx, s)) = found {
                     let target = StreamTarget::Node(s.relay_addr, s.bento_port);
                     let circ = s.circ;
                     let stream = tor.open_stream(ctx, circ, target);
                     // Re-borrow to store.
                     if let Some(s) = self.sessions.iter_mut().find(|s| s.circ == h) {
-                        s.stream = stream;
+                        s.stream = stream.map_or(BoxStream::Unopened, BoxStream::Opening);
                     }
                     return None;
                 }
@@ -290,9 +309,9 @@ impl BentoClient {
                     .sessions
                     .iter_mut()
                     .enumerate()
-                    .find(|(_, s)| s.circ == h && s.stream == Some(sid));
+                    .find(|(_, s)| s.circ == h && s.stream.id() == Some(sid));
                 if let Some((idx, s)) = found {
-                    s.connected = true;
+                    s.stream = BoxStream::Connected(sid);
                     let queued = std::mem::take(&mut s.queued);
                     let circ = s.circ;
                     for frame in queued {
@@ -308,7 +327,7 @@ impl BentoClient {
                     .sessions
                     .iter_mut()
                     .enumerate()
-                    .find(|(_, s)| s.circ == h && s.stream == Some(sid));
+                    .find(|(_, s)| s.circ == h && s.stream.id() == Some(sid));
                 if let Some((idx, s)) = found {
                     s.assembler.push(&data);
                     let frames = s.assembler.drain_frames();
@@ -326,7 +345,7 @@ impl BentoClient {
                     .sessions
                     .iter_mut()
                     .enumerate()
-                    .find(|(_, s)| s.circ == h && s.stream == Some(sid));
+                    .find(|(_, s)| s.circ == h && s.stream.id() == Some(sid));
                 if let Some((idx, s)) = found {
                     s.alive = false;
                     self.events.push_back(BentoEvent::Closed(BoxConn(idx)));

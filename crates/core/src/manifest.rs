@@ -7,6 +7,9 @@
 //! conclave to permit only the specific API calls that the manifest file
 //! requested (even if the middlebox policy allowed for more)."
 
+// Manifests come from whoever uploads a function: no panics here.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::protocol::ImageKind;
 use crate::stem::StemCall;
 use sandbox::seccomp::{SeccompFilter, SyscallClass};

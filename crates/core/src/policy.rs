@@ -7,6 +7,10 @@
 //! the middlebox node policy." Plus resource ceilings and the container
 //! images offered.
 
+// Policies are decoded off the wire, and manifests checked against them
+// come from whoever uploads a function: no panics here.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::manifest::Manifest;
 use crate::protocol::ImageKind;
 use crate::stem::StemCall;

@@ -1,6 +1,10 @@
 //! The Bento wire protocol: frames exchanged between a Bento client and a
 //! Bento server over a Tor stream to the box's "localhost" port.
 
+// Every frame a box or client decodes comes off a Tor stream: no panics
+// here.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::manifest::Manifest;
 use simnet::wire::{Reader, WireError, Writer};
 

@@ -9,7 +9,7 @@
 
 // A fault-recovery path: a panic here turns a recoverable fault into a
 // crash.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::function::{ContainerRuntime, FnAction, Function, FunctionApi, FunctionRegistry};
 use crate::manifest::Manifest;
@@ -316,13 +316,9 @@ impl BentoServer {
                         .fs()
                         .list()
                         .iter()
-                        .map(|p| {
-                            #[expect(
-                                clippy::expect_used,
-                                reason = "`p` came from fs().list() on the same immutable borrow"
-                            )]
-                            let blob = rt.container.fs().read(p).expect("listed file").to_vec();
-                            (onion_crypto::sha256::sha256(p.as_bytes()), blob)
+                        .filter_map(|p| {
+                            let blob = rt.container.fs().read(p).ok()?.to_vec();
+                            Some((onion_crypto::sha256::sha256(p.as_bytes()), blob))
                         })
                         .collect(),
                 };

@@ -7,13 +7,16 @@
 //! (Figure 2) the digest is delivered to a Dropbox on *another* box
 //! instead of back to the client.
 
-use crate::boxlink::RemoteBox;
+// Pages and the Dropbox's replies arrive off the wire: no panics here.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use crate::boxlink::{BoxEvent, RemoteBox};
 use crate::compress::compress;
 use crate::dropbox;
 use crate::web::HtmlDoc;
 use bento::function::{Function, FunctionApi};
 use bento::manifest::Manifest;
-use bento::protocol::{BentoMsg, FunctionSpec};
+use bento::protocol::FunctionSpec;
 use bento::stem::StemCall;
 use rand::Rng;
 use sandbox::seccomp::SyscallClass;
@@ -97,27 +100,24 @@ pub fn manifest(compose: bool) -> Manifest {
     m
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Idle,
-    FetchingHtml,
-    FetchingAssets,
-    Delivering,
+    /// Fetching the page `req` names over direct connection `conn`.
+    Fetching {
+        req: BrowseRequest,
+        conn: u64,
+    },
+    /// Figure 2: deploying a Dropbox elsewhere to put the digest there.
+    Delivering(RemoteBox),
 }
 
 /// The Browser function.
 pub struct Browser {
     phase: Phase,
-    req: Option<BrowseRequest>,
-    conn: Option<u64>,
     assembler: FrameAssembler,
-    html: Option<HtmlDoc>,
+    /// The HTML frame, then one frame per asset.
     parts: Vec<Vec<u8>>,
     assets_expected: usize,
-    // Composition state.
-    dropbox: Option<RemoteBox>,
-    dropbox_container: Option<u64>,
-    dropbox_invocation: Option<[u8; 32]>,
     digest: Vec<u8>,
 }
 
@@ -126,20 +126,17 @@ impl Browser {
     pub fn new(_params: &[u8]) -> Browser {
         Browser {
             phase: Phase::Idle,
-            req: None,
-            conn: None,
             assembler: FrameAssembler::new(),
-            html: None,
             parts: Vec::new(),
             assets_expected: 0,
-            dropbox: None,
-            dropbox_container: None,
-            dropbox_invocation: None,
             digest: Vec::new(),
         }
     }
 
     fn finish_page(&mut self, api: &mut FunctionApi<'_>) {
+        let Phase::Fetching { req, .. } = std::mem::replace(&mut self.phase, Phase::Idle) else {
+            return;
+        };
         // Build the single digest: HTML + assets, compressed. It stays in
         // memory; the manifest grants no file write.
         let mut raw = Vec::new();
@@ -151,7 +148,6 @@ impl Browser {
         // `compress` on the host (see DESIGN.md §7, "Session kernels").
         let _ = api.cpu((raw.len() as u64 / 65_536).max(1));
         self.digest = compress(&raw);
-        let req = self.req.clone().expect("request in flight");
         match req.dropbox_on {
             None => {
                 // Stream the page, then the padding — the client can render
@@ -164,79 +160,59 @@ impl Browser {
                     api.output(junk);
                 }
                 api.output_end();
-                self.phase = Phase::Idle;
             }
             Some((addr, port)) => {
                 // Figure 2: deploy a Dropbox elsewhere and deliver there.
-                self.phase = Phase::Delivering;
-                let mut link = RemoteBox::connect(api, addr, port);
-                link.send(
-                    api,
-                    &BentoMsg::RequestContainer {
-                        image: bento::protocol::ImageKind::Plain,
-                        client_hello: None,
-                    },
-                );
-                self.dropbox = Some(link);
+                let spec = FunctionSpec {
+                    params: dropbox::Params {
+                        max_gets: 8,
+                        expiry_ms: 600_000,
+                        max_bytes: 0,
+                    }
+                    .encode(),
+                    manifest: dropbox::manifest(),
+                };
+                self.phase = Phase::Delivering(RemoteBox::deploy(api, addr, port, &spec));
             }
         }
     }
 
-    fn handle_dropbox_msgs(&mut self, api: &mut FunctionApi<'_>, msgs: Vec<BentoMsg>) {
-        for msg in msgs {
-            match msg {
-                BentoMsg::ContainerReady {
-                    container_id,
-                    invocation_token,
-                    ..
-                } => {
-                    self.dropbox_container = Some(container_id);
-                    self.dropbox_invocation = Some(invocation_token);
-                    let spec = FunctionSpec {
-                        params: dropbox::Params {
-                            max_gets: 8,
-                            expiry_ms: 600_000,
-                            max_bytes: 0,
-                        }
-                        .encode(),
-                        manifest: dropbox::manifest(),
-                    };
-                    let link = self.dropbox.as_mut().expect("link");
-                    link.send(
-                        api,
-                        &BentoMsg::UploadFunction {
-                            container_id,
-                            payload: spec.encode(),
-                            sealed: false,
-                        },
-                    );
-                }
-                BentoMsg::UploadOk { .. } => {
-                    let token = self.dropbox_invocation.expect("token");
-                    let mut input = vec![b'P'];
-                    input.extend_from_slice(&self.digest);
-                    let link = self.dropbox.as_mut().expect("link");
-                    link.send(api, &BentoMsg::Invoke { token, input });
-                }
-                BentoMsg::Output { data } if data == b"OK" => {
-                    // Tell the (possibly now-offline) client where the page
-                    // lives: box address + invocation token.
-                    let link = self.dropbox.as_ref().expect("link");
-                    let mut out = Vec::new();
-                    out.extend_from_slice(b"DROPBOX:");
-                    out.extend_from_slice(&link.box_addr().0.to_be_bytes());
-                    out.extend_from_slice(&self.dropbox_invocation.expect("token"));
-                    api.output(out);
-                    api.output_end();
-                    self.phase = Phase::Idle;
-                }
-                BentoMsg::Rejected { reason } => {
-                    api.output(format!("DROPBOX-FAILED:{reason}").into_bytes());
-                    api.output_end();
-                    self.phase = Phase::Idle;
-                }
-                _ => {}
+    fn on_dropbox_event(&mut self, api: &mut FunctionApi<'_>, event: BoxEvent) {
+        let Phase::Delivering(link) = &mut self.phase else {
+            return;
+        };
+        match event {
+            BoxEvent::Ready => {
+                let mut put = vec![b'P'];
+                put.extend_from_slice(&self.digest);
+                link.invoke(api, put);
             }
+            BoxEvent::Output(data) if data == b"OK" => {
+                // Tell the (possibly now-offline) client where the page
+                // lives: box address + invocation token.
+                let mut out = b"DROPBOX:".to_vec();
+                out.extend_from_slice(&link.box_addr().0.to_be_bytes());
+                if let Some(token) = link.token() {
+                    out.extend_from_slice(&token);
+                }
+                api.output(out);
+                api.output_end();
+                self.phase = Phase::Idle;
+            }
+            BoxEvent::Output(_) => {}
+            BoxEvent::Failed(reason) => {
+                api.output(format!("DROPBOX-FAILED:{reason}").into_bytes());
+                api.output_end();
+                self.phase = Phase::Idle;
+            }
+        }
+    }
+
+    /// The Dropbox deployment, while the page is being delivered.
+    fn dropbox(&mut self) -> Option<&mut RemoteBox> {
+        match &mut self.phase {
+            Phase::Delivering(link) => Some(link),
+            _ => None,
         }
     }
 }
@@ -265,12 +241,9 @@ impl Function for Browser {
         };
         match api.connect(req.server, req.port) {
             Ok(conn) => {
-                self.conn = Some(conn);
-                self.req = Some(req);
-                self.phase = Phase::FetchingHtml;
+                self.phase = Phase::Fetching { req, conn };
                 self.assembler = FrameAssembler::new();
                 self.parts.clear();
-                self.html = None;
             }
             Err(e) => {
                 api.output(format!("ERR:connect: {e}").into_bytes());
@@ -280,77 +253,72 @@ impl Function for Browser {
     }
 
     fn on_net_connected(&mut self, api: &mut FunctionApi<'_>, conn: u64) {
-        if Some(conn) != self.conn {
-            return;
+        if let Phase::Fetching { req, conn: c } = &self.phase {
+            if *c == conn {
+                api.net_send(conn, encode_frame(req.path.as_bytes()));
+            }
         }
-        let path = self.req.as_ref().expect("request").path.clone();
-        api.net_send(conn, encode_frame(path.as_bytes()));
     }
 
     fn on_net_data(&mut self, api: &mut FunctionApi<'_>, conn: u64, data: Vec<u8>) {
-        if Some(conn) != self.conn {
+        if !matches!(self.phase, Phase::Fetching { conn: c, .. } if c == conn) {
             return;
         }
         self.assembler.push(&data);
-        let frames = self.assembler.drain_frames();
-        for frame in frames {
-            match self.phase {
-                Phase::FetchingHtml => {
-                    let Some(doc) = HtmlDoc::decode(&frame) else {
-                        api.output(b"ERR:bad html".to_vec());
-                        api.output_end();
-                        self.phase = Phase::Idle;
-                        return;
-                    };
-                    self.parts.push(frame.clone());
-                    self.assets_expected = doc.assets.len();
-                    // Autonomously fetch every asset (this is what removes
-                    // client-side traffic dynamics).
-                    for (path, _) in &doc.assets {
-                        api.net_send(conn, encode_frame(path.as_bytes()));
-                    }
-                    self.html = Some(doc);
-                    if self.assets_expected == 0 {
-                        api.net_close(conn);
-                        self.conn = None;
-                        self.finish_page(api);
-                        return;
-                    }
-                    self.phase = Phase::FetchingAssets;
+        for frame in self.assembler.drain_frames() {
+            if self.parts.is_empty() {
+                let Some(doc) = HtmlDoc::decode(&frame) else {
+                    api.output(b"ERR:bad html".to_vec());
+                    api.output_end();
+                    self.phase = Phase::Idle;
+                    return;
+                };
+                // Autonomously fetch every asset (this is what removes
+                // client-side traffic dynamics).
+                for (path, _) in &doc.assets {
+                    api.net_send(conn, encode_frame(path.as_bytes()));
                 }
-                Phase::FetchingAssets => {
-                    self.parts.push(frame);
-                    if self.parts.len() == self.assets_expected + 1 {
-                        api.net_close(conn);
-                        self.conn = None;
-                        self.finish_page(api);
-                        return;
-                    }
-                }
-                _ => {}
+                self.assets_expected = doc.assets.len();
+            }
+            self.parts.push(frame);
+            if self.parts.len() == self.assets_expected + 1 {
+                api.net_close(conn);
+                self.finish_page(api);
+                return;
             }
         }
     }
 
     fn on_circuit_ready(&mut self, api: &mut FunctionApi<'_>, circ: u64) {
-        if let Some(link) = self.dropbox.as_mut() {
+        if let Some(link) = self.dropbox() {
             link.on_circuit_ready(api, circ);
         }
     }
 
+    fn on_circuit_failed(&mut self, api: &mut FunctionApi<'_>, circ: u64) {
+        if let Some(event) = self.dropbox().and_then(|l| l.on_circuit_failed(circ)) {
+            self.on_dropbox_event(api, event);
+        }
+    }
+
     fn on_stream_connected(&mut self, api: &mut FunctionApi<'_>, circ: u64, stream: u64) {
-        if let Some(link) = self.dropbox.as_mut() {
+        if let Some(link) = self.dropbox() {
             link.on_stream_connected(api, circ, stream);
         }
     }
 
     fn on_stream_data(&mut self, api: &mut FunctionApi<'_>, circ: u64, stream: u64, data: Vec<u8>) {
-        let msgs = match self.dropbox.as_mut() {
-            Some(link) => link.on_stream_data(api, circ, stream, &data),
-            None => None,
-        };
-        if let Some(msgs) = msgs {
-            self.handle_dropbox_msgs(api, msgs);
+        let events = self
+            .dropbox()
+            .and_then(|l| l.on_stream_data(api, circ, stream, &data));
+        for event in events.into_iter().flatten() {
+            self.on_dropbox_event(api, event);
+        }
+    }
+
+    fn on_stream_ended(&mut self, api: &mut FunctionApi<'_>, circ: u64, stream: u64) {
+        if let Some(event) = self.dropbox().and_then(|l| l.on_stream_ended(circ, stream)) {
+            self.on_dropbox_event(api, event);
         }
     }
 }

@@ -9,10 +9,14 @@
 //! [`HsReplica`] runs on other Bento boxes with a *copy of the service's
 //! key material* (§8.2), so its RENDEZVOUS1 authenticates as the service.
 
-use crate::boxlink::RemoteBox;
+// Introductions, load reports and replica replies arrive off the wire: no
+// panics here.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use crate::boxlink::{BoxEvent, RemoteBox};
 use bento::function::{Function, FunctionApi};
 use bento::manifest::Manifest;
-use bento::protocol::{BentoMsg, FunctionSpec, ImageKind};
+use bento::protocol::FunctionSpec;
 use bento::stem::StemCall;
 use simnet::wire::{Reader, Writer};
 use simnet::{NodeId, SimDuration, SimTime};
@@ -279,19 +283,8 @@ impl Function for HsReplica {
 // Balancer.
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReplicaPhase {
-    Connecting,
-    AwaitContainer,
-    AwaitUpload,
-    Ready,
-    Failed,
-}
-
 struct Replica {
     link: RemoteBox,
-    phase: ReplicaPhase,
-    token: Option<[u8; 32]>,
     assumed_load: u32,
     /// Last load report heard (liveness); `None` until the first one.
     last_report: Option<SimTime>,
@@ -348,18 +341,12 @@ impl LoadBalancer {
         }
         let (addr, port) = self.params.replica_boxes[self.next_box];
         self.next_box += 1;
-        let mut link = RemoteBox::connect(api, addr, port);
-        link.send(
-            api,
-            &BentoMsg::RequestContainer {
-                image: ImageKind::Plain,
-                client_hello: None,
-            },
-        );
+        let spec = FunctionSpec {
+            params: self.params.service.encode(),
+            manifest: replica_manifest(),
+        };
         self.replicas.push(Replica {
-            link,
-            phase: ReplicaPhase::Connecting,
-            token: None,
+            link: RemoteBox::deploy(api, addr, port, &spec),
             assumed_load: 0,
             last_report: None,
         });
@@ -374,7 +361,7 @@ impl LoadBalancer {
             .replicas
             .iter()
             .enumerate()
-            .filter(|(_, r)| r.phase == ReplicaPhase::Ready)
+            .filter(|(_, r)| r.link.is_ready())
             .min_by_key(|(_, r)| r.assumed_load)
             .map(|(i, _)| i);
         let min_remote_load = best_remote
@@ -394,71 +381,34 @@ impl LoadBalancer {
                 api.hs_handle_intro(hs, blob);
             }
         } else if let Some(i) = best_remote {
-            let token = self.replicas[i].token.expect("ready replica has token");
             self.replicas[i].assumed_load += 1;
-            self.replicas[i]
-                .link
-                .send(api, &BentoMsg::Invoke { token, input: blob });
+            self.replicas[i].link.invoke(api, blob);
         } else if let Some(hs) = self.hs {
             self.local_pending += 1;
             api.hs_handle_intro(hs, blob);
         }
     }
 
-    fn handle_replica_msgs(&mut self, api: &mut FunctionApi<'_>, idx: usize, msgs: Vec<BentoMsg>) {
-        for msg in msgs {
-            let r = &mut self.replicas[idx];
-            match (r.phase, msg) {
-                (
-                    ReplicaPhase::AwaitContainer,
-                    BentoMsg::ContainerReady {
-                        container_id,
-                        invocation_token,
-                        ..
-                    },
-                ) => {
-                    r.token = Some(invocation_token);
-                    let spec = FunctionSpec {
-                        params: self.params.service.encode(),
-                        manifest: replica_manifest(),
-                    };
-                    r.link.send(
-                        api,
-                        &BentoMsg::UploadFunction {
-                            container_id,
-                            payload: spec.encode(),
-                            sealed: false,
-                        },
-                    );
-                    r.phase = ReplicaPhase::AwaitUpload;
-                }
-                (ReplicaPhase::AwaitUpload, BentoMsg::UploadOk { .. }) => {
-                    r.phase = ReplicaPhase::Ready;
-                    // Start the liveness clock: the replica owes us a load
-                    // report every REPORT_INTERVAL from now on.
+    fn on_replica_events(&mut self, api: &mut FunctionApi<'_>, idx: usize, events: Vec<BoxEvent>) {
+        let r = &mut self.replicas[idx];
+        for event in events {
+            match event {
+                // Start the liveness clock: the replica owes us a load
+                // report every REPORT_INTERVAL from now on.
+                BoxEvent::Ready => r.last_report = Some(api.now()),
+                // Load report: 'L' + u32 active sessions.
+                BoxEvent::Output(data) if data.len() == 5 && data[0] == b'L' => {
+                    r.assumed_load = u32::from_be_bytes([data[1], data[2], data[3], data[4]]);
                     r.last_report = Some(api.now());
                 }
-                (_, BentoMsg::Rejected { .. }) => {
-                    r.phase = ReplicaPhase::Failed;
-                }
-                (_, BentoMsg::Output { data })
-                    // Load report: 'L' + u32 active sessions.
-                    if data.len() == 5 && data[0] == b'L' => {
-                        r.assumed_load = u32::from_be_bytes([data[1], data[2], data[3], data[4]]);
-                        r.last_report = Some(api.now());
-                    }
-                _ => {}
+                BoxEvent::Output(_) | BoxEvent::Failed(_) => {}
             }
         }
     }
 
     /// Active replica count (including the local server), for experiments.
     pub fn active_machines(&self) -> usize {
-        1 + self
-            .replicas
-            .iter()
-            .filter(|r| r.phase == ReplicaPhase::Ready)
-            .count()
+        1 + self.replicas.iter().filter(|r| r.link.is_ready()).count()
     }
 }
 
@@ -479,15 +429,12 @@ impl Function for LoadBalancer {
         // live replicas (or served locally) by route_introduction.
         let now = api.now();
         for r in self.replicas.iter_mut() {
-            if r.phase != ReplicaPhase::Ready {
-                continue;
-            }
             let silent = r
                 .last_report
                 .map(|t| now.since(t) >= DEAD_AFTER)
                 .unwrap_or(false);
-            if silent {
-                r.phase = ReplicaPhase::Failed;
+            if r.link.is_ready() && silent {
+                r.link.abandon();
                 self.failovers += 1;
                 T_FAILOVERS.inc();
             }
@@ -529,24 +476,26 @@ impl Function for LoadBalancer {
         }
         // Maybe a replica control stream.
         for idx in 0..self.replicas.len() {
-            let msgs = self.replicas[idx]
+            let events = self.replicas[idx]
                 .link
                 .on_stream_data(api, circ, stream, &data);
-            if let Some(msgs) = msgs {
-                self.handle_replica_msgs(api, idx, msgs);
+            if let Some(events) = events {
+                self.on_replica_events(api, idx, events);
                 return;
             }
         }
     }
 
-    fn on_stream_ended(&mut self, _api: &mut FunctionApi<'_>, circ: u64, _stream: u64) {
+    fn on_stream_ended(&mut self, _api: &mut FunctionApi<'_>, circ: u64, stream: u64) {
         self.serving.on_circuit_gone(circ);
+        for r in self.replicas.iter_mut() {
+            r.link.on_stream_ended(circ, stream);
+        }
     }
 
     fn on_circuit_ready(&mut self, api: &mut FunctionApi<'_>, circ: u64) {
         for r in self.replicas.iter_mut() {
-            if r.link.owns_circuit(circ) {
-                r.link.on_circuit_ready(api, circ);
+            if r.link.on_circuit_ready(api, circ) {
                 return;
             }
         }
@@ -554,12 +503,7 @@ impl Function for LoadBalancer {
 
     fn on_stream_connected(&mut self, api: &mut FunctionApi<'_>, circ: u64, stream: u64) {
         for r in self.replicas.iter_mut() {
-            if r.link.owns_circuit(circ) {
-                if r.link.on_stream_connected(api, circ, stream)
-                    && r.phase == ReplicaPhase::Connecting
-                {
-                    r.phase = ReplicaPhase::AwaitContainer;
-                }
+            if r.link.on_stream_connected(api, circ, stream) {
                 return;
             }
         }
@@ -568,9 +512,7 @@ impl Function for LoadBalancer {
     fn on_circuit_failed(&mut self, _api: &mut FunctionApi<'_>, circ: u64) {
         self.serving.on_circuit_gone(circ);
         for r in self.replicas.iter_mut() {
-            if r.link.owns_circuit(circ) {
-                r.phase = ReplicaPhase::Failed;
-            }
+            r.link.on_circuit_failed(circ);
         }
     }
 }

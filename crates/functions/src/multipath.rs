@@ -10,6 +10,9 @@
 //! circuits when per-circuit bandwidth is the bottleneck (see the
 //! `multipath` ablation bench).
 
+// Invocation inputs and range replies arrive off the wire: no panics here.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use bento::function::{FnStreamTarget, Function, FunctionApi};
 use bento::manifest::Manifest;
 use bento::stem::StemCall;
@@ -117,16 +120,16 @@ impl Multipath {
             return;
         }
         self.finished = true;
-        if self.lanes.iter().any(|l| l.failed) {
-            api.output(b"ERR:lane failed".to_vec());
-            api.output_end();
-            return;
+        // Every lane has its range or failed; one failure fails the fetch.
+        let ranges: Option<Vec<&[u8]>> = self
+            .lanes
+            .iter()
+            .map(|l| l.data.as_deref().filter(|_| !l.failed))
+            .collect();
+        match ranges {
+            Some(ranges) => api.output(ranges.concat()),
+            None => api.output(b"ERR:lane failed".to_vec()),
         }
-        let mut whole = Vec::new();
-        for l in &self.lanes {
-            whole.extend_from_slice(l.data.as_ref().expect("checked"));
-        }
-        api.output(whole);
         api.output_end();
     }
 

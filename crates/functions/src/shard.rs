@@ -7,12 +7,16 @@
 //! (box, invocation token) per shard — the client keeps; reconstruction is
 //! client-side ([`crate::erasure::decode`]) from any k fetched shards.
 
-use crate::boxlink::RemoteBox;
+// Invocation inputs and the Dropboxes' replies arrive off the wire: no
+// panics here.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use crate::boxlink::{BoxEvent, RemoteBox};
 use crate::dropbox;
 use crate::erasure::{encode as rs_encode, ShardPiece};
 use bento::function::{Function, FunctionApi};
 use bento::manifest::Manifest;
-use bento::protocol::{BentoMsg, FunctionSpec, ImageKind};
+use bento::protocol::FunctionSpec;
 use bento::stem::StemCall;
 use simnet::wire::{Reader, Writer};
 use simnet::NodeId;
@@ -117,21 +121,11 @@ pub fn manifest() -> Manifest {
     m
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DeployPhase {
-    Connecting,
-    AwaitContainer,
-    AwaitUpload,
-    AwaitPutAck,
-    Done,
-    Failed,
-}
-
 struct Deployment {
     link: RemoteBox,
     piece: ShardPiece,
-    phase: DeployPhase,
-    invocation: Option<[u8; 32]>,
+    /// The Dropbox answered the put with `OK`.
+    stored: bool,
 }
 
 /// The Shard function.
@@ -156,72 +150,43 @@ impl Shard {
             || self
                 .deployments
                 .iter()
-                .any(|d| !matches!(d.phase, DeployPhase::Done | DeployPhase::Failed))
+                .any(|d| !d.stored && !d.link.is_failed())
         {
             return;
         }
         self.finished = true;
+        // A shard counts when it was stored and its link never failed.
         let locs: Vec<ShardLocator> = self
             .deployments
             .iter()
-            .filter(|d| d.phase == DeployPhase::Done)
-            .map(|d| ShardLocator {
-                index: d.piece.index,
-                box_addr: d.link.box_addr(),
-                box_port: tor_net::ports::BENTO_PORT,
-                token: d.invocation.expect("done deployment has token"),
+            .filter(|d| d.stored)
+            .filter_map(|d| {
+                Some(ShardLocator {
+                    index: d.piece.index,
+                    box_addr: d.link.box_addr(),
+                    box_port: tor_net::ports::BENTO_PORT,
+                    token: d.link.token()?,
+                })
             })
             .collect();
         api.output(encode_locators(&locs));
         api.output_end();
     }
 
-    fn advance(&mut self, api: &mut FunctionApi<'_>, idx: usize, msgs: Vec<BentoMsg>) {
-        for msg in msgs {
-            let d = &mut self.deployments[idx];
-            match (d.phase, msg) {
-                (
-                    DeployPhase::AwaitContainer,
-                    BentoMsg::ContainerReady {
-                        container_id,
-                        invocation_token,
-                        ..
-                    },
-                ) => {
-                    d.invocation = Some(invocation_token);
-                    let spec = FunctionSpec {
-                        params: dropbox::Params {
-                            max_gets: 16,
-                            expiry_ms: 3_600_000,
-                            max_bytes: 0,
-                        }
-                        .encode(),
-                        manifest: dropbox::manifest(),
-                    };
-                    d.link.send(
-                        api,
-                        &BentoMsg::UploadFunction {
-                            container_id,
-                            payload: spec.encode(),
-                            sealed: false,
-                        },
-                    );
-                    d.phase = DeployPhase::AwaitUpload;
-                }
-                (DeployPhase::AwaitUpload, BentoMsg::UploadOk { .. }) => {
-                    let token = d.invocation.expect("token");
+    /// Act on what deployment `idx` reported: put the shard once the
+    /// Dropbox is up, note the put's `OK`; then finish if every shard is
+    /// stored or failed.
+    fn on_box_events(&mut self, api: &mut FunctionApi<'_>, idx: usize, events: Vec<BoxEvent>) {
+        let d = &mut self.deployments[idx];
+        for event in events {
+            match event {
+                BoxEvent::Ready => {
                     let mut input = vec![b'P'];
                     input.extend_from_slice(&d.piece.to_bytes());
-                    d.link.send(api, &BentoMsg::Invoke { token, input });
-                    d.phase = DeployPhase::AwaitPutAck;
+                    d.link.invoke(api, input);
                 }
-                (DeployPhase::AwaitPutAck, BentoMsg::Output { data }) if data == b"OK" => {
-                    d.phase = DeployPhase::Done;
-                }
-                (_, BentoMsg::Rejected { .. }) => {
-                    d.phase = DeployPhase::Failed;
-                }
-                _ => {}
+                BoxEvent::Output(data) if data == b"OK" => d.stored = true,
+                BoxEvent::Output(_) | BoxEvent::Failed(_) => {}
             }
         }
         self.maybe_finish(api);
@@ -251,49 +216,44 @@ impl Function for Shard {
         let parity = n as u64 - req.k as u64;
         let _ = api.cpu(((req.file.len() as u64 / 32_768) * parity.max(1)).max(1));
         let pieces = rs_encode(&req.file, req.k, n as u8);
+        let spec = FunctionSpec {
+            params: dropbox::Params {
+                max_gets: 16,
+                expiry_ms: 3_600_000,
+                max_bytes: 0,
+            }
+            .encode(),
+            manifest: dropbox::manifest(),
+        };
         for (piece, (addr, port)) in pieces.into_iter().zip(req.targets.iter()) {
-            let mut link = RemoteBox::connect(api, *addr, *port);
-            link.send(
-                api,
-                &BentoMsg::RequestContainer {
-                    image: ImageKind::Plain,
-                    client_hello: None,
-                },
-            );
             self.deployments.push(Deployment {
-                link,
+                link: RemoteBox::deploy(api, *addr, *port, &spec),
                 piece,
-                phase: DeployPhase::Connecting,
-                invocation: None,
+                stored: false,
             });
         }
     }
 
     fn on_circuit_ready(&mut self, api: &mut FunctionApi<'_>, circ: u64) {
         for d in self.deployments.iter_mut() {
-            if d.link.owns_circuit(circ) {
-                d.link.on_circuit_ready(api, circ);
+            if d.link.on_circuit_ready(api, circ) {
                 return;
             }
         }
     }
 
     fn on_circuit_failed(&mut self, api: &mut FunctionApi<'_>, circ: u64) {
-        for d in self.deployments.iter_mut() {
-            if d.link.owns_circuit(circ) {
-                d.phase = DeployPhase::Failed;
-                break;
+        for idx in 0..self.deployments.len() {
+            if let Some(event) = self.deployments[idx].link.on_circuit_failed(circ) {
+                self.on_box_events(api, idx, vec![event]);
+                return;
             }
         }
-        self.maybe_finish(api);
     }
 
     fn on_stream_connected(&mut self, api: &mut FunctionApi<'_>, circ: u64, stream: u64) {
         for d in self.deployments.iter_mut() {
-            if d.link.owns_circuit(circ) {
-                if d.link.on_stream_connected(api, circ, stream) {
-                    d.phase = DeployPhase::AwaitContainer;
-                }
+            if d.link.on_stream_connected(api, circ, stream) {
                 return;
             }
         }
@@ -301,11 +261,20 @@ impl Function for Shard {
 
     fn on_stream_data(&mut self, api: &mut FunctionApi<'_>, circ: u64, stream: u64, data: Vec<u8>) {
         for idx in 0..self.deployments.len() {
-            let msgs = self.deployments[idx]
+            let events = self.deployments[idx]
                 .link
                 .on_stream_data(api, circ, stream, &data);
-            if let Some(msgs) = msgs {
-                self.advance(api, idx, msgs);
+            if let Some(events) = events {
+                self.on_box_events(api, idx, events);
+                return;
+            }
+        }
+    }
+
+    fn on_stream_ended(&mut self, api: &mut FunctionApi<'_>, circ: u64, stream: u64) {
+        for idx in 0..self.deployments.len() {
+            if let Some(event) = self.deployments[idx].link.on_stream_ended(circ, stream) {
+                self.on_box_events(api, idx, vec![event]);
                 return;
             }
         }
@@ -364,7 +333,7 @@ mod tests {
                 4,
             ),
             fsp: None,
-            image: ImageKind::Plain,
+            image: bento::protocol::ImageKind::Plain,
         };
         let mut f = Shard::new(b"");
         let mut api = FunctionApi::for_testing(&mut rt, 1);

@@ -14,7 +14,7 @@ use bento_functions::load_balancer::{LbParams, ServiceParams};
 use bento_functions::shard::{self, decode_locators, ShardRequest};
 use bento_functions::standard_registry;
 use bento_functions::web::SiteModel;
-use simnet::{NodeId, SimDuration, SimTime};
+use simnet::{FaultPlan, NodeId, SimDuration, SimTime};
 use tor_net::ports::{BENTO_PORT, HS_VIRTUAL_PORT, HTTP_PORT};
 use tor_net::{HiddenServiceHost, StreamTarget, TorEvent};
 
@@ -150,6 +150,45 @@ fn browser_composes_with_dropbox_figure2() {
     assert_eq!(&digest[..html.len()], &html[..], "page stored via dropbox");
 }
 
+/// Figure 2 with the Dropbox's box crashing before the page is delivered:
+/// the failed deployment ends the invocation instead of leaving the client
+/// waiting for output that never comes.
+#[test]
+fn browser_reports_a_dropbox_that_dies() {
+    let mut bn = BentoNetwork::build(202, 2, MiddleboxPolicy::permissive(), standard_registry);
+    let site = SiteModel::generate(1, 77);
+    let server = bn.net.add_web_server("web", site.server_pages());
+    let dropbox_box = bn.boxes[1];
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: browser::manifest(true),
+    };
+    let session = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    bn.net
+        .sim
+        .install_faults(FaultPlan::new().crash(secs(12), dropbox_box));
+    let req = BrowseRequest {
+        server,
+        port: HTTP_PORT,
+        path: site.html_path(),
+        padding: 0,
+        dropbox_on: Some((dropbox_box, BENTO_PORT)),
+    };
+    assert!(
+        bn.invoke_and_wait(&session, req.encode(), SimDuration::from_secs(1), secs(120)),
+        "the invocation ended"
+    );
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    let out = n.output_bytes(session.conn);
+    assert!(
+        out.starts_with(b"DROPBOX-FAILED"),
+        "{:?}",
+        String::from_utf8_lossy(&out)
+    );
+}
+
 #[test]
 fn cover_emits_fixed_rate_downstream_junk() {
     let mut bn = BentoNetwork::build(203, 1, MiddleboxPolicy::permissive(), standard_registry);
@@ -236,11 +275,34 @@ fn shard_deploys_and_any_k_reconstruct() {
         file: file.clone(),
     };
     assert!(
-        bn.invoke_and_wait(&session, req.encode(), SimDuration::from_secs(1), secs(120)),
+        bn.invoke_and_wait(
+            &session,
+            req.encode(),
+            SimDuration::from_millis(1),
+            secs(120)
+        ),
         "shard deployment finished"
     );
+    // No bin deploys Shard over the network: pin its path here. The
+    // locators carry the tokens the boxes drew, and the instant is when the
+    // last Dropbox acknowledged its put.
+    assert_eq!(
+        bn.net.sim.now(),
+        SimTime::ZERO + SimDuration::from_millis(12_733)
+    );
     let n: &BentoClientNode = bn.net.sim.node_ref(client);
-    let locators = decode_locators(&n.output_bytes(session.conn)).expect("locator list");
+    let out = n.output_bytes(session.conn);
+    let hex: String = out.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(
+        hex,
+        "03\
+         00 0000000c 138d 7b86fd8cd2089ce58470ec2075884eb5e435e9edcb8d6b14bb149bac6dc34567\
+         01 0000000d 138d 367c0a403c146454489ba6a7160661cd4d3f82be065a17ff926685409ff5654d\
+         02 0000000e 138d 6cb15dd1b0733b2880a76420c154d35473dcf79b8f07fb27474749dba059c91b"
+            .replace(' ', ""),
+        "locator bytes"
+    );
+    let locators = decode_locators(&out).expect("locator list");
     assert_eq!(locators.len(), 3, "one shard per target");
     // Fetch only k = 2 shards (skip the first) and reconstruct.
     let mut pieces = Vec::new();

@@ -271,6 +271,11 @@ impl RelayCore {
         self.stats
     }
 
+    /// Circuits this relay holds now.
+    pub fn live_circuits(&self) -> usize {
+        self.circuits.iter().flatten().count()
+    }
+
     /// Fold the stats accumulated since the last flush into the process
     /// telemetry. The simulator drives this once per `run_until` (through
     /// `Node::flush_telemetry`), so the per-cell hot path never pays a
@@ -543,6 +548,12 @@ impl RelayCore {
     }
 
     fn handle_create(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, cell: Cell) {
+        // A CREATE naming a circuit id already in use on this link is
+        // dropped, as Tor does: binding it would orphan the circuit that id
+        // names, out of reach of the link's close and of any DESTROY.
+        if self.links.circ(conn, cell.circ_id).is_some() {
+            return;
+        }
         let onionskin = &cell.payload[..ntor::ONIONSKIN_LEN];
         let result =
             ntor::server_respond(ctx.rng(), self.fingerprint, &self.onion_secret, onionskin);

@@ -749,6 +749,9 @@ impl Node for CountingRelay {
         self.deliveries.push(msgs.len());
         self.relay.on_msgs(ctx, conn, msgs);
     }
+    fn on_conn_closed(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
+        self.relay.on_conn_closed(ctx, conn);
+    }
 }
 
 /// A link peer that speaks raw cells: the test writes its sends by hand and
@@ -861,4 +864,54 @@ fn hostile_delivery_neither_panics_nor_desynchronises_the_relay() {
     assert_eq!(host.deliveries, [1, 4, 3]);
     assert_eq!(host.relay.stats().cells_in, 7);
     assert_eq!(host.relay.stats().crypto_bytes, 6 * PAYLOAD_LEN as u64);
+}
+
+#[test]
+fn duplicate_create_is_dropped_and_link_close_frees_every_circuit() {
+    // A second CREATE naming a circuit id in use on the link must neither
+    // run a handshake nor rebind the id: rebinding orphaned the first
+    // circuit, which the link's close then never reached.
+    use onion_crypto::ntor;
+    use rand::SeedableRng;
+    use tor_net::cell::{Cell, CellCmd};
+    const CIRC: u32 = 1;
+
+    let mut sim = simnet::Simulator::with_seed(5);
+    let core = tor_net::RelayCore::new(tor_net::RelayConfig::middle("r", [0x52; 32]));
+    let (fingerprint, onion_key) = (core.fingerprint(), core.descriptor(NodeId(0)).onion_key);
+    let host = CountingRelay {
+        relay: core,
+        deliveries: Vec::new(),
+    };
+    let relay = sim.add_node("relay", simnet::Iface::ideal(), Box::new(host));
+    let peer = RawPeer {
+        relay,
+        conn: None,
+        inbox: Vec::new(),
+    };
+    let peer = sim.add_node("peer", simnet::Iface::ideal(), Box::new(peer));
+    sim.run_to_quiescence();
+    let conn = sim.node_ref::<RawPeer>(peer).conn.expect("connected");
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+    for _ in 0..2 {
+        let (_, onionskin) = ntor::client_begin(&mut rng, fingerprint, onion_key);
+        let create = Cell::with_payload(CIRC, CellCmd::Create, &onionskin).encode();
+        sim.with_node::<CountingRelay, _>(relay, |n, ctx| n.on_msg(ctx, conn, create));
+    }
+    sim.run_to_quiescence();
+    let replies = sim.with_node::<RawPeer, _>(peer, |n, _| std::mem::take(&mut n.inbox));
+    let cmds: Vec<_> = replies.iter().filter_map(|w| Cell::peek_cmd(w)).collect();
+    assert_eq!(cmds, [CellCmd::Created], "one handshake, one reply");
+    let host = sim.node_ref::<CountingRelay>(relay);
+    assert_eq!(host.relay.stats().circuits, 1);
+    assert_eq!(host.relay.live_circuits(), 1);
+
+    sim.with_node::<RawPeer, _>(peer, |_, ctx| ctx.close(conn));
+    sim.run_to_quiescence();
+    assert_eq!(
+        sim.node_ref::<CountingRelay>(relay).relay.live_circuits(),
+        0,
+        "the link's close tore down every circuit on it"
+    );
 }

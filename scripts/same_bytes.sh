@@ -6,8 +6,8 @@
 # Builds <rev> and the working tree (release), runs from one scratch
 # directory per tree
 #
-#   table2, figure5 (defaults and --mb 1), chaos_sweep --smoke, scalability
-#   and the six examples,
+#   table2, figure5 (defaults and --mb 1), chaos_sweep --smoke, scalability,
+#   shard_recovery, multipath_sweep, cover_ablation and the six examples,
 #
 # and compares what the two trees wrote and printed: `diff -r` of the two
 # directories, which hold every file the bins wrote under results/ (CSVs,
@@ -56,6 +56,9 @@ run_all() { # <target dir> <output dir>
     mkdir -p mb1 && (cd mb1 && "$bin/figure5" --mb 1 > ../stdout/figure5_mb1.txt)
     "$bin/chaos_sweep" --smoke > stdout/chaos_sweep.txt
     "$bin/scalability" > stdout/scalability.txt
+    "$bin/shard_recovery" > stdout/shard_recovery.txt
+    "$bin/multipath_sweep" > stdout/multipath_sweep.txt
+    "$bin/cover_ablation" > stdout/cover_ablation.txt
     for e in "${examples[@]}"; do
       "$bin/examples/$e" > "stdout/$e.txt"
     done
