@@ -69,6 +69,9 @@ pub struct ChaosOutcome {
     /// Node crashes + restarts actually applied.
     pub crashes: u64,
     pub restarts: u64,
+    /// Circuits the clients still hold at the end beyond the one each
+    /// driver uses: a leak check, 0 when dead circuits are freed.
+    pub stray_circuits: u64,
 }
 
 /// Timeline of the default mix (seconds): faults open after the network and
@@ -272,6 +275,11 @@ pub fn run_chaos_trial(cfg: &ChaosConfig) -> ChaosOutcome {
                 }
             }
         }
+    }
+    for (d, &c) in drivers.iter().zip(&clients) {
+        let node: &TestClientNode = net.sim.node_ref(c);
+        let held = d.circ.is_some_and(|h| !node.tor.circuit_path(h).is_empty());
+        out.stray_circuits += (node.tor.live_circuits() - usize::from(held)) as u64;
     }
     let stats = net.sim.stats();
     let faults = net.sim.fault_stats();

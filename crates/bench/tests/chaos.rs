@@ -12,6 +12,9 @@ fn default_mix_recovers_and_replays() {
     // One crash and one restart applied, messages dropped, a managed
     // circuit rebuilt, nonzero goodput and at least one finished download.
     assert_recovered(&cfg, &a);
+    // Every circuit a crash, a loss or a stall killed is freed: each client
+    // ends holding only its driver's circuit.
+    assert_eq!(a.stray_circuits, 0, "{a:?}");
     // Same seed, same fault plan -> the same outcome.
     let b = run_chaos_trial(&cfg);
     assert_eq!(a, b, "fault-plane runs replay deterministically");

@@ -10,7 +10,7 @@ use crate::tokens::Token;
 use conclave::channel::{AttestedChannel, ClientHello};
 use onion_crypto::hashsig::MerkleVerifyKey;
 use simnet::{ConnId, Ctx, Node, NodeId};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use tor_net::client::{CircuitHandle, TerminalReq, TorClient, TorEvent};
 use tor_net::dir::{RelayFlags, RelayInfo};
 use tor_net::stream_frame::{encode_frame, FrameAssembler};
@@ -84,12 +84,14 @@ struct Session {
     queued: Vec<Vec<u8>>,
     pending_hello: Option<ClientHello>,
     channel: Option<AttestedChannel>,
-    alive: bool,
 }
 
 /// The Bento client component (drives a [`TorClient`]).
 pub struct BentoClient {
-    sessions: Vec<Session>,
+    /// Open sessions by [`BoxConn`] number. A session leaves when it
+    /// closes; numbers count up from 0 and are never reused.
+    sessions: BTreeMap<usize, Session>,
+    next_session: usize,
     events: VecDeque<BentoEvent>,
     ias_key: MerkleVerifyKey,
     expected_measurement: [u8; 32],
@@ -101,7 +103,8 @@ impl BentoClient {
     /// including Python" — §5.4).
     pub fn new(ias_key: MerkleVerifyKey, expected_measurement: [u8; 32]) -> BentoClient {
         BentoClient {
-            sessions: Vec::new(),
+            sessions: BTreeMap::new(),
+            next_session: 0,
             events: VecDeque::new(),
             ias_key,
             expected_measurement,
@@ -111,6 +114,12 @@ impl BentoClient {
     /// Drain pending events.
     pub fn poll_events(&mut self) -> Vec<BentoEvent> {
         self.events.drain(..).collect()
+    }
+
+    /// Sessions open now: a closed one is gone at once, so this is what a
+    /// leak check counts.
+    pub fn live_sessions(&self) -> usize {
+        self.sessions.len()
     }
 
     /// Bento boxes advertised in the consensus.
@@ -137,23 +146,26 @@ impl BentoClient {
         let bento_port = relay.bento_port?;
         let path = tor.select_path(ctx, TerminalReq::Specific(relay.fingerprint))?;
         let circ = tor.build_circuit(ctx, path)?;
-        let id = self.sessions.len();
-        self.sessions.push(Session {
-            circ,
-            stream: BoxStream::Unopened,
-            relay_addr: relay.addr,
-            bento_port,
-            assembler: FrameAssembler::new(),
-            queued: Vec::new(),
-            pending_hello: None,
-            channel: None,
-            alive: true,
-        });
+        let id = self.next_session;
+        self.next_session += 1;
+        self.sessions.insert(
+            id,
+            Session {
+                circ,
+                stream: BoxStream::Unopened,
+                relay_addr: relay.addr,
+                bento_port,
+                assembler: FrameAssembler::new(),
+                queued: Vec::new(),
+                pending_hello: None,
+                channel: None,
+            },
+        );
         Some(BoxConn(id))
     }
 
     fn send_msg(&mut self, ctx: &mut Ctx<'_>, tor: &mut TorClient, conn: BoxConn, msg: &BentoMsg) {
-        let Some(s) = self.sessions.get_mut(conn.0) else {
+        let Some(s) = self.sessions.get_mut(&conn.0) else {
             return;
         };
         let frame = encode_frame(&msg.encode());
@@ -181,7 +193,7 @@ impl BentoClient {
             ImageKind::Plain => None,
             ImageKind::Sgx => {
                 let (state, hello) = AttestedChannel::client_hello(ctx.rng());
-                if let Some(s) = self.sessions.get_mut(conn.0) {
+                if let Some(s) = self.sessions.get_mut(&conn.0) {
                     s.pending_hello = Some(state);
                 }
                 Some(hello)
@@ -211,7 +223,7 @@ impl BentoClient {
         let plain = spec.encode();
         let (payload, sealed) = match self
             .sessions
-            .get_mut(conn.0)
+            .get_mut(&conn.0)
             .and_then(|s| s.channel.as_mut())
         {
             Some(ch) => (ch.seal_msg(&plain), true),
@@ -253,14 +265,10 @@ impl BentoClient {
     /// container (if any) keeps running — only the transport goes away;
     /// tokens remain valid for future sessions.
     pub fn close_box(&mut self, ctx: &mut Ctx<'_>, tor: &mut TorClient, conn: BoxConn) {
-        let Some(s) = self.sessions.get_mut(conn.0) else {
+        let Some(s) = self.sessions.remove(&conn.0) else {
             return;
         };
-        if !s.alive {
-            return;
-        }
-        s.alive = false;
-        if let Some(stream) = std::mem::replace(&mut s.stream, BoxStream::Unopened).id() {
+        if let Some(stream) = s.stream.id() {
             tor.close_stream(ctx, s.circ, stream);
         }
         tor.destroy_circuit(ctx, s.circ);
@@ -285,76 +293,52 @@ impl BentoClient {
         tor: &mut TorClient,
         ev: TorEvent,
     ) -> Option<TorEvent> {
+        // A session has its circuit to itself, and one stream on it.
+        let (h, sid) = match &ev {
+            TorEvent::CircuitReady(h) | TorEvent::CircuitClosed(h) => (*h, None),
+            TorEvent::StreamConnected(h, sid)
+            | TorEvent::StreamData(h, sid, _)
+            | TorEvent::StreamEnded(h, sid) => (*h, Some(*sid)),
+            _ => return Some(ev),
+        };
+        let session = self
+            .sessions
+            .iter_mut()
+            .find(|(_, s)| s.circ == h && sid.is_none_or(|sid| s.stream.id() == Some(sid)));
+        let Some((&id, s)) = session else {
+            return Some(ev);
+        };
+        let conn = BoxConn(id);
         match ev {
-            TorEvent::CircuitReady(h) => {
-                let found = self
-                    .sessions
-                    .iter_mut()
-                    .enumerate()
-                    .find(|(_, s)| s.circ == h && s.stream == BoxStream::Unopened && s.alive);
-                if let Some((_idx, s)) = found {
-                    let target = StreamTarget::Node(s.relay_addr, s.bento_port);
-                    let circ = s.circ;
-                    let stream = tor.open_stream(ctx, circ, target);
-                    // Re-borrow to store.
-                    if let Some(s) = self.sessions.iter_mut().find(|s| s.circ == h) {
-                        s.stream = stream.map_or(BoxStream::Unopened, BoxStream::Opening);
+            TorEvent::CircuitReady(_) => {
+                let target = StreamTarget::Node(s.relay_addr, s.bento_port);
+                s.stream = tor
+                    .open_stream(ctx, h, target)
+                    .map_or(BoxStream::Unopened, BoxStream::Opening);
+            }
+            TorEvent::StreamConnected(_, sid) => {
+                s.stream = BoxStream::Connected(sid);
+                for frame in std::mem::take(&mut s.queued) {
+                    tor.send_stream(ctx, h, sid, &frame);
+                }
+                self.events.push_back(BentoEvent::Connected(conn));
+            }
+            TorEvent::StreamData(_, _, data) => {
+                s.assembler.push(&data);
+                for frame in s.assembler.drain_frames() {
+                    if let Ok(msg) = BentoMsg::decode(&frame) {
+                        self.handle_box_msg(conn, msg);
                     }
-                    return None;
                 }
-                Some(TorEvent::CircuitReady(h))
             }
-            TorEvent::StreamConnected(h, sid) => {
-                let found = self
-                    .sessions
-                    .iter_mut()
-                    .enumerate()
-                    .find(|(_, s)| s.circ == h && s.stream.id() == Some(sid));
-                if let Some((idx, s)) = found {
-                    s.stream = BoxStream::Connected(sid);
-                    let queued = std::mem::take(&mut s.queued);
-                    let circ = s.circ;
-                    for frame in queued {
-                        tor.send_stream(ctx, circ, sid, &frame);
-                    }
-                    self.events.push_back(BentoEvent::Connected(BoxConn(idx)));
-                    return None;
-                }
-                Some(TorEvent::StreamConnected(h, sid))
+            // The stream or the circuit ended, and with it the session: the
+            // circuit it alone used goes too.
+            _ => {
+                self.close_box(ctx, tor, conn);
+                self.events.push_back(BentoEvent::Closed(conn));
             }
-            TorEvent::StreamData(h, sid, data) => {
-                let found = self
-                    .sessions
-                    .iter_mut()
-                    .enumerate()
-                    .find(|(_, s)| s.circ == h && s.stream.id() == Some(sid));
-                if let Some((idx, s)) = found {
-                    s.assembler.push(&data);
-                    let frames = s.assembler.drain_frames();
-                    for frame in frames {
-                        if let Ok(msg) = BentoMsg::decode(&frame) {
-                            self.handle_box_msg(BoxConn(idx), msg);
-                        }
-                    }
-                    return None;
-                }
-                Some(TorEvent::StreamData(h, sid, data))
-            }
-            TorEvent::StreamEnded(h, sid) => {
-                let found = self
-                    .sessions
-                    .iter_mut()
-                    .enumerate()
-                    .find(|(_, s)| s.circ == h && s.stream.id() == Some(sid));
-                if let Some((idx, s)) = found {
-                    s.alive = false;
-                    self.events.push_back(BentoEvent::Closed(BoxConn(idx)));
-                    return None;
-                }
-                Some(TorEvent::StreamEnded(h, sid))
-            }
-            other => Some(other),
         }
+        None
     }
 
     fn handle_box_msg(&mut self, conn: BoxConn, msg: BentoMsg) {
@@ -374,7 +358,7 @@ impl BentoClient {
                 if let Some(hello) = server_hello {
                     let state = self
                         .sessions
-                        .get_mut(conn.0)
+                        .get_mut(&conn.0)
                         .and_then(|s| s.pending_hello.take());
                     let Some(state) = state else {
                         self.events.push_back(BentoEvent::AttestationFailed(
@@ -390,7 +374,7 @@ impl BentoClient {
                         &self.expected_measurement,
                     ) {
                         Ok(channel) => {
-                            if let Some(s) = self.sessions.get_mut(conn.0) {
+                            if let Some(s) = self.sessions.get_mut(&conn.0) {
                                 s.channel = Some(channel);
                             }
                         }

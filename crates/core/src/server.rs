@@ -93,7 +93,6 @@ struct ContainerEntry {
     streams_rev: BTreeMap<(usize, u16), u64>,
     /// function-local hs handle -> index into server hs table.
     hss: BTreeMap<u64, u64>,
-    alive: bool,
 }
 
 impl ContainerEntry {
@@ -121,7 +120,6 @@ impl ContainerEntry {
             streams: BTreeMap::new(),
             streams_rev: BTreeMap::new(),
             hss: BTreeMap::new(),
-            alive: true,
         }
     }
 }
@@ -191,6 +189,8 @@ pub struct BentoServer {
     enclave_image: Vec<u8>,
     /// The relay's exit policy, compiled into per-container net rules.
     exit_policy: ExitPolicy,
+    /// Containers the box holds, by id. A container leaves when it is torn
+    /// down; ids count up from 1 and are never reused.
     containers: BTreeMap<u64, ContainerEntry>,
     next_container: u64,
     streams: BTreeMap<u64, StreamState>,
@@ -261,9 +261,9 @@ impl BentoServer {
         &self.policy
     }
 
-    /// Number of loaded (alive) functions.
+    /// Number of containers the box holds.
     pub fn live_functions(&self) -> usize {
-        self.containers.values().filter(|c| c.alive).count()
+        self.containers.len()
     }
 
     /// Aggregate resource usage across all functions.
@@ -530,7 +530,7 @@ impl BentoServer {
             self.reject(deps, stream, "no such container");
             return;
         };
-        if !entry.alive || entry.runtime.is_some() {
+        if entry.runtime.is_some() {
             self.reject(deps, stream, "container not accepting uploads");
             return;
         }
@@ -577,7 +577,7 @@ impl BentoServer {
             return;
         }
         // The entry may have terminated itself during install.
-        if let Some(e) = self.containers.get(&container_id).filter(|c| c.alive) {
+        if let Some(e) = self.containers.get(&container_id) {
             // Persist the function to the box's sealed disk so a host crash
             // can rebuild it with the same client-held tokens.
             let record = StoredFunction {
@@ -653,7 +653,7 @@ impl BentoServer {
     fn find_by_shutdown(&self, token: &[u8; 32]) -> Option<u64> {
         self.containers
             .iter()
-            .find(|(_, c)| c.alive && c.shutdown_token.matches(token))
+            .find(|(_, c)| c.shutdown_token.matches(token))
             .map(|(id, _)| *id)
     }
 
@@ -667,7 +667,7 @@ impl BentoServer {
         let Some((&id, entry)) = self
             .containers
             .iter_mut()
-            .find(|(_, c)| c.alive && c.invocation_token.matches(&token))
+            .find(|(_, c)| c.invocation_token.matches(&token))
         else {
             self.reject(deps, stream, "bad invocation token");
             return;
@@ -693,39 +693,33 @@ impl BentoServer {
             self.reject(deps, stream, "bad shutdown token");
             return;
         };
-        self.teardown_container(deps, id, "shutdown token presented");
+        self.teardown_container(deps, id);
         self.reply(deps, stream, &BentoMsg::ShutdownAck);
     }
 
-    fn teardown_container(&mut self, deps: &mut Deps<'_, '_>, id: u64, reason: &str) {
-        let Some(entry) = self.containers.get_mut(&id) else {
+    /// Remove a container with its runtime, files and function, and free
+    /// what it held: memory, circuits, connections, hidden services, Stem
+    /// grants and its enclave.
+    fn teardown_container(&mut self, deps: &mut Deps<'_, '_>, id: u64) {
+        let Some(entry) = self.containers.remove(&id) else {
             return;
         };
-        if !entry.alive {
-            return;
-        }
-        entry.alive = false;
         T_TEARDOWNS.inc();
-        if let Some(rt) = entry.runtime.as_mut() {
-            rt.container.terminate(reason);
+        if entry.runtime.is_some() {
             self.aggregate.free_memory(FN_BASE_MEMORY);
         }
-        let circs: Vec<CircuitHandle> = entry.circs.values().copied().collect();
-        let conns: Vec<ConnId> = entry.conns.values().copied().collect();
-        let hss: Vec<u64> = entry.hss.values().copied().collect();
-        entry.function = None;
-        for c in circs {
+        for &c in entry.circs.values() {
             deps.tor.destroy_circuit(deps.ctx, c);
         }
-        for c in conns {
-            deps.ctx.close(c);
-            self.net_conns.remove(&c);
+        for c in entry.conns.values() {
+            deps.ctx.close(*c);
+            self.net_conns.remove(c);
         }
-        for h in hss {
-            self.hss.remove(&h);
+        for h in entry.hss.values() {
+            self.hss.remove(h);
         }
         self.firewall.remove_function(id);
-        if let Some(eid) = self.containers.get(&id).and_then(|e| e.enclave_id) {
+        if let Some(eid) = entry.enclave_id {
             self.epc.unregister(eid);
         }
         // An intentionally-terminated function must not resurrect after a
@@ -833,7 +827,7 @@ impl BentoServer {
             return false;
         }
         self.next_container = self.next_container.max(id + 1);
-        self.containers.get(&id).is_some_and(|c| c.alive)
+        self.containers.contains_key(&id)
     }
 
     // ------------------------------------------------------------------
@@ -850,9 +844,6 @@ impl BentoServer {
             let Some(entry) = self.containers.get_mut(&id) else {
                 return;
             };
-            if !entry.alive {
-                return;
-            }
             let (Some(function), Some(runtime)) = (entry.function.take(), entry.runtime.take())
             else {
                 return;
@@ -874,7 +865,7 @@ impl BentoServer {
             entry.runtime = Some(runtime);
         }
         if container_died {
-            self.teardown_container(deps, id, "resource limit");
+            self.teardown_container(deps, id);
             return;
         }
         self.apply_actions(deps, id, actions);
@@ -882,7 +873,7 @@ impl BentoServer {
 
     fn apply_actions(&mut self, deps: &mut Deps<'_, '_>, id: u64, actions: Vec<FnAction>) {
         for action in actions {
-            if !self.containers.get(&id).map(|c| c.alive).unwrap_or(false) {
+            if !self.containers.contains_key(&id) {
                 return;
             }
             self.apply_action(deps, id, action);
@@ -943,7 +934,7 @@ impl BentoServer {
                 deps.ctx.set_timer(delay, encoded);
             }
             FnAction::Terminate => {
-                self.teardown_container(deps, id, "function requested termination");
+                self.teardown_container(deps, id);
             }
             FnAction::BuildCircuit { circ, exit_to } => {
                 if self.firewall.check(id, StemCall::NewCircuit).is_err() {
@@ -1124,7 +1115,7 @@ impl BentoServer {
         };
         let _ = self.aggregate.charge_network(bytes);
         if over {
-            self.teardown_container(deps, id, "network budget exhausted");
+            self.teardown_container(deps, id);
             return false;
         }
         true
@@ -1250,11 +1241,10 @@ impl BentoServer {
         let Some(h) = circ_of(&ev) else {
             return false;
         };
-        let owner = self
-            .containers
-            .iter()
-            .find(|(_, c)| c.circs_rev.contains_key(&h.0))
-            .map(|(id, c)| (*id, c.circs_rev[&h.0]));
+        let owner = self.firewall.circuit_owner(h.0).and_then(|id| {
+            let fn_circ = self.containers.get(&id)?.circs_rev.get(&h.0)?;
+            Some((id, *fn_circ))
+        });
         let Some((id, fn_circ)) = owner else {
             return false;
         };

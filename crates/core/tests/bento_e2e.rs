@@ -686,3 +686,97 @@ fn step_until_stops_at_the_first_true_step_or_at_the_deadline() {
     // Already at the deadline: nothing runs, nothing is asked.
     assert!(!sim.step_until(step, secs(1), |_| panic!("asked past the deadline")));
 }
+
+/// Run until `client` has logged a `ShutdownAck` on `conn`.
+fn shutdown_and_wait(bn: &mut BentoNetwork, s: &Session, deadline: SimTime) -> bool {
+    let (client, conn) = (s.client, s.conn);
+    bn.net
+        .sim
+        .with_node::<BentoClientNode, _>(client, |n, ctx| {
+            n.bento.shutdown(ctx, &mut n.tor, conn, s.shutdown)
+        });
+    bn.net
+        .sim
+        .step_until(SimDuration::from_millis(100), deadline, |sim| {
+            sim.node_ref::<BentoClientNode>(client)
+                .bento_events
+                .iter()
+                .any(|e| matches!(e, BentoEvent::ShutdownAck(c) if *c == conn))
+        })
+}
+
+/// The leak gate above `simnet`: a box serving a stream of short-lived
+/// functions keeps nothing of the finished ones. After 50 sessions of
+/// connect → container → upload → invoke → shutdown → `close_box`, no
+/// container, session or circuit is left on the client, the box or any
+/// relay.
+#[test]
+fn fifty_sessions_leave_no_container_session_or_circuit() {
+    let mut bn = BentoNetwork::build(117, 1, MiddleboxPolicy::permissive(), registry);
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("echo"),
+    };
+    let after = |bn: &BentoNetwork, s: u64| bn.net.sim.now() + SimDuration::from_secs(s);
+    for i in 0..50u8 {
+        let schedule = [after(&bn, 2), after(&bn, 4), after(&bn, 6)];
+        let s = bn.install(client, 0, &spec, schedule);
+        let step = SimDuration::from_millis(100);
+        assert!(
+            bn.invoke_and_wait(&s, vec![i], step, after(&bn, 10)),
+            "session {i} ran"
+        );
+        let by = after(&bn, 10);
+        assert!(shutdown_and_wait(&mut bn, &s, by), "session {i} shut down");
+        bn.net
+            .sim
+            .with_node::<BentoClientNode, _>(client, |n, ctx| {
+                n.bento.close_box(ctx, &mut n.tor, s.conn)
+            });
+    }
+    // Let the DESTROYs reach every hop.
+    bn.net.sim.run_until(after(&bn, 5));
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    assert_eq!(n.bento.live_sessions(), 0, "client sessions");
+    assert_eq!(n.tor.live_circuits(), 0, "client circuits");
+    let bx: &bento::BentoBoxNode = bn.net.sim.node_ref(bn.boxes[0]);
+    assert_eq!(bx.bento.live_functions(), 0, "box containers");
+    assert!(bx.bento.operator_storage_view().is_empty(), "box runtimes");
+    assert_eq!(bx.tor.live_circuits(), 0, "box onion-proxy circuits");
+    assert_eq!(bx.relay.live_circuits(), 0, "box relay circuits");
+    for (addr, _) in &bn.net.relays {
+        if !bn.boxes.contains(addr) {
+            let r: &tor_net::relay::RelayNode = bn.net.sim.node_ref(*addr);
+            assert_eq!(r.relay.live_circuits(), 0, "relay {addr:?} circuits");
+        }
+    }
+}
+
+/// Shutdown frees a plain container's files with the container: the
+/// operator no longer sees them (§5.3's shutdown token ends the function).
+#[test]
+fn shutdown_removes_a_plain_containers_files_from_the_operator_view() {
+    let mut bn = BentoNetwork::build(118, 1, MiddleboxPolicy::permissive(), registry);
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("echo-store").with_disk(1 << 20),
+    };
+    let echo = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    let step = SimDuration::from_millis(100);
+    assert!(bn.invoke_and_wait(&echo, b"kept on disk".to_vec(), step, secs(20)));
+    let view = |bn: &BentoNetwork| {
+        let bx: &bento::BentoBoxNode = bn.net.sim.node_ref(bn.boxes[0]);
+        bx.bento.operator_storage_view()
+    };
+    let files = view(&bn);
+    assert_eq!(files.len(), 1, "one container");
+    assert_eq!(files[0].0, echo.container);
+    assert_eq!(files[0].1.len(), 1, "its one file");
+    assert_eq!(files[0].1[0].1, b"kept on disk", "plain image: raw bytes");
+    assert!(shutdown_and_wait(&mut bn, &echo, secs(30)));
+    assert!(view(&bn).is_empty(), "files gone with the container");
+}

@@ -234,6 +234,13 @@ fn pad_len(len: u64, padding: u64) -> u64 {
 
 impl Function for Browser {
     fn on_invoke(&mut self, api: &mut FunctionApi<'_>, input: Vec<u8>) {
+        // One page at a time: a second request would orphan the first's
+        // fetch or Dropbox, and that invocation would never end.
+        if !matches!(self.phase, Phase::Idle) {
+            api.output(b"ERR:busy".to_vec());
+            api.output_end();
+            return;
+        }
         let Some(req) = BrowseRequest::decode(&input) else {
             api.output(b"ERR:bad request".to_vec());
             api.output_end();

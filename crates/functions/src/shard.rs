@@ -124,8 +124,9 @@ pub fn manifest() -> Manifest {
 struct Deployment {
     link: RemoteBox,
     piece: ShardPiece,
-    /// The Dropbox answered the put with `OK`.
-    stored: bool,
+    /// The token of the Dropbox that answered the put with `OK`. It stays
+    /// valid when the link fails afterwards.
+    stored: Option<[u8; 32]>,
 }
 
 /// The Shard function.
@@ -150,22 +151,21 @@ impl Shard {
             || self
                 .deployments
                 .iter()
-                .any(|d| !d.stored && !d.link.is_failed())
+                .any(|d| d.stored.is_none() && !d.link.is_failed())
         {
             return;
         }
         self.finished = true;
-        // A shard counts when it was stored and its link never failed.
+        // A shard counts when it was stored, whatever its link did since.
         let locs: Vec<ShardLocator> = self
             .deployments
             .iter()
-            .filter(|d| d.stored)
             .filter_map(|d| {
                 Some(ShardLocator {
                     index: d.piece.index,
                     box_addr: d.link.box_addr(),
                     box_port: tor_net::ports::BENTO_PORT,
-                    token: d.link.token()?,
+                    token: d.stored?,
                 })
             })
             .collect();
@@ -185,7 +185,7 @@ impl Shard {
                     input.extend_from_slice(&d.piece.to_bytes());
                     d.link.invoke(api, input);
                 }
-                BoxEvent::Output(data) if data == b"OK" => d.stored = true,
+                BoxEvent::Output(data) if data == b"OK" => d.stored = d.link.token(),
                 BoxEvent::Output(_) | BoxEvent::Failed(_) => {}
             }
         }
@@ -229,7 +229,7 @@ impl Function for Shard {
             self.deployments.push(Deployment {
                 link: RemoteBox::deploy(api, *addr, *port, &spec),
                 piece,
-                stored: false,
+                stored: None,
             });
         }
     }

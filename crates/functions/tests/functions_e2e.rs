@@ -14,7 +14,7 @@ use bento_functions::load_balancer::{LbParams, ServiceParams};
 use bento_functions::shard::{self, decode_locators, ShardRequest};
 use bento_functions::standard_registry;
 use bento_functions::web::SiteModel;
-use simnet::{FaultPlan, NodeId, SimDuration, SimTime};
+use simnet::{FaultPlan, LinkFault, NodeId, SimDuration, SimTime};
 use tor_net::ports::{BENTO_PORT, HS_VIRTUAL_PORT, HTTP_PORT};
 use tor_net::{HiddenServiceHost, StreamTarget, TorEvent};
 
@@ -189,6 +189,74 @@ fn browser_reports_a_dropbox_that_dies() {
     );
 }
 
+/// Browser serves one page at a time: an invocation while a page is being
+/// fetched or delivered to a Dropbox is refused with `ERR:busy`, and the
+/// one in flight still ends with its locator. Every invocation ends once,
+/// and the one Dropbox container deployed is the one the locator names.
+#[test]
+fn browser_refuses_an_invocation_while_a_page_is_in_flight() {
+    let mut bn = BentoNetwork::build(202, 2, MiddleboxPolicy::permissive(), standard_registry);
+    let site = SiteModel::generate(1, 77);
+    let server = bn.net.add_web_server("web", site.server_pages());
+    let dropbox_box = bn.boxes[1];
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: browser::manifest(true),
+    };
+    let session = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    let req = BrowseRequest {
+        server,
+        port: HTTP_PORT,
+        path: site.html_path(),
+        padding: 0,
+        dropbox_on: Some((dropbox_box, BENTO_PORT)),
+    }
+    .encode();
+    let dropboxes = |sim: &simnet::Simulator| {
+        sim.node_ref::<BentoBoxNode>(dropbox_box)
+            .bento
+            .live_functions()
+    };
+    let step = SimDuration::from_millis(100);
+    // Second invocation while fetching, third while delivering.
+    bn.invoke(&session, req.clone());
+    bn.net.sim.run_until(bn.net.sim.now() + step);
+    bn.invoke(&session, req.clone());
+    assert!(
+        bn.net
+            .sim
+            .step_until(step, secs(120), |sim| dropboxes(sim) == 1),
+        "the Dropbox is being deployed"
+    );
+    bn.invoke(&session, req);
+    let conn = session.conn;
+    let ends = |sim: &simnet::Simulator| {
+        sim.node_ref::<BentoClientNode>(client)
+            .bento_events
+            .iter()
+            .filter(|e| matches!(e, BentoEvent::OutputEnd(c) if *c == conn))
+            .count()
+    };
+    bn.net.sim.step_until(step, secs(120), |sim| ends(sim) == 3);
+    bn.net.sim.run_until(secs(125));
+    assert_eq!(ends(&bn.net.sim), 3, "one end per invocation");
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    let outputs: Vec<&[u8]> = n
+        .bento_events
+        .iter()
+        .filter_map(|e| match e {
+            BentoEvent::Output(c, d) if *c == conn => Some(&d[..]),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(outputs.len(), 3, "{outputs:?}");
+    assert_eq!(outputs[..2], [b"ERR:busy", b"ERR:busy"]);
+    assert!(outputs[2].starts_with(b"DROPBOX:"), "{:?}", outputs[2]);
+    assert_eq!(dropboxes(&bn.net.sim), 1, "no Dropbox without a holder");
+}
+
 #[test]
 fn cover_emits_fixed_rate_downstream_junk() {
     let mut bn = BentoNetwork::build(203, 1, MiddleboxPolicy::permissive(), standard_registry);
@@ -323,6 +391,53 @@ fn shard_deploys_and_any_k_reconstruct() {
         pieces.push(piece);
     }
     assert_eq!(erasure::decode(&pieces).expect("reconstruct"), file);
+}
+
+/// A shard the Dropbox acknowledged stays in the locator list when its link
+/// fails before the other shards are stored: the token it was stored
+/// under is still the fetch capability.
+#[test]
+fn shard_keeps_a_stored_shard_whose_link_fails_later() {
+    let mut bn = BentoNetwork::build(205, 4, MiddleboxPolicy::permissive(), standard_registry);
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: shard::manifest(),
+    };
+    let session = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    // The third Dropbox's links slow down, so its put lands last; the
+    // first Dropbox's box dies after its put is acknowledged.
+    let (first, last) = (bn.boxes[1], bn.boxes[3]);
+    let slow = SimTime::ZERO + SimDuration::from_millis(12_000);
+    let mut plan = FaultPlan::new().crash(secs(13), first);
+    for (relay, _) in &bn.net.relays {
+        if *relay != last {
+            plan = plan.link(
+                slow,
+                last,
+                *relay,
+                LinkFault::latency_spike(SimDuration::from_secs(1)),
+            );
+        }
+    }
+    bn.net.sim.install_faults(plan);
+    let targets: Vec<(NodeId, u16)> = bn.boxes[1..4].iter().map(|b| (*b, BENTO_PORT)).collect();
+    let req = ShardRequest {
+        k: 2,
+        targets,
+        file: (0..60_000u32).map(|i| (i * 31 % 251) as u8).collect(),
+    };
+    let step = SimDuration::from_millis(1);
+    assert!(bn.invoke_and_wait(&session, req.encode(), step, secs(120)));
+    assert!(
+        bn.net.sim.now() > secs(13),
+        "the last put landed after the crash"
+    );
+    let n: &BentoClientNode = bn.net.sim.node_ref(client);
+    let locators = decode_locators(&n.output_bytes(session.conn)).expect("locator list");
+    let boxes: Vec<NodeId> = locators.iter().map(|l| l.box_addr).collect();
+    assert_eq!(boxes, bn.boxes[1..4], "every stored shard is listed");
 }
 
 #[test]

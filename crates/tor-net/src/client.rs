@@ -126,13 +126,12 @@ struct ClientCircuit {
     crypto: CircuitCrypto,
     building: Option<BuildState>,
     ready: bool,
-    alive: bool,
     streams: BTreeMap<u16, ClientStream>,
     /// Flow control of the cells this client sends to the last hop.
     window: CircWindow,
     /// Outstanding e2e handshake awaiting RENDEZVOUS2.
     pending_e2e: Option<ntor::ClientHandshake>,
-    /// Index into `hs_conns` if this circuit belongs to an onion connection.
+    /// Key in `hs_conns` of the onion connection this circuit serves.
     hs_conn: Option<usize>,
     /// Build-timeout timer (recovery mode only).
     build_timer: Option<TimerId>,
@@ -147,20 +146,13 @@ struct ManagedCirc {
     /// When the previous incarnation died (drives the time-to-recover
     /// histogram); cleared once a rebuild succeeds.
     failed_at: Option<SimTime>,
-    /// Slot of the failed incarnation its owner holds: the one the next
+    /// Handle of the failed incarnation its owner holds: the one the next
     /// `CircuitRebuilt` names, however many attempts fail in between.
     origin: Option<usize>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HsPhase {
-    Starting,
-    Waiting,
-    Introduced,
-    Done,
-    Failed,
-}
-
+/// An onion connection still being set up. It leaves `hs_conns` when it
+/// fails or when RENDEZVOUS2 completes it.
 struct HsConn {
     addr: OnionAddr,
     rendezvous_circ: usize,
@@ -171,7 +163,8 @@ struct HsConn {
     est_sent: bool,
     desc_requested: bool,
     desc: Option<HsDescriptor>,
-    phase: HsPhase,
+    /// INTRODUCE1 went out on the current intro circuit.
+    introduced: bool,
     /// Failed introduction attempts so far (capped at [`MAX_HS_RETRIES`]).
     intro_retries: u32,
     /// Failed HSDir fetch circuits so far.
@@ -206,8 +199,13 @@ pub struct TorClient {
     consensus: Option<Consensus>,
     dir_conn: Option<ConnId>,
     links: LinkTable,
-    circuits: Vec<ClientCircuit>,
-    hs_conns: Vec<HsConn>,
+    /// Live circuits by handle. A circuit leaves when it dies, and handles
+    /// count up from 0 (again after [`TorClient::reset`]), never reused.
+    circuits: BTreeMap<usize, ClientCircuit>,
+    next_circ: usize,
+    /// Onion connections being set up, keyed the same way.
+    hs_conns: BTreeMap<usize, HsConn>,
+    next_hs_conn: usize,
     next_stream_id: u16,
     events: VecDeque<TorEvent>,
     /// Consensus-fetch retry schedule (jittered exponential backoff).
@@ -234,8 +232,10 @@ impl TorClient {
             consensus: None,
             dir_conn: None,
             links: LinkTable::default(),
-            circuits: Vec::new(),
-            hs_conns: Vec::new(),
+            circuits: BTreeMap::new(),
+            next_circ: 0,
+            hs_conns: BTreeMap::new(),
+            next_hs_conn: 0,
             next_stream_id: 1,
             events: VecDeque::new(),
             fetch_backoff: Backoff::new(Self::FETCH_BACKOFF),
@@ -301,7 +301,9 @@ impl TorClient {
         self.dir_conn = None;
         self.links = LinkTable::default();
         self.circuits.clear();
+        self.next_circ = 0;
         self.hs_conns.clear();
+        self.next_hs_conn = 0;
         self.next_stream_id = 1;
         self.events.clear();
         self.fetch_backoff.reset();
@@ -331,27 +333,27 @@ impl TorClient {
 
     /// Whether a circuit is ready for streams.
     pub fn is_ready(&self, circ: CircuitHandle) -> bool {
-        self.circuits
-            .get(circ.0)
-            .map(|c| c.ready && c.alive)
-            .unwrap_or(false)
+        self.circuits.get(&circ.0).is_some_and(|c| c.ready)
     }
 
     /// Number of hops (including any virtual hop) on a circuit.
     pub fn hops(&self, circ: CircuitHandle) -> usize {
-        self.circuits
-            .get(circ.0)
-            .map(|c| c.crypto.len())
-            .unwrap_or(0)
+        self.circuits.get(&circ.0).map_or(0, |c| c.crypto.len())
     }
 
     /// Fingerprints of the relays on a circuit's path, guard first
     /// (inspection for tests and experiments; empty for unknown handles).
     pub fn circuit_path(&self, circ: CircuitHandle) -> Vec<Fingerprint> {
         self.circuits
-            .get(circ.0)
+            .get(&circ.0)
             .map(|c| c.path.iter().map(|r| r.fingerprint).collect())
             .unwrap_or_default()
+    }
+
+    /// Circuits this client holds now, building or built. A dead circuit
+    /// is gone at once, so this is what a leak check counts.
+    pub fn live_circuits(&self) -> usize {
+        self.circuits.len()
     }
 
     // ------------------------------------------------------------------
@@ -457,34 +459,36 @@ impl TorClient {
             .new_circ(guard.addr, || ctx.connect(guard.addr, guard.or_port));
         let (handshake, onionskin) =
             ntor::client_begin(ctx.rng(), guard.fingerprint, guard.onion_key);
-        let slot = self.circuits.len();
-        self.circuits.push(ClientCircuit {
-            path: infos,
-            conn,
-            circ_id,
-            crypto: CircuitCrypto::new(),
-            building: Some(BuildState { hop: 0, handshake }),
-            ready: false,
-            alive: true,
-            streams: BTreeMap::new(),
-            window: CircWindow::new(),
-            pending_e2e: None,
-            hs_conn: None,
-            build_timer: None,
-            managed: None,
-        });
+        let slot = self.next_circ;
+        self.next_circ += 1;
         self.links.bind(conn, circ_id, slot);
-        if self.recovery {
-            let t = ctx.set_timer(Self::BUILD_TIMEOUT, TAG_BUILD_TIMEOUT_BASE + slot as u64);
-            self.circuits[slot].build_timer = Some(t);
-        }
+        let build_timer = self
+            .recovery
+            .then(|| ctx.set_timer(Self::BUILD_TIMEOUT, TAG_BUILD_TIMEOUT_BASE + slot as u64));
+        self.circuits.insert(
+            slot,
+            ClientCircuit {
+                path: infos,
+                conn,
+                circ_id,
+                crypto: CircuitCrypto::new(),
+                building: Some(BuildState { hop: 0, handshake }),
+                ready: false,
+                streams: BTreeMap::new(),
+                window: CircWindow::new(),
+                pending_e2e: None,
+                hs_conn: None,
+                build_timer,
+                managed: None,
+            },
+        );
         let create = Cell::with_payload(circ_id, CellCmd::Create, &onionskin);
         self.links.send_cell(ctx, conn, create);
         Some(CircuitHandle(slot))
     }
 
     /// Build a circuit whose terminal hop satisfies `req`, selecting a path
-    /// that avoids recently-failed relays — and keep it alive: if it fails
+    /// that avoids recently-failed relays — and keep it up: if it fails
     /// to build or dies later, the client automatically rebuilds it on a
     /// fresh path after a jittered exponential backoff, emitting
     /// [`TorEvent::CircuitRebuilt`] when the replacement is ready. Requires
@@ -499,7 +503,8 @@ impl TorClient {
         }
         let path = self.select_path_resilient(ctx, req)?;
         let handle = self.build_circuit(ctx, path)?;
-        self.circuits[handle.0].managed = Some(ManagedCirc {
+        let c = self.circuits.get_mut(&handle.0)?;
+        c.managed = Some(ManagedCirc {
             req,
             backoff: Backoff::new(Self::REBUILD_BACKOFF),
             failed_at: None,
@@ -508,19 +513,24 @@ impl TorClient {
         Some(handle)
     }
 
-    /// Tear down a circuit.
+    /// Tear down a circuit. Its timers find nothing when they fire.
+    /// Destroying the rendezvous circuit of an onion connection still being
+    /// set up abandons that connection and its other circuits too.
     pub fn destroy_circuit(&mut self, ctx: &mut Ctx<'_>, circ: CircuitHandle) {
-        let Some(c) = self.circuits.get_mut(circ.0) else {
+        let Some(c) = self.circuits.remove(&circ.0) else {
             return;
         };
-        if !c.alive {
-            return;
-        }
-        c.alive = false;
-        let (conn, circ_id) = (c.conn, c.circ_id);
-        self.links.unbind(conn, circ_id);
+        self.links.unbind(c.conn, c.circ_id);
         self.links
-            .send_cell(ctx, conn, Cell::new(circ_id, CellCmd::Destroy));
+            .send_cell(ctx, c.conn, Cell::new(c.circ_id, CellCmd::Destroy));
+        let abandoned = c.hs_conn.filter(|idx| {
+            self.hs_conns
+                .get(idx)
+                .is_some_and(|h| h.rendezvous_circ == circ.0)
+        });
+        if let Some(idx) = abandoned {
+            self.drop_hs(ctx, idx);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -535,9 +545,7 @@ impl TorClient {
         circ: CircuitHandle,
         target: StreamTarget,
     ) -> Option<u16> {
-        if !self.is_ready(circ) {
-            return None;
-        }
+        let c = self.circuits.get_mut(&circ.0).filter(|c| c.ready)?;
         let stream_id = self.next_stream_id;
         self.next_stream_id = self.next_stream_id.wrapping_add(1).max(1);
         let kind = match target {
@@ -548,7 +556,7 @@ impl TorClient {
             let tag = TAG_STREAM_TIMEOUT_BASE + ((circ.0 as u64) << 16 | stream_id as u64);
             ctx.set_timer(Self::STREAM_TIMEOUT, tag)
         });
-        self.circuits[circ.0].streams.insert(
+        c.streams.insert(
             stream_id,
             ClientStream {
                 kind,
@@ -582,7 +590,7 @@ impl TorClient {
     /// Close a stream. Its END follows any of its DATA still waiting for
     /// the circuit window.
     pub fn close_stream(&mut self, ctx: &mut Ctx<'_>, circ: CircuitHandle, stream: u16) {
-        let Some(c) = self.circuits.get_mut(circ.0) else {
+        let Some(c) = self.circuits.get_mut(&circ.0) else {
             return;
         };
         if let Some(s) = c.streams.remove(&stream) {
@@ -602,14 +610,14 @@ impl TorClient {
         accept: bool,
     ) {
         if accept {
-            if let Some(c) = self.circuits.get_mut(circ.0) {
+            if let Some(c) = self.circuits.get_mut(&circ.0) {
                 if let Some(s) = c.streams.get_mut(&stream) {
                     s.connected = true;
                 }
             }
             self.send_relay(ctx, circ.0, RelayCmd::Connected, stream, &[]);
         } else {
-            if let Some(c) = self.circuits.get_mut(circ.0) {
+            if let Some(c) = self.circuits.get_mut(&circ.0) {
                 c.streams.remove(&stream);
             }
             self.send_relay(ctx, circ.0, RelayCmd::End, stream, &[]);
@@ -644,7 +652,7 @@ impl TorClient {
         msg: DirMsg,
     ) -> Option<u16> {
         let stream = self.open_stream(ctx, circ, StreamTarget::Dir)?;
-        if let Some(c) = self.circuits.get_mut(circ.0) {
+        if let Some(c) = self.circuits.get_mut(&circ.0) {
             if let Some(s) = c.streams.get_mut(&stream) {
                 s.pending.push(encode_frame(&msg.encode()));
             }
@@ -654,7 +662,7 @@ impl TorClient {
 
     /// Append a server-side end-to-end hop (hidden service use).
     pub fn push_virtual_hop_server(&mut self, circ: CircuitHandle, keys: &ntor::CircuitKeys) {
-        if let Some(c) = self.circuits.get_mut(circ.0) {
+        if let Some(c) = self.circuits.get_mut(&circ.0) {
             c.crypto.push_hop(LayerCrypto::relay_side(keys));
         }
     }
@@ -677,24 +685,31 @@ impl TorClient {
         let hsdir = self.build_circuit(ctx, dir_path)?;
         let mut cookie = [0u8; 20];
         ctx.rng().fill(&mut cookie);
-        let idx = self.hs_conns.len();
-        self.hs_conns.push(HsConn {
-            addr,
-            rendezvous_circ: rendezvous.0,
-            hsdir_circ: Some(hsdir.0),
-            intro_circ: None,
-            cookie,
-            rp_established: false,
-            est_sent: false,
-            desc_requested: false,
-            desc: None,
-            phase: HsPhase::Starting,
-            intro_retries: 0,
-            hsdir_retries: 0,
-            used_intros: Vec::new(),
-        });
-        self.circuits[rendezvous.0].hs_conn = Some(idx);
-        self.circuits[hsdir.0].hs_conn = Some(idx);
+        let idx = self.next_hs_conn;
+        self.next_hs_conn += 1;
+        self.hs_conns.insert(
+            idx,
+            HsConn {
+                addr,
+                rendezvous_circ: rendezvous.0,
+                hsdir_circ: Some(hsdir.0),
+                intro_circ: None,
+                cookie,
+                rp_established: false,
+                est_sent: false,
+                desc_requested: false,
+                desc: None,
+                introduced: false,
+                intro_retries: 0,
+                hsdir_retries: 0,
+                used_intros: Vec::new(),
+            },
+        );
+        for circ in [rendezvous, hsdir] {
+            if let Some(c) = self.circuits.get_mut(&circ.0) {
+                c.hs_conn = Some(idx);
+            }
+        }
         Some(rendezvous)
     }
 
@@ -757,7 +772,8 @@ impl TorClient {
                 if self.recovery {
                     // The guard link died under this circuit: remember the
                     // guard so rebuilds steer around it while it decays.
-                    if let Some(fp) = self.circuits[slot].path.first().map(|r| r.fingerprint) {
+                    let guard = self.circuits.get(&slot).and_then(|c| c.path.first());
+                    if let Some(fp) = guard.map(|r| r.fingerprint) {
                         self.failures.record(fp, ctx.now());
                     }
                 }
@@ -824,11 +840,11 @@ impl TorClient {
     /// the hop being extended, tear the circuit down, and (if managed) let
     /// `circuit_closed` schedule the rebuild.
     fn fire_build_timeout(&mut self, ctx: &mut Ctx<'_>, slot: usize) {
-        let Some(c) = self.circuits.get_mut(slot) else {
+        let Some(c) = self.circuits.get_mut(&slot) else {
             return;
         };
         c.build_timer = None;
-        if !c.alive || c.ready {
+        if c.ready {
             return;
         }
         T_BUILD_TIMEOUTS.inc();
@@ -847,25 +863,17 @@ impl TorClient {
 
     /// A stream never reached Connected within `STREAM_TIMEOUT`: end it.
     fn fire_stream_timeout(&mut self, ctx: &mut Ctx<'_>, slot: usize, stream: u16) {
-        let Some(c) = self.circuits.get_mut(slot) else {
+        let Some(c) = self.circuits.get_mut(&slot) else {
             return;
         };
-        let timed_out = c
-            .streams
-            .get(&stream)
-            .map(|s| !s.connected)
-            .unwrap_or(false);
-        if !timed_out {
+        if c.streams.get(&stream).is_none_or(|s| s.connected) {
             return;
         }
         c.streams.remove(&stream);
+        let hs = c.hs_conn;
         T_STREAM_TIMEOUTS.inc();
         self.send_relay(ctx, slot, RelayCmd::End, stream, &[]);
-        self.emit_or_hs(
-            ctx,
-            slot,
-            TorEvent::StreamEnded(CircuitHandle(slot), stream),
-        );
+        self.emit_or_hs(ctx, hs, TorEvent::StreamEnded(CircuitHandle(slot), stream));
     }
 
     /// Park a managed circuit's rebuild behind its next backoff delay.
@@ -893,10 +901,8 @@ impl TorClient {
         let attempt = self
             .select_path_resilient(ctx, req)
             .and_then(|path| self.build_circuit(ctx, path));
-        match attempt {
-            Some(handle) => {
-                self.circuits[handle.0].managed = Some(managed);
-            }
+        match attempt.and_then(|handle| self.circuits.get_mut(&handle.0)) {
+            Some(c) => c.managed = Some(managed),
             None => self.schedule_rebuild(ctx, managed),
         }
     }
@@ -916,20 +922,22 @@ impl TorClient {
         stream: u16,
         data: &[u8],
     ) {
-        let Some(c) = self.circuits.get_mut(slot) else {
+        let Some(c) = self.circuits.get_mut(&slot) else {
             return;
         };
         if c.window.admit(cmd, stream, data) {
             let payload = RelayCell::encode_payload_from(cmd, stream, data);
-            self.seal_for_last(ctx, slot, payload);
+            Self::seal_for_last(&mut self.links, ctx, c, payload);
         }
     }
 
-    fn seal_for_last(&mut self, ctx: &mut Ctx<'_>, slot: usize, mut payload: [u8; PAYLOAD_LEN]) {
-        let Some(c) = self.circuits.get_mut(slot) else {
-            return;
-        };
-        if !c.alive || c.crypto.is_empty() {
+    fn seal_for_last(
+        links: &mut LinkTable,
+        ctx: &mut Ctx<'_>,
+        c: &mut ClientCircuit,
+        mut payload: [u8; PAYLOAD_LEN],
+    ) {
+        if c.crypto.is_empty() {
             return;
         }
         c.crypto.seal_for_last(&mut payload);
@@ -938,8 +946,7 @@ impl TorClient {
             cmd: CellCmd::Relay,
             payload,
         };
-        let conn = c.conn;
-        self.links.send_cell(ctx, conn, cell);
+        links.send_cell(ctx, c.conn, cell);
     }
 
     fn handle_cell(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, mut cell: Cell) {
@@ -952,17 +959,55 @@ impl TorClient {
                 self.handle_hop_complete(ctx, slot, &reply);
             }
             CellCmd::Relay => {
-                let recognized = self.circuits[slot].crypto.unwrap_inbound(&mut cell.payload);
-                match recognized {
-                    Some(hop) => {
-                        if let Some(rc) = RelayCell::parse_payload(&cell.payload) {
-                            self.handle_inbound_relay(ctx, slot, hop, rc);
+                let Some(c) = self.circuits.get_mut(&slot) else {
+                    return;
+                };
+                if c.crypto.unwrap_inbound(&mut cell.payload).is_none() {
+                    // Unrecognized backward cell: integrity violation.
+                    self.refuse_circuit(ctx, slot);
+                    return;
+                }
+                let Some(rc) = RelayCell::parse_payload(&cell.payload) else {
+                    return;
+                };
+                let hs = c.hs_conn;
+                if rc.cmd != RelayCmd::Data {
+                    self.handle_inbound_relay(ctx, slot, hs, rc);
+                    return;
+                }
+                // The data path works from the one lookup above.
+                let sendme = c.window.delivered();
+                enum D {
+                    App(Vec<u8>),
+                    Dir(Vec<Vec<u8>>),
+                }
+                let d = c.streams.get_mut(&rc.stream_id).map(|s| match &mut s.kind {
+                    StreamKind::Dir(asm) => {
+                        asm.push(&rc.data);
+                        D::Dir(asm.drain_frames())
+                    }
+                    _ => D::App(rc.data),
+                });
+                if sendme {
+                    self.send_relay(ctx, slot, RelayCmd::Sendme, 0, &[]);
+                }
+                let h = CircuitHandle(slot);
+                match d {
+                    Some(D::App(data)) => {
+                        self.emit_or_hs(ctx, hs, TorEvent::StreamData(h, rc.stream_id, data));
+                    }
+                    Some(D::Dir(frames)) => {
+                        for f in frames {
+                            if let Ok(dm) = DirMsg::decode(&f) {
+                                self.emit_or_hs(
+                                    ctx,
+                                    hs,
+                                    TorEvent::DirResponse(h, rc.stream_id, dm),
+                                );
+                            }
                         }
                     }
-                    None => {
-                        // Unrecognized backward cell: integrity violation.
-                        self.refuse_circuit(ctx, slot);
-                    }
+                    None => {}
                 }
             }
             CellCmd::Destroy => {
@@ -974,23 +1019,23 @@ impl TorClient {
 
     /// CREATED or EXTENDED completed hop `building.hop`.
     fn handle_hop_complete(&mut self, ctx: &mut Ctx<'_>, slot: usize, reply: &[u8]) {
-        let Some(build) = self.circuits[slot].building.take() else {
+        let Some(c) = self.circuits.get_mut(&slot) else {
+            return;
+        };
+        let Some(build) = c.building.take() else {
             return;
         };
         let Ok(keys) = ntor::client_finish(&build.handshake, reply) else {
             self.refuse_circuit(ctx, slot);
             return;
         };
-        self.circuits[slot]
-            .crypto
-            .push_hop(LayerCrypto::client_side(&keys));
+        c.crypto.push_hop(LayerCrypto::client_side(&keys));
         let next_hop = build.hop + 1;
-        if next_hop < self.circuits[slot].path.len() {
+        if let Some(next) = c.path.get(next_hop).cloned() {
             // Extend to the next relay.
-            let next = self.circuits[slot].path[next_hop].clone();
             let (handshake, onionskin) =
                 ntor::client_begin(ctx.rng(), next.fingerprint, next.onion_key);
-            self.circuits[slot].building = Some(BuildState {
+            c.building = Some(BuildState {
                 hop: next_hop,
                 handshake,
             });
@@ -1002,111 +1047,76 @@ impl TorClient {
             };
             self.send_relay(ctx, slot, RelayCmd::Extend, 0, &body.encode());
         } else {
-            self.circuits[slot].ready = true;
-            if let Some(t) = self.circuits[slot].build_timer.take() {
+            c.ready = true;
+            if let Some(t) = c.build_timer.take() {
                 ctx.cancel_timer(t);
             }
             // A managed circuit coming up: if this is a rebuild, record the
             // recovery and announce old → new before CircuitReady.
             let mut rebuilt_from = None;
-            if let Some(m) = self.circuits[slot].managed.as_mut() {
+            if let Some(m) = c.managed.as_mut() {
                 m.backoff.reset();
                 rebuilt_from = m.origin.take();
                 if let Some(t0) = m.failed_at.take() {
                     T_RECOVER_MS.record((ctx.now() - t0).as_millis());
                 }
             }
+            let hs = c.hs_conn;
             if let Some(old) = rebuilt_from {
                 T_CIRC_REBUILDS.inc();
                 self.emit_or_hs(
                     ctx,
-                    slot,
+                    hs,
                     TorEvent::CircuitRebuilt(CircuitHandle(old), CircuitHandle(slot)),
                 );
             }
-            self.emit_or_hs(ctx, slot, TorEvent::CircuitReady(CircuitHandle(slot)));
+            self.emit_or_hs(ctx, hs, TorEvent::CircuitReady(CircuitHandle(slot)));
         }
     }
 
-    fn handle_inbound_relay(&mut self, ctx: &mut Ctx<'_>, slot: usize, _hop: usize, rc: RelayCell) {
-        match rc.cmd {
-            RelayCmd::Extended => {
+    /// A recognized relay cell other than DATA, on circuit `slot` of onion
+    /// connection `hs` (if any).
+    fn handle_inbound_relay(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        slot: usize,
+        hs: Option<usize>,
+        rc: RelayCell,
+    ) {
+        let h = CircuitHandle(slot);
+        match (rc.cmd, hs) {
+            (RelayCmd::Extended, _) => {
                 self.handle_hop_complete(ctx, slot, &rc.data);
             }
-            RelayCmd::Connected => {
+            (RelayCmd::Connected, _) => {
+                let stream = self
+                    .circuits
+                    .get_mut(&slot)
+                    .and_then(|c| c.streams.get_mut(&rc.stream_id));
                 let mut flush = Vec::new();
-                let mut timer = None;
-                if let Some(s) = self.circuits[slot].streams.get_mut(&rc.stream_id) {
+                if let Some(s) = stream {
                     s.connected = true;
                     flush = std::mem::take(&mut s.pending);
-                    timer = s.timeout.take();
-                }
-                if let Some(t) = timer {
-                    ctx.cancel_timer(t);
-                }
-                for frame in flush {
-                    self.send_stream(ctx, CircuitHandle(slot), rc.stream_id, &frame);
-                }
-                self.emit_or_hs(
-                    ctx,
-                    slot,
-                    TorEvent::StreamConnected(CircuitHandle(slot), rc.stream_id),
-                );
-            }
-            RelayCmd::Data => {
-                if self.circuits[slot].window.delivered() {
-                    self.send_relay(ctx, slot, RelayCmd::Sendme, 0, &[]);
-                }
-                enum D {
-                    App(Vec<u8>),
-                    Dir(Vec<Vec<u8>>),
-                    None,
-                }
-                let d = match self.circuits[slot].streams.get_mut(&rc.stream_id) {
-                    Some(s) => match &mut s.kind {
-                        StreamKind::Dir(asm) => {
-                            asm.push(&rc.data);
-                            D::Dir(asm.drain_frames())
-                        }
-                        _ => D::App(rc.data),
-                    },
-                    None => D::None,
-                };
-                match d {
-                    D::App(data) => {
-                        self.emit_or_hs(
-                            ctx,
-                            slot,
-                            TorEvent::StreamData(CircuitHandle(slot), rc.stream_id, data),
-                        );
-                    }
-                    D::Dir(frames) => {
-                        for f in frames {
-                            if let Ok(dm) = DirMsg::decode(&f) {
-                                self.emit_or_hs(
-                                    ctx,
-                                    slot,
-                                    TorEvent::DirResponse(CircuitHandle(slot), rc.stream_id, dm),
-                                );
-                            }
-                        }
-                    }
-                    D::None => {}
-                }
-            }
-            RelayCmd::End => {
-                if let Some(s) = self.circuits[slot].streams.remove(&rc.stream_id) {
-                    if let Some(t) = s.timeout {
+                    if let Some(t) = s.timeout.take() {
                         ctx.cancel_timer(t);
                     }
                 }
-                self.emit_or_hs(
-                    ctx,
-                    slot,
-                    TorEvent::StreamEnded(CircuitHandle(slot), rc.stream_id),
-                );
+                for frame in flush {
+                    self.send_stream(ctx, h, rc.stream_id, &frame);
+                }
+                self.emit_or_hs(ctx, hs, TorEvent::StreamConnected(h, rc.stream_id));
             }
-            RelayCmd::Begin => {
+            (RelayCmd::End, _) => {
+                let stream = self
+                    .circuits
+                    .get_mut(&slot)
+                    .and_then(|c| c.streams.remove(&rc.stream_id));
+                if let Some(t) = stream.and_then(|s| s.timeout) {
+                    ctx.cancel_timer(t);
+                }
+                self.emit_or_hs(ctx, hs, TorEvent::StreamEnded(h, rc.stream_id));
+            }
+            (RelayCmd::Begin, _) => {
                 // Far end of a rendezvous circuit opening a stream toward us.
                 let port = StreamTarget::decode(&rc.data)
                     .and_then(|t| match t {
@@ -1114,76 +1124,71 @@ impl TorClient {
                         _ => None,
                     })
                     .unwrap_or(0);
-                self.circuits[slot].streams.insert(
-                    rc.stream_id,
-                    ClientStream {
-                        kind: StreamKind::Incoming,
-                        connected: false,
-                        pending: Vec::new(),
-                        timeout: None,
-                    },
-                );
-                self.emit_or_hs(
-                    ctx,
-                    slot,
-                    TorEvent::IncomingStream(CircuitHandle(slot), rc.stream_id, port),
-                );
+                if let Some(c) = self.circuits.get_mut(&slot) {
+                    c.streams.insert(
+                        rc.stream_id,
+                        ClientStream {
+                            kind: StreamKind::Incoming,
+                            connected: false,
+                            pending: Vec::new(),
+                            timeout: None,
+                        },
+                    );
+                }
+                self.emit_or_hs(ctx, hs, TorEvent::IncomingStream(h, rc.stream_id, port));
             }
-            RelayCmd::Sendme => {
-                self.circuits[slot].window.credit();
-                while let Some(rc) = self.circuits[slot].window.next_ready() {
-                    self.seal_for_last(ctx, slot, rc.encode_payload());
+            (RelayCmd::Sendme, _) => {
+                if let Some(c) = self.circuits.get_mut(&slot) {
+                    c.window.credit();
+                    while let Some(rc) = c.window.next_ready() {
+                        Self::seal_for_last(&mut self.links, ctx, c, rc.encode_payload());
+                    }
                 }
             }
-            RelayCmd::Drop => {}
-            RelayCmd::Rendezvous2 => {
+            (RelayCmd::Data | RelayCmd::Drop, _) => {}
+            (RelayCmd::Rendezvous2, _) => {
                 self.handle_rendezvous2(ctx, slot, &rc.data);
             }
-            RelayCmd::RendezvousEstablished => {
-                if let Some(idx) = self.circuits[slot].hs_conn {
-                    self.hs_conns[idx].rp_established = true;
-                    self.hs_advance(ctx, idx);
-                } else {
-                    self.events.push_back(TorEvent::ControlCell(
-                        CircuitHandle(slot),
-                        rc.cmd,
-                        rc.data,
-                    ));
+            (RelayCmd::RendezvousEstablished, Some(idx)) => {
+                if let Some(h) = self.hs_conns.get_mut(&idx) {
+                    h.rp_established = true;
                 }
+                self.hs_advance(ctx, idx);
             }
-            RelayCmd::IntroduceAck => {
-                if let Some(idx) = self.circuits[slot].hs_conn {
-                    if !rc.data.is_empty() {
-                        self.hs_fail(ctx, idx, "introduction NACK");
-                    }
-                    // ACK: nothing to do but wait for RENDEZVOUS2.
-                } else {
-                    self.events.push_back(TorEvent::ControlCell(
-                        CircuitHandle(slot),
-                        rc.cmd,
-                        rc.data,
-                    ));
-                }
+            // A NACK fails the introduction; after an ACK, RENDEZVOUS2 is
+            // what is left to wait for.
+            (RelayCmd::IntroduceAck, Some(idx)) if !rc.data.is_empty() => {
+                self.hs_fail(ctx, idx, "introduction NACK");
             }
+            (RelayCmd::IntroduceAck, Some(_)) => {}
             // Surfaced for the hidden-service host component.
-            RelayCmd::IntroEstablished | RelayCmd::Introduce2 => {
+            (
+                RelayCmd::IntroEstablished
+                | RelayCmd::Introduce2
+                | RelayCmd::RendezvousEstablished
+                | RelayCmd::IntroduceAck,
+                _,
+            ) => {
                 self.events
-                    .push_back(TorEvent::ControlCell(CircuitHandle(slot), rc.cmd, rc.data));
+                    .push_back(TorEvent::ControlCell(h, rc.cmd, rc.data));
             }
             // Never legitimately addressed to a client.
-            RelayCmd::Extend
-            | RelayCmd::BeginDir
-            | RelayCmd::EstablishIntro
-            | RelayCmd::Introduce1
-            | RelayCmd::EstablishRendezvous
-            | RelayCmd::Rendezvous1 => {}
+            (
+                RelayCmd::Extend
+                | RelayCmd::BeginDir
+                | RelayCmd::EstablishIntro
+                | RelayCmd::Introduce1
+                | RelayCmd::EstablishRendezvous
+                | RelayCmd::Rendezvous1,
+                _,
+            ) => {}
         }
     }
 
-    /// Route an event to the hidden-service state machine if the circuit
-    /// belongs to one; otherwise emit it to the host.
-    fn emit_or_hs(&mut self, ctx: &mut Ctx<'_>, slot: usize, ev: TorEvent) {
-        let Some(idx) = self.circuits[slot].hs_conn else {
+    /// Route an event of a circuit serving onion connection `hs` to that
+    /// connection's state machine; emit it to the host when there is none.
+    fn emit_or_hs(&mut self, ctx: &mut Ctx<'_>, hs: Option<usize>, ev: TorEvent) {
+        let Some(idx) = hs.filter(|idx| self.hs_conns.contains_key(idx)) else {
             self.events.push_back(ev);
             return;
         };
@@ -1192,72 +1197,57 @@ impl TorClient {
                 self.hs_advance(ctx, idx);
             }
             TorEvent::DirResponse(_, _, DirMsg::HsDescResp(resp)) => {
-                match resp.and_then(|b| HsDescriptor::decode_verified(&b)) {
-                    Some(desc) if desc.onion_addr() == self.hs_conns[idx].addr => {
+                let desc = resp.and_then(|b| HsDescriptor::decode_verified(&b));
+                let Some(h) = self.hs_conns.get_mut(&idx) else {
+                    return;
+                };
+                match desc {
+                    Some(desc) if desc.onion_addr() == h.addr => {
+                        h.desc = Some(desc);
                         // Done with the HSDir circuit.
-                        if let Some(hsdir) = self.hs_conns[idx].hsdir_circ.take() {
+                        if let Some(hsdir) = h.hsdir_circ.take() {
                             self.destroy_circuit(ctx, CircuitHandle(hsdir));
                         }
-                        self.hs_conns[idx].desc = Some(desc);
                         self.hs_advance(ctx, idx);
                     }
                     _ => self.hs_fail(ctx, idx, "descriptor missing or invalid"),
                 }
             }
-            TorEvent::StreamConnected(circ, stream) => {
-                // Dir stream connected: pending request flushes via the
-                // normal path; also surface stream events for the
-                // rendezvous circuit itself.
-                if self.hs_conns[idx].rendezvous_circ == circ.0 {
-                    self.events
-                        .push_back(TorEvent::StreamConnected(circ, stream));
-                }
-            }
+            // The HSDir circuit's dir stream connected and flushed its
+            // request; only the response matters. (The rendezvous circuit
+            // carries streams only once RENDEZVOUS2 has completed it.)
+            TorEvent::StreamConnected(..) => {}
             TorEvent::CircuitClosed(circ) => {
-                let (rendezvous, phase, intro, hsdir, have_desc) = {
-                    let h = &self.hs_conns[idx];
-                    (
-                        h.rendezvous_circ,
-                        h.phase,
-                        h.intro_circ,
-                        h.hsdir_circ,
-                        h.desc.is_some(),
-                    )
+                let Some(h) = self.hs_conns.get_mut(&idx) else {
+                    return;
                 };
-                if rendezvous == circ.0 && phase != HsPhase::Done {
+                if h.rendezvous_circ == circ.0 {
                     self.hs_fail(ctx, idx, "rendezvous circuit closed");
-                } else if phase == HsPhase::Done {
-                    self.events.push_back(TorEvent::CircuitClosed(circ));
-                } else if self.recovery && phase != HsPhase::Failed {
+                } else if self.recovery && h.intro_circ == Some(circ.0) {
                     // Recovery mode: a support circuit (intro / HSDir) dying
                     // mid-handshake is retried on a fresh path, up to
                     // MAX_HS_RETRIES per role.
-                    if intro == Some(circ.0) {
-                        self.hs_conns[idx].intro_circ = None;
-                        self.hs_conns[idx].intro_retries += 1;
-                        T_HS_RETRIES.inc();
-                        if self.hs_conns[idx].phase == HsPhase::Introduced {
-                            self.hs_conns[idx].phase = HsPhase::Waiting;
-                        }
-                        if self.hs_conns[idx].intro_retries > MAX_HS_RETRIES {
-                            self.hs_fail(ctx, idx, "introduction retries exhausted");
-                        } else {
-                            self.maybe_introduce(ctx, idx);
-                        }
-                    } else if hsdir == Some(circ.0) && !have_desc {
-                        self.hs_conns[idx].hsdir_circ = None;
-                        self.hs_conns[idx].hsdir_retries += 1;
-                        T_HS_RETRIES.inc();
-                        if self.hs_conns[idx].hsdir_retries > MAX_HS_RETRIES {
-                            self.hs_fail(ctx, idx, "descriptor fetch retries exhausted");
-                        } else {
-                            self.retry_hsdir(ctx, idx);
-                        }
+                    h.intro_circ = None;
+                    h.intro_retries += 1;
+                    h.introduced = false;
+                    T_HS_RETRIES.inc();
+                    if h.intro_retries > MAX_HS_RETRIES {
+                        self.hs_fail(ctx, idx, "introduction retries exhausted");
+                    } else {
+                        self.maybe_introduce(ctx, idx);
+                    }
+                } else if self.recovery && h.hsdir_circ == Some(circ.0) && h.desc.is_none() {
+                    h.hsdir_circ = None;
+                    h.hsdir_retries += 1;
+                    T_HS_RETRIES.inc();
+                    if h.hsdir_retries > MAX_HS_RETRIES {
+                        self.hs_fail(ctx, idx, "descriptor fetch retries exhausted");
+                    } else {
+                        self.retry_hsdir(ctx, idx);
                     }
                 }
             }
-            // Data/End on the rendezvous circuit post-handshake flow to the
-            // host directly.
+            // Anything else goes to the host, as for any circuit.
             other => {
                 self.events.push_back(other);
             }
@@ -1266,35 +1256,24 @@ impl TorClient {
 
     /// Progress an onion connection whenever one of its inputs changes.
     fn hs_advance(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
-        if matches!(self.hs_conns[idx].phase, HsPhase::Done | HsPhase::Failed) {
+        let Some(h) = self.hs_conns.get_mut(&idx) else {
             return;
-        }
+        };
+        let ready = |slot: usize| self.circuits.get(&slot).is_some_and(|c| c.ready);
         // 1. Request the descriptor once the HSDir circuit is up.
-        let hsdir_circ = self.hs_conns[idx].hsdir_circ;
-        let hsdir_ready = hsdir_circ.map(|c| self.circuits[c].ready).unwrap_or(false);
-        if let Some(hsdir) = hsdir_circ {
-            if hsdir_ready
-                && self.hs_conns[idx].desc.is_none()
-                && !self.hs_conns[idx].desc_requested
-            {
-                self.hs_conns[idx].desc_requested = true;
-                let addr = self.hs_conns[idx].addr;
-                self.dir_request(ctx, CircuitHandle(hsdir), DirMsg::FetchHsDesc(addr));
-            }
-        }
+        let fetch_on = h
+            .hsdir_circ
+            .filter(|&c| ready(c) && h.desc.is_none() && !h.desc_requested);
         // 2. Register the rendezvous cookie once that circuit is up.
-        let rendezvous_circ = self.hs_conns[idx].rendezvous_circ;
-        if self.circuits[rendezvous_circ].ready && !self.hs_conns[idx].est_sent {
-            self.hs_conns[idx].est_sent = true;
-            let cookie = self.hs_conns[idx].cookie;
-            self.send_relay(
-                ctx,
-                rendezvous_circ,
-                RelayCmd::EstablishRendezvous,
-                0,
-                &cookie,
-            );
-            self.hs_conns[idx].phase = HsPhase::Waiting;
+        let establish = !h.est_sent && ready(h.rendezvous_circ);
+        h.desc_requested |= fetch_on.is_some();
+        h.est_sent |= establish;
+        let (addr, cookie, rendezvous) = (h.addr, h.cookie, h.rendezvous_circ);
+        if let Some(hsdir) = fetch_on {
+            self.dir_request(ctx, CircuitHandle(hsdir), DirMsg::FetchHsDesc(addr));
+        }
+        if establish {
+            self.send_relay(ctx, rendezvous, RelayCmd::EstablishRendezvous, 0, &cookie);
         }
         // 3. Introduce when everything is in hand.
         self.maybe_introduce(ctx, idx);
@@ -1303,20 +1282,19 @@ impl TorClient {
     /// If the descriptor and the rendezvous registration are both in hand
     /// and the intro circuit is ready (building it if needed), introduce.
     fn maybe_introduce(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
-        if self.hs_conns[idx].desc.is_none() || !self.hs_conns[idx].rp_established {
+        let Some(h) = self.hs_conns.get(&idx) else {
+            return;
+        };
+        if h.desc.is_none() || !h.rp_established || h.introduced {
             return;
         }
-        if self.hs_conns[idx].phase == HsPhase::Introduced {
-            return;
-        }
-        match self.hs_conns[idx].intro_circ {
+        match h.intro_circ {
             None => {
                 // Build a circuit to one of the service's intro points,
                 // preferring ones this connection has not tried yet. On the
                 // first attempt nothing is used, so the RNG draw is the same
                 // range as a retry-oblivious client's.
                 let intro_fp = {
-                    let h = &self.hs_conns[idx];
                     let Some(desc) = h.desc.as_ref() else {
                         self.hs_fail(ctx, idx, "descriptor missing");
                         return;
@@ -1339,7 +1317,6 @@ impl TorClient {
                     let pick = ctx.rng().gen_range(0..pool.len());
                     pool[pick]
                 };
-                self.hs_conns[idx].used_intros.push(intro_fp);
                 let Some(path) = self.select_path_resilient(ctx, TerminalReq::Specific(intro_fp))
                 else {
                     self.hs_fail(ctx, idx, "intro point not in consensus");
@@ -1349,10 +1326,14 @@ impl TorClient {
                     self.hs_fail(ctx, idx, "could not build intro circuit");
                     return;
                 };
-                self.circuits[circ.0].hs_conn = Some(idx);
-                self.hs_conns[idx].intro_circ = Some(circ.0);
+                let conn = self.hs_conns.get_mut(&idx);
+                if let (Some(c), Some(h)) = (self.circuits.get_mut(&circ.0), conn) {
+                    c.hs_conn = Some(idx);
+                    h.used_intros.push(intro_fp);
+                    h.intro_circ = Some(circ.0);
+                }
             }
-            Some(intro) if self.circuits[intro].ready => {
+            Some(intro) if self.is_ready(CircuitHandle(intro)) => {
                 self.send_introduce1(ctx, idx, intro);
             }
             Some(_) => {} // still building
@@ -1360,17 +1341,15 @@ impl TorClient {
     }
 
     fn send_introduce1(&mut self, ctx: &mut Ctx<'_>, idx: usize, intro_slot: usize) {
-        let (addr, cookie, enc_key, rp_info) = {
-            let h = &self.hs_conns[idx];
-            let Some(desc) = h.desc.as_ref() else {
-                self.hs_fail(ctx, idx, "descriptor missing");
-                return;
-            };
-            let Some(rp) = self.circuits[h.rendezvous_circ].path.last() else {
-                self.hs_fail(ctx, idx, "rendezvous circuit has no path");
-                return;
-            };
-            (h.addr, h.cookie, desc.enc_key, rp.clone())
+        let Some(h) = self.hs_conns.get(&idx) else {
+            return;
+        };
+        let (addr, cookie, rendezvous) = (h.addr, h.cookie, h.rendezvous_circ);
+        let rp = self.circuits.get(&rendezvous).and_then(|c| c.path.last());
+        let (Some(enc_key), Some(rp_info)) = (h.desc.as_ref().map(|d| d.enc_key), rp.cloned())
+        else {
+            self.hs_fail(ctx, idx, "descriptor or rendezvous path missing");
+            return;
         };
         // E2E ntor handshake toward the service's encryption key; the
         // service id for the handshake is the first 20 bytes of the onion
@@ -1378,7 +1357,9 @@ impl TorClient {
         let mut svc_id = [0u8; 20];
         svc_id.copy_from_slice(&addr.0[..20]);
         let (handshake, onionskin) = ntor::client_begin(ctx.rng(), svc_id, enc_key);
-        self.circuits[self.hs_conns[idx].rendezvous_circ].pending_e2e = Some(handshake);
+        if let Some(c) = self.circuits.get_mut(&rendezvous) {
+            c.pending_e2e = Some(handshake);
+        }
 
         // Encrypt the introduction payload to the service's key.
         let eph = StaticSecret::random(ctx.rng());
@@ -1400,27 +1381,30 @@ impl TorClient {
         data.extend_from_slice(eph.public_key().as_bytes());
         data.extend_from_slice(&sealed);
         self.send_relay(ctx, intro_slot, RelayCmd::Introduce1, 0, &data);
-        self.hs_conns[idx].phase = HsPhase::Introduced;
+        if let Some(h) = self.hs_conns.get_mut(&idx) {
+            h.introduced = true;
+        }
     }
 
     fn handle_rendezvous2(&mut self, ctx: &mut Ctx<'_>, slot: usize, reply: &[u8]) {
-        let Some(handshake) = self.circuits[slot].pending_e2e.take() else {
+        let Some(c) = self.circuits.get_mut(&slot) else {
+            return;
+        };
+        let Some(handshake) = c.pending_e2e.take() else {
             return;
         };
         let Ok(keys) = ntor::client_finish(&handshake, reply) else {
-            if let Some(idx) = self.circuits[slot].hs_conn {
+            if let Some(idx) = c.hs_conn {
                 self.hs_fail(ctx, idx, "e2e handshake authentication failed");
             }
             return;
         };
-        self.circuits[slot]
-            .crypto
-            .push_hop(LayerCrypto::client_side(&keys));
-        if let Some(idx) = self.circuits[slot].hs_conn {
-            self.hs_conns[idx].phase = HsPhase::Done;
-            if let Some(intro) = self.hs_conns[idx].intro_circ.take() {
-                self.destroy_circuit(ctx, CircuitHandle(intro));
-            }
+        c.crypto.push_hop(LayerCrypto::client_side(&keys));
+        // The onion connection is complete: it leaves its table, and the
+        // rendezvous circuit carries on as an ordinary circuit.
+        let done = c.hs_conn.take().and_then(|idx| self.hs_conns.remove(&idx));
+        if let Some(intro) = done.and_then(|h| h.intro_circ) {
+            self.destroy_circuit(ctx, CircuitHandle(intro));
         }
         self.events
             .push_back(TorEvent::RendezvousReady(CircuitHandle(slot)));
@@ -1429,7 +1413,9 @@ impl TorClient {
     /// Rebuild the HSDir circuit of an onion connection whose descriptor
     /// fetch failed, and re-arm the fetch.
     fn retry_hsdir(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
-        let addr = self.hs_conns[idx].addr;
+        let Some(addr) = self.hs_conns.get(&idx).map(|h| h.addr) else {
+            return;
+        };
         let Some(hsdir_fp) = self
             .consensus
             .as_ref()
@@ -1446,79 +1432,72 @@ impl TorClient {
             self.hs_fail(ctx, idx, "could not rebuild HSDir circuit");
             return;
         };
-        self.circuits[circ.0].hs_conn = Some(idx);
-        self.hs_conns[idx].hsdir_circ = Some(circ.0);
-        self.hs_conns[idx].desc_requested = false;
+        let conn = self.hs_conns.get_mut(&idx);
+        if let (Some(c), Some(h)) = (self.circuits.get_mut(&circ.0), conn) {
+            c.hs_conn = Some(idx);
+            h.hsdir_circ = Some(circ.0);
+            h.desc_requested = false;
+        }
         self.hs_advance(ctx, idx);
     }
 
     fn hs_fail(&mut self, ctx: &mut Ctx<'_>, idx: usize, why: &str) {
-        if self.hs_conns[idx].phase == HsPhase::Failed {
-            return;
+        if let Some(rendezvous) = self.drop_hs(ctx, idx) {
+            self.events.push_back(TorEvent::RendezvousFailed(
+                CircuitHandle(rendezvous),
+                why.to_string(),
+            ));
         }
-        self.hs_conns[idx].phase = HsPhase::Failed;
-        let rendezvous = self.hs_conns[idx].rendezvous_circ;
-        for circ in [
-            Some(rendezvous),
-            self.hs_conns[idx].hsdir_circ,
-            self.hs_conns[idx].intro_circ,
-        ]
-        .into_iter()
-        .flatten()
+    }
+
+    /// Remove an onion connection and destroy its circuits. Returns its
+    /// rendezvous circuit, or `None` if it was already gone.
+    fn drop_hs(&mut self, ctx: &mut Ctx<'_>, idx: usize) -> Option<usize> {
+        let h = self.hs_conns.remove(&idx)?;
+        for circ in [Some(h.rendezvous_circ), h.hsdir_circ, h.intro_circ]
+            .into_iter()
+            .flatten()
         {
             self.destroy_circuit(ctx, CircuitHandle(circ));
         }
-        self.events.push_back(TorEvent::RendezvousFailed(
-            CircuitHandle(rendezvous),
-            why.to_string(),
-        ));
+        Some(h.rendezvous_circ)
     }
 
     /// The client gives up on a circuit itself (a build timeout, a failed
     /// handshake, an unrecognized cell): DESTROY goes out, then the same
     /// close bookkeeping as when the far side closes it.
     fn refuse_circuit(&mut self, ctx: &mut Ctx<'_>, slot: usize) {
-        let c = &self.circuits[slot];
-        if !c.alive {
+        let Some(c) = self.circuits.get(&slot) else {
             return;
-        }
+        };
         let (conn, destroy) = (c.conn, Cell::new(c.circ_id, CellCmd::Destroy));
         self.links.send_cell(ctx, conn, destroy);
         self.circuit_closed(ctx, slot);
     }
 
-    /// A circuit died: drop its lookup entry and timers, queue a managed
-    /// circuit's rebuild and emit [`TorEvent::CircuitClosed`].
+    /// A circuit died: remove it with its lookup entry and timers, queue a
+    /// managed circuit's rebuild and emit [`TorEvent::CircuitClosed`].
     fn circuit_closed(&mut self, ctx: &mut Ctx<'_>, slot: usize) {
-        if !self.circuits[slot].alive {
+        let Some(c) = self.circuits.remove(&slot) else {
             return;
-        }
-        self.circuits[slot].alive = false;
-        self.circuits[slot].ready = false;
-        let conn = self.circuits[slot].conn;
-        let circ_id = self.circuits[slot].circ_id;
-        self.links.unbind(conn, circ_id);
-        // Quiesce every timer owned by the dead circuit before its slot can
-        // be misread by a later firing.
-        let mut timers: Vec<TimerId> = self.circuits[slot].build_timer.take().into_iter().collect();
-        for s in self.circuits[slot].streams.values_mut() {
-            timers.extend(s.timeout.take());
-        }
-        for t in timers {
+        };
+        self.links.unbind(c.conn, c.circ_id);
+        let timeouts = c.streams.values().filter_map(|s| s.timeout);
+        for t in c.build_timer.into_iter().chain(timeouts) {
             ctx.cancel_timer(t);
         }
         // A managed circuit dying is not the end: carry its rebuild state
         // into the backoff queue. A replacement that dies before it is ready
         // keeps the origin its owner holds, so the eventual
         // `CircuitRebuilt` names that circuit, not a failed attempt.
-        if let Some(mut m) = self.circuits[slot].managed.take() {
+        if let Some(mut m) = c.managed {
             m.origin.get_or_insert(slot);
             if m.failed_at.is_none() {
                 m.failed_at = Some(ctx.now());
             }
             self.schedule_rebuild(ctx, m);
         }
-        self.emit_or_hs(ctx, slot, TorEvent::CircuitClosed(CircuitHandle(slot)));
+        self.emit_or_hs(ctx, c.hs_conn, TorEvent::CircuitClosed(CircuitHandle(slot)));
     }
 }
 

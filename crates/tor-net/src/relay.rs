@@ -1026,11 +1026,16 @@ impl RelayCore {
         for stream in circ.streams.into_values() {
             self.release_stream(ctx, stream);
         }
+        // A registration another circuit has since taken over stays.
         if let Some(addr) = circ.intro_service {
-            self.intro_points.remove(&addr);
+            if self.intro_points.get(&addr) == Some(&slot) {
+                self.intro_points.remove(&addr);
+            }
         }
         if let Some(cookie) = circ.rendezvous_cookie {
-            self.rendezvous.remove(&cookie);
+            if self.rendezvous.get(&cookie) == Some(&slot) {
+                self.rendezvous.remove(&cookie);
+            }
         }
         if let Some(other) = circ.splice {
             if let Some(Some(o)) = self.circuits.get_mut(other) {

@@ -915,3 +915,113 @@ fn duplicate_create_is_dropped_and_link_close_frees_every_circuit() {
         "the link's close tore down every circuit on it"
     );
 }
+
+#[test]
+fn teardown_keeps_a_registration_another_circuit_took_over() {
+    // Two circuits register as introduction points for one onion address,
+    // and two register one rendezvous cookie. Tearing down the first of
+    // each must not erase the second's registration: INTRODUCE1 still
+    // reaches the service, and RENDEZVOUS1 still reaches the client.
+    use onion_crypto::ntor;
+    use rand::SeedableRng;
+    use tor_net::cell::{Cell, CellCmd, RelayCell, RelayCmd};
+    use tor_net::relay_crypto::LayerCrypto;
+
+    let mut sim = simnet::Simulator::with_seed(5);
+    let core = tor_net::RelayCore::new(tor_net::RelayConfig::middle("r", [0x53; 32]));
+    let (fingerprint, onion_key) = (core.fingerprint(), core.descriptor(NodeId(0)).onion_key);
+    let host = CountingRelay {
+        relay: core,
+        deliveries: Vec::new(),
+    };
+    let relay = sim.add_node("relay", simnet::Iface::ideal(), Box::new(host));
+    let peer = RawPeer {
+        relay,
+        conn: None,
+        inbox: Vec::new(),
+    };
+    let peer = sim.add_node("peer", simnet::Iface::ideal(), Box::new(peer));
+    sim.run_to_quiescence();
+    let conn = sim.node_ref::<RawPeer>(peer).conn.expect("connected");
+    let exchange = |sim: &mut simnet::Simulator, msg: Vec<u8>| {
+        sim.with_node::<CountingRelay, _>(relay, |n, ctx| n.on_msg(ctx, conn, msg));
+        sim.run_to_quiescence();
+        sim.with_node::<RawPeer, _>(peer, |n, _| std::mem::take(&mut n.inbox))
+    };
+
+    // One-hop circuits 1..=6, by hand; layers[i] is circuit i + 1's.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+    let mut layers: Vec<LayerCrypto> = (1..=6)
+        .map(|circ| {
+            let (state, onionskin) = ntor::client_begin(&mut rng, fingerprint, onion_key);
+            let created = exchange(
+                &mut sim,
+                Cell::with_payload(circ, CellCmd::Create, &onionskin).encode(),
+            );
+            let created = Cell::decode(&created[0]).expect("a cell");
+            let reply = &created.payload[..ntor::REPLY_LEN];
+            LayerCrypto::client_side(&ntor::client_finish(&state, reply).expect("keys"))
+        })
+        .collect();
+    // Send a relay cell on a circuit; return each reply as (circuit, cmd,
+    // data).
+    let mut send = |sim: &mut simnet::Simulator, circ: u32, cmd: RelayCmd, data: Vec<u8>| {
+        let mut payload = RelayCell::new(cmd, 0, data).encode_payload();
+        layers[circ as usize - 1].seal(&mut payload);
+        let replies = exchange(
+            sim,
+            Cell::with_payload(circ, CellCmd::Relay, &payload).encode(),
+        );
+        replies
+            .iter()
+            .map(|wire| {
+                let mut cell = Cell::decode(wire).expect("a cell");
+                assert_eq!(cell.cmd, CellCmd::Relay);
+                assert!(layers[cell.circ_id as usize - 1].unseal(&mut cell.payload));
+                let rc = RelayCell::parse_payload(&cell.payload).expect("parses");
+                (cell.circ_id, rc.cmd, rc.data)
+            })
+            .collect::<Vec<_>>()
+    };
+    let destroy = |sim: &mut simnet::Simulator, circ: u32| {
+        exchange(sim, Cell::new(circ, CellCmd::Destroy).encode());
+    };
+
+    let addr = vec![0xA5; 32];
+    for circ in [1, 2] {
+        let replies = send(&mut sim, circ, RelayCmd::EstablishIntro, addr.clone());
+        assert_eq!(replies, [(circ, RelayCmd::IntroEstablished, vec![])]);
+    }
+    destroy(&mut sim, 1);
+    let mut introduce = addr.clone();
+    introduce.extend_from_slice(b"sealed introduction");
+    let replies = send(&mut sim, 3, RelayCmd::Introduce1, introduce.clone());
+    assert_eq!(
+        replies,
+        [
+            (2, RelayCmd::Introduce2, introduce),
+            (3, RelayCmd::IntroduceAck, vec![]),
+        ],
+        "forwarded to the live intro circuit and acknowledged"
+    );
+
+    let cookie = vec![0xC0; 20];
+    for circ in [4, 5] {
+        let replies = send(
+            &mut sim,
+            circ,
+            RelayCmd::EstablishRendezvous,
+            cookie.clone(),
+        );
+        assert_eq!(replies, [(circ, RelayCmd::RendezvousEstablished, vec![])]);
+    }
+    destroy(&mut sim, 4);
+    let mut rendezvous1 = cookie;
+    rendezvous1.extend_from_slice(b"handshake reply");
+    let replies = send(&mut sim, 6, RelayCmd::Rendezvous1, rendezvous1);
+    assert_eq!(
+        replies,
+        [(5, RelayCmd::Rendezvous2, b"handshake reply".to_vec())],
+        "spliced to the live rendezvous circuit"
+    );
+}
