@@ -138,6 +138,9 @@ impl Node for BentoBoxNode {
     // Default on_restart → on_start: the relay re-registers under its
     // seed-derived identity and the onion proxy re-bootstraps.
 
+    fn batches_telemetry(&self) -> bool {
+        true
+    }
     fn flush_telemetry(&mut self) {
         self.relay.flush_telemetry();
     }

@@ -83,6 +83,9 @@ struct ContainerEntry {
     manifest: Option<Manifest>,
     /// The client stream whose Invoke is currently being served.
     invoker: Option<LocalStream>,
+    /// The invoker's invocation is in flight: its output has not ended.
+    /// Meanwhile an Invoke from any other stream is refused.
+    invoking: bool,
     /// function-local conn handle <-> simnet conn.
     conns: BTreeMap<u64, ConnId>,
     /// function-local circ handle <-> tor circuit.
@@ -114,6 +117,7 @@ impl ContainerEntry {
             function: None,
             manifest: None,
             invoker: None,
+            invoking: false,
             conns: BTreeMap::new(),
             circs: BTreeMap::new(),
             circs_rev: BTreeMap::new(),
@@ -376,6 +380,7 @@ impl BentoServer {
         for c in self.containers.values_mut() {
             if c.invoker == Some(stream) {
                 c.invoker = None;
+                c.invoking = false;
             }
         }
     }
@@ -676,7 +681,15 @@ impl BentoServer {
             self.reject(deps, stream, "no function uploaded");
             return;
         }
+        // One invoker at a time: its outputs ride its own stream. The same
+        // stream may invoke again mid-flight (LoadBalancer forwards each
+        // introduction to a replica over one link).
+        if entry.invoking && entry.invoker != Some(stream) {
+            self.reject(deps, stream, "container busy");
+            return;
+        }
         entry.invoker = Some(stream);
+        entry.invoking = true;
         T_INVOKES.inc();
         T_INVOKE_BYTES.record(input.len() as u64);
         // Swap the enclave in (paging cost accrues in the EPC stats).
@@ -894,8 +907,11 @@ impl BentoServer {
                 }
             }
             FnAction::OutputEnd => {
-                let invoker = self.containers.get(&id).and_then(|c| c.invoker);
-                if let Some(stream) = invoker {
+                let Some(entry) = self.containers.get_mut(&id) else {
+                    return;
+                };
+                entry.invoking = false;
+                if let Some(stream) = entry.invoker {
                     self.reply(deps, stream, &BentoMsg::OutputEnd);
                 }
             }

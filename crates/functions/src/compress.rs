@@ -7,6 +7,10 @@
 //! window. Not zlib — but a real dictionary coder with the same role:
 //! page content with repetition shrinks, random padding does not.
 
+// `decompress` takes bytes off the wire (a Dropbox's stored page); the
+// module must not panic on them.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 const MIN_MATCH: usize = 4;
 const MAX_MATCH: usize = 255;
 const WINDOW: usize = 32 * 1024;
@@ -15,13 +19,20 @@ const WINDOW: usize = 32 * 1024;
 /// [`decompress`] accepts in a header: head-table entries are `u32`
 /// positions offset by `WINDOW + 1`.
 pub const MAX_INPUT: usize = 1 << 30;
+/// The most output one input byte can stand for: a match op of three bytes
+/// (`0x01`, a length, a one-byte distance) copies up to `MAX_MATCH` bytes.
+const MAX_EXPANSION: usize = MAX_MATCH / 3;
 
 fn load32(data: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(data[at..at + 4].try_into().expect("4 bytes"))
+    let mut word = [0; 4];
+    word.copy_from_slice(&data[at..at + 4]);
+    u32::from_le_bytes(word)
 }
 
 fn load64(data: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"))
+    let mut word = [0; 8];
+    word.copy_from_slice(&data[at..at + 8]);
+    u64::from_le_bytes(word)
 }
 
 fn hash(word: u32) -> usize {
@@ -108,28 +119,40 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 }
 
 /// Decompress a [`compress`] stream. `None` on malformed input.
-pub fn decompress(mut data: &[u8]) -> Option<Vec<u8>> {
+///
+/// Hostile input costs little: the buffer reserved up front is at most
+/// what the stream could expand to, whatever length its header declares,
+/// and an op that would take the output past that length is refused
+/// before it runs.
+pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
+    let mut out = Vec::new();
+    decompress_into(data, &mut out)?;
+    Some(out)
+}
+
+/// [`decompress`] into `out`, which it leaves holding whatever it had
+/// decoded when it stopped.
+fn decompress_into(mut data: &[u8], out: &mut Vec<u8>) -> Option<()> {
     let expected = read_varint(&mut data)? as usize;
     if expected > MAX_INPUT {
         return None;
     }
-    let mut out = Vec::with_capacity(expected);
-    while !data.is_empty() {
-        let op = data[0];
-        data = &data[1..];
+    out.reserve_exact(expected.min(data.len().saturating_mul(MAX_EXPANSION)));
+    while let Some((&op, rest)) = data.split_first() {
+        data = rest;
+        let (&len, rest) = data.split_first()?;
+        data = rest;
+        let len = len as usize;
+        if out.len() + len > expected {
+            return None;
+        }
         match op {
             0x00 => {
-                let len = *data.first()? as usize;
-                data = &data[1..];
-                if data.len() < len {
-                    return None;
-                }
-                out.extend_from_slice(&data[..len]);
-                data = &data[len..];
+                let (run, rest) = data.split_at_checked(len)?;
+                out.extend_from_slice(run);
+                data = rest;
             }
             0x01 => {
-                let len = *data.first()? as usize;
-                data = &data[1..];
                 let dist = read_varint(&mut data)? as usize;
                 if dist == 0 || dist > out.len() {
                     return None;
@@ -147,10 +170,7 @@ pub fn decompress(mut data: &[u8]) -> Option<Vec<u8>> {
             _ => return None,
         }
     }
-    if out.len() != expected {
-        return None;
-    }
-    Some(out)
+    (out.len() == expected).then_some(())
 }
 
 fn write_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -169,8 +189,8 @@ fn read_varint(data: &mut &[u8]) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0;
     loop {
-        let b = *data.first()?;
-        *data = &data[1..];
+        let (&b, rest) = data.split_first()?;
+        *data = rest;
         v |= ((b & 0x7f) as u64) << shift;
         if b & 0x80 == 0 {
             return Some(v);
@@ -485,6 +505,38 @@ mod tests {
         let data = runs_and_noise(6);
         let c = compress(&data);
         assert_eq!(decompress(&c).unwrap(), data);
+    }
+
+    /// A header declaring 1 GiB over a body of a few bytes reserves no more
+    /// than the body could expand to, and a run of match ops past a small
+    /// declared length stops at the op that would cross it.
+    #[test]
+    fn decompress_robust() {
+        let mut gib = Vec::new();
+        write_varint(&mut gib, MAX_INPUT as u64);
+        assert_eq!(gib.len(), 5);
+        let mut bomb = gib.clone();
+        bomb.extend_from_slice(&[0x00, 0x01, b'x']);
+        bomb.extend(std::iter::repeat_n([0x01, 0xFF, 0x01], 1000).flatten());
+        let mut out = Vec::new();
+        assert_eq!(decompress_into(&bomb, &mut out), None);
+        assert!(
+            out.capacity() <= bomb.len() * MAX_EXPANSION,
+            "{}",
+            out.capacity()
+        );
+        assert_eq!(decompress(&gib), None);
+
+        // Declared: 300 bytes; the literal and the first match make 256,
+        // the second match would make 511.
+        let mut past = Vec::new();
+        write_varint(&mut past, 300);
+        past.extend_from_slice(&[0x00, 0x01, b'x']);
+        past.extend(std::iter::repeat_n([0x01, 0xFF, 0x01], 1000).flatten());
+        let mut out = Vec::new();
+        assert_eq!(decompress_into(&past, &mut out), None);
+        assert_eq!(out.len(), 256, "stopped before the op that crosses 300");
+        assert!(out.capacity() <= 300);
     }
 
     #[test]

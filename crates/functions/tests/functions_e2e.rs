@@ -5,7 +5,7 @@
 use bento::protocol::FunctionSpec;
 use bento::testnet::BentoNetwork;
 use bento::tokens::Token;
-use bento::{BentoBoxNode, BentoClientNode, BentoEvent, MiddleboxPolicy};
+use bento::{BentoBoxNode, BentoClientNode, BentoEvent, BoxConn, MiddleboxPolicy};
 use bento_functions::browser::{self, BrowseRequest};
 use bento_functions::cover::{self, CoverRequest, Mode};
 use bento_functions::dropbox;
@@ -255,6 +255,81 @@ fn browser_refuses_an_invocation_while_a_page_is_in_flight() {
     assert_eq!(outputs[..2], [b"ERR:busy", b"ERR:busy"]);
     assert!(outputs[2].starts_with(b"DROPBOX:"), "{:?}", outputs[2]);
     assert_eq!(dropboxes(&bn.net.sim), 1, "no Dropbox without a holder");
+}
+
+/// A container serves one invoker at a time. Bob holds the invocation
+/// token of Alice's Browser on a session of his own; his Invoke while
+/// Alice's page is in flight is refused with a `Rejected`, and Alice still
+/// gets her locator and her `output_end`, on her session and nowhere else.
+#[test]
+fn a_second_session_is_refused_while_an_invocation_is_in_flight() {
+    let mut bn = BentoNetwork::build(202, 2, MiddleboxPolicy::permissive(), standard_registry);
+    let site = SiteModel::generate(1, 77);
+    let server = bn.net.add_web_server("web", site.server_pages());
+    let dropbox_box = bn.boxes[1];
+    let alice = bn.add_bento_client("alice");
+    let bob = bn.add_bento_client("bob");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: browser::manifest(true),
+    };
+    let session = bn.install(alice, 0, &spec, [secs(5), secs(8), secs(11)]);
+    let bob_conn = bn.connect(bob, 0);
+    let step = SimDuration::from_millis(100);
+    let connected = |sim: &mut simnet::Simulator| {
+        let events = &sim.node_ref::<BentoClientNode>(bob).bento_events;
+        events
+            .iter()
+            .any(|e| matches!(e, BentoEvent::Connected(c) if *c == bob_conn))
+    };
+    assert!(bn.net.sim.step_until(step, secs(30), connected));
+    let bobs = bento::testnet::Session {
+        client: bob,
+        conn: bob_conn,
+        ..session
+    };
+    let req = BrowseRequest {
+        server,
+        port: HTTP_PORT,
+        path: site.html_path(),
+        padding: 0,
+        dropbox_on: Some((dropbox_box, BENTO_PORT)),
+    }
+    .encode();
+    bn.invoke(&session, req.clone());
+    bn.net.sim.run_until(bn.net.sim.now() + step);
+    bn.invoke(&bobs, req);
+    /// What the box said on `conn` about invocations.
+    fn heard(sim: &simnet::Simulator, client: NodeId, conn: BoxConn) -> Vec<&BentoEvent> {
+        let events = &sim.node_ref::<BentoClientNode>(client).bento_events;
+        let about_invocations = |e: &&BentoEvent| match e {
+            BentoEvent::Rejected(c, _) | BentoEvent::Output(c, _) | BentoEvent::OutputEnd(c) => {
+                *c == conn
+            }
+            _ => false,
+        };
+        events.iter().filter(about_invocations).collect()
+    }
+    let alice_ended = |sim: &mut simnet::Simulator| {
+        let alice_heard = heard(sim, alice, session.conn);
+        alice_heard
+            .iter()
+            .any(|e| matches!(e, BentoEvent::OutputEnd(_)))
+    };
+    bn.net.sim.step_until(step, secs(120), alice_ended);
+    bn.net
+        .sim
+        .run_until(bn.net.sim.now() + SimDuration::from_secs(5));
+    let [BentoEvent::Rejected(_, reason)] = heard(&bn.net.sim, bob, bob_conn)[..] else {
+        panic!("bob: {:?}", heard(&bn.net.sim, bob, bob_conn));
+    };
+    assert_eq!(reason, "container busy");
+    let alice_heard = heard(&bn.net.sim, alice, session.conn);
+    let [BentoEvent::Output(_, locator), BentoEvent::OutputEnd(_)] = alice_heard[..] else {
+        panic!("alice: {alice_heard:?}");
+    };
+    assert!(locator.starts_with(b"DROPBOX:"), "{locator:?}");
 }
 
 #[test]

@@ -16,7 +16,10 @@
 //!   `(time, seq, slot)` keys and moves into the ring as the cursor advances.
 //!   When the ring is empty, the cursor jumps to the overflow's first bucket.
 //! * When the earliest bucket comes due, its keys move into `current`,
-//!   sorted once (descending, popped from the end).
+//!   sorted once (descending, popped from the end) on one `u128` each: the
+//!   time within the bucket, then `seq`, then the slot. All of a bucket's
+//!   times share their high bits, so that integer orders exactly as
+//!   `(time, seq)`, for every `u64` seq.
 //! * An event pushed into a bucket already taken out of the ring goes to a
 //!   small *side* heap; a pop takes the smaller of `current`'s last key and
 //!   the side heap's top.
@@ -73,11 +76,12 @@ pub(crate) enum EventKind {
     CloseArrive { conn: ConnId, dir: FlowDir },
     /// A node timer fired. `inc` is the incarnation of the scheduling node:
     /// timers armed before a crash never fire on the restarted incarnation.
+    /// A cancelled timer stays queued, marked, and pops as a no-op.
     Timer {
         node: NodeId,
-        id: u64,
         tag: u64,
         inc: u32,
+        cancelled: bool,
     },
     /// `node` abruptly learned its peer on `conn` vanished (crash or refused
     /// connect) — delivered as `on_conn_closed`, like a TCP reset.
@@ -107,6 +111,24 @@ fn bucket_of(t: SimTime) -> u64 {
     t.0 >> BUCKET_SHIFT
 }
 
+/// `current`'s sort key for an event of the bucket being loaded: the time's
+/// low [`BUCKET_SHIFT`] bits (its high bits are the bucket's), `seq` and the
+/// slot, in 116 bits.
+fn pack(t: SimTime, seq: u64, slot: u32) -> u128 {
+    let sub = t.0 & ((1 << BUCKET_SHIFT) - 1);
+    (u128::from(sub) << 96) | (u128::from(seq) << 32) | u128::from(slot)
+}
+
+/// The [`Key`] of a [`pack`]ed key of bucket `b`.
+fn unpack(b: u64, k: u128) -> Key {
+    let sub = (k >> 96) as u64;
+    (
+        SimTime((b << BUCKET_SHIFT) | sub),
+        (k >> 32) as u64,
+        k as u32,
+    )
+}
+
 /// A deterministic min-priority queue of simulator events.
 pub(crate) struct EventQueue {
     /// Every queued event; `None` marks a free slot.
@@ -125,8 +147,10 @@ pub(crate) struct EventQueue {
     in_ring: usize,
     /// The first bucket not yet taken out of the ring.
     cursor: u64,
-    /// Keys of the last bucket taken out of the ring, sorted descending.
-    current: Vec<Key>,
+    /// The bucket last taken out of the ring: the one `current` holds.
+    loaded: u64,
+    /// [`pack`]ed keys of bucket `loaded`, sorted descending.
+    current: Vec<u128>,
     /// Keys pushed into buckets before `cursor`.
     side: BinaryHeap<Reverse<Key>>,
     /// Keys in buckets at or past `cursor + RING_BUCKETS`.
@@ -148,6 +172,7 @@ impl EventQueue {
             ring: vec![NIL; RING_BUCKETS as usize],
             in_ring: 0,
             cursor: 0,
+            loaded: 0,
             current: Vec::new(),
             side: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
@@ -155,8 +180,9 @@ impl EventQueue {
         }
     }
 
-    /// Schedule `kind` at absolute time `t`.
-    pub fn push(&mut self, t: SimTime, kind: EventKind) {
+    /// Schedule `kind` at absolute time `t`. Returns the event's slot and
+    /// `seq`, which name it while it is queued (see [`Self::cancel_timer`]).
+    pub fn push(&mut self, t: SimTime, kind: EventKind) -> (u32, u64) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let ev = Some(Event { time: t, seq, kind });
@@ -178,6 +204,23 @@ impl EventQueue {
             self.link(b, slot);
         } else {
             self.overflow.push(Reverse((t, seq, slot)));
+        }
+        (slot, seq)
+    }
+
+    /// Mark the timer pushed as `(slot, seq)` cancelled, if it is still
+    /// queued. Once it has popped, its slot is free or holds a later event
+    /// with another `seq`, and this does nothing.
+    pub fn cancel_timer(&mut self, slot: u32, seq: u64) {
+        if let Some(Some(Event {
+            seq: queued,
+            kind: EventKind::Timer { cancelled, .. },
+            ..
+        })) = self.slab.get_mut(slot as usize)
+        {
+            if *queued == seq {
+                *cancelled = true;
+            }
         }
     }
 
@@ -206,15 +249,6 @@ impl EventQueue {
         self.len
     }
 
-    /// Ids of every timer event still in the queue (fired or not), in
-    /// unspecified order. Used to prune the cancelled-timer tombstone set.
-    pub fn live_timer_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.slab.iter().flatten().filter_map(|e| match e.kind {
-            EventKind::Timer { id, .. } => Some(id),
-            _ => None,
-        })
-    }
-
     /// Put `slot` at the head of ring bucket `b`'s list.
     fn link(&mut self, b: u64, slot: u32) {
         let head = &mut self.ring[(b % RING_BUCKETS) as usize];
@@ -229,9 +263,10 @@ impl EventQueue {
         if self.current.is_empty() && self.side.is_empty() {
             self.load_next_bucket();
         }
-        match (self.current.last(), self.side.peek()) {
-            (Some(&c), Some(&Reverse(s))) => Some(c.min(s)),
-            (Some(&c), None) => Some(c),
+        let current = self.current.last().map(|&k| unpack(self.loaded, k));
+        match (current, self.side.peek()) {
+            (Some(c), Some(&Reverse(s))) => Some(c.min(s)),
+            (Some(c), None) => Some(c),
             (None, Some(&Reverse(s))) => Some(s),
             (None, None) => None,
         }
@@ -240,7 +275,7 @@ impl EventQueue {
     /// Remove `key` — the value [`Self::min_key`] just returned — and free
     /// its slot.
     fn take(&mut self, key: Key) -> Option<Event> {
-        if self.current.last() == Some(&key) {
+        if self.current.last() == Some(&pack(key.0, key.1, key.2)) {
             self.current.pop();
         } else {
             self.side.pop();
@@ -268,11 +303,12 @@ impl EventQueue {
         while slot == NIL {
             let i = (self.cursor % RING_BUCKETS) as usize;
             slot = std::mem::replace(&mut self.ring[i], NIL);
+            self.loaded = self.cursor;
             self.cursor += 1;
         }
         while slot != NIL {
             if let Some(e) = &self.slab[slot as usize] {
-                self.current.push((e.time, e.seq, slot));
+                self.current.push(pack(e.time, e.seq, slot));
             }
             self.in_ring -= 1;
             slot = self.next[slot as usize];
@@ -300,38 +336,25 @@ impl EventQueue {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use std::collections::BTreeMap;
+
+    /// A timer event of node 0 with `tag`.
+    fn timer(tag: u64) -> EventKind {
+        EventKind::Timer {
+            node: NodeId(0),
+            tag,
+            inc: 0,
+            cancelled: false,
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         let t = |s| SimTime::ZERO + SimDuration::from_secs(s);
-        q.push(
-            t(3),
-            EventKind::Timer {
-                node: NodeId(0),
-                id: 3,
-                tag: 3,
-                inc: 0,
-            },
-        );
-        q.push(
-            t(1),
-            EventKind::Timer {
-                node: NodeId(0),
-                id: 1,
-                tag: 1,
-                inc: 0,
-            },
-        );
-        q.push(
-            t(2),
-            EventKind::Timer {
-                node: NodeId(0),
-                id: 2,
-                tag: 2,
-                inc: 0,
-            },
-        );
+        q.push(t(3), timer(3));
+        q.push(t(1), timer(1));
+        q.push(t(2), timer(2));
         let mut tags = Vec::new();
         while let Some(e) = q.pop() {
             if let EventKind::Timer { tag, .. } = e.kind {
@@ -345,15 +368,7 @@ mod tests {
     fn simultaneous_events_pop_in_insertion_order() {
         let mut q = EventQueue::new();
         for tag in 0..10 {
-            q.push(
-                SimTime::ZERO,
-                EventKind::Timer {
-                    node: NodeId(0),
-                    id: tag,
-                    tag,
-                    inc: 0,
-                },
-            );
+            q.push(SimTime::ZERO, timer(tag));
         }
         let mut tags = Vec::new();
         while let Some(e) = q.pop() {
@@ -368,24 +383,8 @@ mod tests {
     fn peek_time_tracks_minimum() {
         let mut q = EventQueue::new();
         assert_eq!(q.peek_time(), None);
-        q.push(
-            SimTime(50),
-            EventKind::Timer {
-                node: NodeId(0),
-                id: 0,
-                tag: 0,
-                inc: 0,
-            },
-        );
-        q.push(
-            SimTime(10),
-            EventKind::Timer {
-                node: NodeId(0),
-                id: 1,
-                tag: 1,
-                inc: 0,
-            },
-        );
+        q.push(SimTime(50), timer(0));
+        q.push(SimTime(10), timer(1));
         assert_eq!(q.peek_time(), Some(SimTime(10)));
     }
 
@@ -398,10 +397,7 @@ mod tests {
         fn pops_totally_ordered(times in proptest::collection::vec(0u64..64, 1..256)) {
             let mut q = EventQueue::new();
             for (i, &t) in times.iter().enumerate() {
-                q.push(
-                    SimTime(t),
-                    EventKind::Timer { node: NodeId(0), id: i as u64, tag: i as u64, inc: 0 },
-                );
+                q.push(SimTime(t), timer(i as u64));
             }
             let mut last: Option<(SimTime, u64)> = None;
             let mut popped = 0usize;
@@ -412,45 +408,14 @@ mod tests {
                 }
                 // Equal times pop in insertion order (seq doubles as the
                 // per-queue insertion index).
-                if let EventKind::Timer { id, .. } = e.kind {
-                    prop_assert_eq!(times[id as usize], e.time.0);
+                if let EventKind::Timer { tag, .. } = e.kind {
+                    prop_assert_eq!(times[tag as usize], e.time.0);
                 }
                 last = Some(key);
                 popped += 1;
             }
             prop_assert_eq!(popped, times.len());
             prop_assert_eq!(q.len(), 0);
-        }
-
-        /// `live_timer_ids` reports exactly the timers still queued, at every
-        /// point of a partial drain — the contract tombstone pruning needs.
-        #[test]
-        fn live_timer_ids_track_drain(
-            times in proptest::collection::vec(0u64..32, 0..64),
-            drain in 0usize..80,
-        ) {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.push(
-                    SimTime(t),
-                    EventKind::Timer { node: NodeId(0), id: i as u64, tag: 0, inc: 0 },
-                );
-                // Interleave non-timer events: they must never be reported.
-                q.push(SimTime(t), EventKind::ConnEstablished { conn: ConnId(i as u64) });
-            }
-            let mut gone = std::collections::BTreeSet::new();
-            for _ in 0..drain.min(q.len()) {
-                if let Some(e) = q.pop() {
-                    if let EventKind::Timer { id, .. } = e.kind {
-                        gone.insert(id);
-                    }
-                }
-            }
-            let live: std::collections::BTreeSet<u64> = q.live_timer_ids().collect();
-            let expect: std::collections::BTreeSet<u64> = (0..times.len() as u64)
-                .filter(|id| !gone.contains(id))
-                .collect();
-            prop_assert_eq!(live, expect);
         }
     }
 
@@ -477,29 +442,49 @@ mod tests {
         }
     }
 
+    /// A timer the model pushed: its slot, whether it is still queued, and
+    /// whether a cancel reached it there.
+    struct TimerState {
+        slot: u32,
+        queued: bool,
+        cancelled: bool,
+    }
+
     /// The queue under test beside a reference binary heap of the same
-    /// pushes, and the ids of the timers still queued.
+    /// pushes, and every timer pushed, keyed by `seq`.
     struct Model {
         q: EventQueue,
         heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-        timers: std::collections::BTreeSet<u64>,
+        timers: BTreeMap<u64, TimerState>,
         seq: u64,
     }
 
     impl Model {
+        /// Both sides' sequence numbers start at `first_seq`.
+        fn new(first_seq: u64) -> Model {
+            let mut q = EventQueue::new();
+            q.next_seq = first_seq;
+            Model {
+                q,
+                heap: BinaryHeap::new(),
+                timers: BTreeMap::new(),
+                seq: first_seq,
+            }
+        }
+
         /// Push at `t` into both; every other event is a timer.
         fn push(&mut self, t: u64) {
             let seq = self.seq;
             self.seq += 1;
             if seq.is_multiple_of(2) {
-                self.timers.insert(seq);
-                let kind = EventKind::Timer {
-                    node: NodeId(0),
-                    id: seq,
-                    tag: 0,
-                    inc: 0,
+                let (slot, got) = self.q.push(SimTime(t), timer(seq));
+                assert_eq!(got, seq);
+                let state = TimerState {
+                    slot,
+                    queued: true,
+                    cancelled: false,
                 };
-                self.q.push(SimTime(t), kind);
+                self.timers.insert(seq, state);
             } else {
                 self.q
                     .push(SimTime(t), EventKind::ConnEstablished { conn: ConnId(seq) });
@@ -507,55 +492,76 @@ mod tests {
             self.heap.push(Reverse((SimTime(t), seq)));
         }
 
+        /// Cancel a timer pushed earlier, popped or not: `pick` chooses it.
+        /// Only one still queued becomes cancelled; one that has popped has
+        /// its slot free or reused, and the event there must not change.
+        fn cancel(&mut self, pick: usize) {
+            let n = self.timers.len().max(1);
+            let Some((&seq, t)) = self.timers.iter_mut().nth(pick % n) else {
+                return;
+            };
+            self.q.cancel_timer(t.slot, seq);
+            t.cancelled |= t.queued;
+        }
+
         /// Pop from both — `pop_until(limit)` on the queue when `limit` is
-        /// given — and assert the same `(time, seq)`.
+        /// given — and assert the same `(time, seq)` and, for a timer, the
+        /// same cancelled mark.
         fn pop(&mut self, limit: Option<u64>, seed: u64) -> Option<(SimTime, u64)> {
             let got = match limit {
                 Some(l) => self.q.pop_until(SimTime(l)),
                 None => self.q.pop(),
             };
+            if let Some(Event {
+                seq,
+                kind: EventKind::Timer { cancelled, .. },
+                ..
+            }) = &got
+            {
+                let t = self.timers.get_mut(seq).expect("a timer the model pushed");
+                assert_eq!(*cancelled, t.cancelled, "seed {seed}, timer {seq}");
+                t.queued = false;
+            }
             let got = got.map(|e| (e.time, e.seq));
             let want = match (self.heap.peek(), limit) {
                 (Some(Reverse((t, _))), Some(l)) if t.0 > l => None,
                 _ => self.heap.pop().map(|Reverse(k)| k),
             };
             assert_eq!(got, want, "seed {seed}");
-            if let Some((_, seq)) = got {
-                self.timers.remove(&seq);
-            }
             got
         }
 
-        /// Assert the same `len`, `peek_time` and live timer set.
+        /// Assert the same `len` and `peek_time`.
         fn check(&mut self, seed: u64) {
             assert_eq!(self.q.len(), self.heap.len(), "seed {seed}");
             let want = self.heap.peek().map(|Reverse((t, _))| *t);
             assert_eq!(self.q.peek_time(), want, "seed {seed}");
-            let live: std::collections::BTreeSet<u64> = self.q.live_timer_ids().collect();
-            assert_eq!(live, self.timers, "seed {seed}");
         }
     }
 
     /// The calendar and a reference binary heap, driven by the same seeded
-    /// schedules of pushes, pops, `pop_until`s and full drains, pop the same
-    /// `(time, seq)` sequence and agree on `len`, `peek_time` and the live
-    /// timers at random points.
+    /// schedules of pushes, timer cancels, pops, `pop_until`s and full
+    /// drains, pop the same `(time, seq)` sequence with the same cancelled
+    /// marks, and agree on `len` and `peek_time` at random points. A
+    /// quarter of the seeds start `seq` just below 2³², 2⁴⁴ or 2⁶⁴ − 1000,
+    /// so `seq`s cross the widths a narrower sort key would have to fit.
     #[test]
     fn matches_reference_heap() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         const WINDOW: u64 = (1 << BUCKET_SHIFT) * RING_BUCKETS;
+        const HIGH_SEQ: [u64; 3] = [(1 << 32) - 100, (1 << 44) - 100, u64::MAX - 1000];
         for seed in 0..2000u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut m = Model {
-                q: EventQueue::new(),
-                heap: BinaryHeap::new(),
-                timers: Default::default(),
-                seq: 0,
+            let first_seq = if seed % 4 == 3 {
+                HIGH_SEQ[(seed / 4 % 3) as usize]
+            } else {
+                0
             };
+            let mut m = Model::new(first_seq);
             let mut now = 0u64;
             for _ in 0..rng.gen_range(1..400) {
-                match rng.gen_range(0..16) {
+                match rng.gen_range(0..18) {
                     0..=7 => {
                         let t = draw_time(&mut rng, &m.q, now);
                         m.push(t);
@@ -576,6 +582,7 @@ mod tests {
                         now += rng.gen_range(WINDOW..8 * WINDOW);
                         m.push(now);
                     }
+                    15 | 16 => m.cancel(rng.gen_range(0..usize::MAX)),
                     _ => m.check(seed),
                 }
             }

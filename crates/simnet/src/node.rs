@@ -45,9 +45,14 @@ impl fmt::Debug for ConnId {
     }
 }
 
-/// Identifies a scheduled timer, for cancellation.
+/// Identifies a scheduled timer, for cancellation: the event queue slot its
+/// event sits in and the event's sequence number, which no other event
+/// shares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(pub u64);
+pub struct TimerId {
+    slot: u32,
+    seq: u64,
+}
 
 /// Object-safe upcast to [`Any`], blanket-implemented for every `'static`
 /// type so [`Node`] implementors get downcasting for free.
@@ -121,13 +126,22 @@ pub trait Node: AsAny + Send {
         self.on_start(ctx);
     }
 
+    /// Whether this node batches telemetry for [`Node::flush_telemetry`] to
+    /// fold. The simulator asks once, when the node is added, and never
+    /// flushes a node that answers `false`, the default. A node that
+    /// overrides `flush_telemetry` answers `true`.
+    fn batches_telemetry(&self) -> bool {
+        false
+    }
+
     /// Fold any locally batched telemetry into the process metrics. The
     /// simulator calls this after each `run_until` event loop — out of the
     /// per-event hot path, and before any snapshot a bench trial captures —
-    /// on every node that has run since its last flush (the others have
-    /// nothing new to fold). Nodes that accumulate per-cell counters in
-    /// plain fields (e.g. `tor-net`'s `RelayCore`) override this; the
-    /// default does nothing.
+    /// on every node that batches telemetry and has run since its last
+    /// flush (the others have nothing new to fold). Nodes that accumulate
+    /// per-cell counters in plain fields (e.g. `tor-net`'s `RelayCore`)
+    /// override this and [`Node::batches_telemetry`]; the default does
+    /// nothing.
     fn flush_telemetry(&mut self) {}
 }
 
@@ -195,35 +209,25 @@ impl<'a> Ctx<'a> {
     /// Schedule [`Node::on_timer`] with `tag` after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
         let core = &mut *self.core;
-        let id = core.next_timer_id;
-        core.next_timer_id += 1;
-        core.pending_timers += 1;
         let at = core.now + delay;
         let inc = core.incarnation_of(self.me);
-        core.queue.push(
+        let (slot, seq) = core.queue.push(
             at,
             EventKind::Timer {
                 node: self.me,
-                id,
                 tag,
                 inc,
+                cancelled: false,
             },
         );
-        TimerId(id)
+        TimerId { slot, seq }
     }
 
     /// Cancel a pending timer. Cancelling an already-fired timer is a no-op.
+    /// The cancelled timer's event stays queued and pops without calling
+    /// [`Node::on_timer`].
     pub fn cancel_timer(&mut self, id: TimerId) {
-        let core = &mut *self.core;
-        core.cancelled_timers.insert(id.0);
-        // Cancelling an already-popped timer leaves a tombstone nothing
-        // will ever collect; when tombstones outnumber timers actually
-        // in the queue by a margin, sweep out the dead ones.
-        if core.cancelled_timers.len() > core.pending_timers + 64 {
-            let live: std::collections::BTreeSet<u64> = core.queue.live_timer_ids().collect();
-            core.cancelled_timers.retain(|t| live.contains(t));
-            core.timer_sweeps += 1;
-        }
+        self.core.queue.cancel_timer(id.slot, id.seq);
     }
 
     /// The remote endpoint of `conn`, if this node is an endpoint of it and

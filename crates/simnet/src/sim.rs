@@ -23,8 +23,6 @@ static T_CONNS: telemetry::Counter = telemetry::Counter::new("simnet.conns_opene
 static T_POOL_HITS: telemetry::Counter = telemetry::Counter::new("simnet.pool.hits");
 static T_POOL_MISSES: telemetry::Counter = telemetry::Counter::new("simnet.pool.misses");
 static T_POOL_RECYCLED: telemetry::Counter = telemetry::Counter::new("simnet.pool.recycled");
-static T_TIMER_SWEEPS: telemetry::Counter =
-    telemetry::Counter::new("simnet.timer_tombstone_sweeps");
 static T_QUEUE_DEPTH: telemetry::Gauge = telemetry::Gauge::new("simnet.queue_depth");
 static T_MSG_BYTES: telemetry::Histo = telemetry::Histo::new("simnet.msg_bytes");
 static T_RUN: telemetry::Span = telemetry::Span::new("simnet.run_until");
@@ -100,6 +98,10 @@ struct DirState {
     /// counts. A wake-up popped at any other time is stale.
     wake_at: Option<SimTime>,
 }
+
+/// A [`ConnTable::slot_of`] entry of a connection that has died, or was
+/// refused.
+const NO_SLOT: u32 = u32::MAX;
 
 /// What [`DirState::advance`] did, and what is left for the engine to do.
 enum Kick {
@@ -181,6 +183,17 @@ impl DirState {
         Kick::Started { end, msg }
     }
 
+    /// Back to a fresh direction's state, dropping whatever was queued but
+    /// keeping the queue's buffer for the next connection in this slot.
+    fn reset(&mut self, cfg: &TransportCfg) {
+        self.queue.clear();
+        let queue = std::mem::take(&mut self.queue);
+        *self = DirState {
+            queue,
+            ..DirState::new(cfg)
+        };
+    }
+
     /// A `ChunkDone` wake-up popped at `now`: is it the one that counts?
     /// Only the wake-up armed for the current `busy_until` does — a `send`
     /// at exactly `busy_until` has already started the next chunk and armed
@@ -192,7 +205,7 @@ impl DirState {
 
 /// A live connection: both directions' transmit state. It exists from
 /// `connect` until the connection dies — its first close arrives, the fault
-/// plane refuses it, or either endpoint crashes — and is freed then.
+/// plane refuses it, or either endpoint crashes — and its slot is freed then.
 #[derive(Debug)]
 struct Conn {
     a: NodeId,
@@ -232,9 +245,91 @@ impl Conn {
     }
 }
 
-/// The live connection `conn`, or `None` once it has died.
-fn live(conns: &mut [Option<Box<Conn>>], conn: ConnId) -> Option<&mut Conn> {
-    conns.get_mut(conn.0 as usize)?.as_deref_mut()
+/// Every live connection, in a slab of reused slots.
+///
+/// `ConnId`s are handed out in sequence and never reused; `slot_of` maps
+/// each to its slot, or to [`NO_SLOT`] once it has died. A dead
+/// connection's slot goes on a free list, reset but keeping its queues'
+/// buffers, and the next connection takes the slot freed last, so
+/// connecting in steady state allocates nothing. An event or call that
+/// names a dead id finds nothing and is dropped, as it would be on a closed
+/// connection.
+#[derive(Default)]
+struct ConnTable {
+    slot_of: Vec<u32>,
+    slots: Vec<Conn>,
+    /// Free slots, the one freed last on top.
+    free: Vec<u32>,
+}
+
+impl ConnTable {
+    /// A new live connection from `a` to `b`'s `port`.
+    fn open(&mut self, a: NodeId, b: NodeId, port: u16, cfg: &TransportCfg) -> ConnId {
+        let id = ConnId(self.slot_of.len() as u64);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                let c = &mut self.slots[slot as usize];
+                (c.a, c.b, c.port) = (a, b, port);
+                slot
+            }
+            None => {
+                self.slots.push(Conn {
+                    a,
+                    b,
+                    port,
+                    dirs: [DirState::new(cfg), DirState::new(cfg)],
+                });
+                self.slots.len() as u32 - 1
+            }
+        };
+        self.slot_of.push(slot);
+        id
+    }
+
+    /// A connection id that is dead from the start (refused).
+    fn open_dead(&mut self) -> ConnId {
+        self.slot_of.push(NO_SLOT);
+        ConnId(self.slot_of.len() as u64 - 1)
+    }
+
+    fn get(&self, id: ConnId) -> Option<&Conn> {
+        let slot = *self.slot_of.get(id.0 as usize)?;
+        self.slots.get(slot as usize)
+    }
+
+    fn get_mut(&mut self, id: ConnId) -> Option<&mut Conn> {
+        let slot = *self.slot_of.get(id.0 as usize)?;
+        self.slots.get_mut(slot as usize)
+    }
+
+    /// The connection `id` dies: its queued messages are dropped and its
+    /// slot is freed.
+    fn free(&mut self, id: ConnId, cfg: &TransportCfg) {
+        let Some(entry) = self.slot_of.get_mut(id.0 as usize) else {
+            return;
+        };
+        let slot = std::mem::replace(entry, NO_SLOT);
+        let Some(c) = self.slots.get_mut(slot as usize) else {
+            return;
+        };
+        for d in &mut c.dirs {
+            d.reset(cfg);
+        }
+        self.free.push(slot);
+    }
+
+    /// Connections alive now.
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// The live connections, in `ConnId` order. Walks every id handed out.
+    fn iter(&self) -> impl Iterator<Item = (ConnId, &Conn)> {
+        let slots = &self.slots;
+        let live =
+            move |(id, &slot): (usize, &u32)| Some((ConnId(id as u64), slots.get(slot as usize)?));
+        self.slot_of.iter().enumerate().filter_map(live)
+    }
 }
 
 /// A free-list of cleared `Vec<u8>` buffers shared by every node in a run.
@@ -289,22 +384,33 @@ impl BufPool {
     }
 }
 
-/// The nodes handed out mutably since their last `flush_telemetry`. A driver
-/// that polls in small steps makes most `run_until` calls dispatch nothing,
-/// and those flush nothing and walk no node list.
+/// The nodes that batch telemetry ([`Node::batches_telemetry`]) and were
+/// handed out mutably since their last `flush_telemetry`. A driver that
+/// polls in small steps makes most `run_until` calls dispatch nothing, and
+/// those flush nothing and walk no node list; a node that batches nothing is
+/// never listed.
 #[derive(Default)]
 struct TouchedNodes {
-    /// `flags[i]`: node `i` is in `ids`.
-    flags: Vec<bool>,
+    /// `skip[i]`: node `i` is in `ids` already, or batches no telemetry.
+    skip: Vec<bool>,
     ids: Vec<u32>,
 }
 
 impl TouchedNodes {
     fn mark(&mut self, i: usize) {
-        if !std::mem::replace(&mut self.flags[i], true) {
+        if !std::mem::replace(&mut self.skip[i], true) {
             self.ids.push(i as u32);
         }
     }
+}
+
+/// A node's access interface, and the end times of the chunks serializing
+/// on its uplink and on its downlink. An end time stops counting once the
+/// clock reaches it; `kick` prunes in place.
+struct Link {
+    iface: Iface,
+    up_ends: Vec<SimTime>,
+    down_ends: Vec<SimTime>,
 }
 
 /// Everything in the simulator except the node objects themselves; nodes are
@@ -315,21 +421,7 @@ pub(crate) struct SimCore {
     pub(crate) rng: StdRng,
     pub(crate) queue: EventQueue,
     cfg: TransportCfg,
-    pub(crate) next_timer_id: u64,
-    #[expect(
-        clippy::disallowed_types,
-        reason = "membership-only (insert/remove/contains/retain against an ordered id list); \
-                  never iterated, so hash order cannot reach the event stream, and it sits \
-                  on the per-cell hot path"
-    )]
-    pub(crate) cancelled_timers: std::collections::HashSet<u64>,
-    /// Timer events still sitting in the queue (fired or cancelled); lets
-    /// [`Ctx::cancel_timer`] bound the tombstone set cheaply.
-    pub(crate) pending_timers: usize,
     pub(crate) pool: BufPool,
-    /// Tombstone sweeps performed by [`Ctx::cancel_timer`]; flushed to
-    /// telemetry by `run_until`.
-    pub(crate) timer_sweeps: u64,
     /// Delivered-message sizes batched locally this run; `run_until` folds
     /// the whole histogram into `simnet.msg_bytes` in one registry access
     /// instead of one per message.
@@ -337,20 +429,15 @@ pub(crate) struct SimCore {
     /// Cached `mode() >= Full` for the current `run_until` pass, so the
     /// per-message record is a plain branch.
     hist_full: bool,
-    ifaces: Vec<Iface>,
+    /// Per node, its access link; one record, as `kick` reads all of it.
+    links: Vec<Link>,
     names: Vec<String>,
-    /// Indexed by `ConnId`, which is handed out in sequence. A slot is
-    /// emptied, and its connection freed, the moment the connection dies,
-    /// so memory follows the connections open now; an event or call that
-    /// names an emptied slot is dropped, as it would be on a closed
-    /// connection.
-    conns: Vec<Option<Box<Conn>>>,
-    /// Per node: end times of the chunks serializing on its uplink, and on
-    /// its downlink. An entry stops counting once the clock reaches it;
-    /// `kick` prunes in place.
-    up_ends: Vec<Vec<SimTime>>,
-    down_ends: Vec<Vec<SimTime>>,
-    sniffers: Vec<Option<Sniffer>>,
+    /// A connection's slot is freed the moment it dies, so memory follows
+    /// the connections open now, plus four bytes for every id handed out.
+    conns: ConnTable,
+    /// The sniffed nodes' traces; most runs sniff none, and then a message
+    /// costs one empty-map check.
+    sniffers: BTreeMap<NodeId, Sniffer>,
     stats: SimStats,
     /// Fault plane. `faults_active` stays `false` until a plan (or manual
     /// fault) is installed; while false, no fault check runs and *no RNG
@@ -423,32 +510,27 @@ impl SimCore {
         if a == b {
             self.cfg.loopback_rtt / 2
         } else {
-            self.ifaces[a.0 as usize].latency + self.ifaces[b.0 as usize].latency
+            self.links[a.0 as usize].iface.latency + self.links[b.0 as usize].iface.latency
         }
     }
 
     /// No `&self`: `kick` asks while it holds a connection mutably.
-    fn rtt(cfg: &TransportCfg, ifaces: &[Iface], a: NodeId, b: NodeId) -> SimDuration {
+    fn rtt(cfg: &TransportCfg, links: &[Link], a: NodeId, b: NodeId) -> SimDuration {
         if a == b {
             cfg.loopback_rtt
         } else {
-            (ifaces[a.0 as usize].latency + ifaces[b.0 as usize].latency) * 2
+            (links[a.0 as usize].iface.latency + links[b.0 as usize].iface.latency) * 2
         }
     }
 
-    fn conn(&self, conn: ConnId) -> Option<&Conn> {
-        self.conns.get(conn.0 as usize)?.as_deref()
-    }
-
     pub(crate) fn connect(&mut self, src: NodeId, dst: NodeId, port: u16) -> ConnId {
-        let id = ConnId(self.conns.len() as u64);
         self.stats.conns_opened += 1;
         if self.faults_active && self.path_blocked(src, dst) {
             // Connection refused: the conn is born dead and the initiator
             // hears about it after a round trip, like a reset.
-            self.conns.push(None);
+            let id = self.conns.open_dead();
             self.fault_stats.conns_refused += 1;
-            let rtt = Self::rtt(&self.cfg, &self.ifaces, src, dst);
+            let rtt = Self::rtt(&self.cfg, &self.links, src, dst);
             self.queue.push(
                 self.now + rtt,
                 EventKind::PeerGone {
@@ -458,14 +540,9 @@ impl SimCore {
             );
             return id;
         }
-        self.conns.push(Some(Box::new(Conn {
-            a: src,
-            b: dst,
-            port,
-            dirs: [DirState::new(&self.cfg), DirState::new(&self.cfg)],
-        })));
+        let id = self.conns.open(src, dst, port, &self.cfg);
         let one_way = self.one_way(src, dst);
-        let rtt = Self::rtt(&self.cfg, &self.ifaces, src, dst);
+        let rtt = Self::rtt(&self.cfg, &self.links, src, dst);
         self.queue
             .push(self.now + one_way, EventKind::ConnSynArrive { conn: id });
         self.queue
@@ -474,12 +551,12 @@ impl SimCore {
     }
 
     pub(crate) fn peer_of(&self, me: NodeId, conn: ConnId) -> Option<NodeId> {
-        let c = self.conn(conn)?;
+        let c = self.conns.get(conn)?;
         c.dir_of(me).map(|d| c.receiver(d))
     }
 
     pub(crate) fn send(&mut self, me: NodeId, conn: ConnId, msg: Vec<u8>) -> bool {
-        let Some(c) = live(&mut self.conns, conn) else {
+        let Some(c) = self.conns.get_mut(conn) else {
             return false;
         };
         let Some(dir) = c.dir_of(me) else {
@@ -495,7 +572,7 @@ impl SimCore {
     }
 
     pub(crate) fn close(&mut self, me: NodeId, conn: ConnId) {
-        let Some(c) = live(&mut self.conns, conn) else {
+        let Some(c) = self.conns.get_mut(conn) else {
             return;
         };
         let Some(dir) = c.dir_of(me) else {
@@ -521,38 +598,40 @@ impl SimCore {
     fn kick(&mut self, conn: ConnId, dir: FlowDir) {
         let now = self.now;
         loop {
-            let Some(c) = live(&mut self.conns, conn) else {
+            let Some(c) = self.conns.get_mut(conn) else {
                 return;
             };
             let (sender, receiver) = (c.sender(dir), c.receiver(dir));
             let (si, ri) = (sender.0 as usize, receiver.0 as usize);
-            let (cfg, ifaces) = (&self.cfg, &self.ifaces);
-            let (up_ends, down_ends) = (&mut self.up_ends, &mut self.down_ends);
+            let (cfg, links) = (&self.cfg, &mut self.links);
             let step = c.dirs[Conn::dir_index(dir)].advance(cfg, now, |cwnd| {
-                let window_rate = cwnd.rate(Self::rtt(cfg, ifaces, sender, receiver));
+                let window_rate = cwnd.rate(Self::rtt(cfg, links, sender, receiver));
                 if sender == receiver {
                     return window_rate.min(cfg.loopback_bps);
                 }
-                let (up, down) = (&mut up_ends[si], &mut down_ends[ri]);
-                up.retain(|&e| e > now);
-                down.retain(|&e| e > now);
-                window_rate
-                    .min(ifaces[si].up_share(up.len() + 1))
-                    .min(ifaces[ri].down_share(down.len() + 1))
+                let up = &mut links[si];
+                up.up_ends.retain(|&e| e > now);
+                let up_share = up.iface.up_share(up.up_ends.len() + 1);
+                let down = &mut links[ri];
+                down.down_ends.retain(|&e| e > now);
+                let down_share = down.iface.down_share(down.down_ends.len() + 1);
+                window_rate.min(up_share).min(down_share)
             });
             match step {
                 Kick::Idle => return,
                 Kick::Wake(end) => {
-                    return self.queue.push(end, EventKind::ChunkDone { conn, dir });
+                    self.queue.push(end, EventKind::ChunkDone { conn, dir });
+                    return;
                 }
                 Kick::Close => {
                     let at = now + self.one_way(sender, receiver);
-                    return self.queue.push(at, EventKind::CloseArrive { conn, dir });
+                    self.queue.push(at, EventKind::CloseArrive { conn, dir });
+                    return;
                 }
                 Kick::Started { end, msg } => {
                     if sender != receiver {
-                        self.up_ends[si].push(end);
-                        self.down_ends[ri].push(end);
+                        self.links[si].up_ends.push(end);
+                        self.links[ri].down_ends.push(end);
                     }
                     if let Some(msg) = msg {
                         self.enter_wire(conn, dir, (sender, receiver), end, msg);
@@ -573,7 +652,7 @@ impl SimCore {
         end: SimTime,
         mut msg: Vec<u8>,
     ) {
-        if let Some(s) = self.sniffers[sender.0 as usize].as_mut() {
+        if let Some(s) = self.sniffers.get_mut(&sender) {
             s.record(TraceEvent {
                 time: end,
                 dir: Direction::Outgoing,
@@ -631,17 +710,11 @@ impl Simulator {
                 rng: StdRng::seed_from_u64(cfg.seed),
                 queue: EventQueue::new(),
                 cfg: cfg.transport,
-                next_timer_id: 0,
-                cancelled_timers: Default::default(),
-                pending_timers: 0,
                 pool: BufPool::default(),
-                timer_sweeps: 0,
-                ifaces: Vec::new(),
+                links: Vec::new(),
                 names: Vec::new(),
-                conns: Vec::new(),
-                up_ends: Vec::new(),
-                down_ends: Vec::new(),
-                sniffers: Vec::new(),
+                conns: ConnTable::default(),
+                sniffers: BTreeMap::new(),
                 stats: SimStats::default(),
                 msg_bytes: telemetry::hist::LogHistogram::new(),
                 hist_full: false,
@@ -675,13 +748,14 @@ impl Simulator {
         node: Box<dyn Node>,
     ) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
+        self.touched.skip.push(!node.batches_telemetry());
         self.nodes.push(Some(node));
-        self.touched.flags.push(false);
-        self.core.ifaces.push(iface);
+        self.core.links.push(Link {
+            iface,
+            up_ends: Vec::new(),
+            down_ends: Vec::new(),
+        });
         self.core.names.push(name.into());
-        self.core.up_ends.push(Vec::new());
-        self.core.down_ends.push(Vec::new());
-        self.core.sniffers.push(None);
         self.core.crashed.push(false);
         self.core.incarnation.push(0);
         id
@@ -689,7 +763,7 @@ impl Simulator {
 
     /// Begin recording a directional trace of `node`'s access link.
     pub fn enable_sniffer(&mut self, node: NodeId) {
-        self.core.sniffers[node.0 as usize] = Some(Sniffer::new());
+        self.core.sniffers.insert(node, Sniffer::new());
     }
 
     /// The trace recorded so far on `node`'s link (panics if no sniffer).
@@ -698,8 +772,9 @@ impl Simulator {
         reason = "harness accessor: asking for a sniffer never enabled is a harness bug"
     )]
     pub fn sniffer(&self, node: NodeId) -> &Sniffer {
-        self.core.sniffers[node.0 as usize]
-            .as_ref()
+        self.core
+            .sniffers
+            .get(&node)
             .expect("sniffer not enabled on this node")
     }
 
@@ -710,8 +785,9 @@ impl Simulator {
         reason = "harness accessor: asking for a sniffer never enabled is a harness bug"
     )]
     pub fn sniffer_mut(&mut self, node: NodeId) -> &mut Sniffer {
-        self.core.sniffers[node.0 as usize]
-            .as_mut()
+        self.core
+            .sniffers
+            .get_mut(&node)
             .expect("sniffer not enabled on this node")
     }
 
@@ -821,7 +897,6 @@ impl Simulator {
             self.core.pool.misses,
             self.core.pool.recycled,
         );
-        let sweeps_before = self.core.timer_sweeps;
         let faults_before = self.core.fault_stats;
         let mut max_depth = self.core.queue.len();
         let mut processed = 0;
@@ -842,7 +917,7 @@ impl Simulator {
         // Ascending node order, as the export expects.
         self.touched.ids.sort_unstable();
         for i in self.touched.ids.drain(..) {
-            self.touched.flags[i as usize] = false;
+            self.touched.skip[i as usize] = false;
             if let Some(node) = self.nodes[i as usize].as_mut() {
                 node.flush_telemetry();
             }
@@ -858,7 +933,6 @@ impl Simulator {
         T_POOL_HITS.add(self.core.pool.hits - pool_before.0);
         T_POOL_MISSES.add(self.core.pool.misses - pool_before.1);
         T_POOL_RECYCLED.add(self.core.pool.recycled - pool_before.2);
-        T_TIMER_SWEEPS.add(self.core.timer_sweeps - sweeps_before);
         if self.core.faults_active {
             let fa = self.core.fault_stats;
             T_FAULT_CRASHES.add(fa.crashes - faults_before.crashes);
@@ -902,7 +976,7 @@ impl Simulator {
     fn handle(&mut self, kind: EventKind) {
         match kind {
             EventKind::ConnSynArrive { conn } => {
-                let Some(c) = live(&mut self.core.conns, conn) else {
+                let Some(c) = self.core.conns.get_mut(conn) else {
                     return;
                 };
                 c.dirs[1].ready = true;
@@ -911,7 +985,7 @@ impl Simulator {
                 self.dispatch(b, |n, ctx| n.on_conn_open(ctx, conn, a, port));
             }
             EventKind::ConnEstablished { conn } => {
-                let Some(c) = live(&mut self.core.conns, conn) else {
+                let Some(c) = self.core.conns.get_mut(conn) else {
                     return;
                 };
                 c.dirs[0].ready = true;
@@ -923,13 +997,13 @@ impl Simulator {
                 // Whatever waited behind the chunk goes next, unless the
                 // connection is dead or the wake-up is stale.
                 let now = self.core.now;
-                let c = live(&mut self.core.conns, conn);
+                let c = self.core.conns.get_mut(conn);
                 if c.is_some_and(|c| c.dirs[Conn::dir_index(dir)].take_wake(now)) {
                     self.core.kick(conn, dir);
                 }
             }
             EventKind::MsgArrive { conn, dir, msg } => {
-                let Some(c) = self.core.conn(conn) else {
+                let Some(c) = self.core.conns.get(conn) else {
                     return;
                 };
                 let (receiver, sender) = (c.receiver(dir), c.sender(dir));
@@ -945,7 +1019,7 @@ impl Simulator {
                 if self.core.hist_full {
                     self.core.msg_bytes.record(msg.len() as u64);
                 }
-                if let Some(s) = self.core.sniffers[receiver.0 as usize].as_mut() {
+                if let Some(s) = self.core.sniffers.get_mut(&receiver) {
                     s.record(TraceEvent {
                         time: self.core.now,
                         dir: Direction::Incoming,
@@ -957,7 +1031,7 @@ impl Simulator {
                 self.dispatch(receiver, |n, ctx| n.on_msg(ctx, conn, msg));
             }
             EventKind::CloseArrive { conn, dir } => {
-                let Some(c) = live(&mut self.core.conns, conn) else {
+                let Some(c) = self.core.conns.get_mut(conn) else {
                     return;
                 };
                 // The connection dies here. It stays resident while the
@@ -970,11 +1044,15 @@ impl Simulator {
                 }
                 let receiver = c.receiver(dir);
                 self.dispatch(receiver, |n, ctx| n.on_conn_closed(ctx, conn));
-                self.core.conns[conn.0 as usize] = None;
+                self.core.conns.free(conn, &self.core.cfg);
             }
-            EventKind::Timer { node, id, tag, inc } => {
-                self.core.pending_timers = self.core.pending_timers.saturating_sub(1);
-                if self.core.cancelled_timers.remove(&id) {
+            EventKind::Timer {
+                node,
+                tag,
+                inc,
+                cancelled,
+            } => {
+                if cancelled {
                     return;
                 }
                 // Timers armed by a previous incarnation (or while the node
@@ -1034,25 +1112,18 @@ impl Simulator {
         self.core.fault_stats.crashes += 1;
         // Every connection touching the node dies instantly on the node's
         // side and is freed; the surviving peer learns one propagation delay
-        // later, like a reset. In-flight chunks hold their fair-share slots
-        // until their end times pass, as on a live connection, and pending
-        // MsgArrive/CloseArrive events find no connection and drop.
-        let mut notices: Vec<(ConnId, NodeId)> = Vec::new();
-        for (ci, slot) in self.core.conns.iter_mut().enumerate() {
-            let Some(c) = slot.as_deref() else {
-                continue;
-            };
-            let Some(dir) = c.dir_of(node) else {
-                continue;
-            };
-            let peer = c.receiver(dir);
-            *slot = None;
-            if peer != node {
-                notices.push((ConnId(ci as u64), peer));
-            }
+        // later, like a reset, in `ConnId` order. In-flight chunks hold their
+        // fair-share slots until their end times pass, as on a live
+        // connection, and pending MsgArrive/CloseArrive events find no
+        // connection and drop.
+        let dying: Vec<(ConnId, NodeId)> = (self.core.conns.iter())
+            .filter_map(|(id, c)| Some((id, c.receiver(c.dir_of(node)?))))
+            .collect();
+        for &(conn, _) in &dying {
+            self.core.conns.free(conn, &self.core.cfg);
         }
-        for (conn, peer) in notices {
-            if self.core.is_crashed(peer) {
+        for (conn, peer) in dying {
+            if peer == node || self.core.is_crashed(peer) {
                 continue;
             }
             let delay = self.core.one_way(node, peer);
@@ -1126,17 +1197,17 @@ impl Simulator {
     pub fn active_link_slots(&self, node: NodeId) -> (u32, u32) {
         let live = |ends: &[SimTime]| ends.iter().filter(|&&e| e > self.core.now).count() as u32;
         (
-            live(&self.core.up_ends[node.0 as usize]),
-            live(&self.core.down_ends[node.0 as usize]),
+            live(&self.core.links[node.0 as usize].up_ends),
+            live(&self.core.links[node.0 as usize].down_ends),
         )
     }
 
     /// Connection halves the engine still holds state for, two for every
     /// connection not yet freed — test and CI hook: once every connection
     /// has closed and the run is quiescent this must read 0, or a connection
-    /// leaked. (Walks every connection the run has opened.)
+    /// leaked.
     pub fn live_conn_halves(&self) -> usize {
-        2 * self.core.conns.iter().filter(|c| c.is_some()).count()
+        2 * self.core.conns.live()
     }
 }
 
@@ -1187,12 +1258,25 @@ mod tests {
     }
 
     /// Telemetry is flushed on nodes that ran since their last flush, and
-    /// only on those: an idle `run_until` flushes nobody.
+    /// only on those: an idle `run_until` flushes nobody, and a node that
+    /// batches no telemetry is never flushed.
     #[test]
     fn flush_telemetry_follows_dispatch_and_with_node() {
         #[derive(Default)]
         struct Flushes(u32);
         impl Node for Flushes {
+            fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {}
+            fn batches_telemetry(&self) -> bool {
+                true
+            }
+            fn flush_telemetry(&mut self) {
+                self.0 += 1;
+            }
+        }
+        /// Counts flushes like `Flushes`, but says it batches nothing.
+        #[derive(Default)]
+        struct Silent(u32);
+        impl Node for Silent {
             fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {}
             fn flush_telemetry(&mut self) {
                 self.0 += 1;
@@ -1215,6 +1299,12 @@ mod tests {
         assert_eq!(flushes_at(&mut sim, 3), [1, 2]); // handed out by with_node
         assert_eq!(flushes_at(&mut sim, 4), [1, 2]); // timer not due yet
         assert_eq!(flushes_at(&mut sim, 10), [1, 3]); // on_timer dispatched
+        let silent = sim.add_node("silent", Iface::datacenter(), Box::<Silent>::default());
+        sim.with_node::<Silent, _>(silent, |_, ctx| {
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        });
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(20));
+        assert_eq!(sim.node_ref::<Silent>(silent).0, 0);
     }
 
     #[test]

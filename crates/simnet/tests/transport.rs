@@ -505,3 +505,118 @@ fn a_crash_mid_chunk_leaves_no_slot_behind() {
     assert_eq!(sim.active_link_slots(sink), (0, 0));
     assert_eq!(sim.live_conn_halves(), 0);
 }
+
+/// Records what reaches it: `(conn, what)` per callback, with `peer_of`
+/// asked inside `on_conn_closed`.
+#[derive(Default)]
+struct Log {
+    opened: Vec<(ConnId, NodeId)>,
+    msgs: Vec<(ConnId, usize)>,
+    closed: Vec<(ConnId, Option<NodeId>)>,
+}
+
+impl Node for Log {
+    fn on_conn_open(&mut self, _ctx: &mut Ctx<'_>, conn: ConnId, peer: NodeId, _port: u16) {
+        self.opened.push((conn, peer));
+    }
+    fn on_msg(&mut self, _ctx: &mut Ctx<'_>, conn: ConnId, msg: Vec<u8>) {
+        self.msgs.push((conn, msg.len()));
+    }
+    fn on_conn_closed(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
+        self.closed.push((conn, ctx.peer_of(conn)));
+    }
+}
+
+/// A connection dies while a message on it is still on the wire, and a
+/// newer connection to the same node opens before that message arrives
+/// (the simulator may give it the dead one's storage). The stale arrival is
+/// dropped, not delivered on the newer connection, and the dead id answers
+/// nothing: `peer_of` is `None` and `send` refuses, on either end, while
+/// the newer connection works.
+#[test]
+fn a_dead_id_finds_nothing_while_a_newer_connection_lives() {
+    let mut sim = wide_open();
+    let b = sim.add_node("b", link(), Box::<Log>::default());
+    let a = sim.add_node("a", link(), source(vec![Flow::burst(b, 0)]));
+    let c = sim.add_node("c", link(), Box::<Log>::default());
+    sim.run_until(at(ms(41)));
+    // Established at 40 ms; the message arrives at about 60.6 ms.
+    let old = sim.with_node::<Source, _>(a, |s, ctx| {
+        let conn = s.flows[0].conn.expect("connected");
+        ctx.send(conn, vec![1; 1000]);
+        conn
+    });
+    sim.inject_fault(at(ms(50)), FaultAction::Crash(a));
+    sim.run_until(at(ms(51)));
+    assert_eq!(sim.live_conn_halves(), 0);
+    let new = sim.with_node::<Log, _>(c, |_, ctx| {
+        let conn = ctx.connect(b, 80);
+        ctx.send(conn, vec![2; 300]);
+        conn
+    });
+    assert_ne!(new, old);
+    sim.run_until(at(ms(200)));
+    let log = sim.node_ref::<Log>(b);
+    assert_eq!(log.opened, [(old, a), (new, c)]);
+    assert_eq!(
+        log.msgs,
+        [(new, 300)],
+        "the dead connection's message is dropped"
+    );
+    assert_eq!(
+        log.closed,
+        [(old, None)],
+        "the crash's notice names the dead id"
+    );
+    let (b_old, b_sent) =
+        sim.with_node::<Log, _>(b, |_, ctx| (ctx.peer_of(old), ctx.send(old, vec![3; 10])));
+    assert_eq!((b_old, b_sent), (None, false));
+    let c_old = sim.with_node::<Log, _>(c, |_, ctx| ctx.peer_of(old));
+    assert_eq!(c_old, None);
+    let (b_new, c_new) = (
+        sim.with_node::<Log, _>(b, |_, ctx| ctx.peer_of(new)),
+        sim.with_node::<Log, _>(c, |_, ctx| ctx.peer_of(new)),
+    );
+    assert_eq!((b_new, c_new), (Some(c), Some(b)));
+    sim.run_until(at(ms(400)));
+    assert_eq!(
+        sim.node_ref::<Log>(c).msgs,
+        [],
+        "nothing was sent on `new` to c"
+    );
+    assert_eq!(sim.live_conn_halves(), 2);
+}
+
+/// When a node crashes, the peers of its connections hear of it in
+/// `ConnId` order, whatever order the connections were closed and opened
+/// in before.
+#[test]
+fn a_crash_notifies_in_conn_id_order() {
+    let mut sim = wide_open();
+    let hub = sim.add_node("hub", link(), Box::<Log>::default());
+    let peer = sim.add_node("peer", link(), Box::<Log>::default());
+    let first: Vec<ConnId> = sim.with_node::<Log, _>(peer, |_, ctx| {
+        (0..6).map(|_| ctx.connect(hub, 80)).collect()
+    });
+    sim.run_until(at(ms(50)));
+    sim.with_node::<Log, _>(peer, |_, ctx| {
+        for i in [3, 1, 4] {
+            ctx.close(first[i]);
+        }
+    });
+    sim.run_until(at(ms(100)));
+    let later: Vec<ConnId> = sim.with_node::<Log, _>(peer, |_, ctx| {
+        (0..3).map(|_| ctx.connect(hub, 80)).collect()
+    });
+    sim.run_until(at(ms(150)));
+    assert_eq!(sim.live_conn_halves(), 2 * 6);
+    sim.inject_fault(at(ms(200)), FaultAction::Crash(hub));
+    sim.run_until(at(ms(300)));
+    let mut expect = vec![first[0], first[2], first[5]];
+    expect.extend(&later);
+    let heard: Vec<ConnId> = (sim.node_ref::<Log>(peer).closed.iter())
+        .map(|&(conn, _)| conn)
+        .collect();
+    assert_eq!(heard, expect);
+    assert_eq!(sim.live_conn_halves(), 0);
+}

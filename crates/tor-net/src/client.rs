@@ -48,15 +48,52 @@ static T_FAILCACHE_BYPASS: telemetry::Counter =
 static T_RECOVER_MS: telemetry::Histo =
     telemetry::Histo::new("tornet.client.circ_time_to_recover_ms");
 
-/// Timer-tag namespace reserved by the client component.
+/// Timer-tag namespace reserved by the client component: the 2⁵⁶ tags up
+/// to the functions' namespace.
 pub const CLIENT_TAG_BASE: u64 = 0x0200_0000_0000_0000;
-const TAG_FETCH_RETRY: u64 = CLIENT_TAG_BASE + 1;
-/// Per-category sub-namespaces under [`CLIENT_TAG_BASE`]; each holds a
-/// slot/token in its low 28 bits.
-const TAG_SPAN: u64 = 0x1000_0000;
-const TAG_BUILD_TIMEOUT_BASE: u64 = CLIENT_TAG_BASE + 0x1000_0000;
-const TAG_STREAM_TIMEOUT_BASE: u64 = CLIENT_TAG_BASE + 0x2000_0000;
-const TAG_REBUILD_BASE: u64 = CLIENT_TAG_BASE + 0x3000_0000;
+/// Width of each [`ClientTimer`] category's sub-namespace under
+/// [`CLIENT_TAG_BASE`]: a slot or token below 2⁵², or a circuit handle
+/// below 2³⁶ beside its 16-bit stream id. The four categories take 2⁵⁴.
+const TAG_SPAN: u64 = 1 << 52;
+
+/// A timer the client arms, and the tag it travels under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ClientTimer {
+    /// Retry the consensus fetch.
+    FetchRetry,
+    /// The build of the circuit in this slot is taking too long.
+    BuildTimeout(usize),
+    /// This stream of this circuit has not connected in time.
+    StreamTimeout(usize, u16),
+    /// The parked rebuild with this token is due.
+    Rebuild(u64),
+}
+
+impl ClientTimer {
+    fn tag(self) -> u64 {
+        let (category, sub) = match self {
+            ClientTimer::FetchRetry => (0, 1),
+            ClientTimer::BuildTimeout(slot) => (1, slot as u64),
+            ClientTimer::StreamTimeout(circ, stream) => (2, (circ as u64) << 16 | stream as u64),
+            ClientTimer::Rebuild(token) => (3, token),
+        };
+        CLIENT_TAG_BASE + category * TAG_SPAN + sub
+    }
+
+    /// The client timer `tag` names, if it is one.
+    fn from_tag(tag: u64) -> Option<ClientTimer> {
+        let offset = tag.checked_sub(CLIENT_TAG_BASE)?;
+        let sub = offset % TAG_SPAN;
+        Some(match offset / TAG_SPAN {
+            0 if sub == 1 => ClientTimer::FetchRetry,
+            1 => ClientTimer::BuildTimeout(sub as usize),
+            2 => ClientTimer::StreamTimeout((sub >> 16) as usize, sub as u16),
+            3 => ClientTimer::Rebuild(sub),
+            _ => return None,
+        })
+    }
+}
+
 /// Introduction/HSDir retries per onion connection before giving up.
 const MAX_HS_RETRIES: u32 = 3;
 
@@ -464,7 +501,7 @@ impl TorClient {
         self.links.bind(conn, circ_id, slot);
         let build_timer = self
             .recovery
-            .then(|| ctx.set_timer(Self::BUILD_TIMEOUT, TAG_BUILD_TIMEOUT_BASE + slot as u64));
+            .then(|| ctx.set_timer(Self::BUILD_TIMEOUT, ClientTimer::BuildTimeout(slot).tag()));
         self.circuits.insert(
             slot,
             ClientCircuit {
@@ -553,7 +590,7 @@ impl TorClient {
             _ => StreamKind::App,
         };
         let timeout = self.recovery.then(|| {
-            let tag = TAG_STREAM_TIMEOUT_BASE + ((circ.0 as u64) << 16 | stream_id as u64);
+            let tag = ClientTimer::StreamTimeout(circ.0, stream_id).tag();
             ctx.set_timer(Self::STREAM_TIMEOUT, tag)
         });
         c.streams.insert(
@@ -786,32 +823,26 @@ impl TorClient {
 
     /// Delegate of [`simnet::Node::on_timer`]; claims client-namespace tags.
     pub fn handle_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) -> bool {
-        if tag == TAG_FETCH_RETRY {
-            if self.consensus.is_some() {
-                return true;
-            }
-            match self.dir_conn {
-                Some(conn) => {
-                    ctx.send(conn, DirMsg::FetchConsensus.encode());
+        let Some(timer) = ClientTimer::from_tag(tag) else {
+            return false;
+        };
+        match timer {
+            ClientTimer::FetchRetry => {
+                if self.consensus.is_some() {
+                    return true;
                 }
-                None => self.bootstrap(ctx),
+                match self.dir_conn {
+                    Some(conn) => {
+                        ctx.send(conn, DirMsg::FetchConsensus.encode());
+                    }
+                    None => self.bootstrap(ctx),
+                }
             }
-            return true;
+            ClientTimer::BuildTimeout(slot) => self.fire_build_timeout(ctx, slot),
+            ClientTimer::StreamTimeout(circ, stream) => self.fire_stream_timeout(ctx, circ, stream),
+            ClientTimer::Rebuild(token) => self.fire_rebuild(ctx, token),
         }
-        if (TAG_BUILD_TIMEOUT_BASE..TAG_BUILD_TIMEOUT_BASE + TAG_SPAN).contains(&tag) {
-            self.fire_build_timeout(ctx, (tag - TAG_BUILD_TIMEOUT_BASE) as usize);
-            return true;
-        }
-        if (TAG_STREAM_TIMEOUT_BASE..TAG_STREAM_TIMEOUT_BASE + TAG_SPAN).contains(&tag) {
-            let sub = tag - TAG_STREAM_TIMEOUT_BASE;
-            self.fire_stream_timeout(ctx, (sub >> 16) as usize, (sub & 0xFFFF) as u16);
-            return true;
-        }
-        if (TAG_REBUILD_BASE..TAG_REBUILD_BASE + TAG_SPAN).contains(&tag) {
-            self.fire_rebuild(ctx, tag - TAG_REBUILD_BASE);
-            return true;
-        }
-        false
+        true
     }
 
     // ------------------------------------------------------------------
@@ -831,7 +862,7 @@ impl TorClient {
         } else {
             SimDuration::from_millis(200)
         };
-        ctx.set_timer(delay, TAG_FETCH_RETRY);
+        ctx.set_timer(delay, ClientTimer::FetchRetry.tag());
         self.consensus_retries += 1;
         T_CONSENSUS_RETRIES.inc();
     }
@@ -884,7 +915,7 @@ impl TorClient {
         let token = self.next_rebuild_token;
         self.next_rebuild_token += 1;
         self.pending_rebuilds.insert(token, managed);
-        ctx.set_timer(delay, TAG_REBUILD_BASE + token);
+        ctx.set_timer(delay, ClientTimer::Rebuild(token).tag());
     }
 
     /// A rebuild backoff expired: try building the replacement circuit.
@@ -1504,6 +1535,31 @@ impl TorClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every client timer decodes from its tag as itself, at circuit
+    /// handles, slots and tokens on both sides of 4 096 (where a stream
+    /// timeout's circuit used to spill into the rebuild namespace) and at
+    /// `u32::MAX`; no tag outside the client's namespace decodes.
+    #[test]
+    fn timer_tags_decode_as_what_they_encode() {
+        for h in [0, 1, 4_095, 4_096, u32::MAX as usize] {
+            for timer in [
+                ClientTimer::FetchRetry,
+                ClientTimer::BuildTimeout(h),
+                ClientTimer::StreamTimeout(h, 0),
+                ClientTimer::StreamTimeout(h, u16::MAX),
+                ClientTimer::Rebuild(h as u64),
+            ] {
+                let tag = timer.tag();
+                assert_eq!(ClientTimer::from_tag(tag), Some(timer), "{tag:#x}");
+                // The functions' namespace starts 2⁵⁶ above the client's.
+                assert!((CLIENT_TAG_BASE..CLIENT_TAG_BASE + (1 << 56)).contains(&tag));
+            }
+        }
+        assert_eq!(ClientTimer::from_tag(CLIENT_TAG_BASE), None);
+        assert_eq!(ClientTimer::from_tag(CLIENT_TAG_BASE - 1), None);
+        assert_eq!(ClientTimer::from_tag(CLIENT_TAG_BASE + 4 * TAG_SPAN), None);
+    }
 
     #[test]
     fn client_without_consensus_cannot_build() {

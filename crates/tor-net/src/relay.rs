@@ -1099,6 +1099,9 @@ impl Node for RelayNode {
     }
     // Default on_restart → on_start: the reborn relay re-registers with the
     // authority under its (seed-derived, therefore unchanged) identity.
+    fn batches_telemetry(&self) -> bool {
+        true
+    }
     fn flush_telemetry(&mut self) {
         self.relay.flush_telemetry();
     }
