@@ -11,6 +11,10 @@
 //! plus parameters plus a manifest, standing in for shipping Python source
 //! (see DESIGN.md for why this preserves the paper's safety story).
 
+// Every function call runs through here: a hostile function must not be
+// able to panic the box.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::protocol::ImageKind;
 use conclave::fsprotect::FsProtect;
 use rand::rngs::StdRng;
@@ -227,18 +231,13 @@ impl<'a> FunctionApi<'a> {
     /// Open a direct connection (checked against the container's network
     /// rules — the relay's exit policy).
     pub fn connect(&mut self, host: NodeId, port: u16) -> Result<u64, ContainerError> {
-        match self
-            .runtime
+        // Any success of the syscall is the permission.
+        self.runtime
             .container
-            .syscall(Syscall::Connect { host: host.0, port })?
-        {
-            SyscallOutcome::Permitted => {
-                let conn = self.handle();
-                self.actions.push(FnAction::Connect { conn, host, port });
-                Ok(conn)
-            }
-            _ => unreachable!("connect returns Permitted"),
-        }
+            .syscall(Syscall::Connect { host: host.0, port })?;
+        let conn = self.handle();
+        self.actions.push(FnAction::Connect { conn, host, port });
+        Ok(conn)
     }
 
     /// Send on a direct connection.
@@ -455,21 +454,19 @@ impl ContainerRuntime {
     }
 
     fn fs_read(&mut self, path: &str) -> Result<Vec<u8>, ContainerError> {
-        match &mut self.fsp {
+        let data = match &mut self.fsp {
             Some(fsp) => {
                 self.container.check_class(SyscallClass::Read)?;
                 fsp.read(path)
-                    .ok_or(ContainerError::Fs(sandbox::fs::FsError::NotFound(
-                        path.to_string(),
-                    )))
             }
             None => match self.container.syscall(Syscall::Read {
                 path: path.to_string(),
             })? {
-                SyscallOutcome::Data(d) => Ok(d),
-                _ => unreachable!("read returns data"),
+                SyscallOutcome::Data(d) => Some(d),
+                _ => None,
             },
-        }
+        };
+        data.ok_or_else(|| ContainerError::Fs(sandbox::fs::FsError::NotFound(path.to_string())))
     }
 
     fn fs_unlink(&mut self, path: &str) -> Result<(), ContainerError> {

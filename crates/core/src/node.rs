@@ -2,6 +2,9 @@
 //! Bento server reachable through the relay's exit path to "localhost",
 //! and an onion proxy for the functions' own Tor use (Figure 3).
 
+// Every event the box receives passes through here.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::server::{BentoServer, Deps};
 use simnet::{ConnId, Ctx, Node, NodeId};
 use tor_net::client::TorClient;
@@ -26,36 +29,38 @@ impl BentoBoxNode {
         BentoBoxNode { relay, tor, bento }
     }
 
+    /// The server, and the externals it acts through.
+    fn split<'a, 'b>(&'a mut self, ctx: &'a mut Ctx<'b>) -> (&'a mut BentoServer, Deps<'a, 'b>) {
+        let deps = Deps {
+            ctx,
+            relay: &mut self.relay,
+            tor: &mut self.tor,
+        };
+        (&mut self.bento, deps)
+    }
+
     /// Route queued relay local-stream events and onion-proxy events into
     /// the Bento server.
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
         // Local Bento-protocol streams.
         for ev in self.relay.drain_events() {
-            let mut deps = Deps {
-                ctx,
-                relay: &mut self.relay,
-                tor: &mut self.tor,
-            };
+            let (bento, mut deps) = self.split(ctx);
             match ev {
                 RelayEvent::LocalStreamOpened { stream, .. } => {
-                    self.bento.on_local_stream_opened(stream);
+                    bento.on_local_stream_opened(stream);
                 }
                 RelayEvent::LocalStreamData { stream, data } => {
-                    self.bento.on_local_stream_data(&mut deps, stream, data);
+                    bento.on_local_stream_data(&mut deps, stream, data);
                 }
                 RelayEvent::LocalStreamClosed { stream } => {
-                    self.bento.on_local_stream_closed(stream);
+                    bento.on_local_stream_closed(stream);
                 }
             }
         }
         // Onion-proxy events for function circuits.
         for ev in self.tor.poll_events() {
-            let mut deps = Deps {
-                ctx,
-                relay: &mut self.relay,
-                tor: &mut self.tor,
-            };
-            self.bento.on_tor_event(&mut deps, ev);
+            let (bento, mut deps) = self.split(ctx);
+            bento.on_tor_event(&mut deps, ev);
         }
     }
 }
@@ -74,53 +79,39 @@ impl Node for BentoBoxNode {
     fn on_conn_established(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, peer: NodeId) {
         if !self.relay.on_conn_established(ctx, conn, peer)
             && !self.tor.handle_conn_established(ctx, conn)
-            && self.bento.owns_conn(conn)
         {
-            let mut deps = Deps {
-                ctx,
-                relay: &mut self.relay,
-                tor: &mut self.tor,
-            };
-            self.bento.on_conn_established(&mut deps, conn);
+            let (bento, mut deps) = self.split(ctx);
+            bento.on_conn_established(&mut deps, conn);
         }
         self.pump(ctx);
     }
 
+    // Each message goes to its one owner, never copied: the relay, then
+    // the onion proxy, then a function's direct connection.
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: Vec<u8>) {
-        if !self.relay.on_msg(ctx, conn, msg.clone())
-            && !self.tor.handle_msg(ctx, conn, msg.clone())
-            && self.bento.owns_conn(conn)
-        {
-            let mut deps = Deps {
-                ctx,
-                relay: &mut self.relay,
-                tor: &mut self.tor,
-            };
-            self.bento.on_conn_msg(&mut deps, conn, msg);
+        let unclaimed = self
+            .relay
+            .on_msg(ctx, conn, msg)
+            .and_then(|msg| self.tor.handle_msg(ctx, conn, msg));
+        if let Some(msg) = unclaimed {
+            let (bento, mut deps) = self.split(ctx);
+            bento.on_conn_msg(&mut deps, conn, msg);
         }
         self.pump(ctx);
     }
 
     fn on_conn_closed(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
         if !self.relay.on_conn_closed(ctx, conn) && !self.tor.handle_conn_closed(ctx, conn) {
-            let mut deps = Deps {
-                ctx,
-                relay: &mut self.relay,
-                tor: &mut self.tor,
-            };
-            self.bento.on_conn_closed(&mut deps, conn);
+            let (bento, mut deps) = self.split(ctx);
+            bento.on_conn_closed(&mut deps, conn);
         }
         self.pump(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         if !self.relay.on_timer(ctx, tag) && !self.tor.handle_timer(ctx, tag) {
-            let mut deps = Deps {
-                ctx,
-                relay: &mut self.relay,
-                tor: &mut self.tor,
-            };
-            self.bento.on_timer(&mut deps, tag);
+            let (bento, mut deps) = self.split(ctx);
+            bento.on_timer(&mut deps, tag);
         }
         self.pump(ctx);
     }

@@ -15,7 +15,7 @@ use crate::function::{ContainerRuntime, FnAction, Function, FunctionApi, Functio
 use crate::manifest::Manifest;
 use crate::policy::MiddleboxPolicy;
 use crate::protocol::{BentoMsg, FunctionSpec, ImageKind};
-use crate::stem::{StemCall, StemFirewall};
+use crate::stem::{HandleTable, Held, StemCall, StemFirewall};
 use crate::tokens::Token;
 use conclave::attest::{Ias, Platform};
 use conclave::channel::AttestedChannel;
@@ -86,16 +86,6 @@ struct ContainerEntry {
     /// The invoker's invocation is in flight: its output has not ended.
     /// Meanwhile an Invoke from any other stream is refused.
     invoking: bool,
-    /// function-local conn handle <-> simnet conn.
-    conns: BTreeMap<u64, ConnId>,
-    /// function-local circ handle <-> tor circuit.
-    circs: BTreeMap<u64, CircuitHandle>,
-    circs_rev: BTreeMap<usize, u64>,
-    /// (fn circ, fn stream) <-> tor stream id.
-    streams: BTreeMap<(u64, u64), u16>,
-    streams_rev: BTreeMap<(usize, u16), u64>,
-    /// function-local hs handle -> index into server hs table.
-    hss: BTreeMap<u64, u64>,
 }
 
 impl ContainerEntry {
@@ -118,20 +108,8 @@ impl ContainerEntry {
             manifest: None,
             invoker: None,
             invoking: false,
-            conns: BTreeMap::new(),
-            circs: BTreeMap::new(),
-            circs_rev: BTreeMap::new(),
-            streams: BTreeMap::new(),
-            streams_rev: BTreeMap::new(),
-            hss: BTreeMap::new(),
         }
     }
-}
-
-struct HsEntry {
-    container: u64,
-    fn_handle: u64,
-    host: HiddenServiceHost,
 }
 
 /// The crash-surviving record of one uploaded function: enough to rebuild
@@ -199,8 +177,12 @@ pub struct BentoServer {
     next_container: u64,
     streams: BTreeMap<u64, StreamState>,
     firewall: StemFirewall,
-    net_conns: BTreeMap<ConnId, (u64, u64)>,
-    hss: BTreeMap<u64, HsEntry>,
+    /// What each function holds: its connections, circuits, streams and
+    /// hidden services, by function handle.
+    handles: HandleTable,
+    /// The functions' hidden services, by box-wide id; the owner is in
+    /// `handles`.
+    hss: BTreeMap<u64, HiddenServiceHost>,
     next_hs: u64,
     rng: StdRng,
     /// Per-function cumulative network budget (operator-side, not part of
@@ -243,7 +225,7 @@ impl BentoServer {
             next_container: 1,
             streams: BTreeMap::new(),
             firewall: StemFirewall::new(),
-            net_conns: BTreeMap::new(),
+            handles: HandleTable::default(),
             hss: BTreeMap::new(),
             next_hs: 1,
             rng: StdRng::seed_from_u64(seed),
@@ -287,7 +269,14 @@ impl BentoServer {
 
     /// Stem firewall violations (operator inspection).
     pub fn stem_violations(&self) -> usize {
-        self.firewall.violations().len()
+        self.firewall.violations()
+    }
+
+    /// Handles the box's functions hold, over all containers: one for each
+    /// live connection, circuit, stream and hidden service a function
+    /// holds (test hook).
+    pub fn held_handles(&self) -> usize {
+        self.handles.len()
     }
 
     /// Seccomp violations logged by the containers the box holds
@@ -721,15 +710,22 @@ impl BentoServer {
         if entry.runtime.is_some() {
             self.aggregate.free_memory(FN_BASE_MEMORY);
         }
-        for &c in entry.circs.values() {
-            deps.tor.destroy_circuit(deps.ctx, c);
+        let held = self.handles.remove_container(id);
+        for &h in &held {
+            if let Held::Circ(c) = h {
+                deps.tor.destroy_circuit(deps.ctx, c);
+            }
         }
-        for c in entry.conns.values() {
-            deps.ctx.close(*c);
-            self.net_conns.remove(c);
-        }
-        for h in entry.hss.values() {
-            self.hss.remove(h);
+        for h in held {
+            match h {
+                Held::Conn(c) => deps.ctx.close(c),
+                Held::Hs(gid) => {
+                    if let Some(mut host) = self.hss.remove(&gid) {
+                        host.close(deps.ctx, deps.tor);
+                    }
+                }
+                Held::Circ(_) | Held::Stream(..) => {}
+            }
         }
         self.firewall.remove_function(id);
         if let Some(eid) = entry.enclave_id {
@@ -758,7 +754,7 @@ impl BentoServer {
     pub fn crash(&mut self) {
         self.containers.clear();
         self.streams.clear();
-        self.net_conns.clear();
+        self.handles = HandleTable::default();
         self.hss.clear();
         self.firewall = StemFirewall::new();
         self.aggregate = CGroup::new(ResourceLimits::default_aggregate());
@@ -918,30 +914,18 @@ impl BentoServer {
             FnAction::Connect { conn, host, port } => {
                 // The policy gate already ran inside FunctionApi::connect.
                 let real = deps.ctx.connect(host, port);
-                if let Some(entry) = self.containers.get_mut(&id) {
-                    entry.conns.insert(conn, real);
-                }
-                self.net_conns.insert(real, (id, conn));
+                self.handles.insert(id, conn, Held::Conn(real));
             }
             FnAction::NetSend { conn, data } => {
-                let real = self
-                    .containers
-                    .get(&id)
-                    .and_then(|c| c.conns.get(&conn))
-                    .copied();
-                if let Some(real) = real {
+                if let Some(Held::Conn(real)) = self.handles.get(id, conn) {
                     if self.charge_network(deps, id, data.len() as u64) {
                         deps.ctx.send(real, data);
                     }
                 }
             }
             FnAction::NetClose { conn } => {
-                let real = self
-                    .containers
-                    .get_mut(&id)
-                    .and_then(|c| c.conns.remove(&conn));
-                if let Some(real) = real {
-                    self.net_conns.remove(&real);
+                if let Some(Held::Conn(real)) = self.handles.get(id, conn) {
+                    self.handles.remove(Held::Conn(real));
                     deps.ctx.close(real);
                 }
             }
@@ -982,7 +966,7 @@ impl BentoServer {
                     .select_path(deps.ctx, req)
                     .and_then(|p| deps.tor.build_circuit(deps.ctx, p));
                 match built {
-                    Some(h) => self.bind_circuit(id, circ, h),
+                    Some(h) => self.handles.insert(id, circ, Held::Circ(h)),
                     None => self.notify_circuit_failed(deps, id, circ),
                 }
             }
@@ -992,7 +976,7 @@ impl BentoServer {
                     return;
                 }
                 match deps.tor.connect_onion(deps.ctx, tor_net::OnionAddr(addr)) {
-                    Some(h) => self.bind_circuit(id, circ, h),
+                    Some(h) => self.handles.insert(id, circ, Held::Circ(h)),
                     None => self.notify_circuit_failed(deps, id, circ),
                 }
             }
@@ -1009,22 +993,14 @@ impl BentoServer {
                     crate::function::FnStreamTarget::Hs(p) => StreamTarget::Hs(p),
                 };
                 if let Some(sid) = deps.tor.open_stream(deps.ctx, h, tgt) {
-                    if let Some(entry) = self.containers.get_mut(&id) {
-                        entry.streams.insert((circ, stream), sid);
-                        entry.streams_rev.insert((h.0, sid), stream);
-                    }
+                    self.handles.insert(id, stream, Held::Stream(h, sid));
                 }
             }
             FnAction::StreamSend { circ, stream, data } => {
                 let Some(h) = self.owned_circuit(id, circ, StemCall::SendStream) else {
                     return;
                 };
-                let sid = self
-                    .containers
-                    .get(&id)
-                    .and_then(|c| c.streams.get(&(circ, stream)))
-                    .copied();
-                if let Some(sid) = sid {
+                if let Some(sid) = self.owned_stream(id, h, stream) {
                     if self.charge_network(deps, id, data.len() as u64) {
                         deps.tor.send_stream(deps.ctx, h, sid, &data);
                     }
@@ -1034,14 +1010,8 @@ impl BentoServer {
                 let Some(h) = self.owned_circuit(id, circ, StemCall::SendStream) else {
                     return;
                 };
-                let sid = self
-                    .containers
-                    .get_mut(&id)
-                    .and_then(|c| c.streams.remove(&(circ, stream)));
-                if let Some(sid) = sid {
-                    if let Some(entry) = self.containers.get_mut(&id) {
-                        entry.streams_rev.remove(&(h.0, sid));
-                    }
+                if let Some(sid) = self.owned_stream(id, h, stream) {
+                    self.handles.remove(Held::Stream(h, sid));
                     deps.tor.close_stream(deps.ctx, h, sid);
                 }
             }
@@ -1053,12 +1023,10 @@ impl BentoServer {
                 let Some(h) = self.owned_circuit(id, circ, StemCall::OpenStream) else {
                     return;
                 };
-                let sid = self
-                    .containers
-                    .get(&id)
-                    .and_then(|c| c.streams.get(&(circ, stream)))
-                    .copied();
-                if let Some(sid) = sid {
+                if let Some(sid) = self.owned_stream(id, h, stream) {
+                    if !accept {
+                        self.handles.remove(Held::Stream(h, sid));
+                    }
                     deps.tor.respond_incoming(deps.ctx, h, sid, accept);
                 }
             }
@@ -1087,31 +1055,15 @@ impl BentoServer {
                 }
                 let gid = self.next_hs;
                 self.next_hs += 1;
-                self.hss.insert(
-                    gid,
-                    HsEntry {
-                        container: id,
-                        fn_handle: hs,
-                        host,
-                    },
-                );
-                if let Some(entry) = self.containers.get_mut(&id) {
-                    entry.hss.insert(hs, gid);
-                }
-                self.firewall.grant_hs(id, gid);
+                self.hss.insert(gid, host);
+                self.handles.insert(id, hs, Held::Hs(gid));
             }
             FnAction::HsHandleIntro { hs, blob } => {
-                let gid = self
-                    .containers
-                    .get(&id)
-                    .and_then(|c| c.hss.get(&hs))
-                    .copied();
-                let Some(gid) = gid else { return };
-                if self.firewall.hs_owner(gid) != Some(id) {
+                let Some(Held::Hs(gid)) = self.handles.get(id, hs) else {
                     return;
-                }
-                if let Some(entry) = self.hss.get_mut(&gid) {
-                    entry.host.handle_introduction(deps.ctx, deps.tor, &blob);
+                };
+                if let Some(host) = self.hss.get_mut(&gid) {
+                    host.handle_introduction(deps.ctx, deps.tor, &blob);
                 }
             }
         }
@@ -1137,18 +1089,24 @@ impl BentoServer {
         true
     }
 
-    fn bind_circuit(&mut self, id: u64, fn_circ: u64, h: CircuitHandle) {
-        if let Some(entry) = self.containers.get_mut(&id) {
-            entry.circs.insert(fn_circ, h);
-            entry.circs_rev.insert(h.0, fn_circ);
-        }
-        self.firewall.grant_circuit(id, h.0);
+    /// The circuit `fn_circ` names, when function `id` holds it and may
+    /// `call` on it. Both gates count a verdict; a handle it does not hold
+    /// is a violation.
+    fn owned_circuit(&mut self, id: u64, fn_circ: u64, call: StemCall) -> Option<CircuitHandle> {
+        let held = match self.handles.get(id, fn_circ) {
+            Some(Held::Circ(h)) => Some(h),
+            _ => None,
+        };
+        self.firewall.check_owned(id, call, held).ok()
     }
 
-    fn owned_circuit(&mut self, id: u64, fn_circ: u64, call: StemCall) -> Option<CircuitHandle> {
-        let h = self.containers.get(&id)?.circs.get(&fn_circ).copied()?;
-        self.firewall.check_circuit(id, call, h.0).ok()?;
-        Some(h)
+    /// The stream id `fn_stream` names on circuit `h`, when function `id`
+    /// holds it.
+    fn owned_stream(&self, id: u64, h: CircuitHandle, fn_stream: u64) -> Option<u16> {
+        match self.handles.get(id, fn_stream) {
+            Some(Held::Stream(c, sid)) if c == h => Some(sid),
+            _ => None,
+        }
     }
 
     fn notify_circuit_failed(&mut self, deps: &mut Deps<'_, '_>, id: u64, fn_circ: u64) {
@@ -1159,15 +1117,9 @@ impl BentoServer {
     // Routed host events.
     // ------------------------------------------------------------------
 
-    /// Whether a simnet connection belongs to one of this server's
-    /// functions.
-    pub fn owns_conn(&self, conn: ConnId) -> bool {
-        self.net_conns.contains_key(&conn)
-    }
-
     /// A function-owned direct connection established.
     pub fn on_conn_established(&mut self, deps: &mut Deps<'_, '_>, conn: ConnId) -> bool {
-        let Some(&(id, fn_conn)) = self.net_conns.get(&conn) else {
+        let Some((id, fn_conn)) = self.handles.owner(Held::Conn(conn)) else {
             return false;
         };
         self.run_function(deps, id, move |f, api| f.on_net_connected(api, fn_conn));
@@ -1176,7 +1128,7 @@ impl BentoServer {
 
     /// Data on a function-owned direct connection.
     pub fn on_conn_msg(&mut self, deps: &mut Deps<'_, '_>, conn: ConnId, msg: Vec<u8>) -> bool {
-        let Some(&(id, fn_conn)) = self.net_conns.get(&conn) else {
+        let Some((id, fn_conn)) = self.handles.owner(Held::Conn(conn)) else {
             return false;
         };
         if self.charge_network(deps, id, msg.len() as u64) {
@@ -1187,12 +1139,9 @@ impl BentoServer {
 
     /// A function-owned direct connection closed.
     pub fn on_conn_closed(&mut self, deps: &mut Deps<'_, '_>, conn: ConnId) -> bool {
-        let Some((id, fn_conn)) = self.net_conns.remove(&conn) else {
+        let Some((id, fn_conn)) = self.handles.remove(Held::Conn(conn)) else {
             return false;
         };
-        if let Some(entry) = self.containers.get_mut(&id) {
-            entry.conns.remove(&fn_conn);
-        }
         self.run_function(deps, id, move |f, api| f.on_net_closed(api, fn_conn));
         true
     }
@@ -1208,154 +1157,119 @@ impl BentoServer {
         true
     }
 
-    /// Route a Tor event from the box's onion proxy. Returns true if the
-    /// event belonged to a function.
-    pub fn on_tor_event(&mut self, deps: &mut Deps<'_, '_>, ev: TorEvent) -> bool {
+    /// Route a Tor event from the box's onion proxy to the hidden service
+    /// or function it belongs to.
+    pub fn on_tor_event(&mut self, deps: &mut Deps<'_, '_>, ev: TorEvent) {
         // A fresh consensus after a crash is the recovery trigger: the
         // onion proxy can route again, so replay the sealed disk.
         if self.pending_recovery && matches!(ev, TorEvent::ConsensusReady) {
             self.recover(deps);
         }
-        // First offer the event to each hidden-service host.
+        // A dead circuit leaves its holder's table at once, with its
+        // streams, whether or not a hidden service claims the event.
+        let dead = match ev {
+            TorEvent::CircuitClosed(h) | TorEvent::RendezvousFailed(h, _) => {
+                self.handles.remove(Held::Circ(h))
+            }
+            _ => None,
+        };
+        // First offer the event to each hidden service that existed when
+        // it arrived.
         let mut ev = ev;
-        let gids: Vec<u64> = self.hss.keys().copied().collect();
-        for gid in gids {
-            let Some(mut entry) = self.hss.remove(&gid) else {
-                continue;
-            };
-            let out = entry.host.handle_event(deps.ctx, deps.tor, ev);
-            let hs_events: Vec<HsEvent> = entry.host.drain_events();
-            let container = entry.container;
-            let fn_handle = entry.fn_handle;
-            self.hss.insert(gid, entry);
-            for hev in hs_events {
-                self.dispatch_hs_event(deps, gid, container, fn_handle, hev);
+        let (mut next, end) = (0, self.next_hs);
+        while let Some((&gid, host)) = self.hss.range_mut(next..end).next() {
+            next = gid + 1;
+            let out = host.handle_event(deps.ctx, deps.tor, ev);
+            for hev in host.drain_events() {
+                self.dispatch_hs_event(deps, gid, hev);
             }
             match out {
                 Some(e) => ev = e,
-                None => return true,
+                None => return,
             }
         }
+        if let Some((id, fn_circ)) = dead {
+            self.run_function(deps, id, move |f, api| f.on_circuit_failed(api, fn_circ));
+            return;
+        }
         // Then map circuits to owning functions.
-        let circ_of = |ev: &TorEvent| -> Option<CircuitHandle> {
-            match ev {
-                TorEvent::CircuitReady(h)
-                | TorEvent::CircuitClosed(h)
-                | TorEvent::StreamConnected(h, _)
-                | TorEvent::StreamData(h, _, _)
-                | TorEvent::StreamEnded(h, _)
-                | TorEvent::IncomingStream(h, _, _)
-                | TorEvent::ControlCell(h, _, _)
-                | TorEvent::DirResponse(h, _, _)
-                | TorEvent::RendezvousReady(h)
-                | TorEvent::RendezvousFailed(h, _) => Some(*h),
-                // Functions do not use managed circuits; the old handle's
-                // closure already reached them as on_circuit_failed.
-                TorEvent::CircuitRebuilt(..) | TorEvent::ConsensusReady => None,
+        let (h, fn_stream) = match ev {
+            TorEvent::CircuitReady(h) | TorEvent::RendezvousReady(h) => (h, None),
+            TorEvent::StreamConnected(h, sid)
+            | TorEvent::StreamData(h, sid, _)
+            | TorEvent::StreamEnded(h, sid) => {
+                (h, self.handles.owner(Held::Stream(h, sid)).map(|(_, s)| s))
             }
+            TorEvent::IncomingStream(h, _, _) => (h, None),
+            // Functions see nothing else of their circuits; they do not use
+            // managed circuits, and the old handle's closure already reached
+            // them as on_circuit_failed.
+            _ => return,
         };
-        let Some(h) = circ_of(&ev) else {
-            return false;
+        let Some((id, fn_circ)) = self.handles.owner(Held::Circ(h)) else {
+            return;
         };
-        let owner = self.firewall.circuit_owner(h.0).and_then(|id| {
-            let fn_circ = self.containers.get(&id)?.circs_rev.get(&h.0)?;
-            Some((id, *fn_circ))
-        });
-        let Some((id, fn_circ)) = owner else {
-            return false;
-        };
-        match ev {
-            TorEvent::CircuitReady(_) | TorEvent::RendezvousReady(_) => {
+        match (ev, fn_stream) {
+            (TorEvent::CircuitReady(_) | TorEvent::RendezvousReady(_), _) => {
                 self.run_function(deps, id, move |f, api| f.on_circuit_ready(api, fn_circ));
             }
-            TorEvent::CircuitClosed(_) | TorEvent::RendezvousFailed(_, _) => {
-                self.run_function(deps, id, move |f, api| f.on_circuit_failed(api, fn_circ));
+            (TorEvent::StreamConnected(..), Some(fn_stream)) => {
+                self.run_function(deps, id, move |f, api| {
+                    f.on_stream_connected(api, fn_circ, fn_stream)
+                });
             }
-            TorEvent::StreamConnected(_, sid) => {
-                let fn_stream = self
-                    .containers
-                    .get(&id)
-                    .and_then(|c| c.streams_rev.get(&(h.0, sid)))
-                    .copied();
-                if let Some(fn_stream) = fn_stream {
-                    self.run_function(deps, id, move |f, api| {
-                        f.on_stream_connected(api, fn_circ, fn_stream)
-                    });
-                }
+            // Bytes are charged before the function sees them; a container
+            // over its budget dies and sees nothing.
+            (TorEvent::StreamData(_, _, data), Some(fn_stream))
+                if self.charge_network(deps, id, data.len() as u64) =>
+            {
+                self.run_function(deps, id, move |f, api| {
+                    f.on_stream_data(api, fn_circ, fn_stream, data)
+                });
             }
-            TorEvent::StreamData(_, sid, data) => {
-                let fn_stream = self
-                    .containers
-                    .get(&id)
-                    .and_then(|c| c.streams_rev.get(&(h.0, sid)))
-                    .copied();
-                if let Some(fn_stream) = fn_stream {
-                    if self.charge_network(deps, id, data.len() as u64) {
-                        self.run_function(deps, id, move |f, api| {
-                            f.on_stream_data(api, fn_circ, fn_stream, data)
-                        });
-                    }
-                }
+            (TorEvent::StreamEnded(_, sid), Some(fn_stream)) => {
+                self.handles.remove(Held::Stream(h, sid));
+                self.run_function(deps, id, move |f, api| {
+                    f.on_stream_ended(api, fn_circ, fn_stream)
+                });
             }
-            TorEvent::StreamEnded(_, sid) => {
-                let fn_stream = self
-                    .containers
-                    .get_mut(&id)
-                    .and_then(|c| c.streams_rev.remove(&(h.0, sid)));
-                if let Some(fn_stream) = fn_stream {
-                    if let Some(entry) = self.containers.get_mut(&id) {
-                        entry.streams.remove(&(fn_circ, fn_stream));
-                    }
-                    self.run_function(deps, id, move |f, api| {
-                        f.on_stream_ended(api, fn_circ, fn_stream)
-                    });
-                }
-            }
-            TorEvent::IncomingStream(_, sid, port) => {
+            (TorEvent::IncomingStream(_, sid, port), _) => {
                 // Allocate a function-local stream handle for the incoming
                 // stream.
                 let fn_stream = self.rng.gen::<u32>() as u64 | 0x2_0000_0000;
-                if let Some(entry) = self.containers.get_mut(&id) {
-                    entry.streams.insert((fn_circ, fn_stream), sid);
-                    entry.streams_rev.insert((h.0, sid), fn_stream);
-                }
+                self.handles.insert(id, fn_stream, Held::Stream(h, sid));
                 self.run_function(deps, id, move |f, api| {
                     f.on_incoming_stream(api, fn_circ, fn_stream, port)
                 });
             }
-            TorEvent::ControlCell(..) | TorEvent::DirResponse(..) => {}
-            TorEvent::ConsensusReady | TorEvent::CircuitRebuilt(..) => {}
+            _ => {}
         }
-        true
     }
 
-    fn dispatch_hs_event(
-        &mut self,
-        deps: &mut Deps<'_, '_>,
-        gid: u64,
-        container: u64,
-        fn_handle: u64,
-        hev: HsEvent,
-    ) {
+    fn dispatch_hs_event(&mut self, deps: &mut Deps<'_, '_>, gid: u64, hev: HsEvent) {
+        let owner = self.handles.owner(Held::Hs(gid));
         match hev {
             HsEvent::Published(_) => {
-                self.run_function(deps, container, move |f, api| {
-                    f.on_hs_published(api, fn_handle)
-                });
+                if let Some((id, hs)) = owner {
+                    self.run_function(deps, id, move |f, api| f.on_hs_published(api, hs));
+                }
             }
             HsEvent::Introduction(blob) => {
-                self.run_function(deps, container, move |f, api| {
-                    f.on_hs_introduction(api, fn_handle, blob)
-                });
+                if let Some((id, hs)) = owner {
+                    self.run_function(deps, id, move |f, api| f.on_hs_introduction(api, hs, blob));
+                }
             }
             HsEvent::ClientCircuit(h) => {
                 // The rendezvous circuit becomes an owned function circuit.
+                // The handle is drawn even when the service's function is
+                // gone, so the handles after it do not move.
                 let fn_circ = self.rng.gen::<u32>() as u64 | 0x3_0000_0000;
-                self.bind_circuit(container, fn_circ, h);
-                let _ = gid;
-                self.run_function(deps, container, move |f, api| {
-                    f.on_hs_client_circuit(api, fn_handle, fn_circ)
-                });
+                if let Some((id, hs)) = owner {
+                    self.handles.insert(id, fn_circ, Held::Circ(h));
+                    self.run_function(deps, id, move |f, api| {
+                        f.on_hs_client_circuit(api, hs, fn_circ)
+                    });
+                }
             }
         }
     }

@@ -4,13 +4,20 @@
 //! Functions "must connect (via a local socket) to issue all Stem
 //! invocations. The firewall maintains state about the circuits each
 //! function is allowed to access, and the Stem routines the function may
-//! invoke." Here the firewall is a policy gate plus an ownership table:
-//! which Stem calls a function may make, and which circuits/hidden services
-//! it may touch (a function can never act on another function's circuits).
+//! invoke." Here that is two pieces: [`StemFirewall`], the gate on which
+//! Stem routines a function may call, and [`HandleTable`], the box's one
+//! record of what each function holds — its connections, circuits,
+//! streams and hidden services. A function names only its own handles, so
+//! it can never act on another function's circuits.
 
+// A panic here would take the box down on a function's call.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use simnet::ConnId;
 use std::collections::{BTreeMap, BTreeSet};
+use tor_net::client::CircuitHandle;
 
-// One verdict is counted per gate evaluated: `check_circuit` runs two gates
+// One verdict is counted per gate evaluated: `check_owned` runs two gates
 // (routine permission, then ownership), so a NotOwner denial records one
 // allowed routine gate and one denied ownership gate.
 static T_ALLOWED: telemetry::Counter = telemetry::Counter::new("stem.calls_allowed");
@@ -97,17 +104,14 @@ impl std::fmt::Display for StemDenied {
     }
 }
 
-/// Per-function firewall state on one Bento box.
+/// Per-function firewall state on one Bento box: the routines each
+/// function may call, and how many calls it refused.
 #[derive(Debug, Default)]
 pub struct StemFirewall {
     /// function id -> allowed routines (from the approved manifest).
     allowed: BTreeMap<u64, BTreeSet<StemCall>>,
-    /// circuit slot -> owning function.
-    circuit_owner: BTreeMap<usize, u64>,
-    /// hidden service id -> owning function.
-    hs_owner: BTreeMap<u64, u64>,
     /// Denied attempts, for operator inspection.
-    violations: Vec<(u64, StemDenied)>,
+    violations: usize,
 }
 
 impl StemFirewall {
@@ -121,11 +125,9 @@ impl StemFirewall {
         self.allowed.insert(function, calls.into_iter().collect());
     }
 
-    /// Remove a function and all its ownership records.
+    /// Revoke every routine of a function.
     pub fn remove_function(&mut self, function: u64) {
         self.allowed.remove(&function);
-        self.circuit_owner.retain(|_, f| *f != function);
-        self.hs_owner.retain(|_, f| *f != function);
     }
 
     /// Gate a routine with no object (NewCircuit, ConnectOnion, ...).
@@ -133,60 +135,120 @@ impl StemFirewall {
         let ok = self
             .allowed
             .get(&function)
-            .map(|s| s.contains(&call))
-            .unwrap_or(false);
+            .is_some_and(|s| s.contains(&call));
+        self.verdict(ok, StemDenied::NotPermitted(call))
+    }
+
+    /// Gate a routine acting on an object: `held` is what the handle the
+    /// function named resolves to in its own table, `None` when it holds
+    /// no such object. Returns the object.
+    pub fn check_owned<T>(
+        &mut self,
+        function: u64,
+        call: StemCall,
+        held: Option<T>,
+    ) -> Result<T, StemDenied> {
+        self.check(function, call)?;
+        self.verdict(held.is_some(), StemDenied::NotOwner)?;
+        held.ok_or(StemDenied::NotOwner)
+    }
+
+    fn verdict(&mut self, ok: bool, denied: StemDenied) -> Result<(), StemDenied> {
         if ok {
             T_ALLOWED.inc();
             Ok(())
         } else {
             T_DENIED.inc();
-            let d = StemDenied::NotPermitted(call);
-            self.violations.push((function, d));
-            Err(d)
-        }
-    }
-
-    /// Record that `function` now owns `circuit`.
-    pub fn grant_circuit(&mut self, function: u64, circuit: usize) {
-        self.circuit_owner.insert(circuit, function);
-    }
-
-    /// Record that `function` now owns hidden service `hs`.
-    pub fn grant_hs(&mut self, function: u64, hs: u64) {
-        self.hs_owner.insert(hs, function);
-    }
-
-    /// Who owns a circuit.
-    pub fn circuit_owner(&self, circuit: usize) -> Option<u64> {
-        self.circuit_owner.get(&circuit).copied()
-    }
-
-    /// Who owns a hidden service.
-    pub fn hs_owner(&self, hs: u64) -> Option<u64> {
-        self.hs_owner.get(&hs).copied()
-    }
-
-    /// Gate a routine acting on an owned circuit.
-    pub fn check_circuit(
-        &mut self,
-        function: u64,
-        call: StemCall,
-        circuit: usize,
-    ) -> Result<(), StemDenied> {
-        self.check(function, call)?;
-        if self.circuit_owner.get(&circuit) == Some(&function) {
-            T_ALLOWED.inc();
-            Ok(())
-        } else {
-            T_DENIED.inc();
-            self.violations.push((function, StemDenied::NotOwner));
-            Err(StemDenied::NotOwner)
+            self.violations += 1;
+            Err(denied)
         }
     }
 
     /// Denied attempts so far.
-    pub fn violations(&self) -> &[(u64, StemDenied)] {
-        &self.violations
+    pub fn violations(&self) -> usize {
+        self.violations
+    }
+}
+
+/// An object a function holds on the box, as the box names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Held {
+    /// A direct connection.
+    Conn(ConnId),
+    /// A circuit of the box's onion proxy.
+    Circ(CircuitHandle),
+    /// A stream on one of those circuits.
+    Stream(CircuitHandle, u16),
+    /// A hidden service, by its box-wide id.
+    Hs(u64),
+}
+
+/// What every function on the box holds: `(container id, function
+/// handle)` ↔ [`Held`], both ways. An entry leaves when its object dies,
+/// when the function closes it, or with its container; so a dead object is
+/// never named, and a long-lived function holds only live ones.
+#[derive(Debug, Default)]
+pub(crate) struct HandleTable {
+    by_handle: BTreeMap<(u64, u64), Held>,
+    by_object: BTreeMap<Held, (u64, u64)>,
+}
+
+impl HandleTable {
+    /// `handle` of container `id` now names `held`; whatever either named
+    /// before is forgotten.
+    pub fn insert(&mut self, id: u64, handle: u64, held: Held) {
+        if let Some(old) = self.by_handle.insert((id, handle), held) {
+            self.by_object.remove(&old);
+        }
+        if let Some(old) = self.by_object.insert(held, (id, handle)) {
+            if old != (id, handle) {
+                self.by_handle.remove(&old);
+            }
+        }
+    }
+
+    /// What `handle` of container `id` names.
+    pub fn get(&self, id: u64, handle: u64) -> Option<Held> {
+        self.by_handle.get(&(id, handle)).copied()
+    }
+
+    /// The container and handle that hold `held`.
+    pub fn owner(&self, held: Held) -> Option<(u64, u64)> {
+        self.by_object.get(&held).copied()
+    }
+
+    /// `held` died or was closed: forget it and say who held it. A circuit
+    /// takes its streams with it.
+    pub fn remove(&mut self, held: Held) -> Option<(u64, u64)> {
+        if let Held::Circ(h) = held {
+            let streams = Held::Stream(h, 0)..=Held::Stream(h, u16::MAX);
+            let dead: Vec<Held> = self.by_object.range(streams).map(|(s, _)| *s).collect();
+            for stream in dead {
+                self.remove(stream);
+            }
+        }
+        let owner = self.by_object.remove(&held)?;
+        self.by_handle.remove(&owner);
+        Some(owner)
+    }
+
+    /// Container `id` is torn down: forget everything it held and return
+    /// it, in handle order.
+    pub fn remove_container(&mut self, id: u64) -> Vec<Held> {
+        let held: Vec<Held> = self
+            .by_handle
+            .range((id, 0)..=(id, u64::MAX))
+            .map(|(_, &held)| held)
+            .collect();
+        for &h in &held {
+            self.remove(h);
+        }
+        held
+    }
+
+    /// Handles held across all functions.
+    pub fn len(&self) -> usize {
+        self.by_handle.len()
     }
 }
 
@@ -198,7 +260,7 @@ mod tests {
     fn unregistered_function_denied_everything() {
         let mut fw = StemFirewall::new();
         assert!(fw.check(1, StemCall::NewCircuit).is_err());
-        assert_eq!(fw.violations().len(), 1);
+        assert_eq!(fw.violations(), 1);
     }
 
     #[test]
@@ -211,32 +273,46 @@ mod tests {
             fw.check(1, StemCall::CreateHiddenService),
             Err(StemDenied::NotPermitted(StemCall::CreateHiddenService))
         );
-    }
-
-    #[test]
-    fn circuit_ownership_isolates_functions() {
-        let mut fw = StemFirewall::new();
-        fw.register_function(1, StemCall::ALL);
-        fw.register_function(2, StemCall::ALL);
-        fw.grant_circuit(1, 10);
-        assert!(fw.check_circuit(1, StemCall::SendStream, 10).is_ok());
-        // Function 2 may call SendStream in general, but not on circuit 10.
+        // An object call passes only with an object the function holds.
+        assert_eq!(fw.check_owned(1, StemCall::OpenStream, Some(7)), Ok(7));
         assert_eq!(
-            fw.check_circuit(2, StemCall::SendStream, 10),
+            fw.check_owned(1, StemCall::OpenStream, None::<u64>),
             Err(StemDenied::NotOwner)
         );
+        assert_eq!(fw.violations(), 2);
     }
 
     #[test]
-    fn remove_function_revokes_ownership() {
-        let mut fw = StemFirewall::new();
-        fw.register_function(1, StemCall::ALL);
-        fw.grant_circuit(1, 5);
-        fw.grant_hs(1, 7);
-        fw.remove_function(1);
-        assert_eq!(fw.circuit_owner(5), None);
-        assert_eq!(fw.hs_owner(7), None);
-        assert!(fw.check(1, StemCall::NewCircuit).is_err());
+    fn a_handle_is_one_entry_both_ways_until_its_object_or_container_dies() {
+        let (c1, c2) = (CircuitHandle(1), CircuitHandle(2));
+        let mut t = HandleTable::default();
+        t.insert(1, 10, Held::Circ(c1));
+        t.insert(1, 11, Held::Stream(c1, 5));
+        t.insert(1, 12, Held::Stream(c1, 6));
+        t.insert(1, 13, Held::Conn(ConnId(7)));
+        t.insert(2, 10, Held::Circ(c2));
+        t.insert(2, 11, Held::Stream(c2, 5));
+        assert_eq!(t.get(1, 10), Some(Held::Circ(c1)));
+        assert_eq!(t.owner(Held::Circ(c2)), Some((2, 10)));
+        // Re-pointing a handle forgets what it named before.
+        t.insert(1, 13, Held::Conn(ConnId(8)));
+        assert_eq!(t.owner(Held::Conn(ConnId(7))), None);
+        assert_eq!(t.len(), 6);
+        // A dead circuit takes its streams, and only its own.
+        assert_eq!(t.remove(Held::Circ(c1)), Some((1, 10)));
+        assert_eq!((t.get(1, 11), t.get(1, 12)), (None, None));
+        assert_eq!(t.get(2, 11), Some(Held::Stream(c2, 5)));
+        assert_eq!(t.remove(Held::Circ(c1)), None);
+        // The function closes what it holds.
+        assert_eq!(t.remove(Held::Conn(ConnId(8))), Some((1, 13)));
+        assert_eq!(t.get(1, 13), None);
+        // Teardown takes one container's entries, in handle order.
+        t.insert(1, 20, Held::Hs(3));
+        assert_eq!(t.remove_container(2), [Held::Circ(c2), Held::Stream(c2, 5)]);
+        assert_eq!(t.owner(Held::Stream(c2, 5)), None);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.remove_container(1), [Held::Hs(3)]);
+        assert_eq!(t.len(), 0);
     }
 
     #[test]

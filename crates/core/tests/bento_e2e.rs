@@ -3,15 +3,20 @@
 //! channel, invocation, token checks, shutdown) and the security
 //! properties of §6.
 
-use bento::function::{Function, FunctionApi, FunctionRegistry};
+use bento::function::{FnStreamTarget, Function, FunctionApi, FunctionRegistry};
 use bento::manifest::Manifest;
 use bento::protocol::{FunctionSpec, ImageKind};
 
 use bento::testnet::{BentoNetwork, Session};
 use bento::tokens::Token;
-use bento::{BentoClientNode, BentoEvent, MiddleboxPolicy};
+use bento::{BentoBoxNode, BentoClientNode, BentoEvent, MiddleboxPolicy, StemCall};
 use sandbox::seccomp::SyscallClass;
-use simnet::{SimDuration, SimTime};
+use simnet::{FaultPlan, NodeId, SimDuration, SimTime, Simulator};
+use tor_net::client::{CircuitHandle, TorEvent};
+use tor_net::hs::HiddenServiceHost;
+use tor_net::netbuild::TestClientNode;
+use tor_net::stream_frame::encode_frame;
+use tor_net::StreamTarget;
 
 /// Test function: echoes its input back, optionally storing it first.
 struct EchoFn {
@@ -78,6 +83,96 @@ impl Function for ProbeFn {
     }
 }
 
+/// Test function: holds what its invocations ask for.
+/// - `o` + a node id: a direct connection and four circuits to that node's
+///   port 80, and a stream on each circuit once it is ready. Every
+///   connected stream is reported as "circ stream\n".
+/// - `c`: closes every stream and the connection it holds.
+/// - `r`: a rendezvous with a service that does not exist.
+/// - `s` + two handles: asks for "/index" on that circuit and stream,
+///   whoever holds them.
+///
+/// A failed circuit is reported as "failed\n"; stream data is output as is.
+#[derive(Default)]
+struct HolderFn {
+    web: Option<NodeId>,
+    conn: Option<u64>,
+    streams: Vec<(u64, u64)>,
+}
+impl Function for HolderFn {
+    fn on_invoke(&mut self, api: &mut FunctionApi<'_>, input: Vec<u8>) {
+        let word = |i: usize| input.get(i..i + 8).and_then(|b| b.try_into().ok());
+        match input.first() {
+            Some(b'o') => {
+                let id = input.get(1..5).and_then(|b| b.try_into().ok());
+                let web = NodeId(u32::from_le_bytes(id.unwrap_or_default()));
+                self.web = Some(web);
+                self.conn = api.connect(web, 80).ok();
+                for _ in 0..4 {
+                    api.build_circuit(Some((web, 80)));
+                }
+            }
+            Some(b'c') => {
+                for (circ, stream) in self.streams.drain(..) {
+                    api.stream_close(circ, stream);
+                }
+                if let Some(conn) = self.conn.take() {
+                    api.net_close(conn);
+                }
+                api.output_end();
+            }
+            Some(b'r') => {
+                api.connect_onion([0x42; 32]);
+            }
+            Some(b's') => {
+                let (circ, stream) = (word(1).unwrap_or_default(), word(9).unwrap_or_default());
+                let (circ, stream) = (u64::from_le_bytes(circ), u64::from_le_bytes(stream));
+                api.stream_send(circ, stream, encode_frame(b"/index"));
+                api.output_end();
+            }
+            _ => api.output_end(),
+        }
+    }
+    fn on_circuit_ready(&mut self, api: &mut FunctionApi<'_>, circ: u64) {
+        if let Some(web) = self.web {
+            let stream = api.open_stream(circ, FnStreamTarget::Node(web, 80));
+            self.streams.push((circ, stream));
+        }
+    }
+    fn on_stream_connected(&mut self, api: &mut FunctionApi<'_>, circ: u64, stream: u64) {
+        api.output(format!("{circ} {stream}\n").into_bytes());
+        api.output_end();
+    }
+    fn on_stream_data(&mut self, api: &mut FunctionApi<'_>, _: u64, _: u64, data: Vec<u8>) {
+        api.output(data);
+        api.output_end();
+    }
+    fn on_circuit_failed(&mut self, api: &mut FunctionApi<'_>, circ: u64) {
+        self.streams.retain(|&(c, _)| c != circ);
+        api.output(b"failed\n".to_vec());
+        api.output_end();
+    }
+}
+
+/// Test function: a hidden service with three introduction points,
+/// launched on invocation; it says "published" once it is reachable, and
+/// refuses every stream a client opens to it.
+struct ServiceFn;
+impl Function for ServiceFn {
+    fn on_invoke(&mut self, api: &mut FunctionApi<'_>, _input: Vec<u8>) {
+        api.create_hs(SERVICE_SEED, 3, true);
+    }
+    fn on_hs_published(&mut self, api: &mut FunctionApi<'_>, _hs: u64) {
+        api.output(b"published".to_vec());
+        api.output_end();
+    }
+    fn on_incoming_stream(&mut self, api: &mut FunctionApi<'_>, circ: u64, stream: u64, _: u16) {
+        api.respond_incoming(circ, stream, false);
+    }
+}
+
+const SERVICE_SEED: [u8; 32] = [0x5E; 32];
+
 fn registry() -> FunctionRegistry {
     fn make_echo(_p: &[u8]) -> Box<dyn Function> {
         Box::new(EchoFn { stored: false })
@@ -94,12 +189,20 @@ fn registry() -> FunctionRegistry {
     fn make_flooder(_p: &[u8]) -> Box<dyn Function> {
         Box::new(FlooderFn)
     }
+    fn make_holder(_p: &[u8]) -> Box<dyn Function> {
+        Box::<HolderFn>::default()
+    }
+    fn make_service(_p: &[u8]) -> Box<dyn Function> {
+        Box::new(ServiceFn)
+    }
     let mut r = FunctionRegistry::new();
     r.register("echo", make_echo);
     r.register("echo-store", make_echo_store);
     r.register("probe", make_probe);
     r.register("hog", make_hog);
     r.register("flooder", make_flooder);
+    r.register("holder", make_holder);
+    r.register("service", make_service);
     r
 }
 
@@ -743,6 +846,7 @@ fn fifty_sessions_leave_no_container_session_or_circuit() {
     assert_eq!(n.tor.live_circuits(), 0, "client circuits");
     let bx: &bento::BentoBoxNode = bn.net.sim.node_ref(bn.boxes[0]);
     assert_eq!(bx.bento.live_functions(), 0, "box containers");
+    assert_eq!(bx.bento.held_handles(), 0, "box function handles");
     assert!(bx.bento.operator_storage_view().is_empty(), "box runtimes");
     assert_eq!(bx.tor.live_circuits(), 0, "box onion-proxy circuits");
     assert_eq!(bx.relay.live_circuits(), 0, "box relay circuits");
@@ -779,4 +883,246 @@ fn shutdown_removes_a_plain_containers_files_from_the_operator_view() {
     assert_eq!(files[0].1[0].1, b"kept on disk", "plain image: raw bytes");
     assert!(shutdown_and_wait(&mut bn, &echo, secs(30)));
     assert!(view(&bn).is_empty(), "files gone with the container");
+}
+
+/// The box's handle count, read from the simulator.
+fn held(sim: &Simulator, bx: NodeId) -> usize {
+    sim.node_ref::<BentoBoxNode>(bx).bento.held_handles()
+}
+
+/// A network with a web server, a client and one `holder` installed, which
+/// is then asked to open its connection, circuits and streams toward the
+/// web server: nine handles.
+fn holding_network(seed: u64) -> (BentoNetwork, NodeId, Session) {
+    let mut bn = BentoNetwork::build(seed, 1, MiddleboxPolicy::permissive(), registry);
+    let page = vec![("/index".to_string(), vec![b"the page".to_vec()])];
+    let web = bn.net.add_web_server("web", page);
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("holder")
+            .with_syscalls([SyscallClass::Connect])
+            .with_stem([
+                StemCall::NewCircuit,
+                StemCall::OpenStream,
+                StemCall::SendStream,
+                StemCall::ConnectOnion,
+            ]),
+    };
+    let s = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    bn.invoke(&s, [&b"o"[..], &web.0.to_le_bytes()].concat());
+    let bx = bn.boxes[0];
+    let step = SimDuration::from_millis(100);
+    // Each connected stream is reported over the invoker's circuit.
+    let reported = |sim: &Simulator| {
+        let n: &BentoClientNode = sim.node_ref(client);
+        n.output_bytes(s.conn)
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count()
+    };
+    assert!(
+        bn.net
+            .sim
+            .step_until(step, secs(30), |sim| reported(sim) == 4),
+        "four streams connected"
+    );
+    assert_eq!(
+        held(&bn.net.sim, bx),
+        9,
+        "1 connection, 4 circuits and 4 streams held"
+    );
+    (bn, web, s)
+}
+
+/// A live container whose objects die holds handles only for the live
+/// ones: a crashed relay takes the circuits through it (with their
+/// streams), and a crashed web server ends the other streams and closes
+/// the direct connection.
+#[test]
+fn a_live_container_holds_handles_only_for_live_objects() {
+    let (mut bn, web, _s) = holding_network(119);
+    let bx = bn.boxes[0];
+    let b: &BentoBoxNode = bn.net.sim.node_ref(bx);
+    assert_eq!(b.tor.live_circuits(), 4);
+    // A relay on some of the four paths but not on all of them.
+    let paths: Vec<_> = (0..64)
+        .map(|i| b.tor.circuit_path(CircuitHandle(i)))
+        .filter(|p| !p.is_empty())
+        .collect();
+    assert_eq!(paths.len(), 4);
+    let (relay, _) = *bn
+        .net
+        .relays
+        .iter()
+        .find(|(_, fp)| (1..4).contains(&paths.iter().filter(|p| p.contains(fp)).count()))
+        .expect("a relay on some paths only");
+    let at = bn.net.sim.now() + SimDuration::from_secs(1);
+    bn.net
+        .sim
+        .install_faults(FaultPlan::new().crash(at, relay).crash(at, web));
+    bn.net.sim.run_until(at + SimDuration::from_secs(10));
+    let b: &BentoBoxNode = bn.net.sim.node_ref(bx);
+    assert_eq!(b.bento.live_functions(), 1, "the container lives on");
+    let live = b.tor.live_circuits();
+    assert!(live < 4, "some circuits died");
+    assert_eq!(b.bento.held_handles(), live, "one handle a live circuit");
+}
+
+/// What a function closes leaves its table, and so does a rendezvous that
+/// fails.
+#[test]
+fn closed_streams_connections_and_failed_rendezvous_leave_the_table() {
+    let (mut bn, _web, s) = holding_network(120);
+    let bx = bn.boxes[0];
+    let step = SimDuration::from_millis(100);
+    let by = bn.net.sim.now() + SimDuration::from_secs(10);
+    assert!(bn.invoke_and_wait(&s, b"c".to_vec(), step, by));
+    assert_eq!(held(&bn.net.sim, bx), 4, "the four circuits");
+    let by = bn.net.sim.now() + SimDuration::from_secs(60);
+    assert!(bn.invoke_and_wait(&s, b"r".to_vec(), step, by));
+    let n: &BentoClientNode = bn.net.sim.node_ref(s.client);
+    assert!(n.output_bytes(s.conn).ends_with(b"failed\n"));
+    assert_eq!(held(&bn.net.sim, bx), 4, "the rendezvous circuit is gone");
+    let b: &BentoBoxNode = bn.net.sim.node_ref(bx);
+    assert_eq!(b.tor.live_circuits(), 4);
+}
+
+/// A function names only what it holds: function B naming function A's
+/// circuit and stream handles is refused as not their owner, the refusal
+/// is counted, and A's circuit keeps working. Once A is shut down nothing
+/// of it is held.
+#[test]
+fn a_function_cannot_use_another_functions_circuit() {
+    let (mut bn, _web, a) = holding_network(121);
+    let bx = bn.boxes[0];
+    let n: &BentoClientNode = bn.net.sim.node_ref(a.client);
+    let out = String::from_utf8(n.output_bytes(a.conn)).expect("text");
+    let mut first = out.lines().next().expect("a stream").split(' ');
+    let mut handle = || {
+        first
+            .next()
+            .and_then(|h| h.parse::<u64>().ok())
+            .expect("handle")
+    };
+    let (circ, stream) = (handle(), handle());
+    let send = [&b"s"[..], &circ.to_le_bytes(), &stream.to_le_bytes()].concat();
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("holder").with_stem([StemCall::SendStream]),
+    };
+    let after = |bn: &BentoNetwork, s: u64| bn.net.sim.now() + SimDuration::from_secs(s);
+    let schedule = [after(&bn, 3), after(&bn, 6), after(&bn, 9)];
+    let b = bn.install(a.client, 0, &spec, schedule);
+    let violations = |bn: &BentoNetwork| {
+        let b: &BentoBoxNode = bn.net.sim.node_ref(bx);
+        b.bento.stem_violations()
+    };
+    assert_eq!(violations(&bn), 0);
+    let step = SimDuration::from_millis(100);
+    let by = after(&bn, 10);
+    assert!(bn.invoke_and_wait(&b, send.clone(), step, by));
+    assert_eq!(violations(&bn), 1, "B refused as not the owner");
+    assert_eq!(held(&bn.net.sim, bx), 9, "B holds nothing");
+    // A's own request on the same handles is answered.
+    let by = after(&bn, 10);
+    assert!(bn.invoke_and_wait(&a, send.clone(), step, by));
+    bn.net.sim.run_until(after(&bn, 3));
+    let n: &BentoClientNode = bn.net.sim.node_ref(a.client);
+    let page = encode_frame(b"the page");
+    assert!(n.output_bytes(a.conn).ends_with(&page), "A's circuit works");
+    assert!(!n.output_bytes(b.conn).ends_with(&page), "B got nothing");
+    assert_eq!(violations(&bn), 1);
+    // Shutting A down revokes everything it held.
+    let by = after(&bn, 10);
+    assert!(shutdown_and_wait(&mut bn, &a, by));
+    assert_eq!(held(&bn.net.sim, bx), 0);
+    let by = after(&bn, 10);
+    assert!(bn.invoke_and_wait(&b, send, step, by));
+    assert_eq!(violations(&bn), 2, "still not B's");
+}
+
+/// A network whose one box runs `service`, published.
+fn published_service(seed: u64) -> (BentoNetwork, Session) {
+    let mut bn = BentoNetwork::build(seed, 1, MiddleboxPolicy::permissive(), registry);
+    let client = bn.add_bento_client("alice");
+    bn.net.sim.run_until(secs(2));
+    let spec = FunctionSpec {
+        params: vec![],
+        manifest: Manifest::minimal("service")
+            .with_stem([StemCall::CreateHiddenService, StemCall::OpenStream]),
+    };
+    let s = bn.install(client, 0, &spec, [secs(5), secs(8), secs(11)]);
+    let step = SimDuration::from_millis(100);
+    assert!(bn.invoke_and_wait(&s, vec![], step, secs(60)), "published");
+    let b: &BentoBoxNode = bn.net.sim.node_ref(bn.boxes[0]);
+    assert_eq!(b.tor.live_circuits(), 3, "one circuit an intro point");
+    assert_eq!(b.bento.held_handles(), 1, "the service");
+    (bn, s)
+}
+
+/// Shutting down a function that runs a hidden service destroys the
+/// service's circuits: no intro relay keeps answering for it.
+#[test]
+fn a_shut_down_hidden_service_leaves_no_circuit() {
+    let (mut bn, s) = published_service(122);
+    let by = bn.net.sim.now() + SimDuration::from_secs(10);
+    assert!(shutdown_and_wait(&mut bn, &s, by));
+    bn.net
+        .sim
+        .with_node::<BentoClientNode, _>(s.client, |n, ctx| {
+            n.bento.close_box(ctx, &mut n.tor, s.conn)
+        });
+    bn.net
+        .sim
+        .run_until(bn.net.sim.now() + SimDuration::from_secs(5));
+    let n: &BentoClientNode = bn.net.sim.node_ref(s.client);
+    assert_eq!(n.tor.live_circuits(), 0, "client circuits");
+    let b: &BentoBoxNode = bn.net.sim.node_ref(bn.boxes[0]);
+    assert_eq!(b.bento.held_handles(), 0, "box function handles");
+    assert_eq!(b.tor.live_circuits(), 0, "box onion-proxy circuits");
+    assert_eq!(b.relay.live_circuits(), 0, "box relay circuits");
+    for (addr, _) in &bn.net.relays {
+        if !bn.boxes.contains(addr) {
+            let r: &tor_net::relay::RelayNode = bn.net.sim.node_ref(*addr);
+            assert_eq!(r.relay.live_circuits(), 0, "relay {addr:?} circuits");
+        }
+    }
+}
+
+/// A stream the service refuses leaves its table with the refusal; the
+/// client circuit it arrived on stays held.
+#[test]
+fn a_refused_incoming_stream_leaves_the_table() {
+    let (mut bn, _s) = published_service(123);
+    let bob = bn.net.add_client("bob");
+    let addr = HiddenServiceHost::new(SERVICE_SEED, 0, true).onion_addr();
+    let has = |sim: &Simulator, pred: &dyn Fn(&TorEvent) -> bool| {
+        sim.node_ref::<TestClientNode>(bob).has_event(pred)
+    };
+    let (step, by) = (
+        SimDuration::from_millis(100),
+        bn.net.sim.now() + SimDuration::from_secs(30),
+    );
+    let sim = &mut bn.net.sim;
+    let bootstrapped = |e: &TorEvent| matches!(e, TorEvent::ConsensusReady);
+    assert!(sim.step_until(step, by, |sim| has(sim, &bootstrapped)));
+    let rv = sim
+        .with_node::<TestClientNode, _>(bob, |n, ctx| n.tor.connect_onion(ctx, addr))
+        .expect("rendezvous circuit");
+    let joined = |e: &TorEvent| matches!(e, TorEvent::RendezvousReady(h) if *h == rv);
+    assert!(sim.step_until(step, by, |sim| has(sim, &joined)));
+    let sid = sim
+        .with_node::<TestClientNode, _>(bob, |n, ctx| {
+            n.tor.open_stream(ctx, rv, StreamTarget::Hs(80))
+        })
+        .expect("stream");
+    let ended = |e: &TorEvent| matches!(e, TorEvent::StreamEnded(h, s) if *h == rv && *s == sid);
+    assert!(sim.step_until(step, by, |sim| has(sim, &ended)));
+    assert_eq!(
+        held(sim, bn.boxes[0]),
+        2,
+        "the service and its client circuit"
+    );
 }

@@ -98,7 +98,7 @@ impl ClientTimer {
 const MAX_HS_RETRIES: u32 = 3;
 
 /// Handle to a client circuit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CircuitHandle(pub usize);
 
 /// Events the client surfaces to its host.
@@ -762,8 +762,9 @@ impl TorClient {
         self.links.established(ctx, conn).is_some()
     }
 
-    /// Delegate of [`simnet::Node::on_msg`].
-    pub fn handle_msg(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: Vec<u8>) -> bool {
+    /// Delegate of [`simnet::Node::on_msg`]. Hands `msg` back when it is
+    /// not for the client.
+    pub fn handle_msg(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: Vec<u8>) -> Option<Vec<u8>> {
         if Some(conn) == self.dir_conn {
             if let Ok(DirMsg::ConsensusResp(bytes)) = DirMsg::decode(&msg) {
                 if bytes.is_empty() {
@@ -781,16 +782,16 @@ impl TorClient {
                     }
                 }
             }
-            return true;
+            return None;
         }
         if self.links.contains(conn) {
             if let Some(cell) = Cell::decode(&msg) {
                 ctx.recycle_buf(msg);
                 self.handle_cell(ctx, conn, cell);
             }
-            return true;
+            return None;
         }
-        false
+        Some(msg)
     }
 
     /// Delegate of [`simnet::Node::on_conn_closed`].

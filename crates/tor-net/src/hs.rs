@@ -183,6 +183,21 @@ impl HiddenServiceHost {
         }
     }
 
+    /// Shut the service down: destroy its intro, HSDir, pending-rendezvous
+    /// and client circuits. Each intro relay drops the registration with
+    /// its circuit, so nothing answers for the service any more.
+    pub fn close(&mut self, ctx: &mut Ctx<'_>, client: &mut TorClient) {
+        let intro = std::mem::take(&mut self.intro_circs).into_keys();
+        let pending = std::mem::take(&mut self.pending_rendezvous).into_keys();
+        let hsdir = self.hsdir_circ.take().map(|h| h.0);
+        let clients = std::mem::take(&mut self.client_circs)
+            .into_iter()
+            .map(|h| h.0);
+        for slot in intro.chain(hsdir).chain(pending).chain(clients) {
+            client.destroy_circuit(ctx, CircuitHandle(slot));
+        }
+    }
+
     /// Answer an introduction (raw INTRODUCE2 payload): decrypt, build a
     /// circuit to the rendezvous point, join, and add the e2e hop.
     /// This is the entry point a LoadBalancer replica uses.

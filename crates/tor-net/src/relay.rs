@@ -393,8 +393,9 @@ impl RelayCore {
         false
     }
 
-    /// Delegate of [`Node::on_msg`].
-    pub fn on_msg(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: Vec<u8>) -> bool {
+    /// Delegate of [`Node::on_msg`]. Hands `msg` back when it is not for
+    /// the relay.
+    pub fn on_msg(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: Vec<u8>) -> Option<Vec<u8>> {
         if self.links.contains(conn) {
             match Cell::peek_cmd(&msg) {
                 Some(CellCmd::Relay) => {
@@ -412,7 +413,7 @@ impl RelayCore {
                 }
                 None => {}
             }
-            return true;
+            return None;
         }
         if self.dir_conns.contains(&conn) {
             if let Ok(dm) = DirMsg::decode(&msg) {
@@ -421,7 +422,7 @@ impl RelayCore {
                     ctx.send(conn, resp.encode());
                 }
             }
-            return true;
+            return None;
         }
         if let Some(&(slot, stream_id)) = self.exit_conns.get(&conn) {
             // Data from an external destination: package into cells.
@@ -429,9 +430,9 @@ impl RelayCore {
                 self.send_to_origin(ctx, slot, RelayCmd::Data, stream_id, chunk);
             }
             ctx.recycle_buf(msg);
-            return true;
+            return None;
         }
-        false
+        Some(msg)
     }
 
     /// Delegate of [`Node::on_msgs`]: a run of messages for `conn`,
@@ -446,7 +447,7 @@ impl RelayCore {
         }
         let mut claimed = false;
         for msg in msgs {
-            claimed |= self.on_msg(ctx, conn, msg);
+            claimed |= self.on_msg(ctx, conn, msg).is_none();
         }
         claimed
     }

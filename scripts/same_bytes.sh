@@ -6,8 +6,9 @@
 # Builds <rev> and the working tree (release), runs from one scratch
 # directory per tree
 #
-#   table2, figure5 (defaults and --mb 1), chaos_sweep --smoke, scalability,
-#   shard_recovery, multipath_sweep, cover_ablation and the six examples,
+#   table1 --sites 10 --visits 3, table2, figure5 (defaults and --mb 1),
+#   chaos_sweep --smoke, scalability, shard_recovery, multipath_sweep,
+#   cover_ablation and the six examples,
 #
 # and compares what the two trees wrote and printed: `diff -r` of the two
 # directories, which hold every file the bins wrote under results/ (CSVs,
@@ -51,6 +52,7 @@ run_all() { # <target dir> <output dir>
   mkdir -p "$out/stdout"
   (
     cd "$out"
+    "$bin/table1" --sites 10 --visits 3 > stdout/table1.txt
     "$bin/table2" > stdout/table2.txt
     "$bin/figure5" > stdout/figure5.txt
     mkdir -p mb1 && (cd mb1 && "$bin/figure5" --mb 1 > ../stdout/figure5_mb1.txt)
