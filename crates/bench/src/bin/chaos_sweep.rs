@@ -6,35 +6,20 @@
 //! circuit rebuilt after the crash) before its row is written.
 //!
 //! `cargo run -p bench --release --bin chaos_sweep`
-//! `--smoke` runs a single short trial (CI); `--seed N` reseeds the sweep.
-//! Artifacts: `results/chaos.csv`, `results/BENCH_chaos.json`, and
-//! `results/TELEMETRY_chaos_sweep.json`.
+//! `--seed N` reseeds the sweep.
+//! Artifacts: `results/chaos.csv` and `results/TELEMETRY_chaos_sweep.json`.
 
 use bench::chaos::{assert_recovered, run_chaos_trial, ChaosConfig, ChaosOutcome};
 use bench::runner::{run_sweep, SweepOpts, Trial};
-use bench::{arg_flag, arg_u64, write_csv, write_json_table};
+use bench::{arg_u64, write_csv};
 
 fn main() {
     let opts = SweepOpts::from_args();
     let seed = arg_u64("--seed", 11);
-    let smoke = arg_flag("--smoke");
-    let loss_axis: Vec<f64> = if smoke {
-        vec![5.0]
-    } else {
-        vec![0.0, 2.0, 5.0, 10.0]
-    };
-
-    let configs: Vec<ChaosConfig> = loss_axis
+    let configs: Vec<ChaosConfig> = [0.0, 2.0, 5.0, 10.0]
         .iter()
         .enumerate()
-        .map(|(i, &loss)| {
-            let mut cfg = ChaosConfig::default_mix(seed.wrapping_add(i as u64), loss);
-            if smoke {
-                cfg.clients = 3;
-                cfg.horizon_s = 30;
-            }
-            cfg
-        })
+        .map(|(i, &loss)| ChaosConfig::default_mix(seed.wrapping_add(i as u64), loss))
         .collect();
     let jobs: Vec<Trial<ChaosOutcome>> = configs
         .iter()
@@ -65,7 +50,6 @@ fn main() {
         }
     }
     write_csv("chaos.csv", header, &rows);
-    write_json_table("results/BENCH_chaos.json", "chaos", header, &rows);
     opts.export_telemetry("chaos_sweep");
     if !opts.quiet {
         println!("all trials recovered (goodput > 0, crash survived, circuits rebuilt)");

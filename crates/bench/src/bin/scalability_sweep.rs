@@ -4,9 +4,10 @@
 //!
 //! Builds a pure-simnet topology of `--clients C` clients talking to a
 //! deterministic pool of reply servers (one server per 64 clients), runs it
-//! to quiescence and reports events/s and the last reply's arrival
-//! (`sim_s`). The row lands in
-//! `results/BENCH_scale.json`. Two gates, checked after the row is written:
+//! to quiescence and writes the simulated cost and the last reply's arrival
+//! (`sim_s`) as one row of `results/scalability_sweep.csv`. Host time (wall
+//! seconds, events/s) goes to stdout only, so the CSV is the same on every
+//! machine. Two gates, checked after the row is written:
 //!
 //! * **Leak gate.** Every client closes every connection it opens, so at
 //!   quiescence the simulator must hold no connection state
@@ -20,11 +21,10 @@
 //! ```text
 //! cargo run -p bench --release --bin scalability_sweep            # 10^4 clients
 //! cargo run -p bench --release --bin scalability_sweep -- --clients 100000
-//! cargo run -p bench --release --bin scalability_sweep -- --smoke # CI-sized
 //! ```
 
 use bench::runner::SweepOpts;
-use bench::{arg_flag, arg_u64, write_json_table};
+use bench::{arg_u64, write_csv};
 use simnet::{ConnId, Ctx, Iface, Node, NodeId, SimDuration, SimTime, Simulator};
 use std::time::Instant;
 
@@ -88,8 +88,7 @@ impl Node for ScaleClient {
 
 fn main() {
     let opts = SweepOpts::from_args();
-    let smoke = arg_flag("--smoke");
-    let clients = arg_u64("--clients", if smoke { 400 } else { 10_000 });
+    let clients = arg_u64("--clients", 10_000);
     let rounds = arg_u64("--rounds", 3) as u32;
     let seed = arg_u64("--seed", 23);
     if !opts.quiet {
@@ -156,12 +155,11 @@ fn main() {
             stats.events, stats.conns_opened
         );
     }
-    write_json_table(
-        "results/BENCH_scale.json",
-        "scalability_sweep",
-        "clients,events,msgs,bytes,wall_s,events_per_sec,sim_s",
+    write_csv(
+        "scalability_sweep.csv",
+        "clients,events,msgs,bytes,sim_s",
         &[format!(
-            "{clients},{},{},{},{wall_s:.3},{eps:.0},{:.3}",
+            "{clients},{},{},{},{:.3}",
             stats.events,
             stats.msgs_delivered,
             stats.bytes_delivered,

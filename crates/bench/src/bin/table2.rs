@@ -144,10 +144,7 @@ fn browser_trial(seed: u64, pi: usize, padding: u64, sites: Vec<SiteModel>) -> V
 fn main() {
     let opts = SweepOpts::from_args();
     let seed = arg_u64("--seed", 3);
-    // `--domains N` truncates the corpus for smoke runs (CI uses 1).
-    let mut sites = domains(77);
-    let n_domains = arg_u64("--domains", sites.len() as u64) as usize;
-    sites.truncate(n_domains.max(1));
+    let sites = domains(77);
     let paddings = [0u64, 1 << 20, 7 << 20];
 
     // One trial for standard Tor plus one per padding level, through the

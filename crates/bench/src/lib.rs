@@ -64,53 +64,6 @@ pub fn write_report(name: &str, body: &str) {
     }
 }
 
-/// Write `header` + `rows` — the exact strings handed to [`write_csv`] — as
-/// a JSON table to `path`. Cells that form a finite JSON number are emitted
-/// bare; everything else is quoted. Reusing the CSV cell strings verbatim
-/// keeps the two artifacts trivially consistent and the bytes deterministic.
-pub fn write_json_table(path: &str, table: &str, header: &str, rows: &[String]) {
-    fn json_number(cell: &str) -> bool {
-        !cell.is_empty()
-            && !cell.starts_with('+')
-            && cell.parse::<f64>().map(f64::is_finite).unwrap_or(false)
-            && cell
-                .chars()
-                .all(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-    }
-    fn quote(cell: &str) -> String {
-        format!("\"{}\"", cell.replace('\\', "\\\\").replace('"', "\\\""))
-    }
-    let columns: Vec<String> = header.split(',').map(quote).collect();
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"table\": {},\n", quote(table)));
-    out.push_str(&format!("  \"columns\": [{}],\n", columns.join(", ")));
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let cells: Vec<String> = row
-            .split(',')
-            .map(|cell| {
-                if json_number(cell) {
-                    cell.to_string()
-                } else {
-                    quote(cell)
-                }
-            })
-            .collect();
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!("    [{}]{comma}\n", cells.join(", ")));
-    }
-    out.push_str("  ]\n}\n");
-    if let Some(parent) = Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent).expect("create json table dir");
-        }
-    }
-    fs::write(path, out).expect("write json table");
-    if !quiet() {
-        println!("wrote {path}");
-    }
-}
-
 /// End a figure or table bin whose run lost the paper's shape: print what
 /// broke and exit non-zero. Called after the results are written, so the
 /// files are there to look at. Does nothing when `broken` is empty.

@@ -16,6 +16,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::protocol::ImageKind;
+use crate::stem::HandleTable;
 use conclave::fsprotect::FsProtect;
 use rand::rngs::StdRng;
 use sandbox::container::{Container, ContainerError, Syscall, SyscallOutcome};
@@ -153,7 +154,14 @@ pub struct FunctionApi<'a> {
     pub(crate) now: SimTime,
     pub(crate) rng: StdRng,
     pub(crate) next_handle: u64,
+    /// What every function on the box holds, and which container this
+    /// function runs in: a new handle skips the container's own.
+    pub(crate) held: &'a HandleTable,
+    pub(crate) container: u64,
 }
+
+/// The handles of a function run outside a box: none.
+static NO_HANDLES: HandleTable = HandleTable::new();
 
 impl<'a> FunctionApi<'a> {
     /// Construct an API outside a Bento server — for unit-testing functions.
@@ -164,6 +172,8 @@ impl<'a> FunctionApi<'a> {
             now: SimTime::ZERO,
             rng: rand::SeedableRng::seed_from_u64(seed),
             next_handle: 0,
+            held: &NO_HANDLES,
+            container: 0,
         }
     }
 
@@ -187,9 +197,17 @@ impl<'a> FunctionApi<'a> {
         &mut self.rng
     }
 
+    /// The next value of the counter that the container does not already
+    /// hold: the counter starts at a random point each callback, and the
+    /// box's own draws for incoming streams and rendezvous circuits land
+    /// anywhere.
     fn handle(&mut self) -> u64 {
-        self.next_handle += 1;
-        self.next_handle
+        loop {
+            self.next_handle += 1;
+            if !self.held.holds(self.container, self.next_handle) {
+                return self.next_handle;
+            }
+        }
     }
 
     /// Emit output bytes to the invoking client.
@@ -541,6 +559,8 @@ mod tests {
             now: SimTime::ZERO,
             rng: StdRng::seed_from_u64(1),
             next_handle: 0,
+            held: &NO_HANDLES,
+            container: 0,
         }
     }
 

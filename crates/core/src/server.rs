@@ -225,7 +225,7 @@ impl BentoServer {
             next_container: 1,
             streams: BTreeMap::new(),
             firewall: StemFirewall::new(),
-            handles: HandleTable::default(),
+            handles: HandleTable::new(),
             hss: BTreeMap::new(),
             next_hs: 1,
             rng: StdRng::seed_from_u64(seed),
@@ -754,7 +754,7 @@ impl BentoServer {
     pub fn crash(&mut self) {
         self.containers.clear();
         self.streams.clear();
-        self.handles = HandleTable::default();
+        self.handles = HandleTable::new();
         self.hss.clear();
         self.firewall = StemFirewall::new();
         self.aggregate = CGroup::new(ResourceLimits::default_aggregate());
@@ -843,6 +843,18 @@ impl BentoServer {
     // Function execution.
     // ------------------------------------------------------------------
 
+    /// A handle for an object the box hands container `id` unasked (an
+    /// incoming stream, a rendezvous circuit): a random value in `range`,
+    /// drawn again while the container already holds it.
+    fn draw_handle(&mut self, id: u64, range: u64) -> u64 {
+        loop {
+            let handle = self.rng.gen::<u32>() as u64 | range;
+            if !self.handles.holds(id, handle) {
+                return handle;
+            }
+        }
+    }
+
     fn run_function(
         &mut self,
         deps: &mut Deps<'_, '_>,
@@ -865,6 +877,8 @@ impl BentoServer {
             now: deps.ctx.now(),
             rng: StdRng::seed_from_u64(deps.ctx.rng().gen()),
             next_handle: self.rng.gen::<u32>() as u64 | 0x1_0000_0000,
+            held: &self.handles,
+            container: id,
         };
         f(function.as_mut(), &mut api);
         let actions = std::mem::take(&mut api.actions);
@@ -1236,7 +1250,7 @@ impl BentoServer {
             (TorEvent::IncomingStream(_, sid, port), _) => {
                 // Allocate a function-local stream handle for the incoming
                 // stream.
-                let fn_stream = self.rng.gen::<u32>() as u64 | 0x2_0000_0000;
+                let fn_stream = self.draw_handle(id, 0x2_0000_0000);
                 self.handles.insert(id, fn_stream, Held::Stream(h, sid));
                 self.run_function(deps, id, move |f, api| {
                     f.on_incoming_stream(api, fn_circ, fn_stream, port)
@@ -1261,16 +1275,80 @@ impl BentoServer {
             }
             HsEvent::ClientCircuit(h) => {
                 // The rendezvous circuit becomes an owned function circuit.
-                // The handle is drawn even when the service's function is
+                // A handle is drawn even when the service's function is
                 // gone, so the handles after it do not move.
-                let fn_circ = self.rng.gen::<u32>() as u64 | 0x3_0000_0000;
-                if let Some((id, hs)) = owner {
-                    self.handles.insert(id, fn_circ, Held::Circ(h));
-                    self.run_function(deps, id, move |f, api| {
-                        f.on_hs_client_circuit(api, hs, fn_circ)
-                    });
-                }
+                let Some((id, hs)) = owner else {
+                    self.rng.gen::<u32>();
+                    return;
+                };
+                let fn_circ = self.draw_handle(id, 0x3_0000_0000);
+                self.handles.insert(id, fn_circ, Held::Circ(h));
+                self.run_function(deps, id, move |f, api| {
+                    f.on_hs_client_circuit(api, hs, fn_circ)
+                });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testnet::BentoNetwork;
+    use crate::BentoBoxNode;
+    use simnet::{SimDuration, SimTime};
+
+    fn secs(s: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs(s)
+    }
+
+    /// Builds a circuit on every invocation.
+    struct Builder;
+
+    impl Function for Builder {
+        fn on_invoke(&mut self, api: &mut FunctionApi<'_>, _input: Vec<u8>) {
+            api.build_circuit(None);
+            api.output_end();
+        }
+    }
+
+    fn registry() -> FunctionRegistry {
+        let mut registry = FunctionRegistry::new();
+        registry.register("builder", |_| Box::new(Builder));
+        registry
+    }
+
+    #[test]
+    fn a_new_handle_skips_one_the_container_holds() {
+        let mut bn = BentoNetwork::build(5, 1, MiddleboxPolicy::permissive(), registry);
+        let client = bn.add_bento_client("alice");
+        bn.net.sim.run_until(secs(2));
+        let spec = FunctionSpec {
+            params: vec![],
+            manifest: Manifest::minimal("builder").with_stem([StemCall::NewCircuit]),
+        };
+        let session = bn.install(client, 0, &spec, [secs(5), secs(9), secs(13)]);
+        // Put a held object exactly where the next callback's handle counter
+        // lands first.
+        let squatter = Held::Hs(u64::MAX);
+        let (id, next) = bn
+            .net
+            .sim
+            .with_node::<BentoBoxNode, _>(bn.boxes[0], |n, _| {
+                let server = &mut n.bento;
+                let id = *server.containers.keys().next().expect("one container");
+                let next = (server.rng.clone().gen::<u32>() as u64 | 0x1_0000_0000) + 1;
+                server.handles.insert(id, next, squatter);
+                (id, next)
+            });
+        let step = SimDuration::from_millis(100);
+        assert!(bn.invoke_and_wait(&session, vec![], step, secs(60)));
+        let server = &bn.net.sim.node_ref::<BentoBoxNode>(bn.boxes[0]).bento;
+        assert_eq!(server.handles.get(id, next), Some(squatter));
+        assert!(
+            matches!(server.handles.get(id, next + 1), Some(Held::Circ(_))),
+            "the new circuit takes the next free handle"
+        );
+        assert_eq!(server.held_handles(), 2);
     }
 }

@@ -187,13 +187,21 @@ pub(crate) enum Held {
 /// handle)` ↔ [`Held`], both ways. An entry leaves when its object dies,
 /// when the function closes it, or with its container; so a dead object is
 /// never named, and a long-lived function holds only live ones.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct HandleTable {
     by_handle: BTreeMap<(u64, u64), Held>,
     by_object: BTreeMap<Held, (u64, u64)>,
 }
 
 impl HandleTable {
+    /// A table holding nothing.
+    pub const fn new() -> HandleTable {
+        HandleTable {
+            by_handle: BTreeMap::new(),
+            by_object: BTreeMap::new(),
+        }
+    }
+
     /// `handle` of container `id` now names `held`; whatever either named
     /// before is forgotten.
     pub fn insert(&mut self, id: u64, handle: u64, held: Held) {
@@ -210,6 +218,11 @@ impl HandleTable {
     /// What `handle` of container `id` names.
     pub fn get(&self, id: u64, handle: u64) -> Option<Held> {
         self.by_handle.get(&(id, handle)).copied()
+    }
+
+    /// Whether container `id` holds `handle`.
+    pub fn holds(&self, id: u64, handle: u64) -> bool {
+        self.by_handle.contains_key(&(id, handle))
     }
 
     /// The container and handle that hold `held`.
@@ -285,7 +298,7 @@ mod tests {
     #[test]
     fn a_handle_is_one_entry_both_ways_until_its_object_or_container_dies() {
         let (c1, c2) = (CircuitHandle(1), CircuitHandle(2));
-        let mut t = HandleTable::default();
+        let mut t = HandleTable::new();
         t.insert(1, 10, Held::Circ(c1));
         t.insert(1, 11, Held::Stream(c1, 5));
         t.insert(1, 12, Held::Stream(c1, 6));

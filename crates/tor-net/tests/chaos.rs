@@ -7,6 +7,10 @@
 //! 2. Hidden-service intro recovery: both intro relays crash and stay
 //!    dead; the service must re-establish its intro set elsewhere.
 //!
+//! Beside them: the client's stream timeout (a BEGIN never answered) and
+//! its HSDir retry (the descriptor circuit dies mid-fetch), which no fault
+//! plan of the sweeps reaches.
+//!
 //! The assertions are survival properties: the simulator never panics,
 //! traffic flows, failed circuits are rebuilt, and every run replays
 //! byte-identically from its seed. Client recovery under the default fault
@@ -364,6 +368,112 @@ fn exit_tears_down_a_circuit_it_cannot_recognize() {
         );
         assert!(!n.tor.is_ready(circ));
     });
+}
+
+// ---------------------------------------------------------------------------
+// Two recovery paths of the client that no fault plan above reaches: a
+// stream whose BEGIN is never answered, and an HSDir circuit that dies while
+// the descriptor fetch is in flight.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn unanswered_begin_ends_the_stream_after_ten_seconds() {
+    let ((), recorded) = telemetry::scoped(|| {
+        let (mut net, one) = one_circuit(21, vec![1u8; 1000]);
+        let (client, guard, circ) = (one.client, one.hops[1], one.circ);
+        // From 5 s on the client's link to its guard drops everything, so
+        // the BEGIN below never reaches the exit.
+        let plan = FaultPlan::new().link(secs(5), client, guard, LinkFault::loss_pct(100.0));
+        net.sim.install_faults(plan);
+        net.sim
+            .run_until(SimTime::ZERO + SimDuration::from_millis(5_100));
+        let opened = net.sim.now();
+        let stream = net.sim.with_node::<TestClientNode, _>(client, |n, ctx| {
+            n.tor
+                .open_stream(ctx, circ, StreamTarget::Node(one.server, HTTP_PORT))
+                .expect("the circuit is ready")
+        });
+        let ended = |net: &TorNetwork| {
+            net.sim.node_ref::<TestClientNode>(client).has_event(
+                |e| matches!(e, TorEvent::StreamEnded(c, s) if (*c, *s) == (circ, stream)),
+            )
+        };
+        net.sim.run_until(opened + SimDuration::from_millis(9_900));
+        assert!(!ended(&net), "the stream waits for its CONNECTED");
+        net.sim.run_until(opened + SimDuration::from_millis(10_100));
+        assert!(ended(&net), "the stream timeout ends it at 10 s");
+    });
+    assert_eq!(
+        recorded.counters.get("tornet.client.stream_timeouts"),
+        Some(&1)
+    );
+}
+
+#[test]
+fn hsdir_circuit_killed_mid_fetch_is_retried() {
+    let (rendezvous_ready, recorded) = telemetry::scoped(|| {
+        let mut net = NetworkBuilder::new().seed(32).middles(10).hsdirs(2).build();
+        let service = {
+            let hs = HiddenServiceHost::new([0x78; 32], 2, true);
+            let node = TestClientNode::new(net.authority, net.authority_key).with_hs(hs);
+            net.sim
+                .add_node("service", simnet::Iface::datacenter(), Box::new(node))
+        };
+        let client = net.add_client("client");
+        net.sim
+            .with_node::<TestClientNode, _>(client, |n, _| n.tor.enable_recovery());
+        net.sim.run_until(secs(6));
+        let onion = net
+            .sim
+            .node_ref::<TestClientNode>(service)
+            .hs
+            .as_ref()
+            .map(|hs| hs.onion_addr())
+            .expect("service");
+        // `connect_onion` builds the rendezvous circuit, then the HSDir one.
+        let (rendezvous, rendezvous_path, hsdir_path) =
+            net.sim.with_node::<TestClientNode, _>(client, |n, ctx| {
+                let rendezvous = n.tor.connect_onion(ctx, onion).expect("onion connection");
+                let hsdir = CircuitHandle(rendezvous.0 + 1);
+                (
+                    rendezvous,
+                    n.tor.circuit_path(rendezvous),
+                    n.tor.circuit_path(hsdir),
+                )
+            });
+        let hsdir = CircuitHandle(rendezvous.0 + 1);
+        assert_eq!(hsdir_path.len(), 3, "the HSDir circuit has three hops");
+        let middle = hsdir_path[1];
+        assert!(
+            !rendezvous_path.contains(&middle),
+            "the crash below spares the rendezvous circuit"
+        );
+        // The fetch goes out the moment the HSDir circuit is ready; crash its
+        // middle relay while the request is on its way.
+        let up = net
+            .sim
+            .step_until(SimDuration::from_millis(5), secs(12), |sim| {
+                sim.node_ref::<TestClientNode>(client).tor.is_ready(hsdir)
+            });
+        assert!(up, "the HSDir circuit came up");
+        let middle = net
+            .relays
+            .iter()
+            .find(|(_, f)| *f == middle)
+            .map(|(id, _)| *id)
+            .expect("relay");
+        let now = net.sim.now();
+        net.sim.inject_fault(now, FaultAction::Crash(middle));
+        net.sim.run_until(secs(30));
+        let n = net.sim.node_ref::<TestClientNode>(client);
+        assert!(!n.tor.is_ready(hsdir), "the first HSDir circuit is gone");
+        n.has_event(|e| matches!(e, TorEvent::RendezvousReady(h) if *h == rendezvous))
+    });
+    assert!(
+        rendezvous_ready,
+        "the rendezvous completes through the retry"
+    );
+    assert_eq!(recorded.counters.get("tornet.client.hs_retries"), Some(&1));
 }
 
 // ---------------------------------------------------------------------------

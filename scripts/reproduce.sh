@@ -1,71 +1,57 @@
 #!/usr/bin/env bash
-# Regenerate every table and figure of the Bento paper from scratch.
-# Results land in results/*.csv and results/*.txt; every sweep binary
-# also exports its telemetry as results/TELEMETRY_<name>.json
-# (schema bento-telemetry/v1; validated at the end by telemetry_check).
+# Regenerate every artifact under results/: each paper bin at the size its
+# checked-in output was made with, the six examples (stdout saved to
+# results/examples/<name>.txt), then a schema check of every telemetry
+# export.
+#
+#   bash scripts/reproduce.sh [--threads N]
+#
+# The arguments go to every bin that runs its trials through the shared
+# runner (`--threads N`; absent or 0 means one worker per core). The
+# simulation is deterministic and the runner collects results in trial
+# order, so the thread count changes no byte. The checked-in results/ were
+# made with the default, which makes results/ the reference: after a run,
+# `git status --porcelain -- results/` prints nothing, and whatever it does
+# print is an artifact that moved. ≈ 3.5 min on 2 vCPUs, most of it table1.
+#
+# Each bin also checks what it wrote and exits non-zero without it: the
+# examples their own outcome, table2 and figure5 the paper's shape,
+# chaos_sweep that every trial recovered, scalability_sweep that no
+# connection is resident at quiescence and that a connection costs at most
+# 6.1 events.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== building (release) =="
-cargo build --release -p bench
+cargo build --release -p bench -p bento --bins --examples
 
-echo "== unsafe budget: four cfg-proven calls in onion-crypto, forbid(unsafe_code) in the other nine crates =="
-bash scripts/unsafe_budget.sh
+bench() { # <bin> [args...]
+  echo "== $1 =="
+  cargo run -q --release -p bench --bin "$1" -- "${@:2}"
+}
 
-echo "== static analysis: clippy with clippy.toml's determinism bans and the workspace lints, unfulfilled expectations included =="
-cargo clippy --all-targets -- -D warnings
+bench table1                   # Table 1: WF attack accuracy (the long one)
+bench table2 "$@"              # Table 2: page download times
+bench figure5 "$@"             # Figure 5: hidden-service LoadBalancer
+bench scalability "$@"         # section 7.3: SGX scalability
+bench cover_ablation "$@"      # section 9.1: Cover ablation
+bench shard_recovery           # section 9.3: Shard recovery
+bench multipath_sweep "$@"     # section 9.4: multipath sweep
+bench padding_sweep "$@"       # padding-quantum ablation
+bench scalability_sweep        # connection churn, 10^4 clients
+bench chaos_sweep "$@"         # fault injection vs goodput
 
-echo "== dynamic determinism check: artifacts byte-identical across hash seeds and trial-runner thread counts =="
-cargo run --release -p bench --bin determinism_check
-
-echo "== examples: the six walk-throughs, each asserting its own outcome =="
+mkdir -p results/examples
 for e in quickstart browse_unlinkable anonymous_dropbox hidden_service_autoscale cover_traffic multipath_fetch; do
-  cargo run --release -p bento --example $e
+  echo "== example $e =="
+  cargo run -q --release -p bento --example "$e" > "results/examples/$e.txt"
 done
 
-echo "== Table 1: WF attack accuracy (longest step, ~10-15 min) =="
-cargo run --release -p bench --bin table1
+echo "== telemetry exports: schema =="
+files=()
+for f in results/TELEMETRY_*.json; do
+  files+=(--file "$f")
+done
+cargo run -q --release -p bench --bin telemetry_check -- "${files[@]}"
 
-echo "== Table 2: page download times =="
-cargo run --release -p bench --bin table2
-
-echo "== Figure 5: hidden-service LoadBalancer =="
-cargo run --release -p bench --bin figure5
-
-echo "== section 7.3: SGX scalability =="
-cargo run --release -p bench --bin scalability
-
-echo "== section 9.1: Cover ablation =="
-cargo run --release -p bench --bin cover_ablation
-
-echo "== section 9.3: Shard recovery =="
-cargo run --release -p bench --bin shard_recovery
-
-echo "== section 9.4: multipath sweep =="
-cargo run --release -p bench --bin multipath_sweep
-
-echo "== padding-quantum ablation =="
-cargo run --release -p bench --bin padding_sweep
-
-echo "== scalability sweep: connection churn (10^4 clients; aborts if a connection is still resident at quiescence or a connection costs more than 6.1 events) =="
-cargo run --release -p bench --bin scalability_sweep
-
-echo "== chaos sweep: fault injection vs goodput + recovery assertions =="
-cargo run --release -p bench --bin chaos_sweep
-
-echo "== telemetry artifacts: schema =="
-cargo run --release -p bench --bin telemetry_check -- \
-  --file results/TELEMETRY_table2.json \
-  --file results/TELEMETRY_figure5.json \
-  --file results/TELEMETRY_scalability.json \
-  --file results/TELEMETRY_cover_ablation.json \
-  --file results/TELEMETRY_multipath_sweep.json \
-  --file results/TELEMETRY_padding_sweep.json \
-  --file results/TELEMETRY_chaos_sweep.json \
-  --file results/TELEMETRY_scalability_sweep.json
-
-echo "== repo benchmark (BENCHMARK.json): its own tests, then a smoke rep of every workload =="
-cargo test --release --manifest-path benchmark/Cargo.toml
-bash benchmark/run.sh --smoke
-
-echo "done; see results/ and EXPERIMENTS.md"
+echo "done; compare with: git status --porcelain -- results/"
