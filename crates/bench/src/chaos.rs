@@ -32,11 +32,12 @@ pub struct ChaosConfig {
     pub crash_relay: bool,
     /// Cut two middle relays off from everyone else for a few seconds.
     pub partition: bool,
-    /// Number of recovery-enabled clients downloading in a loop.
-    pub clients: usize,
-    /// Simulated horizon in seconds.
-    pub horizon_s: u64,
 }
+
+/// Recovery-enabled clients downloading in a loop.
+const CLIENTS: usize = 4;
+/// Simulated horizon in seconds.
+const HORIZON_S: u64 = 40;
 
 impl ChaosConfig {
     /// The default fault mix: relay crash + restart, `loss_pct`% loss, one
@@ -47,8 +48,6 @@ impl ChaosConfig {
             loss_pct,
             crash_relay: true,
             partition: true,
-            clients: 4,
-            horizon_s: 40,
         }
     }
 }
@@ -95,7 +94,7 @@ fn secs(s: u64) -> SimTime {
 }
 
 /// Run one chaos trial: build the network, schedule the fault plan, keep
-/// `cfg.clients` recovery-enabled clients downloading a page in a loop,
+/// `CLIENTS` recovery-enabled clients downloading a page in a loop,
 /// and reduce the run to a [`ChaosOutcome`].
 pub fn run_chaos_trial(cfg: &ChaosConfig) -> ChaosOutcome {
     let mut net = tor_net::netbuild::NetworkBuilder::new()
@@ -125,7 +124,7 @@ pub fn run_chaos_trial(cfg: &ChaosConfig) -> ChaosOutcome {
     }
     net.sim.install_faults(plan);
 
-    let clients: Vec<_> = (0..cfg.clients)
+    let clients: Vec<_> = (0..CLIENTS)
         .map(|i| net.add_client(&format!("chaos{i}")))
         .collect();
     for &c in &clients {
@@ -193,7 +192,7 @@ pub fn run_chaos_trial(cfg: &ChaosConfig) -> ChaosOutcome {
     }
 
     let mut out = ChaosOutcome::default();
-    let deadline = secs(cfg.horizon_s);
+    let deadline = secs(HORIZON_S);
     while net.sim.now() < deadline {
         let step_end = net.sim.now() + SimDuration::from_millis(500);
         net.sim.run_until(step_end.min(deadline));

@@ -553,15 +553,7 @@ mod tests {
     }
 
     fn api(rt: &mut ContainerRuntime) -> FunctionApi<'_> {
-        FunctionApi {
-            runtime: rt,
-            actions: Vec::new(),
-            now: SimTime::ZERO,
-            rng: StdRng::seed_from_u64(1),
-            next_handle: 0,
-            held: &NO_HANDLES,
-            container: 0,
-        }
+        FunctionApi::for_testing(rt, 1)
     }
 
     #[test]
