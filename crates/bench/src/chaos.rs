@@ -28,10 +28,6 @@ pub struct ChaosConfig {
     /// Per-message loss applied to every link while the lossy window is
     /// open (percent, 0 disables).
     pub loss_pct: f64,
-    /// Crash one middle relay mid-run and restart it a few seconds later.
-    pub crash_relay: bool,
-    /// Cut two middle relays off from everyone else for a few seconds.
-    pub partition: bool,
 }
 
 /// Recovery-enabled clients downloading in a loop.
@@ -41,14 +37,10 @@ const HORIZON_S: u64 = 40;
 
 impl ChaosConfig {
     /// The default fault mix: relay crash + restart, `loss_pct`% loss, one
-    /// partition that heals.
+    /// partition that heals. The crash and the partition are part of every
+    /// trial.
     pub fn default_mix(seed: u64, loss_pct: f64) -> ChaosConfig {
-        ChaosConfig {
-            seed,
-            loss_pct,
-            crash_relay: true,
-            partition: true,
-        }
+        ChaosConfig { seed, loss_pct }
     }
 }
 
@@ -117,11 +109,9 @@ pub fn run_chaos_trial(cfg: &ChaosConfig) -> ChaosOutcome {
             .all_links(secs(T_LOSS_ON), LinkFault::loss_pct(cfg.loss_pct))
             .all_links_clear(secs(T_LOSS_OFF));
     }
-    if cfg.partition && middles.len() >= 3 {
-        plan = plan
-            .partition(secs(T_PARTITION), vec![middles[1], middles[2]])
-            .heal(secs(T_HEAL));
-    }
+    plan = plan
+        .partition(secs(T_PARTITION), vec![middles[1], middles[2]])
+        .heal(secs(T_HEAL));
     net.sim.install_faults(plan);
 
     let clients: Vec<_> = (0..CLIENTS)
@@ -168,28 +158,26 @@ pub fn run_chaos_trial(cfg: &ChaosConfig) -> ChaosOutcome {
     // The crash hits a relay that is actually carrying a client circuit —
     // the first client's guard — so the crash provably kills at least one
     // circuit and the trial exercises rebuild, not luck.
-    if cfg.crash_relay {
-        let guard_fp = drivers
-            .first()
-            .and_then(|d| d.circ)
-            .map(|h| {
-                net.sim
-                    .with_node::<TestClientNode, _>(clients[0], |n, _| n.tor.circuit_path(h))
-            })
-            .and_then(|path| path.first().copied());
-        let victim = guard_fp
-            .and_then(|fp| {
-                net.relays[1..]
-                    .iter()
-                    .find(|(_, f)| *f == fp)
-                    .map(|(id, _)| *id)
-            })
-            .unwrap_or(middles[0]);
-        net.sim
-            .inject_fault(secs(T_CRASH), FaultAction::Crash(victim));
-        net.sim
-            .inject_fault(secs(T_RESTART), FaultAction::Restart(victim));
-    }
+    let guard_fp = drivers
+        .first()
+        .and_then(|d| d.circ)
+        .map(|h| {
+            net.sim
+                .with_node::<TestClientNode, _>(clients[0], |n, _| n.tor.circuit_path(h))
+        })
+        .and_then(|path| path.first().copied());
+    let victim = guard_fp
+        .and_then(|fp| {
+            net.relays[1..]
+                .iter()
+                .find(|(_, f)| *f == fp)
+                .map(|(id, _)| *id)
+        })
+        .unwrap_or(middles[0]);
+    net.sim
+        .inject_fault(secs(T_CRASH), FaultAction::Crash(victim));
+    net.sim
+        .inject_fault(secs(T_RESTART), FaultAction::Restart(victim));
 
     let mut out = ChaosOutcome::default();
     let deadline = secs(HORIZON_S);
@@ -290,9 +278,10 @@ pub fn run_chaos_trial(cfg: &ChaosConfig) -> ChaosOutcome {
 }
 
 /// Assert the recovery acceptance properties on a finished trial: faults
-/// were really applied, yet goodput is nonzero and (when a relay was
-/// crashed) at least one managed circuit was rebuilt. Panics with the
-/// config and outcome on violation, so a failing sweep names its trial.
+/// were really applied (one crash, one restart, messages dropped), yet
+/// goodput is nonzero and at least one managed circuit was rebuilt. Panics
+/// with the config and outcome on violation, so a failing sweep names its
+/// trial.
 pub fn assert_recovered(cfg: &ChaosConfig, out: &ChaosOutcome) {
     assert!(
         out.goodput_bytes > 0,
@@ -302,18 +291,14 @@ pub fn assert_recovered(cfg: &ChaosConfig, out: &ChaosOutcome) {
         out.downloads > 0,
         "no download completed under chaos: {cfg:?} -> {out:?}"
     );
-    if cfg.crash_relay {
-        assert_eq!(out.crashes, 1, "crash was applied: {cfg:?} -> {out:?}");
-        assert_eq!(out.restarts, 1, "restart was applied: {cfg:?} -> {out:?}");
-        assert!(
-            out.rebuilds >= 1,
-            "no circuit rebuilt after the crash: {cfg:?} -> {out:?}"
-        );
-    }
-    if cfg.loss_pct > 0.0 || cfg.partition {
-        assert!(
-            out.msgs_dropped > 0,
-            "fault plane dropped nothing: {cfg:?} -> {out:?}"
-        );
-    }
+    assert_eq!(out.crashes, 1, "crash was applied: {cfg:?} -> {out:?}");
+    assert_eq!(out.restarts, 1, "restart was applied: {cfg:?} -> {out:?}");
+    assert!(
+        out.rebuilds >= 1,
+        "no circuit rebuilt after the crash: {cfg:?} -> {out:?}"
+    );
+    assert!(
+        out.msgs_dropped > 0,
+        "fault plane dropped nothing: {cfg:?} -> {out:?}"
+    );
 }

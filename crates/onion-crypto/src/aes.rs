@@ -11,7 +11,9 @@
 //!
 //! The keystream has two backends, chosen when the crate is compiled:
 //! [`ctr_xor_portable`] (table-driven, every target) and, when the build's
-//! target features include the x86 AES instructions, the `ni` module.
+//! target features include the x86 AES instructions, the `ni` module, which
+//! runs four blocks an instruction when they also include VAES, AVX-512F
+//! and AVX-512BW, and one otherwise.
 //! [`ctr_xor`] is whichever the build selected and [`Aes128Ctr::backend`]
 //! names it; there is no runtime detection. Both produce the same bytes —
 //! the unit tests compare them over random keys, lengths and counters.
@@ -177,8 +179,10 @@ pub fn ctr_xor(
     data: &mut [u8],
 ) -> [u8; BLOCK_LEN] {
     // SAFETY: the callee's only precondition is that the CPU has the target
-    // features it enables (aes, sse2), and the cfg on this very item admits
-    // it to the build only when the compiler targets both.
+    // features it enables: aes and sse2, which the cfg on this very item
+    // admits to the build only when the compiler targets both, and vaes,
+    // avx512f and avx512bw only under a `cfg_attr` on the callee that
+    // requires the compiler to target all three.
     unsafe { ni::ctr_xor(keys, nonce, counter, data) }
 }
 
@@ -188,6 +192,19 @@ pub fn ctr_xor(
     target_feature = "sse2"
 )))]
 pub use ctr_xor_portable as ctr_xor;
+
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "aes",
+    target_feature = "sse2"
+))]
+const BACKEND: &str = ni::NAME;
+#[cfg(not(all(
+    target_arch = "x86_64",
+    target_feature = "aes",
+    target_feature = "sse2"
+)))]
+const BACKEND: &str = "portable";
 
 /// [`ctr_xor`] in portable code: the backend of every build without the x86
 /// AES instructions, and the reference the hardware backend is tested
@@ -264,18 +281,11 @@ impl Aes128Ctr {
         stream
     }
 
-    /// Name of the keystream backend this build selected: `"x86-aes-ni"`
-    /// or `"portable"`.
+    /// Name of the keystream backend this build selected:
+    /// `"x86-vaes-avx512"` (four blocks a 512-bit `vaesenc`), `"x86-aes-ni"`
+    /// (one block a 128-bit `aesenc`) or `"portable"`.
     pub fn backend() -> &'static str {
-        if cfg!(all(
-            target_arch = "x86_64",
-            target_feature = "aes",
-            target_feature = "sse2"
-        )) {
-            "x86-aes-ni"
-        } else {
-            "portable"
-        }
+        BACKEND
     }
 
     /// XOR the keystream into `data` in place, advancing the stream
@@ -401,19 +411,21 @@ mod tests {
     }
 
     /// Whatever backend this build selected computes exactly what the
-    /// portable one and the definition do: random keys, 0–40 blocks plus a
-    /// ragged tail, counters that carry out of the low 32 bits, out of the
-    /// low byte, and around the end of the 64-bit counter.
+    /// portable one and the definition do: random keys, 0–80 blocks (past
+    /// two full passes of the four-block lanes) plus a ragged tail, counters
+    /// that carry out of the low 32 bits, out of the low byte, and around
+    /// the end of the 64-bit counter, also from `u64::MAX - 1` or `- 2`,
+    /// which wrap inside the first four-block lane.
     #[test]
     fn active_backend_equals_portable() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(16);
-        let starts = [0, 0xff, u64::from(u32::MAX) - 3, u64::MAX - 5];
-        for case in 0..400usize {
+        let starts = [0, 0xff, u64::from(u32::MAX) - 3, u64::MAX - 5, u64::MAX - 1];
+        for case in 0..810usize {
             let key: [u8; 16] = from_fn(|_| rng.gen());
             let mut first: [u8; 16] = from_fn(|_| rng.gen());
-            let start = starts[case % 4].wrapping_sub(rng.gen_range(0..3));
+            let start = starts[case % 5].wrapping_sub(rng.gen_range(0..2));
             first[8..].copy_from_slice(&start.to_be_bytes());
-            let len = (case / 4 % 41) * 16 + [0, 0, 1, 15][case % 4];
+            let len = (case / 5 % 81) * 16 + [0, 0, 1, 15][rng.gen_range(0..4)];
             let plain: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
 
             let mut expect = plain.clone();
@@ -433,6 +445,31 @@ mod tests {
             reference.apply_portable(&mut b);
             assert_eq!(a, b, "continuation: {what}");
         }
+    }
+
+    /// `backend` names the kernel the target features select: four blocks a
+    /// 512-bit `vaesenc` with VAES, AVX-512F and AVX-512BW, one block a
+    /// 128-bit `aesenc` with only AES-NI. The line printed is what CI's
+    /// 128-bit step greps for.
+    #[test]
+    fn backend_names_the_kernel_the_target_features_select() {
+        let aes = cfg!(all(
+            target_arch = "x86_64",
+            target_feature = "aes",
+            target_feature = "sse2"
+        ));
+        let wide = cfg!(all(
+            target_feature = "vaes",
+            target_feature = "avx512f",
+            target_feature = "avx512bw"
+        ));
+        let expect = match (aes, wide) {
+            (false, _) => "portable",
+            (true, false) => "x86-aes-ni",
+            (true, true) => "x86-vaes-avx512",
+        };
+        println!("aes backend: {}", Aes128Ctr::backend());
+        assert_eq!(Aes128Ctr::backend(), expect);
     }
 
     /// `apply` in two calls equals one call, at every split of a 1 100-byte

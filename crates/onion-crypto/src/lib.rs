@@ -10,8 +10,9 @@
 //! * [`hmac`] — HMAC-SHA256 and HKDF (RFC 5869).
 //! * [`aes`] — AES-128 (FIPS 197) in counter mode, Tor's relay-cell layer
 //!   cipher; its keystream runs on the x86 AES instructions when the build
-//!   targets a CPU that has them ([`Aes128Ctr::backend`] says which), in
-//!   portable table-driven code otherwise.
+//!   targets a CPU that has them, four blocks an instruction with VAES and
+//!   AVX-512 ([`Aes128Ctr::backend`] says which), in portable table-driven
+//!   code otherwise.
 //! * [`chacha20`] — the ChaCha20 stream cipher (RFC 8439), the cipher half
 //!   of [`aead`].
 //! * [`x25519`] — Curve25519 Diffie–Hellman (RFC 7748) via the Montgomery

@@ -119,7 +119,8 @@ impl NetworkBuilder {
     /// per-cell one now. Kept only because `benchmark/src/probes/fetch.rs`,
     /// which a change to this crate may not edit, still calls it; the
     /// `benchmark` follow-up that retires `tor-net.relay_ns_per_cell_b1`
-    /// (ROADMAP item 7(ii)) removes that call and this method together.
+    /// (ROADMAP item 1, *Probes*) removes that call and this method
+    /// together.
     pub fn batch(self, _on: bool) -> Self {
         self
     }

@@ -77,8 +77,8 @@ pub struct RelayConfig {
     /// per-cell relay data plane, and the per-cell one is now the only one.
     /// Kept only because `benchmark/src/probes/fetch.rs`, which a change to
     /// this crate may not edit, still assigns it; the `benchmark` follow-up
-    /// that retires `tor-net.relay_ns_per_cell_b1` (ROADMAP item 7(ii))
-    /// removes that assignment and this field together.
+    /// that retires `tor-net.relay_ns_per_cell_b1` (ROADMAP item 1,
+    /// *Probes*) removes that assignment and this field together.
     pub batch: bool,
 }
 

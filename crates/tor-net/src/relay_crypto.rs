@@ -66,8 +66,8 @@ impl LayerCrypto {
     /// the AES-128-CTR layer cipher has no use for. Kept only because
     /// `benchmark/src/probes/ladder.rs`, which a change to this crate may
     /// not edit, still calls it; the `benchmark` follow-up that re-points
-    /// the keystream probe (ROADMAP item 7(ii)) removes that call and this
-    /// method together.
+    /// the keystream probe (ROADMAP item 1, *Probes*) removes that call and
+    /// this method together.
     pub fn enable_batch(&mut self) {}
 
     /// Seal a payload addressed to this hop: compute and write the running
@@ -122,7 +122,8 @@ impl LayerCrypto {
     /// nothing in this workspace; kept only because the crypto rung of
     /// `benchmark/src/probes/ladder.rs`, which a change to this crate may
     /// not edit, still calls it. The `benchmark` follow-up of ROADMAP item
-    /// 7(ii) writes that loop out in the probe and removes this method.
+    /// 1, *Probes*, writes that loop out in the probe and removes this
+    /// method.
     pub fn seal_batch(&mut self, payloads: &mut [&mut [u8; PAYLOAD_LEN]]) {
         for payload in payloads.iter_mut() {
             self.seal(payload);
