@@ -13,6 +13,11 @@
 //!   targets a CPU that has them, four blocks an instruction with VAES and
 //!   AVX-512 ([`Aes128Ctr::backend`] says which), in portable table-driven
 //!   code otherwise.
+//! * [`polyval`] — POLYVAL (RFC 8452), the universal hash of AES-GCM-SIV
+//!   and the keyed running digest of relay cells; it runs on the x86
+//!   carry-less multiply, eight blocks a reduction, when the build targets
+//!   a CPU that has it ([`Polyval::backend`] says which), in portable
+//!   constant-time code otherwise.
 //! * [`chacha20`] — the ChaCha20 stream cipher (RFC 8439), the cipher half
 //!   of [`aead`].
 //! * [`x25519`] — Curve25519 Diffie–Hellman (RFC 7748) via the Montgomery
@@ -38,10 +43,10 @@
 //! exists to make the reproduction's code paths genuine, not to protect
 //! production traffic.
 
-// `deny`, not `forbid`, for one reason, met four times:
-// `sha256::compress`, `sha256::chain_lanes`, `aes::ctr_xor` and
-// `x25519::ladder_pair` carry the workspace's only four
-// `expect(unsafe_code)`, each a single call from a
+// `deny`, not `forbid`, for one reason, met five times:
+// `sha256::compress`, `sha256::chain_lanes`, `aes::ctr_xor`,
+// `polyval::update_bytes` and `x25519::ladder_pair` carry the workspace's
+// only five `expect(unsafe_code)`, each a single call from a
 // function without `#[target_feature]` into one with it, under a `cfg` on
 // the same item that proves the features at compile time. Every other
 // crate forbids.
@@ -54,6 +59,7 @@ pub mod chacha20;
 pub mod hashsig;
 pub mod hmac;
 pub mod ntor;
+pub mod polyval;
 pub mod sha256;
 pub mod x25519;
 
@@ -63,6 +69,7 @@ pub use chacha20::ChaCha20;
 pub use hashsig::{MerkleSigner, MerkleVerifyKey, Signature};
 pub use hmac::{hkdf, hmac_sha256};
 pub use ntor::{client_begin, client_finish, server_respond, CircuitKeys, NtorError};
+pub use polyval::Polyval;
 pub use sha256::sha256 as sha256_digest;
 pub use sha256::Sha256;
 pub use x25519::x25519 as x25519_mul;

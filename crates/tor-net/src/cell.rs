@@ -12,9 +12,10 @@
 //! relay_cmd (1) | recognized (2) | stream_id (2) | digest (4) | length (2) | data (498)
 //! ```
 //!
-//! `recognized` is zero and `digest` is the running-digest prefix only at the
-//! hop a relay cell is addressed to; at every other hop both fields are
-//! ciphertext (see [`crate::relay_crypto`]).
+//! `recognized` is zero and `digest` is the first four bytes of the running
+//! digest's tag — keyed POLYVAL over every cell addressed to that hop, masked
+//! with AES — only at the hop a relay cell is addressed to; at every other
+//! hop both fields are ciphertext (see [`crate::relay_crypto`]).
 //!
 //! Two relay-cell bodies have a layout of their own, each with one encoder
 //! and one decoder here: EXTEND ([`ExtendBody`]) and BEGIN ([`StreamTarget`]).

@@ -208,6 +208,11 @@ struct HsConn {
     hsdir_retries: u32,
     /// Intro points already tried; retries prefer untried ones.
     used_intros: Vec<Fingerprint>,
+    /// Relays past the guard on this connection's circuits that a DESTROY
+    /// took down. A DESTROY names no culprit (a crashed middle reaches the
+    /// client as one from its guard), so the connection's later paths avoid
+    /// them all, and its intro retries prefer other intro points.
+    suspects: Vec<Fingerprint>,
 }
 
 /// What a path must satisfy at its terminal hop.
@@ -452,15 +457,22 @@ impl TorClient {
         Some(vec![guard_fp, middle.fingerprint, exit_fp])
     }
 
-    /// Path selection that avoids recently-failed relays, failing *open*:
-    /// if no path exists without them (small networks under heavy churn),
-    /// retry ignoring the failure cache rather than stalling forever.
+    /// Path selection that avoids recently-failed relays and `suspects`
+    /// (other than a `Specific` terminal, which the caller asked for),
+    /// failing *open*: if no path exists without them (small networks under
+    /// heavy churn), retry ignoring both rather than stalling forever.
     fn select_path_resilient(
         &self,
         ctx: &mut Ctx<'_>,
         req: TerminalReq,
+        suspects: &[Fingerprint],
     ) -> Option<Vec<Fingerprint>> {
-        let failed = self.failures.snapshot(ctx.now());
+        let mut failed = self.failures.snapshot(ctx.now());
+        let terminal = match req {
+            TerminalReq::Specific(fp) => Some(fp),
+            _ => None,
+        };
+        failed.extend(suspects.iter().filter(|fp| Some(**fp) != terminal));
         if failed.is_empty() {
             return self.select_path(ctx, req);
         }
@@ -538,7 +550,7 @@ impl TorClient {
         if !self.recovery {
             return None;
         }
-        let path = self.select_path_resilient(ctx, req)?;
+        let path = self.select_path_resilient(ctx, req, &[])?;
         let handle = self.build_circuit(ctx, path)?;
         let c = self.circuits.get_mut(&handle.0)?;
         c.managed = Some(ManagedCirc {
@@ -740,6 +752,7 @@ impl TorClient {
                 intro_retries: 0,
                 hsdir_retries: 0,
                 used_intros: Vec::new(),
+                suspects: Vec::new(),
             },
         );
         for circ in [rendezvous, hsdir] {
@@ -931,7 +944,7 @@ impl TorClient {
         }
         let req = managed.req;
         let attempt = self
-            .select_path_resilient(ctx, req)
+            .select_path_resilient(ctx, req, &[])
             .and_then(|path| self.build_circuit(ctx, path));
         match attempt.and_then(|handle| self.circuits.get_mut(&handle.0)) {
             Some(c) => c.managed = Some(managed),
@@ -1043,6 +1056,7 @@ impl TorClient {
                 }
             }
             CellCmd::Destroy => {
+                self.suspect_hops_past_guard(slot);
                 self.circuit_closed(ctx, slot);
             }
             CellCmd::Create | CellCmd::Padding => {}
@@ -1323,9 +1337,10 @@ impl TorClient {
         match h.intro_circ {
             None => {
                 // Build a circuit to one of the service's intro points,
-                // preferring ones this connection has not tried yet. On the
-                // first attempt nothing is used, so the RNG draw is the same
-                // range as a retry-oblivious client's.
+                // preferring ones this connection has neither tried nor
+                // seen on a circuit a DESTROY took down. On the first
+                // attempt there are none of either, so the RNG draw is the
+                // same range as a retry-oblivious client's.
                 let intro_fp = {
                     let Some(desc) = h.desc.as_ref() else {
                         self.hs_fail(ctx, idx, "descriptor missing");
@@ -1338,7 +1353,7 @@ impl TorClient {
                     let fresh: Vec<Fingerprint> = desc
                         .intro_points
                         .iter()
-                        .filter(|fp| !h.used_intros.contains(fp))
+                        .filter(|fp| !h.used_intros.contains(fp) && !h.suspects.contains(fp))
                         .copied()
                         .collect();
                     let pool: &[Fingerprint] = if fresh.is_empty() {
@@ -1349,8 +1364,8 @@ impl TorClient {
                     let pick = ctx.rng().gen_range(0..pool.len());
                     pool[pick]
                 };
-                let Some(path) = self.select_path_resilient(ctx, TerminalReq::Specific(intro_fp))
-                else {
+                let req = TerminalReq::Specific(intro_fp);
+                let Some(path) = self.select_path_resilient(ctx, req, &h.suspects) else {
                     self.hs_fail(ctx, idx, "intro point not in consensus");
                     return;
                 };
@@ -1456,7 +1471,9 @@ impl TorClient {
             self.hs_fail(ctx, idx, "no responsible HSDir in consensus");
             return;
         };
-        let Some(path) = self.select_path_resilient(ctx, TerminalReq::Specific(hsdir_fp)) else {
+        let suspects = self.hs_conns.get(&idx).map_or(&[][..], |h| &h.suspects);
+        let Some(path) = self.select_path_resilient(ctx, TerminalReq::Specific(hsdir_fp), suspects)
+        else {
             self.hs_fail(ctx, idx, "no path to HSDir");
             return;
         };
@@ -1471,6 +1488,19 @@ impl TorClient {
             h.desc_requested = false;
         }
         self.hs_advance(ctx, idx);
+    }
+
+    /// A DESTROY took down circuit `slot`: if it serves an onion connection
+    /// being set up, that connection's later paths avoid the circuit's hops
+    /// past the guard (the guard sent the DESTROY, so it is alive).
+    fn suspect_hops_past_guard(&mut self, slot: usize) {
+        let Some(c) = self.circuits.get(&slot) else {
+            return;
+        };
+        if let Some(h) = c.hs_conn.and_then(|idx| self.hs_conns.get_mut(&idx)) {
+            h.suspects
+                .extend(c.path.iter().skip(1).map(|r| r.fingerprint));
+        }
     }
 
     fn hs_fail(&mut self, ctx: &mut Ctx<'_>, idx: usize, why: &str) {

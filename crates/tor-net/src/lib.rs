@@ -7,8 +7,9 @@
 //!   sublayout (recognized / stream id / digest / length), and the EXTEND
 //!   and BEGIN bodies.
 //! * **Layered onion crypto** ([`relay_crypto`]): per-hop AES-128-CTR
-//!   streams, as in Tor, and running "recognized" digests — Tor's scheme
-//!   with SHA-256 in place of SHA-1.
+//!   streams, as in Tor, and running "recognized" digests in tor1's 4-byte
+//!   field — Tor's scheme with a keyed POLYVAL Wegman–Carter tag in place of
+//!   SHA-1.
 //! * **Relays** ([`relay`]): OR-port cell switching, circuit extension via
 //!   the ntor handshake, exit streams with exit policies, directory
 //!   service (authority and HSDir roles), introduction and rendezvous

@@ -1,20 +1,31 @@
-//! Layered onion encryption for relay cells — Tor's scheme: AES-128 in
-//! counter mode for the layers, as in Tor, with SHA-256 in place of SHA-1
-//! for the running digests.
+//! Layered onion encryption for relay cells — Tor's tor1 scheme: AES-128 in
+//! counter mode for the layers, as in Tor, with a keyed POLYVAL
+//! Wegman–Carter tag in place of SHA-1 for the running digests.
 //!
 //! Each hop of a circuit holds a [`LayerCrypto`]: a pair of stream ciphers
 //! (one per direction, positions advancing across cells) and a pair of
 //! *running digests*. When an endpoint addresses a relay cell to a hop, it
 //! feeds the cell (digest field zeroed) into that hop's running digest and
-//! writes the first four digest bytes into the cell, then encrypts. A hop
-//! receiving a cell strips one cipher layer and checks `recognized == 0`
-//! and the digest against its own running digest — a match means "this cell
-//! is for me"; anything else is forwarded another hop.
+//! writes the first four bytes of the digest's tag into the cell, then
+//! encrypts. A hop receiving a cell strips one cipher layer and checks
+//! `recognized == 0` and the tag against its own running digest — a match
+//! means "this cell is for me"; anything else is forwarded another hop.
+//!
+//! A running digest is POLYVAL (RFC 8452) keyed with the first 16 bytes of
+//! the direction's digest key `df`/`db`, over every cell the direction has
+//! addressed to the hop: each cell with its digest field zeroed and its 509
+//! bytes zero-padded to 32 blocks. The tag of cell number `n` (from zero) is
+//! `S ⊕ AES-128_K(0⁸ ‖ be64(n))` for `S` the accumulator after that cell and
+//! `K` the key's last 16 bytes, so it authenticates the whole prefix, and a
+//! replayed, reordered or skipped cell meets the wrong mask. Truncated to
+//! four bytes, as tor1 truncates SHA-1, a forgery passes with probability
+//! 2⁻³²; an unrecognised cell tears the circuit down, so an attacker gets
+//! one try a circuit.
 
 use crate::cell::PAYLOAD_LEN;
-use onion_crypto::aes::Aes128Ctr;
+use onion_crypto::aes::{self, Aes128Ctr, RoundKeys};
 use onion_crypto::ntor::CircuitKeys;
-use onion_crypto::sha256::Sha256;
+use onion_crypto::polyval::{Polyval, BLOCK_LEN};
 use std::array::from_fn;
 
 /// One direction's layer cipher. The ntor KDF hands out 32-byte keys and
@@ -25,18 +36,86 @@ fn cell_cipher(key: &[u8; 32], nonce: &[u8; 12]) -> Aes128Ctr {
     Aes128Ctr::new(&from_fn(|i| key[i]), &from_fn(|i| nonce[i]))
 }
 
+/// Where the four tag bytes sit in a relay payload.
+const TAG: std::ops::Range<usize> = 5..9;
+
+/// Tag masks a running digest computes ahead: one counter-mode call makes
+/// the masks of this many cells, so a cell's mask costs a table read, not a
+/// call that runs a whole pass of the AES kernel for one block.
+const MASKS: usize = 32;
+
+/// One direction's running digest: the POLYVAL key and the mask key it was
+/// made from, the accumulator, how many cells it has absorbed and the
+/// masks of the next cells.
+struct RunningDigest {
+    hash: Polyval,
+    mask_key: RoundKeys,
+    acc: [u8; BLOCK_LEN],
+    cells: u64,
+    /// `masks[i]` masks cell `cells - cells % MASKS + i`.
+    masks: [[u8; BLOCK_LEN]; MASKS],
+}
+
+impl RunningDigest {
+    /// Keyed with a 32-byte digest key: POLYVAL with its first half, the
+    /// tag mask with its second.
+    fn new(key: &[u8; 32]) -> Self {
+        let (h, mask) = key.split_at(BLOCK_LEN);
+        let mut digest = RunningDigest {
+            hash: Polyval::new(&from_fn(|i| h[i])),
+            mask_key: aes::expand_key(&from_fn(|i| mask[i])),
+            acc: [0; BLOCK_LEN],
+            cells: 0,
+            masks: [[0; BLOCK_LEN]; MASKS],
+        };
+        digest.refill();
+        digest
+    }
+
+    /// The masks of cells `cells .. cells + MASKS`: AES-128 of
+    /// `0⁸ ‖ be64(n)` is counter-mode keystream block `n` under a zero
+    /// nonce.
+    fn refill(&mut self) {
+        self.masks = [[0; BLOCK_LEN]; MASKS];
+        let nonce = [0; aes::NONCE_LEN];
+        aes::ctr_xor(
+            &self.mask_key,
+            &nonce,
+            self.cells,
+            self.masks.as_flattened_mut(),
+        );
+    }
+
+    /// The accumulator after absorbing `payload` (digest field zeroed) and
+    /// the tag that cell carries. Nothing is committed.
+    fn trial(&self, payload: &[u8; PAYLOAD_LEN]) -> ([u8; BLOCK_LEN], [u8; 4]) {
+        // The digest field is absorbed as zeros: its bytes, XORed into the
+        // accumulator, cancel themselves in the first block.
+        let mut acc = self.acc;
+        for (a, p) in acc[TAG].iter_mut().zip(&payload[TAG]) {
+            *a ^= p;
+        }
+        self.hash.update(&mut acc, payload);
+        let mask = &self.masks[self.cells as usize % MASKS];
+        (acc, from_fn(|i| acc[i] ^ mask[i]))
+    }
+
+    /// Accept the cell a [`Self::trial`] returned `acc` for.
+    fn commit(&mut self, acc: [u8; BLOCK_LEN]) {
+        self.acc = acc;
+        self.cells += 1;
+        if self.cells.is_multiple_of(MASKS as u64) {
+            self.refill();
+        }
+    }
+}
+
 /// One hop's cryptographic state, from the perspective of one endpoint.
 pub struct LayerCrypto {
     send_cipher: Aes128Ctr,
     recv_cipher: Aes128Ctr,
-    send_digest: Sha256,
-    recv_digest: Sha256,
-}
-
-fn seeded_digest(seed: &[u8; 32]) -> Sha256 {
-    let mut d = Sha256::new();
-    d.update(seed);
-    d
+    send_digest: RunningDigest,
+    recv_digest: RunningDigest,
 }
 
 impl LayerCrypto {
@@ -46,8 +125,8 @@ impl LayerCrypto {
         LayerCrypto {
             send_cipher: cell_cipher(&keys.kf, &keys.nf),
             recv_cipher: cell_cipher(&keys.kb, &keys.nb),
-            send_digest: seeded_digest(&keys.df),
-            recv_digest: seeded_digest(&keys.db),
+            send_digest: RunningDigest::new(&keys.df),
+            recv_digest: RunningDigest::new(&keys.db),
         }
     }
 
@@ -57,8 +136,8 @@ impl LayerCrypto {
         LayerCrypto {
             send_cipher: cell_cipher(&keys.kb, &keys.nb),
             recv_cipher: cell_cipher(&keys.kf, &keys.nf),
-            send_digest: seeded_digest(&keys.db),
-            recv_digest: seeded_digest(&keys.df),
+            send_digest: RunningDigest::new(&keys.db),
+            recv_digest: RunningDigest::new(&keys.df),
         }
     }
 
@@ -71,18 +150,13 @@ impl LayerCrypto {
     pub fn enable_batch(&mut self) {}
 
     /// Seal a payload addressed to this hop: compute and write the running
-    /// digest, then apply this hop's send cipher.
+    /// digest's tag, then apply this hop's send cipher.
     pub fn seal(&mut self, payload: &mut [u8; PAYLOAD_LEN]) {
         payload[1] = 0;
         payload[2] = 0; // recognized
-                        // Absorb the payload with the digest field zeroed by feeding three
-                        // slices — no zeroed copy of the cell is ever materialized.
-        self.send_digest
-            .update(&payload[..5])
-            .update(&[0; 4])
-            .update(&payload[9..]);
-        let full = self.send_digest.clone_finalize();
-        payload[5..9].copy_from_slice(&full[..4]);
+        let (acc, tag) = self.send_digest.trial(payload);
+        self.send_digest.commit(acc);
+        payload[TAG].copy_from_slice(&tag);
         self.send_cipher.apply(payload);
     }
 
@@ -101,19 +175,11 @@ impl LayerCrypto {
         if payload[1] != 0 || payload[2] != 0 {
             return false;
         }
-        // Digest the cell as three slices (digest field replaced by zeros)
-        // against a single trial clone — no payload copy, and the check
-        // itself peeks via `clone_finalize` rather than cloning the hasher.
-        let mut trial = self.recv_digest.clone();
-        trial
-            .update(&payload[..5])
-            .update(&[0; 4])
-            .update(&payload[9..]);
-        let full = trial.clone_finalize();
-        if full[..4] != payload[5..9] {
+        let (acc, tag) = self.recv_digest.trial(payload);
+        if tag != payload[TAG] {
             return false;
         }
-        self.recv_digest = trial;
+        self.recv_digest.commit(acc);
         true
     }
 
@@ -216,15 +282,21 @@ mod tests {
     use super::*;
     use crate::cell::{RelayCell, RelayCmd};
     use onion_crypto::ntor::CircuitKeys;
+    use onion_crypto::sha256::Sha256;
 
+    /// Keys as the ntor KDF hands them out: pseudo-random bytes. A
+    /// repeated-byte digest key is a structured field element, and some of
+    /// its POLYVAL powers have 32 zero low bits: with `db = [5; 32]` a byte
+    /// flipped at offset 174 or 203 left the four-byte tag unchanged.
     fn test_keys(tag: u8) -> CircuitKeys {
+        let key = |part: u8| onion_crypto::sha256_digest(&[tag, part]);
         CircuitKeys {
-            kf: [tag; 32],
-            kb: [tag ^ 0xFF; 32],
-            df: [tag.wrapping_add(1); 32],
-            db: [tag.wrapping_add(2); 32],
-            nf: [tag; 12],
-            nb: [tag ^ 0xFF; 12],
+            kf: key(0),
+            kb: key(1),
+            df: key(2),
+            db: key(3),
+            nf: *key(4).first_chunk().unwrap(),
+            nb: *key(5).first_chunk().unwrap(),
         }
     }
 
@@ -397,21 +469,42 @@ mod tests {
         stream[pos % 16..][..len].to_vec()
     }
 
+    /// The tag of a cell by the definition: POLYVAL by its bitwise
+    /// reference over the cell's 32 blocks (digest field zeroed), continued
+    /// from `acc`, XORed with the portable AES block of `0⁸ ‖ be64(n)` for
+    /// the cell's number `n`.
+    fn tag_by_hand(key: &[u8; 32], acc: &mut [u8; 16], n: u64, payload: &[u8]) -> [u8; 4] {
+        let mut cell = [0u8; 16 * PAYLOAD_LEN.div_ceil(16)];
+        cell[..PAYLOAD_LEN].copy_from_slice(payload);
+        cell[TAG].fill(0);
+        for block in cell.chunks(16) {
+            let x = from_fn(|i| acc[i] ^ block[i]);
+            *acc = onion_crypto::polyval::dot_reference(&x, key.first_chunk().unwrap());
+        }
+        let mut counter_block = [0u8; 16];
+        counter_block[8..].copy_from_slice(&n.to_be_bytes());
+        let mask = aes::encrypt_block(&aes::expand_key(key.last_chunk().unwrap()), &counter_block);
+        from_fn(|i| acc[i] ^ mask[i])
+    }
+
     /// Fixed-key relay-cell stream: 64 backward cells sealed at the exit or
     /// the middle hop, wrapped by the hops below, unwrapped by the client.
     ///
-    /// Two pins. The unwrapped payloads — plaintext plus every
-    /// running-digest tag — do not depend on the layer cipher, and their
-    /// hash is the one the code produced under the stream cipher AES
-    /// replaced: the swap changed nothing but the cipher. The wire
-    /// bytes do depend on it; their hash is pinned for AES-128-CTR and each
-    /// cell is also rebuilt from its plaintext with keystream made by hand,
-    /// so the pin cannot drift together with the cipher's wiring.
+    /// Two pins, one for the unwrapped payloads (plaintext plus every
+    /// running-digest tag) and one for the wire bytes. Both were re-pinned
+    /// when the tags went from a SHA-256 running digest to the keyed POLYVAL
+    /// one and [`test_keys`] from repeated bytes to pseudo-random ones; the
+    /// cell format stayed. Neither pin can drift together with the
+    /// kernels: each cell is rebuilt from its plaintext with keystream made
+    /// by hand from the portable AES block, and each tag is recomputed from
+    /// POLYVAL's bitwise definition and the same block.
     #[test]
     fn relay_digest_stream_is_pinned() {
         let (mut client, mut relays) = three_hops();
         let (mut wire, mut plain) = (Sha256::new(), Sha256::new());
         let mut sent = [0usize; 3]; // bytes each relay has encrypted backward
+        let mut accs = [[0u8; 16]; 3]; // each hop's running POLYVAL, by hand
+        let mut tagged = [0u64; 3]; // cells each hop has sealed
         for i in 0..64u16 {
             let from = if i % 8 == 7 { 1 } else { 2 };
             let data = vec![i as u8; (i as usize * 37) % 490];
@@ -426,6 +519,11 @@ mod tests {
             assert_eq!(RelayCell::parse_payload(&payload).unwrap().data, data);
             plain.update(&payload);
 
+            let db = test_keys(from as u8 + 1).db;
+            let tag = tag_by_hand(&db, &mut accs[from], tagged[from], &payload);
+            assert_eq!(tag, payload[TAG], "tag of cell {i}");
+            tagged[from] += 1;
+
             let mut by_hand = payload;
             for (hop, sent) in sent.iter_mut().enumerate().take(from + 1) {
                 let keys = test_keys(hop as u8 + 1);
@@ -437,11 +535,142 @@ mod tests {
         }
         assert_eq!(
             onion_crypto::sha256::digest_hex(&plain.finalize()),
-            "4f5087cbd3dd73108c4de76b03c6cb2784a97808e2f55ee9bc97d11af59d1b21"
+            "4676f99a71645a0b8ca7a93493b4409d6714b0679c7d5c56bd347055a196724e"
         );
         assert_eq!(
             onion_crypto::sha256::digest_hex(&wire.finalize()),
-            "2a2f643f4b4919bf028cb210e5cb32d57d49a2cce7eeecbfd2c1324bbf0eddb0"
+            "75eb8cfdf60732a2ae10c21b3e811568466113495162ca0c8dd2397ed0119311"
         );
+    }
+
+    /// A 3-hop circuit, and the same with the e2e hop of a rendezvous
+    /// circuit on top: cells go to every hop and back, in an order that
+    /// interleaves the hops, and each arrives at the hop it was sealed for
+    /// (forward) or is attributed to the hop that sealed it (backward).
+    #[test]
+    fn round_trips_to_every_hop() {
+        for e2e in [false, true] {
+            let (mut client, mut relays) = three_hops();
+            if e2e {
+                client.push_hop(LayerCrypto::client_side(&test_keys(9)));
+                relays.push(LayerCrypto::relay_side(&test_keys(9)));
+            }
+            let hops = relays.len();
+            for i in 0..40usize {
+                let hop = (i * 7 + i / 5) % hops;
+                let data = vec![i as u8; (i * 53) % 499];
+                let rc = RelayCell::new(RelayCmd::Data, i as u16, data);
+                let mut payload = rc.encode_payload();
+                client.seal_for_hop(hop, &mut payload);
+                for (k, relay) in relays.iter_mut().enumerate().take(hop + 1) {
+                    assert_eq!(relay.unseal(&mut payload), k == hop, "cell {i} at hop {k}");
+                }
+                assert_eq!(RelayCell::parse_payload(&payload).unwrap(), rc);
+
+                let mut payload = rc.encode_payload();
+                relays[hop].seal(&mut payload);
+                for relay in relays[..hop].iter_mut().rev() {
+                    relay.encrypt_layer(&mut payload);
+                }
+                assert_eq!(client.unwrap_inbound(&mut payload), Some(hop), "reply {i}");
+                assert_eq!(RelayCell::parse_payload(&payload).unwrap(), rc);
+            }
+        }
+    }
+
+    /// One byte flipped on the wire, at sampled offsets (the header and the
+    /// tag among them) and on every link up to the addressed hop, in both
+    /// directions: the addressed hop refuses the cell, and so does every
+    /// hop before it.
+    #[test]
+    fn flipped_byte_at_any_hop_is_refused() {
+        let offsets = (0..PAYLOAD_LEN).step_by(29).chain([1, 2, 5, 8, 9, 508]);
+        for offset in offsets {
+            for target in 0..3 {
+                for link in 0..=target {
+                    // Forward: flipped before hop `link` strips its layer.
+                    let (mut client, mut relays) = three_hops();
+                    let rc = RelayCell::new(RelayCmd::Data, 1, vec![0x42; 300]);
+                    let mut payload = rc.encode_payload();
+                    client.seal_for_hop(target, &mut payload);
+                    for (k, relay) in relays.iter_mut().enumerate().take(target + 1) {
+                        if k == link {
+                            payload[offset] ^= 0x10;
+                        }
+                        assert!(!relay.unseal(&mut payload), "{offset} on link {link}");
+                    }
+                    // Backward: flipped after hop `link` added its layer.
+                    let mut payload = rc.encode_payload();
+                    relays[target].seal(&mut payload);
+                    if link == target {
+                        payload[offset] ^= 0x10;
+                    }
+                    for k in (0..target).rev() {
+                        relays[k].encrypt_layer(&mut payload);
+                        if k == link {
+                            payload[offset] ^= 0x10;
+                        }
+                    }
+                    assert_eq!(client.unwrap_inbound(&mut payload), None, "{offset} back");
+                }
+            }
+        }
+    }
+
+    /// A replayed, reordered or skipped cell is refused, on the wire of a
+    /// 3-hop circuit and by the running digest alone (plaintext cells, so
+    /// the layer cipher plays no part). At the digest, a refused cell
+    /// leaves the stream in step: the next expected cell still passes.
+    #[test]
+    fn replayed_reordered_or_skipped_cell_is_refused() {
+        let cell = |i: u16| RelayCell::new(RelayCmd::Data, i, vec![7; 100]).encode_payload();
+        // On the wire: three cells for the exit, delivered in `order`.
+        let wire_accepts = |order: &[usize]| -> Vec<bool> {
+            let (mut client, mut relays) = three_hops();
+            let sealed: Vec<_> = (0..3)
+                .map(|i| {
+                    let mut payload = cell(i);
+                    client.seal_for_hop(2, &mut payload);
+                    payload
+                })
+                .collect();
+            let mut deliver = |mut payload: [u8; PAYLOAD_LEN]| {
+                relays.iter_mut().any(|relay| relay.unseal(&mut payload))
+            };
+            order.iter().map(|&i| deliver(sealed[i])).collect()
+        };
+        assert_eq!(wire_accepts(&[0, 1, 2]), [true; 3]);
+        assert_eq!(wire_accepts(&[0, 0]), [true, false], "replay");
+        assert_eq!(wire_accepts(&[1, 0]), [false, false], "reorder");
+        assert_eq!(wire_accepts(&[0, 2]), [true, false], "skip");
+
+        // The digest alone.
+        let key = test_keys(4).df;
+        let mut sender = RunningDigest::new(&key);
+        let sealed: Vec<_> = (0..3)
+            .map(|i| {
+                let mut payload = cell(i);
+                let (acc, tag) = sender.trial(&payload);
+                sender.commit(acc);
+                payload[TAG].copy_from_slice(&tag);
+                payload
+            })
+            .collect();
+        let digest_accepts = |order: &[usize]| -> Vec<bool> {
+            let mut receiver = RunningDigest::new(&key);
+            let mut accept = |payload: &[u8; PAYLOAD_LEN]| {
+                let (acc, tag) = receiver.trial(payload);
+                let ok = tag == payload[TAG];
+                if ok {
+                    receiver.commit(acc);
+                }
+                ok
+            };
+            order.iter().map(|&i| accept(&sealed[i])).collect()
+        };
+        assert_eq!(digest_accepts(&[0, 1, 2]), [true; 3]);
+        assert_eq!(digest_accepts(&[0, 0, 1, 2]), [true, false, true, true]);
+        assert_eq!(digest_accepts(&[1, 0, 2, 1]), [false, true, false, true]);
+        assert_eq!(digest_accepts(&[0, 2, 1]), [true, false, true]);
     }
 }

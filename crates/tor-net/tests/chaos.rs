@@ -411,8 +411,28 @@ fn unanswered_begin_ends_the_stream_after_ten_seconds() {
 
 #[test]
 fn hsdir_circuit_killed_mid_fetch_is_retried() {
+    hsdir_fetch_survives_a_crashed_middle(32);
+}
+
+/// At this seed the intro circuit, built 1 s after the crash, would pick the
+/// crashed middle again: the DESTROY that killed the HSDir circuit came from
+/// the guard and blamed no relay. The connection now avoids that circuit's
+/// hops past the guard, so the one HSDir retry is the only one.
+#[test]
+fn retry_after_unattributed_destroy_avoids_the_dead_circuits_hops() {
+    hsdir_fetch_survives_a_crashed_middle(33);
+}
+
+/// Crash the middle relay of an onion connection's HSDir circuit while the
+/// descriptor fetch is in flight: the rendezvous must still complete, at
+/// the cost of exactly one `tornet.client.hs_retries`.
+fn hsdir_fetch_survives_a_crashed_middle(seed: u64) {
     let (rendezvous_ready, recorded) = telemetry::scoped(|| {
-        let mut net = NetworkBuilder::new().seed(32).middles(10).hsdirs(2).build();
+        let mut net = NetworkBuilder::new()
+            .seed(seed)
+            .middles(10)
+            .hsdirs(2)
+            .build();
         let service = {
             let hs = HiddenServiceHost::new([0x78; 32], 2, true);
             let node = TestClientNode::new(net.authority, net.authority_key).with_hs(hs);
