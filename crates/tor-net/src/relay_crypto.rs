@@ -39,21 +39,13 @@ fn cell_cipher(key: &[u8; 32], nonce: &[u8; 12]) -> Aes128Ctr {
 /// Where the four tag bytes sit in a relay payload.
 const TAG: std::ops::Range<usize> = 5..9;
 
-/// Tag masks a running digest computes ahead: one counter-mode call makes
-/// the masks of this many cells, so a cell's mask costs a table read, not a
-/// call that runs a whole pass of the AES kernel for one block.
-const MASKS: usize = 32;
-
 /// One direction's running digest: the POLYVAL key and the mask key it was
-/// made from, the accumulator, how many cells it has absorbed and the
-/// masks of the next cells.
+/// made from, the accumulator and how many cells it has absorbed.
 struct RunningDigest {
     hash: Polyval,
     mask_key: RoundKeys,
     acc: [u8; BLOCK_LEN],
     cells: u64,
-    /// `masks[i]` masks cell `cells - cells % MASKS + i`.
-    masks: [[u8; BLOCK_LEN]; MASKS],
 }
 
 impl RunningDigest {
@@ -61,29 +53,12 @@ impl RunningDigest {
     /// tag mask with its second.
     fn new(key: &[u8; 32]) -> Self {
         let (h, mask) = key.split_at(BLOCK_LEN);
-        let mut digest = RunningDigest {
+        RunningDigest {
             hash: Polyval::new(&from_fn(|i| h[i])),
             mask_key: aes::expand_key(&from_fn(|i| mask[i])),
             acc: [0; BLOCK_LEN],
             cells: 0,
-            masks: [[0; BLOCK_LEN]; MASKS],
-        };
-        digest.refill();
-        digest
-    }
-
-    /// The masks of cells `cells .. cells + MASKS`: AES-128 of
-    /// `0⁸ ‖ be64(n)` is counter-mode keystream block `n` under a zero
-    /// nonce.
-    fn refill(&mut self) {
-        self.masks = [[0; BLOCK_LEN]; MASKS];
-        let nonce = [0; aes::NONCE_LEN];
-        aes::ctr_xor(
-            &self.mask_key,
-            &nonce,
-            self.cells,
-            self.masks.as_flattened_mut(),
-        );
+        }
     }
 
     /// The accumulator after absorbing `payload` (digest field zeroed) and
@@ -96,17 +71,18 @@ impl RunningDigest {
             *a ^= p;
         }
         self.hash.update(&mut acc, payload);
-        let mask = &self.masks[self.cells as usize % MASKS];
-        (acc, from_fn(|i| acc[i] ^ mask[i]))
+        // AES-128 of `0⁸ ‖ be64(n)` is counter-mode keystream block `n`
+        // under a zero nonce.
+        let mut tag = acc;
+        let nonce = [0; aes::NONCE_LEN];
+        aes::ctr_xor(&self.mask_key, &nonce, self.cells, &mut tag);
+        (acc, from_fn(|i| tag[i]))
     }
 
     /// Accept the cell a [`Self::trial`] returned `acc` for.
     fn commit(&mut self, acc: [u8; BLOCK_LEN]) {
         self.acc = acc;
         self.cells += 1;
-        if self.cells.is_multiple_of(MASKS as u64) {
-            self.refill();
-        }
     }
 }
 
