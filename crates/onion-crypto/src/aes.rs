@@ -447,6 +447,30 @@ mod tests {
         }
     }
 
+    /// Inputs of at most one unit (64 bytes on the four-block kernel) take
+    /// the one-unit path: every length 0–64 equals the portable backend, at
+    /// counters 0, 2³² − 1 and `u64::MAX − 1` (which wraps inside the unit),
+    /// returned partial keystream block included.
+    #[test]
+    fn one_unit_inputs_equal_portable() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(64);
+        for counter in [0, u64::from(u32::MAX), u64::MAX - 1] {
+            for len in 0..=64usize {
+                let keys = expand_key(&from_fn(|_| rng.gen()));
+                let nonce: [u8; NONCE_LEN] = from_fn(|_| rng.gen());
+                let plain: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                let (mut active, mut portable) = (plain.clone(), plain);
+                let got = ctr_xor(&keys, &nonce, counter, &mut active);
+                let want = ctr_xor_portable(&keys, &nonce, counter, &mut portable);
+                let what = format!("{len} bytes at {counter:#x} on {}", Aes128Ctr::backend());
+                assert_eq!(active, portable, "{what}");
+                if len % BLOCK_LEN != 0 {
+                    assert_eq!(got, want, "partial keystream block: {what}");
+                }
+            }
+        }
+    }
+
     /// `backend` names the kernel the target features select: four blocks a
     /// 512-bit `vaesenc` with VAES, AVX-512F and AVX-512BW, one block a
     /// 128-bit `aesenc` with only AES-NI. The line printed is what CI's

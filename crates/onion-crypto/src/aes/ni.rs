@@ -14,7 +14,7 @@ use super::{xor_into, RoundKeys, BLOCK_LEN, NONCE_LEN};
 use std::arch::x86_64::{
     __m128i, _mm_cvtsi128_si64, _mm_set_epi64x, _mm_unpackhi_epi64, _mm_xor_si128,
 };
-use unit::{aesenc, aesenclast, broadcast, counters, join, split, xor, BLOCKS};
+use unit::{aesenc, aesenclast, broadcast, counters, join, split, xor, Unit, BLOCKS};
 
 /// What [`super::Aes128Ctr::backend`] reports for this build.
 pub(super) const NAME: &str = unit::NAME;
@@ -215,6 +215,9 @@ pub(super) fn ctr_xor(
     counter: u64,
     data: &mut [u8],
 ) -> [u8; BLOCK_LEN] {
+    if data.is_empty() {
+        return [0; BLOCK_LEN];
+    }
     let mut rk = [broadcast(&keys[0]); 11];
     for (rk, key) in rk.iter_mut().zip(keys) {
         *rk = broadcast(key);
@@ -224,8 +227,22 @@ pub(super) fn ctr_xor(
     xor_into(&mut first, nonce);
     let first = broadcast(&first);
 
+    let short = data.len() <= BLOCKS * BLOCK_LEN;
     let (blocks, tail) = data.as_chunks_mut::<BLOCK_LEN>();
     let (units, loose) = blocks.as_chunks_mut::<BLOCKS>();
+    if short {
+        // At most one unit — a relay tag mask is sixteen bytes: one unit of
+        // keystream, not a pass of `LANES`.
+        let mut s = counters(first, counter);
+        for key in &rk[1..10] {
+            s = aesenc(s, *key);
+        }
+        let ks = aesenclast(s, rk[10]);
+        if let Some(unit) = units.first_mut() {
+            xor_unit(unit, ks);
+        }
+        return finish(ks, loose, tail);
+    }
     let (groups, rest) = units.as_chunks_mut::<LANES>();
     // One pass a group of `LANES` units, then one more if anything is left:
     // fewer than `LANES` whole units, then fewer than `BLOCKS` whole blocks
@@ -253,41 +270,69 @@ pub(super) fn ctr_xor(
 
         if let Some(group) = groups.next() {
             for (unit, ks) in group.iter_mut().zip(s) {
-                let out = split(xor(join(unit), ks));
-                for (block, out) in unit.iter_mut().zip(out) {
-                    *block = store(out);
-                }
+                xor_unit(unit, ks);
             }
             continue;
         }
         // The last pass: the whole units, then the first lane past them for
         // the loose blocks and the partial one. Every lane is visited at a
         // fixed index, so none leaves its register; the rest are discarded.
-        let (whole, loose_len) = (rest.len(), loose.len());
+        let whole = rest.len();
         let mut spare = s[0];
         for (lane, ks) in s.into_iter().enumerate() {
             match rest.get_mut(lane) {
-                Some(unit) => {
-                    let out = split(xor(join(unit), ks));
-                    for (block, out) in unit.iter_mut().zip(out) {
-                        *block = store(out);
-                    }
-                }
+                Some(unit) => xor_unit(unit, ks),
                 None if lane == whole => spare = ks,
                 None => {}
             }
         }
-        let spare = split(spare);
-        let mut partial = spare[0];
-        for (slot, ks) in spare.into_iter().enumerate() {
-            match loose.get_mut(slot) {
-                Some(block) => *block = store(_mm_xor_si128(load(block), ks)),
-                None if slot == loose_len => partial = ks,
-                None => {}
-            }
-        }
-        last = store(partial);
-        xor_into(tail, &last);
+        last = finish(spare, loose, tail);
     }
+    last
+}
+
+/// XOR one unit of keystream into one unit of data.
+#[inline]
+#[target_feature(enable = "sse2")]
+#[cfg_attr(
+    all(
+        target_feature = "vaes",
+        target_feature = "avx512f",
+        target_feature = "avx512bw"
+    ),
+    target_feature(enable = "avx512f")
+)]
+fn xor_unit(unit: &mut [[u8; BLOCK_LEN]; BLOCKS], ks: Unit) {
+    let out = split(xor(join(unit), ks));
+    for (block, out) in unit.iter_mut().zip(out) {
+        *block = store(out);
+    }
+}
+
+/// XOR the slots of `ks` into the loose whole blocks, then the slot after
+/// them into the partial block `tail`; returns that slot's keystream.
+#[inline]
+#[target_feature(enable = "sse2")]
+#[cfg_attr(
+    all(
+        target_feature = "vaes",
+        target_feature = "avx512f",
+        target_feature = "avx512bw"
+    ),
+    target_feature(enable = "avx512f")
+)]
+fn finish(ks: Unit, loose: &mut [[u8; BLOCK_LEN]], tail: &mut [u8]) -> [u8; BLOCK_LEN] {
+    let loose_len = loose.len();
+    let ks = split(ks);
+    let mut partial = ks[0];
+    for (slot, ks) in ks.into_iter().enumerate() {
+        match loose.get_mut(slot) {
+            Some(block) => *block = store(_mm_xor_si128(load(block), ks)),
+            None if slot == loose_len => partial = ks,
+            None => {}
+        }
+    }
+    let last = store(partial);
+    xor_into(tail, &last);
     last
 }

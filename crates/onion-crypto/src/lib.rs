@@ -11,13 +11,16 @@
 //! * [`aes`] — AES-128 (FIPS 197) in counter mode, Tor's relay-cell layer
 //!   cipher; its keystream runs on the x86 AES instructions when the build
 //!   targets a CPU that has them, four blocks an instruction with VAES and
-//!   AVX-512 ([`Aes128Ctr::backend`] says which), in portable table-driven
-//!   code otherwise.
+//!   AVX-512 (`"x86-vaes-avx512"`, else `"x86-aes-ni"`;
+//!   [`Aes128Ctr::backend`] says which), in portable table-driven code
+//!   otherwise.
 //! * [`polyval`] — POLYVAL (RFC 8452), the universal hash of AES-GCM-SIV
 //!   and the keyed running digest of relay cells; it runs on the x86
-//!   carry-less multiply, eight blocks a reduction, when the build targets
-//!   a CPU that has it ([`Polyval::backend`] says which), in portable
-//!   constant-time code otherwise.
+//!   carry-less multiply when the build targets a CPU that has it — 32
+//!   blocks a reduction, four an instruction, with VPCLMULQDQ and AVX-512
+//!   (`"x86-vpclmulqdq-avx512"`), else eight blocks a reduction on the
+//!   128-bit `pclmulqdq` (`"x86-pclmulqdq"`) — ([`Polyval::backend`] says
+//!   which), in portable constant-time code otherwise.
 //! * [`chacha20`] — the ChaCha20 stream cipher (RFC 8439), the cipher half
 //!   of [`aead`].
 //! * [`x25519`] — Curve25519 Diffie–Hellman (RFC 7748) via the Montgomery

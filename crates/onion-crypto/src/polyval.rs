@@ -15,11 +15,14 @@
 //! The multiply has two backends, chosen when the crate is compiled: the
 //! portable one (constant-time integer multiplies, every target) and, when
 //! the build's target features include the x86 carry-less multiply, the
-//! `clmul` module, which absorbs eight blocks against the powers
-//! `H⁸ … H¹` with one reduction. [`Polyval::update`] runs whichever the
-//! build selected and [`Polyval::backend`] names it; there is no runtime
-//! detection. Both produce the same bytes — the unit tests compare them,
-//! and a shift-and-add [`dot_reference`], over random keys and lengths.
+//! `clmul` module. That one has two widths: with VPCLMULQDQ and AVX-512F it
+//! absorbs 32 blocks — one zero-padded 509-byte relay cell — against the
+//! powers `H³² … H¹` in four-block 512-bit units with one reduction;
+//! otherwise eight blocks against `H⁸ … H¹` on the 128-bit `pclmulqdq`.
+//! [`Polyval::update`] runs whichever the build selected and
+//! [`Polyval::backend`] names it; there is no runtime detection. All
+//! produce the same bytes — the unit tests compare them, and a
+//! shift-and-add [`dot_reference`], over random keys and lengths.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -36,34 +39,49 @@ pub const BLOCK_LEN: usize = 16;
 
 /// Powers of the key a [`Polyval`] keeps: how many blocks the hardware
 /// backend absorbs per reduction.
-const POWERS: usize = 8;
+const POWERS: usize = if WIDE { 32 } else { 8 };
+
+/// Whether the build selects the four-block `vpclmulqdq` unit.
+const WIDE: bool = cfg!(all(
+    target_arch = "x86_64",
+    target_feature = "pclmulqdq",
+    target_feature = "sse2",
+    target_feature = "vpclmulqdq",
+    target_feature = "avx512f"
+));
 
 /// The field polynomial without its `x¹²⁸` term.
 const POLY: u128 = 1 << 127 | 1 << 126 | 1 << 121 | 1;
 
-/// POLYVAL under one key `H`: the key and `dot`-powers `H¹ … H⁸`.
+/// POLYVAL under one key `H`: the key and its `dot`-powers, highest first.
 #[derive(Clone)]
 pub struct Polyval {
-    /// `powers[i]` is the element whose `dot` with `a` multiplies `a` by
-    /// `(H·x⁻¹²⁸)ⁱ⁺¹`: `H` itself, then `dot(powers[i - 1], H)`.
+    /// `powers[POWERS - 1 - i]` is the element whose `dot` with `a`
+    /// multiplies `a` by `(H·x⁻¹²⁸)ⁱ⁺¹`: `H` itself in the last slot, and
+    /// `dot(powers[j + 1], H)` in each slot `j` before it. Highest first,
+    /// so the powers the last `n` blocks of an input are multiplied by are
+    /// the slice `powers[POWERS - n..]`, in order.
     powers: [u128; POWERS],
 }
 
 impl Polyval {
-    /// The hash keyed with `h`.
+    /// The hash keyed with `h`. Each power is one zero block absorbed into
+    /// the power below it, on the build's backend: `dot(Hⁱ ⊕ 0, H)`.
     pub fn new(h: &[u8; BLOCK_LEN]) -> Self {
-        let h = u128::from_le_bytes(*h);
-        let mut powers = [h; POWERS];
-        for i in 1..POWERS {
-            powers[i] = dot(powers[i - 1], h);
+        let mut powers = [u128::from_le_bytes(*h); POWERS];
+        for j in (0..POWERS - 1).rev() {
+            powers[j] = update_bytes(&powers, powers[j + 1], &[0; BLOCK_LEN]);
         }
         Polyval { powers }
     }
 
-    /// Name of the backend this build selected: `"x86-pclmulqdq"` or
-    /// `"portable"`.
+    /// Name of the backend this build selected: `"x86-vpclmulqdq-avx512"`
+    /// (four blocks a 512-bit `vpclmulqdq`), `"x86-pclmulqdq"` (one block a
+    /// 128-bit `pclmulqdq`) or `"portable"`.
     pub fn backend() -> &'static str {
-        if cfg!(all(
+        if WIDE {
+            "x86-vpclmulqdq-avx512"
+        } else if cfg!(all(
             target_arch = "x86_64",
             target_feature = "pclmulqdq",
             target_feature = "sse2"
@@ -98,8 +116,10 @@ impl Polyval {
 #[inline]
 fn update_bytes(powers: &[u128; POWERS], acc: u128, data: &[u8]) -> u128 {
     // SAFETY: the callee's only precondition is that the CPU has the target
-    // features it enables (pclmulqdq, sse2), and the cfg on this very item
-    // admits it to the build only when the compiler targets both.
+    // features it enables: pclmulqdq and sse2, which the cfg on this very
+    // item admits to the build only when the compiler targets both, and
+    // vpclmulqdq and avx512f only under a `cfg_attr` on the callee that
+    // requires the compiler to target both.
     unsafe { clmul::update(powers, acc, data) }
 }
 
@@ -112,14 +132,13 @@ use update_portable as update_bytes;
 
 /// [`update_bytes`] in portable code: one `dot` with `H` a block.
 fn update_portable(powers: &[u128; POWERS], acc: u128, data: &[u8]) -> u128 {
+    let h = powers[POWERS - 1];
     let (blocks, tail) = data.as_chunks::<BLOCK_LEN>();
     blocks
         .iter()
         .copied()
         .chain(padded(tail))
-        .fold(acc, |acc, block| {
-            dot(acc ^ u128::from_le_bytes(block), powers[0])
-        })
+        .fold(acc, |acc, block| dot(acc ^ u128::from_le_bytes(block), h))
 }
 
 /// A partial last block, zero-padded; `None` when there is none.
@@ -283,14 +302,15 @@ mod tests {
     }
 
     /// Whatever backend this build selected computes what the portable one
-    /// and the definition do: random keys and accumulators, 0–64 whole
-    /// blocks (eight full eight-block groups and every remainder), with and
-    /// without a ragged last block, each input also split in two calls at a
-    /// random block boundary.
+    /// and the definition do: random keys and accumulators, 0–100 whole
+    /// blocks (three full 32-block groups, twelve eight-block ones, and
+    /// every remainder), with and without a ragged last block — 31 whole
+    /// blocks and 13 bytes is a 509-byte relay cell — each input also split
+    /// in two calls at a random block boundary.
     #[test]
     fn active_backend_equals_portable_and_reference() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(359);
-        for whole in 0..=64usize {
+        for whole in 0..=100usize {
             for ragged in [0, 0, 1, 13, 15] {
                 let h: [u8; 16] = from_fn(|_| rng.gen());
                 let start: [u8; 16] = from_fn(|_| rng.gen());
@@ -319,8 +339,30 @@ mod tests {
         }
     }
 
-    /// `backend` names the kernel the target features select. The line
-    /// printed is what CI's native-backends step reports.
+    /// `new` builds each power on the build's backend; every one equals
+    /// the shift-and-add definition's, on random keys and the edges.
+    #[test]
+    fn powers_equal_reference_powers() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+        let edges = [0u128, 1, 1 << 127, u128::MAX, POLY];
+        for case in 0..40 {
+            let h: [u8; 16] = match edges.get(case) {
+                Some(edge) => edge.to_le_bytes(),
+                None => from_fn(|_| rng.gen()),
+            };
+            let hash = Polyval::new(&h);
+            let mut power = h;
+            for (i, got) in hash.powers.iter().rev().enumerate() {
+                assert_eq!(got.to_le_bytes(), power, "H^{} of {h:02x?}", i + 1);
+                power = dot_reference(&power, &h);
+            }
+        }
+    }
+
+    /// `backend` names the kernel the target features select: four blocks a
+    /// 512-bit `vpclmulqdq` with VPCLMULQDQ and AVX-512F, one block a
+    /// 128-bit `pclmulqdq` with only PCLMULQDQ. The line printed is what
+    /// CI's native-backends and 128-bit steps report and grep for.
     #[test]
     fn backend_names_the_kernel_the_target_features_select() {
         let clmul = cfg!(all(
@@ -328,11 +370,17 @@ mod tests {
             target_feature = "pclmulqdq",
             target_feature = "sse2"
         ));
+        let wide = cfg!(all(
+            target_feature = "vpclmulqdq",
+            target_feature = "avx512f"
+        ));
+        let expect = match (clmul, wide) {
+            (false, _) => "portable",
+            (true, false) => "x86-pclmulqdq",
+            (true, true) => "x86-vpclmulqdq-avx512",
+        };
         println!("polyval backend: {}", Polyval::backend());
-        assert_eq!(
-            Polyval::backend(),
-            if clmul { "x86-pclmulqdq" } else { "portable" }
-        );
+        assert_eq!(Polyval::backend(), expect);
     }
 
     /// The AES-128-GCM-SIV tag (RFC 8452 §4) of `aad` and `plain`, from

@@ -219,19 +219,29 @@ impl Cell {
         out.extend_from_slice(&self.payload);
     }
 
-    /// Append the wire form of a cell given as parts, skipping the
-    /// intermediate [`Cell`] value — the relay's sealed-send path writes an
-    /// already-encrypted payload straight into a pooled wire buffer.
-    pub fn encode_parts_into(
+    /// Append the wire form of a RELAY cell carrying `cmd` on `stream_id`
+    /// with `data`, not yet sealed: the payload [`RelayCell::encode_payload_from`]
+    /// makes, written straight into `out`. The ends of a circuit write a
+    /// cell into a pooled wire buffer this way and seal it in place through
+    /// [`Cell::wire_payload_mut`].
+    ///
+    /// # Panics
+    /// If `data` exceeds [`MAX_RELAY_DATA`].
+    pub fn encode_relay_into(
         circ_id: u32,
-        cmd: CellCmd,
-        payload: &[u8; PAYLOAD_LEN],
+        cmd: RelayCmd,
+        stream_id: u16,
+        data: &[u8],
         out: &mut Vec<u8>,
     ) {
+        assert!(data.len() <= MAX_RELAY_DATA, "relay data too large");
         out.reserve(CELL_LEN);
         out.extend_from_slice(&circ_id.to_be_bytes());
-        out.push(cmd.to_byte());
-        out.extend_from_slice(payload);
+        out.push(CellCmd::Relay.to_byte());
+        let start = out.len();
+        out.extend_from_slice(&relay_header(cmd, stream_id, data.len()));
+        out.extend_from_slice(data);
+        out.resize(start + PAYLOAD_LEN, 0);
     }
 
     /// Decode from the wire; `None` for wrong length or unknown command.
@@ -340,12 +350,8 @@ impl RelayCell {
     pub fn encode_payload_from(cmd: RelayCmd, stream_id: u16, data: &[u8]) -> [u8; PAYLOAD_LEN] {
         assert!(data.len() <= MAX_RELAY_DATA, "relay data too large");
         let mut p = [0u8; PAYLOAD_LEN];
-        p[0] = cmd.to_byte();
-        // p[1..3] recognized = 0
-        p[3..5].copy_from_slice(&stream_id.to_be_bytes());
-        // p[5..9] digest = 0 (filled by seal)
-        p[9..11].copy_from_slice(&(data.len() as u16).to_be_bytes());
-        p[11..11 + data.len()].copy_from_slice(data);
+        p[..RELAY_HEADER_LEN].copy_from_slice(&relay_header(cmd, stream_id, data.len()));
+        p[RELAY_HEADER_LEN..RELAY_HEADER_LEN + data.len()].copy_from_slice(data);
         p
     }
 
@@ -368,6 +374,17 @@ impl RelayCell {
     pub fn recognized_field(p: &[u8; PAYLOAD_LEN]) -> u16 {
         u16::from_be_bytes([p[1], p[2]])
     }
+}
+
+/// The relay header of an unsealed payload: command, `recognized` = 0,
+/// stream id, a zeroed digest field (filled by
+/// [`crate::relay_crypto::LayerCrypto::seal`]) and the data length.
+fn relay_header(cmd: RelayCmd, stream_id: u16, len: usize) -> [u8; RELAY_HEADER_LEN] {
+    let mut h = [0u8; RELAY_HEADER_LEN];
+    h[0] = cmd.to_byte();
+    h[3..5].copy_from_slice(&stream_id.to_be_bytes());
+    h[9..11].copy_from_slice(&(len as u16).to_be_bytes());
+    h
 }
 
 /// Where a stream should terminate: the body of a BEGIN cell.

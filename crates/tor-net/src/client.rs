@@ -12,9 +12,7 @@
 // crash.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::cell::{
-    Cell, CellCmd, ExtendBody, RelayCell, RelayCmd, StreamTarget, MAX_RELAY_DATA, PAYLOAD_LEN,
-};
+use crate::cell::{Cell, CellCmd, ExtendBody, RelayCell, RelayCmd, StreamTarget, CELL_LEN};
 use crate::dir::{
     Consensus, DirMsg, Fingerprint, HsDescriptor, OnionAddr, RelayFlags, RelayInfo, SignedConsensus,
 };
@@ -623,7 +621,7 @@ impl TorClient {
     }
 
     /// Send application bytes on a stream (chunked into data cells, subject
-    /// to the circuit window).
+    /// to the circuit window; only what must wait is copied, once).
     pub fn send_stream(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -631,9 +629,7 @@ impl TorClient {
         stream: u16,
         data: &[u8],
     ) {
-        for chunk in data.chunks(MAX_RELAY_DATA) {
-            self.send_relay(ctx, circ.0, RelayCmd::Data, stream, chunk);
-        }
+        self.send_relay(ctx, circ.0, RelayCmd::Data, stream, data);
     }
 
     /// Close a stream. Its END follows any of its DATA still waiting for
@@ -957,8 +953,9 @@ impl TorClient {
     // ------------------------------------------------------------------
 
     /// Send a relay cell to the circuit's last hop through the circuit
-    /// window. The data is borrowed, and copied to the heap only when the
-    /// cell must wait in the window's queue.
+    /// window. DATA may be any length: it is cut into cells, and only what
+    /// the package window does not admit is copied, once, to wait. An END
+    /// waits behind DATA queued before it.
     fn send_relay(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -970,9 +967,18 @@ impl TorClient {
         let Some(c) = self.circuits.get_mut(&slot) else {
             return;
         };
-        if c.window.admit(cmd, stream, data) {
-            let payload = RelayCell::encode_payload_from(cmd, stream, data);
-            Self::seal_for_last(&mut self.links, ctx, c, payload);
+        match cmd {
+            RelayCmd::Data => {
+                let (cells, rest) = c.window.admit_data(data);
+                for cell in cells {
+                    Self::seal_for_last(&mut self.links, ctx, c, cmd, stream, cell);
+                }
+                if let Some(at) = rest {
+                    c.window.wait(stream, data[at..].to_vec(), 0);
+                }
+            }
+            RelayCmd::End if !c.window.admit_end(stream) => {}
+            _ => Self::seal_for_last(&mut self.links, ctx, c, cmd, stream, data),
         }
     }
 
@@ -980,18 +986,13 @@ impl TorClient {
         links: &mut LinkTable,
         ctx: &mut Ctx<'_>,
         c: &mut ClientCircuit,
-        mut payload: [u8; PAYLOAD_LEN],
+        cmd: RelayCmd,
+        stream: u16,
+        data: &[u8],
     ) {
-        if c.crypto.is_empty() {
-            return;
+        if let Some(wire) = sealed_wire(ctx, &mut c.crypto, c.circ_id, cmd, stream, data) {
+            links.send_wire(ctx, c.conn, wire);
         }
-        c.crypto.seal_for_last(&mut payload);
-        let cell = Cell {
-            circ_id: c.circ_id,
-            cmd: CellCmd::Relay,
-            payload,
-        };
-        links.send_cell(ctx, c.conn, cell);
     }
 
     fn handle_cell(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, mut cell: Cell) {
@@ -1186,8 +1187,13 @@ impl TorClient {
             (RelayCmd::Sendme, _) => {
                 if let Some(c) = self.circuits.get_mut(&slot) {
                     c.window.credit();
-                    while let Some(rc) = c.window.next_ready() {
-                        Self::seal_for_last(&mut self.links, ctx, c, rc.encode_payload());
+                    let (crypto, circ_id, conn) = (&mut c.crypto, c.circ_id, c.conn);
+                    while let Some(wire) = c.window.next_ready(|cmd, stream, data| {
+                        sealed_wire(ctx, crypto, circ_id, cmd, stream, data)
+                    }) {
+                        if let Some(wire) = wire {
+                            self.links.send_wire(ctx, conn, wire);
+                        }
                     }
                 }
             }
@@ -1561,6 +1567,28 @@ impl TorClient {
         }
         self.emit_or_hs(ctx, c.hs_conn, TorEvent::CircuitClosed(CircuitHandle(slot)));
     }
+}
+
+/// A relay cell to a circuit's last hop, written into a pooled wire buffer
+/// for circuit `circ_id` and sealed there by `crypto`: no intermediate
+/// payload or [`RelayCell`]. `None` before any hop is built.
+fn sealed_wire(
+    ctx: &mut Ctx<'_>,
+    crypto: &mut CircuitCrypto,
+    circ_id: u32,
+    cmd: RelayCmd,
+    stream: u16,
+    data: &[u8],
+) -> Option<Vec<u8>> {
+    if crypto.is_empty() {
+        return None;
+    }
+    let mut wire = ctx.take_buf(CELL_LEN);
+    Cell::encode_relay_into(circ_id, cmd, stream, data, &mut wire);
+    if let Some(payload) = Cell::wire_payload_mut(&mut wire) {
+        crypto.seal_for_last(payload);
+    }
+    Some(wire)
 }
 
 #[cfg(test)]

@@ -11,12 +11,15 @@
 //! [`CircWindow`] is Tor's circuit-level SENDME flow control as one end of a
 //! circuit (the client, or the relay that terminates it) sees it: a package
 //! window of [`CIRC_WINDOW`] DATA cells widened by [`SENDME_INCREMENT`] per
-//! SENDME, the FIFO of cells waiting behind a closed window, and the count
-//! of delivered DATA cells that says when to send a SENDME.
+//! SENDME, the FIFO of what waits behind a closed window, and the count of
+//! delivered DATA cells that says when to send a SENDME. Stream bytes wait
+//! as *runs* — one owned buffer and the offset of the next cell — so a
+//! message behind the window is neither copied nor cut up until its cells
+//! are sent.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use crate::cell::{Cell, RelayCell, RelayCmd, CELL_LEN};
+use crate::cell::{Cell, RelayCmd, CELL_LEN, MAX_RELAY_DATA};
 use simnet::{ConnId, Ctx, NodeId};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -153,14 +156,31 @@ impl LinkTable {
     }
 }
 
+/// What waits behind a closed package window, in send order.
+enum Waiting {
+    /// The DATA cells of one message still to be sent: `bytes[at..]`, cut
+    /// every [`MAX_RELAY_DATA`] bytes from `at`. `at` is where the cells
+    /// already sent stopped, so the cuts fall where `bytes.chunks`
+    /// makes them. Never merged with another message.
+    Run {
+        stream_id: u16,
+        bytes: Vec<u8>,
+        at: usize,
+    },
+    /// An END, behind the DATA queued before it.
+    End(u16),
+}
+
 /// One end's view of a circuit's SENDME flow control.
 pub(crate) struct CircWindow {
     /// DATA cells this end may still send before the far end credits it.
     package: i32,
     /// DATA cells delivered here since this end last sent a SENDME.
     delivered: i32,
-    /// Cells waiting behind the package window, in send order.
-    queued: VecDeque<RelayCell>,
+    /// What waits behind the package window, in send order. Whenever it is
+    /// not empty its front is a run and the window is closed: the queue
+    /// drains ([`CircWindow::next_ready`]) as soon as a SENDME opens it.
+    queued: VecDeque<Waiting>,
 }
 
 impl CircWindow {
@@ -172,28 +192,53 @@ impl CircWindow {
         }
     }
 
-    /// Whether a cell may be sent now. A DATA cell spends one unit of the
-    /// package window. An END waits while cells are queued, so it never
-    /// overtakes its stream's DATA. Any other cell always goes. A cell that
-    /// must wait is queued, its data copied, and `false` returned.
-    pub fn admit(&mut self, cmd: RelayCmd, stream_id: u16, data: &[u8]) -> bool {
-        let wait = match cmd {
-            RelayCmd::Data => self.package <= 0,
-            RelayCmd::End => !self.queued.is_empty(),
-            _ => false,
-        };
-        if wait {
-            self.queued.push_back(RelayCell {
-                cmd,
+    /// The DATA cells of `data` that may be sent now, cut every
+    /// [`MAX_RELAY_DATA`] bytes, with the package window spent on them; and
+    /// where the rest starts when some must [`CircWindow::wait`].
+    pub fn admit_data<'a>(
+        &mut self,
+        data: &'a [u8],
+    ) -> (impl Iterator<Item = &'a [u8]>, Option<usize>) {
+        let cells = data.len().div_ceil(MAX_RELAY_DATA);
+        let now = self.spend(cells);
+        let rest = (now < cells).then_some(now * MAX_RELAY_DATA);
+        (data.chunks(MAX_RELAY_DATA).take(now), rest)
+    }
+
+    /// How many of the next `cells` DATA cells may be sent now; the
+    /// package window is spent on them.
+    fn spend(&mut self, cells: usize) -> usize {
+        if !self.queued.is_empty() {
+            return 0;
+        }
+        let now = cells.min(usize::try_from(self.package).unwrap_or(0));
+        self.package -= now as i32;
+        now
+    }
+
+    /// Queue the DATA cells of `bytes[at..]` behind the window, as one run
+    /// that keeps `bytes` without copying it. Nothing is queued when
+    /// nothing is left.
+    pub fn wait(&mut self, stream_id: u16, bytes: Vec<u8>, at: usize) {
+        if at < bytes.len() {
+            self.queued.push_back(Waiting::Run {
                 stream_id,
-                data: data.to_vec(),
+                bytes,
+                at,
             });
-            return false;
         }
-        if cmd == RelayCmd::Data {
-            self.package -= 1;
+    }
+
+    /// Whether an END for `stream_id` may be sent now. It waits while
+    /// anything is queued, so it never overtakes its stream's DATA; then it
+    /// is queued and `false` returned. Other cells than DATA and END never
+    /// wait.
+    pub fn admit_end(&mut self, stream_id: u16) -> bool {
+        if self.queued.is_empty() {
+            return true;
         }
-        true
+        self.queued.push_back(Waiting::End(stream_id));
+        false
     }
 
     /// The far end sent a SENDME: widen the package window. Drain
@@ -202,15 +247,42 @@ impl CircWindow {
         self.package += SENDME_INCREMENT;
     }
 
-    /// The next queued cell that may be sent now (spending window for DATA).
-    pub fn next_ready(&mut self) -> Option<RelayCell> {
-        if self.queued.front()?.cmd == RelayCmd::Data {
-            if self.package <= 0 {
-                return None;
+    /// Hand the next queued cell that may be sent now (spending window for
+    /// DATA) to `send`, as command, stream id and data, and return what it
+    /// returns; `None` when nothing may go. A run is dropped once its last
+    /// cell is cut.
+    pub fn next_ready<R>(&mut self, send: impl FnOnce(RelayCmd, u16, &[u8]) -> R) -> Option<R> {
+        let sent = match self.queued.front_mut()? {
+            Waiting::End(stream_id) => send(RelayCmd::End, *stream_id, &[]),
+            Waiting::Run { .. } if self.package <= 0 => return None,
+            Waiting::Run {
+                stream_id,
+                bytes,
+                at,
+            } => {
+                self.package -= 1;
+                let from = *at;
+                *at = bytes.len().min(from + MAX_RELAY_DATA);
+                let sent = send(RelayCmd::Data, *stream_id, &bytes[from..*at]);
+                if *at < bytes.len() {
+                    return Some(sent);
+                }
+                sent
             }
-            self.package -= 1;
-        }
-        self.queued.pop_front()
+        };
+        self.queued.pop_front();
+        Some(sent)
+    }
+
+    /// Stream bytes waiting behind the window.
+    pub fn queued_bytes(&self) -> usize {
+        self.queued
+            .iter()
+            .map(|w| match w {
+                Waiting::Run { bytes, at, .. } => bytes.len() - at,
+                Waiting::End(_) => 0,
+            })
+            .sum()
     }
 
     /// Count one DATA cell delivered here; true when a SENDME is due.
@@ -258,30 +330,146 @@ mod tests {
         assert_eq!(table.circ(b, 1), Some(4));
     }
 
+    /// A cell as [`CircWindow::next_ready`] hands it out.
+    type Sent = (RelayCmd, u16, Vec<u8>);
+
+    /// Everything the window lets go of now.
+    fn drain(w: &mut CircWindow) -> Vec<Sent> {
+        std::iter::from_fn(|| w.next_ready(|cmd, id, data| (cmd, id, data.to_vec()))).collect()
+    }
+
+    /// A window with its package window spent.
+    fn closed() -> CircWindow {
+        let mut w = CircWindow::new();
+        assert_eq!(w.spend(2 * CIRC_WINDOW as usize), CIRC_WINDOW as usize);
+        w
+    }
+
     #[test]
     fn end_waits_behind_queued_data_and_the_window_refills_by_sendme() {
         let mut w = CircWindow::new();
-        for _ in 0..CIRC_WINDOW {
-            assert!(w.admit(RelayCmd::Data, 1, b"x"));
-        }
-        assert!(w.admit(RelayCmd::End, 2, &[]), "nothing queued yet");
-        assert!(!w.admit(RelayCmd::Data, 1, b"tail"));
-        assert!(
-            w.admit(RelayCmd::Sendme, 0, &[]),
-            "control cells never wait"
-        );
-        assert!(!w.admit(RelayCmd::End, 1, &[]));
-        assert!(w.next_ready().is_none(), "window closed");
+        assert_eq!(w.spend(CIRC_WINDOW as usize), CIRC_WINDOW as usize);
+        assert!(w.admit_end(2), "nothing queued yet");
+        assert_eq!(w.spend(1), 0);
+        w.wait(1, b"tail".to_vec(), 0);
+        assert!(!w.admit_end(1));
+        assert!(drain(&mut w).is_empty(), "window closed");
+        assert_eq!(w.queued_bytes(), 4);
         w.credit();
-        let order: Vec<RelayCmd> = std::iter::from_fn(|| w.next_ready())
-            .map(|rc| rc.cmd)
-            .collect();
+        let order: Vec<RelayCmd> = drain(&mut w).into_iter().map(|(cmd, ..)| cmd).collect();
         assert_eq!(order, [RelayCmd::Data, RelayCmd::End]);
         // One unit went to the queued DATA cell.
-        for _ in 1..SENDME_INCREMENT {
-            assert!(w.admit(RelayCmd::Data, 1, b"x"));
+        assert_eq!(w.spend(2 * SENDME_INCREMENT as usize), 99);
+    }
+
+    /// Cells cut from a run — queued from its start, or after the window
+    /// let some of its cells go — are on the wire exactly the cells
+    /// `chunks(MAX_RELAY_DATA)` of the message makes.
+    #[test]
+    fn cells_cut_from_a_run_equal_the_per_chunk_cells() {
+        let wire = |cmd, id, data: &[u8]| {
+            let mut out = Vec::new();
+            Cell::encode_relay_into(7, cmd, id, data, &mut out);
+            out
+        };
+        for len in [1, 498, 499, 16 << 20 | 5] {
+            let msg: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let want: Vec<Vec<u8>> = msg
+                .chunks(MAX_RELAY_DATA)
+                .map(|chunk| {
+                    let payload =
+                        crate::cell::RelayCell::encode_payload_from(RelayCmd::Data, 3, chunk);
+                    Cell::with_payload(7, crate::cell::CellCmd::Relay, &payload).encode()
+                })
+                .collect();
+            for sent_first in [0, 1] {
+                let cells = want.len();
+                let mut w = CircWindow::new();
+                let first = w.spend(CIRC_WINDOW as usize - sent_first);
+                assert_eq!(first, CIRC_WINDOW as usize - sent_first);
+                let now = w.spend(cells);
+                w.wait(3, msg.clone(), now * MAX_RELAY_DATA);
+                let mut got: Vec<Vec<u8>> = msg
+                    .chunks(MAX_RELAY_DATA)
+                    .take(now)
+                    .map(|c| wire(RelayCmd::Data, 3, c))
+                    .collect();
+                while got.len() < cells {
+                    w.credit();
+                    let before = got.len();
+                    got.extend(
+                        std::iter::from_fn(|| w.next_ready(|cmd, id, data| wire(cmd, id, data)))
+                            .take(cells),
+                    );
+                    assert!(got.len() > before, "a SENDME moves the run");
+                }
+                assert_eq!(got.len(), cells, "{len} bytes");
+                assert!(got == want, "{len} bytes, {sent_first} sent first");
+                assert_eq!(w.queued_bytes(), 0);
+            }
         }
-        assert!(!w.admit(RelayCmd::Data, 1, b"x"));
+    }
+
+    #[test]
+    fn messages_queued_back_to_back_are_never_merged() {
+        let mut w = closed();
+        w.wait(1, vec![0xaa; 10], 0);
+        w.wait(1, vec![0xbb; 600], 0);
+        w.wait(2, vec![0xcc; 10], 0);
+        w.wait(2, Vec::new(), 0);
+        w.wait(2, vec![0xdd; 10], 10);
+        assert_eq!(w.queued_bytes(), 620);
+        w.credit();
+        let sent = drain(&mut w);
+        let lens: Vec<(u16, usize)> = sent.iter().map(|(_, id, d)| (*id, d.len())).collect();
+        assert_eq!(lens, [(1, 10), (1, 498), (1, 102), (2, 10)]);
+        assert!(sent.iter().all(|(cmd, ..)| *cmd == RelayCmd::Data));
+    }
+
+    #[test]
+    fn an_end_never_overtakes_a_run() {
+        let mut w = closed();
+        w.wait(1, vec![1; 3 * MAX_RELAY_DATA], 0);
+        assert!(!w.admit_end(1));
+        w.wait(2, vec![2; 150 * MAX_RELAY_DATA], 0);
+        assert!(!w.admit_end(2));
+        w.credit();
+        let first = drain(&mut w);
+        assert_eq!(first.len(), 101, "three DATA, the first END, 97 DATA");
+        assert_eq!(first[3].0, RelayCmd::End);
+        assert_eq!(first[3].1, 1);
+        assert!(first.iter().filter(|c| c.0 == RelayCmd::End).count() == 1);
+        w.credit();
+        let rest = drain(&mut w);
+        assert_eq!(rest.len(), 54);
+        assert_eq!(rest.last().map(|c| (c.0, c.1)), Some((RelayCmd::End, 2)));
+        assert!(w.admit_end(3), "nothing left queued");
+    }
+
+    /// A SENDME lets exactly `SENDME_INCREMENT` DATA cells go, wherever the
+    /// runs they come from start and end.
+    #[test]
+    fn a_sendme_releases_exactly_an_increment_across_runs() {
+        let mut w = closed();
+        for (id, cells) in [(1, 7), (2, 1), (3, 130), (4, 33), (5, 99)] {
+            w.wait(id, vec![id as u8; cells * MAX_RELAY_DATA - 1], 0);
+        }
+        let mut ids = Vec::new();
+        for _ in 0..2 {
+            w.credit();
+            let sent = drain(&mut w);
+            assert_eq!(sent.len(), SENDME_INCREMENT as usize);
+            ids.extend(sent.iter().map(|c| c.1));
+        }
+        assert_eq!(ids.iter().filter(|&&id| id == 3).count(), 130);
+        assert_eq!(
+            ids.last(),
+            Some(&5),
+            "the second increment ends inside run 5"
+        );
+        w.credit();
+        assert_eq!(drain(&mut w).len(), 70);
+        assert_eq!(w.queued_bytes(), 0);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::cell::{
-    Cell, CellCmd, ExtendBody, RelayCell, RelayCmd, StreamTarget, CELL_LEN, MAX_RELAY_DATA,
-    PAYLOAD_LEN,
+    Cell, CellCmd, ExtendBody, RelayCell, RelayCmd, StreamTarget, CELL_LEN, PAYLOAD_LEN,
 };
 use crate::dir::{
     Consensus, DirMsg, ExitPolicy, Fingerprint, OnionAddr, RelayFlags, RelayInfo, SignedConsensus,
@@ -276,6 +275,16 @@ impl RelayCore {
         self.circuits.iter().flatten().count()
     }
 
+    /// Stream bytes waiting behind the package windows of this relay's
+    /// circuits, toward their origins.
+    pub fn queued_bytes(&self) -> usize {
+        self.circuits
+            .iter()
+            .flatten()
+            .map(|c| c.window.queued_bytes())
+            .sum()
+    }
+
     /// Fold the stats accumulated since the last flush into the process
     /// telemetry. The simulator drives this once per `run_until` (through
     /// `Node::flush_telemetry`), so the per-cell hot path never pays a
@@ -425,11 +434,9 @@ impl RelayCore {
             return None;
         }
         if let Some(&(slot, stream_id)) = self.exit_conns.get(&conn) {
-            // Data from an external destination: package into cells.
-            for chunk in msg.chunks(MAX_RELAY_DATA) {
-                self.send_to_origin(ctx, slot, RelayCmd::Data, stream_id, chunk);
-            }
-            ctx.recycle_buf(msg);
+            // Data from an external destination: package into cells. What
+            // the window does not admit waits in `msg` itself.
+            self.package_to_origin(ctx, slot, stream_id, msg);
             return None;
         }
         Some(msg)
@@ -492,9 +499,7 @@ impl RelayCore {
         let Some(&(slot, stream_id)) = self.local_streams.get(&stream.0) else {
             return;
         };
-        for chunk in data.chunks(MAX_RELAY_DATA) {
-            self.send_to_origin(ctx, slot, RelayCmd::Data, stream_id, chunk);
-        }
+        self.send_to_origin(ctx, slot, RelayCmd::Data, stream_id, data);
     }
 
     /// Close a local-service stream.
@@ -680,9 +685,10 @@ impl RelayCore {
         self.send_wire(ctx, prev.0, msg);
     }
 
-    /// Seal a relay cell as the terminal hop and send it toward the origin
-    /// through the circuit window. The data is borrowed, and copied to the
-    /// heap only when the cell must wait in the window's queue.
+    /// Send a relay cell toward the origin through the circuit window, as
+    /// the terminal hop. DATA may be any length: it is cut into cells, and
+    /// only what the package window does not admit is copied, once, to wait.
+    /// An END waits behind DATA queued before it.
     fn send_to_origin(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -694,9 +700,54 @@ impl RelayCore {
         let Some(c) = self.circuits[slot].as_mut() else {
             return;
         };
-        if c.window.admit(cmd, stream_id, data) {
-            let payload = RelayCell::encode_payload_from(cmd, stream_id, data);
-            self.seal_and_send_to_origin(ctx, slot, payload);
+        match cmd {
+            RelayCmd::Data => {
+                if let Some(at) = self.send_data_to_origin(ctx, slot, stream_id, data) {
+                    self.wait_at_window(slot, stream_id, data[at..].to_vec(), 0);
+                }
+            }
+            RelayCmd::End if !c.window.admit_end(stream_id) => {}
+            _ => self.seal_and_send_to_origin(ctx, slot, cmd, stream_id, data),
+        }
+    }
+
+    /// [`Self::send_to_origin`] for the DATA of a message from an exit
+    /// connection: what the package window does not admit waits in `bytes`
+    /// itself, uncopied; otherwise `bytes` is recycled.
+    fn package_to_origin(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        slot: usize,
+        stream_id: u16,
+        bytes: Vec<u8>,
+    ) {
+        match self.send_data_to_origin(ctx, slot, stream_id, &bytes) {
+            Some(at) => self.wait_at_window(slot, stream_id, bytes, at),
+            None => ctx.recycle_buf(bytes),
+        }
+    }
+
+    /// Send the DATA cells of `data` that the package window admits now
+    /// ([`CircWindow::admit_data`]). Returns where they stopped when the
+    /// rest must wait, `None` when all went or the circuit is gone.
+    fn send_data_to_origin(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        slot: usize,
+        stream_id: u16,
+        data: &[u8],
+    ) -> Option<usize> {
+        let (cells, rest) = self.circuits[slot].as_mut()?.window.admit_data(data);
+        for cell in cells {
+            self.seal_and_send_to_origin(ctx, slot, RelayCmd::Data, stream_id, cell);
+        }
+        rest
+    }
+
+    /// Queue `bytes[at..]` behind circuit `slot`'s package window.
+    fn wait_at_window(&mut self, slot: usize, stream_id: u16, bytes: Vec<u8>, at: usize) {
+        if let Some(c) = self.circuits[slot].as_mut() {
+            c.window.wait(stream_id, bytes, at);
         }
     }
 
@@ -704,30 +755,30 @@ impl RelayCore {
         &mut self,
         ctx: &mut Ctx<'_>,
         slot: usize,
-        mut payload: [u8; PAYLOAD_LEN],
+        cmd: RelayCmd,
+        stream_id: u16,
+        data: &[u8],
     ) {
-        let prev = {
-            let Some(c) = self.circuits[slot].as_mut() else {
-                return;
-            };
-            c.crypto.seal(&mut payload);
-            self.stats.crypto_bytes += PAYLOAD_LEN as u64;
-            c.prev
+        let Some(c) = self.circuits[slot].as_mut() else {
+            return;
         };
-        // Encode straight into a pooled wire buffer: no intermediate
-        // `Cell` value, no second 509-byte payload copy.
-        let mut wire = ctx.take_buf(CELL_LEN);
-        Cell::encode_parts_into(prev.1, CellCmd::Relay, &payload, &mut wire);
+        let prev = c.prev;
+        let wire = sealed_wire(ctx, &mut c.crypto, prev.1, cmd, stream_id, data);
+        self.stats.crypto_bytes += PAYLOAD_LEN as u64;
         self.send_wire(ctx, prev.0, wire);
     }
 
     /// Send what the window lets go of after a SENDME.
     fn flush_to_origin(&mut self, ctx: &mut Ctx<'_>, slot: usize) {
-        while let Some(rc) = self.circuits[slot]
-            .as_mut()
-            .and_then(|c| c.window.next_ready())
-        {
-            self.seal_and_send_to_origin(ctx, slot, rc.encode_payload());
+        while let Some(c) = self.circuits[slot].as_mut() {
+            let (crypto, prev) = (&mut c.crypto, c.prev);
+            let Some(wire) = c.window.next_ready(|cmd, stream_id, data| {
+                sealed_wire(ctx, crypto, prev.1, cmd, stream_id, data)
+            }) else {
+                return;
+            };
+            self.stats.crypto_bytes += PAYLOAD_LEN as u64;
+            self.send_wire(ctx, prev.0, wire);
         }
     }
 
@@ -850,9 +901,7 @@ impl RelayCore {
                     };
                     if let Some(resp) = self.handle_dir_msg(dm) {
                         let framed = encode_frame(&resp.encode());
-                        for chunk in framed.chunks(MAX_RELAY_DATA) {
-                            self.send_to_origin(ctx, slot, RelayCmd::Data, rc.stream_id, chunk);
-                        }
+                        self.send_to_origin(ctx, slot, RelayCmd::Data, rc.stream_id, &framed);
                     }
                 }
             }
@@ -1044,6 +1093,25 @@ impl RelayCore {
             }
         }
     }
+}
+
+/// A relay cell toward the origin, written into a pooled wire buffer for
+/// circuit `circ_id` and sealed there as the terminal hop by `crypto`: no
+/// intermediate payload or [`RelayCell`].
+fn sealed_wire(
+    ctx: &mut Ctx<'_>,
+    crypto: &mut LayerCrypto,
+    circ_id: u32,
+    cmd: RelayCmd,
+    stream_id: u16,
+    data: &[u8],
+) -> Vec<u8> {
+    let mut wire = ctx.take_buf(CELL_LEN);
+    Cell::encode_relay_into(circ_id, cmd, stream_id, data, &mut wire);
+    if let Some(payload) = Cell::wire_payload_mut(&mut wire) {
+        crypto.seal(payload);
+    }
+    wire
 }
 
 /// A standalone relay host node: a [`RelayCore`] and nothing else. Local

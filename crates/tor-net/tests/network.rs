@@ -7,7 +7,7 @@ use tor_net::dir::DirMsg;
 use tor_net::netbuild::{NetworkBuilder, TestClientNode};
 use tor_net::ports::{HS_VIRTUAL_PORT, HTTP_PORT};
 use tor_net::stream_frame::encode_frame;
-use tor_net::{HiddenServiceHost, StreamTarget, TorEvent};
+use tor_net::{HiddenServiceHost, RelayNode, StreamTarget, TorEvent};
 
 fn secs(s: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(s)
@@ -348,6 +348,45 @@ fn destroy_circuit_tears_down_exit_stream() {
     });
 }
 
+#[test]
+fn a_torn_down_circuit_frees_the_runs_queued_at_its_exit() {
+    let mut net = NetworkBuilder::new().seed(53).build();
+    let server = net.add_web_server("web", vec![("/".to_string(), vec![vec![1u8; 6_000_000]])]);
+    let client = net.add_client("alice");
+    net.sim.run_until(secs(2));
+    let (circ, exit) = net.sim.with_node::<TestClientNode, _>(client, |n, ctx| {
+        let path = n
+            .tor
+            .select_path(ctx, TerminalReq::ExitTo(server, HTTP_PORT))
+            .unwrap();
+        let consensus = n.tor.consensus().unwrap();
+        let exit = consensus.relay(path.last().unwrap()).unwrap().addr;
+        (n.tor.build_circuit(ctx, path).unwrap(), exit)
+    });
+    net.sim.run_until(secs(4));
+    net.sim.with_node::<TestClientNode, _>(client, |n, ctx| {
+        let s = n
+            .tor
+            .open_stream(ctx, circ, StreamTarget::Node(server, HTTP_PORT))
+            .unwrap();
+        n.tor.send_stream(ctx, circ, s, &encode_frame(b"/"));
+    });
+    // The page reaches the exit as one message at ≈ 7.3 s; most of it
+    // waits there behind the package window.
+    net.sim
+        .run_until(SimTime::ZERO + SimDuration::from_millis(7_500));
+    let queued = |net: &tor_net::TorNetwork| {
+        let relay = &net.sim.node_ref::<RelayNode>(exit).relay;
+        (relay.queued_bytes(), relay.live_circuits())
+    };
+    let (waiting, _) = queued(&net);
+    assert!(waiting > 4_000_000, "the exit holds a run: {waiting} bytes");
+    net.sim
+        .with_node::<TestClientNode, _>(client, |n, ctx| n.tor.destroy_circuit(ctx, circ));
+    net.sim.run_until(secs(10));
+    assert_eq!(queued(&net), (0, 0), "the circuit and its runs are gone");
+}
+
 /// A destination that writes `len` bytes to whoever connects, then closes.
 struct WriteThenClose {
     len: usize,
@@ -407,6 +446,72 @@ fn end_follows_the_data_queued_behind_the_window() {
         let sent: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
         assert_eq!(before_end.len(), len, "every byte arrives before END");
         assert!(before_end == sent, "and in order");
+    });
+}
+
+/// A destination that writes two messages back to back to whoever
+/// connects, then closes.
+struct WriteTwiceThenClose {
+    lens: [usize; 2],
+}
+
+impl Node for WriteTwiceThenClose {
+    fn on_conn_open(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _peer: NodeId, _port: u16) {
+        for (n, len) in self.lens.into_iter().enumerate() {
+            ctx.send(conn, vec![n as u8; len]);
+        }
+        ctx.close(conn);
+    }
+    fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, _msg: Vec<u8>) {}
+}
+
+#[test]
+fn messages_waiting_at_the_exit_are_cut_per_message() {
+    // The first message outruns the package window, so both wait at the
+    // exit as runs; each is still cut from its own start, and the second's
+    // ten bytes never share a cell with the first's last seven.
+    let first = 1_200 * tor_net::MAX_RELAY_DATA + 7;
+    let mut net = NetworkBuilder::new().seed(61).build();
+    let server = net.sim.add_node(
+        "sink",
+        simnet::Iface::datacenter(),
+        Box::new(WriteTwiceThenClose { lens: [first, 10] }),
+    );
+    let client = net.add_client("alice");
+    net.sim.run_until(secs(2));
+    let circ = net.sim.with_node::<TestClientNode, _>(client, |n, ctx| {
+        let path = n
+            .tor
+            .select_path(ctx, TerminalReq::ExitTo(server, HTTP_PORT))
+            .expect("exit path");
+        n.tor.build_circuit(ctx, path).expect("build started")
+    });
+    net.sim.run_until(secs(4));
+    let stream = net.sim.with_node::<TestClientNode, _>(client, |n, ctx| {
+        n.tor
+            .open_stream(ctx, circ, StreamTarget::Node(server, HTTP_PORT))
+            .expect("stream")
+    });
+    net.sim.run_until(secs(60));
+    net.sim.with_node::<TestClientNode, _>(client, |n, _| {
+        let cells: Vec<(u8, usize)> = n
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                TorEvent::StreamData(c, s, d) if *c == circ && *s == stream => {
+                    Some((d[0], d.len()))
+                }
+                _ => None,
+            })
+            .collect();
+        let mut want = vec![(0, tor_net::MAX_RELAY_DATA); 1_200];
+        want.extend([(0, 7), (1, 10)]);
+        assert!(
+            cells == want,
+            "{} cells, last {:?}",
+            cells.len(),
+            cells.last()
+        );
     });
 }
 
