@@ -175,7 +175,6 @@ mod tests {
         assert_eq!(run_trials(8, one), vec![9]);
     }
 
-    #[cfg(feature = "telemetry-on")]
     #[test]
     fn traced_trials_capture_per_trial_metrics() {
         static T_TRIAL: telemetry::Counter = telemetry::Counter::new("bench.test.trial_units");

@@ -142,7 +142,6 @@ fn repeated_runs_are_reproducible() {
     assert_eq!(a[0], b[0]);
 }
 
-#[cfg(feature = "telemetry-on")]
 #[test]
 fn telemetry_snapshots_are_byte_identical_across_thread_counts() {
     // Full mode so histograms and spans are held to the same standard as

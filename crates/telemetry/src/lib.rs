@@ -41,22 +41,15 @@
 //! A record is one atomic mode load plus a thread-local vector index — no
 //! allocation, no locking (names intern once through a `OnceLock`). Hot
 //! loops accumulate into plain struct fields and flush at phase boundaries
-//! (see `simnet::Simulator::run_until`). The `on` feature (default) can be
-//! compiled out entirely, turning every record call into nothing; the repo
-//! benchmark's `harness.trace_overhead_pct` probe reports what full recording
-//! costs a workload.
+//! (see `simnet::Simulator::run_until`). The runtime [`Mode`] is the one
+//! switch: recording is always compiled in, and [`Mode::Off`] skips it at
+//! that one load. The repo benchmark's `harness.trace_overhead_pct` probe
+//! reports what full recording costs a workload.
 
 #![forbid(unsafe_code)]
 
 pub mod export;
 pub mod hist;
-#[cfg_attr(
-    not(feature = "on"),
-    expect(
-        dead_code,
-        reason = "with recording compiled out, only the snapshot/merge plumbing is reachable"
-    )
-)]
 mod registry;
 pub mod snapshot;
 
@@ -96,31 +89,19 @@ pub fn set_mode(m: Mode) {
     MODE.store(m as u8, Ordering::Relaxed);
 }
 
-/// The current recording mode. With the `on` feature compiled out this is
-/// always [`Mode::Off`].
+/// The current recording mode.
 #[inline]
 pub fn mode() -> Mode {
-    #[cfg(not(feature = "on"))]
-    {
-        Mode::Off
-    }
-    #[cfg(feature = "on")]
-    {
-        match MODE.load(Ordering::Relaxed) {
-            0 => Mode::Off,
-            1 => Mode::Summary,
-            _ => Mode::Full,
-        }
+    match MODE.load(Ordering::Relaxed) {
+        0 => Mode::Off,
+        1 => Mode::Summary,
+        _ => Mode::Full,
     }
 }
 
 /// A monotonically increasing event count. Declare as a `static`.
 pub struct Counter {
     name: &'static str,
-    #[cfg_attr(
-        not(feature = "on"),
-        expect(dead_code, reason = "the registry slot is read only when recording")
-    )]
     slot: OnceLock<usize>,
 }
 
@@ -141,15 +122,12 @@ impl Counter {
     /// Add `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "on")]
         if mode() >= Mode::Summary {
             let slot = *self
                 .slot
                 .get_or_init(|| registry::intern(&registry::COUNTER_NAMES, self.name));
             registry::counter_add(slot, n);
         }
-        #[cfg(not(feature = "on"))]
-        let _ = n;
     }
 
     /// Add one.
@@ -163,10 +141,6 @@ impl Counter {
 /// high-water mark. Declare as a `static`.
 pub struct Gauge {
     name: &'static str,
-    #[cfg_attr(
-        not(feature = "on"),
-        expect(dead_code, reason = "the registry slot is read only when recording")
-    )]
     slot: OnceLock<usize>,
 }
 
@@ -187,15 +161,12 @@ impl Gauge {
     /// Observe the current level.
     #[inline]
     pub fn set(&self, v: u64) {
-        #[cfg(feature = "on")]
         if mode() >= Mode::Summary {
             let slot = *self
                 .slot
                 .get_or_init(|| registry::intern(&registry::GAUGE_NAMES, self.name));
             registry::gauge_set(slot, v);
         }
-        #[cfg(not(feature = "on"))]
-        let _ = v;
     }
 }
 
@@ -203,10 +174,6 @@ impl Gauge {
 /// only in [`Mode::Full`]. Declare as a `static`.
 pub struct Histo {
     name: &'static str,
-    #[cfg_attr(
-        not(feature = "on"),
-        expect(dead_code, reason = "the registry slot is read only when recording")
-    )]
     slot: OnceLock<usize>,
 }
 
@@ -227,15 +194,12 @@ impl Histo {
     /// Record one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        #[cfg(feature = "on")]
         if mode() >= Mode::Full {
             let slot = *self
                 .slot
                 .get_or_init(|| registry::intern(&registry::HIST_NAMES, self.name));
             registry::hist_record(slot, v);
         }
-        #[cfg(not(feature = "on"))]
-        let _ = v;
     }
 
     /// Fold a locally accumulated [`hist::LogHistogram`] into this metric in
@@ -244,15 +208,12 @@ impl Histo {
     /// simulator's per-message size histogram).
     #[inline]
     pub fn merge_from(&self, h: &hist::LogHistogram) {
-        #[cfg(feature = "on")]
         if mode() >= Mode::Full && !h.is_empty() {
             let slot = *self
                 .slot
                 .get_or_init(|| registry::intern(&registry::HIST_NAMES, self.name));
             registry::hist_merge(slot, h);
         }
-        #[cfg(not(feature = "on"))]
-        let _ = h;
     }
 }
 
@@ -294,7 +255,7 @@ impl Span {
     }
 }
 
-#[cfg(all(test, feature = "on"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Mutex;

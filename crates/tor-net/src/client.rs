@@ -12,11 +12,11 @@
 // crash.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::cell::{Cell, CellCmd, ExtendBody, RelayCell, RelayCmd, StreamTarget, CELL_LEN};
+use crate::cell::{Cell, CellCmd, ExtendBody, RelayCell, RelayCmd, StreamTarget};
 use crate::dir::{
     Consensus, DirMsg, Fingerprint, HsDescriptor, OnionAddr, RelayFlags, RelayInfo, SignedConsensus,
 };
-use crate::link::{CircWindow, LinkTable};
+use crate::link::{CircEnd, LinkTable};
 use crate::ports::DIR_PORT;
 use crate::relay_crypto::{CircuitCrypto, LayerCrypto};
 use crate::retry::{Backoff, BackoffPolicy, FailureCache};
@@ -29,6 +29,7 @@ use onion_crypto::x25519::StaticSecret;
 use rand::Rng;
 use simnet::node::TimerId;
 use simnet::{ConnId, Ctx, NodeId, SimDuration, SimTime};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 
 // Recovery-path instruments: every one of these sits on a cold path (a
@@ -156,14 +157,13 @@ struct BuildState {
 
 struct ClientCircuit {
     path: Vec<RelayInfo>,
-    conn: ConnId,
-    circ_id: u32,
+    /// The guard link and circuit id, and the flow control of the cells
+    /// this client sends to the last hop.
+    end: CircEnd,
     crypto: CircuitCrypto,
     building: Option<BuildState>,
     ready: bool,
     streams: BTreeMap<u16, ClientStream>,
-    /// Flow control of the cells this client sends to the last hop.
-    window: CircWindow,
     /// Outstanding e2e handshake awaiting RENDEZVOUS2.
     pending_e2e: Option<ntor::ClientHandshake>,
     /// Key in `hs_conns` of the onion connection this circuit serves.
@@ -516,13 +516,11 @@ impl TorClient {
             slot,
             ClientCircuit {
                 path: infos,
-                conn,
-                circ_id,
+                end: CircEnd::new(conn, circ_id),
                 crypto: CircuitCrypto::new(),
                 building: Some(BuildState { hop: 0, handshake }),
                 ready: false,
                 streams: BTreeMap::new(),
-                window: CircWindow::new(),
                 pending_e2e: None,
                 hs_conn: None,
                 build_timer,
@@ -567,9 +565,10 @@ impl TorClient {
         let Some(c) = self.circuits.remove(&circ.0) else {
             return;
         };
-        self.links.unbind(c.conn, c.circ_id);
+        let (conn, circ_id) = (c.end.conn, c.end.circ_id);
+        self.links.unbind(conn, circ_id);
         self.links
-            .send_cell(ctx, c.conn, Cell::new(c.circ_id, CellCmd::Destroy));
+            .send_cell(ctx, conn, Cell::new(circ_id, CellCmd::Destroy));
         let abandoned = c.hs_conn.filter(|idx| {
             self.hs_conns
                 .get(idx)
@@ -952,10 +951,8 @@ impl TorClient {
     // Internals.
     // ------------------------------------------------------------------
 
-    /// Send a relay cell to the circuit's last hop through the circuit
-    /// window. DATA may be any length: it is cut into cells, and only what
-    /// the package window does not admit is copied, once, to wait. An END
-    /// waits behind DATA queued before it.
+    /// Send a relay cell to the circuit's last hop through its
+    /// [`CircEnd`]. A circuit with no hop built yet has no one to send to.
     fn send_relay(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -967,32 +964,12 @@ impl TorClient {
         let Some(c) = self.circuits.get_mut(&slot) else {
             return;
         };
-        match cmd {
-            RelayCmd::Data => {
-                let (cells, rest) = c.window.admit_data(data);
-                for cell in cells {
-                    Self::seal_for_last(&mut self.links, ctx, c, cmd, stream, cell);
-                }
-                if let Some(at) = rest {
-                    c.window.wait(stream, data[at..].to_vec(), 0);
-                }
-            }
-            RelayCmd::End if !c.window.admit_end(stream) => {}
-            _ => Self::seal_for_last(&mut self.links, ctx, c, cmd, stream, data),
+        if c.crypto.is_empty() {
+            return;
         }
-    }
-
-    fn seal_for_last(
-        links: &mut LinkTable,
-        ctx: &mut Ctx<'_>,
-        c: &mut ClientCircuit,
-        cmd: RelayCmd,
-        stream: u16,
-        data: &[u8],
-    ) {
-        if let Some(wire) = sealed_wire(ctx, &mut c.crypto, c.circ_id, cmd, stream, data) {
-            links.send_wire(ctx, c.conn, wire);
-        }
+        let seal = |p: &mut _| c.crypto.seal_for_last(p);
+        c.end
+            .send(&mut self.links, ctx, cmd, stream, Cow::Borrowed(data), seal);
     }
 
     fn handle_cell(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, mut cell: Cell) {
@@ -1008,21 +985,34 @@ impl TorClient {
                 let Some(c) = self.circuits.get_mut(&slot) else {
                     return;
                 };
-                if c.crypto.unwrap_inbound(&mut cell.payload).is_none() {
+                let Some(hop) = c.crypto.unwrap_inbound(&mut cell.payload) else {
                     // Unrecognized backward cell: integrity violation.
                     self.refuse_circuit(ctx, slot);
                     return;
-                }
+                };
                 let Some(rc) = RelayCell::parse_payload(&cell.payload) else {
                     return;
                 };
+                // Stream and flow-control cells come from the last hop only,
+                // as C Tor matches a stream cell against its stream's
+                // `cpath_layer`: from an earlier hop they are a relay on the
+                // path injecting content or credit.
+                let stream_cell = matches!(
+                    rc.cmd,
+                    RelayCmd::Data | RelayCmd::Connected | RelayCmd::End | RelayCmd::Sendme
+                );
+                if stream_cell && hop + 1 != c.crypto.len() {
+                    self.refuse_circuit(ctx, slot);
+                    return;
+                }
                 let hs = c.hs_conn;
                 if rc.cmd != RelayCmd::Data {
                     self.handle_inbound_relay(ctx, slot, hs, rc);
                     return;
                 }
                 // The data path works from the one lookup above.
-                let sendme = c.window.delivered();
+                let seal = |p: &mut _| c.crypto.seal_for_last(p);
+                c.end.data_delivered(&mut self.links, ctx, seal);
                 enum D {
                     App(Vec<u8>),
                     Dir(Vec<Vec<u8>>),
@@ -1034,9 +1024,6 @@ impl TorClient {
                     }
                     _ => D::App(rc.data),
                 });
-                if sendme {
-                    self.send_relay(ctx, slot, RelayCmd::Sendme, 0, &[]);
-                }
                 let h = CircuitHandle(slot);
                 match d {
                     Some(D::App(data)) => {
@@ -1185,16 +1172,12 @@ impl TorClient {
                 self.emit_or_hs(ctx, hs, TorEvent::IncomingStream(h, rc.stream_id, port));
             }
             (RelayCmd::Sendme, _) => {
-                if let Some(c) = self.circuits.get_mut(&slot) {
-                    c.window.credit();
-                    let (crypto, circ_id, conn) = (&mut c.crypto, c.circ_id, c.conn);
-                    while let Some(wire) = c.window.next_ready(|cmd, stream, data| {
-                        sealed_wire(ctx, crypto, circ_id, cmd, stream, data)
-                    }) {
-                        if let Some(wire) = wire {
-                            self.links.send_wire(ctx, conn, wire);
-                        }
-                    }
+                let Some(c) = self.circuits.get_mut(&slot) else {
+                    return;
+                };
+                let seal = |p: &mut _| c.crypto.seal_for_last(p);
+                if c.end.sendme_received(&mut self.links, ctx, seal).is_none() {
+                    self.refuse_circuit(ctx, slot);
                 }
             }
             (RelayCmd::Data | RelayCmd::Drop, _) => {}
@@ -1538,7 +1521,7 @@ impl TorClient {
         let Some(c) = self.circuits.get(&slot) else {
             return;
         };
-        let (conn, destroy) = (c.conn, Cell::new(c.circ_id, CellCmd::Destroy));
+        let (conn, destroy) = (c.end.conn, Cell::new(c.end.circ_id, CellCmd::Destroy));
         self.links.send_cell(ctx, conn, destroy);
         self.circuit_closed(ctx, slot);
     }
@@ -1549,7 +1532,7 @@ impl TorClient {
         let Some(c) = self.circuits.remove(&slot) else {
             return;
         };
-        self.links.unbind(c.conn, c.circ_id);
+        self.links.unbind(c.end.conn, c.end.circ_id);
         let timeouts = c.streams.values().filter_map(|s| s.timeout);
         for t in c.build_timer.into_iter().chain(timeouts) {
             ctx.cancel_timer(t);
@@ -1569,31 +1552,11 @@ impl TorClient {
     }
 }
 
-/// A relay cell to a circuit's last hop, written into a pooled wire buffer
-/// for circuit `circ_id` and sealed there by `crypto`: no intermediate
-/// payload or [`RelayCell`]. `None` before any hop is built.
-fn sealed_wire(
-    ctx: &mut Ctx<'_>,
-    crypto: &mut CircuitCrypto,
-    circ_id: u32,
-    cmd: RelayCmd,
-    stream: u16,
-    data: &[u8],
-) -> Option<Vec<u8>> {
-    if crypto.is_empty() {
-        return None;
-    }
-    let mut wire = ctx.take_buf(CELL_LEN);
-    Cell::encode_relay_into(circ_id, cmd, stream, data, &mut wire);
-    if let Some(payload) = Cell::wire_payload_mut(&mut wire) {
-        crypto.seal_for_last(payload);
-    }
-    Some(wire)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::MAX_RELAY_DATA;
+    use crate::link::SENDME_INCREMENT;
 
     /// Every client timer decodes from its tag as itself, at circuit
     /// handles, slots and tokens on both sides of 4 096 (where a stream
@@ -1630,5 +1593,133 @@ mod tests {
         assert!(client.consensus().is_none());
         assert!(!client.is_ready(CircuitHandle(0)));
         assert_eq!(client.hops(CircuitHandle(0)), 0);
+    }
+
+    /// A client in a simulator's context with one ready circuit (handle 0)
+    /// over `hops` hops on an established link, and an application stream
+    /// 1 open on it; with each hop's relay-side layer, which seals what
+    /// that hop sends toward the client.
+    struct Rig {
+        sim: simnet::Simulator,
+        node: NodeId,
+        relays: Vec<LayerCrypto>,
+    }
+
+    struct Host(TorClient);
+
+    impl simnet::Node for Host {
+        fn on_msg(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: Vec<u8>) {
+            self.0.handle_msg(ctx, conn, msg);
+        }
+    }
+
+    const LINK: ConnId = ConnId(0);
+    const CIRC_ID: u32 = 1;
+
+    impl Rig {
+        fn new(hops: u8) -> Rig {
+            use crate::relay_crypto::tests::test_keys;
+            use onion_crypto::hashsig::MerkleSigner;
+            let key = MerkleSigner::generate([0u8; 32], 1).verify_key();
+            let mut tor = TorClient::new(NodeId(9), key);
+            let (mut crypto, mut relays) = (CircuitCrypto::new(), Vec::new());
+            for tag in 0..hops {
+                crypto.push_hop(LayerCrypto::client_side(&test_keys(tag)));
+                relays.push(LayerCrypto::relay_side(&test_keys(tag)));
+            }
+            let stream = ClientStream {
+                kind: StreamKind::App,
+                connected: true,
+                pending: Vec::new(),
+                timeout: None,
+            };
+            let circuit = ClientCircuit {
+                path: Vec::new(),
+                end: CircEnd::new(LINK, CIRC_ID),
+                crypto,
+                building: None,
+                ready: true,
+                streams: BTreeMap::from([(1, stream)]),
+                pending_e2e: None,
+                hs_conn: None,
+                build_timer: None,
+                managed: None,
+            };
+            tor.links.accept(LINK, NodeId(1));
+            tor.links.bind(LINK, CIRC_ID, 0);
+            tor.circuits.insert(0, circuit);
+            tor.next_circ = 1;
+            let mut sim = simnet::Simulator::with_seed(1);
+            let node = sim.add_node("client", simnet::Iface::ideal(), Box::new(Host(tor)));
+            Rig { sim, node, relays }
+        }
+
+        fn with<R>(&mut self, f: impl FnOnce(&mut TorClient, &mut Ctx<'_>) -> R) -> R {
+            self.sim
+                .with_node::<Host, _>(self.node, |h, ctx| f(&mut h.0, ctx))
+        }
+
+        /// Hand the client a relay cell that hop `hop` sealed, and wrapped,
+        /// as the relays before it would, in their layers.
+        fn deliver_from(&mut self, hop: usize, cmd: RelayCmd, stream: u16, data: &[u8]) {
+            let mut payload = RelayCell::new(cmd, stream, data.to_vec()).encode_payload();
+            self.relays[hop].seal(&mut payload);
+            for earlier in self.relays[..hop].iter_mut().rev() {
+                earlier.encrypt_layer(&mut payload);
+            }
+            let wire = Cell::with_payload(CIRC_ID, CellCmd::Relay, &payload).encode();
+            self.with(|tor, ctx| tor.handle_msg(ctx, LINK, wire));
+        }
+
+        fn alive(&mut self) -> bool {
+            self.with(|tor, _| tor.live_circuits() == 1)
+        }
+
+        fn stream_data(&mut self) -> Vec<u8> {
+            let events = self.with(|tor, _| tor.poll_events());
+            let data = events.into_iter().filter_map(|e| match e {
+                TorEvent::StreamData(_, 1, data) => Some(data),
+                _ => None,
+            });
+            data.flatten().collect()
+        }
+    }
+
+    /// The last hop's stream cells reach the stream; a relay earlier on
+    /// the path that seals DATA, CONNECTED, END or SENDME under its own
+    /// layer is injecting into the circuit, which the client refuses.
+    #[test]
+    fn stream_cells_are_taken_only_from_the_last_hop() {
+        let mut rig = Rig::new(3);
+        rig.deliver_from(2, RelayCmd::Data, 1, b"from the exit");
+        assert_eq!(rig.stream_data(), b"from the exit");
+        for cmd in [
+            RelayCmd::Data,
+            RelayCmd::Connected,
+            RelayCmd::End,
+            RelayCmd::Sendme,
+        ] {
+            for hop in [0, 1] {
+                let mut rig = Rig::new(3);
+                rig.deliver_from(hop, cmd, 1, b"injected");
+                assert!(!rig.alive(), "{cmd:?} from hop {hop}");
+                assert!(rig.stream_data().is_empty(), "{cmd:?} from hop {hop}");
+            }
+        }
+    }
+
+    /// A SENDME for the hundred DATA cells the client sent is taken; one
+    /// more, credit for cells never sent, closes the circuit.
+    #[test]
+    fn a_sendme_that_over_credits_closes_the_circuit() {
+        let mut rig = Rig::new(1);
+        rig.with(|tor, ctx| {
+            let data = vec![0; SENDME_INCREMENT as usize * MAX_RELAY_DATA];
+            tor.send_stream(ctx, CircuitHandle(0), 1, &data);
+        });
+        rig.deliver_from(0, RelayCmd::Sendme, 0, &[]);
+        assert!(rig.alive(), "an honest SENDME");
+        rig.deliver_from(0, RelayCmd::Sendme, 0, &[]);
+        assert!(!rig.alive(), "a SENDME for cells never sent");
     }
 }

@@ -8,19 +8,24 @@
 //! queues the cells written on a link until the link is established, and
 //! maps `(link, circ_id)` to the circuit's slot in the owner's table.
 //!
-//! [`CircWindow`] is Tor's circuit-level SENDME flow control as one end of a
-//! circuit (the client, or the relay that terminates it) sees it: a package
-//! window of [`CIRC_WINDOW`] DATA cells widened by [`SENDME_INCREMENT`] per
-//! SENDME, the FIFO of what waits behind a closed window, and the count of
-//! delivered DATA cells that says when to send a SENDME. Stream bytes wait
-//! as *runs* — one owned buffer and the offset of the next cell — so a
-//! message behind the window is neither copied nor cut up until its cells
-//! are sent.
+//! [`CircEnd`] is the one send path of a circuit end — the client, or the
+//! relay that terminates the circuit — from stream bytes to a sealed,
+//! pooled wire cell on the link, with Tor's circuit-level SENDME flow
+//! control (tor-spec §7.4): a package window of [`CIRC_WINDOW`] DATA cells
+//! widened by [`SENDME_INCREMENT`] per SENDME, and never above
+//! [`CIRC_WINDOW`] (a SENDME that would lift it higher is refused, and the
+//! owner closes the circuit); the FIFO of what waits behind a closed window,
+//! where an END never overtakes DATA; and the count of delivered DATA cells
+//! that says when to send a SENDME. Stream bytes wait as *runs* — one owned
+//! buffer and the offset of the next cell — so a message behind the window
+//! is neither copied nor cut up until its cells are sent. The owner only
+//! passes the closure that seals one payload for its side of the circuit.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use crate::cell::{Cell, RelayCmd, CELL_LEN, MAX_RELAY_DATA};
+use crate::cell::{Cell, RelayCmd, CELL_LEN, MAX_RELAY_DATA, PAYLOAD_LEN};
 use simnet::{ConnId, Ctx, NodeId};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Circuit-level flow-control window, in RELAY_DATA cells (Tor's 1000).
@@ -171,110 +176,179 @@ enum Waiting {
     End(u16),
 }
 
-/// One end's view of a circuit's SENDME flow control.
-pub(crate) struct CircWindow {
+/// One end of a circuit as the sender of relay cells: the client, which
+/// seals them for the last hop, or the relay that terminates the circuit,
+/// which seals them toward the origin. Its cells go out on link `conn` as
+/// circuit `circ_id`, each written into a pooled wire buffer and sealed
+/// there by the owner's closure.
+pub(crate) struct CircEnd {
+    /// The link this end's cells go out on.
+    pub conn: ConnId,
+    /// The circuit's id on `conn`.
+    pub circ_id: u32,
     /// DATA cells this end may still send before the far end credits it.
     package: i32,
     /// DATA cells delivered here since this end last sent a SENDME.
     delivered: i32,
     /// What waits behind the package window, in send order. Whenever it is
     /// not empty its front is a run and the window is closed: the queue
-    /// drains ([`CircWindow::next_ready`]) as soon as a SENDME opens it.
+    /// drains as soon as a SENDME opens it.
     queued: VecDeque<Waiting>,
 }
 
-impl CircWindow {
-    pub fn new() -> CircWindow {
-        CircWindow {
+impl CircEnd {
+    pub fn new(conn: ConnId, circ_id: u32) -> CircEnd {
+        CircEnd {
+            conn,
+            circ_id,
             package: CIRC_WINDOW,
             delivered: 0,
             queued: VecDeque::new(),
         }
     }
 
-    /// The DATA cells of `data` that may be sent now, cut every
-    /// [`MAX_RELAY_DATA`] bytes, with the package window spent on them; and
-    /// where the rest starts when some must [`CircWindow::wait`].
-    pub fn admit_data<'a>(
+    /// Send a relay cell, sealed in its wire buffer by `seal`. DATA may be
+    /// any length: it is cut every [`MAX_RELAY_DATA`] bytes, and the cells
+    /// the package window does not admit wait as one run — in `data` itself
+    /// when it is owned, else in a copy of the part that waits. An owned
+    /// `data` that does not wait goes back to the buffer pool. An END waits
+    /// behind any DATA queued before it; other cells never wait. Returns
+    /// how many cells were written on the link.
+    pub fn send(
         &mut self,
-        data: &'a [u8],
-    ) -> (impl Iterator<Item = &'a [u8]>, Option<usize>) {
-        let cells = data.len().div_ceil(MAX_RELAY_DATA);
-        let now = self.spend(cells);
-        let rest = (now < cells).then_some(now * MAX_RELAY_DATA);
-        (data.chunks(MAX_RELAY_DATA).take(now), rest)
-    }
-
-    /// How many of the next `cells` DATA cells may be sent now; the
-    /// package window is spent on them.
-    fn spend(&mut self, cells: usize) -> usize {
-        if !self.queued.is_empty() {
-            return 0;
-        }
-        let now = cells.min(usize::try_from(self.package).unwrap_or(0));
-        self.package -= now as i32;
-        now
-    }
-
-    /// Queue the DATA cells of `bytes[at..]` behind the window, as one run
-    /// that keeps `bytes` without copying it. Nothing is queued when
-    /// nothing is left.
-    pub fn wait(&mut self, stream_id: u16, bytes: Vec<u8>, at: usize) {
-        if at < bytes.len() {
-            self.queued.push_back(Waiting::Run {
-                stream_id,
-                bytes,
-                at,
-            });
-        }
-    }
-
-    /// Whether an END for `stream_id` may be sent now. It waits while
-    /// anything is queued, so it never overtakes its stream's DATA; then it
-    /// is queued and `false` returned. Other cells than DATA and END never
-    /// wait.
-    pub fn admit_end(&mut self, stream_id: u16) -> bool {
-        if self.queued.is_empty() {
-            return true;
-        }
-        self.queued.push_back(Waiting::End(stream_id));
-        false
-    }
-
-    /// The far end sent a SENDME: widen the package window. Drain
-    /// [`CircWindow::next_ready`] afterwards.
-    pub fn credit(&mut self) {
-        self.package += SENDME_INCREMENT;
-    }
-
-    /// Hand the next queued cell that may be sent now (spending window for
-    /// DATA) to `send`, as command, stream id and data, and return what it
-    /// returns; `None` when nothing may go. A run is dropped once its last
-    /// cell is cut.
-    pub fn next_ready<R>(&mut self, send: impl FnOnce(RelayCmd, u16, &[u8]) -> R) -> Option<R> {
-        let sent = match self.queued.front_mut()? {
-            Waiting::End(stream_id) => send(RelayCmd::End, *stream_id, &[]),
-            Waiting::Run { .. } if self.package <= 0 => return None,
-            Waiting::Run {
-                stream_id,
-                bytes,
-                at,
-            } => {
-                self.package -= 1;
-                let from = *at;
-                *at = bytes.len().min(from + MAX_RELAY_DATA);
-                let sent = send(RelayCmd::Data, *stream_id, &bytes[from..*at]);
-                if *at < bytes.len() {
-                    return Some(sent);
+        links: &mut LinkTable,
+        ctx: &mut Ctx<'_>,
+        cmd: RelayCmd,
+        stream_id: u16,
+        data: Cow<'_, [u8]>,
+        mut seal: impl FnMut(&mut [u8; PAYLOAD_LEN]),
+    ) -> usize {
+        match cmd {
+            RelayCmd::Data => {
+                let cells = data.len().div_ceil(MAX_RELAY_DATA);
+                let now = if self.queued.is_empty() {
+                    cells.min(usize::try_from(self.package).unwrap_or(0))
+                } else {
+                    0
+                };
+                self.package -= now as i32;
+                let mut sent = 0;
+                for chunk in data.chunks(MAX_RELAY_DATA).take(now) {
+                    sent += self.write(links, ctx, cmd, stream_id, chunk, &mut seal);
+                }
+                let at = now * MAX_RELAY_DATA;
+                match data {
+                    Cow::Owned(bytes) if at < bytes.len() => self.wait(stream_id, bytes, at),
+                    Cow::Owned(bytes) => ctx.recycle_buf(bytes),
+                    Cow::Borrowed(bytes) if at < bytes.len() => {
+                        self.wait(stream_id, bytes[at..].to_vec(), 0);
+                    }
+                    Cow::Borrowed(_) => {}
                 }
                 sent
             }
-        };
-        self.queued.pop_front();
+            RelayCmd::End if !self.queued.is_empty() => {
+                self.queued.push_back(Waiting::End(stream_id));
+                0
+            }
+            _ => self.write(links, ctx, cmd, stream_id, &data, seal),
+        }
+    }
+
+    fn wait(&mut self, stream_id: u16, bytes: Vec<u8>, at: usize) {
+        self.queued.push_back(Waiting::Run {
+            stream_id,
+            bytes,
+            at,
+        });
+    }
+
+    /// The far end sent a SENDME: widen the package window by
+    /// [`SENDME_INCREMENT`] and send what it lets go, in queue order.
+    /// Returns how many cells were written on the link; `None`, with
+    /// nothing sent, when the SENDME would lift the window above
+    /// [`CIRC_WINDOW`] — credit for cells never sent, which an honest far
+    /// end (one SENDME per [`SENDME_INCREMENT`] cells delivered) never
+    /// gives — and the owner must close the circuit.
+    pub fn sendme_received(
+        &mut self,
+        links: &mut LinkTable,
+        ctx: &mut Ctx<'_>,
+        mut seal: impl FnMut(&mut [u8; PAYLOAD_LEN]),
+    ) -> Option<usize> {
+        if self.package > CIRC_WINDOW - SENDME_INCREMENT {
+            return None;
+        }
+        self.package += SENDME_INCREMENT;
+        let mut sent = 0;
+        while let Some(waiting) = self.queued.pop_front() {
+            match waiting {
+                Waiting::End(stream_id) => {
+                    sent += self.write(links, ctx, RelayCmd::End, stream_id, &[], &mut seal);
+                }
+                Waiting::Run { .. } if self.package <= 0 => {
+                    self.queued.push_front(waiting);
+                    break;
+                }
+                Waiting::Run {
+                    stream_id,
+                    bytes,
+                    at,
+                } => {
+                    self.package -= 1;
+                    let to = bytes.len().min(at + MAX_RELAY_DATA);
+                    let cell = &bytes[at..to];
+                    sent += self.write(links, ctx, RelayCmd::Data, stream_id, cell, &mut seal);
+                    if to < bytes.len() {
+                        self.queued.push_front(Waiting::Run {
+                            stream_id,
+                            bytes,
+                            at: to,
+                        });
+                    }
+                }
+            }
+        }
         Some(sent)
     }
 
-    /// Stream bytes waiting behind the window.
+    /// One DATA cell was delivered here: send a SENDME, sealed by `seal`,
+    /// every [`SENDME_INCREMENT`] of them. Returns how many cells were
+    /// written on the link.
+    pub fn data_delivered(
+        &mut self,
+        links: &mut LinkTable,
+        ctx: &mut Ctx<'_>,
+        seal: impl FnMut(&mut [u8; PAYLOAD_LEN]),
+    ) -> usize {
+        self.delivered += 1;
+        if self.delivered < SENDME_INCREMENT {
+            return 0;
+        }
+        self.delivered -= SENDME_INCREMENT;
+        self.write(links, ctx, RelayCmd::Sendme, 0, &[], seal)
+    }
+
+    /// Write one relay cell straight into a pooled wire buffer, seal it in
+    /// place and send it: no intermediate payload or `RelayCell`.
+    fn write(
+        &self,
+        links: &mut LinkTable,
+        ctx: &mut Ctx<'_>,
+        cmd: RelayCmd,
+        stream_id: u16,
+        data: &[u8],
+        mut seal: impl FnMut(&mut [u8; PAYLOAD_LEN]),
+    ) -> usize {
+        let mut wire = ctx.take_buf(CELL_LEN);
+        Cell::encode_relay_into(self.circ_id, cmd, stream_id, data, &mut wire);
+        if let Some(payload) = Cell::wire_payload_mut(&mut wire) {
+            seal(payload);
+        }
+        usize::from(links.send_wire(ctx, self.conn, wire))
+    }
+
+    /// Stream bytes waiting behind the package window.
     pub fn queued_bytes(&self) -> usize {
         self.queued
             .iter()
@@ -284,21 +358,12 @@ impl CircWindow {
             })
             .sum()
     }
-
-    /// Count one DATA cell delivered here; true when a SENDME is due.
-    pub fn delivered(&mut self) -> bool {
-        self.delivered += 1;
-        if self.delivered < SENDME_INCREMENT {
-            return false;
-        }
-        self.delivered -= SENDME_INCREMENT;
-        true
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::RelayCell;
 
     #[test]
     fn closing_an_inbound_link_keeps_the_outbound_one_to_that_peer() {
@@ -330,154 +395,261 @@ mod tests {
         assert_eq!(table.circ(b, 1), Some(4));
     }
 
-    /// A cell as [`CircWindow::next_ready`] hands it out.
-    type Sent = (RelayCmd, u16, Vec<u8>);
-
-    /// Everything the window lets go of now.
-    fn drain(w: &mut CircWindow) -> Vec<Sent> {
-        std::iter::from_fn(|| w.next_ready(|cmd, id, data| (cmd, id, data.to_vec()))).collect()
+    /// A circuit end on an established link, driven in a simulator's
+    /// context, with every payload it seals recorded before sealing.
+    struct Rig {
+        sim: simnet::Simulator,
+        node: NodeId,
+        links: LinkTable,
+        end: CircEnd,
+        sealed: Vec<[u8; PAYLOAD_LEN]>,
     }
 
-    /// A window with its package window spent.
-    fn closed() -> CircWindow {
-        let mut w = CircWindow::new();
-        assert_eq!(w.spend(2 * CIRC_WINDOW as usize), CIRC_WINDOW as usize);
-        w
+    struct Quiet;
+
+    impl simnet::Node for Quiet {
+        fn on_msg(&mut self, _: &mut Ctx<'_>, _: ConnId, _: Vec<u8>) {}
+    }
+
+    /// `data` as the owners hand it over: owned (an exit connection's
+    /// message) or borrowed.
+    fn input(owned: bool, data: &[u8]) -> Cow<'_, [u8]> {
+        if owned {
+            Cow::Owned(data.to_vec())
+        } else {
+            Cow::Borrowed(data)
+        }
+    }
+
+    impl Rig {
+        fn new() -> Rig {
+            let mut sim = simnet::Simulator::with_seed(1);
+            let iface = simnet::Iface::symmetric(simnet::SimDuration::from_millis(1), 0);
+            let node = sim.add_node("end", iface, Box::new(Quiet));
+            let mut links = LinkTable::default();
+            links.accept(ConnId(0), NodeId(1));
+            Rig {
+                sim,
+                node,
+                links,
+                end: CircEnd::new(ConnId(0), 7),
+                sealed: Vec::new(),
+            }
+        }
+
+        /// A rig with `units` of its package window left, and nothing
+        /// recorded.
+        fn open(units: usize) -> Rig {
+            let mut rig = Rig::new();
+            let spent = CIRC_WINDOW as usize - units;
+            let window = vec![0; spent * MAX_RELAY_DATA];
+            assert_eq!(rig.send(RelayCmd::Data, 9, input(false, &window)), spent);
+            rig.sealed.clear();
+            rig
+        }
+
+        /// A rig whose package window is spent, and nothing recorded.
+        fn closed() -> Rig {
+            Rig::open(0)
+        }
+
+        /// Run `f` on the end in the node's context, with a seal that
+        /// records each payload.
+        fn drive<R>(
+            &mut self,
+            f: impl FnOnce(
+                &mut CircEnd,
+                &mut LinkTable,
+                &mut Ctx<'_>,
+                &mut dyn FnMut(&mut [u8; PAYLOAD_LEN]),
+            ) -> R,
+        ) -> R {
+            let Rig {
+                sim,
+                node,
+                links,
+                end,
+                sealed,
+            } = self;
+            sim.with_node::<Quiet, _>(*node, |_, ctx| f(end, links, ctx, &mut |p| sealed.push(*p)))
+        }
+
+        fn send(&mut self, cmd: RelayCmd, stream_id: u16, data: Cow<'_, [u8]>) -> usize {
+            self.drive(|end, links, ctx, seal| end.send(links, ctx, cmd, stream_id, data, seal))
+        }
+
+        fn sendme(&mut self) -> Option<usize> {
+            self.drive(|end, links, ctx, seal| end.sendme_received(links, ctx, seal))
+        }
+
+        fn delivered(&mut self) -> usize {
+            self.drive(|end, links, ctx, seal| end.data_delivered(links, ctx, seal))
+        }
+
+        /// The cells sealed since the last call, as command, stream id and
+        /// data length.
+        fn take(&mut self) -> Vec<(RelayCmd, u16, usize)> {
+            self.sealed
+                .drain(..)
+                .filter_map(|p| RelayCell::parse_payload(&p))
+                .map(|c| (c.cmd, c.stream_id, c.data.len()))
+                .collect()
+        }
     }
 
     #[test]
     fn end_waits_behind_queued_data_and_the_window_refills_by_sendme() {
-        let mut w = CircWindow::new();
-        assert_eq!(w.spend(CIRC_WINDOW as usize), CIRC_WINDOW as usize);
-        assert!(w.admit_end(2), "nothing queued yet");
-        assert_eq!(w.spend(1), 0);
-        w.wait(1, b"tail".to_vec(), 0);
-        assert!(!w.admit_end(1));
-        assert!(drain(&mut w).is_empty(), "window closed");
-        assert_eq!(w.queued_bytes(), 4);
-        w.credit();
-        let order: Vec<RelayCmd> = drain(&mut w).into_iter().map(|(cmd, ..)| cmd).collect();
-        assert_eq!(order, [RelayCmd::Data, RelayCmd::End]);
-        // One unit went to the queued DATA cell.
-        assert_eq!(w.spend(2 * SENDME_INCREMENT as usize), 99);
+        for owned in [false, true] {
+            let mut rig = Rig::closed();
+            assert_eq!(
+                rig.send(RelayCmd::End, 2, input(owned, &[])),
+                1,
+                "nothing queued"
+            );
+            assert_eq!(rig.send(RelayCmd::Data, 1, input(owned, b"tail")), 0);
+            assert_eq!(rig.send(RelayCmd::End, 1, input(owned, &[])), 0);
+            assert_eq!(rig.send(RelayCmd::Sendme, 0, input(owned, &[])), 1);
+            assert_eq!(rig.end.queued_bytes(), 4);
+            assert_eq!(
+                rig.take(),
+                [(RelayCmd::End, 2, 0), (RelayCmd::Sendme, 0, 0)],
+                "only what never waits went"
+            );
+            assert_eq!(rig.sendme(), Some(2));
+            let order: Vec<RelayCmd> = rig.take().into_iter().map(|(cmd, ..)| cmd).collect();
+            assert_eq!(order, [RelayCmd::Data, RelayCmd::End]);
+            // One unit went to the queued DATA cell.
+            let more = vec![0; 2 * SENDME_INCREMENT as usize * MAX_RELAY_DATA];
+            assert_eq!(rig.send(RelayCmd::Data, 1, input(owned, &more)), 99);
+            assert_eq!(rig.end.queued_bytes(), 101 * MAX_RELAY_DATA);
+        }
     }
 
     /// Cells cut from a run — queued from its start, or after the window
-    /// let some of its cells go — are on the wire exactly the cells
+    /// let some of its cells go — are exactly the cells
     /// `chunks(MAX_RELAY_DATA)` of the message makes.
     #[test]
     fn cells_cut_from_a_run_equal_the_per_chunk_cells() {
-        let wire = |cmd, id, data: &[u8]| {
-            let mut out = Vec::new();
-            Cell::encode_relay_into(7, cmd, id, data, &mut out);
-            out
-        };
         for len in [1, 498, 499, 16 << 20 | 5] {
             let msg: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-            let want: Vec<Vec<u8>> = msg
+            let want: Vec<[u8; PAYLOAD_LEN]> = msg
                 .chunks(MAX_RELAY_DATA)
-                .map(|chunk| {
-                    let payload =
-                        crate::cell::RelayCell::encode_payload_from(RelayCmd::Data, 3, chunk);
-                    Cell::with_payload(7, crate::cell::CellCmd::Relay, &payload).encode()
-                })
+                .map(|chunk| RelayCell::encode_payload_from(RelayCmd::Data, 3, chunk))
                 .collect();
-            for sent_first in [0, 1] {
-                let cells = want.len();
-                let mut w = CircWindow::new();
-                let first = w.spend(CIRC_WINDOW as usize - sent_first);
-                assert_eq!(first, CIRC_WINDOW as usize - sent_first);
-                let now = w.spend(cells);
-                w.wait(3, msg.clone(), now * MAX_RELAY_DATA);
-                let mut got: Vec<Vec<u8>> = msg
-                    .chunks(MAX_RELAY_DATA)
-                    .take(now)
-                    .map(|c| wire(RelayCmd::Data, 3, c))
-                    .collect();
-                while got.len() < cells {
-                    w.credit();
-                    let before = got.len();
-                    got.extend(
-                        std::iter::from_fn(|| w.next_ready(|cmd, id, data| wire(cmd, id, data)))
-                            .take(cells),
-                    );
-                    assert!(got.len() > before, "a SENDME moves the run");
+            for (sent_first, owned) in [(0, false), (1, false), (0, true), (1, true)] {
+                let mut rig = Rig::open(sent_first);
+                let now = rig.send(RelayCmd::Data, 3, input(owned, &msg));
+                assert_eq!(now, sent_first.min(want.len()));
+                while rig.sealed.len() < want.len() {
+                    let before = rig.sealed.len();
+                    let wrote = rig.sendme();
+                    assert_eq!(wrote, Some(rig.sealed.len() - before));
+                    assert!(rig.sealed.len() > before, "a SENDME moves the run");
                 }
-                assert_eq!(got.len(), cells, "{len} bytes");
-                assert!(got == want, "{len} bytes, {sent_first} sent first");
-                assert_eq!(w.queued_bytes(), 0);
+                assert_eq!(rig.sealed.len(), want.len(), "{len} bytes");
+                assert!(rig.sealed == want, "{len} bytes, {sent_first} sent first");
+                assert_eq!(rig.end.queued_bytes(), 0);
             }
         }
     }
 
     #[test]
     fn messages_queued_back_to_back_are_never_merged() {
-        let mut w = closed();
-        w.wait(1, vec![0xaa; 10], 0);
-        w.wait(1, vec![0xbb; 600], 0);
-        w.wait(2, vec![0xcc; 10], 0);
-        w.wait(2, Vec::new(), 0);
-        w.wait(2, vec![0xdd; 10], 10);
-        assert_eq!(w.queued_bytes(), 620);
-        w.credit();
-        let sent = drain(&mut w);
-        let lens: Vec<(u16, usize)> = sent.iter().map(|(_, id, d)| (*id, d.len())).collect();
-        assert_eq!(lens, [(1, 10), (1, 498), (1, 102), (2, 10)]);
-        assert!(sent.iter().all(|(cmd, ..)| *cmd == RelayCmd::Data));
+        for owned in [false, true] {
+            let mut rig = Rig::closed();
+            for (id, msg) in [
+                (1, vec![0xaa; 10]),
+                (1, vec![0xbb; 600]),
+                (2, vec![0xcc; 10]),
+                (2, Vec::new()),
+                (2, vec![0xdd; 10]),
+            ] {
+                assert_eq!(rig.send(RelayCmd::Data, id, input(owned, &msg)), 0);
+            }
+            assert_eq!(rig.end.queued_bytes(), 630);
+            assert_eq!(rig.sendme(), Some(5));
+            let sent = rig.take();
+            let lens: Vec<(u16, usize)> = sent.iter().map(|&(_, id, len)| (id, len)).collect();
+            assert_eq!(lens, [(1, 10), (1, 498), (1, 102), (2, 10), (2, 10)]);
+            assert!(sent.iter().all(|(cmd, ..)| *cmd == RelayCmd::Data));
+        }
     }
 
     #[test]
     fn an_end_never_overtakes_a_run() {
-        let mut w = closed();
-        w.wait(1, vec![1; 3 * MAX_RELAY_DATA], 0);
-        assert!(!w.admit_end(1));
-        w.wait(2, vec![2; 150 * MAX_RELAY_DATA], 0);
-        assert!(!w.admit_end(2));
-        w.credit();
-        let first = drain(&mut w);
-        assert_eq!(first.len(), 101, "three DATA, the first END, 97 DATA");
-        assert_eq!(first[3].0, RelayCmd::End);
-        assert_eq!(first[3].1, 1);
-        assert!(first.iter().filter(|c| c.0 == RelayCmd::End).count() == 1);
-        w.credit();
-        let rest = drain(&mut w);
-        assert_eq!(rest.len(), 54);
-        assert_eq!(rest.last().map(|c| (c.0, c.1)), Some((RelayCmd::End, 2)));
-        assert!(w.admit_end(3), "nothing left queued");
+        for owned in [false, true] {
+            let mut rig = Rig::closed();
+            let (one, two) = (vec![1; 3 * MAX_RELAY_DATA], vec![2; 150 * MAX_RELAY_DATA]);
+            assert_eq!(rig.send(RelayCmd::Data, 1, input(owned, &one)), 0);
+            assert_eq!(rig.send(RelayCmd::End, 1, input(owned, &[])), 0);
+            assert_eq!(rig.send(RelayCmd::Data, 2, input(owned, &two)), 0);
+            assert_eq!(rig.send(RelayCmd::End, 2, input(owned, &[])), 0);
+            assert_eq!(rig.sendme(), Some(101));
+            let first = rig.take();
+            assert_eq!(first.len(), 101, "three DATA, the first END, 97 DATA");
+            assert_eq!(first[3], (RelayCmd::End, 1, 0));
+            assert!(first.iter().filter(|c| c.0 == RelayCmd::End).count() == 1);
+            assert_eq!(rig.sendme(), Some(54));
+            let rest = rig.take();
+            assert_eq!(rest.len(), 54);
+            assert_eq!(rest.last(), Some(&(RelayCmd::End, 2, 0)));
+            assert_eq!(
+                rig.send(RelayCmd::End, 3, input(owned, &[])),
+                1,
+                "nothing queued"
+            );
+        }
     }
 
     /// A SENDME lets exactly `SENDME_INCREMENT` DATA cells go, wherever the
     /// runs they come from start and end.
     #[test]
     fn a_sendme_releases_exactly_an_increment_across_runs() {
-        let mut w = closed();
-        for (id, cells) in [(1, 7), (2, 1), (3, 130), (4, 33), (5, 99)] {
-            w.wait(id, vec![id as u8; cells * MAX_RELAY_DATA - 1], 0);
+        for owned in [false, true] {
+            let mut rig = Rig::closed();
+            for (id, cells) in [(1, 7), (2, 1), (3, 130), (4, 33), (5, 99)] {
+                let msg = vec![id as u8; cells * MAX_RELAY_DATA - 1];
+                assert_eq!(rig.send(RelayCmd::Data, id, input(owned, &msg)), 0);
+            }
+            let mut ids = Vec::new();
+            for _ in 0..2 {
+                assert_eq!(rig.sendme(), Some(SENDME_INCREMENT as usize));
+                ids.extend(rig.take().iter().map(|c| c.1));
+            }
+            assert_eq!(ids.iter().filter(|&&id| id == 3).count(), 130);
+            assert_eq!(
+                ids.last(),
+                Some(&5),
+                "the second increment ends inside run 5"
+            );
+            assert_eq!(rig.sendme(), Some(70));
+            assert_eq!(rig.end.queued_bytes(), 0);
         }
-        let mut ids = Vec::new();
-        for _ in 0..2 {
-            w.credit();
-            let sent = drain(&mut w);
-            assert_eq!(sent.len(), SENDME_INCREMENT as usize);
-            ids.extend(sent.iter().map(|c| c.1));
-        }
-        assert_eq!(ids.iter().filter(|&&id| id == 3).count(), 130);
-        assert_eq!(
-            ids.last(),
-            Some(&5),
-            "the second increment ends inside run 5"
-        );
-        w.credit();
-        assert_eq!(drain(&mut w).len(), 70);
-        assert_eq!(w.queued_bytes(), 0);
+    }
+
+    /// The package window never rises above `CIRC_WINDOW`: a SENDME that
+    /// would lift it there is refused, sends nothing, and leaves the window
+    /// as it was.
+    #[test]
+    fn a_sendme_that_over_credits_is_refused() {
+        let mut rig = Rig::new();
+        assert_eq!(rig.sendme(), None, "nothing sent yet");
+        let msg = vec![0; (SENDME_INCREMENT as usize - 1) * MAX_RELAY_DATA];
+        assert_eq!(rig.send(RelayCmd::Data, 1, input(false, &msg)), 99);
+        assert_eq!(rig.sendme(), None, "99 cells earn no SENDME");
+        assert_eq!(rig.send(RelayCmd::Data, 1, input(false, &[1])), 1);
+        assert_eq!(rig.sendme(), Some(0));
+        assert_eq!(rig.sendme(), None, "one SENDME per increment sent");
+        assert_eq!(rig.end.package, CIRC_WINDOW);
     }
 
     #[test]
     fn a_sendme_is_due_every_increment_delivered_cells() {
-        let mut w = CircWindow::new();
+        let mut rig = Rig::new();
         let due: Vec<usize> = (1..=3 * SENDME_INCREMENT as usize)
-            .filter(|_| w.delivered())
+            .filter(|_| rig.delivered() == 1)
             .collect();
         assert_eq!(due, [100, 200, 300]);
+        assert_eq!(rig.take(), [(RelayCmd::Sendme, 0, 0); 3]);
     }
 }

@@ -12,13 +12,11 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use crate::cell::{
-    Cell, CellCmd, ExtendBody, RelayCell, RelayCmd, StreamTarget, CELL_LEN, PAYLOAD_LEN,
-};
+use crate::cell::{Cell, CellCmd, ExtendBody, RelayCell, RelayCmd, StreamTarget, PAYLOAD_LEN};
 use crate::dir::{
     Consensus, DirMsg, ExitPolicy, Fingerprint, OnionAddr, RelayFlags, RelayInfo, SignedConsensus,
 };
-use crate::link::{CircWindow, LinkTable};
+use crate::link::{CircEnd, LinkTable};
 use crate::ports::{DIR_PORT, OR_PORT};
 use crate::relay_crypto::LayerCrypto;
 use crate::stream_frame::{encode_frame, FrameAssembler};
@@ -27,6 +25,7 @@ use onion_crypto::ntor;
 use onion_crypto::sha256::sha256;
 use onion_crypto::x25519::StaticSecret;
 use simnet::{ConnId, Ctx, Node, NodeId, SimDuration};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 // Data-plane telemetry. The per-cell hot path bumps plain [`RelayStats`]
@@ -142,7 +141,9 @@ enum Stream {
 }
 
 struct RelayCircuit {
-    prev: (ConnId, u32),
+    /// The link from the previous hop and the circuit's id there: where
+    /// this relay's cells toward the origin go, with their flow control.
+    end: CircEnd,
     next: Option<(ConnId, u32)>,
     crypto: LayerCrypto,
     /// Waiting for CREATED from the next hop (circ id allocated there).
@@ -154,14 +155,12 @@ struct RelayCircuit {
     intro_service: Option<OnionAddr>,
     /// Set if this circuit registered a rendezvous cookie.
     rendezvous_cookie: Option<[u8; 20]>,
-    /// Flow control of the cells this relay sends toward the origin.
-    window: CircWindow,
 }
 
 impl RelayCircuit {
     fn new(prev: (ConnId, u32), crypto: LayerCrypto) -> RelayCircuit {
         RelayCircuit {
-            prev,
+            end: CircEnd::new(prev.0, prev.1),
             next: None,
             crypto,
             pending_extend: false,
@@ -169,7 +168,6 @@ impl RelayCircuit {
             splice: None,
             intro_service: None,
             rendezvous_cookie: None,
-            window: CircWindow::new(),
         }
     }
 }
@@ -281,7 +279,7 @@ impl RelayCore {
         self.circuits
             .iter()
             .flatten()
-            .map(|c| c.window.queued_bytes())
+            .map(|c| c.end.queued_bytes())
             .sum()
     }
 
@@ -436,7 +434,7 @@ impl RelayCore {
         if let Some(&(slot, stream_id)) = self.exit_conns.get(&conn) {
             // Data from an external destination: package into cells. What
             // the window does not admit waits in `msg` itself.
-            self.package_to_origin(ctx, slot, stream_id, msg);
+            self.send_to_origin(ctx, slot, RelayCmd::Data, stream_id, msg);
             return None;
         }
         Some(msg)
@@ -604,7 +602,7 @@ impl RelayCore {
             return;
         };
         let from_prev = match self.circuits[slot].as_ref() {
-            Some(c) => c.prev == (conn, circ_id),
+            Some(c) => (c.end.conn, c.end.circ_id) == (conn, circ_id),
             None => {
                 ctx.recycle_buf(msg);
                 return;
@@ -679,107 +677,34 @@ impl RelayCore {
                     return;
                 }
             }
-            c.prev
+            (c.end.conn, c.end.circ_id)
         };
         Cell::set_wire_circ_id(&mut msg, prev.1);
         self.send_wire(ctx, prev.0, msg);
     }
 
-    /// Send a relay cell toward the origin through the circuit window, as
-    /// the terminal hop. DATA may be any length: it is cut into cells, and
-    /// only what the package window does not admit is copied, once, to wait.
-    /// An END waits behind DATA queued before it.
-    fn send_to_origin(
+    /// Send a relay cell toward the origin through circuit `slot`'s
+    /// [`CircEnd`], sealed as the terminal hop. An owned `data` is DATA from
+    /// an exit connection: what the package window does not admit waits in
+    /// it, uncopied.
+    fn send_to_origin<'a>(
         &mut self,
         ctx: &mut Ctx<'_>,
         slot: usize,
         cmd: RelayCmd,
         stream_id: u16,
-        data: &[u8],
+        data: impl Into<Cow<'a, [u8]>>,
     ) {
+        let data = data.into();
         let Some(c) = self.circuits[slot].as_mut() else {
-            return;
-        };
-        match cmd {
-            RelayCmd::Data => {
-                if let Some(at) = self.send_data_to_origin(ctx, slot, stream_id, data) {
-                    self.wait_at_window(slot, stream_id, data[at..].to_vec(), 0);
-                }
+            if let Cow::Owned(bytes) = data {
+                ctx.recycle_buf(bytes);
             }
-            RelayCmd::End if !c.window.admit_end(stream_id) => {}
-            _ => self.seal_and_send_to_origin(ctx, slot, cmd, stream_id, data),
-        }
-    }
-
-    /// [`Self::send_to_origin`] for the DATA of a message from an exit
-    /// connection: what the package window does not admit waits in `bytes`
-    /// itself, uncopied; otherwise `bytes` is recycled.
-    fn package_to_origin(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        slot: usize,
-        stream_id: u16,
-        bytes: Vec<u8>,
-    ) {
-        match self.send_data_to_origin(ctx, slot, stream_id, &bytes) {
-            Some(at) => self.wait_at_window(slot, stream_id, bytes, at),
-            None => ctx.recycle_buf(bytes),
-        }
-    }
-
-    /// Send the DATA cells of `data` that the package window admits now
-    /// ([`CircWindow::admit_data`]). Returns where they stopped when the
-    /// rest must wait, `None` when all went or the circuit is gone.
-    fn send_data_to_origin(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        slot: usize,
-        stream_id: u16,
-        data: &[u8],
-    ) -> Option<usize> {
-        let (cells, rest) = self.circuits[slot].as_mut()?.window.admit_data(data);
-        for cell in cells {
-            self.seal_and_send_to_origin(ctx, slot, RelayCmd::Data, stream_id, cell);
-        }
-        rest
-    }
-
-    /// Queue `bytes[at..]` behind circuit `slot`'s package window.
-    fn wait_at_window(&mut self, slot: usize, stream_id: u16, bytes: Vec<u8>, at: usize) {
-        if let Some(c) = self.circuits[slot].as_mut() {
-            c.window.wait(stream_id, bytes, at);
-        }
-    }
-
-    fn seal_and_send_to_origin(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        slot: usize,
-        cmd: RelayCmd,
-        stream_id: u16,
-        data: &[u8],
-    ) {
-        let Some(c) = self.circuits[slot].as_mut() else {
             return;
         };
-        let prev = c.prev;
-        let wire = sealed_wire(ctx, &mut c.crypto, prev.1, cmd, stream_id, data);
-        self.stats.crypto_bytes += PAYLOAD_LEN as u64;
-        self.send_wire(ctx, prev.0, wire);
-    }
-
-    /// Send what the window lets go of after a SENDME.
-    fn flush_to_origin(&mut self, ctx: &mut Ctx<'_>, slot: usize) {
-        while let Some(c) = self.circuits[slot].as_mut() {
-            let (crypto, prev) = (&mut c.crypto, c.prev);
-            let Some(wire) = c.window.next_ready(|cmd, stream_id, data| {
-                sealed_wire(ctx, crypto, prev.1, cmd, stream_id, data)
-            }) else {
-                return;
-            };
-            self.stats.crypto_bytes += PAYLOAD_LEN as u64;
-            self.send_wire(ctx, prev.0, wire);
-        }
+        let seal = seal_to_origin(&mut c.crypto, &mut self.stats);
+        let sent = c.end.send(&mut self.links, ctx, cmd, stream_id, data, seal);
+        self.stats.cells_out += sent as u64;
     }
 
     /// A relay cell addressed to this hop.
@@ -791,10 +716,16 @@ impl RelayCore {
             RelayCmd::Data => self.handle_stream_data(ctx, slot, rc),
             RelayCmd::End => self.handle_stream_end(ctx, slot, rc),
             RelayCmd::Sendme => {
-                if let Some(c) = self.circuits[slot].as_mut() {
-                    c.window.credit();
+                let Some(c) = self.circuits[slot].as_mut() else {
+                    return;
+                };
+                let seal = seal_to_origin(&mut c.crypto, &mut self.stats);
+                match c.end.sendme_received(&mut self.links, ctx, seal) {
+                    Some(sent) => self.stats.cells_out += sent as u64,
+                    // Credit for cells never sent: the origin does not
+                    // honour flow control, so the circuit goes.
+                    None => self.teardown_circuit(ctx, slot),
                 }
-                self.flush_to_origin(ctx, slot);
             }
             RelayCmd::Drop => {
                 // Long-range cover traffic: absorbed silently.
@@ -882,12 +813,9 @@ impl RelayCore {
         let Some(c) = self.circuits[slot].as_mut() else {
             return;
         };
-        if c.window.delivered() {
-            self.send_to_origin(ctx, slot, RelayCmd::Sendme, 0, &[]);
-        }
-        let Some(c) = self.circuits[slot].as_mut() else {
-            return;
-        };
+        let seal = seal_to_origin(&mut c.crypto, &mut self.stats);
+        let sent = c.end.data_delivered(&mut self.links, ctx, seal);
+        self.stats.cells_out += sent as u64;
         match c.streams.get_mut(&rc.stream_id) {
             Some(Stream::Opening(_, pending)) => pending.push(rc.data),
             Some(Stream::Exit(conn)) => {
@@ -1067,12 +995,13 @@ impl RelayCore {
         let Some(circ) = self.circuits.get_mut(slot).and_then(Option::take) else {
             return;
         };
-        self.links.unbind(circ.prev.0, circ.prev.1);
+        let prev = (circ.end.conn, circ.end.circ_id);
+        self.links.unbind(prev.0, prev.1);
         if let Some(next) = circ.next {
             self.links.unbind(next.0, next.1);
             self.send_cell(ctx, next.0, Cell::new(next.1, CellCmd::Destroy));
         }
-        self.send_cell(ctx, circ.prev.0, Cell::new(circ.prev.1, CellCmd::Destroy));
+        self.send_cell(ctx, prev.0, Cell::new(prev.1, CellCmd::Destroy));
         for stream in circ.streams.into_values() {
             self.release_stream(ctx, stream);
         }
@@ -1095,23 +1024,16 @@ impl RelayCore {
     }
 }
 
-/// A relay cell toward the origin, written into a pooled wire buffer for
-/// circuit `circ_id` and sealed there as the terminal hop by `crypto`: no
-/// intermediate payload or [`RelayCell`].
-fn sealed_wire(
-    ctx: &mut Ctx<'_>,
-    crypto: &mut LayerCrypto,
-    circ_id: u32,
-    cmd: RelayCmd,
-    stream_id: u16,
-    data: &[u8],
-) -> Vec<u8> {
-    let mut wire = ctx.take_buf(CELL_LEN);
-    Cell::encode_relay_into(circ_id, cmd, stream_id, data, &mut wire);
-    if let Some(payload) = Cell::wire_payload_mut(&mut wire) {
+/// How this relay seals a cell it sends toward the origin as the terminal
+/// hop: under its own layer, counted in `crypto_bytes`.
+fn seal_to_origin<'a>(
+    crypto: &'a mut LayerCrypto,
+    stats: &'a mut RelayStats,
+) -> impl FnMut(&mut [u8; PAYLOAD_LEN]) + 'a {
+    move |payload| {
+        stats.crypto_bytes += PAYLOAD_LEN as u64;
         crypto.seal(payload);
     }
-    wire
 }
 
 /// A standalone relay host node: a [`RelayCore`] and nothing else. Local

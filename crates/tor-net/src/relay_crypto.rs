@@ -254,7 +254,7 @@ impl CircuitCrypto {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cell::{RelayCell, RelayCmd};
     use onion_crypto::ntor::CircuitKeys;
@@ -264,7 +264,7 @@ mod tests {
     /// repeated-byte digest key is a structured field element, and some of
     /// its POLYVAL powers have 32 zero low bits: with `db = [5; 32]` a byte
     /// flipped at offset 174 or 203 left the four-byte tag unchanged.
-    fn test_keys(tag: u8) -> CircuitKeys {
+    pub(crate) fn test_keys(tag: u8) -> CircuitKeys {
         let key = |part: u8| onion_crypto::sha256_digest(&[tag, part]);
         CircuitKeys {
             kf: key(0),

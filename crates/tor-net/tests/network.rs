@@ -325,21 +325,29 @@ fn destroy_circuit_tears_down_exit_stream() {
         n.tor.send_stream(ctx, circ, s, &encode_frame(b"/"));
         s
     });
-    // Let a little data flow, then kill the circuit mid-download.
-    net.sim.run_until(secs(5));
+    // Kill the circuit as soon as the client holds some of the page.
+    let arrived = |sim: &mut simnet::Simulator| {
+        sim.with_node::<TestClientNode, _>(client, |n, _| !n.stream_bytes(circ, stream).is_empty())
+    };
+    assert!(net
+        .sim
+        .step_until(SimDuration::from_millis(10), secs(20), arrived));
     let got_before = net.sim.with_node::<TestClientNode, _>(client, |n, ctx| {
         let g = n.stream_bytes(circ, stream).len();
         n.tor.destroy_circuit(ctx, circ);
         g
     });
-    net.sim.run_until(secs(8));
+    net.sim.run_until(net.sim.now() + SimDuration::from_secs(3));
     let shortly_after = net
         .sim
         .with_node::<TestClientNode, _>(client, |n, _| n.stream_bytes(circ, stream).len());
     net.sim.run_until(secs(30));
     net.sim.with_node::<TestClientNode, _>(client, |n, _| {
         let got_after = n.stream_bytes(circ, stream).len();
-        assert!(got_before < 6_000_000, "download was still in flight");
+        assert!(
+            0 < got_before && got_before < 6_000_000,
+            "download was still in flight"
+        );
         assert_eq!(
             got_after, shortly_after,
             "no data arrives after teardown settles"
@@ -969,6 +977,65 @@ fn hostile_delivery_neither_panics_nor_desynchronises_the_relay() {
     assert_eq!(host.deliveries, [1, 4, 3]);
     assert_eq!(host.relay.stats().cells_in, 7);
     assert_eq!(host.relay.stats().crypto_bytes, 6 * PAYLOAD_LEN as u64);
+}
+
+#[test]
+fn a_sendme_for_cells_never_sent_tears_the_circuit_down() {
+    // The terminal hop's package window is full while it has sent nothing,
+    // so any SENDME is credit no honest origin gives: taking it would lift
+    // the window past CIRC_WINDOW and let the origin switch off flow
+    // control.
+    use onion_crypto::ntor;
+    use rand::SeedableRng;
+    use tor_net::cell::{Cell, CellCmd, RelayCell, RelayCmd};
+    use tor_net::relay_crypto::LayerCrypto;
+    const CIRC: u32 = 1;
+
+    let mut sim = simnet::Simulator::with_seed(5);
+    let core = tor_net::RelayCore::new(tor_net::RelayConfig::middle("r", [0x53; 32]));
+    let (fingerprint, onion_key) = (core.fingerprint(), core.descriptor(NodeId(0)).onion_key);
+    let host = CountingRelay {
+        relay: core,
+        deliveries: Vec::new(),
+    };
+    let relay = sim.add_node("relay", simnet::Iface::ideal(), Box::new(host));
+    let peer = RawPeer {
+        relay,
+        conn: None,
+        inbox: Vec::new(),
+    };
+    let peer = sim.add_node("peer", simnet::Iface::ideal(), Box::new(peer));
+    sim.run_to_quiescence();
+    let conn = sim.node_ref::<RawPeer>(peer).conn.expect("connected");
+    let exchange = |sim: &mut simnet::Simulator, msg: Vec<u8>| {
+        sim.with_node::<CountingRelay, _>(relay, |n, ctx| n.on_msg(ctx, conn, msg));
+        sim.run_to_quiescence();
+        sim.with_node::<RawPeer, _>(peer, |n, _| std::mem::take(&mut n.inbox))
+    };
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+    let (state, onionskin) = ntor::client_begin(&mut rng, fingerprint, onion_key);
+    let create = Cell::with_payload(CIRC, CellCmd::Create, &onionskin).encode();
+    let created = Cell::decode(&exchange(&mut sim, create)[0]).expect("a cell");
+    let keys = ntor::client_finish(&state, &created.payload[..ntor::REPLY_LEN]).expect("keys");
+    let mut layer = LayerCrypto::client_side(&keys);
+    assert_eq!(
+        sim.node_ref::<CountingRelay>(relay).relay.live_circuits(),
+        1
+    );
+
+    let mut sendme = RelayCell::new(RelayCmd::Sendme, 0, Vec::new()).encode_payload();
+    layer.seal(&mut sendme);
+    let replies = exchange(
+        &mut sim,
+        Cell::with_payload(CIRC, CellCmd::Relay, &sendme).encode(),
+    );
+    assert_eq!(replies.len(), 1);
+    assert_eq!(Cell::peek_cmd(&replies[0]), Some(CellCmd::Destroy));
+    assert_eq!(
+        sim.node_ref::<CountingRelay>(relay).relay.live_circuits(),
+        0
+    );
 }
 
 #[test]
