@@ -5,27 +5,27 @@
 //! *asserts* the recovery acceptance properties (goodput > 0, at least one
 //! circuit rebuilt after the crash) before its row is written.
 //!
-//! `cargo run -p bench --release --bin chaos_sweep`
-//! `--seed N` reseeds the sweep.
+//! `cargo run -p bench --release -- chaos_sweep`
 //! Artifacts: `results/chaos.csv` and `results/TELEMETRY_chaos_sweep.json`.
 
 use bench::chaos::{assert_recovered, run_chaos_trial, ChaosConfig, ChaosOutcome};
-use bench::runner::{run_sweep, SweepOpts, Trial};
-use bench::{arg_u64, write_csv};
+use bench::runner::{run_sweep, Trial};
+use bench::{export_telemetry, say, write_csv, Opts};
 
-fn main() {
-    let opts = SweepOpts::from_args();
-    let seed = arg_u64("--seed", 11);
+/// The first trial's seed; trial `i` runs `SEED + i`.
+const SEED: u64 = 11;
+
+pub fn run(opts: &Opts) {
     let configs: Vec<ChaosConfig> = [0.0, 2.0, 5.0, 10.0]
         .iter()
         .enumerate()
-        .map(|(i, &loss)| ChaosConfig::default_mix(seed.wrapping_add(i as u64), loss))
+        .map(|(i, &loss)| ChaosConfig::default_mix(SEED + i as u64, loss))
         .collect();
     let jobs: Vec<Trial<ChaosOutcome>> = configs
         .iter()
         .map(|&cfg| Box::new(move || run_chaos_trial(&cfg)) as Trial<ChaosOutcome>)
         .collect();
-    let results = run_sweep("chaos_sweep", jobs);
+    let results = run_sweep(opts, "chaos_sweep", jobs);
 
     let header = "loss_pct,goodput_bytes,downloads,rebuilds,msgs_dropped,crashes,restarts,events";
     let mut rows = Vec::new();
@@ -42,16 +42,20 @@ fn main() {
             out.restarts,
             out.events,
         ));
-        if !opts.quiet {
-            println!(
-                "loss {:>4}%: {} bytes goodput, {} downloads, {} rebuilds, {} msgs dropped",
-                cfg.loss_pct, out.goodput_bytes, out.downloads, out.rebuilds, out.msgs_dropped
-            );
-        }
+        say!(
+            opts,
+            "loss {:>4}%: {} bytes goodput, {} downloads, {} rebuilds, {} msgs dropped",
+            cfg.loss_pct,
+            out.goodput_bytes,
+            out.downloads,
+            out.rebuilds,
+            out.msgs_dropped
+        );
     }
-    write_csv("chaos.csv", header, &rows);
-    opts.export_telemetry("chaos_sweep");
-    if !opts.quiet {
-        println!("all trials recovered (goodput > 0, crash survived, circuits rebuilt)");
-    }
+    write_csv(opts, "chaos.csv", header, &rows);
+    export_telemetry(opts, "chaos_sweep");
+    say!(
+        opts,
+        "all trials recovered (goodput > 0, crash survived, circuits rebuilt)"
+    );
 }

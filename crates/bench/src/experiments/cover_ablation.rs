@@ -7,10 +7,11 @@
 //! Without Cover the ratio gives activity away; with Cover running at a
 //! fixed rate, volume is dominated by the constant stream.
 //!
-//! `cargo run -p bench --release --bin cover_ablation`
+//! `cargo run -p bench --release -- cover_ablation`
 
-use bench::runner::{run_sweep, SweepOpts, Trial};
-use bench::write_report;
+use super::secs;
+use bench::runner::{run_sweep, Trial};
+use bench::{export_telemetry, say, write_report, Opts};
 use bento::protocol::{FunctionSpec, ImageKind};
 use bento::testnet::BentoNetwork;
 use bento::MiddleboxPolicy;
@@ -19,10 +20,6 @@ use bento_functions::dropbox;
 use bento_functions::standard_registry;
 use simnet::trace::Direction;
 use simnet::{SimDuration, SimTime};
-
-fn secs(s: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(s)
-}
 
 /// Downstream bytes observed on the client link in [from, to).
 fn window_bytes(sniffer: &simnet::trace::Sniffer, from: SimTime, to: SimTime) -> f64 {
@@ -34,7 +31,7 @@ fn window_bytes(sniffer: &simnet::trace::Sniffer, from: SimTime, to: SimTime) ->
         .sum()
 }
 
-fn run(with_cover: bool) -> (f64, f64) {
+fn trial(with_cover: bool) -> (f64, f64) {
     let mut bn = BentoNetwork::build(41, 1, MiddleboxPolicy::permissive(), standard_registry);
     let client = bn.add_bento_client("alice");
     bn.net.sim.run_until(secs(2));
@@ -92,41 +89,35 @@ fn run(with_cover: bool) -> (f64, f64) {
     (quiet, active)
 }
 
-fn main() {
-    let opts = SweepOpts::from_args();
+pub fn run(opts: &Opts) {
     // Both conditions are independent simulations — run them through the
     // shared trial runner (results stay in [no-cover, with-cover] order).
-    let jobs: Vec<Trial<(f64, f64)>> = vec![Box::new(|| run(false)), Box::new(|| run(true))];
-    let mut results = run_sweep("cover_ablation", jobs);
+    let jobs: Vec<Trial<(f64, f64)>> = vec![Box::new(|| trial(false)), Box::new(|| trial(true))];
+    let mut results = run_sweep(opts, "cover_ablation", jobs);
     let (q0, a0) = results.remove(0);
     let (q1, a1) = results.remove(0);
     let ratio0 = a0 / q0.max(1.0);
     let ratio1 = a1 / q1.max(1.0);
-    let mut report = String::new();
-    report.push_str("== Cover ablation (section 9.1): active/quiet downstream volume ==\n");
-    report.push_str(&format!(
-        "{:<16} {:>14} {:>14} {:>12}\n",
-        "condition", "quiet bytes", "active bytes", "ratio"
-    ));
-    report.push_str(&format!(
-        "{:<16} {:>14.0} {:>14.0} {:>12.1}\n",
-        "no cover", q0, a0, ratio0
-    ));
-    report.push_str(&format!(
-        "{:<16} {:>14.0} {:>14.0} {:>12.1}\n",
-        "with cover", q1, a1, ratio1
-    ));
-    report.push_str(&format!(
-        "\nactivity visibility reduced {:.1}x by fixed-rate cover traffic\n",
+    let row = |label: &str, quiet: f64, active: f64, ratio: f64| {
+        format!("{label:<16} {quiet:>14.0} {active:>14.0} {ratio:>12.1}\n")
+    };
+    let report = format!(
+        "== Cover ablation (section 9.1): active/quiet downstream volume ==\n\
+         {:<16} {:>14} {:>14} {:>12}\n{}{}\n\
+         activity visibility reduced {:.1}x by fixed-rate cover traffic\n",
+        "condition",
+        "quiet bytes",
+        "active bytes",
+        "ratio",
+        row("no cover", q0, a0, ratio0),
+        row("with cover", q1, a1, ratio1),
         ratio0 / ratio1
-    ));
-    if !opts.quiet {
-        print!("{report}");
-    }
+    );
+    say!(opts, "{}", report.trim_end());
     assert!(
         ratio1 < ratio0 / 3.0,
         "cover should mask activity: {ratio0:.1} -> {ratio1:.1}"
     );
-    write_report("cover_ablation.txt", &report);
-    opts.export_telemetry("cover_ablation");
+    write_report(opts, "cover_ablation.txt", &report);
+    export_telemetry(opts, "cover_ablation");
 }

@@ -4,13 +4,14 @@
 //! server, with it replicas spin up (at most 2 clients each, up to 4
 //! machines) and per-client throughput stays high.
 //!
-//! `cargo run -p bench --release --bin figure5` — exits non-zero unless
-//! every client completes in both arms, more than one machine served, and
-//! the balancer cut mean completion time (see the end of `main`).
-//! Watermark ablation: `--watermark N`. Scale: `--clients N --mb N`.
+//! `cargo run -p bench --release -- figure5` — exits non-zero unless every
+//! client completes in both arms, more than one machine served, and the
+//! balancer cut mean completion time to at most 0.85 of the single
+//! server's (see the end of `run`).
 
-use bench::runner::{run_sweep, SweepOpts, Trial};
-use bench::{arg_u64, require_shape, write_csv};
+use super::secs;
+use bench::runner::{run_sweep, Trial};
+use bench::{export_telemetry, require_shape, say, write_csv, Opts};
 use bento::protocol::FunctionSpec;
 use bento::testnet::BentoNetwork;
 use bento::{BentoBoxNode, MiddleboxPolicy};
@@ -23,10 +24,16 @@ use tor_net::ports::{BENTO_PORT, HS_VIRTUAL_PORT};
 use tor_net::{HiddenServiceHost, StreamTarget, TorEvent};
 
 const HORIZON_S: u64 = 420;
-
-fn secs(s: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(s)
-}
+/// Clients, arriving one second apart: the paper's 13.
+const CLIENTS: usize = 13;
+/// Each client's download: the paper's 10 MB file.
+const FILE_LEN: u64 = 10 << 20;
+/// Clients start arriving at this simulated second.
+const T_START: u64 = 22;
+/// Clients a replica serves before the balancer starts another (the
+/// LoadBalancer's watermark, DESIGN.md §4 ablation c).
+const WATERMARK: u32 = 2;
+const SEED: u64 = 9;
 
 /// The hidden-service host machine's access link: the contended resource
 /// (calibrated so 13 sharing clients land in the paper's tens-of-KB/s
@@ -50,39 +57,32 @@ struct RunResult {
     machines: usize,
 }
 
-/// Drive `n_clients` onion downloads and sample per-client ingress.
-fn run_clients(
-    bn: &mut BentoNetwork,
-    onion: tor_net::OnionAddr,
-    n_clients: usize,
-    file_len: u64,
-    t_start: u64,
-) -> RunResult {
+/// Drive [`CLIENTS`] onion downloads and sample per-client ingress.
+fn run_clients(bn: &mut BentoNetwork, onion: tor_net::OnionAddr) -> RunResult {
     let mut clients = Vec::new();
-    for i in 0..n_clients {
+    for i in 0..CLIENTS {
         let c = bn.net.add_client(&format!("client{i}"));
         bn.net.sim.enable_sniffer(c);
         clients.push(c);
     }
-    bn.net.sim.run_until(secs(t_start));
+    bn.net.sim.run_until(secs(T_START));
     // Clients arrive ~1 s apart; each connects, opens a stream, requests.
-    let mut rend: Vec<Option<tor_net::CircuitHandle>> = vec![None; n_clients];
-    let mut streams: Vec<Option<u16>> = vec![None; n_clients];
-    let mut requested = vec![false; n_clients];
-    let mut started_at: Vec<SimTime> = vec![SimTime::ZERO; n_clients];
-    let t0 = secs(t_start);
+    let mut rend: [Option<tor_net::CircuitHandle>; CLIENTS] = [None; CLIENTS];
+    let mut streams: [Option<u16>; CLIENTS] = [None; CLIENTS];
+    let mut requested = [false; CLIENTS];
+    let mut started_at = [SimTime::ZERO; CLIENTS];
+    let t0 = secs(T_START);
     for (i, &c) in clients.iter().enumerate() {
-        bn.net.sim.run_until(secs(t_start + i as u64));
-        let r = bn
+        bn.net.sim.run_until(secs(T_START + i as u64));
+        rend[i] = bn
             .net
             .sim
             .with_node::<TestClientNode, _>(c, |n, ctx| n.tor.connect_onion(ctx, onion));
-        rend[i] = r;
         started_at[i] = bn.net.sim.now();
     }
     // Event loop: poll for rendezvous completion, open streams, request,
     // and keep running to the horizon.
-    let deadline = secs(t_start + HORIZON_S);
+    let deadline = secs(T_START + HORIZON_S);
     while bn.net.sim.now() < deadline {
         let now = bn.net.sim.now();
         bn.net.sim.run_until(now + SimDuration::from_millis(500));
@@ -121,29 +121,8 @@ fn run_clients(
             }
         }
     }
-    // Diagnostics for stalled clients.
-    for (i, &c) in clients.iter().enumerate() {
-        let total: u64 = bn
-            .net
-            .sim
-            .sniffer(c)
-            .events()
-            .iter()
-            .filter(|e| e.dir == Direction::Incoming)
-            .map(|e| e.bytes as u64)
-            .sum();
-        if total < file_len {
-            bn.net.sim.with_node::<TestClientNode, _>(c, |n, _| {
-                let kinds: Vec<String> = n
-                    .events
-                    .iter()
-                    .map(|e| format!("{e:?}")[..40.min(format!("{e:?}").len())].to_string())
-                    .collect();
-                eprintln!("client {i}: received {total} bytes; events: {kinds:?}");
-            });
-        }
-    }
-    // Harvest per-second ingress series and completion times.
+    // Harvest per-second ingress series and completion times, and say what
+    // a client that never completed last saw.
     let mut series = Vec::new();
     let mut completion = Vec::new();
     for (i, &c) in clients.iter().enumerate() {
@@ -154,12 +133,20 @@ fn run_clients(
             if ev.dir == Direction::Incoming && ev.time >= t0 {
                 ts.add(SimTime(ev.time.0 - t0.0), ev.bytes as f64 / 1024.0);
                 received += ev.bytes as u64;
-                if done_at.is_none() && received >= file_len {
+                if done_at.is_none() && received >= FILE_LEN {
                     done_at = Some(ev.time.since(t0).as_secs_f64());
                 }
             }
         }
-        let _ = i;
+        if done_at.is_none() {
+            let node = bn.net.sim.node_ref::<TestClientNode>(c);
+            let kinds: Vec<String> = node
+                .events
+                .iter()
+                .map(|e| format!("{e:?}").chars().take(40).collect())
+                .collect();
+            eprintln!("client {i}: received {received} bytes; events: {kinds:?}");
+        }
         series.push(ts.rate_points());
         completion.push(done_at);
     }
@@ -170,7 +157,7 @@ fn run_clients(
     }
 }
 
-fn emit(name: &str, result: &RunResult, n_clients: usize) {
+fn emit(opts: &Opts, name: &str, result: &RunResult) {
     let max_len = result.series.iter().map(|s| s.len()).max().unwrap_or(0);
     let mut rows = Vec::new();
     for t in 0..max_len {
@@ -182,32 +169,27 @@ fn emit(name: &str, result: &RunResult, n_clients: usize) {
         rows.push(row);
     }
     let header = std::iter::once("time_s".to_string())
-        .chain((1..=n_clients).map(|i| format!("client{i}_kbps")))
+        .chain((1..=CLIENTS).map(|i| format!("client{i}_kbps")))
         .collect::<Vec<_>>()
         .join(",");
-    write_csv(name, &header, &rows);
+    write_csv(opts, name, &header, &rows);
 }
 
-fn main() {
-    let opts = SweepOpts::from_args();
-    let n_clients = arg_u64("--clients", 13) as usize;
-    let mb = arg_u64("--mb", 10);
-    let watermark = arg_u64("--watermark", 2) as u32;
-    let seed = arg_u64("--seed", 9);
-    let file_len = mb << 20;
+pub fn run(opts: &Opts) {
     let svc_seed = [0x5E; 32];
     let onion = HiddenServiceHost::new(svc_seed, 0, true).onion_addr();
 
     // The two conditions are independent simulations; express them as
     // trials so the shared runner can overlap them (`--threads 2`) while
     // keeping without/with results in a fixed order.
-    if !opts.quiet {
-        println!("== without LoadBalancer: single hidden service ==");
-        println!("== with LoadBalancer: watermark {watermark}, up to 4 machines ==");
-    }
+    say!(opts, "== without LoadBalancer: single hidden service ==");
+    say!(
+        opts,
+        "== with LoadBalancer: watermark {WATERMARK}, up to 4 machines =="
+    );
     let without_trial = move || {
         let mut bn = BentoNetwork::build_full(
-            seed,
+            SEED,
             1,
             MiddleboxPolicy::permissive(),
             standard_registry,
@@ -216,19 +198,19 @@ fn main() {
         );
         let mut node = TestClientNode::new(bn.net.authority, bn.net.authority_key)
             .with_hs(HiddenServiceHost::new(svc_seed, 3, true));
-        node.serve_bytes = Some(file_len as usize);
+        node.serve_bytes = Some(FILE_LEN as usize);
         let _svc = bn
             .net
             .sim
             .add_node("service", service_iface(), Box::new(node));
         bn.net.sim.run_until(secs(20));
-        run_clients(&mut bn, onion, n_clients, file_len, 22)
+        run_clients(&mut bn, onion)
     };
     let with_lb_trial = move || {
         // Four Bento boxes: the balancer's box plus three replica boxes —
         // each box's access link is the same as the single service above.
         let mut bn = BentoNetwork::build_full(
-            seed ^ 0xF5,
+            SEED ^ 0xF5,
             4,
             MiddleboxPolicy::permissive(),
             standard_registry,
@@ -242,10 +224,10 @@ fn main() {
         let params = LbParams {
             service: ServiceParams {
                 seed: svc_seed,
-                file_len,
+                file_len: FILE_LEN,
             },
             n_intro: 3,
-            max_per_replica: watermark,
+            max_per_replica: WATERMARK,
             replica_boxes,
         };
         // The balancer goes on `boxes[1]`: the box a client finds first in
@@ -257,7 +239,7 @@ fn main() {
             manifest: lb_manifest(),
         };
         bn.install(operator, 1, &spec, [secs(5), secs(8), secs(20)]);
-        let mut r = run_clients(&mut bn, onion, n_clients, file_len, 22);
+        let mut r = run_clients(&mut bn, onion);
         // A box with a live function is serving: the balancer's, and every
         // box it started a replica on.
         let serving = |b: &&NodeId| {
@@ -272,74 +254,55 @@ fn main() {
         r
     };
     let jobs: Vec<Trial<RunResult>> = vec![Box::new(without_trial), Box::new(with_lb_trial)];
-    let mut results = run_sweep("figure5", jobs);
+    let mut results = run_sweep(opts, "figure5", jobs);
     let without = results.remove(0);
     let with_lb = results.remove(0);
-    emit("figure5_without_lb.csv", &without, n_clients);
-    emit("figure5_with_lb.csv", &with_lb, n_clients);
+    emit(opts, "figure5_without_lb.csv", &without);
+    emit(opts, "figure5_with_lb.csv", &with_lb);
 
     // Summary table.
-    if !opts.quiet {
-        println!("\nper-client completion times (s):");
-        println!("{:<8} {:>14} {:>14}", "client", "without LB", "with LB");
+    say!(opts, "\nper-client completion times (s):");
+    say!(opts, "client       without LB        with LB");
+    let cell = |t: &Option<f64>| t.map_or("-".into(), |v| format!("{v:.1}"));
+    for (i, (w, l)) in without
+        .completion
+        .iter()
+        .zip(&with_lb.completion)
+        .enumerate()
+    {
+        say!(opts, "{:<8} {:>14} {:>14}", i + 1, cell(w), cell(l));
     }
-    let mut done_without = 0;
-    let mut done_with = 0;
-    for i in 0..n_clients {
-        let w = without.completion[i];
-        let l = with_lb.completion[i];
-        if w.is_some() {
-            done_without += 1;
-        }
-        if l.is_some() {
-            done_with += 1;
-        }
-        let w = w.map(|v| format!("{v:.1}")).unwrap_or("-".into());
-        let l = l.map(|v| format!("{v:.1}")).unwrap_or("-".into());
-        if !opts.quiet {
-            println!("{:<8} {:>14} {:>14}", i + 1, w, l);
-        }
-    }
-    let mean = |v: &Vec<Option<f64>>| {
-        let xs: Vec<f64> = v.iter().flatten().copied().collect();
-        xs.iter().sum::<f64>() / xs.len().max(1) as f64
-    };
-    if !opts.quiet {
-        println!(
-            "\ncompleted within {}s: without={} with={} (of {})",
-            HORIZON_S, done_without, done_with, n_clients
-        );
-        println!(
-            "mean completion: without={:.1}s with={:.1}s; machines serving with LB: {}",
-            mean(&without.completion),
-            mean(&with_lb.completion),
-            with_lb.machines
-        );
-    }
-    opts.export_telemetry("figure5");
+    let done = |r: &RunResult| r.completion.iter().flatten().count();
+    let (done_without, done_with) = (done(&without), done(&with_lb));
+    let mean = |r: &RunResult| r.completion.iter().flatten().sum::<f64>() / done(r).max(1) as f64;
+    say!(
+        opts,
+        "\ncompleted within {HORIZON_S}s: without={done_without} with={done_with} (of {CLIENTS})"
+    );
+    say!(
+        opts,
+        "mean completion: without={:.1}s with={:.1}s; machines serving with LB: {}",
+        mean(&without),
+        mean(&with_lb),
+        with_lb.machines
+    );
+    export_telemetry(opts, "figure5");
 
-    // The paper's shape, checked on what was just written. At the figure's
-    // 10 MB and above the balancer must cut mean completion to 0.85 of the
-    // single server's; a smaller download is mostly set-up, and there it
-    // only has to come out ahead.
-    let ratio = mean(&with_lb.completion) / mean(&without.completion);
-    let (ratio_ok, wanted) = if mb >= 10 {
-        (ratio <= 0.85, "at most 0.85")
-    } else {
-        (ratio < 1.0, "below 1")
-    };
+    // The paper's shape, checked on what was just written: the balancer
+    // must cut mean completion to 0.85 of the single server's.
+    let ratio = mean(&with_lb) / mean(&without);
     let mut broken = Vec::new();
-    if (done_without, done_with) != (n_clients, n_clients) {
+    if (done_without, done_with) != (CLIENTS, CLIENTS) {
         broken.push(format!(
-            "completed without={done_without} with={done_with} of {n_clients}"
+            "completed without={done_without} with={done_with} of {CLIENTS}"
         ));
     }
     if with_lb.machines <= 1 {
         broken.push(format!("{} machine(s) served with LB", with_lb.machines));
     }
-    if !ratio_ok {
+    if ratio > 0.85 {
         broken.push(format!(
-            "with-LB / without-LB mean completion {ratio:.3}, wanted {wanted}"
+            "with-LB / without-LB mean completion {ratio:.3}, wanted at most 0.85"
         ));
     }
     require_shape("figure5", &broken);

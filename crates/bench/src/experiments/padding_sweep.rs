@@ -4,25 +4,24 @@
 //! curve — accuracy falls as the quantum grows past the corpus' page-size
 //! spread, bottoming out at chance.
 //!
-//! `cargo run -p bench --release --bin padding_sweep`
-//! (`--sites N --visits N` to rescale; default 40×6 to keep it minutes.)
+//! `cargo run -p bench --release -- padding_sweep` (40 sites × 6 visits,
+//! smaller than Table 1's world to keep it minutes).
 
-use bench::runner::{run_sweep, SweepOpts, Trial};
-use bench::{arg_u64, write_csv};
+use bench::runner::{run_sweep, Trial};
+use bench::{export_telemetry, say, write_csv, Opts};
 use wfp::{closed_world_accuracy, collect_traces, CollectConfig, Defense};
 
-fn main() {
-    let opts = SweepOpts::from_args();
-    let n_sites = arg_u64("--sites", 40) as u32;
-    let n_visits = arg_u64("--visits", 6) as u32;
-    let seed = arg_u64("--seed", 2);
+const SITES: u32 = 40;
+const VISITS: u32 = 6;
+const SEED: u64 = 2;
+
+pub fn run(opts: &Opts) {
     let paddings: [u64; 7] = [0, 256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20, 7 << 20];
-    if !opts.quiet {
-        println!(
-            "padding sweep ({n_sites} sites x {n_visits} visits); chance = {:.1}%",
-            100.0 / n_sites as f64
-        );
-    }
+    say!(
+        opts,
+        "padding sweep ({SITES} sites x {VISITS} visits); chance = {:.1}%",
+        100.0 / SITES as f64
+    );
     // One trial per padding quantum: trace collection is seeded per-config,
     // so every point is an independent simulation.
     let jobs: Vec<Trial<f64>> = paddings
@@ -30,22 +29,17 @@ fn main() {
         .map(|&padding| {
             Box::new(move || {
                 let cfg = CollectConfig {
-                    n_sites,
-                    n_visits,
-                    seed,
-                    corpus_seed: 77,
+                    n_sites: SITES,
+                    n_visits: VISITS,
+                    seed: SEED,
                     defense: Defense::BentoBrowser { padding },
-                    visit_timeout_s: 300,
-                    jitter_pct: 3,
                 };
                 closed_world_accuracy(&collect_traces(&cfg))
             }) as Trial<f64>
         })
         .collect();
-    let accuracies = run_sweep("padding_sweep", jobs);
-    if !opts.quiet {
-        println!("{:<12} {:>10}", "padding", "accuracy %");
-    }
+    let accuracies = run_sweep(opts, "padding_sweep", jobs);
+    say!(opts, "padding      accuracy %");
     let mut rows = Vec::new();
     for (&padding, &acc) in paddings.iter().zip(accuracies.iter()) {
         let label = if padding == 0 {
@@ -55,11 +49,9 @@ fn main() {
         } else {
             format!("{}MB", padding >> 20)
         };
-        if !opts.quiet {
-            println!("{:<12} {:>10.2}", label, acc * 100.0);
-        }
+        say!(opts, "{:<12} {:>10.2}", label, acc * 100.0);
         rows.push(format!("{padding},{acc:.4}"));
     }
-    write_csv("padding_sweep.csv", "padding_bytes,accuracy", &rows);
-    opts.export_telemetry("padding_sweep");
+    write_csv(opts, "padding_sweep.csv", "padding_bytes,accuracy", &rows);
+    export_telemetry(opts, "padding_sweep");
 }

@@ -2,7 +2,7 @@
 //! short-lived connections cost the simulator, and does it give every
 //! connection's state back?
 //!
-//! Builds a pure-simnet topology of `--clients C` clients talking to a
+//! Builds a pure-simnet topology of [`CLIENTS`] clients talking to a
 //! deterministic pool of reply servers (one server per 64 clients), runs it
 //! to quiescence and writes the simulated cost and the last reply's arrival
 //! (`sim_s`) as one row of `results/scalability_sweep.csv`. Host time (wall
@@ -18,13 +18,9 @@
 //!   [`EVENT_BUDGET`] a connection — a chunk-completion or close-side event
 //!   has come back.
 //!
-//! ```text
-//! cargo run -p bench --release --bin scalability_sweep            # 10^4 clients
-//! cargo run -p bench --release --bin scalability_sweep -- --clients 100000
-//! ```
+//! `cargo run -p bench --release -- scalability_sweep`
 
-use bench::runner::SweepOpts;
-use bench::{arg_u64, write_csv};
+use bench::{export_telemetry, say, write_csv, Opts};
 use simnet::{ConnId, Ctx, Iface, Node, NodeId, SimDuration, SimTime, Simulator};
 use std::time::Instant;
 
@@ -39,7 +35,7 @@ impl Node for ScaleServer {
     }
 }
 
-/// Runs `rounds` request/reply exchanges against `server`, each on a fresh
+/// Runs [`ROUNDS`] request/reply exchanges against `server`, each on a fresh
 /// connection, with deterministically staggered start and think times.
 struct ScaleClient {
     server: NodeId,
@@ -51,6 +47,11 @@ struct ScaleClient {
 }
 
 const TAG_ROUND: u64 = 1;
+
+const CLIENTS: u64 = 10_000;
+/// Request/reply exchanges per client, each on a fresh connection.
+const ROUNDS: u32 = 3;
+const SEED: u64 = 23;
 
 /// Events a connection may cost: timer, two handshake events, two arrivals
 /// and the close, plus a little for rounding.
@@ -86,18 +87,15 @@ impl Node for ScaleClient {
     }
 }
 
-fn main() {
-    let opts = SweepOpts::from_args();
-    let clients = arg_u64("--clients", 10_000);
-    let rounds = arg_u64("--rounds", 3) as u32;
-    let seed = arg_u64("--seed", 23);
-    if !opts.quiet {
-        println!("scalability sweep: {clients} clients x {rounds} rounds");
-    }
+pub fn run(opts: &Opts) {
+    say!(
+        opts,
+        "scalability sweep: {CLIENTS} clients x {ROUNDS} rounds"
+    );
 
-    let mut sim = Simulator::with_seed(seed);
+    let mut sim = Simulator::with_seed(SEED);
     // Server pool: one per 64 clients, on datacenter-ish links.
-    let n_servers = (clients / 64).max(1);
+    let n_servers = (CLIENTS / 64).max(1);
     let server_iface = Iface::symmetric(SimDuration::from_millis(2), 100_000_000);
     let client_iface = Iface::symmetric(SimDuration::from_millis(15), 4_000_000);
     let servers: Vec<NodeId> = (0..n_servers)
@@ -109,7 +107,7 @@ fn main() {
             )
         })
         .collect();
-    let client_ids: Vec<NodeId> = (0..clients)
+    let client_ids: Vec<NodeId> = (0..CLIENTS)
         .map(|i| {
             sim.add_node(
                 format!("c{i}"),
@@ -117,7 +115,7 @@ fn main() {
                 Box::new(ScaleClient {
                     server: servers[(i % n_servers) as usize],
                     idx: i,
-                    rounds_left: rounds,
+                    rounds_left: ROUNDS,
                     req_bytes: 200 + (i % 800) as usize,
                     last_reply: SimTime::ZERO,
                 }),
@@ -140,33 +138,34 @@ fn main() {
         assert_eq!(
             left,
             0,
-            "client {i} finished only {} of {rounds} rounds",
-            rounds - left
+            "client {i} finished only {} of {ROUNDS} rounds",
+            ROUNDS - left
         );
     }
 
     let stats = sim.stats();
     let eps = stats.events as f64 / wall_s.max(1e-9);
     let per_conn = stats.events as f64 / stats.conns_opened.max(1) as f64;
-    if !opts.quiet {
-        println!(
-            "  {} events, {} connections ({per_conn:.3} a connection) in {wall_s:.2}s \
+    say!(
+        opts,
+        "  {} events, {} connections ({per_conn:.3} a connection) in {wall_s:.2}s \
              -> {eps:.0} events/s",
-            stats.events, stats.conns_opened
-        );
-    }
+        stats.events,
+        stats.conns_opened
+    );
     write_csv(
+        opts,
         "scalability_sweep.csv",
         "clients,events,msgs,bytes,sim_s",
         &[format!(
-            "{clients},{},{},{},{:.3}",
+            "{CLIENTS},{},{},{},{:.3}",
             stats.events,
             stats.msgs_delivered,
             stats.bytes_delivered,
             end.since(SimTime::ZERO).as_secs_f64()
         )],
     );
-    opts.export_telemetry("scalability_sweep");
+    export_telemetry(opts, "scalability_sweep");
     assert_eq!(
         sim.live_conn_halves(),
         0,

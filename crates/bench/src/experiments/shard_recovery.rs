@@ -1,32 +1,21 @@
 //! **§9.3 Shard** — the k-of-N recovery property, exhaustively: for a grid
 //! of (k, N), verify every k-subset reconstructs and no (k−1)-subset does.
 //!
-//! `cargo run -p bench --release --bin shard_recovery`
+//! `cargo run -p bench --release -- shard_recovery`
 
-use bench::write_report;
+use bench::{say, write_report, Opts};
 use bento_functions::erasure::{decode, encode, ShardPiece};
 use rand::{Rng, SeedableRng};
 
 /// All size-`k` index subsets of `0..n` (n small).
 fn subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    let mut cur = Vec::new();
-    fn rec(start: usize, n: usize, k: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if cur.len() == k {
-            out.push(cur.clone());
-            return;
-        }
-        for i in start..n {
-            cur.push(i);
-            rec(i + 1, n, k, cur, out);
-            cur.pop();
-        }
-    }
-    rec(0, n, k, &mut cur, &mut out);
-    out
+    (0u32..1 << n)
+        .filter(|mask| mask.count_ones() as usize == k)
+        .map(|mask| (0..n).filter(|i| mask >> i & 1 == 1).collect())
+        .collect()
 }
 
-fn main() {
+pub fn run(opts: &Opts) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
     let mut report = String::new();
     report.push_str("== Shard (section 9.3): any k of N reconstruct; k-1 never do ==\n");
@@ -71,6 +60,6 @@ fn main() {
     report.push_str("\nThe network path of this property (Shard deploying Dropboxes over\n");
     report.push_str("Tor circuits, fetch k shards, reconstruct) runs in the integration\n");
     report.push_str("test `shard_deploys_and_any_k_reconstruct`.\n");
-    print!("{report}");
-    write_report("shard_recovery.txt", &report);
+    say!(opts, "{}", report.trim_end());
+    write_report(opts, "shard_recovery.txt", &report);
 }

@@ -6,11 +6,11 @@
 //! the circuit's effective bandwidth (~85 KB/s in the paper's runs —
 //! the direct consequence of the anonymity trilemma it illustrates).
 //!
-//! `cargo run -p bench --release --bin table2` — exits non-zero if the
-//! run does not have that shape (see the end of `main`).
+//! `cargo run -p bench --release -- table2` — exits non-zero if the run
+//! does not have that shape (see the end of `run`).
 
-use bench::runner::{run_sweep, SweepOpts, Trial};
-use bench::{arg_u64, require_shape, write_csv};
+use bench::runner::{run_sweep, Trial};
+use bench::{export_telemetry, require_shape, say, write_csv, Opts};
 use bento::protocol::FunctionSpec;
 use bento::testnet::BentoNetwork;
 use bento::MiddleboxPolicy;
@@ -141,9 +141,9 @@ fn browser_trial(seed: u64, pi: usize, padding: u64, sites: Vec<SiteModel>) -> V
         .collect()
 }
 
-fn main() {
-    let opts = SweepOpts::from_args();
-    let seed = arg_u64("--seed", 3);
+const SEED: u64 = 3;
+
+pub fn run(opts: &Opts) {
     let sites = domains(77);
     let paddings = [0u64, 1 << 20, 7 << 20];
 
@@ -153,15 +153,14 @@ fn main() {
     let mut jobs: Vec<Trial<Vec<f64>>> = Vec::new();
     {
         let sites = sites.clone();
-        jobs.push(Box::new(move || standard_tor_trial(seed, sites)));
+        jobs.push(Box::new(move || standard_tor_trial(SEED, sites)));
     }
     for (pi, padding) in paddings.iter().copied().enumerate() {
         let sites = sites.clone();
-        jobs.push(Box::new(move || browser_trial(seed, pi, padding, sites)));
+        jobs.push(Box::new(move || browser_trial(SEED, pi, padding, sites)));
     }
-    let mut results = run_sweep("table2", jobs);
-    let standard = results.remove(0);
-    let browser_times = results;
+    // Per site: standard Tor, then Browser at 0, 1 and 7 MB.
+    let times = run_sweep(opts, "table2", jobs);
 
     // Paper's Table 2 for reference.
     let paper: [[f64; 4]; 5] = [
@@ -171,65 +170,53 @@ fn main() {
         [6.1, 7.0, 22.3, 81.8],
         [3.1, 5.9, 37.7, 91.9],
     ];
-    if !opts.quiet {
-        println!("Table 2: download times in seconds (ours | paper)");
-        println!(
-            "{:<18} {:>14} {:>14} {:>14} {:>14}",
-            "Domain", "standard Tor", "Browser 0MB", "Browser 1MB", "Browser 7MB"
-        );
-    }
+    say!(opts, "Table 2: download times in seconds (ours | paper)");
+    say!(
+        opts,
+        "Domain               standard Tor    Browser 0MB    Browser 1MB    Browser 7MB"
+    );
     let mut rows = Vec::new();
     for (i, site) in sites.iter().enumerate() {
-        if !opts.quiet {
-            println!(
-                "{:<18} {:>6.1} | {:>4.1} {:>6.1} | {:>4.1} {:>6.1} | {:>4.1} {:>6.1} | {:>4.1}",
-                site.name,
-                standard[i],
-                paper[i][0],
-                browser_times[0][i],
-                paper[i][1],
-                browser_times[1][i],
-                paper[i][2],
-                browser_times[2][i],
-                paper[i][3],
-            );
-        }
+        let ours = times.iter().map(|t| t[i]);
+        let cols: String = ours
+            .clone()
+            .zip(paper[i])
+            .map(|(o, p)| format!(" {o:>6.1} | {p:>4.1}"))
+            .collect();
+        say!(opts, "{:<18}{cols}", site.name);
+        let ours: Vec<String> = ours.map(|o| format!("{o:.2}")).collect();
+        let paper: Vec<String> = paper[i].iter().map(|p| p.to_string()).collect();
         rows.push(format!(
-            "{},{:.2},{:.2},{:.2},{:.2},{},{},{},{}",
+            "{},{},{}",
             site.name,
-            standard[i],
-            browser_times[0][i],
-            browser_times[1][i],
-            browser_times[2][i],
-            paper[i][0],
-            paper[i][1],
-            paper[i][2],
-            paper[i][3],
+            ours.join(","),
+            paper.join(",")
         ));
     }
     const HEADER: &str = "domain,standard_s,browser0_s,browser1mb_s,browser7mb_s,\
                           paper_standard,paper_0mb,paper_1mb,paper_7mb";
-    write_csv("table2.csv", HEADER, &rows);
-    opts.export_telemetry("table2");
+    write_csv(opts, "table2.csv", HEADER, &rows);
+    export_telemetry(opts, "table2");
 
     // The paper's shape, checked on what was just written: with no padding
     // the Browser function beats standard Tor on the smallest page, and with
     // 7 MB of padding it loses on every page.
+    let (standard, browser0, browser7) = (&times[0], &times[1], &times[3]);
     let smallest = (0..sites.len())
         .min_by_key(|&i| sites[i].total_bytes())
         .expect("at least one domain");
     let mut broken = Vec::new();
-    if browser_times[0][smallest] >= standard[smallest] {
+    if browser0[smallest] >= standard[smallest] {
         broken.push(format!(
             "{}: Browser 0MB {:.2} s does not beat standard Tor {:.2} s",
-            sites[smallest].name, browser_times[0][smallest], standard[smallest]
+            sites[smallest].name, browser0[smallest], standard[smallest]
         ));
     }
     for (i, site) in sites.iter().enumerate() {
-        if browser_times[2][i] <= standard[i] {
+        if browser7[i] <= standard[i] {
             broken.push(format!(
                 "{}: Browser 7MB {:.2} s does not lose to standard Tor {:.2} s",
-                site.name, browser_times[2][i], standard[i]
+                site.name, browser7[i], standard[i]
             ));
         }
     }

@@ -1,19 +1,12 @@
 //! # bench — experiment harness regenerating the paper's tables and figures
 //!
-//! One binary per experiment (see DESIGN.md's per-experiment index):
-//!
-//! | paper artifact | binary | output |
-//! |---|---|---|
-//! | Table 1 (WF attack accuracy) | `table1` | `results/table1.csv` |
-//! | Table 2 (download times)     | `table2` | `results/table2.csv` |
-//! | Figure 5 (LoadBalancer)      | `figure5`| `results/figure5_{with,without}_lb.csv` |
-//! | §7.3 scalability             | `scalability` | `results/scalability.txt` |
-//! | §9.3 Shard property          | `shard_recovery` | `results/shard_recovery.txt` |
-//! | §9.1 Cover ablation          | `cover_ablation` | `results/cover_ablation.txt` |
-//!
-//! Every sweep binary shares one CLI surface via [`runner::SweepOpts`]:
-//! `--quiet` (suppress progress chatter). Each records telemetry at the
-//! `summary` mode and exports it as `results/TELEMETRY_<name>.json`.
+//! One binary, `bench`, whose first argument names the experiment; its
+//! `EXPERIMENTS` table lists them with the artifact each writes under
+//! `results/` (DESIGN.md's per-experiment index maps them to the paper).
+//! Every experiment runs at the fixed size its checked-in output was made
+//! with; the only flags are [`Opts`]'s `--threads N` and `--quiet`. Each
+//! one that exports telemetry writes `results/TELEMETRY_<name>.json` and
+//! checks it against the schema as it is written.
 
 #![forbid(unsafe_code)]
 
@@ -22,69 +15,78 @@ pub mod runner;
 
 use std::fs;
 use std::io::Write;
-use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::{Path, PathBuf};
 
-static QUIET: AtomicBool = AtomicBool::new(false);
-
-/// True when `--quiet` was given: progress chatter (the runner note and
-/// `wrote ...` echoes) is suppressed. File contents are unaffected.
-pub fn quiet() -> bool {
-    QUIET.load(Ordering::Relaxed)
+/// The flags every experiment shares.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Opts {
+    /// Worker threads for the trial runner; 0 means one per core.
+    pub threads: usize,
+    /// Suppress progress chatter: the runner note, `wrote ...` echoes and
+    /// the printed tables. File contents are unaffected.
+    pub quiet: bool,
 }
 
-pub(crate) fn set_quiet(q: bool) {
-    QUIET.store(q, Ordering::Relaxed);
+/// `println!` unless the [`Opts`] say `--quiet`.
+#[macro_export]
+macro_rules! say {
+    ($opts:expr, $($arg:tt)*) => {
+        if !$opts.quiet {
+            println!($($arg)*);
+        }
+    };
 }
 
-/// Write rows as CSV into `results/<name>` (creating the directory), and
-/// echo the path.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) {
+/// `results/<name>`, creating the directory.
+fn results_path(name: &str) -> PathBuf {
     let dir = Path::new("results");
     fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(name);
+    dir.join(name)
+}
+
+/// Write rows as CSV into `results/<name>`, and echo the path.
+pub fn write_csv(opts: &Opts, name: &str, header: &str, rows: &[String]) {
+    let path = results_path(name);
     let mut f = fs::File::create(&path).expect("create csv");
-    writeln!(f, "{header}").unwrap();
+    writeln!(f, "{header}").expect("write csv");
     for r in rows {
-        writeln!(f, "{r}").unwrap();
+        writeln!(f, "{r}").expect("write csv");
     }
-    if !quiet() {
-        println!("wrote {}", path.display());
-    }
+    say!(opts, "wrote {}", path.display());
 }
 
 /// Write a free-form text report into `results/<name>`.
-pub fn write_report(name: &str, body: &str) {
-    let dir = Path::new("results");
-    fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(name);
+pub fn write_report(opts: &Opts, name: &str, body: &str) {
+    let path = results_path(name);
     fs::write(&path, body).expect("write report");
-    if !quiet() {
-        println!("wrote {}", path.display());
-    }
+    say!(opts, "wrote {}", path.display());
 }
 
-/// End a figure or table bin whose run lost the paper's shape: print what
-/// broke and exit non-zero. Called after the results are written, so the
-/// files are there to look at. Does nothing when `broken` is empty.
-pub fn require_shape(bin: &str, broken: &[String]) {
-    if !broken.is_empty() {
-        eprintln!("{bin}: shape check failed:\n  {}", broken.join("\n  "));
+/// Export the calling thread's telemetry totals accumulated so far (trial
+/// metrics are folded in by [`runner::run_trials`]) as
+/// `results/TELEMETRY_<name>.json`, then read the file back and check it
+/// against the schema; exit non-zero if it does not pass.
+pub fn export_telemetry(opts: &Opts, name: &str) {
+    let totals = telemetry::snapshot();
+    let path = telemetry::export::write("results", name, name, telemetry::mode(), &totals)
+        .expect("write telemetry export");
+    let doc = fs::read_to_string(&path).expect("read telemetry export back");
+    if let Err(why) = telemetry::export::validate(&doc) {
+        eprintln!("{}: schema validation failed: {why}", path.display());
         std::process::exit(1);
     }
+    say!(opts, "wrote {}", path.display());
 }
 
-/// Parse `--key value` style args with a default.
-pub fn arg_u64(key: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Whether a bare flag is present.
-pub fn arg_flag(key: &str) -> bool {
-    std::env::args().any(|a| a == key)
+/// End an experiment whose run lost the paper's shape: print what broke and
+/// exit non-zero. Called after the results are written, so the files are
+/// there to look at. Does nothing when `broken` is empty.
+pub fn require_shape(experiment: &str, broken: &[String]) {
+    if !broken.is_empty() {
+        eprintln!(
+            "{experiment}: shape check failed:\n  {}",
+            broken.join("\n  ")
+        );
+        std::process::exit(1);
+    }
 }

@@ -1,6 +1,6 @@
 //! Deterministic parallel trial runner.
 //!
-//! Every evaluation binary in this crate sweeps an axis (padding quantum,
+//! Every experiment in this crate sweeps an axis (padding quantum,
 //! circuit count, client count, ...) by running **independent simulation
 //! trials**: each trial builds its own [`simnet::Simulator`] from an explicit
 //! seed and config, runs it to completion, and reduces the run to a plain
@@ -15,17 +15,17 @@
 //! same sweep run on every core of the machine (the regression test in
 //! `tests/runner.rs` holds this invariant down).
 
+use crate::Opts;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// A boxed trial: runs to completion on some worker and yields its result.
 pub type Trial<T> = Box<dyn FnOnce() -> T + Send>;
 
-/// Worker-thread count actually used for `jobs` trials: the `--threads N`
-/// argument if given (0 or absent means auto), else the machine's available
+/// Worker-thread count actually used for `jobs` trials: `requested` (the
+/// `--threads N` flag; 0 means auto), else the machine's available
 /// parallelism, never more than the number of trials.
-fn threads_for(jobs: usize) -> usize {
-    let requested = crate::arg_u64("--threads", 0) as usize;
+fn threads_for(requested: usize, jobs: usize) -> usize {
     let n = if requested == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -102,48 +102,18 @@ fn run_trials_raw<T: Send>(threads: usize, jobs: Vec<Trial<T>>) -> Vec<T> {
         .collect()
 }
 
-/// Convenience: run `jobs` with the CLI-derived thread count and a one-line
-/// note about the mode, returning results in trial-index order.
-pub fn run_sweep<T: Send + 'static>(what: &str, jobs: Vec<Trial<T>>) -> Vec<T> {
-    let threads = threads_for(jobs.len());
-    if !crate::quiet() {
+/// Convenience: run `jobs` with `opts.threads` workers and a one-line note
+/// about the mode, returning results in trial-index order.
+pub fn run_sweep<T: Send + 'static>(opts: &Opts, what: &str, jobs: Vec<Trial<T>>) -> Vec<T> {
+    let threads = threads_for(opts.threads, jobs.len());
+    if !opts.quiet {
+        let s = if threads == 1 { "" } else { "s" };
         eprintln!(
-            "[runner] {}: {} trials on {} thread{}",
-            what,
-            jobs.len(),
-            threads,
-            if threads == 1 { "" } else { "s" }
+            "[runner] {what}: {} trials on {threads} thread{s}",
+            jobs.len()
         );
     }
     run_trials(threads, jobs)
-}
-
-/// The CLI surface every sweep binary shares: `--quiet`. Constructing it
-/// applies the flag process-wide, so call it at the top of `main`.
-pub struct SweepOpts {
-    /// Suppress progress chatter (`--quiet`).
-    pub quiet: bool,
-}
-
-impl SweepOpts {
-    /// Parse the shared flags from `std::env::args` and apply them.
-    pub fn from_args() -> SweepOpts {
-        let quiet = crate::arg_flag("--quiet");
-        crate::set_quiet(quiet);
-        SweepOpts { quiet }
-    }
-
-    /// Export the calling thread's telemetry totals accumulated so far
-    /// (trial metrics are folded in by [`run_trials`]) as
-    /// `results/TELEMETRY_<name>.json`.
-    pub fn export_telemetry(&self, name: &str) {
-        let totals = telemetry::snapshot();
-        let path = telemetry::export::write("results", name, name, telemetry::mode(), &totals)
-            .expect("write telemetry export");
-        if !crate::quiet() {
-            println!("wrote {}", path.display());
-        }
-    }
 }
 
 #[cfg(test)]

@@ -84,8 +84,9 @@ pub struct HiddenServiceHost {
     /// the descriptor's intro point list) is deterministic.
     intro_circs: BTreeMap<usize, (Fingerprint, bool)>,
     /// Intro relays whose circuits died; avoided when picking replacements
-    /// (failing open when the consensus offers nothing else).
-    intro_failures: Vec<Fingerprint>,
+    /// (failing open when the consensus offers nothing else). A set, so it
+    /// holds at most one entry per relay in the consensus.
+    intro_failures: BTreeSet<Fingerprint>,
     /// Intro circuits lost and rebuilt since `start()`.
     pub intro_rebuilds: u64,
     /// The published descriptor no longer matches the live intro set
@@ -116,7 +117,7 @@ impl HiddenServiceHost {
             replay_rejections: 0,
             onion_addr,
             intro_circs: BTreeMap::new(),
-            intro_failures: Vec::new(),
+            intro_failures: BTreeSet::new(),
             intro_rebuilds: 0,
             desc_stale: false,
             hsdir_circ: None,
@@ -322,15 +323,12 @@ impl HiddenServiceHost {
                 None
             }
             TorEvent::CircuitClosed(h) => {
-                if let Some((dead_fp, _)) = self.intro_circs.remove(&h.0) {
+                if self.intro_lost(h) {
                     // An intro circuit died (relay crash, link loss): the
                     // descriptor now advertises a dead intro point. Rebuild
                     // on a fresh path and republish once re-established —
                     // without this, a host that loses every intro point
                     // stays unreachable until restart.
-                    self.intro_failures.push(dead_fp);
-                    self.intro_rebuilds += 1;
-                    self.desc_stale = true;
                     self.rebuild_intro_circuits(ctx, client);
                     return None;
                 }
@@ -413,6 +411,18 @@ impl HiddenServiceHost {
                 self.hsdir_circ = Some(h);
             }
         }
+    }
+
+    /// Forget circuit `h` if it was an intro circuit: remember its relay as
+    /// failed and mark the descriptor stale. Returns whether it was one.
+    fn intro_lost(&mut self, h: CircuitHandle) -> bool {
+        let Some((dead_fp, _)) = self.intro_circs.remove(&h.0) else {
+            return false;
+        };
+        self.intro_failures.insert(dead_fp);
+        self.intro_rebuilds += 1;
+        self.desc_stale = true;
+        true
     }
 
     /// Top the intro set back up to `n_intro` circuits after losses. Walks
@@ -526,6 +536,20 @@ mod tests {
             primary.enc_secret.public_key(),
             replica.enc_secret.public_key()
         );
+    }
+
+    #[test]
+    fn losing_one_intro_relay_twice_leaves_one_failure() {
+        let mut hs = HiddenServiceHost::new([4u8; 32], 2, true);
+        let relay = [6u8; 20];
+        for slot in [1, 2] {
+            hs.intro_circs.insert(slot, (relay, true));
+            assert!(hs.intro_lost(CircuitHandle(slot)));
+        }
+        assert!(!hs.intro_lost(CircuitHandle(3)), "not an intro circuit");
+        assert_eq!(hs.intro_rebuilds, 2);
+        assert_eq!(hs.intro_failures.len(), 1);
+        assert!(hs.intro_failures.contains(&relay));
     }
 
     #[test]

@@ -39,6 +39,14 @@ impl Defense {
     }
 }
 
+/// Corpus generation seed: one world of sites for every experiment.
+const CORPUS_SEED: u64 = 77;
+/// Per-visit page-content size jitter, percent: real pages change between
+/// visits (0 would make them perfectly static).
+const JITTER_PCT: u32 = 3;
+/// Per-visit timeout in simulated seconds.
+const VISIT_TIMEOUT_S: u64 = 300;
+
 /// Collection parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct CollectConfig {
@@ -48,35 +56,14 @@ pub struct CollectConfig {
     pub n_visits: u32,
     /// Simulation seed.
     pub seed: u64,
-    /// Corpus generation seed.
-    pub corpus_seed: u64,
     /// Defense under test.
     pub defense: Defense,
-    /// Per-visit timeout in simulated seconds.
-    pub visit_timeout_s: u64,
-    /// Per-visit page-content size jitter, percent (real pages change
-    /// between visits; 0 = perfectly static pages).
-    pub jitter_pct: u32,
 }
 
-impl Default for CollectConfig {
-    fn default() -> Self {
-        CollectConfig {
-            n_sites: 100,
-            n_visits: 10,
-            seed: 1,
-            corpus_seed: 77,
-            defense: Defense::StandardTor,
-            visit_timeout_s: 240,
-            jitter_pct: 3,
-        }
-    }
-}
-
-fn all_pages(sites: &[SiteModel], n_visits: u32, jitter_pct: u32) -> Vec<(String, Vec<Vec<u8>>)> {
+fn all_pages(sites: &[SiteModel], n_visits: u32) -> Vec<(String, Vec<Vec<u8>>)> {
     sites
         .iter()
-        .flat_map(|s| s.server_pages_variants(n_visits, jitter_pct))
+        .flat_map(|s| s.server_pages_variants(n_visits, JITTER_PCT))
         .collect()
 }
 
@@ -93,13 +80,13 @@ pub fn collect_traces(cfg: &CollectConfig) -> Vec<Trace> {
 }
 
 fn collect_standard(cfg: &CollectConfig) -> Vec<Trace> {
-    let sites = corpus(cfg.n_sites, cfg.corpus_seed);
+    let sites = corpus(cfg.n_sites, CORPUS_SEED);
     let mut net = tor_net::netbuild::NetworkBuilder::new()
         .seed(cfg.seed)
         .middles(6)
         .exits(3)
         .build();
-    let server = net.add_web_server("web", all_pages(&sites, cfg.n_visits, cfg.jitter_pct));
+    let server = net.add_web_server("web", all_pages(&sites, cfg.n_visits));
     let client = net.sim.add_node(
         "victim",
         Iface::residential(),
@@ -121,7 +108,7 @@ fn collect_standard(cfg: &CollectConfig) -> Vec<Trace> {
                 d
             });
             // Run until the visit completes or times out.
-            let deadline = net.sim.now() + SimDuration::from_secs(cfg.visit_timeout_s);
+            let deadline = net.sim.now() + SimDuration::from_secs(VISIT_TIMEOUT_S);
             net.sim
                 .step_until(SimDuration::from_millis(500), deadline, |sim| {
                     let n: &BrowseNode = sim.node_ref(client);
@@ -143,7 +130,7 @@ fn collect_standard(cfg: &CollectConfig) -> Vec<Trace> {
 }
 
 fn collect_browser(cfg: &CollectConfig, padding: u64) -> Vec<Trace> {
-    let sites = corpus(cfg.n_sites, cfg.corpus_seed);
+    let sites = corpus(cfg.n_sites, CORPUS_SEED);
     let mut bn = BentoNetwork::build(
         cfg.seed,
         1,
@@ -152,7 +139,7 @@ fn collect_browser(cfg: &CollectConfig, padding: u64) -> Vec<Trace> {
     );
     let server = bn
         .net
-        .add_web_server("web", all_pages(&sites, cfg.n_visits, cfg.jitter_pct));
+        .add_web_server("web", all_pages(&sites, cfg.n_visits));
     let client = bn.add_bento_client("victim");
     let secs = |s| SimTime::ZERO + SimDuration::from_secs(s);
     bn.net.sim.run_until(secs(2));
@@ -185,7 +172,7 @@ fn collect_browser(cfg: &CollectConfig, padding: u64) -> Vec<Trace> {
             };
             // Wait for the session stream, then invoke. A visit that runs
             // out of time still leaves the trace the adversary saw of it.
-            let deadline = bn.net.sim.now() + SimDuration::from_secs(cfg.visit_timeout_s);
+            let deadline = bn.net.sim.now() + SimDuration::from_secs(VISIT_TIMEOUT_S);
             bn.net
                 .sim
                 .step_until(SimDuration::from_millis(200), deadline, |sim| {

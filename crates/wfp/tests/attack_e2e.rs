@@ -2,7 +2,7 @@
 //! simulated network under each defense and check the accuracy staircase's
 //! *shape* — unmodified Tor highly fingerprintable, Browser+0MB weaker,
 //! Browser+1MB near chance. (The full-scale run is `cargo run -p bench
-//! --bin table1 --release`.)
+//! --release -- table1`.)
 
 use wfp::{closed_world_accuracy, collect_traces, CollectConfig, Defense};
 
@@ -16,10 +16,7 @@ fn cfg(defense: Defense) -> CollectConfig {
         n_sites: N_SITES,
         n_visits: N_VISITS,
         seed: 5,
-        corpus_seed: 77,
         defense,
-        visit_timeout_s: 240,
-        jitter_pct: 3,
     }
 }
 

@@ -49,7 +49,5 @@ fn main() {
         "received {} KiB, byte-identical to the origin resource.",
         got.len() / 1024
     );
-    println!(
-        "see `cargo run -p bench --release --bin multipath_sweep` for the k-scaling ablation."
-    );
+    println!("see `cargo run -p bench --release -- multipath_sweep` for the k-scaling ablation.");
 }
